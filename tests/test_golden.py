@@ -1,0 +1,89 @@
+"""Fixed-seed summaries of every scenario, compared against stored values.
+
+The expected values in ``golden_summaries.json`` are run outputs of small
+seeded cases: every float of the run summary except ``wall_time``, every
+``DiagnosticsRecord.scalars()`` value, the regularization remainders and the
+final particle count.  A refactor that keeps the numerics must reproduce them
+to rounding.  Regenerate (only for a deliberate change of the numerics) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from thinspray.scenarios import SimConfig, run_scenario
+
+GOLDEN = Path(__file__).with_name("golden_summaries.json")
+RTOL, ATOL = 1e-9, 1e-12
+
+_BASE = dict(dim=2, n=16, dt=2e-3, t_final=0.03, particle_count=2_000,
+             particle_budget=5_000, seed=5)
+CASES = {
+    "limit-2d": dict(_BASE),
+    "bidisperse-merge-2d": dict(_BASE, scenario="bidisperse", tau=0.05, r2=0.3,
+                                particle_budget=2_500),
+    "regularized-2d": dict(_BASE, scenario="regularized", eps=0.5),
+    "limit-3d": dict(_BASE, dim=3, n=8, particle_count=1_000, t_final=0.02),
+    "bidisperse-merge-3d": dict(_BASE, dim=3, n=8, particle_count=1_000,
+                                t_final=0.02, scenario="bidisperse", tau=0.05,
+                                r2=0.3, particle_budget=1_200),
+}
+
+
+def _flatten(prefix, value, out):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(f"{prefix}.{key}" if prefix else key, item, out)
+    else:
+        out[prefix] = value
+
+
+def case_values(config: dict) -> dict:
+    """Flat name -> value map of one run, in a JSON-safe form."""
+    res = run_scenario(SimConfig(**config))
+    out = {}
+    summary = dict(res.summary)
+    summary.pop("wall_time")
+    _flatten("summary", summary, out)
+    for i, rec in enumerate(res.records):
+        for key, value in rec.scalars().items():
+            out[f"record{i}.{key}"] = value
+    for i, rem in enumerate(res.remainders):
+        for key, value in zip(("t", "r1", "r2", "r3"), rem):
+            out[f"remainder{i}.{key}"] = value
+    out["final_count"] = res.cloud.count
+    return out
+
+
+def _expected():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_summary(name):
+    expected = _expected()[name]
+    got = case_values(CASES[name])
+    assert sorted(got) == sorted(expected)
+    for key, want in expected.items():
+        have = got[key]
+        if isinstance(want, float) and not isinstance(want, bool):
+            assert math.isclose(have, want, rel_tol=RTOL, abs_tol=ATOL), \
+                f"{name} {key}: {have!r} != {want!r}"
+        else:
+            assert have == want, f"{name} {key}: {have!r} != {want!r}"
+
+
+def test_merging_case_merges():
+    # the bidisperse cases exist to cover the merge pass
+    for name in ("bidisperse-merge-2d", "bidisperse-merge-3d"):
+        assert _expected()[name]["summary.merge_m2_max"] > 0.0
+
+
+if __name__ == "__main__":
+    data = {name: case_values(cfg) for name, cfg in sorted(CASES.items())}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
