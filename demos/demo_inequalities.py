@@ -1,7 +1,6 @@
 """The estimates behind the solver, run as standalone numerical checks.
 
 * moment interpolation bound  m_a <= ((4/3) pi sup h + 1) m_g^((a+3)/(g+3))
-* pointwise growth of the phase density value along a characteristic, e^2t
 * nonlinear comparison-ODE (Gronwall) domination
 * guaranteed life span of the power-law blow-up ODE
 
@@ -14,7 +13,6 @@ from thinspray import (
     GronwallProblem,
     RadialDensity,
     blowup_time_bound,
-    characteristic_value_growth,
     check_moment_bound,
     gronwall_compare,
 )
@@ -38,11 +36,6 @@ print(f"  2000/2000 hold; tightest rhs/lhs ratio seen: {worst:.3f}")
 ball = RadialDensity(np.array([0.0, 1.0]), np.array([1.0]))
 lhs, rhs, _ = check_moment_bound(ball, 0.0, 2.0)
 print(f"  unit ball, orders (0,2): m0 = {lhs:.5f} <= {rhs:.5f}")
-
-print("\nvalue transported along a droplet characteristic (3-D)")
-t, vals = characteristic_value_growth(1.0, dim=3)
-print(f"  integrated growth at t=1: {vals[-1]:.12f} vs e^2 = {np.exp(2):.12f}")
-print(f"  max deviation over [0,1]: {np.abs(vals - np.exp(2 * t)).max():.2e}")
 
 print("\ncomparison-ODE domination (quartic right-hand side)")
 problem = GronwallProblem(a=1.0, gamma=3.0)

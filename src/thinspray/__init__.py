@@ -17,7 +17,6 @@ from .diagnostics import (
     check_moment_bound,
     cloud_moments,
     collect_record,
-    compute_moments,
     energy_budget,
     gronwall_compare,
     momentum_budget,
@@ -48,12 +47,10 @@ from .kinetic import (
     absorb_and_fragment,
     absorb_to_density,
     advance_particles,
-    characteristic_value_growth,
     deposit_moments,
     interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
-    stokes_relax_time,
     velocity_cutoff,
 )
 from .scenarios import RunResult, SimConfig, SweepResult, load_config, run_scenario, sweep_r2
@@ -81,11 +78,9 @@ __all__ = [
     "absorb_to_density",
     "advance_particles",
     "blowup_time_bound",
-    "characteristic_value_growth",
     "check_moment_bound",
     "cloud_moments",
     "collect_record",
-    "compute_moments",
     "dealias",
     "density_step",
     "deposit_moments",
@@ -111,7 +106,6 @@ __all__ = [
     "regularization_remainders",
     "run_scenario",
     "sample_gaussian_spray",
-    "stokes_relax_time",
     "sweep_r2",
     "velocity_cutoff",
 ]

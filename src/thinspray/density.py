@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fluid import check_cfl
-from .grid import GridSpec, ScalarField, VectorField, mollify, require_same_grid
+from .grid import GridSpec, ScalarField, VectorField, require_same_grid
 from .transfer import cic_gather, wrap_positions
 
 
@@ -45,10 +45,12 @@ def _grid_nodes(grid: GridSpec) -> np.ndarray:
 
 
 def density_step(density: DensityField, u: VectorField, source: ScalarField | None,
-                 dt: float, mollifier_eps: float | None = None,
-                 conserve_mass: bool = True) -> DensityField:
+                 dt: float, conserve_mass: bool = True) -> DensityField:
     """One semi-Lagrangian transport step with a nonnegative source.
 
+    u is the advecting velocity the feet are traced with; a caller that
+    advects with a mollified velocity passes the mollified field.  The CFL
+    check applies to that same field.
     With conserve_mass (default) the advected field is rescaled by the ratio
     of old to interpolated total mass, making the mass budget
     integral(rho') - integral(rho) - dt * integral(source) exact to rounding;
@@ -69,11 +71,10 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField | No
         return DensityField(rho.copy())
     check_cfl(u, dt)
 
-    u_star = mollify(u, mollifier_eps) if mollifier_eps else u
     nodes = _grid_nodes(grid)
-    v_node = np.moveaxis(u_star.values.reshape(grid.dim, -1), 0, 1)
+    v_node = np.moveaxis(u.values.reshape(grid.dim, -1), 0, 1)
     mid = wrap_positions(grid, nodes - 0.5 * dt * v_node)
-    v_mid = cic_gather(u_star, mid)
+    v_mid = cic_gather(u, mid)
     feet = wrap_positions(grid, nodes - dt * v_mid)
     advected = np.maximum(cic_gather(rho, feet), 0.0).reshape(grid.shape)
 

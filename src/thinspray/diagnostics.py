@@ -17,21 +17,20 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .fluid import FluidState
 from .grid import (
-    GridSpec,
     ScalarField,
     VectorField,
     divergence_residual,
     grad_l2_norm_sq,
     integral,
-    mollify,
 )
 from .kinetic import (
     ParticleCloud,
     interpolate_velocity,
     species_mass_factor,
+    species_radius,
     velocity_cutoff,
 )
-from .transfer import cic_gather, cic_scatter
+from .transfer import cic_gather
 
 BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 
@@ -40,17 +39,16 @@ BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 class DiagnosticsRecord:
     """One row of per-step diagnostics.
 
-    Spray kinetic energy and drag dissipation are mass-weighted over species
-    (unit parents, r2^3 fragments); the drag dissipation carries the
-    per-species relaxation weights so the energy budget closes with a single
-    scenario coefficient.
+    Spray kinetic energy is mass-weighted over species (unit parents, r2^3
+    fragments); the drag dissipation weights each droplet by its radius, so
+    the energy budget closes with a single scenario coefficient.
     """
 
     t: float
     e_kinetic_spray: float   # 0.5 * mass-weighted M2 of the spray
     e_fluid: float           # 0.5 * integral (1 + rho) |u|^2
     dissipation_visc: float  # nu * integral |grad u|^2
-    dissipation_drag: float  # species-weighted integral |u - xi|^2 f
+    dissipation_drag: float  # radius-weighted integral |u - xi|^2 f
     m0: float
     m1: np.ndarray           # (dim,) number-weighted momentum of the spray
     m2: float
@@ -83,27 +81,13 @@ def cloud_moments(cloud: ParticleCloud, mass_weights: np.ndarray | None = None):
     return m0, m1, m2
 
 
-def compute_moments(cloud: ParticleCloud, grid: GridSpec,
-                    alpha: float) -> tuple[ScalarField, float]:
-    """Moment of order alpha: local field sum(w |xi|^alpha) and its integral."""
-    if alpha < 0:
-        raise ValueError("moment order must be nonnegative for particle data")
-    if cloud.count == 0:
-        return ScalarField.zeros(grid), 0.0
-    speed = np.linalg.norm(cloud.xi, axis=1)
-    q = cloud.w * speed**alpha
-    field = ScalarField(grid, cic_scatter(grid, cloud.x, q))
-    return field, float(q.sum())
-
-
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   rho: ScalarField | None, *, r2: float = 1.0, nu: float = 1.0,
-                   drag_weight_parents: float = 1.0,
-                   drag_weight_fragments: float | None = None) -> DiagnosticsRecord:
+                   rho: ScalarField | None, *, r2: float = 1.0,
+                   nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
-    drag_weight_* are the per-species factors multiplying |u - xi|^2 f in the
-    dissipation (1 for the limit system; 1 and r2 for the two-radius system).
+    The drag dissipation weights |u - xi|^2 f by the droplet radius, the
+    Stokes drag weight: 1 for parents and r2 for fragments.
     """
     u = fluid.u
     grid = u.grid
@@ -122,11 +106,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
         g2 = cic_gather(u_sq, cloud.x)
         slip_sq = g2 - 2.0 * np.sum(up * cloud.xi, axis=1) \
             + np.sum(cloud.xi**2, axis=1)
-        if drag_weight_fragments is None:
-            drag_w = np.full(cloud.count, drag_weight_parents)
-        else:
-            drag_w = np.where(cloud.species == 2, drag_weight_fragments,
-                              drag_weight_parents)
+        drag_w = species_radius(cloud.species, r2)
         dissipation_drag = float(np.sum(cloud.w * drag_w * slip_sq))
     else:
         m0, m1, m2 = 0.0, np.zeros(grid.dim), 0.0
@@ -162,7 +142,7 @@ def energy_budget(records: Sequence[DiagnosticsRecord],
 
     with E = e_kinetic_spray + e_fluid and c the scenario drag coefficient
     (3/2 for the single-species limit, 1 for the two-radius system, whose
-    species weights already sit inside dissipation_drag).  Zero for the exact
+    radius weights already sit inside dissipation_drag).  Zero for the exact
     dynamics; first order in dt for the discrete splitting.
     """
     t = np.array([r.t for r in records])
@@ -374,6 +354,7 @@ def blowup_time_bound(a: float, gamma: float) -> tuple[float, float]:
 
 
 def regularization_remainders(cloud: ParticleCloud, u: VectorField,
+                              u_mollified: VectorField,
                               eps: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
@@ -381,13 +362,15 @@ def regularization_remainders(cloud: ParticleCloud, u: VectorField,
     r2 = 2 sum w (xi . u(x)) (cutoff(xi) - 1)
     r3 = sum w xi . (mollified u - u)(x)
 
-    All three vanish as eps -> 0 (the cutoff radius 1/eps swallows the
-    sampled velocities and the mollifier tends to the identity).
+    u_mollified is u mollified with width eps; the caller passes the field it
+    already advects with.  All three vanish as eps -> 0 (the cutoff radius
+    1/eps swallows the sampled velocities and the mollifier tends to the
+    identity).
     """
     if cloud.count == 0:
         return 0.0, 0.0, 0.0
     up = interpolate_velocity(u, cloud.x)
-    up_moll = interpolate_velocity(mollify(u, eps), cloud.x)
+    up_moll = interpolate_velocity(u_mollified, cloud.x)
     cut = velocity_cutoff(cloud.xi, eps)
     w = cloud.w
     r1 = 1.5 * float(np.sum(w * np.sum(up**2, axis=1) * (1.0 - cut)))

@@ -10,6 +10,10 @@ splitting: explicit dealiased convection, drag and the spatially varying part
 of the viscous term divided pointwise by (1 + rho), and an exact spectral
 integrating factor for the mean-coefficient diffusion nu lap u / (1 + mean rho),
 which keeps the step stable for any dt at the resolved wavenumbers.
+
+A step transforms u once: the convection derivatives, the Laplacian, the
+mollified advecting velocity, the update and the Leray projection all act on
+that one spectrum, and the projected spectrum is transformed back once.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from .grid import (
     _spectral_tables,
     fft,
     ifft_like,
-    leray_project,
-    mean,
-    mollify,
+    mollifier_multiplier,
+    project_spectrum,
     require_finite,
     require_same_grid,
 )
@@ -54,20 +57,6 @@ class DragField:
     def zeros(cls, grid: GridSpec) -> "DragField":
         return cls(ScalarField.zeros(grid), VectorField.zeros(grid))
 
-    def scaled(self, factor: float) -> "DragField":
-        return DragField(
-            ScalarField(self.m0.grid, factor * self.m0.values),
-            VectorField(self.m1.grid, factor * self.m1.values),
-        )
-
-    @classmethod
-    def combine(cls, parts) -> "DragField":
-        parts = list(parts)
-        grid = parts[0].m0.grid
-        m0 = sum(p.m0.values for p in parts)
-        m1 = sum(p.m1.values for p in parts)
-        return cls(ScalarField(grid, m0), VectorField(grid, m1))
-
 
 def drag_force(u: VectorField, drag: DragField, coupling: float) -> VectorField:
     """Force density the droplets exert on the fluid: coupling (m1 - u m0)."""
@@ -85,14 +74,13 @@ def check_cfl(u: VectorField, dt: float):
         )
 
 
-def _convection(u_adv: VectorField, u: VectorField) -> np.ndarray:
-    """(u_adv . grad) u, pseudo-spectral, gradient in spectral space."""
+def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndarray:
+    """(u_adv . grad) u, pseudo-spectral, gradient from the spectrum u_hat of u."""
     tab = _spectral_tables(u.grid)
-    u_hat = fft(u)
     out = np.zeros_like(u.values)
     for j, kj in enumerate(tab.k):
         du_j = ifft_like(u, 1j * kj * u_hat)  # d u / d x_j for all components
-        out += u_adv.values[j] * du_j
+        out += u_adv[j] * du_j
     return out
 
 
@@ -105,7 +93,8 @@ def ns_step(state: FluidState, rho: ScalarField | None, drag: DragField | None,
     moments (None means no spray).  With mollifier_eps set, the advecting
     velocity in the convection term is the mollified u.  The returned
     velocity is Leray-projected; the whole explicit tendency is dealiased by
-    the 2/3 rule, so a band-limited u stays band-limited.
+    the 2/3 rule, so a band-limited u stays band-limited.  u is transformed
+    once; every spectral operator of the step reuses that spectrum.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -124,19 +113,22 @@ def ns_step(state: FluidState, rho: ScalarField | None, drag: DragField | None,
     nu_bar = nu / (1.0 + rho_bar)
 
     tab = _spectral_tables(grid)
-    u_adv = mollify(u, mollifier_eps) if mollifier_eps else u
-    tendency = -_convection(u_adv, u)
+    u_hat = fft(u)
+    if mollifier_eps:
+        u_adv = ifft_like(u, mollifier_multiplier(grid, mollifier_eps) * u_hat)
+    else:
+        u_adv = u.values
+    tendency = -_convection(u_adv, u, u_hat)
 
     # spatially varying share of the viscous coefficient, explicit
-    lap_u = ifft_like(u, -tab.k2 * fft(u))
+    lap_u = ifft_like(u, -tab.k2 * u_hat)
     tendency += nu * lap_u * (1.0 / denom - 1.0 / (1.0 + rho_bar))
 
     if drag is not None:
         tendency += drag_force(u, drag, coupling).values / denom
 
-    u_hat = fft(u)
     t_hat = tab.mask * np.fft.rfftn(tendency, axes=tuple(range(-grid.dim, 0)))
     u_hat = np.exp(-nu_bar * tab.k2 * dt) * (u_hat + dt * t_hat)
-    u_new = leray_project(VectorField(grid, ifft_like(u, u_hat)))
+    u_new = VectorField(grid, ifft_like(u, project_spectrum(grid, u_hat)))
     require_finite(u_new, "fluid velocity after step")
     return FluidState(u_new, state.t + dt)

@@ -219,6 +219,15 @@ def laplacian(field: Field) -> Field:
     return type(field)(field.grid, out)
 
 
+def project_spectrum(grid: GridSpec, v_hat: np.ndarray) -> np.ndarray:
+    """Leray-project a vector spectrum in place, mode by mode, and return it."""
+    tab = _spectral_tables(grid)
+    k_dot_v = sum(kj * v_hat[j] for j, kj in enumerate(tab.k))
+    for j, kj in enumerate(tab.k):
+        v_hat[j] -= kj * tab.inv_k2 * k_dot_v
+    return v_hat
+
+
 def leray_project(v: VectorField) -> VectorField:
     """Project onto divergence-free fields: v - grad(inv_lap(div v)).
 
@@ -226,12 +235,14 @@ def leray_project(v: VectorField) -> VectorField:
     unchanged, which fixes the zero-mean gauge of the inverse Laplacian.
     """
     require_finite(v, "leray_project input")
-    tab = _spectral_tables(v.grid)
-    v_hat = fft(v)
-    k_dot_v = sum(kj * v_hat[j] for j, kj in enumerate(tab.k))
-    for j, kj in enumerate(tab.k):
-        v_hat[j] -= kj * tab.inv_k2 * k_dot_v
-    return VectorField(v.grid, ifft_like(v, v_hat))
+    return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
+
+
+def mollifier_multiplier(grid: GridSpec, eps: float) -> np.ndarray:
+    """The periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2) in rfftn layout."""
+    if not eps > 0:
+        raise ValueError(f"mollifier width must be positive, got {eps}")
+    return np.exp(-0.5 * eps**2 * _spectral_tables(grid).k2_full)
 
 
 def mollify(field: Field, eps: float) -> Field:
@@ -240,11 +251,8 @@ def mollify(field: Field, eps: float) -> Field:
     Mean preserving, L2 non-expansive, commutes with every other spectral
     operator here.
     """
-    if not eps > 0:
-        raise ValueError(f"mollifier width must be positive, got {eps}")
     require_finite(field)
-    tab = _spectral_tables(field.grid)
-    out = ifft_like(field, np.exp(-0.5 * eps**2 * tab.k2_full) * fft(field))
+    out = ifft_like(field, mollifier_multiplier(field.grid, eps) * fft(field))
     return type(field)(field.grid, out)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
 from .errors import FieldError
@@ -101,13 +100,6 @@ def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     return float(out[0]) if single else out
 
 
-def stokes_relax_time(r: float) -> float:
-    """Velocity relaxation time of a droplet of radius r (normalized: r^2)."""
-    if not r > 0:
-        raise ValueError(f"droplet radius must be positive, got {r}")
-    return r * r
-
-
 def species_radius(species: np.ndarray, r2: float) -> np.ndarray:
     """Radius per particle: 1 for parents, r2 for fragments."""
     return np.where(species == FRAGMENT_SPECIES, r2, 1.0)
@@ -130,8 +122,9 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
                       r2: float = 1.0) -> ParticleCloud:
     """Advance positions and velocities by one step of the drag dynamics.
 
-    With the fluid velocity frozen at the particle position, the
-    characteristics dx/dt = xi, dxi/dt = (u - xi)/r^2 integrate exactly:
+    A droplet of radius r (1 for parents, r2 for fragments) relaxes in the
+    Stokes time r^2.  With the fluid velocity frozen at the particle position,
+    the characteristics dx/dt = xi, dxi/dt = (u - xi)/r^2 integrate exactly:
 
         xi' = u + (xi - u) exp(-dt/r^2)
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
@@ -140,10 +133,12 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
+    if not r2 > 0:
+        raise ValueError(f"droplet radius must be positive, got {r2}")
     if cloud.count == 0:
         return cloud.copy()
     up = interpolate_velocity(u, cloud.x)
-    tau_p = np.where(cloud.species == FRAGMENT_SPECIES, stokes_relax_time(r2), 1.0)[:, None]
+    tau_p = species_radius(cloud.species, r2)[:, None] ** 2
     decay = np.exp(-dt / tau_p)
     dxi = cloud.xi - up
     xi_new = up + dxi * decay
@@ -209,8 +204,9 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
     """Deposit the number density m0 and momentum density m1 of the cloud.
 
     With a truncation, each particle's weight is multiplied by the smooth
-    velocity cutoff before deposition.  `mass_weights` scales each particle
-    (used for coupling-weighted multi-species deposits).  Returns a DragField.
+    velocity cutoff before deposition.  `mass_weights` scales each particle;
+    the drag deposit passes the droplet radius, the weight with which a
+    droplet pulls on the gas under Stokes drag.  Returns a DragField.
     """
     from .fluid import DragField  # local import: fluid builds on this module
 
@@ -229,14 +225,14 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
 
 
 def merge_particles(cloud: ParticleCloud, budget: int,
-                    length: float = 2.0 * np.pi) -> tuple[ParticleCloud, float]:
+                    length: float) -> tuple[ParticleCloud, float]:
     """Reduce the cloud to at most `budget` particles by pairwise merging.
 
     Nearest phase-space neighbours within one species are combined into a
     single particle conserving sum(w) and sum(w xi) exactly; positions use the
-    periodic weighted mean on a torus of the given period.  Returns the merged
-    cloud and the relative change of sum(w |xi|^2), the one moment a merge
-    does not preserve.
+    periodic weighted mean on a torus of period `length`, which must be the
+    grid's.  Returns the merged cloud and the relative change of
+    sum(w |xi|^2), the one moment a merge does not preserve.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -343,17 +339,3 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
     w = np.full(count, total_number / count)
     return ParticleCloud(x, xi, w, np.full(count, species, dtype=np.int64))
 
-
-def characteristic_value_growth(t_final: float, dim: int = 3,
-                                rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the phase-density value carried along one characteristic.
-
-    The velocity field contracts phase-space volume at rate dim while
-    absorption removes number at rate 1, so the pointwise value obeys
-    df/dt = (dim - 1) f.  Returns (t, f/f0) from a high-order adaptive solve;
-    the supremum bound over [0, T] is exp((dim-1) T).
-    """
-    sol = solve_ivp(lambda t, y: (dim - 1) * y, (0.0, t_final), [1.0],
-                    method="DOP853", rtol=rtol, atol=1e-14, dense_output=True)
-    t = np.linspace(0.0, t_final, 201)
-    return t, sol.sol(t)[0]

@@ -7,10 +7,16 @@ fragmentation, density transport, diagnostics):
                     number feeds the added density rho, which multiplies the
                     fluid inertia; drag coupling coefficient 2.
 * ``bidisperse``  - unit-radius parents fragment into radius-r2 droplets; no
-                    added density; drag couplings 1 and r2 per species.
+                    added density (rho stays zero); drag coupling 1.
 * ``regularized`` - the limit dynamics with a mollified advecting velocity
                     and a smooth velocity-space cutoff on the deposited
                     moments; records the cutoff/mollifier energy remainders.
+
+All three run one step path.  Under Stokes drag a droplet of radius r pulls
+on the gas with weight r and relaxes in time r^2, so the drag deposit, the
+particle push and the drag dissipation weigh each particle by its species
+radius; the scenarios differ in the step only by the coupling constant and
+the drag coefficient of the energy budget.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import numpy as np
 
 from .density import DensityField, density_step
 from .diagnostics import (
-    DiagnosticsRecord,
     check_moment_bound,
     collect_record,
     energy_budget,
@@ -37,11 +42,10 @@ from .diagnostics import (
     regularization_remainders,
 )
 from .errors import ConfigError
-from .fluid import DragField, FluidState, ns_step
-from .grid import GridSpec, ScalarField, VectorField, integral, leray_project, mollify
+from .fluid import FluidState, ns_step
+from .grid import GridSpec, ScalarField, VectorField, leray_project, mollify
 from .kinetic import (
     FRAGMENT_SPECIES,
-    PARENT_SPECIES,
     ParticleCloud,
     TruncationSpec,
     absorb_and_fragment,
@@ -50,6 +54,7 @@ from .kinetic import (
     deposit_moments,
     merge_particles,
     sample_gaussian_spray,
+    species_radius,
 )
 from .snapshots import (
     write_diagnostics_csv,
@@ -64,9 +69,9 @@ SCENARIOS = ("limit", "bidisperse", "regularized")
 FLUID_PRESETS = ("taylor-green", "zero")
 SPRAY_PRESETS = ("gaussian", "offset", "none")
 
-# Energy-budget tolerance rate measured on the drag-free benchmark
-# (taylor-green, n=32, dt=1e-3): |residual(t)| <= RATE * dt * t.  The
-# acceptance suite re-derives this constant live; see tests/test_acceptance.py.
+# Energy gate: a run passes when |residual(t)| <= RATE * dt * t at every
+# record, the first-order splitting error allowed per unit dt and time.  The
+# rate was measured on the drag-free benchmark (taylor-green, n=32, dt=1e-3).
 DEFAULT_ENERGY_RATE = 250.0
 DIV_TOLERANCE = 1e-10
 MASS_TOLERANCE = 1e-10
@@ -153,8 +158,6 @@ class SimConfig:
 def _parse_value(name: str, text: str, target_type):
     text = text.strip()
     try:
-        if target_type is bool:
-            return text.lower() in ("1", "true", "yes", "on")
         if target_type is int:
             return int(text)
         if target_type is float:
@@ -246,40 +249,6 @@ class RunResult:
     remainders: list = field(default_factory=list)  # (t, r1, r2, r3) when regularized
 
 
-def _scenario_weights(config: SimConfig):
-    """Per-species drag dissipation weights and energy-budget coefficient."""
-    if config.scenario == "bidisperse":
-        return dict(drag_weight_parents=1.0, drag_weight_fragments=config.r2), 1.0
-    return dict(drag_weight_parents=1.0, drag_weight_fragments=None), 1.5
-
-
-def _record(config: SimConfig, t: float, fluid: FluidState, cloud: ParticleCloud,
-            density: DensityField) -> DiagnosticsRecord:
-    weights, _ = _scenario_weights(config)
-    return collect_record(
-        t, fluid, cloud, density.rho, r2=config.r2, nu=config.nu, **weights,
-    )
-
-
-def _combined_drag(config: SimConfig, cloud: ParticleCloud, grid: GridSpec):
-    """Drag moments and the coupling constant for the fluid step."""
-    trunc = TruncationSpec(config.eps) if config.scenario == "regularized" else None
-    if config.scenario == "bidisperse":
-        if cloud.count == 0:
-            return DragField.zeros(grid), 1.0, None
-        parents = cloud.select(cloud.species == PARENT_SPECIES)
-        fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
-        parts = []
-        if parents.count:
-            parts.append(deposit_moments(parents, grid, trunc))
-        if fragments.count:
-            parts.append(deposit_moments(fragments, grid, trunc).scaled(config.r2))
-        drag = DragField.combine(parts) if parts else DragField.zeros(grid)
-        return drag, 1.0, None
-    drag = deposit_moments(cloud, grid, trunc)
-    return drag, 2.0, drag.m0
-
-
 def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState,
                      cloud: ParticleCloud, density: DensityField):
     out = Path(config.output_dir)
@@ -296,28 +265,33 @@ def run_scenario(config: SimConfig,
 
     Step layout: deposit drag moments -> fluid step -> particle push ->
     absorption (to density) or fragmentation -> density transport ->
-    diagnostics.  Aborts with the last healthy snapshot if a field goes
-    non-finite mid-run.
+    diagnostics.  The regularized scenario mollifies u once per step and
+    advects the particles and the density with that field.  Aborts with the
+    last healthy snapshot if a field goes non-finite mid-run.
     """
     config.validate()
     t_start = time.perf_counter()
     grid = config.grid
+    is_limit_like = config.scenario != "bidisperse"
+    regularized = config.scenario == "regularized"
+    eps = config.eps if regularized else None
+    trunc = TruncationSpec(config.eps) if regularized else None
+    # drag coupling of the fluid step and drag coefficient of the energy budget
+    coupling, drag_coeff = (2.0, 1.5) if is_limit_like else (1.0, 1.0)
+
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
-    density = DensityField.uniform(grid, config.rho0) if config.scenario != "bidisperse" \
+    density = DensityField.uniform(grid, config.rho0) if is_limit_like \
         else DensityField.zeros(grid)
+    u_star = mollify(fluid.u, eps) if eps else fluid.u  # the advecting velocity
 
-    is_limit_like = config.scenario in ("limit", "regularized")
-    eps = config.eps if config.scenario == "regularized" else None
-    weights, drag_coeff = _scenario_weights(config)
-
-    records = [_record(config, 0.0, fluid, cloud, density)]
+    records = [collect_record(0.0, fluid, cloud, density.rho, r2=config.r2, nu=config.nu)]
     volumes = [liquid_volume(cloud, config.r2)]
     remainders = []
     lemma_checks = []
     merge_m2_max = 0.0
-    if config.scenario == "regularized":
-        remainders.append((0.0, *regularization_remainders(cloud, fluid.u, config.eps)))
+    if regularized:
+        remainders.append((0.0, *regularization_remainders(cloud, fluid.u, u_star, eps)))
 
     last_good = (fluid, cloud, density)
     lemma_stride = max(1, config.steps // 10)
@@ -333,23 +307,22 @@ def run_scenario(config: SimConfig,
         )
 
     for step in range(1, config.steps + 1):
-        drag, coupling, truncated_m0 = _combined_drag(config, cloud, grid)
-        rho_for_fluid = density.rho if is_limit_like else None
-        fluid = ns_step(fluid, rho_for_fluid, drag, config.dt, nu=config.nu,
+        drag = deposit_moments(cloud, grid, trunc,
+                               mass_weights=species_radius(cloud.species, config.r2))
+        fluid = ns_step(fluid, density.rho, drag, config.dt, nu=config.nu,
                         mollifier_eps=eps, coupling=coupling)
         if not np.isfinite(fluid.u.values).all():
             abort(step)
-        u_kinetic = mollify(fluid.u, eps) if eps else fluid.u
-        cloud = advance_particles(cloud, u_kinetic, config.dt, r2=config.r2)
+        u_star = mollify(fluid.u, eps) if eps else fluid.u
+        cloud = advance_particles(cloud, u_star, config.dt, r2=config.r2)
 
         if is_limit_like:
             cloud, released = absorb_to_density(cloud, grid, config.dt)
-            if config.scenario == "regularized":
-                source = truncated_m0
+            if regularized:
+                source = drag.m0
             else:
                 source = ScalarField(grid, released.values / config.dt)
-            density = density_step(density, fluid.u, source, config.dt,
-                                   mollifier_eps=eps)
+            density = density_step(density, u_star, source, config.dt)
         elif fragmenting and cloud.count:
             cloud, spawned = absorb_and_fragment(cloud, config.dt, config.tau, config.r2)
             if spawned.count:
@@ -367,10 +340,11 @@ def run_scenario(config: SimConfig,
 
         t = step * config.dt
         if step % config.diag_stride == 0 or step == config.steps:
-            records.append(_record(config, t, fluid, cloud, density))
+            records.append(collect_record(t, fluid, cloud, density.rho,
+                                          r2=config.r2, nu=config.nu))
             volumes.append(liquid_volume(cloud, config.r2))
-            if config.scenario == "regularized":
-                remainders.append((t, *regularization_remainders(cloud, fluid.u, config.eps)))
+            if regularized:
+                remainders.append((t, *regularization_remainders(cloud, fluid.u, u_star, eps)))
         if step % lemma_stride == 0 and cloud.count:
             hist = radial_histogram(cloud, grid.volume)
             for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):

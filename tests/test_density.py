@@ -3,7 +3,7 @@ import pytest
 
 from thinspray.density import DensityField, density_step
 from thinspray.errors import StepRejectedError
-from thinspray.grid import GridSpec, ScalarField, VectorField, integral, l2_norm
+from thinspray.grid import GridSpec, ScalarField, VectorField, integral, l2_norm, mollify
 
 
 def cellular_flow(grid):
@@ -100,7 +100,7 @@ def test_mollified_advection_same_for_uniform_density():
     rho = DensityField(ScalarField.full(g, 0.4))
     u = cellular_flow(g)
     a = density_step(rho, u, None, 1e-3)
-    b = density_step(rho, u, None, 1e-3, mollifier_eps=0.5)
+    b = density_step(rho, mollify(u, 0.5), None, 1e-3)
     assert np.abs(a.rho.values - b.rho.values).max() < 1e-12
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from thinspray.grid import GridSpec, ScalarField, VectorField, integral
+from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, integral
 from thinspray.kinetic import (
     FRAGMENT_SPECIES,
     PARENT_SPECIES,
@@ -11,13 +11,11 @@ from thinspray.kinetic import (
     absorb_and_fragment,
     absorb_to_density,
     advance_particles,
-    characteristic_value_growth,
     deposit_moments,
     interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
     species_mass_factor,
-    stokes_relax_time,
     velocity_cutoff,
 )
 
@@ -36,22 +34,32 @@ def random_cloud(rng, n, dim=3, species=None):
     )
 
 
+def relax_time(species, r2, dt=0.01):
+    """Relaxation time a droplet shows in one push through still fluid."""
+    g = GridSpec(2, 16)
+    cloud = ParticleCloud(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]),
+                          np.array([1.0]), np.array([species]))
+    out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), dt, r2=r2)
+    return -dt / np.log(out.xi[0, 0])
+
+
 class TestStokesRelaxTime:
+    # a droplet of radius r relaxes toward the fluid velocity in time r^2
     def test_unit_radius(self):
-        assert stokes_relax_time(1.0) == 1.0
+        assert relax_time(PARENT_SPECIES, 0.3) == pytest.approx(1.0, rel=1e-12)
 
     def test_half_radius(self):
-        assert stokes_relax_time(0.5) == 0.25
+        assert relax_time(FRAGMENT_SPECIES, 0.5) == pytest.approx(0.25, rel=1e-12)
 
     def test_vanishing_radius_monotone(self):
         radii = [0.4, 0.2, 0.1, 0.05]
-        times = [stokes_relax_time(r) for r in radii]
+        times = [relax_time(FRAGMENT_SPECIES, r, dt=1e-4) for r in radii]
         assert all(b < a for a, b in zip(times, times[1:]))
-        assert times[-1] == pytest.approx(0.0025)
+        assert times[-1] == pytest.approx(0.0025, rel=1e-9)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            stokes_relax_time(0.0)
+            relax_time(FRAGMENT_SPECIES, 0.0)
 
 
 class TestVelocityCutoff:
@@ -261,7 +269,7 @@ class TestInterpolateVelocity:
 class TestMerge:
     def test_under_budget_identity(self):
         cloud = random_cloud(np.random.default_rng(9), 50)
-        out, err = merge_particles(cloud, 100)
+        out, err = merge_particles(cloud, 100, TWO_PI)
         assert out.count == 50
         assert err == 0.0
 
@@ -272,7 +280,7 @@ class TestMerge:
             np.array([0.5, 0.5]),
             np.array([PARENT_SPECIES, PARENT_SPECIES]),
         )
-        out, _ = merge_particles(cloud, 1)
+        out, _ = merge_particles(cloud, 1, TWO_PI)
         assert out.count == 1
         assert out.w[0] == pytest.approx(1.0, rel=1e-14)
         assert np.abs(out.xi[0] - np.array([0.5, 0.5, 0.0])).max() < 1e-14
@@ -286,7 +294,7 @@ class TestMerge:
         w0 = cloud.w.sum()
         p0 = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
         counts0 = {s: cloud.w[cloud.species == s].sum() for s in (1, 2)}
-        out, err = merge_particles(cloud, 2500)
+        out, err = merge_particles(cloud, 2500, TWO_PI)
         assert out.count <= 2500
         assert out.w.sum() == pytest.approx(w0, rel=1e-13)
         assert np.abs(np.sum(out.w[:, None] * out.xi, axis=0) - p0).max() \
@@ -295,9 +303,20 @@ class TestMerge:
             assert out.w[out.species == s].sum() == pytest.approx(counts0[s], rel=1e-13)
         assert err < 0.05
 
+    def test_merges_across_the_seam_of_the_given_period(self):
+        # on a period-1 torus, 0.95 and 0.05 are 0.1 apart across the seam
+        cloud = ParticleCloud(
+            np.array([[0.95, 0.5], [0.05, 0.5]]), np.zeros((2, 2)),
+            np.array([1.0, 1.0]), np.array([PARENT_SPECIES, PARENT_SPECIES]),
+        )
+        out, _ = merge_particles(cloud, 1, 1.0)
+        x = out.x[0, 0]
+        assert 0.0 <= x < 1.0
+        assert min(x, 1.0 - x) < 1e-12
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            merge_particles(ParticleCloud.empty(3), 0)
+            merge_particles(ParticleCloud.empty(3), 0, TWO_PI)
 
 
 class TestSampler:
@@ -324,16 +343,3 @@ class TestSampler:
         cloud = sample_gaussian_spray(g, 500, 1.0, (0.0, 0.0), 1.0, seed=13)
         assert np.all(cloud.x >= 0) and np.all(cloud.x < g.length)
 
-
-class TestCharacteristicValue:
-    def test_growth_three_dimensions(self):
-        t, vals = characteristic_value_growth(1.0, dim=3)
-        assert np.abs(vals - np.exp(2.0 * t)).max() < 1e-10
-
-    def test_growth_two_dimensions(self):
-        t, vals = characteristic_value_growth(1.0, dim=2)
-        assert np.abs(vals - np.exp(t)).max() < 1e-10
-
-    def test_supremum_bound(self):
-        t, vals = characteristic_value_growth(0.7, dim=3)
-        assert vals.max() <= np.exp(2.0 * 0.7) * (1 + 1e-12)

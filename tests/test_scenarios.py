@@ -176,12 +176,23 @@ class TestRunScenario:
         assert (tmp_path / "velocity_000005.field").exists()
 
     def test_budget_series_first_order_shape(self):
-        # residuals are zero at t=0 by construction
-        res = run_scenario(quick_config(t_final=0.03))
-        e = energy_budget(res.records, 1.5)
-        p = momentum_budget(res.records)
-        assert e[0] == 0.0
-        assert np.abs(p[0]).max() == 0.0
+        # halving dt about halves the energy residual of the splitting
+        # (measured ratios: 1.85 limit, 2.08 bidisperse); the regularized
+        # budget stays open until the cutoff/mollifier remainders enter it
+        cases = [(dict(), 1.5, 1e-3),
+                 (dict(scenario="bidisperse", particle_budget=100_000), 1.0, 2e-3)]
+        for kw, drag_coeff, dt in cases:
+            worst = []
+            for step in (dt, dt / 2):
+                res = run_scenario(quick_config(dt=step, t_final=0.04, **kw))
+                assert res.cloud.count < res.config.particle_budget  # no merge ran
+                e = energy_budget(res.records, drag_coeff)
+                p = momentum_budget(res.records)
+                # residuals are zero at t=0 by construction
+                assert e[0] == 0.0
+                assert np.abs(p[0]).max() == 0.0
+                worst.append(np.abs(e).max())
+            assert worst[0] / worst[1] >= 1.7, (kw, worst)
 
 
 class TestSweep:
