@@ -10,7 +10,6 @@ Run:  python demos/demo_inequalities.py
 import numpy as np
 
 from thinspray import (
-    GronwallProblem,
     RadialDensity,
     blowup_time_bound,
     check_moment_bound,
@@ -38,9 +37,8 @@ lhs, rhs, _ = check_moment_bound(ball, 0.0, 2.0)
 print(f"  unit ball, orders (0,2): m0 = {lhs:.5f} <= {rhs:.5f}")
 
 print("\ncomparison-ODE domination (quartic right-hand side)")
-problem = GronwallProblem(a=1.0, gamma=3.0)
 ts = np.linspace(0.0, 0.25, 60)
-res = gronwall_compare(problem, ts, np.full(ts.shape, 1.0))
+res = gronwall_compare(1.0, 3.0, ts, np.full(ts.shape, 1.0))
 print(f"  a(t) = 1 below z' = z^4, z(0) = 1: passed={res.passed}, "
       f"z(0.25) = {res.bound[-1]:.4f}")
 

@@ -43,7 +43,7 @@ totals = [r.mass_f + r.mass_rho for r in records]
 print(f"\ndroplet number + added density: max drift "
       f"{max(abs(v - totals[0]) for v in totals):.2e} (conserved)")
 
-energy_res = energy_budget(records, drag_coefficient=1.5)
+energy_res = energy_budget(records, 1.5)  # limit drag coefficient
 print(f"energy inequality residual at T: {energy_res[-1]:+.3e} "
       f"(first order in dt)")
 drift = momentum_budget(records)

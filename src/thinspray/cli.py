@@ -5,6 +5,9 @@ Subcommands:
   sweep-r2     fragment-radius sweep against the matched limit run
   check-lemmas moment-bound, comparison-ODE and blow-up suites, standalone
   project-test spectral operator self-tests on a given grid
+
+Exit status: 0 when every check passes, 1 when one fails, 2 for an invalid
+configuration, 3 when a run aborts on a rejected step.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ import numpy as np
 
 from . import grid as grid_ops
 from .diagnostics import (
-    GronwallProblem,
     RadialDensity,
     blowup_time_bound,
     check_moment_bound,
     gronwall_compare,
 )
-from .errors import ConfigError
+from .errors import ConfigError, StepRejectedError
 from .grid import GridSpec, ScalarField, VectorField
 from .scenarios import SimConfig, load_config, run_scenario, sweep_r2
 
@@ -45,11 +47,8 @@ def _build_config(args) -> SimConfig:
         if getattr(args, f.name, None) is not None
     }
     if args.config:
-        cfg = load_config(args.config, overrides)
-    else:
-        cfg = SimConfig(**overrides)
-        cfg.validate()
-    return cfg
+        return load_config(args.config, overrides)
+    return SimConfig(**overrides)  # run_scenario validates it
 
 
 def _print_flag(name: str, entry: dict):
@@ -128,9 +127,8 @@ def _cmd_check_lemmas(args) -> int:
     failures += not ok
 
     # comparison-ODE domination on a quartic problem
-    problem = GronwallProblem(a=1.0, gamma=3.0)
     t = np.linspace(0.0, 0.2, 50)
-    res = gronwall_compare(problem, t, np.full(t.shape, problem.initial))
+    res = gronwall_compare(1.0, 3.0, t, np.full(t.shape, 1.0))
     print(f"[{'PASS' if res.passed else 'FAIL'}] comparison ODE dominates a "
           f"constant lower function ({res.checked} samples"
           + (", blow-up reported" if res.blowup_reported else "") + ")")
@@ -226,6 +224,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except StepRejectedError as err:
+        print(f"run aborted: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

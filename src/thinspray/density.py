@@ -44,13 +44,14 @@ def _grid_nodes(grid: GridSpec) -> np.ndarray:
     return grid.nodes()
 
 
-def density_step(density: DensityField, u: VectorField, source: ScalarField | None,
+def density_step(density: DensityField, u: VectorField, source: ScalarField,
                  dt: float, conserve_mass: bool = True) -> DensityField:
     """One semi-Lagrangian transport step with a nonnegative source.
 
-    u is the advecting velocity the feet are traced with; a caller that
-    advects with a mollified velocity passes the mollified field.  The CFL
-    check applies to that same field.
+    source is the density added per unit time; a source-free step passes
+    ScalarField.zeros.  u is the advecting velocity the feet are traced
+    with; a caller that advects with a mollified velocity passes the
+    mollified field.  The CFL check applies to that same field.
     With conserve_mass (default) the advected field is rescaled by the ratio
     of old to interpolated total mass, making the mass budget
     integral(rho') - integral(rho) - dt * integral(source) exact to rounding;
@@ -63,10 +64,9 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField | No
     rho = density.rho
     grid = rho.grid
     require_same_grid(rho, u)
-    if source is not None:
-        require_same_grid(rho, source)
-        if source.values.min() < 0:
-            raise ValueError("density source must be nonnegative")
+    require_same_grid(rho, source)
+    if source.values.min() < 0:
+        raise ValueError("density source must be nonnegative")
     if dt == 0:
         return DensityField(rho.copy())
     check_cfl(u, dt)
@@ -84,6 +84,4 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField | No
         if total_new > 0.0:
             advected *= total_old / total_new
 
-    if source is not None:
-        advected = advected + dt * source.values
-    return DensityField(ScalarField(grid, advected))
+    return DensityField(ScalarField(grid, advected + dt * source.values))

@@ -10,7 +10,7 @@ class GridMismatchError(ValueError):
 
 
 class StepRejectedError(RuntimeError):
-    """A time step was rejected (CFL violation); retry with a smaller dt."""
+    """A time step was rejected (CFL violation or non-finite field)."""
 
 
 class ConfigError(ValueError):

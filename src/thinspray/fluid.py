@@ -84,17 +84,18 @@ def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndar
     return out
 
 
-def ns_step(state: FluidState, rho: ScalarField | None, drag: DragField | None,
+def ns_step(state: FluidState, rho: ScalarField, drag: DragField,
             dt: float, nu: float = 1.0, mollifier_eps: float | None = None,
             coupling: float = 2.0) -> FluidState:
     """Advance the fluid one step.
 
-    rho is the added density (None means zero), drag holds the droplet
-    moments (None means no spray).  With mollifier_eps set, the advecting
-    velocity in the convection term is the mollified u.  The returned
-    velocity is Leray-projected; the whole explicit tendency is dealiased by
-    the 2/3 rule, so a band-limited u stays band-limited.  u is transformed
-    once; every spectral operator of the step reuses that spectrum.
+    rho is the added density and drag holds the droplet moments; a caller
+    without either passes ScalarField.zeros or DragField.zeros.  With
+    mollifier_eps set, the advecting velocity in the convection term is the
+    mollified u.  The returned velocity is Leray-projected; the whole
+    explicit tendency is dealiased by the 2/3 rule, so a band-limited u stays
+    band-limited.  u is transformed once; every spectral operator of the step
+    reuses that spectrum.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -103,13 +104,11 @@ def ns_step(state: FluidState, rho: ScalarField | None, drag: DragField | None,
     grid = u.grid
     check_cfl(u, dt)
 
-    rho_vals = np.zeros(grid.shape) if rho is None else rho.values
-    if rho is not None:
-        require_same_grid(u, rho)
-        if rho_vals.min() < -1e-12:
-            raise ValueError("added density must be nonnegative")
-    denom = 1.0 + rho_vals
-    rho_bar = float(rho_vals.mean())
+    require_same_grid(u, rho)
+    if rho.values.min() < -1e-12:
+        raise ValueError("added density must be nonnegative")
+    denom = 1.0 + rho.values
+    rho_bar = float(rho.values.mean())
     nu_bar = nu / (1.0 + rho_bar)
 
     tab = _spectral_tables(grid)
@@ -124,8 +123,7 @@ def ns_step(state: FluidState, rho: ScalarField | None, drag: DragField | None,
     lap_u = ifft_like(u, -tab.k2 * u_hat)
     tendency += nu * lap_u * (1.0 / denom - 1.0 / (1.0 + rho_bar))
 
-    if drag is not None:
-        tendency += drag_force(u, drag, coupling).values / denom
+    tendency += drag_force(u, drag, coupling).values / denom
 
     t_hat = tab.mask * np.fft.rfftn(tendency, axes=tuple(range(-grid.dim, 0)))
     u_hat = np.exp(-nu_bar * tab.k2 * dt) * (u_hat + dt * t_hat)

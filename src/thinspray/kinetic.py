@@ -73,17 +73,6 @@ class ParticleCloud:
         return ParticleCloud(self.x.copy(), self.xi.copy(), self.w.copy(), self.species.copy())
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Smooth velocity-space cutoff: 1 inside |xi| <= 1/eps, 0 beyond 2/eps."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"truncation eps must be positive, got {self.eps}")
-
-
 def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     """Radial C^2 bump in velocity space.
 
@@ -178,12 +167,12 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
     return out, spawned
 
 
-def absorb_to_density(cloud: ParticleCloud, grid: GridSpec, dt: float,
-                      rate: float = 1.0) -> tuple[ParticleCloud, ScalarField]:
-    """Transfer droplet number into the carrier density.
+def absorb_to_density(cloud: ParticleCloud, grid: GridSpec,
+                      dt: float) -> tuple[ParticleCloud, ScalarField]:
+    """Transfer droplet number into the carrier density at unit rate.
 
-    Weights decay by exp(-rate*dt); the released weight is deposited on the
-    grid with the shared kernel, so the field integrates to exactly the total
+    Weights decay by exp(-dt); the released weight is deposited on the grid
+    with the shared kernel, so the field integrates to exactly the total
     released weight (up to rounding).
     """
     if dt < 0:
@@ -191,7 +180,7 @@ def absorb_to_density(cloud: ParticleCloud, grid: GridSpec, dt: float,
     out = cloud.copy()
     if dt == 0 or cloud.count == 0:
         return out, ScalarField.zeros(grid)
-    w_new = out.w * np.exp(-rate * dt)
+    w_new = out.w * np.exp(-dt)
     released = out.w - w_new
     out.w = w_new
     field = ScalarField(grid, cic_scatter(grid, out.x, released))
@@ -199,22 +188,23 @@ def absorb_to_density(cloud: ParticleCloud, grid: GridSpec, dt: float,
 
 
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
-                    truncation: TruncationSpec | None = None,
+                    cutoff_eps: float | None = None,
                     mass_weights: np.ndarray | None = None):
     """Deposit the number density m0 and momentum density m1 of the cloud.
 
-    With a truncation, each particle's weight is multiplied by the smooth
-    velocity cutoff before deposition.  `mass_weights` scales each particle;
-    the drag deposit passes the droplet radius, the weight with which a
-    droplet pulls on the gas under Stokes drag.  Returns a DragField.
+    With a cutoff width `cutoff_eps`, each particle's weight is multiplied by
+    the smooth velocity cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps)
+    before deposition; a width <= 0 is rejected.  `mass_weights` scales each
+    particle; the drag deposit passes the droplet radius, the weight with
+    which a droplet pulls on the gas under Stokes drag.  Returns a DragField.
     """
     from .fluid import DragField  # local import: fluid builds on this module
 
     if cloud.count == 0:
         return DragField(ScalarField.zeros(grid), VectorField.zeros(grid))
     w = cloud.w
-    if truncation is not None:
-        w = w * velocity_cutoff(cloud.xi, truncation.eps)
+    if cutoff_eps is not None:
+        w = w * velocity_cutoff(cloud.xi, cutoff_eps)
     if mass_weights is not None:
         w = w * mass_weights
     cols = np.concatenate([w[:, None], w[:, None] * cloud.xi], axis=1)
@@ -307,9 +297,8 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
 
 
 def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
-                          mean_velocity, sigma: float, seed: int,
-                          species: int = PARENT_SPECIES) -> ParticleCloud:
-    """Sample a spray uniform in x with Gaussian velocities.
+                          mean_velocity, sigma: float, seed: int) -> ParticleCloud:
+    """Sample a parent-species spray uniform in x with Gaussian velocities.
 
     Positions come from a seeded scrambled Halton sequence; velocities are
     Gaussian, then recentred and rescaled so the cloud's number, momentum and
@@ -337,5 +326,5 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
         xi[:] = 0.0
     xi += mean_velocity
     w = np.full(count, total_number / count)
-    return ParticleCloud(x, xi, w, np.full(count, species, dtype=np.int64))
+    return ParticleCloud(x, xi, w, np.full(count, PARENT_SPECIES, dtype=np.int64))
 

@@ -47,6 +47,17 @@ def test_invalid_config_returns_2(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_rejected_step_returns_3_without_traceback(capsys):
+    # dt far beyond the CFL limit of the initial flow: the first step is rejected
+    with pytest.warns(UserWarning, match="advective scale"):
+        code = main(["run", "--dim", "2", "--n", "16", "--dt", "0.5", "--t-final", "1",
+                     "--particle-count", "100", "--spray-mean-speed", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted:") and "CFL" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sweep_single_member(tmp_path, capsys):
     out_json = tmp_path / "sweep.json"
     code = main([

@@ -1,4 +1,4 @@
-"""The demos import only names the package still has.
+"""The demos import only names the package still has and exports.
 
 The demos are parsed, not run: the slow ones take minutes.
 """
@@ -8,6 +8,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import thinspray
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -33,3 +35,15 @@ def test_demo_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+def test_all_names_exist():
+    missing = [name for name in thinspray.__all__ if not hasattr(thinspray, name)]
+    assert not missing, f"thinspray.__all__ lists missing names: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_top_level_imports_are_exported(path):
+    unlisted = [name for module, name in thinspray_imports(path)
+                if module == "thinspray" and name not in thinspray.__all__]
+    assert not unlisted, f"{path.name} imports names not in thinspray.__all__: {unlisted}"

@@ -21,7 +21,7 @@ def gaussian_blob(grid, center, sigma):
 def test_no_flow_no_source_identity():
     g = GridSpec(2, 32)
     rho = DensityField(gaussian_blob(g, (np.pi, np.pi), 1.0))
-    out = density_step(rho, VectorField.zeros(g), None, 1e-3)
+    out = density_step(rho, VectorField.zeros(g), ScalarField.zeros(g), 1e-3)
     assert np.abs(out.rho.values - rho.rho.values).max() < 1e-14
 
 
@@ -52,9 +52,9 @@ def test_rotation_reversal_error_small():
     dt = 1e-3
     steps = int(round(np.pi / 12 / dt))
     for _ in range(steps):
-        rho = density_step(rho, u, None, dt)
+        rho = density_step(rho, u, ScalarField.zeros(g), dt)
     for _ in range(steps):
-        rho = density_step(rho, u_back, None, dt)
+        rho = density_step(rho, u_back, ScalarField.zeros(g), dt)
     err = l2_norm(ScalarField(g, rho.rho.values - rho0.values)) / l2_norm(rho0)
     assert err <= 0.02
 
@@ -65,7 +65,7 @@ def test_positivity_preserved():
     rho = DensityField(ScalarField(g, rng.uniform(0, 1, g.shape)))
     u = cellular_flow(g)
     for conserve in (True, False):
-        out = density_step(rho, u, None, 5e-3, conserve_mass=conserve)
+        out = density_step(rho, u, ScalarField.zeros(g), 5e-3, conserve_mass=conserve)
         assert out.rho.values.min() >= 0.0
 
 
@@ -78,7 +78,7 @@ def test_max_principle_without_source():
     u = cellular_flow(g)
     rho = DensityField(ScalarField(g, rng.uniform(0, 2, g.shape)))
     for _ in range(20):
-        new = density_step(rho, u, None, 5e-3, conserve_mass=False)
+        new = density_step(rho, u, ScalarField.zeros(g), 5e-3, conserve_mass=False)
         assert new.rho.values.max() <= rho.rho.values.max() * (1 + 1e-14)
         rho = new
 
@@ -99,8 +99,8 @@ def test_mollified_advection_same_for_uniform_density():
     g = GridSpec(2, 32)
     rho = DensityField(ScalarField.full(g, 0.4))
     u = cellular_flow(g)
-    a = density_step(rho, u, None, 1e-3)
-    b = density_step(rho, mollify(u, 0.5), None, 1e-3)
+    a = density_step(rho, u, ScalarField.zeros(g), 1e-3)
+    b = density_step(rho, mollify(u, 0.5), ScalarField.zeros(g), 1e-3)
     assert np.abs(a.rho.values - b.rho.values).max() < 1e-12
 
 
@@ -109,7 +109,7 @@ def test_cfl_advisory_rejects():
     u = VectorField(g, np.full((2,) + g.shape, 50.0))
     rho = DensityField(ScalarField.full(g, 1.0))
     with pytest.raises(StepRejectedError):
-        density_step(rho, u, None, 0.1)
+        density_step(rho, u, ScalarField.zeros(g), 0.1)
 
 
 def test_negative_inputs_rejected():

@@ -15,6 +15,11 @@ from thinspray.grid import (
 )
 
 
+def no_coupling(grid):
+    """The rho and drag arguments of a step without added density or droplets."""
+    return ScalarField.zeros(grid), DragField.zeros(grid)
+
+
 def shear_state(grid):
     x = grid.meshgrid()
     comps = [np.sin(x[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
@@ -71,14 +76,14 @@ class TestNsStep:
         state = shear_state(g)
         e0 = l2_norm(state.u) ** 2
         for _ in range(100):
-            state = ns_step(state, None, None, 1e-3)
+            state = ns_step(state, *no_coupling(g), 1e-3)
         ratio = l2_norm(state.u) ** 2 / e0
         assert ratio == pytest.approx(np.exp(-0.2), abs=1e-3)
 
     def test_zero_dt_identity(self):
         g = GridSpec(2, 32)
         state = shear_state(g)
-        out = ns_step(state, None, None, 0.0)
+        out = ns_step(state, *no_coupling(g), 0.0)
         assert np.abs(out.u.values - state.u.values).max() < 1e-14
         assert out.t == state.t
 
@@ -86,7 +91,7 @@ class TestNsStep:
         g = GridSpec(2, 32)
         u = VectorField(g, np.full((2,) + g.shape, 30.0))
         with pytest.raises(StepRejectedError, match="reduce dt"):
-            ns_step(FluidState(leray_project(u)), None, None, 0.05)
+            ns_step(FluidState(leray_project(u)), *no_coupling(g), 0.05)
 
     def test_homogeneous_drag_ode(self):
         # uniform u, frozen uniform drag: (1+rho) du/dt = 2 c (v - u)
@@ -133,20 +138,20 @@ class TestNsStep:
             u.values -= u.values.mean(axis=(1, 2), keepdims=True)
             state = FluidState(u)
             e0 = l2_norm(state.u)
-            out = ns_step(state, None, None, 1e-3)
+            out = ns_step(state, *no_coupling(g), 1e-3)
             assert l2_norm(out.u) <= e0 * (1 + 1e-13)
 
     def test_negative_density_rejected(self):
         g = GridSpec(2, 16)
         state = shear_state(g)
         with pytest.raises(ValueError):
-            ns_step(state, ScalarField.full(g, -0.5), None, 1e-3)
+            ns_step(state, ScalarField.full(g, -0.5), DragField.zeros(g), 1e-3)
 
     def test_mollified_convection_matches_plain_for_uniform(self):
         # uniform fields are fixed points of the mollifier
         g = GridSpec(2, 16)
         state = FluidState(VectorField.from_components(
             g, np.full(g.shape, 0.3), np.full(g.shape, -0.2)))
-        a = ns_step(state, None, None, 1e-3)
-        b = ns_step(state, None, None, 1e-3, mollifier_eps=0.5)
+        a = ns_step(state, *no_coupling(g), 1e-3)
+        b = ns_step(state, *no_coupling(g), 1e-3, mollifier_eps=0.5)
         assert np.abs(a.u.values - b.u.values).max() < 1e-14

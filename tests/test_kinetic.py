@@ -7,7 +7,6 @@ from thinspray.kinetic import (
     FRAGMENT_SPECIES,
     PARENT_SPECIES,
     ParticleCloud,
-    TruncationSpec,
     absorb_and_fragment,
     absorb_to_density,
     advance_particles,
@@ -82,8 +81,9 @@ class TestVelocityCutoff:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             velocity_cutoff(np.zeros(3), 0.0)
+        cloud = random_cloud(np.random.default_rng(0), 5)
         with pytest.raises(ValueError):
-            TruncationSpec(-1.0)
+            deposit_moments(cloud, GridSpec(3, 8), -1.0)
 
 
 class TestAdvanceParticles:
@@ -227,7 +227,7 @@ class TestDepositMoments:
                               np.array([1.0]), np.array([PARENT_SPECIES]))
         cut = velocity_cutoff(xi, eps)[0]
         assert 0.0 < cut < 1.0
-        drag = deposit_moments(cloud, g, TruncationSpec(eps))
+        drag = deposit_moments(cloud, g, eps)
         assert integral(drag.m0) == pytest.approx(cut, rel=1e-12)
 
     def test_total_matches_weighted_sum(self):
@@ -235,7 +235,7 @@ class TestDepositMoments:
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 20000)
         eps = 0.8
-        drag = deposit_moments(cloud, g, TruncationSpec(eps))
+        drag = deposit_moments(cloud, g, eps)
         expected = np.sum(cloud.w * velocity_cutoff(cloud.xi, eps))
         assert integral(drag.m0) == pytest.approx(expected, rel=1e-12)
 
