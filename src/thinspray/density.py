@@ -17,7 +17,7 @@ import numpy as np
 
 from .fluid import check_cfl
 from .grid import GridSpec, ScalarField, VectorField, require_same_grid
-from .transfer import cic_gather, wrap_positions
+from .transfer import cic_gather
 
 
 @dataclass
@@ -73,9 +73,9 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField,
 
     nodes = _grid_nodes(grid)
     v_node = np.moveaxis(u.values.reshape(grid.dim, -1), 0, 1)
-    mid = wrap_positions(grid, nodes - 0.5 * dt * v_node)
-    v_mid = cic_gather(u, mid)
-    feet = wrap_positions(grid, nodes - dt * v_mid)
+    # the gathers take unwrapped feet: cic_gather accepts any finite position
+    v_mid = cic_gather(u, nodes - 0.5 * dt * v_node)
+    feet = nodes - dt * v_mid
     advected = np.maximum(cic_gather(rho, feet), 0.0).reshape(grid.shape)
 
     if conserve_mass:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
+from .errors import FieldError
 from .fluid import FluidState
 from .grid import (
     ScalarField,
@@ -25,7 +26,6 @@ from .grid import (
 )
 from .kinetic import (
     ParticleCloud,
-    interpolate_velocity,
     species_mass_factor,
     species_radius,
     velocity_cutoff,
@@ -72,13 +72,21 @@ class DiagnosticsRecord:
 
 def cloud_moments(cloud: ParticleCloud, mass_weights: np.ndarray | None = None):
     """(M0, M1 vector, M2) particle sums, optionally mass-weighted."""
-    if cloud.count == 0:
-        return 0.0, np.zeros(cloud.dim), 0.0
     w = cloud.w if mass_weights is None else cloud.w * mass_weights
-    m0 = float(w.sum())
-    m1 = (w[:, None] * cloud.xi).sum(axis=0)
-    m2 = float(np.sum(w * np.sum(cloud.xi**2, axis=1)))
-    return m0, m1, m2
+    return _moments(w, cloud.xi, np.sum(cloud.xi**2, axis=1))
+
+
+def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
+    """(M0, M1, M2) of weights w, given the velocities and their squares."""
+    return float(w.sum()), (w[:, None] * xi).sum(axis=0), float(np.sum(w * xi_sq))
+
+
+def _gather_finite(fields, x: np.ndarray) -> np.ndarray:
+    """Stacked gather of fields at x that rejects a non-finite result."""
+    vals = cic_gather(fields, x)
+    if not np.isfinite(vals).all():
+        raise FieldError("interpolated velocity is non-finite")
+    return vals
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
@@ -92,30 +100,24 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     """
     u = fluid.u
     grid = u.grid
+    u_sq = np.sum(u.values**2, axis=0)
 
-    if cloud.count:
-        mass_fac = species_mass_factor(cloud.species, r2)
-        m0, m1, m2 = cloud_moments(cloud)
-        _, m1_mass, m2_mass = cloud_moments(cloud, mass_fac)
-        up = interpolate_velocity(u, cloud.x)
-        # |u|^2 is interpolated with the deposit kernel (not squared after
-        # interpolation) so the grid pairing <u^2, m0> equals this particle
-        # sum exactly and the drag work cancels from the energy budget;
-        # Jensen keeps the result nonnegative.
-        u_sq = ScalarField(grid, np.sum(u.values**2, axis=0))
-        g2 = cic_gather(u_sq, cloud.x)
-        slip_sq = g2 - 2.0 * np.sum(up * cloud.xi, axis=1) \
-            + np.sum(cloud.xi**2, axis=1)
-        drag_w = species_radius(cloud.species, r2)
-        dissipation_drag = float(np.sum(cloud.w * drag_w * slip_sq))
-    else:
-        m0, m1, m2 = 0.0, np.zeros(grid.dim), 0.0
-        m1_mass, m2_mass = np.zeros(grid.dim), 0.0
-        dissipation_drag = 0.0
+    # an empty cloud needs no branch: every particle sum below is then zero
+    w, xi = cloud.w, cloud.xi
+    xi_sq = np.sum(xi**2, axis=1)
+    m0, m1, m2 = _moments(w, xi, xi_sq)
+    _, m1_mass, m2_mass = _moments(w * species_mass_factor(cloud.species, r2), xi, xi_sq)
+    # |u|^2 is interpolated with the deposit kernel (not squared after
+    # interpolation) so the grid pairing <u^2, m0> equals this particle sum
+    # exactly and the drag work cancels from the energy budget; Jensen keeps
+    # the result nonnegative.  u and |u|^2 share one gather.
+    gathered = _gather_finite([u, ScalarField(grid, u_sq)], cloud.x)
+    up, g2 = gathered[:, :-1], gathered[:, -1]
+    slip_sq = g2 - 2.0 * np.sum(up * xi, axis=1) + xi_sq
+    dissipation_drag = float(np.sum(w * species_radius(cloud.species, r2) * slip_sq))
 
     fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
-    e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * np.sum(u.values**2, axis=0))) \
-        * grid.cell_volume
+    e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
 
     return DiagnosticsRecord(
         t=t,
@@ -338,10 +340,8 @@ def regularization_remainders(cloud: ParticleCloud, u: VectorField,
     1/eps swallows the sampled velocities and the mollifier tends to the
     identity).
     """
-    if cloud.count == 0:
-        return 0.0, 0.0, 0.0
-    up = interpolate_velocity(u, cloud.x)
-    up_moll = interpolate_velocity(u_mollified, cloud.x)
+    gathered = _gather_finite([u, u_mollified], cloud.x)
+    up, up_moll = gathered[:, :cloud.dim], gathered[:, cloud.dim:]
     cut = velocity_cutoff(cloud.xi, eps)
     w = cloud.w
     r1 = 1.5 * float(np.sum(w * np.sum(up**2, axis=1) * (1.0 - cut)))

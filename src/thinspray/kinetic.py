@@ -177,14 +177,12 @@ def absorb_to_density(cloud: ParticleCloud, grid: GridSpec,
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    out = cloud.copy()
     if dt == 0 or cloud.count == 0:
-        return out, ScalarField.zeros(grid)
-    w_new = out.w * np.exp(-dt)
-    released = out.w - w_new
-    out.w = w_new
-    field = ScalarField(grid, cic_scatter(grid, out.x, released))
-    return out, field
+        return cloud.copy(), ScalarField.zeros(grid)
+    w_new = cloud.w * np.exp(-dt)
+    field = ScalarField(grid, cic_scatter(grid, cloud.x, cloud.w - w_new))
+    # positions, velocities and tags are shared with the input, not copied
+    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), field
 
 
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,

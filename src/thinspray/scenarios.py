@@ -166,7 +166,10 @@ def _parse_value(name: str, text: str, target_type):
 
 
 def load_config(path, overrides: dict | None = None) -> SimConfig:
-    """Read a flat key=value file; later assignments and overrides win."""
+    """Read a flat key=value file; later assignments and overrides win.
+
+    Only the syntax and the keys are checked here; run_scenario validates.
+    """
     known = {f.name: f.type for f in dataclass_fields(SimConfig)}
     types = {f.name: type(getattr(SimConfig(), f.name)) for f in dataclass_fields(SimConfig)}
     values = {}
@@ -182,9 +185,7 @@ def load_config(path, overrides: dict | None = None) -> SimConfig:
         values[key] = _parse_value(key, text, types[key])
     if overrides:
         values.update(overrides)
-    cfg = SimConfig(**values)
-    cfg.validate()
-    return cfg
+    return SimConfig(**values)
 
 
 def taylor_green_velocity(grid: GridSpec) -> VectorField:

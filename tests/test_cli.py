@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -70,3 +71,14 @@ def test_sweep_single_member(tmp_path, capsys):
     rows = json.loads(out_json.read_text())["rows"]
     assert len(rows) == 1 and rows[0]["r2"] == 0.3
     assert "delta" in capsys.readouterr().out
+
+
+def test_config_file_run_warns_once(tmp_path, capsys):
+    # the configuration is validated once, in run_scenario, not again on load
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("dim = 2\nn = 16\ndt = 0.5\nt_final = 0.5\nparticle_count = 100\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg)]) == 3
+    user = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert len(user) == 1 and "advective scale" in str(user[0].message)

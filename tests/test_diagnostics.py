@@ -8,13 +8,16 @@ from thinspray.diagnostics import (
     blowup_time_bound,
     check_moment_bound,
     cloud_moments,
+    collect_record,
     energy_budget,
     gronwall_compare,
     momentum_budget,
     radial_histogram,
     regularization_remainders,
 )
-from thinspray.grid import GridSpec, VectorField, mollify
+from thinspray.errors import FieldError
+from thinspray.fluid import FluidState
+from thinspray.grid import GridSpec, ScalarField, VectorField, mollify
 from thinspray.kinetic import PARENT_SPECIES, ParticleCloud
 
 BALL_FACTOR = 4.0 * np.pi / 3.0
@@ -243,3 +246,25 @@ class TestRemainders:
         zero = VectorField.zeros(g)
         out = regularization_remainders(ParticleCloud.empty(2), zero, zero, 0.5)
         assert out == (0.0, 0.0, 0.0)
+
+
+class TestNonFiniteVelocity:
+    """A NaN in u next to a droplet is a typed error, not a NaN budget."""
+
+    @staticmethod
+    def _case():
+        g = GridSpec(2, 16)
+        u = VectorField.zeros(g)
+        u.values[0, 3, 5] = np.nan
+        x = np.array([[3.5 * g.h, 5.5 * g.h], [1.0, 1.0]])
+        return g, u, make_cloud(x, np.zeros((2, 2)), np.ones(2))
+
+    def test_collect_record_raises(self):
+        g, u, cloud = self._case()
+        with pytest.raises(FieldError, match="non-finite"):
+            collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g))
+
+    def test_remainders_raise(self):
+        _, u, cloud = self._case()
+        with pytest.raises(FieldError, match="non-finite"):
+            regularization_remainders(cloud, u, u, 0.5)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from thinspray.errors import GridMismatchError
 from thinspray.grid import GridSpec, ScalarField, VectorField, integral
-from thinspray.transfer import cic_gather, cic_scatter, wrap_positions
+from thinspray.transfer import (
+    _corner_flats_weights,
+    cic_gather,
+    cic_scatter,
+    wrap_positions,
+)
 
 
 @pytest.fixture
@@ -99,3 +107,114 @@ def test_particle_on_node_hits_single_cell():
     dens = cic_scatter(g, x, np.array([2.0]))
     assert dens[3, 5] == pytest.approx(2.0 / g.cell_volume, rel=1e-14)
     assert np.count_nonzero(dens) == 1
+
+
+def _reference_corner_table(grid, x):
+    """The corner table built by re-wrapping x in floating point and fancy
+    indexing per-axis pairs with the corner code bits; the kernel must
+    reproduce it bit for bit on [0, length)."""
+    s = np.mod(x, grid.length) / grid.h
+    i0 = np.floor(s).astype(np.int64)
+    frac = s - i0
+    np.mod(i0, grid.n, out=i0)
+    w = flat = None
+    for ax in range(grid.dim):
+        stride = grid.n ** (grid.dim - 1 - ax)
+        pair_w = np.stack([1.0 - frac[:, ax], frac[:, ax]])
+        pair_f = np.stack([i0[:, ax] * stride, ((i0[:, ax] + 1) % grid.n) * stride])
+        bits = np.array([(code >> ax) & 1 for code in range(2**grid.dim)])
+        if w is None:
+            w, flat = pair_w[bits], pair_f[bits]
+        else:
+            w *= pair_w[bits]
+            flat += pair_f[bits]
+    return flat, w
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_corner_table_matches_reference_kernel(rng, dim):
+    g = GridSpec(dim, 16)
+    x = rng.uniform(0, g.length, (3_000, dim))
+    x[:dim, :] = g.axis_points()[[0, 5, 15]][:dim, None]  # points on nodes
+    flat, w = _corner_flats_weights(g, x)
+    ref_flat, ref_w = _reference_corner_table(g, x)
+    assert np.array_equal(flat, ref_flat) and np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("periods", [1.0, -3.0])
+def test_positions_outside_the_period_match_wrapped(rng, periods):
+    g = GridSpec(3, 16)
+    x = rng.uniform(0, g.length, (3_000, 3)) + periods * g.length
+    wrapped = wrap_positions(g, x)
+    u = VectorField(g, rng.standard_normal((3,) + g.shape))
+    q = rng.uniform(0, 1, (3_000, 2))
+    assert np.abs(cic_gather(u, x) - cic_gather(u, wrapped)).max() < 1e-13
+    dens, dens_wrapped = cic_scatter(g, x, q), cic_scatter(g, wrapped, q)
+    assert np.abs(dens - dens_wrapped).max() < 1e-13 * np.abs(dens_wrapped).max()
+
+
+@pytest.mark.parametrize("coord", [-1e-17, 2 * np.pi])
+def test_positions_at_the_seam_match_zero(rng, coord):
+    # both wrap to 0: -1e-17 lies below the seam, 2*pi is the period itself
+    g = GridSpec(2, 16)
+    f = ScalarField(g, rng.standard_normal(g.shape))
+    x = np.array([[coord, 1.0], [2.5, coord]])
+    at_zero = np.array([[0.0, 1.0], [2.5, 0.0]])
+    assert np.abs(cic_gather(f, x) - cic_gather(f, at_zero)).max() < 1e-13
+    q = np.array([1.0, 2.0])
+    assert np.abs(cic_scatter(g, x, q) - cic_scatter(g, at_zero, q)).max() < 1e-13
+
+
+def test_stacked_gather_equals_separate_gathers(rng):
+    g = GridSpec(3, 16)
+    x = rng.uniform(0, g.length, (20_000, 3))  # several chunks
+    u = VectorField(g, rng.standard_normal((3,) + g.shape))
+    u_sq = ScalarField(g, np.sum(u.values**2, axis=0))
+    stacked = cic_gather([u, u_sq], x)
+    assert stacked.shape == (20_000, 4)
+    assert np.array_equal(stacked[:, :3], cic_gather(u, x))
+    assert np.array_equal(stacked[:, 3], cic_gather(u_sq, x))
+
+
+def test_stacked_gather_rejects_mixed_grids(rng):
+    a, b = GridSpec(2, 16), GridSpec(2, 8)
+    x = rng.uniform(0, a.length, (10, 2))
+    with pytest.raises(GridMismatchError):
+        cic_gather([ScalarField.zeros(a), ScalarField.zeros(b)], x)
+
+
+_LENGTH = 2 * np.pi
+
+
+def _positions(count, dim):
+    """Positions drawn from [-2L, 3L): two periods below and above the box."""
+    return arrays(np.float64, (count, dim),
+                  elements=st.floats(-2 * _LENGTH, 3 * _LENGTH, exclude_max=True))
+
+
+@st.composite
+def _transfer_cases(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([8, 16]))
+    count = draw(st.integers(1, 40))
+    x = draw(_positions(count, dim))
+    q = draw(arrays(np.float64, count, elements=st.floats(0.0, 10.0, allow_subnormal=False)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return GridSpec(dim, n), x, q, seed
+
+
+@given(_transfer_cases())
+def test_property_scatter_gather_adjoint(case):
+    g, x, q, seed = case
+    f = ScalarField(g, np.random.default_rng(seed).standard_normal(g.shape))
+    lhs = float(np.sum(cic_scatter(g, x, q) * f.values)) * g.cell_volume
+    rhs = float(np.sum(q * cic_gather(f, x)))
+    scale = float(np.sum(q)) * float(np.abs(f.values).max())
+    assert abs(lhs - rhs) <= 1e-12 * scale + 1e-300
+
+
+@given(_transfer_cases())
+def test_property_scatter_conserves_mass(case):
+    g, x, q, _ = case
+    total = integral(ScalarField(g, cic_scatter(g, x, q)))
+    assert abs(total - float(np.sum(q))) <= 1e-13 * float(np.sum(q))
