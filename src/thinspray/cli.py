@@ -4,7 +4,6 @@ Subcommands:
   run          integrate one scenario (flags mirror the SimConfig keys)
   sweep-r2     fragment-radius sweep against the matched limit run
   check-lemmas moment-bound, comparison-ODE and blow-up suites, standalone
-  project-test spectral operator self-tests on a given grid
 
 Exit status: 0 when every check passes, 1 when one fails, 2 for an invalid
 configuration, 3 when a run aborts on a rejected step.
@@ -19,7 +18,6 @@ from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
-from . import grid as grid_ops
 from .diagnostics import (
     RadialDensity,
     blowup_time_bound,
@@ -27,7 +25,6 @@ from .diagnostics import (
     gronwall_compare,
 )
 from .errors import ConfigError, StepRejectedError
-from .grid import GridSpec, ScalarField, VectorField
 from .scenarios import SimConfig, load_config, run_scenario, sweep_r2
 
 
@@ -158,37 +155,6 @@ def _cmd_check_lemmas(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_project_test(args) -> int:
-    grid = GridSpec(args.dim, args.n)
-    rng = np.random.default_rng(args.seed)
-    worst = {"div": 0.0, "idem": 0.0, "sym": 0.0, "round": 0.0, "ident": 0.0}
-    for _ in range(args.samples):
-        v = VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
-        pv = grid_ops.leray_project(v)
-        scale = grid_ops.l2_norm(v)
-        worst["div"] = max(worst["div"], grid_ops.l2_norm(grid_ops.divergence(pv)) / scale)
-        ppv = grid_ops.leray_project(pv)
-        worst["idem"] = max(worst["idem"],
-                            float(np.abs(ppv.values - pv.values).max()) / scale)
-        b = VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
-        worst["sym"] = max(worst["sym"], abs(grid_ops.inner(pv, b)
-                                             - grid_ops.inner(v, grid_ops.leray_project(b))) / scale)
-        s = ScalarField(grid, rng.standard_normal(grid.shape))
-        spec = grid_ops.fft(s)
-        back = grid_ops.ifft_like(s, spec)
-        worst["round"] = max(worst["round"], float(np.abs(back - s.values).max()))
-        dg = grid_ops.divergence(grid_ops.gradient(s))
-        lp = grid_ops.laplacian(s)
-        worst["ident"] = max(worst["ident"], float(np.abs(dg.values - lp.values).max())
-                             / max(float(np.abs(lp.values).max()), 1.0))
-    ok = all(v <= 1e-12 for v in worst.values())
-    for name, v in worst.items():
-        print(f"  {name:6s} worst residual {v:.3e}")
-    print(f"[{'PASS' if ok else 'FAIL'}] spectral operator self-tests on "
-          f"{args.samples} random fields (n={args.n}, dim={args.dim})")
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="thinspray", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -210,13 +176,6 @@ def main(argv=None) -> int:
     p_lem.add_argument("--samples", type=int, default=1000)
     p_lem.add_argument("--seed", type=int, default=0)
     p_lem.set_defaults(func=_cmd_check_lemmas)
-
-    p_proj = sub.add_parser("project-test", help="spectral operator self-tests")
-    p_proj.add_argument("--n", type=int, default=32)
-    p_proj.add_argument("--dim", type=int, default=3)
-    p_proj.add_argument("--samples", type=int, default=20)
-    p_proj.add_argument("--seed", type=int, default=0)
-    p_proj.set_defaults(func=_cmd_project_test)
 
     args = parser.parse_args(argv)
     try:

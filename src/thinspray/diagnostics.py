@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .errors import FieldError
 from .fluid import FluidState
 from .grid import (
     ScalarField,
@@ -26,11 +25,12 @@ from .grid import (
 )
 from .kinetic import (
     ParticleCloud,
+    interpolate_velocity,
     species_mass_factor,
     species_radius,
     velocity_cutoff,
 )
-from .transfer import cic_gather
+from .transfer import cic_gather  # noqa: F401 -- a trace target of perfbench/spans.py
 
 BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 
@@ -81,14 +81,6 @@ def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
     return float(w.sum()), (w[:, None] * xi).sum(axis=0), float(np.sum(w * xi_sq))
 
 
-def _gather_finite(fields, x: np.ndarray) -> np.ndarray:
-    """Stacked gather of fields at x that rejects a non-finite result."""
-    vals = cic_gather(fields, x)
-    if not np.isfinite(vals).all():
-        raise FieldError("interpolated velocity is non-finite")
-    return vals
-
-
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
                    rho: ScalarField, *, r2: float = 1.0,
                    nu: float = 1.0) -> DiagnosticsRecord:
@@ -111,7 +103,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     # interpolation) so the grid pairing <u^2, m0> equals this particle sum
     # exactly and the drag work cancels from the energy budget; Jensen keeps
     # the result nonnegative.  u and |u|^2 share one gather.
-    gathered = _gather_finite([u, ScalarField(grid, u_sq)], cloud.x)
+    gathered = interpolate_velocity([u, ScalarField(grid, u_sq)], cloud.x)
     up, g2 = gathered[:, :-1], gathered[:, -1]
     slip_sq = g2 - 2.0 * np.sum(up * xi, axis=1) + xi_sq
     dissipation_drag = float(np.sum(w * species_radius(cloud.species, r2) * slip_sq))
@@ -123,7 +115,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
         t=t,
         e_kinetic_spray=0.5 * m2_mass,
         e_fluid=e_fluid,
-        dissipation_visc=nu * grad_l2_norm_sq(u),
+        dissipation_visc=nu * grad_l2_norm_sq(grid, fluid.u_hat),
         dissipation_drag=dissipation_drag,
         m0=m0,
         m1=np.asarray(m1, dtype=float),
@@ -131,7 +123,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
         total_momentum=np.asarray(m1_mass + fluid_momentum, dtype=float),
         mass_f=m0,
         mass_rho=float(integral(rho)),
-        div_residual=divergence_residual(u),
+        div_residual=divergence_residual(grid, fluid.u_hat),
     )
 
 
@@ -340,7 +332,7 @@ def regularization_remainders(cloud: ParticleCloud, u: VectorField,
     1/eps swallows the sampled velocities and the mollifier tends to the
     identity).
     """
-    gathered = _gather_finite([u, u_mollified], cloud.x)
+    gathered = interpolate_velocity([u, u_mollified], cloud.x)
     up, up_moll = gathered[:, :cloud.dim], gathered[:, cloud.dim:]
     cut = velocity_cutoff(cloud.xi, eps)
     w = cloud.w

@@ -4,21 +4,21 @@ The momentum equation advanced here is the non-conservative form
 
     (1 + rho) [du/dt + (u* . grad) u] - nu lap u = coupling (m1 - u m0),
 
-with u* the (optionally mollified) advecting velocity, closed by the Leray
+with u* the advecting velocity (u, or the mollified u), closed by the Leray
 projection of the end-of-step velocity.  One step is first-order Lie
 splitting: explicit dealiased convection, drag and the spatially varying part
 of the viscous term divided pointwise by (1 + rho), and an exact spectral
 integrating factor for the mean-coefficient diffusion nu lap u / (1 + mean rho),
 which keeps the step stable for any dt at the resolved wavenumbers.
 
-A step transforms u once: the convection derivatives, the Laplacian, the
-mollified advecting velocity, the update and the Leray projection all act on
-that one spectrum, and the projected spectrum is transformed back once.
+A FluidState carries the rfftn spectrum u_hat of u.  A step reads it for the
+convection derivatives, the Laplacian, the update and the Leray projection,
+transforms the projected spectrum back once and hands it on with the new u.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .grid import (
     _spectral_tables,
     fft,
     ifft_like,
-    mollifier_multiplier,
     project_spectrum,
     require_finite,
     require_same_grid,
@@ -39,8 +38,15 @@ from .grid import (
 
 @dataclass
 class FluidState:
+    """Velocity u at time t and its rfftn spectrum u_hat, computed if not given."""
+
     u: VectorField
     t: float = 0.0
+    u_hat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.u_hat is None:
+            self.u_hat = fft(self.u)
 
 
 @dataclass
@@ -84,18 +90,18 @@ def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndar
     return out
 
 
-def ns_step(state: FluidState, rho: ScalarField, drag: DragField,
-            dt: float, nu: float = 1.0, mollifier_eps: float | None = None,
+def ns_step(state: FluidState, u_adv: VectorField, rho: ScalarField,
+            drag: DragField, dt: float, nu: float = 1.0,
             coupling: float = 2.0) -> FluidState:
     """Advance the fluid one step.
 
-    rho is the added density and drag holds the droplet moments; a caller
-    without either passes ScalarField.zeros or DragField.zeros.  With
-    mollifier_eps set, the advecting velocity in the convection term is the
-    mollified u.  The returned velocity is Leray-projected; the whole
-    explicit tendency is dealiased by the 2/3 rule, so a band-limited u stays
-    band-limited.  u is transformed once; every spectral operator of the step
-    reuses that spectrum.
+    u_adv is the advecting velocity: state.u, or its mollification in the
+    regularized system.  rho is the added density and drag holds the droplet
+    moments; a caller without either passes ScalarField.zeros or
+    DragField.zeros.  The step reads state.u_hat; the returned velocity is
+    Leray-projected and carries its projected spectrum.  The whole explicit
+    tendency is dealiased by the 2/3 rule, so a band-limited u stays
+    band-limited.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -104,6 +110,7 @@ def ns_step(state: FluidState, rho: ScalarField, drag: DragField,
     grid = u.grid
     check_cfl(u, dt)
 
+    require_same_grid(u, u_adv)
     require_same_grid(u, rho)
     if rho.values.min() < -1e-12:
         raise ValueError("added density must be nonnegative")
@@ -112,21 +119,17 @@ def ns_step(state: FluidState, rho: ScalarField, drag: DragField,
     nu_bar = nu / (1.0 + rho_bar)
 
     tab = _spectral_tables(grid)
-    u_hat = fft(u)
-    if mollifier_eps:
-        u_adv = ifft_like(u, mollifier_multiplier(grid, mollifier_eps) * u_hat)
-    else:
-        u_adv = u.values
-    tendency = -_convection(u_adv, u, u_hat)
+    tendency = -_convection(u_adv.values, u, state.u_hat)
 
     # spatially varying share of the viscous coefficient, explicit
-    lap_u = ifft_like(u, -tab.k2 * u_hat)
+    lap_u = ifft_like(u, -tab.k2 * state.u_hat)
     tendency += nu * lap_u * (1.0 / denom - 1.0 / (1.0 + rho_bar))
 
     tendency += drag_force(u, drag, coupling).values / denom
 
     t_hat = tab.mask * np.fft.rfftn(tendency, axes=tuple(range(-grid.dim, 0)))
-    u_hat = np.exp(-nu_bar * tab.k2 * dt) * (u_hat + dt * t_hat)
-    u_new = VectorField(grid, ifft_like(u, project_spectrum(grid, u_hat)))
+    u_hat = np.exp(-nu_bar * tab.k2 * dt) * (state.u_hat + dt * t_hat)
+    u_hat = project_spectrum(grid, u_hat)
+    u_new = VectorField(grid, ifft_like(u, u_hat))
     require_finite(u_new, "fluid velocity after step")
-    return FluidState(u_new, state.t + dt)
+    return FluidState(u_new, state.t + dt, u_hat)

@@ -238,22 +238,17 @@ def leray_project(v: VectorField) -> VectorField:
     return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
 
 
-def mollifier_multiplier(grid: GridSpec, eps: float) -> np.ndarray:
-    """The periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2) in rfftn layout."""
-    if not eps > 0:
-        raise ValueError(f"mollifier width must be positive, got {eps}")
-    return np.exp(-0.5 * eps**2 * _spectral_tables(grid).k2_full)
-
-
 def mollify(field: Field, eps: float) -> Field:
     """Smooth with the periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2).
 
     Mean preserving, L2 non-expansive, commutes with every other spectral
     operator here.
     """
+    if not eps > 0:
+        raise ValueError(f"mollifier width must be positive, got {eps}")
     require_finite(field)
-    out = ifft_like(field, mollifier_multiplier(field.grid, eps) * fft(field))
-    return type(field)(field.grid, out)
+    multiplier = np.exp(-0.5 * eps**2 * _spectral_tables(field.grid).k2_full)
+    return type(field)(field.grid, ifft_like(field, multiplier * fft(field)))
 
 
 def dealias(field: Field) -> Field:
@@ -282,15 +277,17 @@ def l2_norm(field: Field) -> float:
     return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_volume))
 
 
-def grad_l2_norm_sq(field: Field) -> float:
-    """Integral of |grad field|^2 via Parseval (sums all components)."""
-    grid = field.grid
+def grad_l2_norm_sq(grid: GridSpec, spectrum: np.ndarray) -> float:
+    """Integral of |grad f|^2 by Parseval from the rfftn spectrum of f (all components)."""
     tab = _spectral_tables(grid)
-    spec = fft(field)
-    total = float(np.sum(tab.weights * tab.k2 * np.abs(spec) ** 2))
+    total = float(np.sum(tab.weights * tab.k2 * np.abs(spectrum) ** 2))
     return total * grid.volume / grid.n ** (2 * grid.dim)
 
 
-def divergence_residual(v: VectorField) -> float:
-    """Relative spectral divergence ||div v||_2 / max(||v||_2, tiny)."""
-    return l2_norm(divergence(v)) / max(l2_norm(v), 1e-300)
+def divergence_residual(grid: GridSpec, v_hat: np.ndarray) -> float:
+    """Relative divergence ||div v||_2 / max(||v||_2, tiny), by Parseval from v_hat."""
+    tab = _spectral_tables(grid)
+    div_hat = sum(kj * v_hat[j] for j, kj in enumerate(tab.k))
+    div_norm = np.sqrt(np.sum(tab.weights * np.abs(div_hat) ** 2))
+    v_norm = np.sqrt(np.sum(tab.weights * np.abs(v_hat) ** 2))
+    return float(div_norm / max(v_norm, 1e-300))

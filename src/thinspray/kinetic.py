@@ -11,12 +11,14 @@ small-radius limit costs nothing in dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import FieldError
-from .grid import GridSpec, ScalarField, VectorField
+from .fluid import DragField
+from .grid import Field, GridSpec, ScalarField, VectorField
 from .transfer import cic_gather, cic_scatter, wrap_positions
 
 PARENT_SPECIES = 1
@@ -99,8 +101,12 @@ def species_mass_factor(species: np.ndarray, r2: float) -> np.ndarray:
     return species_radius(species, r2) ** 3
 
 
-def interpolate_velocity(u: VectorField, x: np.ndarray) -> np.ndarray:
-    """Evaluate u at particle positions with the shared multilinear kernel."""
+def interpolate_velocity(u: VectorField | Sequence[Field], x: np.ndarray) -> np.ndarray:
+    """Evaluate u at particle positions with the shared multilinear kernel.
+
+    u is a VectorField, or a sequence of fields gathered in one pass and
+    stacked as (N, m) like cic_gather.  A non-finite value raises FieldError.
+    """
     vals = cic_gather(u, x)
     if not np.isfinite(vals).all():
         raise FieldError("interpolated velocity is non-finite")
@@ -196,8 +202,6 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
     particle; the drag deposit passes the droplet radius, the weight with
     which a droplet pulls on the gas under Stokes drag.  Returns a DragField.
     """
-    from .fluid import DragField  # local import: fluid builds on this module
-
     if cloud.count == 0:
         return DragField(ScalarField.zeros(grid), VectorField.zeros(grid))
     w = cloud.w

@@ -41,7 +41,7 @@ from .diagnostics import (
     radial_histogram,
     regularization_remainders,
 )
-from .errors import ConfigError, StepRejectedError
+from .errors import ConfigError, FieldError, StepRejectedError
 from .fluid import FluidState, ns_step
 from .grid import GridSpec, ScalarField, VectorField, leray_project, mollify
 from .kinetic import (
@@ -51,6 +51,7 @@ from .kinetic import (
     absorb_to_density,
     advance_particles,
     deposit_moments,
+    interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
     species_radius,
@@ -263,10 +264,13 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     Step layout: deposit drag moments -> fluid step -> particle push ->
     absorption (to density) or fragmentation -> density transport ->
-    diagnostics.  The regularized scenario mollifies u once per step and
-    advects the particles and the density with that field.  Raises
-    StepRejectedError, after writing the last healthy snapshot when an
-    output directory is set, if a field goes non-finite mid-run.
+    diagnostics.  The regularized scenario mollifies u once per step; that
+    field advects the particles, the density and, in the next step, the gas.
+    A step is rejected when it violates the advective CFL condition (in the
+    fluid or the density step) or produces a non-finite field.  Either cause
+    raises one StepRejectedError that names the step, t and the cause, after
+    writing the last healthy state as the "last_good" snapshot when an
+    output directory is set.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -295,45 +299,45 @@ def run_scenario(config: SimConfig) -> RunResult:
     lemma_stride = max(1, config.steps // 10)
     fragmenting = config.scenario == "bidisperse" and math.isfinite(config.tau)
 
-    def abort(step):
-        if config.output_dir:
-            _write_snapshots(config, "last_good", *last_good)
-        raise StepRejectedError(
-            f"non-finite field at step {step} (t={step * config.dt:.4g}); "
-            "last-good snapshot "
-            + (f"written to {config.output_dir}" if config.output_dir else "not requested")
-        )
-
     for step in range(1, config.steps + 1):
-        drag = deposit_moments(cloud, grid, eps,
-                               mass_weights=species_radius(cloud.species, config.r2))
-        fluid = ns_step(fluid, density.rho, drag, config.dt, nu=config.nu,
-                        mollifier_eps=eps, coupling=coupling)
-        if not np.isfinite(fluid.u.values).all():
-            abort(step)
-        u_star = mollify(fluid.u, eps) if eps else fluid.u
-        cloud = advance_particles(cloud, u_star, config.dt, r2=config.r2)
+        try:
+            drag = deposit_moments(cloud, grid, eps,
+                                   mass_weights=species_radius(cloud.species, config.r2))
+            fluid = ns_step(fluid, u_star, density.rho, drag, config.dt, nu=config.nu,
+                            coupling=coupling)
+            if not np.isfinite(fluid.u.values).all():
+                raise StepRejectedError("non-finite field")
+            u_star = mollify(fluid.u, eps) if eps else fluid.u
+            cloud = advance_particles(cloud, u_star, config.dt, r2=config.r2)
 
-        if is_limit_like:
-            cloud, released = absorb_to_density(cloud, grid, config.dt)
-            if regularized:
-                source = drag.m0
-            else:
-                source = ScalarField(grid, released.values / config.dt)
-            density = density_step(density, u_star, source, config.dt)
-        elif fragmenting and cloud.count:
-            cloud, spawned = absorb_and_fragment(cloud, config.dt, config.tau, config.r2)
-            if spawned.count:
-                cloud = ParticleCloud.concatenate([cloud, spawned])
-            if cloud.count > config.particle_budget:
-                cloud, m2_err = merge_particles(cloud, config.particle_budget,
-                                                length=grid.length)
-                merge_m2_max = max(merge_m2_max, m2_err)
-                if m2_err > 0.01:
-                    log.warning("merge pass changed spray energy by %.2e", m2_err)
+            if is_limit_like:
+                cloud, released = absorb_to_density(cloud, grid, config.dt)
+                if regularized:
+                    source = drag.m0
+                else:
+                    source = ScalarField(grid, released.values / config.dt)
+                density = density_step(density, u_star, source, config.dt)
+            elif fragmenting and cloud.count:
+                cloud, spawned = absorb_and_fragment(cloud, config.dt, config.tau,
+                                                     config.r2)
+                if spawned.count:
+                    cloud = ParticleCloud.concatenate([cloud, spawned])
+                if cloud.count > config.particle_budget:
+                    cloud, m2_err = merge_particles(cloud, config.particle_budget,
+                                                    length=grid.length)
+                    merge_m2_max = max(merge_m2_max, m2_err)
+                    if m2_err > 0.01:
+                        log.warning("merge pass changed spray energy by %.2e", m2_err)
 
-        if not np.isfinite(density.rho.values).all():
-            abort(step)
+            if not np.isfinite(density.rho.values).all():
+                raise StepRejectedError("non-finite field")
+        except (StepRejectedError, FieldError) as err:
+            snapshot = "not requested"
+            if config.output_dir:
+                _write_snapshots(config, "last_good", *last_good)
+                snapshot = f"written to {config.output_dir}"
+            raise StepRejectedError(f"step {step} (t={step * config.dt:.4g}) rejected: {err}; "
+                                    f"last-good snapshot {snapshot}") from err
         last_good = (fluid, cloud, density)
 
         t = step * config.dt
@@ -450,8 +454,6 @@ class SweepResult:
 
 def fragment_slip(result: RunResult) -> float:
     """Mass-weighted mean |xi - u(x)|^2 over the fragment species."""
-    from .kinetic import interpolate_velocity
-
     cloud = result.cloud
     fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
     if fragments.count == 0:

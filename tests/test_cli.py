@@ -7,12 +7,6 @@ from thinspray.cli import main
 from thinspray.snapshots import read_diagnostics_csv
 
 
-def test_project_test_passes(capsys):
-    assert main(["project-test", "--n", "16", "--samples", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-
-
 def test_check_lemmas_passes(capsys):
     assert main(["check-lemmas", "--samples", "60"]) == 0
     out = capsys.readouterr().out

@@ -10,8 +10,10 @@ from thinspray.grid import (
     VectorField,
     dealias,
     divergence_residual,
+    fft,
     l2_norm,
     leray_project,
+    mollify,
 )
 
 
@@ -76,22 +78,23 @@ class TestNsStep:
         state = shear_state(g)
         e0 = l2_norm(state.u) ** 2
         for _ in range(100):
-            state = ns_step(state, *no_coupling(g), 1e-3)
+            state = ns_step(state, state.u, *no_coupling(g), 1e-3)
         ratio = l2_norm(state.u) ** 2 / e0
         assert ratio == pytest.approx(np.exp(-0.2), abs=1e-3)
 
     def test_zero_dt_identity(self):
         g = GridSpec(2, 32)
         state = shear_state(g)
-        out = ns_step(state, *no_coupling(g), 0.0)
+        out = ns_step(state, state.u, *no_coupling(g), 0.0)
         assert np.abs(out.u.values - state.u.values).max() < 1e-14
         assert out.t == state.t
 
     def test_cfl_rejection(self):
         g = GridSpec(2, 32)
         u = VectorField(g, np.full((2,) + g.shape, 30.0))
+        state = FluidState(leray_project(u))
         with pytest.raises(StepRejectedError, match="reduce dt"):
-            ns_step(FluidState(leray_project(u)), *no_coupling(g), 0.05)
+            ns_step(state, state.u, *no_coupling(g), 0.05)
 
     def test_homogeneous_drag_ode(self):
         # uniform u, frozen uniform drag: (1+rho) du/dt = 2 c (v - u)
@@ -107,7 +110,7 @@ class TestNsStep:
         )
         dt, t_end = 2e-5, 0.05
         for _ in range(int(round(t_end / dt))):
-            state = ns_step(state, rho, drag, dt)
+            state = ns_step(state, state.u, rho, drag, dt)
 
         sol = solve_ivp(lambda t, y: 2.0 * c * (v - y) / (1.0 + rho_c),
                         (0.0, t_end), u0, method="DOP853", rtol=1e-12, atol=1e-14)
@@ -125,8 +128,10 @@ class TestNsStep:
             VectorField(g, 0.1 * rng.standard_normal((2,) + g.shape)),
         )
         for _ in range(20):
-            state = ns_step(state, rho, drag, 1e-3)
-            assert divergence_residual(state.u) <= 1e-10
+            state = ns_step(state, state.u, rho, drag, 1e-3)
+            assert divergence_residual(g, fft(state.u)) <= 1e-10
+            # the carried spectrum is that of the returned velocity
+            assert np.abs(state.u_hat - fft(state.u)).max() <= 1e-12 * np.abs(state.u_hat).max()
 
     def test_energy_nonincreasing_unforced(self):
         # 100 random draws: no spray, no added density, viscous decay must win
@@ -138,20 +143,20 @@ class TestNsStep:
             u.values -= u.values.mean(axis=(1, 2), keepdims=True)
             state = FluidState(u)
             e0 = l2_norm(state.u)
-            out = ns_step(state, *no_coupling(g), 1e-3)
+            out = ns_step(state, state.u, *no_coupling(g), 1e-3)
             assert l2_norm(out.u) <= e0 * (1 + 1e-13)
 
     def test_negative_density_rejected(self):
         g = GridSpec(2, 16)
         state = shear_state(g)
         with pytest.raises(ValueError):
-            ns_step(state, ScalarField.full(g, -0.5), DragField.zeros(g), 1e-3)
+            ns_step(state, state.u, ScalarField.full(g, -0.5), DragField.zeros(g), 1e-3)
 
     def test_mollified_convection_matches_plain_for_uniform(self):
         # uniform fields are fixed points of the mollifier
         g = GridSpec(2, 16)
         state = FluidState(VectorField.from_components(
             g, np.full(g.shape, 0.3), np.full(g.shape, -0.2)))
-        a = ns_step(state, *no_coupling(g), 1e-3)
-        b = ns_step(state, *no_coupling(g), 1e-3, mollifier_eps=0.5)
+        a = ns_step(state, state.u, *no_coupling(g), 1e-3)
+        b = ns_step(state, mollify(state.u, 0.5), *no_coupling(g), 1e-3)
         assert np.abs(a.u.values - b.u.values).max() < 1e-14

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
-from thinspray.errors import ConfigError
-from thinspray.grid import divergence_residual, integral, l2_norm
+from thinspray.errors import ConfigError, StepRejectedError
+from thinspray.grid import divergence_residual, fft, integral, l2_norm
 from thinspray.kinetic import FRAGMENT_SPECIES, PARENT_SPECIES
 from thinspray.scenarios import (
     SimConfig,
@@ -77,7 +77,7 @@ class TestInitialData:
     def test_taylor_green_divergence_free(self, dim):
         g = SimConfig(dim=dim, n=16).grid
         u = taylor_green_velocity(g)
-        assert divergence_residual(u) < 1e-12
+        assert divergence_residual(g, fft(u)) < 1e-12
 
     def test_spray_targets_match_cloud(self):
         cfg = quick_config(spray_init="offset", spray_mass=0.4,
@@ -165,6 +165,45 @@ class TestRunScenario:
             run_scenario(cfg)
         field, _ = read_field(tmp_path / "velocity_last_good.field")
         assert np.isfinite(field.values).all()
+
+    def test_cfl_abort_writes_last_good(self, tmp_path):
+        # dt far beyond the CFL limit of the initial flow: step 1 is rejected
+        cfg = quick_config(dt=0.5, t_final=1.0, spray_mean_speed=5.0,
+                           output_dir=str(tmp_path))
+        with pytest.warns(UserWarning, match="advective scale"), \
+                pytest.raises(StepRejectedError, match=r"step 1 \(t=0\.5\).*CFL"):
+            run_scenario(cfg)
+        field, t = read_field(tmp_path / "velocity_last_good.field")
+        assert t == 0.0
+        assert np.allclose(field.values, initial_fluid(cfg).u.values)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_fluid_step_aborts(self, tmp_path):
+        # drag moments near the float limit overflow u inside ns_step
+        cfg = quick_config(spray_mass=1e308, output_dir=str(tmp_path))
+        with pytest.raises(StepRejectedError, match=r"step 1 \(t=0\.002\).*non-finite"):
+            run_scenario(cfg)
+        assert (tmp_path / "velocity_last_good.field").exists()
+
+    @pytest.mark.parametrize("scenario, per_step", [
+        ("limit", 6), ("bidisperse", 6), ("regularized", 8)])
+    def test_transforms_per_step(self, monkeypatch, scenario, per_step):
+        # u is forward-transformed once per step, in the tendency of ns_step;
+        # the regularized step adds the mollification of u
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            def counted(*args, _real=getattr(np.fft, name), **kw):
+                calls.append(1)
+                return _real(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        counts = []
+        for steps in (2, 5):
+            calls.clear()
+            run_scenario(quick_config(dim=3, n=16, dt=1e-3, t_final=steps * 1e-3,
+                                      particle_count=200, scenario=scenario,
+                                      eps=0.5 if scenario == "regularized" else 0.0))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 3 * per_step
 
     def test_outputs_written(self, tmp_path):
         cfg = quick_config(output_dir=str(tmp_path), snapshot_stride=5)
