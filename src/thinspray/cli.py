@@ -1,9 +1,8 @@
-"""Command-line front end: run scenarios, sweeps and standalone check suites.
+"""Command-line front end: run scenarios and fragment-radius sweeps.
 
 Subcommands:
   run          integrate one scenario (flags mirror the SimConfig keys)
   sweep-r2     fragment-radius sweep against the matched limit run
-  check-lemmas moment-bound, comparison-ODE and blow-up suites, standalone
 
 Exit status: 0 when every check passes, 1 when one fails, 2 for an invalid
 configuration, 3 when a run aborts on a rejected step.
@@ -16,14 +15,6 @@ import json
 import sys
 from dataclasses import fields as dataclass_fields
 
-import numpy as np
-
-from .diagnostics import (
-    RadialDensity,
-    blowup_time_bound,
-    check_moment_bound,
-    gronwall_compare,
-)
 from .errors import ConfigError, StepRejectedError
 from .scenarios import SimConfig, load_config, run_scenario, sweep_r2
 
@@ -97,64 +88,6 @@ def _cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_check_lemmas(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    # moment interpolation bound on random piecewise-constant radial densities
-    bad = 0
-    for _ in range(args.samples):
-        nshell = int(rng.integers(2, 12))
-        edges = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 6.0, nshell))])
-        values = rng.uniform(0.0, 4.0, nshell)
-        h = RadialDensity(edges, values)
-        alpha = float(rng.uniform(0.0, 2.0))
-        gamma = float(alpha + rng.uniform(0.25, 3.0))
-        if not check_moment_bound(h, alpha, gamma)[2]:
-            bad += 1
-    print(f"[{'PASS' if bad == 0 else 'FAIL'}] moment bound: "
-          f"{args.samples - bad}/{args.samples} random radial densities")
-    failures += bad > 0
-
-    # unit ball closed form
-    ball = RadialDensity(np.array([0.0, 1.0]), np.array([1.0]))
-    lhs, rhs, ok = check_moment_bound(ball, 0.0, 2.0)
-    print(f"[{'PASS' if ok else 'FAIL'}] moment bound (unit ball): "
-          f"m0={lhs:.6f} <= {rhs:.6f}")
-    failures += not ok
-
-    # comparison-ODE domination on a quartic problem
-    t = np.linspace(0.0, 0.2, 50)
-    res = gronwall_compare(1.0, 3.0, t, np.full(t.shape, 1.0))
-    print(f"[{'PASS' if res.passed else 'FAIL'}] comparison ODE dominates a "
-          f"constant lower function ({res.checked} samples"
-          + (", blow-up reported" if res.blowup_reported else "") + ")")
-    failures += not res.passed
-
-    # blow-up time lower bound
-    bad = 0
-    worst = np.inf
-    for _ in range(args.samples // 20 or 1):
-        a = float(rng.uniform(0.3, 3.0))
-        gamma = float(rng.uniform(0.75, 3.0))
-        t_bound, t_numeric = blowup_time_bound(a, gamma)
-        worst = min(worst, t_numeric / t_bound)
-        if t_numeric < t_bound * (1 - 1e-6):
-            bad += 1
-    print(f"[{'PASS' if bad == 0 else 'FAIL'}] blow-up lower bound: "
-          f"min(T_numeric/T_bound)={worst:.9f}")
-    failures += bad > 0
-
-    for a, gamma, closed in ((1.0, 1.0, 1.0), (1.0, 3.0, 1.0 / 3.0)):
-        t_bound, t_numeric = blowup_time_bound(a, gamma)
-        ok = abs(t_numeric - closed) <= 1e-6 and abs(t_bound - closed) <= 1e-12
-        print(f"[{'PASS' if ok else 'FAIL'}] closed-form blow-up A={a} gamma={gamma}: "
-              f"bound={t_bound:.9f} numeric={t_numeric:.9f}")
-        failures += not ok
-
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="thinspray", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,11 +104,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--output-json", default="", help="write sweep rows here")
     _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_lem = sub.add_parser("check-lemmas", help="inequality suites, standalone")
-    p_lem.add_argument("--samples", type=int, default=1000)
-    p_lem.add_argument("--seed", type=int, default=0)
-    p_lem.set_defaults(func=_cmd_check_lemmas)
 
     args = parser.parse_args(argv)
     try:

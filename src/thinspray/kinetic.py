@@ -142,53 +142,21 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
     return ParticleCloud(x_new, xi_new, cloud.w.copy(), cloud.species.copy())
 
 
-def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
-                        r2: float) -> tuple[ParticleCloud, ParticleCloud]:
-    """Break up parent droplets into radius-r2 fragments.
+def absorb_and_fragment(cloud: ParticleCloud, dt: float,
+                        tau: float) -> tuple[ParticleCloud, np.ndarray]:
+    """Break up parent droplets at rate 1/tau.
 
-    Parent weights decay by exp(-dt/tau); each parent spawns one fragment at
-    its own (x, xi) carrying the lost weight amplified by 1/r2^3, so the
-    liquid volume  sum(w1) + r2^3 sum(w2)  and the mass-weighted momentum are
-    conserved exactly.  Species-2 members of the cloud pass through untouched.
+    Parent weights decay by exp(-dt/tau); fragments pass through untouched.
+    Returns the decayed cloud, which shares x, xi and species with the input,
+    and the weight each particle lost (zero for fragments, and for every
+    particle when tau is inf).  The caller decides where the lost weight goes.
     """
     if not tau > 0:
-        raise ValueError(f"fragmentation time must be positive, got {tau}")
-    if not 0 < r2 < 1:
-        raise ValueError(f"fragment radius must lie in (0, 1), got {r2}")
+        raise ValueError(f"breakup time must be positive, got {tau}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    out = cloud.copy()
-    parents = out.species == PARENT_SPECIES
-    if dt == 0 or not parents.any():
-        return out, ParticleCloud.empty(cloud.dim)
-    w_old = out.w[parents]
-    w_new = w_old * np.exp(-dt / tau)
-    out.w[parents] = w_new
-    spawned = ParticleCloud(
-        out.x[parents].copy(),
-        out.xi[parents].copy(),
-        (w_old - w_new) / r2**3,
-        np.full(parents.sum(), FRAGMENT_SPECIES, dtype=np.int64),
-    )
-    return out, spawned
-
-
-def absorb_to_density(cloud: ParticleCloud, grid: GridSpec,
-                      dt: float) -> tuple[ParticleCloud, ScalarField]:
-    """Transfer droplet number into the carrier density at unit rate.
-
-    Weights decay by exp(-dt); the released weight is deposited on the grid
-    with the shared kernel, so the field integrates to exactly the total
-    released weight (up to rounding).
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0 or cloud.count == 0:
-        return cloud.copy(), ScalarField.zeros(grid)
-    w_new = cloud.w * np.exp(-dt)
-    field = ScalarField(grid, cic_scatter(grid, cloud.x, cloud.w - w_new))
-    # positions, velocities and tags are shared with the input, not copied
-    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), field
+    w_new = np.where(cloud.species == PARENT_SPECIES, cloud.w * np.exp(-dt / tau), cloud.w)
+    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), cloud.w - w_new
 
 
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,

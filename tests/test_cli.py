@@ -7,13 +7,6 @@ from thinspray.cli import main
 from thinspray.snapshots import read_diagnostics_csv
 
 
-def test_check_lemmas_passes(capsys):
-    assert main(["check-lemmas", "--samples", "60"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") >= 5
-    assert "[FAIL]" not in out
-
-
 def test_run_subcommand(tmp_path, capsys):
     code = main([
         "run", "--dim", "2", "--n", "16", "--dt", "2e-3", "--t-final", "0.02",

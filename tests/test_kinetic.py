@@ -8,7 +8,6 @@ from thinspray.kinetic import (
     PARENT_SPECIES,
     ParticleCloud,
     absorb_and_fragment,
-    absorb_to_density,
     advance_particles,
     deposit_moments,
     interpolate_velocity,
@@ -17,6 +16,7 @@ from thinspray.kinetic import (
     species_mass_factor,
     velocity_cutoff,
 )
+from thinspray.transfer import cic_scatter
 
 
 def uniform_velocity(grid, vec):
@@ -134,24 +134,55 @@ class TestAdvanceParticles:
         assert 0 <= out.x[0, 0] < g.length
 
 
+def with_fragments(cloud, lost, r2):
+    """The cloud plus one radius-r2 fragment per particle that lost weight."""
+    spawn = lost > 0
+    return ParticleCloud.concatenate([cloud, ParticleCloud(
+        cloud.x[spawn], cloud.xi[spawn], lost[spawn] / r2**3,
+        np.full(spawn.sum(), FRAGMENT_SPECIES))])
+
+
 class TestFragmentation:
     def test_zero_dt_identity(self):
         rng = np.random.default_rng(0)
         cloud = random_cloud(rng, 10)
-        out, spawned = absorb_and_fragment(cloud, 0.0, 1.0, 0.2)
-        assert spawned.count == 0
+        out, lost = absorb_and_fragment(cloud, 0.0, 1.0)
         assert np.array_equal(out.w, cloud.w)
+        assert not lost.any()
 
     def test_half_life_closed_form(self):
         cloud = ParticleCloud(np.zeros((1, 3)), np.zeros((1, 3)),
                               np.array([1.0]), np.array([PARENT_SPECIES]))
-        tau, r2 = 0.7, 0.2
-        out, spawned = absorb_and_fragment(cloud, tau * np.log(2.0), tau, r2)
+        tau = 0.7
+        out, lost = absorb_and_fragment(cloud, tau * np.log(2.0), tau)
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
-        assert spawned.w[0] == pytest.approx(0.5 / r2**3, rel=1e-14)
-        assert spawned.species[0] == FRAGMENT_SPECIES
-        assert np.array_equal(spawned.x, cloud.x)
-        assert np.array_equal(spawned.xi, cloud.xi)
+        assert lost[0] == pytest.approx(0.5, rel=1e-14)
+
+    def test_fragments_pass_through(self):
+        rng = np.random.default_rng(6)
+        species = np.where(rng.uniform(size=200) < 0.5, PARENT_SPECIES,
+                           FRAGMENT_SPECIES)
+        cloud = random_cloud(rng, 200, species=species)
+        out, lost = absorb_and_fragment(cloud, 0.05, 0.3)
+        frag = species == FRAGMENT_SPECIES
+        assert np.array_equal(out.w[frag], cloud.w[frag])
+        assert not lost[frag].any()
+        assert (lost[~frag] > 0).all()
+        assert np.array_equal(out.species, cloud.species)
+
+    def test_infinite_tau_loses_nothing(self):
+        cloud = random_cloud(np.random.default_rng(7), 50)
+        out, lost = absorb_and_fragment(cloud, 0.1, np.inf)
+        assert np.array_equal(out.w, cloud.w)
+        assert not lost.any()
+
+    def test_shares_positions_and_velocities(self):
+        cloud = random_cloud(np.random.default_rng(8), 30)
+        out, _ = absorb_and_fragment(cloud, 0.01, 1.0)
+        assert np.shares_memory(out.x, cloud.x)
+        assert np.shares_memory(out.xi, cloud.xi)
+        assert np.shares_memory(out.species, cloud.species)
+        assert not np.shares_memory(out.w, cloud.w)
 
     def test_liquid_volume_conserved(self):
         rng = np.random.default_rng(1)
@@ -160,8 +191,7 @@ class TestFragmentation:
         cloud = random_cloud(rng, 500, species=species)
         r2 = 0.31
         before = np.sum(cloud.w * species_mass_factor(cloud.species, r2))
-        out, spawned = absorb_and_fragment(cloud, 0.013, 0.4, r2)
-        merged = ParticleCloud.concatenate([out, spawned])
+        merged = with_fragments(*absorb_and_fragment(cloud, 0.013, 0.4), r2)
         after = np.sum(merged.w * species_mass_factor(merged.species, r2))
         assert after == pytest.approx(before, rel=1e-14)
 
@@ -170,8 +200,7 @@ class TestFragmentation:
         cloud = random_cloud(rng, 300)
         r2 = 0.17
         before = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
-        out, spawned = absorb_and_fragment(cloud, 0.05, 0.5, r2)
-        merged = ParticleCloud.concatenate([out, spawned])
+        merged = with_fragments(*absorb_and_fragment(cloud, 0.05, 0.5), r2)
         mass = species_mass_factor(merged.species, r2)
         after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
         assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
@@ -179,24 +208,29 @@ class TestFragmentation:
     def test_bad_parameters(self):
         cloud = random_cloud(np.random.default_rng(3), 5)
         with pytest.raises(ValueError):
-            absorb_and_fragment(cloud, 0.1, 0.0, 0.2)
+            absorb_and_fragment(cloud, 0.1, 0.0)
         with pytest.raises(ValueError):
-            absorb_and_fragment(cloud, 0.1, 1.0, 1.5)
+            absorb_and_fragment(cloud, 0.1, -1.0)
+        with pytest.raises(ValueError):
+            absorb_and_fragment(cloud, -0.1, 1.0)
 
 
 class TestAbsorbToDensity:
+    """The limit's use of the lost weight: deposited into the added density."""
+
     def test_zero_dt_identity(self):
         g = GridSpec(3, 16)
         cloud = random_cloud(np.random.default_rng(4), 20)
-        out, released = absorb_to_density(cloud, g, 0.0)
+        out, lost = absorb_and_fragment(cloud, 0.0, 1.0)
         assert np.array_equal(out.w, cloud.w)
-        assert np.abs(released.values).max() == 0.0
+        assert np.abs(cic_scatter(g, cloud.x, lost)).max() == 0.0
 
     def test_half_life_closed_form(self):
         g = GridSpec(3, 16)
         cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
                               np.array([1.0]), np.array([PARENT_SPECIES]))
-        out, released = absorb_to_density(cloud, g, np.log(2.0))
+        out, lost = absorb_and_fragment(cloud, np.log(2.0), 1.0)
+        released = ScalarField(g, cic_scatter(g, out.x, lost))
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
         assert integral(released) == pytest.approx(0.5, rel=1e-12)
 
@@ -204,9 +238,10 @@ class TestAbsorbToDensity:
         g = GridSpec(2, 32)
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, 5000, dim=2)
-        out, released = absorb_to_density(cloud, g, 0.02)
-        lost = cloud.w.sum() - out.w.sum()
-        assert integral(released) == pytest.approx(lost, rel=1e-12)
+        out, lost = absorb_and_fragment(cloud, 0.02, 1.0)
+        released = ScalarField(g, cic_scatter(g, out.x, lost))
+        assert lost.sum() == pytest.approx(cloud.w.sum() - out.w.sum(), rel=1e-12)
+        assert integral(released) == pytest.approx(lost.sum(), rel=1e-12)
 
 
 class TestDepositMoments:

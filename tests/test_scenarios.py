@@ -39,6 +39,8 @@ class TestConfig:
         dict(scenario="regularized", eps=0.0), dict(particle_budget=0),
         dict(nu=0.0), dict(diag_stride=0), dict(fluid_init="vortex"),
         dict(spray_init="maxwell"), dict(rho0=-1.0),
+        dict(eps=0.5), dict(scenario="bidisperse", eps=0.5),
+        dict(scenario="bidisperse", rho0=0.1),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -121,6 +123,19 @@ class TestRunScenario:
         assert res.summary["mass_budget"]["pass"]
         totals = [r.mass_f + r.mass_rho for r in res.records]
         assert max(abs(v - totals[0]) for v in totals) < 1e-12
+
+    def test_limit_breakup_honours_tau(self):
+        res = run_scenario(quick_config(tau=0.5))
+        assert res.records[-1].mass_f == pytest.approx(0.3 * math.exp(-0.02 / 0.5),
+                                                       rel=1e-12)
+        assert res.summary["mass_budget"]["pass"]
+
+    def test_limit_tau_inf_keeps_spray(self):
+        cfg = quick_config(tau=math.inf)
+        res = run_scenario(cfg)
+        assert all(rec.mass_rho == 0.0 for rec in res.records)
+        assert res.records[-1].mass_f == res.records[0].mass_f
+        assert res.records[-1].mass_f == pytest.approx(cfg.spray_mass, rel=1e-13)
 
     def test_bidisperse_tau_inf_two_populations(self):
         cfg = quick_config(scenario="bidisperse", tau=math.inf, t_final=0.05)
