@@ -29,10 +29,6 @@ class DensityField:
             raise ValueError("added density must be nonnegative")
 
     @classmethod
-    def zeros(cls, grid: GridSpec) -> "DensityField":
-        return cls(ScalarField.zeros(grid))
-
-    @classmethod
     def uniform(cls, grid: GridSpec, value: float) -> "DensityField":
         if value < 0:
             raise ValueError("added density must be nonnegative")

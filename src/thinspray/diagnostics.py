@@ -1,10 +1,11 @@
-"""Moments, conservation budgets, and inequality checks.
+"""Per-step records, conservation budgets, and inequality checks.
 
 Kinetic integrals are evaluated as particle sums (the cloud is the
 quadrature); grid integrals use the trapezoid rule, which is spectrally
 exact for periodic fields.  The budget helpers reconstruct the continuous
 identities satisfied by the coupled system and report their discrete
 residuals, which scale first order in dt for the splitting used here.
+The Gronwall comparison evaluates its comparison ODE in closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid
 
 from .fluid import FluidState
 from .grid import (
@@ -30,7 +31,6 @@ from .kinetic import (
     species_radius,
     velocity_cutoff,
 )
-from .transfer import cic_gather  # noqa: F401 -- a trace target of perfbench/spans.py
 
 BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 
@@ -68,12 +68,6 @@ class DiagnosticsRecord:
             else:
                 out[f.name] = float(v)
         return out
-
-
-def cloud_moments(cloud: ParticleCloud, mass_weights: np.ndarray | None = None):
-    """(M0, M1 vector, M2) particle sums, optionally mass-weighted."""
-    w = cloud.w if mass_weights is None else cloud.w * mass_weights
-    return _moments(w, cloud.xi, np.sum(cloud.xi**2, axis=1))
 
 
 def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
@@ -146,8 +140,7 @@ def energy_budget(records: Sequence[DiagnosticsRecord],
     dissipation = np.array(
         [r.dissipation_visc + drag_coefficient * r.dissipation_drag for r in records]
     )
-    cumulative = np.concatenate([[0.0], cumulative_trapezoid(dissipation, t)])
-    return energy + cumulative - energy[0]
+    return energy + cumulative_trapezoid(dissipation, t, initial=0.0) - energy[0]
 
 
 def momentum_budget(records: Sequence[DiagnosticsRecord]) -> np.ndarray:
@@ -169,14 +162,11 @@ def momentum_tolerance(records: Sequence[DiagnosticsRecord], dt: float) -> float
     t = np.array([r.t for r in records])
     rate = np.array([2.0 * np.sqrt(max(r.m0, 0.0) * max(r.dissipation_drag, 0.0))
                      for r in records])
-    impulse = np.concatenate([[0.0], cumulative_trapezoid(rate, t)])
-    return 4.0 * dt * float(impulse[-1]) + 1e-14
+    return 4.0 * dt * float(cumulative_trapezoid(rate, t, initial=0.0)[-1]) + 1e-14
 
 
 def liquid_volume(cloud: ParticleCloud, r2: float) -> float:
     """Total liquid volume: sum of weights times radius cubed."""
-    if cloud.count == 0:
-        return 0.0
     return float(np.sum(cloud.w * species_mass_factor(cloud.species, r2)))
 
 
@@ -250,21 +240,9 @@ def check_moment_bound(h: RadialDensity, alpha: float,
 class GronwallResult:
     passed: bool
     t: np.ndarray
-    bound: np.ndarray        # comparison solution z at the checked times
-    blowup_reported: bool    # z left the sample range by blowing up
-    checked: int             # how many sample points lay inside z's domain
-
-
-def _solve_power_law(a: float, gamma: float, t_end: float, atol: float):
-    """Integrate z' = a z^(1+gamma), z(0) = a, on [0, t_end] until z = 1e12."""
-    def blowup(s, y):
-        return y[0] - 1e12
-    blowup.terminal = True
-    blowup.direction = 1.0
-    return solve_ivp(
-        lambda s, y: [a * y[0] ** (1.0 + gamma)], (0.0, t_end), [a],
-        method="DOP853", rtol=1e-10, atol=atol, dense_output=True, events=blowup,
-    )
+    bound: np.ndarray        # comparison solution z at t; inf from its blow-up time on
+    blowup_reported: bool    # z blows up before the last sample time
+    checked: int             # how many sample times precede the blow-up
 
 
 def gronwall_compare(a: float, gamma: float, t: np.ndarray,
@@ -273,49 +251,34 @@ def gronwall_compare(a: float, gamma: float, t: np.ndarray,
 
     Any continuous y with y(t) <= a + int_0^t a y^(1+gamma) is dominated by
     z, the right-hand side being convex and non-decreasing; this evaluates
-    the conclusion numerically at the sample times t.  If z blows up inside
-    the sample range the comparison is reported on the surviving overlap
-    (blowup_reported, not a failure).
+    the conclusion at the sample times t with the exact solution
+    z = a (1 - t/T*)^(-1/gamma), T* = blowup_time_bound(a, gamma).  Samples
+    from T* on have bound inf and are not checked; a blow-up inside the
+    sample range is reported (blowup_reported), not a failure.
     """
-    if not (a > 0 and gamma > 0):
-        raise ValueError("need a > 0 and gamma > 0")
+    t_blowup = blowup_time_bound(a, gamma)
     t = np.asarray(t, dtype=float)
     a_values = np.asarray(a_values, dtype=float)
     if t.ndim != 1 or t.size != a_values.size or np.any(np.diff(t) < 0):
         raise ValueError("need matching, nondecreasing sample times")
     if t[0] < 0:
         raise ValueError("sample times must be nonnegative")
-    solution = _solve_power_law(a, gamma, t[-1] + 1e-12, atol=1e-12)
-    t_end = solution.t[-1]
-    inside = t <= t_end
+    inside = t < t_blowup
     z = np.full(t.shape, np.inf)
-    z[inside] = solution.sol(t[inside])[0]
+    z[inside] = a * (1.0 - t[inside] / t_blowup) ** (-1.0 / gamma)
     ok = bool(np.all(a_values[inside] <= z[inside] * (1.0 + 1e-8)))
-    return GronwallResult(
-        passed=ok,
-        t=t,
-        bound=z,
-        blowup_reported=bool(t_end < t[-1]),
-        checked=int(inside.sum()),
-    )
+    return GronwallResult(passed=ok, t=t, bound=z, blowup_reported=bool(t_blowup < t[-1]),
+                          checked=int(inside.sum()))
 
 
-def blowup_time_bound(a: float, gamma: float) -> tuple[float, float]:
-    """Guaranteed life span of z' = a z^(1+gamma), z(0) = a, vs. integration.
+def blowup_time_bound(a: float, gamma: float) -> float:
+    """Blow-up time T* = 1/(gamma a^(gamma+1)) of z' = a z^(1+gamma), z(0) = a.
 
-    The closed-form solution (a^-gamma - a gamma t)^(-1/gamma) lives on
-    [0, 1/(gamma a^(gamma+1))); returns that bound and the adaptive
-    integration time to reach z = 1e12, which can only exceed it.
+    The exact solution (a^-gamma - a gamma t)^(-1/gamma) lives on [0, T*).
     """
     if not (a > 0 and gamma > 0):
         raise ValueError("need a > 0 and gamma > 0")
-    t_bound = 1.0 / (gamma * a ** (gamma + 1.0))
-    sol = _solve_power_law(a, gamma, 10.0 * t_bound, atol=1e-14)
-    if sol.t_events[0].size:
-        t_numeric = float(sol.t_events[0][0])
-    else:
-        t_numeric = float(sol.t[-1])
-    return t_bound, t_numeric
+    return 1.0 / (gamma * a ** (gamma + 1.0))
 
 
 def regularization_remainders(cloud: ParticleCloud, u: VectorField,

@@ -27,6 +27,11 @@ FRAGMENT_SPECIES = 2
 
 @dataclass
 class ParticleCloud:
+    """Weighted particles sampling the droplet phase, handled as a value: the
+    functions that push, decay or merge a cloud share every array they leave
+    unchanged with the cloud they return, so no code writes into one in place.
+    """
+
     x: np.ndarray        # (N, dim) positions in [0, length)
     xi: np.ndarray       # (N, dim) velocities
     w: np.ndarray        # (N,) nonnegative number weights
@@ -70,9 +75,6 @@ class ParticleCloud:
 
     def select(self, mask: np.ndarray) -> "ParticleCloud":
         return ParticleCloud(self.x[mask], self.xi[mask], self.w[mask], self.species[mask])
-
-    def copy(self) -> "ParticleCloud":
-        return ParticleCloud(self.x.copy(), self.xi.copy(), self.w.copy(), self.species.copy())
 
 
 def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
@@ -125,13 +127,12 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
+    The returned cloud shares w and species with the input.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if not r2 > 0:
         raise ValueError(f"droplet radius must be positive, got {r2}")
-    if cloud.count == 0:
-        return cloud.copy()
     up = interpolate_velocity(u, cloud.x)
     tau_p = species_radius(cloud.species, r2)[:, None] ** 2
     decay = np.exp(-dt / tau_p)
@@ -139,7 +140,7 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
     xi_new = up + dxi * decay
     x_new = cloud.x + dt * up + tau_p * (1.0 - decay) * dxi
     x_new = wrap_positions(u.grid, x_new)
-    return ParticleCloud(x_new, xi_new, cloud.w.copy(), cloud.species.copy())
+    return ParticleCloud(x_new, xi_new, cloud.w, cloud.species)
 
 
 def absorb_and_fragment(cloud: ParticleCloud, dt: float,
@@ -170,8 +171,6 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
     particle; the drag deposit passes the droplet radius, the weight with
     which a droplet pulls on the gas under Stokes drag.  Returns a DragField.
     """
-    if cloud.count == 0:
-        return DragField(ScalarField.zeros(grid), VectorField.zeros(grid))
     w = cloud.w
     if cutoff_eps is not None:
         w = w * velocity_cutoff(cloud.xi, cutoff_eps)
@@ -192,14 +191,15 @@ def merge_particles(cloud: ParticleCloud, budget: int,
     single particle conserving sum(w) and sum(w xi) exactly; positions use the
     periodic weighted mean on a torus of period `length`, which must be the
     grid's.  Returns the merged cloud and the relative change of
-    sum(w |xi|^2), the one moment a merge does not preserve.
+    sum(w |xi|^2), the one moment a merge does not preserve; a cloud within
+    the budget is returned as it is.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if cloud.count <= budget:
-        return cloud.copy(), 0.0
+        return cloud, 0.0
     m2_before = float(np.sum(cloud.w * np.sum(cloud.xi**2, axis=1)))
-    out = cloud.copy()
+    out = cloud
     while out.count > budget:
         ids, counts = np.unique(out.species, return_counts=True)
         progress = False
@@ -229,11 +229,13 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
     sv = max(xi.std(), 1e-12)
     z = np.concatenate([x / sx, xi / sv], axis=1)
     dist, nn = cKDTree(z).query(z, k=2)
+    # a coincident point may come back before the query point itself
+    nn = np.where(nn[:, 1] == np.arange(group.size), nn[:, 0], nn[:, 1])
     order = np.argsort(dist[:, 1], kind="stable")
     used = np.zeros(group.size, dtype=bool)
     pairs = []
     for i in order:
-        j = nn[i, 1]
+        j = nn[i]
         if used[i] or used[j]:
             continue
         used[i] = used[j] = True
@@ -255,6 +257,7 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
     )
     delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * length, length) - 0.5 * length
     x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, length)
+    x_m[x_m == length] = 0.0  # the remainder of a tiny negative rounds up to length
     keep = np.ones(cloud.count, dtype=bool)
     keep[a] = False
     keep[b] = False

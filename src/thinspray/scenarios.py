@@ -139,8 +139,10 @@ class SimConfig:
         if self.diag_stride < 1 or self.snapshot_stride < 0:
             raise ConfigError("strides must be positive (snapshot_stride may be 0)")
         h = self.grid.h  # GridSpec validates n and dim
-        u_scale = (1.0 if self.fluid_init == "taylor-green" else 0.0) \
-            + self.spray_mean_speed + 3.0 * self.spray_sigma
+        u_scale = 1.0 if self.fluid_init == "taylor-green" else 0.0
+        if self.spray_init != "none" and self.spray_mass > 0:  # as initial_cloud
+            mean = self.spray_mean_speed if self.spray_init == "offset" else 0.0
+            u_scale += abs(mean) + 3.0 * self.spray_sigma
         if u_scale > 0 and self.dt > h / u_scale:
             warnings.warn(
                 f"dt={self.dt} exceeds the advective scale h/|u| ~ {h / u_scale:.2e}; "
@@ -473,8 +475,6 @@ def fragment_mass_density(result: RunResult) -> ScalarField:
     cloud = result.cloud
     grid = result.config.grid
     fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
-    if fragments.count == 0:
-        return ScalarField.zeros(grid)
     drag = deposit_moments(fragments, grid)
     return ScalarField(grid, result.config.r2**3 * drag.m0.values)
 

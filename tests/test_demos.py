@@ -1,17 +1,21 @@
 """The demos import only names the package still has and exports.
 
-The demos are parsed, not run: the slow ones take minutes.
+Every demo is parsed; the fast ones also run in-process.  The others are
+parsed only: they take from seconds to minutes.
 """
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
 
 import thinspray
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+FAST_DEMOS = [DEMO_DIR / name for name in ("demo_inequalities.py", "demo_spectral_operators.py")]
 
 
 def thinspray_imports(path: Path):
@@ -47,3 +51,9 @@ def test_demo_top_level_imports_are_exported(path):
     unlisted = [name for module, name in thinspray_imports(path)
                 if module == "thinspray" and name not in thinspray.__all__]
     assert not unlisted, f"{path.name} imports names not in thinspray.__all__: {unlisted}"
+
+
+@pytest.mark.parametrize("path", FAST_DEMOS, ids=lambda p: p.name)
+def test_fast_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

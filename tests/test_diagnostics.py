@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from thinspray.diagnostics import (
     DiagnosticsRecord,
     RadialDensity,
     blowup_time_bound,
     check_moment_bound,
-    cloud_moments,
     collect_record,
     energy_budget,
     gronwall_compare,
@@ -25,33 +23,6 @@ BALL_FACTOR = 4.0 * np.pi / 3.0
 
 def make_cloud(x, xi, w):
     return ParticleCloud(x, xi, w, np.full(len(w), PARENT_SPECIES))
-
-
-class TestMoments:
-    def test_monokinetic_second_moment(self):
-        xi = np.tile(np.array([2.0, 0.0, 0.0]), (3, 1))
-        cloud = make_cloud(np.random.default_rng(0).uniform(0, 6, (3, 3)), xi,
-                           np.array([1.0, 1.0, 1.0]))
-        m0, m1, m2 = cloud_moments(cloud)
-        assert m0 == pytest.approx(3.0)
-        assert m2 == pytest.approx(12.0)
-
-    def test_ball_sampled_second_moment(self):
-        # uniform density on the unit ball: M_alpha = 4 pi R^(a+3)/(a+3)
-        rng = np.random.default_rng(2)
-        n = 200_000
-        raw = rng.standard_normal((n, 3))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = rng.uniform(0, 1, n) ** (1.0 / 3.0)
-        xi = raw * radii[:, None]
-        total_mass = BALL_FACTOR  # h = 1 inside the ball
-        w = np.full(n, total_mass / n)
-        cloud = make_cloud(rng.uniform(0, 6, (n, 3)), xi, w)
-        _, _, m2 = cloud_moments(cloud)
-        exact = 4.0 * np.pi / 5.0
-        # Monte Carlo tolerance: 3 sigma of the sample mean of |xi|^2
-        sigma = total_mass * np.std(radii**2) / np.sqrt(n)
-        assert abs(m2 - exact) < 3.0 * sigma
 
 
 class TestRadialDensity:
@@ -194,17 +165,21 @@ class TestBlowupBound:
         (2.0, 1.0, 0.25),
     ])
     def test_closed_forms(self, a, gamma, expected):
-        t_bound, t_numeric = blowup_time_bound(a, gamma)
-        assert t_bound == pytest.approx(expected, rel=1e-12)
-        assert t_numeric == pytest.approx(expected, abs=1e-6)
+        assert blowup_time_bound(a, gamma) == pytest.approx(expected, rel=1e-12)
 
-    def test_numeric_never_below_bound(self):
+    def test_comparison_bound_finite_exactly_before_blowup(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             a = float(rng.uniform(0.3, 3.0))
             gamma = float(rng.uniform(0.75, 3.0))
-            t_bound, t_numeric = blowup_time_bound(a, gamma)
-            assert t_numeric >= t_bound * (1 - 1e-6)
+            t_blowup = blowup_time_bound(a, gamma)
+            t = np.sort(np.append(np.linspace(0.0, 2.0 * t_blowup, 40), t_blowup))
+            res = gronwall_compare(a, gamma, t, np.zeros_like(t))
+            inside = t < t_blowup
+            assert np.array_equal(np.isfinite(res.bound), inside)
+            assert res.checked == inside.sum() and res.blowup_reported
+            closed_form = (a**-gamma - a * gamma * t[inside]) ** (-1.0 / gamma)
+            assert res.bound[inside] == pytest.approx(closed_form, rel=1e-10)
 
     def test_closed_form_solution_verifies_ode(self):
         # (a^-g - a g t)^(-1/g) solves z' = a z^(1+g): check by residual

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, integral
@@ -349,6 +351,13 @@ class TestMerge:
         assert 0.0 <= x < 1.0
         assert min(x, 1.0 - x) < 1e-12
 
+    def test_coincident_particles_merge_with_each_other(self):
+        # the tree may return a coincident point before the query point itself
+        cloud = ParticleCloud(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4),
+                              np.full(4, PARENT_SPECIES))
+        out, _ = merge_particles(cloud, 1, 1.0)
+        assert out.count == 1 and out.w[0] == 4.0
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             merge_particles(ParticleCloud.empty(3), 0, TWO_PI)
@@ -378,3 +387,49 @@ class TestSampler:
         cloud = sample_gaussian_spray(g, 500, 1.0, (0.0, 0.0), 1.0, seed=13)
         assert np.all(cloud.x >= 0) and np.all(cloud.x < g.length)
 
+
+def _cloud(x, w, species):
+    x = np.asarray(x, dtype=float)
+    return ParticleCloud(x, np.ones_like(x), w, species)
+
+
+@st.composite
+def _merge_cases(draw):
+    """A cloud on a torus of period `length` and a budget it may exceed."""
+    dim = draw(st.sampled_from([2, 3]))
+    length = draw(st.sampled_from([1.0, TWO_PI]))
+    count = draw(st.integers(2, 40))
+    x = draw(arrays(np.float64, (count, dim),
+                    elements=st.floats(0.0, length, exclude_max=True)))
+    xi = draw(arrays(np.float64, (count, dim), elements=st.floats(-5.0, 5.0)))
+    # zero weights make zero-weight pairs, which merge by the unweighted mean
+    w = draw(arrays(np.float64, count, elements=st.just(0.0)
+                    | st.floats(0.0, 10.0, allow_subnormal=False)))
+    species = draw(arrays(np.int64, count,
+                          elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
+    budget = draw(st.integers(1, count))
+    return ParticleCloud(x, xi, w, species), budget, length
+
+
+# a zero-weight pair, coincident particles, and a pair whose weighted mean
+# lands a rounding error below 0 (np.remainder maps that to the period itself)
+@example((_cloud([[0.5, 0.5], [0.6, 0.5], [0.1, 0.9]], [0.0, 0.0, 1.0],
+                 [PARENT_SPECIES] * 3), 1, 1.0))
+@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0], [PARENT_SPECIES] * 3), 1, 1.0))
+@example((_cloud([[0.0, 1.0], [TWO_PI - 2e-15, 1.0]], [0.8, 0.2],
+                 [PARENT_SPECIES] * 2), 1, TWO_PI))
+@given(_merge_cases())
+def test_property_merge(case):
+    cloud, budget, length = case
+    out, _ = merge_particles(cloud, budget, length)
+    for sid in (PARENT_SPECIES, FRAGMENT_SPECIES):
+        before, after = cloud.species == sid, out.species == sid
+        w_before = cloud.w[before]
+        assert abs(out.w[after].sum() - w_before.sum()) <= 1e-13 * w_before.sum()
+        p_before = w_before @ cloud.xi[before]
+        p_after = out.w[after] @ out.xi[after]
+        p_scale = w_before @ np.abs(cloud.xi[before])
+        assert np.all(np.abs(p_after - p_before) <= 1e-12 * p_scale)
+    assert np.all((out.x >= 0.0) & (out.x < length))
+    if out.count > budget:  # merging stopped only for want of pairs
+        assert np.all(np.unique(out.species, return_counts=True)[1] == 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestConfig:
     def test_cfl_advisory_warns(self):
         with pytest.warns(UserWarning, match="advective"):
             quick_config(dt=1.0, t_final=2.0).validate()
+
+    def test_cfl_advisory_counts_offset_mean_speed(self):
+        # h / (1 + 5 + 3 * 0.6) = 0.05 < dt
+        with pytest.warns(UserWarning, match="advective"):
+            quick_config(dt=0.1, spray_mean_speed=5.0).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(spray_init="gaussian"), dict(spray_init="none"), dict(spray_mass=0.0),
+    ])
+    def test_cfl_advisory_ignores_absent_spray_speed(self, kw):
+        # no spray moves at the mean speed here: h / (1 + 3 * 0.6) = 0.14 > dt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quick_config(dt=0.1, spray_mean_speed=5.0, **kw).validate()
 
     def test_config_file_and_overrides(self, tmp_path):
         text = "\n".join([

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thinspray.diagnostics import DiagnosticsRecord
 from thinspray.grid import GridSpec, ScalarField, VectorField
@@ -71,6 +73,32 @@ def test_particle_round_trip(tmp_path):
     assert np.array_equal(back.xi, cloud.xi)
     assert np.array_equal(back.w, cloud.w)
     assert np.array_equal(back.species, cloud.species)
+
+
+@st.composite
+def _clouds(draw):
+    """Any finite cloud, empty ones included, with a finite snapshot time."""
+    dim = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(0, 30))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    x = draw(arrays(np.float64, (count, dim), elements=finite))
+    xi = draw(arrays(np.float64, (count, dim), elements=finite))
+    w = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False)))
+    species = draw(arrays(np.int64, count, elements=st.sampled_from([1, 2])))
+    return ParticleCloud(x, xi, w, species), draw(finite)
+
+
+@example((ParticleCloud.empty(3), 0.0))
+@given(_clouds())
+def test_property_particle_round_trip_bit_exact(tmp_path_factory, case):
+    cloud, time = case
+    path = tmp_path_factory.mktemp("round_trip") / "cloud.particles"
+    write_particles(path, cloud, time=time)
+    back, t = read_particles(path)
+    assert np.float64(t).tobytes() == np.float64(time).tobytes()
+    for name in ("x", "xi", "w", "species"):
+        a, b = getattr(back, name), getattr(cloud, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_record(t):
