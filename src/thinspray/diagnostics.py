@@ -26,7 +26,7 @@ from .grid import (
 )
 from .kinetic import (
     ParticleCloud,
-    interpolate_velocity,
+    rowwise_dot,
     species_mass_factor,
     species_radius,
     velocity_cutoff,
@@ -72,15 +72,16 @@ class DiagnosticsRecord:
 
 def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
     """(M0, M1, M2) of weights w, given the velocities and their squares."""
-    return float(w.sum()), (w[:, None] * xi).sum(axis=0), float(np.sum(w * xi_sq))
+    return float(w.sum()), w @ xi, float(w @ xi_sq)
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   rho: ScalarField, *, r2: float = 1.0,
+                   rho: ScalarField, gathered: np.ndarray, *, r2: float = 1.0,
                    nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     rho is the added density; a run without one passes ScalarField.zeros.
+    gathered holds u and |u|^2 at the particles, stacked as (N, dim + 1).
     The drag dissipation weights |u - xi|^2 f by the droplet radius, the
     Stokes drag weight: 1 for parents and r2 for fragments.
     """
@@ -90,17 +91,16 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
 
     # an empty cloud needs no branch: every particle sum below is then zero
     w, xi = cloud.w, cloud.xi
-    xi_sq = np.sum(xi**2, axis=1)
+    xi_sq = rowwise_dot(xi, xi)
     m0, m1, m2 = _moments(w, xi, xi_sq)
     _, m1_mass, m2_mass = _moments(w * species_mass_factor(cloud.species, r2), xi, xi_sq)
     # |u|^2 is interpolated with the deposit kernel (not squared after
     # interpolation) so the grid pairing <u^2, m0> equals this particle sum
     # exactly and the drag work cancels from the energy budget; Jensen keeps
-    # the result nonnegative.  u and |u|^2 share one gather.
-    gathered = interpolate_velocity([u, ScalarField(grid, u_sq)], cloud.x)
-    up, g2 = gathered[:, :-1], gathered[:, -1]
-    slip_sq = g2 - 2.0 * np.sum(up * xi, axis=1) + xi_sq
-    dissipation_drag = float(np.sum(w * species_radius(cloud.species, r2) * slip_sq))
+    # the result nonnegative.
+    up, g2 = gathered[:, :grid.dim], gathered[:, grid.dim]
+    slip_sq = g2 - 2.0 * rowwise_dot(up, xi) + xi_sq
+    dissipation_drag = float((w * species_radius(cloud.species, r2)) @ slip_sq)
 
     fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
     e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
@@ -209,7 +209,7 @@ def radial_histogram(cloud: ParticleCloud, volume_x: float,
     volume), yielding a bounded nonnegative radial density whose exact shell
     moments approximate the cloud's.
     """
-    speed = np.linalg.norm(cloud.xi, axis=1)
+    speed = np.sqrt(rowwise_dot(cloud.xi, cloud.xi))
     top = max(float(speed.max(initial=0.0)) * 1.0001, 1e-12)
     edges = np.linspace(0.0, top, nbins + 1)
     counts, _ = np.histogram(speed, bins=edges, weights=cloud.w)
@@ -281,8 +281,7 @@ def blowup_time_bound(a: float, gamma: float) -> float:
     return 1.0 / (gamma * a ** (gamma + 1.0))
 
 
-def regularization_remainders(cloud: ParticleCloud, u: VectorField,
-                              u_mollified: VectorField,
+def regularization_remainders(cloud: ParticleCloud, gathered: np.ndarray,
                               eps: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
@@ -290,16 +289,15 @@ def regularization_remainders(cloud: ParticleCloud, u: VectorField,
     r2 = 2 sum w (xi . u(x)) (cutoff(xi) - 1)
     r3 = sum w xi . (mollified u - u)(x)
 
-    u_mollified is u mollified with width eps; the caller passes the field it
-    already advects with.  All three vanish as eps -> 0 (the cutoff radius
-    1/eps swallows the sampled velocities and the mollifier tends to the
-    identity).
+    gathered holds u, |u|^2 and u mollified with width eps at the particles,
+    stacked as (N, 2 dim + 1).  All three vanish as eps -> 0 (the cutoff
+    radius 1/eps swallows the sampled velocities and the mollifier tends to
+    the identity).
     """
-    gathered = interpolate_velocity([u, u_mollified], cloud.x)
-    up, up_moll = gathered[:, :cloud.dim], gathered[:, cloud.dim:]
+    up, up_moll = gathered[:, :cloud.dim], gathered[:, cloud.dim + 1:]
     cut = velocity_cutoff(cloud.xi, eps)
     w = cloud.w
-    r1 = 1.5 * float(np.sum(w * np.sum(up**2, axis=1) * (1.0 - cut)))
-    r2 = 2.0 * float(np.sum(w * np.sum(cloud.xi * up, axis=1) * (cut - 1.0)))
-    r3 = float(np.sum(w * np.sum(cloud.xi * (up_moll - up), axis=1)))
+    r1 = 1.5 * float(w @ (rowwise_dot(up, up) * (1.0 - cut)))
+    r2 = 2.0 * float(w @ (rowwise_dot(cloud.xi, up) * (cut - 1.0)))
+    r3 = float(w @ rowwise_dot(cloud.xi, up_moll - up))
     return r1, r2, r3

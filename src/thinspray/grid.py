@@ -238,17 +238,19 @@ def leray_project(v: VectorField) -> VectorField:
     return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
 
 
-def mollify(field: Field, eps: float) -> Field:
+def mollify(field: Field, eps: float, spectrum: np.ndarray | None = None) -> Field:
     """Smooth with the periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2).
 
     Mean preserving, L2 non-expansive, commutes with every other spectral
-    operator here.
+    operator here.  A caller that holds the rfftn spectrum of the field
+    passes it, and the field is not transformed forward again.
     """
     if not eps > 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
     require_finite(field)
     multiplier = np.exp(-0.5 * eps**2 * _spectral_tables(field.grid).k2_full)
-    return type(field)(field.grid, ifft_like(field, multiplier * fft(field)))
+    spectrum = fft(field) if spectrum is None else spectrum
+    return type(field)(field.grid, ifft_like(field, multiplier * spectrum))
 
 
 def dealias(field: Field) -> Field:

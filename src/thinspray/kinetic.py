@@ -11,7 +11,7 @@ small-radius limit costs nothing in dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import FieldError
 from .fluid import DragField
 from .grid import Field, GridSpec, ScalarField, VectorField
-from .transfer import cic_gather, cic_scatter, wrap_positions
+from .transfer import cic_gather, cic_scatter
 
 PARENT_SPECIES = 1
 FRAGMENT_SPECIES = 2
@@ -77,6 +77,11 @@ class ParticleCloud:
         return ParticleCloud(self.x[mask], self.xi[mask], self.w[mask], self.species[mask])
 
 
+def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, (N, k) -> (N,)."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     """Radial C^2 bump in velocity space.
 
@@ -85,9 +90,9 @@ def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     """
     if not eps > 0:
         raise ValueError(f"cutoff eps must be positive, got {eps}")
-    xi = np.asarray(xi, dtype=np.float64)
-    single = xi.ndim == 1
-    r = np.linalg.norm(np.atleast_2d(xi), axis=1)
+    single = np.ndim(xi) == 1
+    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
+    r = np.sqrt(rowwise_dot(xi, xi))
     t = np.clip(r * eps - 1.0, 0.0, 1.0)
     out = 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
     return float(out[0]) if single else out
@@ -103,11 +108,10 @@ def species_mass_factor(species: np.ndarray, r2: float) -> np.ndarray:
     return species_radius(species, r2) ** 3
 
 
-def interpolate_velocity(u: VectorField | Sequence[Field], x: np.ndarray) -> np.ndarray:
+def interpolate_velocity(u: VectorField, x: np.ndarray) -> np.ndarray:
     """Evaluate u at particle positions with the shared multilinear kernel.
 
-    u is a VectorField, or a sequence of fields gathered in one pass and
-    stacked as (N, m) like cic_gather.  A non-finite value raises FieldError.
+    A non-finite value raises FieldError.
     """
     vals = cic_gather(u, x)
     if not np.isfinite(vals).all():
@@ -127,7 +131,8 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
-    The returned cloud shares w and species with the input.
+    Only the coordinates that left [0, length) are wrapped back.  The
+    returned cloud shares w and species with the input.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -137,9 +142,16 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
     tau_p = species_radius(cloud.species, r2)[:, None] ** 2
     decay = np.exp(-dt / tau_p)
     dxi = cloud.xi - up
-    xi_new = up + dxi * decay
-    x_new = cloud.x + dt * up + tau_p * (1.0 - decay) * dxi
-    x_new = wrap_positions(u.grid, x_new)
+    xi_new = dxi * decay
+    xi_new += up
+    dxi *= tau_p * (1.0 - decay)
+    x_new = np.multiply(up, dt, out=up)  # up is not read again: x' reuses its buffer
+    x_new += cloud.x
+    x_new += dxi
+    flat, length = x_new.reshape(-1), u.grid.length
+    left = np.flatnonzero((flat < 0.0) | (flat >= length))
+    wrapped = np.mod(flat[left], length)  # a tiny negative's remainder rounds up to length
+    flat[left] = np.where(wrapped == length, 0.0, wrapped)
     return ParticleCloud(x_new, xi_new, cloud.w, cloud.species)
 
 
@@ -160,27 +172,44 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float,
     return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), cloud.w - w_new
 
 
+class GridPass(NamedTuple):
+    drag: DragField
+    lost: np.ndarray | None  # density of the scattered lost weight, if given
+    gathered: np.ndarray     # (N, m) gathered fields, stacked as cic_scatter stacks them
+
+
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
                     cutoff_eps: float | None = None,
-                    mass_weights: np.ndarray | None = None):
+                    mass_weights: np.ndarray | None = None, *,
+                    lost: np.ndarray | None = None,
+                    gather: Sequence[Field] = ()) -> GridPass:
     """Deposit the number density m0 and momentum density m1 of the cloud.
 
     With a cutoff width `cutoff_eps`, each particle's weight is multiplied by
     the smooth velocity cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps)
     before deposition; a width <= 0 is rejected.  `mass_weights` scales each
     particle; the drag deposit passes the droplet radius, the weight with
-    which a droplet pulls on the gas under Stokes drag.  Returns a DragField.
+    which a droplet pulls on the gas under Stokes drag.  The same pass, one
+    corner table per chunk, scatters the weights `lost` when given and
+    gathers `gather` at the particles; a non-finite value raises FieldError.
     """
     w = cloud.w
     if cutoff_eps is not None:
         w = w * velocity_cutoff(cloud.xi, cutoff_eps)
     if mass_weights is not None:
         w = w * mass_weights
-    cols = np.concatenate([w[:, None], w[:, None] * cloud.xi], axis=1)
-    dens = cic_scatter(grid, cloud.x, cols)
-    m0 = ScalarField(grid, dens[..., 0])
-    m1 = VectorField(grid, np.moveaxis(dens[..., 1:], -1, 0))
-    return DragField(m0, m1)
+
+    def charges(sl):  # built chunk by chunk, not as an (N, m) array
+        ws = w[sl]
+        cols = [ws] + [ws * xi_j for xi_j in cloud.xi[sl].T]
+        return cols if lost is None else cols + [lost[sl]]
+
+    dens, gathered = cic_scatter(grid, cloud.x, charges, gather=list(gather))
+    if not np.isfinite(gathered).all():
+        raise FieldError("gathered field value is non-finite")
+    drag = DragField(ScalarField(grid, dens[..., 0]),
+                     VectorField(grid, np.moveaxis(dens[..., 1:1 + cloud.dim], -1, 0)))
+    return GridPass(drag, None if lost is None else dens[..., -1], gathered)
 
 
 def merge_particles(cloud: ParticleCloud, budget: int,
@@ -198,7 +227,7 @@ def merge_particles(cloud: ParticleCloud, budget: int,
         raise ValueError("budget must be >= 1")
     if cloud.count <= budget:
         return cloud, 0.0
-    m2_before = float(np.sum(cloud.w * np.sum(cloud.xi**2, axis=1)))
+    m2_before = float(cloud.w @ rowwise_dot(cloud.xi, cloud.xi))
     out = cloud
     while out.count > budget:
         ids, counts = np.unique(out.species, return_counts=True)
@@ -212,7 +241,7 @@ def merge_particles(cloud: ParticleCloud, budget: int,
                 break
         if not progress:  # no species has a pair left to merge
             break
-    m2_after = float(np.sum(out.w * np.sum(out.xi**2, axis=1)))
+    m2_after = float(out.w @ rowwise_dot(out.xi, out.xi))
     rel = abs(m2_after - m2_before) / max(abs(m2_before), 1e-300)
     return out, rel
 

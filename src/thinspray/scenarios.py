@@ -60,7 +60,6 @@ from .snapshots import (
     write_particles,
     write_summary_json,
 )
-from .transfer import cic_scatter
 
 log = logging.getLogger(__name__)
 
@@ -233,16 +232,6 @@ def initial_cloud(config: SimConfig) -> ParticleCloud:
     )
 
 
-def spray_moment_targets(config: SimConfig) -> tuple[float, np.ndarray, float]:
-    """Analytic (M0, M1, M2) of the configured initial spray."""
-    mean = np.zeros(config.dim)
-    if config.spray_init == "offset":
-        mean[0] = config.spray_mean_speed
-    mass = 0.0 if config.spray_init == "none" else config.spray_mass
-    m2 = mass * (config.dim * config.spray_sigma**2 + float(mean @ mean))
-    return mass, mass * mean, m2
-
-
 @dataclass
 class RunResult:
     config: SimConfig
@@ -267,12 +256,14 @@ def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState,
 def run_scenario(config: SimConfig) -> RunResult:
     """Integrate one scenario and summarize every budget.
 
-    Step layout: deposit drag moments -> fluid step -> particle push ->
-    breakup (parent weights decay by exp(-dt/tau); the lost weight spawns
-    fragments in bidisperse and feeds the density source otherwise) ->
-    density transport -> diagnostics.  The regularized scenario mollifies u
-    once per step; that field advects the particles, the density and, in the
-    next step, the gas.
+    Step layout: fluid step -> particle push -> breakup (parent weights
+    decay by exp(-dt/tau); the lost weight spawns fragments in bidisperse,
+    merged over budget, and feeds the density source otherwise) -> one
+    particle-grid pass at the new positions, whose corner tables serve the
+    next step's drag deposit, the limit's lost-weight density and the
+    record's gathers -> density transport -> diagnostics.  The regularized
+    scenario mollifies u once per step, from its carried spectrum; that
+    field advects the particles, the density and, in the next step, the gas.
     A step is rejected when it violates the advective CFL condition (in the
     fluid or the density step) or produces a non-finite field.  Either cause
     raises one StepRejectedError that names the step, t and the cause, after
@@ -291,37 +282,44 @@ def run_scenario(config: SimConfig) -> RunResult:
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
     density = DensityField.uniform(grid, config.rho0)
-    u_star = mollify(fluid.u, eps) if eps else fluid.u  # the advecting velocity
+    u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
+    records, volumes, remainders = [], [], []
 
-    records = [collect_record(0.0, fluid, cloud, density.rho, r2=config.r2, nu=config.nu)]
-    volumes = [liquid_volume(cloud, config.r2)]
-    remainders = []
-    lemma_checks = []
-    merge_m2_max = 0.0
-    if regularized:
-        remainders.append((0.0, *regularization_remainders(cloud, fluid.u, u_star, eps)))
+    def grid_pass(cloud, lost=None, record=True):  # a record reads u, |u|^2 (and u_star)
+        fields = [fluid.u, ScalarField(grid, np.sum(fluid.u.values**2, axis=0))] if record else []
+        fields += [u_star] if record and regularized else []
+        return deposit_moments(cloud, grid, eps, species_radius(cloud.species, config.r2),
+                               lost=lost, gather=fields)
 
+    def record(t, gathered):  # of the current fluid, cloud and density
+        records.append(collect_record(t, fluid, cloud, density.rho, gathered,
+                                      r2=config.r2, nu=config.nu))
+        volumes.append(liquid_volume(cloud, config.r2))
+        if regularized:
+            remainders.append((t, *regularization_remainders(cloud, gathered, eps)))
+
+    drag, _, gathered = grid_pass(cloud)
+    record(0.0, gathered)
+    del gathered
+    lemma_checks, merge_m2_max = [], 0.0
     last_good = (fluid, cloud, density)
     lemma_stride = max(1, config.steps // 10)
 
     for step in range(1, config.steps + 1):
+        t = step * config.dt
+        recording = step % config.diag_stride == 0 or step == config.steps
         try:
-            drag = deposit_moments(cloud, grid, eps,
-                                   mass_weights=species_radius(cloud.species, config.r2))
             fluid = ns_step(fluid, u_star, density.rho, drag, config.dt, nu=config.nu,
                             coupling=coupling)
+            # regularized: the cut-off number density breaks up at rate 1/tau
+            source = drag.m0.values / config.tau if regularized else None
+            del drag  # so one drag field is alive when the pass below makes the next
             if not np.isfinite(fluid.u.values).all():
                 raise StepRejectedError("non-finite field")
-            u_star = mollify(fluid.u, eps) if eps else fluid.u
+            u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
             cloud = advance_particles(cloud, u_star, config.dt, r2=config.r2)
-
             cloud, lost = absorb_and_fragment(cloud, config.dt, config.tau)
-            if is_limit_like:
-                # regularized: the cut-off number density breaks up at rate 1/tau
-                source = drag.m0.values / config.tau if regularized \
-                    else cic_scatter(grid, cloud.x, lost) / config.dt
-                density = density_step(density, u_star, ScalarField(grid, source), config.dt)
-            else:
+            if not is_limit_like:
                 spawn = lost > 0
                 if spawn.any():
                     cloud = ParticleCloud.concatenate([cloud, ParticleCloud(
@@ -333,8 +331,13 @@ def run_scenario(config: SimConfig) -> RunResult:
                     merge_m2_max = max(merge_m2_max, m2_err)
                     if m2_err > 0.01:
                         log.warning("merge pass changed spray energy by %.2e", m2_err)
+            drag, lost_density, gathered = grid_pass(
+                cloud, lost if config.scenario == "limit" else None, recording)
             del lost  # held through the next push, it adds ~5 MB of peak RSS (200k particles)
-
+            if is_limit_like:
+                if not regularized:
+                    source = lost_density / config.dt
+                density = density_step(density, u_star, ScalarField(grid, source), config.dt)
             if not np.isfinite(density.rho.values).all():
                 raise StepRejectedError("non-finite field")
         except (StepRejectedError, FieldError) as err:
@@ -342,17 +345,13 @@ def run_scenario(config: SimConfig) -> RunResult:
             if config.output_dir:
                 _write_snapshots(config, "last_good", *last_good)
                 snapshot = f"written to {config.output_dir}"
-            raise StepRejectedError(f"step {step} (t={step * config.dt:.4g}) rejected: {err}; "
+            raise StepRejectedError(f"step {step} (t={t:.4g}) rejected: {err}; "
                                     f"last-good snapshot {snapshot}") from err
         last_good = (fluid, cloud, density)
 
-        t = step * config.dt
-        if step % config.diag_stride == 0 or step == config.steps:
-            records.append(collect_record(t, fluid, cloud, density.rho,
-                                          r2=config.r2, nu=config.nu))
-            volumes.append(liquid_volume(cloud, config.r2))
-            if regularized:
-                remainders.append((t, *regularization_remainders(cloud, fluid.u, u_star, eps)))
+        if recording:
+            record(t, gathered)
+        del gathered  # held through the next push, it adds ~6 MB of peak RSS
         if step % lemma_stride == 0 and cloud.count:
             hist = radial_histogram(cloud, grid.volume)
             for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
@@ -475,8 +474,8 @@ def fragment_mass_density(result: RunResult) -> ScalarField:
     cloud = result.cloud
     grid = result.config.grid
     fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
-    drag = deposit_moments(fragments, grid)
-    return ScalarField(grid, result.config.r2**3 * drag.m0.values)
+    m0 = deposit_moments(fragments, grid).drag.m0
+    return ScalarField(grid, result.config.r2**3 * m0.values)
 
 
 def sweep_r2(config: SimConfig, r2_list) -> SweepResult:

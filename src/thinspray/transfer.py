@@ -5,10 +5,10 @@ particles and grid is adjoint:  sum_p q_p * gather(g)(x_p)  equals the grid
 inner product of g with scatter(q) times the cell volume.  Any finite
 position is accepted: the cell index is wrapped as an integer, so positions
 are never re-wrapped in floating point.  Scatter uses bincount, which is
-deterministic for a fixed particle order.  Both loop over particle chunks
-and build the corner index/weight tables per chunk, small enough to stay
-cache resident; a gather of several stacked fields shares one table per
-chunk among all their components.
+deterministic for a fixed particle order.  One chunk loop builds the corner
+index/weight table of each particle chunk, small enough to stay cache
+resident, and uses it for every gathered component and scattered column:
+cic_gather is its one-sided call, and cic_scatter gathers too when asked.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, GridSpec, ScalarField, VectorField, require_same_grid
+from .errors import GridMismatchError
+from .grid import Field, GridSpec, ScalarField
 
 _CHUNK = 8192
-
-
-def wrap_positions(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """Map positions into [0, length); handles any finite input."""
-    return np.mod(x, grid.length)
 
 
 def _corner_flats_weights(grid: GridSpec, x: np.ndarray):
@@ -58,55 +54,52 @@ def _corner_flats_weights(grid: GridSpec, x: np.ndarray):
     return flat.reshape(2**dim, npart), w.reshape(2**dim, npart)
 
 
-def cic_gather(field: Field | Sequence[Field], x: np.ndarray) -> np.ndarray:
-    """Interpolate a grid field, or several stacked fields, at positions x.
-
-    Returns (N,) for a scalar field, (N, dim) for a vector field, and
-    (N, m) for a sequence of fields on one grid, whose m components are
-    stacked in order (dim columns per vector field, one per scalar field).
-    All components share one corner table per chunk and are gathered one at
-    a time, each bit-identical to its own gather.  x may hold any finite
-    positions.  Exact for fields multilinear within each cell; O(h^2) for
-    smooth fields.
-    """
-    fields = [field] if isinstance(field, (ScalarField, VectorField)) else list(field)
-    grid = fields[0].grid
-    for f in fields[1:]:
-        require_same_grid(fields[0], f)
-    comps = [c for f in fields for c in f.values.reshape(-1, grid.n**grid.dim)]
+def _transfer(grid: GridSpec, x, fields: Sequence[Field], charges):
+    """The chunk loop, one corner table per chunk: gather `fields` at x,
+    stacked as (N, m), and deposit the charges, an (m', N) array or a
+    function of a slice (see cic_scatter), as a grid.shape + (m',) array."""
+    if any(f.grid != grid for f in fields):
+        raise GridMismatchError(f"fields on another grid than {grid}")
+    ncells = grid.n**grid.dim
+    comps = [c for f in fields for c in f.values.reshape(-1, ncells)]
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     npart = x.shape[0]
     out = np.empty((npart, len(comps)))
+    acc = np.zeros((len(charges(slice(0, 0)) if callable(charges) else charges), ncells))
     for start in range(0, npart, _CHUNK):
         sl = slice(start, min(start + _CHUNK, npart))
         flat, w = _corner_flats_weights(grid, x[sl])
         for col, comp in enumerate(comps):
             out[sl, col] = np.einsum("cn,cn->n", w, comp[flat])
+        raveled = flat.ravel()
+        for row, q in zip(acc, charges(sl) if callable(charges) else charges[:, sl]):
+            row += np.bincount(raveled, weights=(w * q).ravel(), minlength=ncells)
+    acc /= grid.cell_volume
+    return out, np.moveaxis(acc.reshape((len(acc),) + grid.shape), 0, -1)
+
+
+def cic_gather(field: Field, x: np.ndarray) -> np.ndarray:
+    """Interpolate a grid field at positions x: (N,) for a scalar field,
+    (N, dim) for a vector field.  x may hold any finite positions.  Exact for
+    fields multilinear within each cell; O(h^2) for smooth fields.
+    """
+    out, _ = _transfer(field.grid, x, [field], np.empty((0, 0)))
     return out[:, 0] if isinstance(field, ScalarField) else out
 
 
-def cic_scatter(grid: GridSpec, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+def cic_scatter(grid: GridSpec, x: np.ndarray, q, gather: Sequence[Field] | None = None):
     """Deposit per-particle charges q as a density array (divided by cell volume).
 
     The array integrates (cell_volume * sum) back to sum(q) up to rounding.
     q may be (N,) or (N, m); the result has the grid shape (+ trailing axis m).
-    x may hold any finite positions.
+    q may also be a function giving the m charge columns of x[sl] for a
+    slice sl (called on an empty slice to count them), so that no (N, m)
+    array is built.  x may hold any finite positions.  With a sequence of
+    fields to `gather`, possibly empty, the same pass interpolates them and
+    (density, gathered) is returned: their components stacked as (N, m),
+    dim columns per vector field, each equal to its own cic_gather.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    q = np.asarray(q, dtype=np.float64)
-    multi = q.ndim == 2
-    qcols = q if multi else q[:, None]
-    ncols = qcols.shape[1]
-    ncells = grid.n**grid.dim
-    npart = x.shape[0]
-    acc = np.zeros((ncells, ncols))
-    for start in range(0, npart, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, npart))
-        flat, w = _corner_flats_weights(grid, x[sl])
-        raveled = flat.ravel()
-        for col in range(ncols):
-            acc[:, col] += np.bincount(raveled, weights=(w * qcols[sl, col]).ravel(),
-                                       minlength=ncells)
-    acc /= grid.cell_volume
-    out = acc.reshape(grid.shape + (ncols,))
-    return out if multi else out[..., 0]
+    charges = q if callable(q) else np.atleast_2d(np.asarray(q, dtype=np.float64).T)
+    out, dens = _transfer(grid, x, list(gather or ()), charges)
+    dens = dens[..., 0] if np.ndim(q) == 1 else dens
+    return dens if gather is None else (dens, out)

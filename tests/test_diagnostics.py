@@ -6,7 +6,6 @@ from thinspray.diagnostics import (
     RadialDensity,
     blowup_time_bound,
     check_moment_bound,
-    collect_record,
     energy_budget,
     gronwall_compare,
     momentum_budget,
@@ -14,9 +13,8 @@ from thinspray.diagnostics import (
     regularization_remainders,
 )
 from thinspray.errors import FieldError
-from thinspray.fluid import FluidState
 from thinspray.grid import GridSpec, ScalarField, VectorField, mollify
-from thinspray.kinetic import PARENT_SPECIES, ParticleCloud
+from thinspray.kinetic import PARENT_SPECIES, ParticleCloud, deposit_moments
 
 BALL_FACTOR = 4.0 * np.pi / 3.0
 
@@ -192,6 +190,18 @@ class TestBlowupBound:
             < 1e-2 * np.abs(dz[mid]).max()
 
 
+def record_fields(u, u_mollified=None):
+    """What the pass of a step gathers for its record: u, |u|^2 (and u_star)."""
+    u_sq = ScalarField(u.grid, np.sum(u.values**2, axis=0))
+    return [u, u_sq] + ([] if u_mollified is None else [u_mollified])
+
+
+def remainders(cloud, u, u_mollified, eps):
+    """The remainders of a regularized record, from the gathers of its pass."""
+    gathered = deposit_moments(cloud, u.grid, eps, gather=record_fields(u, u_mollified)).gathered
+    return regularization_remainders(cloud, gathered, eps)
+
+
 class TestRemainders:
     def test_zero_velocity_all_vanish(self):
         g = GridSpec(3, 16)
@@ -199,7 +209,7 @@ class TestRemainders:
         cloud = make_cloud(rng.uniform(0, g.length, (500, 3)),
                            rng.standard_normal((500, 3)), rng.uniform(0, 1, 500))
         zero = VectorField.zeros(g)
-        r1, r2, r3 = regularization_remainders(cloud, zero, zero, 0.5)
+        r1, r2, r3 = remainders(cloud, zero, zero, 0.5)
         assert r1 == 0.0 and r2 == 0.0 and r3 == 0.0
 
     def test_inactive_cutoff_kills_first_two(self):
@@ -212,19 +222,20 @@ class TestRemainders:
         u = VectorField.from_components(
             g, np.sin(x[0]), np.zeros(g.shape), np.zeros(g.shape))
         eps = 0.05  # cutoff radius 20: every sampled velocity inside
-        r1, r2, r3 = regularization_remainders(cloud, u, mollify(u, eps), eps)
+        r1, r2, r3 = remainders(cloud, u, mollify(u, eps), eps)
         assert r1 == 0.0 and r2 == 0.0
         assert r3 != 0.0  # the mollifier still acts on u
 
     def test_empty_cloud(self):
         g = GridSpec(2, 16)
         zero = VectorField.zeros(g)
-        out = regularization_remainders(ParticleCloud.empty(2), zero, zero, 0.5)
+        out = remainders(ParticleCloud.empty(2), zero, zero, 0.5)
         assert out == (0.0, 0.0, 0.0)
 
 
 class TestNonFiniteVelocity:
-    """A NaN in u next to a droplet is a typed error, not a NaN budget."""
+    """A NaN in u next to a droplet is a typed error of the pass that gathers
+    for the record, not a NaN budget."""
 
     @staticmethod
     def _case():
@@ -237,9 +248,9 @@ class TestNonFiniteVelocity:
     def test_collect_record_raises(self):
         g, u, cloud = self._case()
         with pytest.raises(FieldError, match="non-finite"):
-            collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g))
+            deposit_moments(cloud, g, gather=record_fields(u))
 
     def test_remainders_raise(self):
         _, u, cloud = self._case()
         with pytest.raises(FieldError, match="non-finite"):
-            regularization_remainders(cloud, u, u, 0.5)
+            remainders(cloud, u, u, 0.5)

@@ -16,9 +16,10 @@ from thinspray.kinetic import (
     merge_particles,
     sample_gaussian_spray,
     species_mass_factor,
+    species_radius,
     velocity_cutoff,
 )
-from thinspray.transfer import cic_scatter
+from thinspray.transfer import cic_gather, cic_scatter
 
 
 def uniform_velocity(grid, vec):
@@ -134,6 +135,14 @@ class TestAdvanceParticles:
                               np.array([1.0]), np.array([PARENT_SPECIES]))
         out = advance_particles(cloud, u, 0.1)
         assert 0 <= out.x[0, 0] < g.length
+
+    def test_tiny_negative_position_wraps_below_length(self):
+        # x = -1e-17 after the push: np.mod alone rounds it up to exactly L
+        g = GridSpec(2, 16)
+        cloud = ParticleCloud(np.array([[0.0, 1.0]]), np.array([[-1e-14, 0.0]]),
+                              np.array([1.0]), np.array([PARENT_SPECIES]))
+        out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), 1e-3)
+        assert np.all((out.x >= 0.0) & (out.x < g.length))
 
 
 def with_fragments(cloud, lost, r2):
@@ -252,7 +261,7 @@ class TestDepositMoments:
         xi = np.array([[0.5, -1.0, 2.0]])
         cloud = ParticleCloud(np.array([[g.h, 2 * g.h, 3 * g.h]]), xi,
                               np.array([2.0]), np.array([PARENT_SPECIES]))
-        drag = deposit_moments(cloud, g)
+        drag = deposit_moments(cloud, g).drag
         assert integral(drag.m0) == pytest.approx(2.0, rel=1e-13)
         assert np.asarray(integral(drag.m1)) == pytest.approx(2.0 * xi[0], rel=1e-13)
 
@@ -264,7 +273,7 @@ class TestDepositMoments:
                               np.array([1.0]), np.array([PARENT_SPECIES]))
         cut = velocity_cutoff(xi, eps)[0]
         assert 0.0 < cut < 1.0
-        drag = deposit_moments(cloud, g, eps)
+        drag = deposit_moments(cloud, g, eps).drag
         assert integral(drag.m0) == pytest.approx(cut, rel=1e-12)
 
     def test_total_matches_weighted_sum(self):
@@ -272,13 +281,13 @@ class TestDepositMoments:
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 20000)
         eps = 0.8
-        drag = deposit_moments(cloud, g, eps)
+        drag = deposit_moments(cloud, g, eps).drag
         expected = np.sum(cloud.w * velocity_cutoff(cloud.xi, eps))
         assert integral(drag.m0) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_cloud(self):
         g = GridSpec(2, 16)
-        drag = deposit_moments(ParticleCloud.empty(2), g)
+        drag = deposit_moments(ParticleCloud.empty(2), g).drag
         assert np.abs(drag.m0.values).max() == 0.0
 
 
@@ -433,3 +442,40 @@ def test_property_merge(case):
     assert np.all((out.x >= 0.0) & (out.x < length))
     if out.count > budget:  # merging stopped only for want of pairs
         assert np.all(np.unique(out.species, return_counts=True)[1] == 1)
+
+
+@st.composite
+def _pass_cases(draw):
+    """A cloud with positions two periods below and above the box, possibly
+    empty, its lost weights, a cutoff width or none, and a field seed."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([8, 16]))
+    count = draw(st.integers(0, 40))
+    x = draw(arrays(np.float64, (count, dim),
+                    elements=st.floats(-2 * TWO_PI, 3 * TWO_PI, exclude_max=True)))
+    xi = draw(arrays(np.float64, (count, dim), elements=st.floats(-5.0, 5.0)))
+    weights = arrays(np.float64, count, elements=st.floats(0.0, 10.0, allow_subnormal=False))
+    species = draw(arrays(np.int64, count,
+                          elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
+    cloud = ParticleCloud(x, xi, draw(weights), species)
+    eps = draw(st.none() | st.sampled_from([0.3, 1.0]))
+    return GridSpec(dim, n), cloud, draw(weights), eps, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_pass_cases())
+def test_property_pass_matches_one_sided_kernels(case):
+    # the one chunk pass of a step against separate scatter and gather calls
+    g, cloud, lost, eps, seed = case
+    rng = np.random.default_rng(seed)
+    fields = [VectorField(g, rng.standard_normal((g.dim,) + g.shape)),
+              ScalarField(g, rng.standard_normal(g.shape))]
+    radius = species_radius(cloud.species, 0.3)
+    drag, lost_density, gathered = deposit_moments(cloud, g, eps, radius,
+                                                   lost=lost, gather=fields)
+    assert np.array_equal(gathered, np.column_stack([cic_gather(f, cloud.x) for f in fields]))
+    w = cloud.w * radius if eps is None else cloud.w * velocity_cutoff(cloud.xi, eps) * radius
+    cols = np.column_stack([w, w[:, None] * cloud.xi, lost])
+    ref = cic_scatter(g, cloud.x, cols)
+    got = np.stack([drag.m0.values, *drag.m1.values, lost_density], axis=-1)
+    scale = np.abs(ref).max(axis=tuple(range(g.dim)), keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)

@@ -16,7 +16,6 @@ from thinspray.scenarios import (
     initial_fluid,
     load_config,
     run_scenario,
-    spray_moment_targets,
     sweep_r2,
     taylor_green_velocity,
 )
@@ -100,12 +99,12 @@ class TestInitialData:
         cfg = quick_config(spray_init="offset", spray_mass=0.4,
                            spray_sigma=0.8, spray_mean_speed=0.3)
         cloud = initial_cloud(cfg)
-        m0t, m1t, m2t = spray_moment_targets(cfg)
-        assert cloud.w.sum() == pytest.approx(m0t, rel=1e-13)
+        # analytic moments: mass 0.4, mean velocity (0.3, 0), variance 0.8^2 per axis
+        assert cloud.w.sum() == pytest.approx(0.4, rel=1e-13)
         m1 = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
-        assert np.abs(m1 - m1t).max() < 1e-12
+        assert np.abs(m1 - np.array([0.4 * 0.3, 0.0])).max() < 1e-12
         m2 = float(np.sum(cloud.w * np.sum(cloud.xi**2, axis=1)))
-        assert m2 == pytest.approx(m2t, rel=1e-12)
+        assert m2 == pytest.approx(0.4 * (2 * 0.8**2 + 0.3**2), rel=1e-12)
 
     def test_empty_spray(self):
         cfg = quick_config(spray_init="none")
@@ -215,17 +214,9 @@ class TestRunScenario:
             run_scenario(cfg)
         assert (tmp_path / "velocity_last_good.field").exists()
 
-    @pytest.mark.parametrize("scenario, per_step", [
-        ("limit", 6), ("bidisperse", 6), ("regularized", 8)])
-    def test_transforms_per_step(self, monkeypatch, scenario, per_step):
-        # u is forward-transformed once per step, in the tendency of ns_step;
-        # the regularized step adds the mollification of u
-        calls = []
-        for name in ("rfftn", "irfftn"):
-            def counted(*args, _real=getattr(np.fft, name), **kw):
-                calls.append(1)
-                return _real(*args, **kw)
-            monkeypatch.setattr(np.fft, name, counted)
+    @staticmethod
+    def _calls_per_step(scenario, calls):
+        """Calls recorded in `calls` per step, from a 5-step minus a 2-step run."""
         counts = []
         for steps in (2, 5):
             calls.clear()
@@ -233,7 +224,37 @@ class TestRunScenario:
                                       particle_count=200, scenario=scenario,
                                       eps=0.5 if scenario == "regularized" else 0.0))
             counts.append(len(calls))
-        assert counts[1] - counts[0] == 3 * per_step
+        return (counts[1] - counts[0]) / 3
+
+    @pytest.mark.parametrize("scenario, per_step", [
+        ("limit", 6), ("bidisperse", 6), ("regularized", 7)])
+    def test_transforms_per_step(self, monkeypatch, scenario, per_step):
+        # u is forward-transformed once per step, in the tendency of ns_step;
+        # the regularized step adds the inverse transform of the mollified
+        # spectrum
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            def counted(*args, _real=getattr(np.fft, name), **kw):
+                calls.append(1)
+                return _real(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        assert self._calls_per_step(scenario, calls) == per_step
+
+    @pytest.mark.parametrize("scenario, per_step", [
+        ("limit", 4), ("bidisperse", 2), ("regularized", 4)])
+    def test_corner_tables_per_step(self, monkeypatch, scenario, per_step):
+        # with fewer particles than one chunk, every particle-grid transfer
+        # builds one corner table: the push gather and the one pass at the
+        # new positions, plus the two grid-node gathers of the density step
+        import thinspray.transfer as tr
+
+        calls = []
+
+        def counted(*args, _real=tr._corner_flats_weights, **kw):
+            calls.append(1)
+            return _real(*args, **kw)
+        monkeypatch.setattr(tr, "_corner_flats_weights", counted)
+        assert self._calls_per_step(scenario, calls) == per_step
 
     def test_outputs_written(self, tmp_path):
         cfg = quick_config(output_dir=str(tmp_path), snapshot_stride=5)

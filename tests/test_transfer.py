@@ -5,12 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from thinspray.errors import GridMismatchError
 from thinspray.grid import GridSpec, ScalarField, VectorField, integral
-from thinspray.transfer import (
-    _corner_flats_weights,
-    cic_gather,
-    cic_scatter,
-    wrap_positions,
-)
+from thinspray.transfer import _corner_flats_weights, cic_gather, cic_scatter
 
 
 @pytest.fixture
@@ -21,7 +16,7 @@ def rng():
 def test_wrap_positions_into_period():
     g = GridSpec(2, 16)
     x = np.array([[-0.1, 7.0], [2 * np.pi, 100.0]])
-    wrapped = wrap_positions(g, x)
+    wrapped = np.mod(x, g.length)
     assert np.all(wrapped >= 0) and np.all(wrapped < g.length)
 
 
@@ -145,7 +140,7 @@ def test_corner_table_matches_reference_kernel(rng, dim):
 def test_positions_outside_the_period_match_wrapped(rng, periods):
     g = GridSpec(3, 16)
     x = rng.uniform(0, g.length, (3_000, 3)) + periods * g.length
-    wrapped = wrap_positions(g, x)
+    wrapped = np.mod(x, g.length)
     u = VectorField(g, rng.standard_normal((3,) + g.shape))
     q = rng.uniform(0, 1, (3_000, 2))
     assert np.abs(cic_gather(u, x) - cic_gather(u, wrapped)).max() < 1e-13
@@ -170,17 +165,29 @@ def test_stacked_gather_equals_separate_gathers(rng):
     x = rng.uniform(0, g.length, (20_000, 3))  # several chunks
     u = VectorField(g, rng.standard_normal((3,) + g.shape))
     u_sq = ScalarField(g, np.sum(u.values**2, axis=0))
-    stacked = cic_gather([u, u_sq], x)
+    _, stacked = cic_scatter(g, x, np.zeros(20_000), gather=[u, u_sq])
     assert stacked.shape == (20_000, 4)
     assert np.array_equal(stacked[:, :3], cic_gather(u, x))
     assert np.array_equal(stacked[:, 3], cic_gather(u_sq, x))
+
+
+def test_scatter_with_gather_equals_one_sided_scatter(rng):
+    g = GridSpec(3, 16)
+    x = rng.uniform(-g.length, 2 * g.length, (20_000, 3))  # several chunks
+    u = VectorField(g, rng.standard_normal((3,) + g.shape))
+    q = rng.uniform(0, 1, (20_000, 2))
+    dens, _ = cic_scatter(g, x, q, gather=[u])
+    assert np.array_equal(dens, cic_scatter(g, x, q))
+    # charges given chunk by chunk make the same sums
+    assert np.array_equal(cic_scatter(g, x, lambda sl: [q[sl, 0], q[sl, 1]]), dens)
+    assert cic_scatter(g, x, q, gather=[])[1].shape == (20_000, 0)
 
 
 def test_stacked_gather_rejects_mixed_grids(rng):
     a, b = GridSpec(2, 16), GridSpec(2, 8)
     x = rng.uniform(0, a.length, (10, 2))
     with pytest.raises(GridMismatchError):
-        cic_gather([ScalarField.zeros(a), ScalarField.zeros(b)], x)
+        cic_scatter(a, x, np.zeros(10), gather=[ScalarField.zeros(a), ScalarField.zeros(b)])
 
 
 _LENGTH = 2 * np.pi
