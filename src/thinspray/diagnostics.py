@@ -1,8 +1,9 @@
 """Per-step records, conservation budgets, and inequality checks.
 
-Kinetic integrals are evaluated as particle sums (the cloud is the
-quadrature); grid integrals use the trapezoid rule, which is spectrally
-exact for periodic fields.  The budget helpers reconstruct the continuous
+Kinetic integrals are particle sums (the cloud is the quadrature), or
+grid fields paired with the step's drag deposit, which equals them; grid
+integrals use the trapezoid rule, which is spectrally exact for periodic
+fields.  The budget helpers reconstruct the continuous
 identities satisfied by the coupled system and report their discrete
 residuals, which scale first order in dt for the splitting used here.
 The Gronwall comparison evaluates its comparison ODE in closed form.
@@ -16,21 +17,24 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .fluid import FluidState
+from .fluid import DragField, FluidState
 from .grid import (
     ScalarField,
     VectorField,
     divergence_residual,
     grad_l2_norm_sq,
     integral,
+    require_finite,
 )
 from .kinetic import (
+    PARENT_SPECIES,
     ParticleCloud,
     rowwise_dot,
     species_mass_factor,
     species_radius,
     velocity_cutoff,
 )
+from .transfer import cic_gather
 
 BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 
@@ -75,18 +79,35 @@ def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
     return float(w.sum()), w @ xi, float(w @ xi_sq)
 
 
+def _pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b over every entry, with no temporary of their size."""
+    return float(np.einsum(a, list(range(a.ndim)), b, list(range(b.ndim)), []))
+
+
+def _cutoff_tail(cloud: ParticleCloud, eps: float | None):
+    """The particles the velocity cutoff reaches, |xi| > 1/eps (none without
+    a cutoff), and their weight defect 1 - cutoff."""
+    if eps is None:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    defect = 1.0 - velocity_cutoff(cloud.xi, eps)
+    tail = np.flatnonzero(defect > 0.0)
+    return tail, defect[tail]
+
+
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   rho: ScalarField, gathered: np.ndarray, *, r2: float = 1.0,
-                   nu: float = 1.0) -> DiagnosticsRecord:
+                   rho: ScalarField, drag: DragField, *, r2: float = 1.0,
+                   nu: float = 1.0, eps: float | None = None) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     rho is the added density; a run without one passes ScalarField.zeros.
-    gathered holds u and |u|^2 at the particles, stacked as (N, dim + 1).
-    The drag dissipation weights |u - xi|^2 f by the droplet radius, the
-    Stokes drag weight: 1 for parents and r2 for fragments.
+    drag is the cloud's drag deposit of weights w r, times the velocity
+    cutoff of width eps if given; the radius r (1 for parents, r2 for
+    fragments), the Stokes drag weight, also weighs |u - xi|^2 f in the drag
+    dissipation.  A non-finite u raises FieldError.
     """
     u = fluid.u
     grid = u.grid
+    require_finite(u, "fluid velocity")
     u_sq = np.sum(u.values**2, axis=0)
 
     # an empty cloud needs no branch: every particle sum below is then zero
@@ -94,13 +115,17 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     xi_sq = rowwise_dot(xi, xi)
     m0, m1, m2 = _moments(w, xi, xi_sq)
     _, m1_mass, m2_mass = _moments(w * species_mass_factor(cloud.species, r2), xi, xi_sq)
-    # |u|^2 is interpolated with the deposit kernel (not squared after
-    # interpolation) so the grid pairing <u^2, m0> equals this particle sum
-    # exactly and the drag work cancels from the energy budget; Jensen keeps
-    # the result nonnegative.
-    up, g2 = gathered[:, :grid.dim], gathered[:, grid.dim]
-    slip_sq = g2 - 2.0 * rowwise_dot(up, xi) + xi_sq
-    dissipation_drag = float((w * species_radius(cloud.species, r2)) @ slip_sq)
+    # Deposit S and interpolation I share one kernel, cv <g, S(v)> = sum v I(g),
+    # so pairing |u|^2 and u with S(q c), S(q c xi) gives sum q c (I|u|^2 -
+    # 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not |I u|^2)
+    # cancels the drag work from the energy budget and stays >= 0 (Jensen).
+    q = w * species_radius(cloud.species, r2)
+    tail, defect = _cutoff_tail(cloud, eps)
+    slip_tail = (cic_gather(ScalarField(grid, u_sq), cloud.x[tail])
+                 - 2.0 * rowwise_dot(cic_gather(u, cloud.x[tail]), xi[tail]))
+    dissipation_drag = (
+        grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * _pair(u.values, drag.m1.values))
+        + float(q @ xi_sq) + float((q[tail] * defect) @ slip_tail))
 
     fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
     e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
@@ -281,23 +306,31 @@ def blowup_time_bound(a: float, gamma: float) -> float:
     return 1.0 / (gamma * a ** (gamma + 1.0))
 
 
-def regularization_remainders(cloud: ParticleCloud, gathered: np.ndarray,
-                              eps: float) -> tuple[float, float, float]:
+def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorField,
+                              u_mollified: VectorField, eps: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
     r1 = (3/2) sum w |u(x)|^2 (1 - cutoff(xi))
     r2 = 2 sum w (xi . u(x)) (cutoff(xi) - 1)
     r3 = sum w xi . (mollified u - u)(x)
 
-    gathered holds u, |u|^2 and u mollified with width eps at the particles,
-    stacked as (N, 2 dim + 1).  All three vanish as eps -> 0 (the cutoff
-    radius 1/eps swallows the sampled velocities and the mollifier tends to
-    the identity).
+    u(x) is interpolated at the particles.  The cloud must hold parents
+    alone, so that drag, its deposit with the cutoff of width eps, has the
+    weights w cutoff(xi): r3 pairs it with u_mollified - u and adds the
+    tail |xi| > 1/eps, the only particles gathered, over which r1 and r2
+    sum.  A non-finite u or u_mollified raises FieldError.  All three vanish
+    as eps -> 0 (the cutoff radius 1/eps swallows the sampled velocities).
     """
-    up, up_moll = gathered[:, :cloud.dim], gathered[:, cloud.dim + 1:]
-    cut = velocity_cutoff(cloud.xi, eps)
-    w = cloud.w
-    r1 = 1.5 * float(w @ (rowwise_dot(up, up) * (1.0 - cut)))
-    r2 = 2.0 * float(w @ (rowwise_dot(cloud.xi, up) * (cut - 1.0)))
-    r3 = float(w @ rowwise_dot(cloud.xi, up_moll - up))
+    if np.any(cloud.species != PARENT_SPECIES):
+        raise ValueError("the remainders need a cloud of parents only")
+    require_finite(u, "fluid velocity")
+    require_finite(u_mollified, "mollified velocity")
+    tail, defect = _cutoff_tail(cloud, eps)
+    x_tail, xi_tail, w_tail = cloud.x[tail], cloud.xi[tail], cloud.w[tail] * defect
+    up = cic_gather(u, x_tail)
+    r1 = 1.5 * float(w_tail @ rowwise_dot(up, up))
+    r2 = -2.0 * float(w_tail @ rowwise_dot(xi_tail, up))
+    m1 = drag.m1.values
+    r3 = (u.grid.cell_volume * (_pair(u_mollified.values, m1) - _pair(u.values, m1))
+          + float(w_tail @ rowwise_dot(xi_tail, cic_gather(u_mollified, x_tail) - up)))
     return r1, r2, r3

@@ -112,9 +112,6 @@ class VectorField:
     def from_components(cls, grid: GridSpec, *components: np.ndarray) -> "VectorField":
         return cls(grid, np.stack(components, axis=0))
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
 
 Field = ScalarField | VectorField
 

@@ -11,14 +11,14 @@ small-radius limit costs nothing in dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import FieldError
 from .fluid import DragField
-from .grid import Field, GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField, VectorField
 from .transfer import cic_gather, cic_scatter
 
 PARENT_SPECIES = 1
@@ -175,23 +175,20 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float,
 class GridPass(NamedTuple):
     drag: DragField
     lost: np.ndarray | None  # density of the scattered lost weight, if given
-    gathered: np.ndarray     # (N, m) gathered fields, stacked as cic_scatter stacks them
 
 
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
                     cutoff_eps: float | None = None,
                     mass_weights: np.ndarray | None = None, *,
-                    lost: np.ndarray | None = None,
-                    gather: Sequence[Field] = ()) -> GridPass:
+                    lost: np.ndarray | None = None) -> GridPass:
     """Deposit the number density m0 and momentum density m1 of the cloud.
 
     With a cutoff width `cutoff_eps`, each particle's weight is multiplied by
     the smooth velocity cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps)
     before deposition; a width <= 0 is rejected.  `mass_weights` scales each
     particle; the drag deposit passes the droplet radius, the weight with
-    which a droplet pulls on the gas under Stokes drag.  The same pass, one
-    corner table per chunk, scatters the weights `lost` when given and
-    gathers `gather` at the particles; a non-finite value raises FieldError.
+    which a droplet pulls on the gas under Stokes drag.  The same scatter,
+    one corner table per chunk, deposits the weights `lost` when given.
     """
     w = cloud.w
     if cutoff_eps is not None:
@@ -204,12 +201,10 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
         cols = [ws] + [ws * xi_j for xi_j in cloud.xi[sl].T]
         return cols if lost is None else cols + [lost[sl]]
 
-    dens, gathered = cic_scatter(grid, cloud.x, charges, gather=list(gather))
-    if not np.isfinite(gathered).all():
-        raise FieldError("gathered field value is non-finite")
+    dens = cic_scatter(grid, cloud.x, charges)
     drag = DragField(ScalarField(grid, dens[..., 0]),
                      VectorField(grid, np.moveaxis(dens[..., 1:1 + cloud.dim], -1, 0)))
-    return GridPass(drag, None if lost is None else dens[..., -1], gathered)
+    return GridPass(drag, None if lost is None else dens[..., -1])
 
 
 def merge_particles(cloud: ParticleCloud, budget: int,

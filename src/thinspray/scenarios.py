@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,7 @@ from .snapshots import (
     write_particles,
     write_summary_json,
 )
+from .transfer import cic_scatter
 
 log = logging.getLogger(__name__)
 
@@ -158,25 +159,13 @@ class SimConfig:
         return int(round(self.t_final / self.dt))
 
 
-def _parse_value(name: str, text: str, target_type):
-    text = text.strip()
-    try:
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)  # accepts "inf"
-        return text
-    except ValueError as err:
-        raise ConfigError(f"cannot parse {name}={text!r}: {err}") from None
-
-
 def load_config(path, overrides: dict | None = None) -> SimConfig:
     """Read a flat key=value file; later assignments and overrides win.
 
+    A "#" starts a comment anywhere on a line, so no value can contain one.
     Only the syntax and the keys are checked here; run_scenario validates.
     """
-    known = {f.name: f.type for f in dataclass_fields(SimConfig)}
-    types = {f.name: type(getattr(SimConfig(), f.name)) for f in dataclass_fields(SimConfig)}
+    types = {name: type(value) for name, value in vars(SimConfig()).items()}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,9 +174,12 @@ def load_config(path, overrides: dict | None = None) -> SimConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, text, types[key])
+        try:
+            values[key] = types[key](text)  # float accepts "inf"
+        except ValueError as err:
+            raise ConfigError(f"cannot parse {key}={text!r}: {err}") from None
     if overrides:
         values.update(overrides)
     return SimConfig(**values)
@@ -259,9 +251,9 @@ def run_scenario(config: SimConfig) -> RunResult:
     Step layout: fluid step -> particle push -> breakup (parent weights
     decay by exp(-dt/tau); the lost weight spawns fragments in bidisperse,
     merged over budget, and feeds the density source otherwise) -> one
-    particle-grid pass at the new positions, whose corner tables serve the
-    next step's drag deposit, the limit's lost-weight density and the
-    record's gathers -> density transport -> diagnostics.  The regularized
+    particle-grid pass at the new positions: the next step's drag deposit
+    and the limit's lost-weight density -> density transport -> diagnostics,
+    which pair grid fields with that deposit (see collect_record).  The regularized
     scenario mollifies u once per step, from its carried spectrum; that
     field advects the particles, the density and, in the next step, the gas.
     A step is rejected when it violates the advective CFL condition (in the
@@ -285,29 +277,25 @@ def run_scenario(config: SimConfig) -> RunResult:
     u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
     records, volumes, remainders = [], [], []
 
-    def grid_pass(cloud, lost=None, record=True):  # a record reads u, |u|^2 (and u_star)
-        fields = [fluid.u, ScalarField(grid, np.sum(fluid.u.values**2, axis=0))] if record else []
-        fields += [u_star] if record and regularized else []
-        return deposit_moments(cloud, grid, eps, species_radius(cloud.species, config.r2),
-                               lost=lost, gather=fields)
+    def grid_pass(cloud, lost=None):
+        radius = species_radius(cloud.species, config.r2)
+        return deposit_moments(cloud, grid, eps, radius, lost=lost)
 
-    def record(t, gathered):  # of the current fluid, cloud and density
-        records.append(collect_record(t, fluid, cloud, density.rho, gathered,
-                                      r2=config.r2, nu=config.nu))
+    def record(t, drag):  # of the current fluid, cloud and density, and the cloud's deposit
+        records.append(collect_record(t, fluid, cloud, density.rho, drag,
+                                      r2=config.r2, nu=config.nu, eps=eps))
         volumes.append(liquid_volume(cloud, config.r2))
         if regularized:
-            remainders.append((t, *regularization_remainders(cloud, gathered, eps)))
+            remainders.append((t, *regularization_remainders(cloud, drag, fluid.u, u_star, eps)))
 
-    drag, _, gathered = grid_pass(cloud)
-    record(0.0, gathered)
-    del gathered
+    drag, _ = grid_pass(cloud)
+    record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
     last_good = (fluid, cloud, density)
     lemma_stride = max(1, config.steps // 10)
 
     for step in range(1, config.steps + 1):
         t = step * config.dt
-        recording = step % config.diag_stride == 0 or step == config.steps
         try:
             fluid = ns_step(fluid, u_star, density.rho, drag, config.dt, nu=config.nu,
                             coupling=coupling)
@@ -331,8 +319,7 @@ def run_scenario(config: SimConfig) -> RunResult:
                     merge_m2_max = max(merge_m2_max, m2_err)
                     if m2_err > 0.01:
                         log.warning("merge pass changed spray energy by %.2e", m2_err)
-            drag, lost_density, gathered = grid_pass(
-                cloud, lost if config.scenario == "limit" else None, recording)
+            drag, lost_density = grid_pass(cloud, lost if config.scenario == "limit" else None)
             del lost  # held through the next push, it adds ~5 MB of peak RSS (200k particles)
             if is_limit_like:
                 if not regularized:
@@ -349,9 +336,8 @@ def run_scenario(config: SimConfig) -> RunResult:
                                     f"last-good snapshot {snapshot}") from err
         last_good = (fluid, cloud, density)
 
-        if recording:
-            record(t, gathered)
-        del gathered  # held through the next push, it adds ~6 MB of peak RSS
+        if step % config.diag_stride == 0 or step == config.steps:
+            record(t, drag)
         if step % lemma_stride == 0 and cloud.count:
             hist = radial_histogram(cloud, grid.volume)
             for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
@@ -474,8 +460,8 @@ def fragment_mass_density(result: RunResult) -> ScalarField:
     cloud = result.cloud
     grid = result.config.grid
     fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
-    m0 = deposit_moments(fragments, grid).drag.m0
-    return ScalarField(grid, result.config.r2**3 * m0.values)
+    m0 = cic_scatter(grid, fragments.x, fragments.w)
+    return ScalarField(grid, result.config.r2**3 * m0)
 
 
 def sweep_r2(config: SimConfig, r2_list) -> SweepResult:

@@ -5,19 +5,16 @@ particles and grid is adjoint:  sum_p q_p * gather(g)(x_p)  equals the grid
 inner product of g with scatter(q) times the cell volume.  Any finite
 position is accepted: the cell index is wrapped as an integer, so positions
 are never re-wrapped in floating point.  Scatter uses bincount, which is
-deterministic for a fixed particle order.  One chunk loop builds the corner
-index/weight table of each particle chunk, small enough to stay cache
-resident, and uses it for every gathered component and scattered column:
-cic_gather is its one-sided call, and cic_scatter gathers too when asked.
+deterministic for a fixed particle order.  Both loop over particle chunks
+and build one corner index/weight table per chunk, small enough to stay cache
+resident; cic_gather reads every field component through it and
+cic_scatter deposits every charge column through it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import GridMismatchError
 from .grid import Field, GridSpec, ScalarField
 
 _CHUNK = 8192
@@ -54,52 +51,43 @@ def _corner_flats_weights(grid: GridSpec, x: np.ndarray):
     return flat.reshape(2**dim, npart), w.reshape(2**dim, npart)
 
 
-def _transfer(grid: GridSpec, x, fields: Sequence[Field], charges):
-    """The chunk loop, one corner table per chunk: gather `fields` at x,
-    stacked as (N, m), and deposit the charges, an (m', N) array or a
-    function of a slice (see cic_scatter), as a grid.shape + (m',) array."""
-    if any(f.grid != grid for f in fields):
-        raise GridMismatchError(f"fields on another grid than {grid}")
-    ncells = grid.n**grid.dim
-    comps = [c for f in fields for c in f.values.reshape(-1, ncells)]
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    npart = x.shape[0]
-    out = np.empty((npart, len(comps)))
-    acc = np.zeros((len(charges(slice(0, 0)) if callable(charges) else charges), ncells))
-    for start in range(0, npart, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, npart))
-        flat, w = _corner_flats_weights(grid, x[sl])
-        for col, comp in enumerate(comps):
-            out[sl, col] = np.einsum("cn,cn->n", w, comp[flat])
-        raveled = flat.ravel()
-        for row, q in zip(acc, charges(sl) if callable(charges) else charges[:, sl]):
-            row += np.bincount(raveled, weights=(w * q).ravel(), minlength=ncells)
-    acc /= grid.cell_volume
-    return out, np.moveaxis(acc.reshape((len(acc),) + grid.shape), 0, -1)
-
-
 def cic_gather(field: Field, x: np.ndarray) -> np.ndarray:
     """Interpolate a grid field at positions x: (N,) for a scalar field,
     (N, dim) for a vector field.  x may hold any finite positions.  Exact for
     fields multilinear within each cell; O(h^2) for smooth fields.
     """
-    out, _ = _transfer(field.grid, x, [field], np.empty((0, 0)))
+    grid = field.grid
+    comps = field.values.reshape(-1, grid.n**grid.dim)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = np.empty((x.shape[0], len(comps)))
+    for start in range(0, x.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        flat, w = _corner_flats_weights(grid, x[sl])
+        for col, comp in enumerate(comps):
+            out[sl, col] = np.einsum("cn,cn->n", w, comp[flat])
     return out[:, 0] if isinstance(field, ScalarField) else out
 
 
-def cic_scatter(grid: GridSpec, x: np.ndarray, q, gather: Sequence[Field] | None = None):
+def cic_scatter(grid: GridSpec, x: np.ndarray, q) -> np.ndarray:
     """Deposit per-particle charges q as a density array (divided by cell volume).
 
     The array integrates (cell_volume * sum) back to sum(q) up to rounding.
     q may be (N,) or (N, m); the result has the grid shape (+ trailing axis m).
     q may also be a function giving the m charge columns of x[sl] for a
     slice sl (called on an empty slice to count them), so that no (N, m)
-    array is built.  x may hold any finite positions.  With a sequence of
-    fields to `gather`, possibly empty, the same pass interpolates them and
-    (density, gathered) is returned: their components stacked as (N, m),
-    dim columns per vector field, each equal to its own cic_gather.
+    array is built.  x may hold any finite positions.
     """
-    charges = q if callable(q) else np.atleast_2d(np.asarray(q, dtype=np.float64).T)
-    out, dens = _transfer(grid, x, list(gather or ()), charges)
-    dens = dens[..., 0] if np.ndim(q) == 1 else dens
-    return dens if gather is None else (dens, out)
+    cols = None if callable(q) else np.atleast_2d(np.asarray(q, dtype=np.float64).T)
+    charges = q if cols is None else (lambda sl: cols[:, sl])
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    ncells = grid.n**grid.dim
+    acc = np.zeros((len(charges(slice(0, 0))), ncells))
+    for start in range(0, x.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        flat, w = _corner_flats_weights(grid, x[sl])
+        raveled = flat.ravel()
+        for row, qs in zip(acc, charges(sl)):
+            row += np.bincount(raveled, weights=(w * qs).ravel(), minlength=ncells)
+    acc /= grid.cell_volume
+    dens = np.moveaxis(acc.reshape((len(acc),) + grid.shape), 0, -1)
+    return dens[..., 0] if np.ndim(q) == 1 else dens

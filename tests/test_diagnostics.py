@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thinspray.diagnostics import (
     DiagnosticsRecord,
     RadialDensity,
     blowup_time_bound,
     check_moment_bound,
+    collect_record,
     energy_budget,
     gronwall_compare,
     momentum_budget,
@@ -13,8 +16,17 @@ from thinspray.diagnostics import (
     regularization_remainders,
 )
 from thinspray.errors import FieldError
-from thinspray.grid import GridSpec, ScalarField, VectorField, mollify
-from thinspray.kinetic import PARENT_SPECIES, ParticleCloud, deposit_moments
+from thinspray.fluid import FluidState
+from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, mollify
+from thinspray.kinetic import (
+    FRAGMENT_SPECIES,
+    PARENT_SPECIES,
+    ParticleCloud,
+    deposit_moments,
+    species_radius,
+    velocity_cutoff,
+)
+from thinspray.transfer import cic_gather
 
 BALL_FACTOR = 4.0 * np.pi / 3.0
 
@@ -190,16 +202,10 @@ class TestBlowupBound:
             < 1e-2 * np.abs(dz[mid]).max()
 
 
-def record_fields(u, u_mollified=None):
-    """What the pass of a step gathers for its record: u, |u|^2 (and u_star)."""
-    u_sq = ScalarField(u.grid, np.sum(u.values**2, axis=0))
-    return [u, u_sq] + ([] if u_mollified is None else [u_mollified])
-
-
 def remainders(cloud, u, u_mollified, eps):
-    """The remainders of a regularized record, from the gathers of its pass."""
-    gathered = deposit_moments(cloud, u.grid, eps, gather=record_fields(u, u_mollified)).gathered
-    return regularization_remainders(cloud, gathered, eps)
+    """The remainders of a regularized record, paired with its drag deposit."""
+    drag = deposit_moments(cloud, u.grid, eps).drag
+    return regularization_remainders(cloud, drag, u, u_mollified, eps)
 
 
 class TestRemainders:
@@ -232,10 +238,19 @@ class TestRemainders:
         out = remainders(ParticleCloud.empty(2), zero, zero, 0.5)
         assert out == (0.0, 0.0, 0.0)
 
+    def test_fragments_rejected(self):
+        # the pairing assumes the deposit weight w cutoff of unit-radius parents
+        g = GridSpec(2, 16)
+        zero = VectorField.zeros(g)
+        cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2),
+                              [PARENT_SPECIES, FRAGMENT_SPECIES])
+        with pytest.raises(ValueError, match="parents only"):
+            remainders(cloud, zero, zero, 0.5)
+
 
 class TestNonFiniteVelocity:
-    """A NaN in u next to a droplet is a typed error of the pass that gathers
-    for the record, not a NaN budget."""
+    """A NaN in u (or in the mollified u) is a typed error of the record and
+    of its remainders, not a NaN budget."""
 
     @staticmethod
     def _case():
@@ -247,10 +262,73 @@ class TestNonFiniteVelocity:
 
     def test_collect_record_raises(self):
         g, u, cloud = self._case()
+        drag = deposit_moments(cloud, g).drag
         with pytest.raises(FieldError, match="non-finite"):
-            deposit_moments(cloud, g, gather=record_fields(u))
+            collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag)
 
     def test_remainders_raise(self):
-        _, u, cloud = self._case()
+        g, u, cloud = self._case()
         with pytest.raises(FieldError, match="non-finite"):
             remainders(cloud, u, u, 0.5)
+        with pytest.raises(FieldError, match="non-finite"):
+            remainders(cloud, VectorField.zeros(g), u, 0.5)
+
+
+@st.composite
+def _record_cases(draw):
+    """A cloud with positions two periods below and above the box, possibly
+    empty, of parents or of parents mixed with radius-r2 fragments, a
+    cutoff width or none, possibly with every speed beyond 1/eps (a tail
+    that holds every particle), and a field seed."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([8, 16]))
+    count = draw(st.integers(0, 40))
+    x = draw(arrays(np.float64, (count, dim),
+                    elements=st.floats(-2 * TWO_PI, 3 * TWO_PI, exclude_max=True)))
+    xi = draw(arrays(np.float64, (count, dim), elements=st.floats(-5.0, 5.0)))
+    w = draw(arrays(np.float64, count, elements=st.floats(0.0, 10.0, allow_subnormal=False)))
+    eps = draw(st.sampled_from([None, 0.3, 1.0]))
+    if eps is not None and draw(st.booleans()):
+        xi[:, 0] = np.copysign(1.0 / eps + 0.5 + np.abs(xi[:, 0]), xi[:, 0])
+    species = np.full(count, PARENT_SPECIES)
+    if draw(st.booleans()):
+        species = draw(arrays(np.int64, count,
+                              elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
+    cloud = ParticleCloud(x, xi, w, species)
+    return GridSpec(dim, n), cloud, eps, draw(st.integers(0, 2**32 - 1))
+
+
+def _assert_sum_matches(got, terms):
+    """got equals the sum of the term arrays to 1e-12 of the sum of their sizes."""
+    total = sum(float(np.sum(t)) for t in terms)
+    scale = sum(float(np.sum(np.abs(t))) for t in terms)
+    assert abs(got - total) <= 1e-12 * scale + 1e-300
+
+
+@given(_record_cases())
+def test_property_paired_record_matches_gathered_sums(case):
+    # the record pairs grid fields with the drag deposit; the reference is the
+    # particle sum of the interpolated fields, with every particle gathered
+    g, cloud, eps, seed = case
+    rng = np.random.default_rng(seed)
+    u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
+    r2 = 0.3
+    radius = species_radius(cloud.species, r2)
+    drag = deposit_moments(cloud, g, eps, radius).drag
+    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag,
+                            r2=r2, eps=eps)
+    up = cic_gather(u, cloud.x)
+    u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
+    xi, w = cloud.xi, cloud.w
+    xi_up = np.sum(xi * up, axis=1)
+    q = w * radius
+    _assert_sum_matches(record.dissipation_drag,
+                        [q * u_sq, -2.0 * q * xi_up, q * np.sum(xi**2, axis=1)])
+    if np.any(cloud.species != PARENT_SPECIES):
+        return  # the remainders take parents alone
+    cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
+    r1, r2, r3 = regularization_remainders(cloud, drag, u, u_star, eps)
+    _assert_sum_matches(r1, [1.5 * w * np.sum(up**2, axis=1) * (1.0 - cut)])
+    _assert_sum_matches(r2, [2.0 * w * xi_up * (cut - 1.0)])
+    _assert_sum_matches(r3, [w * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),
+                             -w * xi_up])

@@ -1,13 +1,15 @@
 import math
 import warnings
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, StepRejectedError
 from thinspray.grid import divergence_residual, fft, integral, l2_norm
-from thinspray.kinetic import FRAGMENT_SPECIES, PARENT_SPECIES
+from thinspray.kinetic import FRAGMENT_SPECIES, PARENT_SPECIES, velocity_cutoff
 from thinspray.scenarios import (
     SimConfig,
     fragment_mass_density,
@@ -20,6 +22,44 @@ from thinspray.scenarios import (
     taylor_green_velocity,
 )
 from thinspray.snapshots import read_diagnostics_csv, read_field
+
+
+_DEFAULT = SimConfig()
+_CONFIG_FIELDS = [f.name for f in dataclass_fields(SimConfig)]
+
+
+def _config_value(name):
+    kind = type(getattr(_DEFAULT, name))
+    if kind is int:
+        return st.integers(-10**9, 10**9)
+    if kind is float:
+        return st.floats(allow_nan=False)  # infinities included
+    return st.text(st.sampled_from("abz09_-./ "), max_size=12).map(str.strip)
+
+
+def _config_text(name, value):
+    return f"{name} = {value!r}" if isinstance(value, float) else f"{name} = {value}"
+
+
+@st.composite
+def _config_files(draw):
+    """Lines of a config file, overrides, and the SimConfig they describe.
+
+    Each written key may be preceded by an earlier assignment of another
+    value, and lines may carry comments, alone or after the value."""
+    names = draw(st.lists(st.sampled_from(_CONFIG_FIELDS), unique=True))
+    written = {name: draw(_config_value(name)) for name in names}
+    lines = []
+    for name, value in written.items():
+        if draw(st.booleans()):
+            lines.append(_config_text(name, draw(_config_value(name))))
+        if draw(st.booleans()):
+            lines.append("  # a comment line")
+        comment = draw(st.sampled_from(["", " # trailing", "#no space"]))
+        lines.append(_config_text(name, value) + comment)
+    overrides = {name: draw(_config_value(name))
+                 for name in draw(st.lists(st.sampled_from(_CONFIG_FIELDS), unique=True))}
+    return lines, overrides, replace(_DEFAULT, **{**written, **overrides})
 
 
 def quick_config(**kw):
@@ -86,6 +126,26 @@ class TestConfig:
         path.write_text("volume = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
+
+    def test_config_file_bad_value(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("dim = two\n")
+        with pytest.raises(ConfigError, match="cannot parse dim"):
+            load_config(path)
+
+    def test_hash_starts_a_comment_anywhere(self, tmp_path):
+        path = tmp_path / "hash.cfg"
+        path.write_text("output_dir = a#b\n")
+        assert load_config(path).output_dir == "a"
+
+    @given(_config_files())
+    def test_property_config_file_round_trip(self, tmp_path_factory, case):
+        # a written SimConfig loads back as itself: comments anywhere, the
+        # later of repeated keys, then the overrides win
+        lines, overrides, expected = case
+        path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_config(path, overrides) == expected
 
 
 class TestInitialData:
@@ -215,14 +275,17 @@ class TestRunScenario:
         assert (tmp_path / "velocity_last_good.field").exists()
 
     @staticmethod
-    def _calls_per_step(scenario, calls):
+    def _table_config(steps, scenario, eps=0.0):
+        return quick_config(dim=3, n=16, dt=1e-3, t_final=steps * 1e-3,
+                            particle_count=200, scenario=scenario, eps=eps)
+
+    def _calls_per_step(self, scenario, calls, eps=0.5):
         """Calls recorded in `calls` per step, from a 5-step minus a 2-step run."""
         counts = []
         for steps in (2, 5):
             calls.clear()
-            run_scenario(quick_config(dim=3, n=16, dt=1e-3, t_final=steps * 1e-3,
-                                      particle_count=200, scenario=scenario,
-                                      eps=0.5 if scenario == "regularized" else 0.0))
+            run_scenario(self._table_config(steps, scenario,
+                                            eps if scenario == "regularized" else 0.0))
             counts.append(len(calls))
         return (counts[1] - counts[0]) / 3
 
@@ -240,21 +303,50 @@ class TestRunScenario:
             monkeypatch.setattr(np.fft, name, counted)
         assert self._calls_per_step(scenario, calls) == per_step
 
-    @pytest.mark.parametrize("scenario, per_step", [
-        ("limit", 4), ("bidisperse", 2), ("regularized", 4)])
-    def test_corner_tables_per_step(self, monkeypatch, scenario, per_step):
-        # with fewer particles than one chunk, every particle-grid transfer
-        # builds one corner table: the push gather and the one pass at the
-        # new positions, plus the two grid-node gathers of the density step
+    @staticmethod
+    def _count_tables(monkeypatch):
+        """The row counts of every corner table built from now on."""
         import thinspray.transfer as tr
 
-        calls = []
+        sizes = []
 
-        def counted(*args, _real=tr._corner_flats_weights, **kw):
-            calls.append(1)
-            return _real(*args, **kw)
+        def counted(grid, x, _real=tr._corner_flats_weights):
+            sizes.append(len(x))
+            return _real(grid, x)
         monkeypatch.setattr(tr, "_corner_flats_weights", counted)
-        assert self._calls_per_step(scenario, calls) == per_step
+        return sizes
+
+    @pytest.mark.parametrize("scenario, eps, per_step", [
+        pytest.param("limit", 0.0, 4, id="limit-4"),
+        pytest.param("bidisperse", 0.0, 2, id="bidisperse-2"),
+        pytest.param("regularized", 0.05, 4, id="regularized-4")])
+    def test_corner_tables_per_step(self, monkeypatch, scenario, eps, per_step):
+        # with fewer particles than one chunk, every particle-grid transfer
+        # builds one corner table: the push gather and the one pass at the
+        # new positions, plus the two grid-node gathers of the density step;
+        # the record pairs with the pass's deposit and gathers nothing (the
+        # cutoff radius 1/0.05 = 20 reaches no sampled velocity)
+        calls = self._count_tables(monkeypatch)
+        assert self._calls_per_step(scenario, calls, eps) == per_step
+
+    def test_corner_tables_of_the_cutoff_tail(self, monkeypatch):
+        # eps = 0.5 reaches the sampled speeds above 2: every record gathers
+        # u and |u|^2 (collect_record) and u and u_star (the remainders) at
+        # those particles alone, four tables beyond the four of a step
+        import thinspray.scenarios as sc
+
+        tails = []
+
+        def recorded(t, fluid, cloud, *args, _real=sc.collect_record, **kw):
+            tails.append(int(np.sum(velocity_cutoff(cloud.xi, 0.5) < 1.0)))
+            return _real(t, fluid, cloud, *args, **kw)
+        monkeypatch.setattr(sc, "collect_record", recorded)
+        sizes = self._count_tables(monkeypatch)
+        steps, count, nodes = 5, 200, 16**3
+        run_scenario(self._table_config(steps, "regularized", 0.5))
+        assert len(tails) == steps + 1 and all(0 < t < count for t in tails)
+        assert len(sizes) == 1 + 4 * steps + 4 * len(tails)
+        assert [s for s in sizes if s not in (count, nodes)] == [t for t in tails for _ in range(4)]
 
     def test_outputs_written(self, tmp_path):
         cfg = quick_config(output_dir=str(tmp_path), snapshot_stride=5)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from thinspray.errors import GridMismatchError
 from thinspray.grid import GridSpec, ScalarField, VectorField, integral
 from thinspray.transfer import _corner_flats_weights, cic_gather, cic_scatter
 
@@ -160,34 +159,13 @@ def test_positions_at_the_seam_match_zero(rng, coord):
     assert np.abs(cic_scatter(g, x, q) - cic_scatter(g, at_zero, q)).max() < 1e-13
 
 
-def test_stacked_gather_equals_separate_gathers(rng):
-    g = GridSpec(3, 16)
-    x = rng.uniform(0, g.length, (20_000, 3))  # several chunks
-    u = VectorField(g, rng.standard_normal((3,) + g.shape))
-    u_sq = ScalarField(g, np.sum(u.values**2, axis=0))
-    _, stacked = cic_scatter(g, x, np.zeros(20_000), gather=[u, u_sq])
-    assert stacked.shape == (20_000, 4)
-    assert np.array_equal(stacked[:, :3], cic_gather(u, x))
-    assert np.array_equal(stacked[:, 3], cic_gather(u_sq, x))
-
-
-def test_scatter_with_gather_equals_one_sided_scatter(rng):
+def test_chunk_charges_equal_array_charges(rng):
+    # charges given chunk by chunk make the same sums as the (N, m) array
     g = GridSpec(3, 16)
     x = rng.uniform(-g.length, 2 * g.length, (20_000, 3))  # several chunks
-    u = VectorField(g, rng.standard_normal((3,) + g.shape))
     q = rng.uniform(0, 1, (20_000, 2))
-    dens, _ = cic_scatter(g, x, q, gather=[u])
-    assert np.array_equal(dens, cic_scatter(g, x, q))
-    # charges given chunk by chunk make the same sums
+    dens = cic_scatter(g, x, q)
     assert np.array_equal(cic_scatter(g, x, lambda sl: [q[sl, 0], q[sl, 1]]), dens)
-    assert cic_scatter(g, x, q, gather=[])[1].shape == (20_000, 0)
-
-
-def test_stacked_gather_rejects_mixed_grids(rng):
-    a, b = GridSpec(2, 16), GridSpec(2, 8)
-    x = rng.uniform(0, a.length, (10, 2))
-    with pytest.raises(GridMismatchError):
-        cic_scatter(a, x, np.zeros(10), gather=[ScalarField.zeros(a), ScalarField.zeros(b)])
 
 
 _LENGTH = 2 * np.pi
