@@ -2,10 +2,9 @@
 
 Semi-Lagrangian update: backtrack the characteristic foot with one midpoint
 iteration, gather the old density with clamped multilinear interpolation
-(a convex combination, so nonnegativity and the discrete maximum principle
-hold by construction), then add dt * source.  Because interpolation is not
-exactly conservative, the advected field is rescaled by default so the total
-mass changes by exactly the integral of the source; see `conserve_mass`.
+(a convex combination, so nonnegativity holds by construction), rescale the
+advected field to the old total mass, which interpolation alone does not
+keep, then add dt * source.
 """
 
 from __future__ import annotations
@@ -41,19 +40,17 @@ def _grid_nodes(grid: GridSpec) -> np.ndarray:
 
 
 def density_step(density: DensityField, u: VectorField, source: ScalarField,
-                 dt: float, conserve_mass: bool = True) -> DensityField:
+                 dt: float) -> DensityField:
     """One semi-Lagrangian transport step with a nonnegative source.
 
     source is the density added per unit time; a source-free step passes
     ScalarField.zeros.  u is the advecting velocity the feet are traced
     with; a caller that advects with a mollified velocity passes the
     mollified field.  The CFL check applies to that same field.
-    With conserve_mass (default) the advected field is rescaled by the ratio
-    of old to interpolated total mass, making the mass budget
-    integral(rho') - integral(rho) - dt * integral(source) exact to rounding;
-    the rescale factor deviates from 1 only by the interpolation defect.
-    Without it the update is the plain clamped interpolation, which obeys the
-    strict maximum principle max(rho') <= max(rho) when source is zero.
+    The advected field is rescaled by the ratio of old to interpolated total
+    mass, a factor that deviates from 1 only by the interpolation defect, so
+    the mass budget integral(rho') - integral(rho) - dt * integral(source) is
+    exact to rounding.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -74,10 +71,8 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField,
     feet = nodes - dt * v_mid
     advected = np.maximum(cic_gather(rho, feet), 0.0).reshape(grid.shape)
 
-    if conserve_mass:
-        total_old = rho.values.sum()
-        total_new = advected.sum()
-        if total_new > 0.0:
-            advected *= total_old / total_new
+    total_new = advected.sum()
+    if total_new > 0.0:
+        advected *= rho.values.sum() / total_new
 
     return DensityField(ScalarField(grid, advected + dt * source.values))

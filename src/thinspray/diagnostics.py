@@ -6,7 +6,6 @@ integrals use the trapezoid rule, which is spectrally exact for periodic
 fields.  The budget helpers reconstruct the continuous
 identities satisfied by the coupled system and report their discrete
 residuals, which scale first order in dt for the splitting used here.
-The Gronwall comparison evaluates its comparison ODE in closed form.
 """
 
 from __future__ import annotations
@@ -147,16 +146,17 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
 
 
 def energy_budget(records: Sequence[DiagnosticsRecord],
-                  drag_coefficient: float = 1.5) -> np.ndarray:
+                  drag_coefficient: float) -> np.ndarray:
     """Residual of the energy identity at each record time.
 
     residual(t) = E(t) + int_0^t [dissipation_visc + c * dissipation_drag]
                   - E(0),
 
     with E = e_kinetic_spray + e_fluid and c the scenario drag coefficient
-    (3/2 for the single-species limit, 1 for the two-radius system, whose
-    radius weights already sit inside dissipation_drag).  Zero for the exact
-    dynamics; first order in dt for the discrete splitting.
+    (1 + 1/(2 tau) for parents absorbed into the gas at rate 1/tau, 1 for the
+    two-radius system, whose radius weights already sit inside
+    dissipation_drag).  Zero for the exact dynamics; first order in dt for
+    the discrete splitting.
     """
     t = np.array([r.t for r in records])
     if not np.all(np.diff(t) > 0):
@@ -261,59 +261,17 @@ def check_moment_bound(h: RadialDensity, alpha: float,
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
 
 
-@dataclass
-class GronwallResult:
-    passed: bool
-    t: np.ndarray
-    bound: np.ndarray        # comparison solution z at t; inf from its blow-up time on
-    blowup_reported: bool    # z blows up before the last sample time
-    checked: int             # how many sample times precede the blow-up
-
-
-def gronwall_compare(a: float, gamma: float, t: np.ndarray,
-                     a_values: np.ndarray) -> GronwallResult:
-    """Check y <= z at the times t, with y = a_values and z' = a z^(1+gamma), z(0) = a.
-
-    Any continuous y with y(t) <= a + int_0^t a y^(1+gamma) is dominated by
-    z, the right-hand side being convex and non-decreasing; this evaluates
-    the conclusion at the sample times t with the exact solution
-    z = a (1 - t/T*)^(-1/gamma), T* = blowup_time_bound(a, gamma).  Samples
-    from T* on have bound inf and are not checked; a blow-up inside the
-    sample range is reported (blowup_reported), not a failure.
-    """
-    t_blowup = blowup_time_bound(a, gamma)
-    t = np.asarray(t, dtype=float)
-    a_values = np.asarray(a_values, dtype=float)
-    if t.ndim != 1 or t.size != a_values.size or np.any(np.diff(t) < 0):
-        raise ValueError("need matching, nondecreasing sample times")
-    if t[0] < 0:
-        raise ValueError("sample times must be nonnegative")
-    inside = t < t_blowup
-    z = np.full(t.shape, np.inf)
-    z[inside] = a * (1.0 - t[inside] / t_blowup) ** (-1.0 / gamma)
-    ok = bool(np.all(a_values[inside] <= z[inside] * (1.0 + 1e-8)))
-    return GronwallResult(passed=ok, t=t, bound=z, blowup_reported=bool(t_blowup < t[-1]),
-                          checked=int(inside.sum()))
-
-
-def blowup_time_bound(a: float, gamma: float) -> float:
-    """Blow-up time T* = 1/(gamma a^(gamma+1)) of z' = a z^(1+gamma), z(0) = a.
-
-    The exact solution (a^-gamma - a gamma t)^(-1/gamma) lives on [0, T*).
-    """
-    if not (a > 0 and gamma > 0):
-        raise ValueError("need a > 0 and gamma > 0")
-    return 1.0 / (gamma * a ** (gamma + 1.0))
-
-
 def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorField,
-                              u_mollified: VectorField, eps: float) -> tuple[float, float, float]:
+                              u_mollified: VectorField, eps: float, *, coupling: float,
+                              drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
-    r1 = (3/2) sum w |u(x)|^2 (1 - cutoff(xi))
-    r2 = 2 sum w (xi . u(x)) (cutoff(xi) - 1)
+    r1 = c sum w |u(x)|^2 (1 - cutoff(xi))
+    r2 = C sum w (xi . u(x)) (cutoff(xi) - 1)
     r3 = sum w xi . (mollified u - u)(x)
 
+    C is the coupling of the fluid step and c the drag coefficient of
+    energy_budget, whose residual rate they close: r1 + r2 + r3.
     u(x) is interpolated at the particles.  The cloud must hold parents
     alone, so that drag, its deposit with the cutoff of width eps, has the
     weights w cutoff(xi): r3 pairs it with u_mollified - u and adds the
@@ -328,8 +286,8 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorFi
     tail, defect = _cutoff_tail(cloud, eps)
     x_tail, xi_tail, w_tail = cloud.x[tail], cloud.xi[tail], cloud.w[tail] * defect
     up = cic_gather(u, x_tail)
-    r1 = 1.5 * float(w_tail @ rowwise_dot(up, up))
-    r2 = -2.0 * float(w_tail @ rowwise_dot(xi_tail, up))
+    r1 = drag_coefficient * float(w_tail @ rowwise_dot(up, up))
+    r2 = -coupling * float(w_tail @ rowwise_dot(xi_tail, up))
     m1 = drag.m1.values
     r3 = (u.grid.cell_volume * (_pair(u_mollified.values, m1) - _pair(u.values, m1))
           + float(w_tail @ rowwise_dot(xi_tail, cic_gather(u_mollified, x_tail) - up)))

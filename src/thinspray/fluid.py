@@ -5,11 +5,14 @@ The momentum equation advanced here is the non-conservative form
     (1 + rho) [du/dt + (u* . grad) u] - nu lap u = coupling (m1 - u m0),
 
 with u* the advecting velocity (u, or the mollified u), closed by the Leray
-projection of the end-of-step velocity.  One step is first-order Lie
-splitting: explicit dealiased convection, drag and the spatially varying part
-of the viscous term divided pointwise by (1 + rho), and an exact spectral
-integrating factor for the mean-coefficient diffusion nu lap u / (1 + mean rho),
-which keeps the step stable for any dt at the resolved wavenumbers.
+projection of the end-of-step velocity.  The coupling is 1 for droplets that
+keep their momentum, and 1 + 1/tau for droplets that break up at rate 1/tau
+and join the gas at its velocity, handing it their slip as well.  One step
+is first-order Lie splitting: explicit dealiased convection, drag and the
+spatially varying part of the viscous term divided pointwise by (1 + rho),
+and an exact spectral integrating factor for the mean-coefficient diffusion
+nu lap u / (1 + mean rho), which keeps the step stable for any dt at the
+resolved wavenumbers.
 
 A FluidState carries the rfftn spectrum u_hat of u.  A step reads it for the
 convection derivatives, the Laplacian, the update and the Leray projection,
@@ -91,17 +94,17 @@ def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndar
 
 
 def ns_step(state: FluidState, u_adv: VectorField, rho: ScalarField,
-            drag: DragField, dt: float, nu: float = 1.0,
-            coupling: float = 2.0) -> FluidState:
+            drag: DragField, dt: float, *, coupling: float,
+            nu: float = 1.0) -> FluidState:
     """Advance the fluid one step.
 
     u_adv is the advecting velocity: state.u, or its mollification in the
     regularized system.  rho is the added density and drag holds the droplet
-    moments; a caller without either passes ScalarField.zeros or
-    DragField.zeros.  The step reads state.u_hat; the returned velocity is
-    Leray-projected and carries its projected spectrum.  The whole explicit
-    tendency is dealiased by the 2/3 rule, so a band-limited u stays
-    band-limited.
+    moments, which act on the gas with the given coupling; a caller without
+    either passes ScalarField.zeros or DragField.zeros.  The step reads
+    state.u_hat; the returned velocity is Leray-projected and carries its
+    projected spectrum.  The whole explicit tendency is dealiased by the 2/3
+    rule, so a band-limited u stays band-limited.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")

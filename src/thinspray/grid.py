@@ -1,10 +1,10 @@
 """Periodic-torus grid bookkeeping and spectral operators.
 
 Fields live on a uniform n^dim grid over [0, length)^dim with periodic
-boundary conditions.  All differential operators act through the real FFT;
+boundary conditions.  All spectral operators act through the real FFT;
 first-derivative multipliers zero the Nyquist frequency so that every
-operator maps real fields to real fields and the discrete identities
-(div(grad s) == lap s, div(P v) == 0, P P == P) hold to rounding.
+operator maps real fields to real fields and the Leray projector P obeys
+div(P v) == 0 and P P == P to rounding.
 """
 
 from __future__ import annotations
@@ -190,32 +190,6 @@ def require_same_grid(a: Field, b: Field):
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
 
 
-def gradient(s: ScalarField) -> VectorField:
-    """Spectral gradient; exact for resolved Fourier modes."""
-    require_finite(s)
-    tab = _spectral_tables(s.grid)
-    s_hat = fft(s)
-    comps = [ifft_like(s, 1j * kj * s_hat) for kj in tab.k]
-    return VectorField(s.grid, np.stack(comps, axis=0))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    require_finite(v)
-    tab = _spectral_tables(v.grid)
-    v_hat = fft(v)
-    out = sum(1j * kj * v_hat[j] for j, kj in enumerate(tab.k))
-    values = np.fft.irfftn(out, s=v.grid.shape, axes=_fft_axes(v.grid))
-    return ScalarField(v.grid, values)
-
-
-def laplacian(field: Field) -> Field:
-    """Spectral Laplacian, rank preserving (same multiplier as div o grad)."""
-    require_finite(field)
-    tab = _spectral_tables(field.grid)
-    out = ifft_like(field, -tab.k2 * fft(field))
-    return type(field)(field.grid, out)
-
-
 def project_spectrum(grid: GridSpec, v_hat: np.ndarray) -> np.ndarray:
     """Leray-project a vector spectrum in place, mode by mode, and return it."""
     tab = _spectral_tables(grid)
@@ -250,30 +224,10 @@ def mollify(field: Field, eps: float, spectrum: np.ndarray | None = None) -> Fie
     return type(field)(field.grid, ifft_like(field, multiplier * spectrum))
 
 
-def dealias(field: Field) -> Field:
-    """Zero all modes outside the 2/3-rule band (quadratic products alias-free)."""
-    tab = _spectral_tables(field.grid)
-    return type(field)(field.grid, ifft_like(field, tab.mask * fft(field)))
-
-
 def integral(field: Field) -> float | np.ndarray:
     """Integral over the torus (trapezoid = spectral for periodic fields)."""
     axes = _fft_axes(field.grid)
     return field.values.sum(axis=axes) * field.grid.cell_volume
-
-
-def mean(field: Field) -> float | np.ndarray:
-    return integral(field) / field.grid.volume
-
-
-def inner(a: Field, b: Field) -> float:
-    """L2 inner product, integrating over all components."""
-    require_same_grid(a, b)
-    return float(np.sum(a.values * b.values)) * a.grid.cell_volume
-
-
-def l2_norm(field: Field) -> float:
-    return float(np.sqrt(np.sum(field.values**2) * field.grid.cell_volume))
 
 
 def grad_l2_norm_sq(grid: GridSpec, spectrum: np.ndarray) -> float:

@@ -83,19 +83,16 @@ def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
-    """Radial C^2 bump in velocity space.
+    """Radial C^2 bump in velocity space, one value per row of the (N, dim) xi.
 
     Equals 1 for |xi| <= 1/eps, 0 for |xi| >= 2/eps, and decreases
     monotonically (quintic smoothstep) in between.
     """
     if not eps > 0:
         raise ValueError(f"cutoff eps must be positive, got {eps}")
-    single = np.ndim(xi) == 1
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
     r = np.sqrt(rowwise_dot(xi, xi))
     t = np.clip(r * eps - 1.0, 0.0, 1.0)
-    out = 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-    return float(out[0]) if single else out
+    return 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
 def species_radius(species: np.ndarray, r2: float) -> np.ndarray:

@@ -5,7 +5,7 @@ density transport, diagnostics):
 
 * ``limit``       - unit-radius parents break up at rate 1/tau into the added
                     density rho, which multiplies the fluid inertia; drag
-                    coupling coefficient 2.
+                    coupling coefficient 1 + 1/tau.
 * ``bidisperse``  - unit-radius parents break up at rate 1/tau into radius-r2
                     fragments; no added density (rho stays zero); coupling 1.
 * ``regularized`` - the limit dynamics with a mollified advecting velocity
@@ -16,7 +16,11 @@ All three run one step path.  Under Stokes drag a droplet of radius r pulls
 on the gas with weight r and relaxes in time r^2, so the drag deposit, the
 particle push and the drag dissipation weigh each particle by its species
 radius; the scenarios differ in the step only by the coupling constant and
-the drag coefficient of the energy budget.
+the drag coefficient of the energy budget.  A parent absorbed into rho joins
+the gas at the gas velocity u: breakup at rate 1/tau hands the gas the
+impulse (w/tau)(xi - u) on top of the drag w (xi - u) and dissipates
+(w/2tau)|xi - u|^2, so the limit-like scenarios couple with 1 + 1/tau and
+weigh the drag dissipation with 1 + 1/(2 tau).
 """
 
 from __future__ import annotations
@@ -269,7 +273,8 @@ def run_scenario(config: SimConfig) -> RunResult:
     regularized = config.scenario == "regularized"
     eps = config.eps if regularized else None
     # drag coupling of the fluid step and drag coefficient of the energy budget
-    coupling, drag_coeff = (2.0, 1.5) if is_limit_like else (1.0, 1.0)
+    coupling, drag_coeff = ((1.0 + 1.0 / config.tau, 1.0 + 0.5 / config.tau)
+                            if is_limit_like else (1.0, 1.0))
 
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
@@ -286,7 +291,9 @@ def run_scenario(config: SimConfig) -> RunResult:
                                       r2=config.r2, nu=config.nu, eps=eps))
         volumes.append(liquid_volume(cloud, config.r2))
         if regularized:
-            remainders.append((t, *regularization_remainders(cloud, drag, fluid.u, u_star, eps)))
+            remainders.append((t, *regularization_remainders(
+                cloud, drag, fluid.u, u_star, eps, coupling=coupling,
+                drag_coefficient=drag_coeff)))
 
     drag, _ = grid_pass(cloud)
     record(0.0, drag)

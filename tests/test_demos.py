@@ -15,7 +15,7 @@ import thinspray
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
-FAST_DEMOS = [DEMO_DIR / name for name in ("demo_inequalities.py", "demo_spectral_operators.py")]
+FAST_DEMOS = [DEMO_DIR / "demo_inequalities.py"]
 
 
 def thinspray_imports(path: Path):

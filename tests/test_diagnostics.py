@@ -6,11 +6,9 @@ from hypothesis.extra.numpy import arrays
 from thinspray.diagnostics import (
     DiagnosticsRecord,
     RadialDensity,
-    blowup_time_bound,
     check_moment_bound,
     collect_record,
     energy_budget,
-    gronwall_compare,
     momentum_budget,
     radial_histogram,
     regularization_remainders,
@@ -106,7 +104,7 @@ def make_records(t, energies, visc, drag):
 class TestBudgets:
     def test_zero_at_initial_time(self):
         recs = make_records([0.0, 0.1], [1.0, 0.9], [1.0, 1.0], [0.0, 0.0])
-        res = energy_budget(recs)
+        res = energy_budget(recs, 1.0)
         assert res[0] == 0.0
 
     def test_exact_exponential_balance(self):
@@ -134,78 +132,15 @@ class TestBudgets:
     def test_nonmonotone_times_rejected(self):
         recs = make_records([0.0, 0.2, 0.1], [1, 1, 1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
-            energy_budget(recs)
-
-
-class TestGronwall:
-    def test_constant_function_dominated(self):
-        t = np.linspace(0, 0.1, 20)
-        res = gronwall_compare(2.0, 1.0, t, np.full(20, 2.0))
-        assert res.passed and res.checked == 20
-
-    def test_solution_itself_passes_with_equality(self):
-        t = np.linspace(0, 0.9, 50)
-        res = gronwall_compare(1.0, 1.0, t, 1.0 / (1.0 - t))  # z = 1/(1-t)
-        assert res.passed
-
-    def test_violating_function_fails(self):
-        t = np.linspace(0, 0.5, 20)
-        res = gronwall_compare(1.0, 1.0, t, 10.0 + 0.0 * t)
-        assert not res.passed
-
-    def test_blowup_before_sample_end_reported(self):
-        t = np.linspace(0, 2.0, 30)
-        res = gronwall_compare(1.0, 1.0, t, np.zeros(30))  # z blows up at t=1
-        assert res.blowup_reported
-        assert res.passed  # zeros stay below the bound on the overlap
-        assert res.checked < 30
-
-    def test_validation(self):
-        t = np.linspace(0, 0.1, 5)
-        with pytest.raises(ValueError):
-            gronwall_compare(0.0, 1.0, t, np.zeros(5))
-        with pytest.raises(ValueError):
-            gronwall_compare(1.0, -1.0, t, np.zeros(5))
-
-
-class TestBlowupBound:
-    @pytest.mark.parametrize("a,gamma,expected", [
-        (1.0, 1.0, 1.0),
-        (1.0, 3.0, 1.0 / 3.0),
-        (2.0, 1.0, 0.25),
-    ])
-    def test_closed_forms(self, a, gamma, expected):
-        assert blowup_time_bound(a, gamma) == pytest.approx(expected, rel=1e-12)
-
-    def test_comparison_bound_finite_exactly_before_blowup(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            a = float(rng.uniform(0.3, 3.0))
-            gamma = float(rng.uniform(0.75, 3.0))
-            t_blowup = blowup_time_bound(a, gamma)
-            t = np.sort(np.append(np.linspace(0.0, 2.0 * t_blowup, 40), t_blowup))
-            res = gronwall_compare(a, gamma, t, np.zeros_like(t))
-            inside = t < t_blowup
-            assert np.array_equal(np.isfinite(res.bound), inside)
-            assert res.checked == inside.sum() and res.blowup_reported
-            closed_form = (a**-gamma - a * gamma * t[inside]) ** (-1.0 / gamma)
-            assert res.bound[inside] == pytest.approx(closed_form, rel=1e-10)
-
-    def test_closed_form_solution_verifies_ode(self):
-        # (a^-g - a g t)^(-1/g) solves z' = a z^(1+g): check by residual
-        a, gamma = 1.3, 0.9
-        t = np.linspace(0, 0.3, 100)
-        z = (a**-gamma - a * gamma * t) ** (-1.0 / gamma)
-        dz = np.gradient(z, t)
-        mid = slice(5, -5)
-        assert np.abs(dz[mid] - a * z[mid] ** (1 + gamma)).max() \
-            < 1e-2 * np.abs(dz[mid]).max()
+            energy_budget(recs, 1.0)
 
 
 def remainders(cloud, u, u_mollified, eps):
-    """The remainders of a regularized record, paired with its drag deposit."""
+    """The remainders of a regularized record at tau = 1, paired with its drag
+    deposit."""
     drag = deposit_moments(cloud, u.grid, eps).drag
-    return regularization_remainders(cloud, drag, u, u_mollified, eps)
+    return regularization_remainders(cloud, drag, u, u_mollified, eps, coupling=2.0,
+                                     drag_coefficient=1.5)
 
 
 class TestRemainders:
@@ -327,8 +262,10 @@ def test_property_paired_record_matches_gathered_sums(case):
     if np.any(cloud.species != PARENT_SPECIES):
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
-    r1, r2, r3 = regularization_remainders(cloud, drag, u, u_star, eps)
-    _assert_sum_matches(r1, [1.5 * w * np.sum(up**2, axis=1) * (1.0 - cut)])
-    _assert_sum_matches(r2, [2.0 * w * xi_up * (cut - 1.0)])
+    coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
+    r1, r2, r3 = regularization_remainders(cloud, drag, u, u_star, eps, coupling=coupling,
+                                           drag_coefficient=drag_coeff)
+    _assert_sum_matches(r1, [drag_coeff * w * np.sum(up**2, axis=1) * (1.0 - cut)])
+    _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])
     _assert_sum_matches(r3, [w * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),
                              -w * xi_up])

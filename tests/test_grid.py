@@ -6,19 +6,13 @@ from thinspray.grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    dealias,
-    divergence,
+    _spectral_tables,
     divergence_residual,
     fft,
     grad_l2_norm_sq,
-    gradient,
     ifft_like,
-    inner,
     integral,
-    l2_norm,
-    laplacian,
     leray_project,
-    mean,
     mollify,
 )
 
@@ -29,6 +23,11 @@ def random_scalar(grid, rng):
 
 def random_vector(grid, rng):
     return VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
+
+
+def l2_scale(field):
+    """The L2 norm of a field over the torus."""
+    return np.linalg.norm(field.values) * np.sqrt(field.grid.cell_volume)
 
 
 class TestGridSpec:
@@ -63,44 +62,24 @@ class TestTransforms:
         back = ifft_like(s, fft(s))
         assert np.abs(back - s.values).max() <= 1e-12 * np.abs(s.values).max()
 
-    def test_gradient_single_mode(self):
-        g = GridSpec(3, 16)
-        x = g.meshgrid()
-        grad = gradient(ScalarField(g, np.sin(x[0])))
-        assert np.abs(grad.values[0] - np.cos(x[0])).max() < 1e-12
-        assert np.abs(grad.values[1]).max() < 1e-13
-        assert np.abs(grad.values[2]).max() < 1e-13
-
-    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
-    def test_div_grad_is_laplacian(self, dim, n):
-        rng = np.random.default_rng(1)
-        g = GridSpec(dim, n)
-        s = random_scalar(g, rng)
-        lhs = divergence(gradient(s)).values
-        rhs = laplacian(s).values
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
-
-    def test_laplacian_constant_zero(self):
-        g = GridSpec(2, 16)
-        lap = laplacian(ScalarField.full(g, 4.25))
-        assert np.abs(lap.values).max() < 1e-13
-
     def test_gradient_norm_matches_real_space(self):
-        rng = np.random.default_rng(2)
         g = GridSpec(3, 16)
-        s = random_scalar(g, rng)
-        spectral = grad_l2_norm_sq(g, fft(s))
-        grad = gradient(s)
-        real = float(np.sum(grad.values**2)) * g.cell_volume
-        assert spectral == pytest.approx(real, rel=1e-12)
+        x, y, z = g.meshgrid()
+        s = ScalarField(g, np.sin(x) * np.cos(2 * y) + 0.5 * np.cos(3 * z - x))
+        grad = [np.cos(x) * np.cos(2 * y) + 0.5 * np.sin(3 * z - x),
+                -2.0 * np.sin(x) * np.sin(2 * y),
+                -1.5 * np.sin(3 * z - x)]
+        real = float(sum(np.sum(c**2) for c in grad)) * g.cell_volume
+        assert grad_l2_norm_sq(g, fft(s)) == pytest.approx(real, rel=1e-12)
 
     def test_dealias_removes_high_modes(self):
         g = GridSpec(2, 32)
         x = g.meshgrid()
+        mask = _spectral_tables(g).mask
         high = ScalarField(g, np.cos(14 * x[0]))
         low = ScalarField(g, np.cos(3 * x[0]))
-        assert np.abs(dealias(high).values).max() < 1e-13
-        assert np.abs(dealias(low).values - low.values).max() < 1e-13
+        assert np.abs(ifft_like(high, mask * fft(high))).max() < 1e-13
+        assert np.abs(ifft_like(low, mask * fft(low)) - low.values).max() < 1e-13
 
 
 class TestLeray:
@@ -112,9 +91,14 @@ class TestLeray:
         assert np.abs(pv.values - v.values).max() < 1e-13
 
     def test_pure_gradient_annihilated(self):
+        # grad of sin(x) cos(2y) cos(z)
         g = GridSpec(3, 16)
-        phi = ScalarField(g, np.sin(g.meshgrid()[0]))
-        pv = leray_project(gradient(phi))
+        x, y, z = g.meshgrid()
+        grad = VectorField.from_components(
+            g, np.cos(x) * np.cos(2 * y) * np.cos(z),
+            -2.0 * np.sin(x) * np.sin(2 * y) * np.cos(z),
+            -np.sin(x) * np.cos(2 * y) * np.sin(z))
+        pv = leray_project(grad)
         assert np.abs(pv.values).max() < 1e-13
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -123,13 +107,15 @@ class TestLeray:
         g = GridSpec(dim, n)
         v = random_vector(g, rng)
         pv = leray_project(v)
-        scale = l2_norm(v)
-        assert l2_norm(divergence(pv)) <= 1e-12 * scale
+        scale = l2_scale(v)
+        ratio = np.linalg.norm(v.values) / np.linalg.norm(pv.values)
+        assert divergence_residual(g, fft(pv)) <= 1e-12 * ratio
         ppv = leray_project(pv)
         assert np.abs(ppv.values - pv.values).max() <= 1e-12 * scale
         w = random_vector(g, rng)
-        assert inner(pv, w) == pytest.approx(inner(v, leray_project(w)), rel=1e-12)
-        assert np.abs(mean(pv) - mean(v)).max() < 1e-13
+        assert np.vdot(pv.values, w.values) == pytest.approx(
+            np.vdot(v.values, leray_project(w).values), rel=1e-12)
+        assert np.abs(integral(pv) - integral(v)).max() < 1e-13 * g.volume
 
     def test_nonfinite_rejected(self):
         g = GridSpec(2, 16)
@@ -169,8 +155,8 @@ class TestMollify:
         g = GridSpec(3, 16)
         v = random_vector(g, rng)
         out = mollify(v, 0.4)
-        assert l2_norm(out) <= l2_norm(v) * (1 + 1e-14)
-        assert np.abs(mean(out) - mean(v)).max() < 1e-13
+        assert np.linalg.norm(out.values) <= np.linalg.norm(v.values) * (1 + 1e-14)
+        assert np.abs(integral(out) - integral(v)).max() < 1e-13 * g.volume
 
     def test_commutes_with_projection(self):
         rng = np.random.default_rng(6)
@@ -178,7 +164,7 @@ class TestMollify:
         v = random_vector(g, rng)
         a = mollify(leray_project(v), 0.3)
         b = leray_project(mollify(v, 0.3))
-        assert np.abs(a.values - b.values).max() <= 1e-12 * l2_norm(v)
+        assert np.abs(a.values - b.values).max() <= 1e-12 * l2_scale(v)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_bad_width_rejected(self, eps):
@@ -191,5 +177,4 @@ def test_integral_and_norms():
     g = GridSpec(2, 16)
     one = ScalarField.full(g, 1.0)
     assert integral(one) == pytest.approx(g.volume, rel=1e-14)
-    assert l2_norm(one) == pytest.approx(np.sqrt(g.volume), rel=1e-14)
     assert divergence_residual(g, fft(VectorField.zeros(g))) == 0.0

@@ -66,10 +66,10 @@ class TestStokesRelaxTime:
 
 class TestVelocityCutoff:
     def test_inside_ball_is_one(self):
-        assert velocity_cutoff(np.array([0.5, 0.0, 0.0]), 1.0) == 1.0
+        assert velocity_cutoff(np.array([[0.5, 0.0, 0.0]]), 1.0)[0] == 1.0
 
     def test_outside_support_is_zero(self):
-        assert velocity_cutoff(np.array([3.0, 0.0, 0.0]), 1.0) == 0.0
+        assert velocity_cutoff(np.array([[3.0, 0.0, 0.0]]), 1.0)[0] == 0.0
 
     def test_transition_monotone(self):
         eps = 0.5
@@ -78,12 +78,12 @@ class TestVelocityCutoff:
         assert vals[0] == pytest.approx(1.0)
         assert vals[-1] == pytest.approx(0.0)
         assert np.all(np.diff(vals) <= 1e-12)
-        mid = velocity_cutoff(np.array([1.5 / eps, 0.0, 0.0]), eps)
+        mid = velocity_cutoff(np.array([[1.5 / eps, 0.0, 0.0]]), eps)[0]
         assert 0.0 < mid < 1.0
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
-            velocity_cutoff(np.zeros(3), 0.0)
+            velocity_cutoff(np.zeros((1, 3)), 0.0)
         cloud = random_cloud(np.random.default_rng(0), 5)
         with pytest.raises(ValueError):
             deposit_moments(cloud, GridSpec(3, 8), -1.0)

@@ -203,3 +203,35 @@ def test_property_scatter_conserves_mass(case):
     g, x, q, _ = case
     total = integral(ScalarField(g, cic_scatter(g, x, q)))
     assert abs(total - float(np.sum(q))) <= 1e-13 * float(np.sum(q))
+
+
+@st.composite
+def _gather_cases(draw):
+    """A scalar or vector field of any magnitude, Gaussian or of two levels
+    (whose cells often hold one level at every corner), and positions near
+    the box or up to 1e6 away from it."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([8, 16]))
+    count = draw(st.integers(1, 40))
+    bound = draw(st.sampled_from([3 * _LENGTH, 1e6]))
+    x = draw(arrays(np.float64, (count, dim), elements=st.floats(-bound, bound)))
+    scale = draw(st.floats(0.0, 1e6))
+    vector, two_level = draw(st.booleans()), draw(st.booleans())
+    return GridSpec(dim, n), x, scale, vector, two_level, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_gather_cases())
+def test_property_gather_is_a_convex_combination(case):
+    # every gathered value lies between the field's extremes, per component:
+    # the discrete maximum principle of the density transport rests on this
+    g, x, scale, vector, two_level, seed = case
+    shape = ((g.dim,) if vector else ()) + g.shape
+    rng = np.random.default_rng(seed)
+    unit = rng.integers(0, 2, shape) - 0.5 if two_level else rng.standard_normal(shape)
+    values = scale * unit
+    field = VectorField(g, values) if vector else ScalarField(g, values)
+    comps = values.reshape(-1, g.n**g.dim)
+    got = cic_gather(field, x).reshape(len(x), -1)
+    tol = 1e-14 * float(np.abs(values).max())
+    assert np.all(got >= comps.min(axis=1) - tol)
+    assert np.all(got <= comps.max(axis=1) + tol)
