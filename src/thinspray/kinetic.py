@@ -238,9 +238,43 @@ def merge_particles(cloud: ParticleCloud, budget: int,
     return out, rel
 
 
+def _greedy_pairs(nn: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Sources of the edges i -> nn[i] that a greedy matching takes, in key order.
+
+    Greedy visits the edges by increasing key (distinct ranks) and takes one
+    whose ends are both free.  The same matching comes in rounds: every live
+    edge whose key is the smallest live key at both of its ends is taken, and
+    the edges with a taken end die (Preis, STACS 1999).  A spray cloud needs
+    a few rounds; a chain of ever-longer edges needs one round per pair.
+    """
+    n = nn.size
+    best = np.full(n, n)  # smallest live key at each node; n means none
+    taken = np.zeros(n, dtype=bool)
+    won = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    while live.size:
+        ends, k = nn[live], key[live]
+        best[live] = k  # each node is the source of one edge
+        np.minimum.at(best, ends, k)
+        win = live[(best[live] == k) & (best[ends] == k)]
+        best[live] = best[ends] = n
+        won[win] = taken[win] = taken[nn[win]] = True
+        live = live[~(taken[live] | taken[nn[live]])]
+    order = np.empty(n, dtype=np.int64)
+    order[key] = np.arange(n)
+    return order[won[order]]
+
+
 def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
                 length: float):
-    """One greedy nearest-neighbour merge pass inside one species group."""
+    """One greedy nearest-neighbour merge pass inside one species group.
+
+    Each particle's edge to its phase-space nearest neighbour is ranked by
+    length; the greedy matching over these edges is taken in rounds by
+    `_greedy_pairs`, and its `max_merges` shortest pairs are merged.  The
+    tree is queried in its own leaf order, so consecutive queries visit the
+    same nodes; the neighbours are the same, found faster.
+    """
     if group.size < 2 or max_merges < 1:
         return None
     x = cloud.x[group]
@@ -249,24 +283,16 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
     sx = max(x.std(), 1e-12)
     sv = max(xi.std(), 1e-12)
     z = np.concatenate([x / sx, xi / sv], axis=1)
-    dist, nn = cKDTree(z).query(z, k=2)
+    tree = cKDTree(z)
+    leaf = tree.indices
+    dist, nn = np.empty((group.size, 2)), np.empty((group.size, 2), dtype=np.int64)
+    dist[leaf], nn[leaf] = tree.query(z[leaf], k=2)
     # a coincident point may come back before the query point itself
     nn = np.where(nn[:, 1] == np.arange(group.size), nn[:, 0], nn[:, 1])
-    order = np.argsort(dist[:, 1], kind="stable")
-    used = np.zeros(group.size, dtype=bool)
-    pairs = []
-    for i in order:
-        j = nn[i]
-        if used[i] or used[j]:
-            continue
-        used[i] = used[j] = True
-        pairs.append((i, j))
-        if len(pairs) >= max_merges:
-            break
-    if not pairs:
-        return None
-    pairs = np.array(pairs)
-    a, b = group[pairs[:, 0]], group[pairs[:, 1]]
+    key = np.empty(group.size, dtype=np.int64)
+    key[np.argsort(dist[:, 1], kind="stable")] = np.arange(group.size)
+    src = _greedy_pairs(nn, key)[:max_merges]
+    a, b = group[src], group[nn[src]]
     wa, wb = cloud.w[a], cloud.w[b]
     wsum = wa + wb
     safe = np.where(wsum > 0, wsum, 1.0)

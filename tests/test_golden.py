@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from thinspray import kinetic, scenarios
 from thinspray.scenarios import SimConfig, run_scenario
 
 GOLDEN = Path(__file__).with_name("golden_summaries.json")
@@ -77,10 +78,27 @@ def test_golden_summary(name):
             assert have == want, f"{name} {key}: {have!r} != {want!r}"
 
 
-def test_merging_case_merges():
-    # the bidisperse cases exist to cover the merge pass
+def test_merging_case_merges(monkeypatch):
+    # the bidisperse cases exist to cover the merge, its later passes included
     for name in ("bidisperse-merge-2d", "bidisperse-merge-3d"):
         assert _expected()[name]["summary.merge_m2_max"] > 0.0
+    passes = []
+    merge_pass, merge = kinetic._merge_pass, scenarios.merge_particles
+
+    def counted_pass(*args):
+        passes[-1] += 1
+        return merge_pass(*args)
+
+    def counted_merge(*args, **kwargs):
+        passes.append(0)
+        return merge(*args, **kwargs)
+
+    monkeypatch.setattr(kinetic, "_merge_pass", counted_pass)
+    monkeypatch.setattr(scenarios, "merge_particles", counted_merge)
+    for name, most in (("bidisperse-merge-2d", 2), ("bidisperse-merge-3d", 3)):
+        passes.clear()
+        run_scenario(SimConfig(**CASES[name]))
+        assert max(passes) >= most, name
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
+from scipy.spatial import cKDTree
 
+from thinspray import kinetic
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, integral
 from thinspray.kinetic import (
     FRAGMENT_SPECIES,
@@ -442,6 +444,119 @@ def test_property_merge(case):
     assert np.all((out.x >= 0.0) & (out.x < length))
     if out.count > budget:  # merging stopped only for want of pairs
         assert np.all(np.unique(out.species, return_counts=True)[1] == 1)
+
+
+def _nn_edges(z):
+    """Each point's edge to its nearest other point and the stable order of
+    the edge lengths, built as the merge builds them but queried in input order."""
+    dist, nn = cKDTree(z).query(z, k=2)
+    nn = np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1])
+    return nn, np.argsort(dist[:, 1], kind="stable")
+
+
+def _sequential_greedy(nn, order, max_merges):
+    """Sources of the greedy matching, one edge at a time in key order."""
+    used = np.zeros(nn.size, dtype=bool)
+    pairs = []
+    for i in order:
+        j = nn[i]
+        if used[i] or used[j]:
+            continue
+        used[i] = used[j] = True
+        pairs.append(i)
+        if len(pairs) >= max_merges:
+            break
+    return np.array(pairs, dtype=np.int64)
+
+
+@st.composite
+def _edge_cases(draw):
+    """2 to 3000 points in 1 to 6 dimensions, some of them duplicated (zero
+    lengths): uniform, or rounded to 1 to 3 decimals (tied lengths).  Or a
+    chain of ever-longer gaps, which the rounds take one pair at a time."""
+    kind = draw(st.sampled_from(["uniform", "rounded", "chain"]))
+    n = draw(st.integers(2, 3000))
+    if kind == "chain":
+        return np.cumsum(1.01 ** np.arange(n))[:, None]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(size=(n, draw(st.integers(1, 6))))
+    if kind == "rounded":
+        z = np.round(z, draw(st.integers(1, 3)))
+    dups = draw(st.integers(0, n // 2))
+    z[rng.integers(0, n, dups)] = z[rng.integers(0, n, dups)]
+    return z
+
+
+@example(np.zeros((5, 2)))
+@example(np.round(np.random.default_rng(0).uniform(size=(3000, 6)), 1))
+@example(np.array([[0.0], [1.0]]))
+@given(_edge_cases())
+def test_property_greedy_rounds_match_the_sequential_greedy(z):
+    nn, order = _nn_edges(z)
+    key = np.empty(nn.size, dtype=np.int64)
+    key[order] = np.arange(nn.size)
+    src = kinetic._greedy_pairs(nn, key)
+    assert np.array_equal(src, _sequential_greedy(nn, order, nn.size))
+    ends = np.concatenate([src, nn[src]])
+    assert np.unique(ends).size == ends.size  # the pairs are disjoint
+    assert np.all(np.diff(key[src]) > 0)
+
+
+def _reference_merge_pass(cloud, group, max_merges, length):
+    """The merge pass as a loop over the pairs, with the tree queried in input order."""
+    if group.size < 2 or max_merges < 1:
+        return None
+    x = cloud.x[group]
+    xi = cloud.xi[group]
+    sx = max(x.std(), 1e-12)
+    sv = max(xi.std(), 1e-12)
+    nn, order = _nn_edges(np.concatenate([x / sx, xi / sv], axis=1))
+    src = _sequential_greedy(nn, order, max_merges)
+    a, b = group[src], group[nn[src]]
+    wa, wb = cloud.w[a], cloud.w[b]
+    wsum = wa + wb
+    safe = np.where(wsum > 0, wsum, 1.0)
+    frac_b = np.where(wsum > 0, wb / safe, 0.5)
+    xi_m = np.where(
+        (wsum > 0)[:, None],
+        (wa[:, None] * cloud.xi[a] + wb[:, None] * cloud.xi[b]) / safe[:, None],
+        0.5 * (cloud.xi[a] + cloud.xi[b]),
+    )
+    delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * length, length) - 0.5 * length
+    x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, length)
+    x_m[x_m == length] = 0.0
+    keep = np.ones(cloud.count, dtype=bool)
+    keep[a] = False
+    keep[b] = False
+    return ParticleCloud(
+        np.concatenate([cloud.x[keep], x_m]),
+        np.concatenate([cloud.xi[keep], xi_m]),
+        np.concatenate([cloud.w[keep], wsum]),
+        np.concatenate([cloud.species[keep], cloud.species[a]]),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("budget, passes, two_species", [
+    (380, 1, False), (200, 2, False), (150, 3, False), (200, 4, True)])
+def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_species):
+    rng = np.random.default_rng(40 + dim)
+    species = np.where(rng.uniform(size=400) < 0.5, PARENT_SPECIES, FRAGMENT_SPECIES) \
+        if two_species else None
+    cloud = random_cloud(rng, 400, dim, species)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _reference_merge_pass(*args)
+
+    got, got_m2 = merge_particles(cloud, budget, TWO_PI)
+    monkeypatch.setattr(kinetic, "_merge_pass", counted)
+    want, want_m2 = merge_particles(cloud, budget, TWO_PI)
+    assert len(calls) == passes
+    for name in ("x", "xi", "w", "species"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got_m2 == want_m2
 
 
 @st.composite
