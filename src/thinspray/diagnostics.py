@@ -266,18 +266,20 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorFi
                               drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
-    r1 = c sum w |u(x)|^2 (1 - cutoff(xi))
+    r1 = c sum w |u|^2(x) (1 - cutoff(xi))
     r2 = C sum w (xi . u(x)) (cutoff(xi) - 1)
     r3 = sum w xi . (mollified u - u)(x)
 
     C is the coupling of the fluid step and c the drag coefficient of
     energy_budget, whose residual rate they close: r1 + r2 + r3.
-    u(x) is interpolated at the particles.  The cloud must hold parents
-    alone, so that drag, its deposit with the cutoff of width eps, has the
-    weights w cutoff(xi): r3 pairs it with u_mollified - u and adds the
-    tail |xi| > 1/eps, the only particles gathered, over which r1 and r2
-    sum.  A non-finite u or u_mollified raises FieldError.  All three vanish
-    as eps -> 0 (the cutoff radius 1/eps swallows the sampled velocities).
+    u(x) and |u|^2(x) are interpolated at the particles: r1 interpolates
+    |u|^2, not u, as collect_record's drag dissipation does.  The cloud must
+    hold parents alone, so that drag, its deposit with the cutoff of width
+    eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
+    adds the tail |xi| > 1/eps, the only particles gathered, over which r1
+    and r2 sum.  A non-finite u or u_mollified raises FieldError.  All three
+    vanish as eps -> 0 (the cutoff radius 1/eps swallows the sampled
+    velocities).
     """
     if np.any(cloud.species != PARENT_SPECIES):
         raise ValueError("the remainders need a cloud of parents only")
@@ -286,7 +288,8 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorFi
     tail, defect = _cutoff_tail(cloud, eps)
     x_tail, xi_tail, w_tail = cloud.x[tail], cloud.xi[tail], cloud.w[tail] * defect
     up = cic_gather(u, x_tail)
-    r1 = drag_coefficient * float(w_tail @ rowwise_dot(up, up))
+    u_sq = cic_gather(ScalarField(u.grid, np.sum(u.values**2, axis=0)), x_tail)
+    r1 = drag_coefficient * float(w_tail @ u_sq)
     r2 = -coupling * float(w_tail @ rowwise_dot(xi_tail, up))
     m1 = drag.m1.values
     r3 = (u.grid.cell_volume * (_pair(u_mollified.values, m1) - _pair(u.values, m1))

@@ -23,6 +23,8 @@ from .transfer import cic_gather, cic_scatter
 
 PARENT_SPECIES = 1
 FRAGMENT_SPECIES = 2
+# the merge's neighbour query is (1 + eps)-approximate (Arya et al., J. ACM 1998)
+_NN_EPS = 1.0
 
 
 @dataclass
@@ -208,8 +210,10 @@ def merge_particles(cloud: ParticleCloud, budget: int,
                     length: float) -> tuple[ParticleCloud, float]:
     """Reduce the cloud to at most `budget` particles by pairwise merging.
 
-    Nearest phase-space neighbours within one species are combined into a
-    single particle conserving sum(w) and sum(w xi) exactly; positions use the
+    Near phase-space neighbours within one species are combined into a
+    single particle conserving sum(w) and sum(w xi) exactly: each pair's
+    distance is at most (1 + _NN_EPS) times the exact nearest-neighbour
+    distance of one of its particles.  Positions use the
     periodic weighted mean on a torus of period `length`, which must be the
     grid's.  Returns the merged cloud and the relative change of
     sum(w |xi|^2), the one moment a merge does not preserve; a cloud within
@@ -265,15 +269,28 @@ def _greedy_pairs(nn: np.ndarray, key: np.ndarray) -> np.ndarray:
     return order[won[order]]
 
 
+def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's edge to another row of z, at most (1 + _NN_EPS) times as far
+    as the nearest, and its length.  The tree is queried in its own leaf
+    order, so consecutive queries visit the same nodes; each query's result
+    does not depend on that order."""
+    tree = cKDTree(z)
+    leaf = tree.indices
+    dist, nn = np.empty((len(z), 2)), np.empty((len(z), 2), dtype=np.int64)
+    dist[leaf], nn[leaf] = tree.query(z[leaf], k=2, eps=_NN_EPS)
+    # a coincident point may come back before the query point itself
+    return np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1]), dist[:, 1]
+
+
 def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
                 length: float):
     """One greedy nearest-neighbour merge pass inside one species group.
 
-    Each particle's edge to its phase-space nearest neighbour is ranked by
-    length; the greedy matching over these edges is taken in rounds by
-    `_greedy_pairs`, and its `max_merges` shortest pairs are merged.  The
-    tree is queried in its own leaf order, so consecutive queries visit the
-    same nodes; the neighbours are the same, found faster.
+    Each particle's edge to an approximate phase-space nearest neighbour,
+    another particle at most (1 + _NN_EPS) times as far as the nearest
+    (`_nearest_edges`), is ranked by length; the greedy matching over these
+    edges is taken in rounds by `_greedy_pairs`, and its `max_merges`
+    shortest pairs are merged.
     """
     if group.size < 2 or max_merges < 1:
         return None
@@ -282,15 +299,9 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
     # balance the metric between position and velocity spread
     sx = max(x.std(), 1e-12)
     sv = max(xi.std(), 1e-12)
-    z = np.concatenate([x / sx, xi / sv], axis=1)
-    tree = cKDTree(z)
-    leaf = tree.indices
-    dist, nn = np.empty((group.size, 2)), np.empty((group.size, 2), dtype=np.int64)
-    dist[leaf], nn[leaf] = tree.query(z[leaf], k=2)
-    # a coincident point may come back before the query point itself
-    nn = np.where(nn[:, 1] == np.arange(group.size), nn[:, 0], nn[:, 1])
+    nn, dist = _nearest_edges(np.concatenate([x / sx, xi / sv], axis=1))
     key = np.empty(group.size, dtype=np.int64)
-    key[np.argsort(dist[:, 1], kind="stable")] = np.arange(group.size)
+    key[np.argsort(dist, kind="stable")] = np.arange(group.size)
     src = _greedy_pairs(nn, key)[:max_merges]
     a, b = group[src], group[nn[src]]
     wa, wb = cloud.w[a], cloud.w[b]

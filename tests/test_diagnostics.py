@@ -265,7 +265,7 @@ def test_property_paired_record_matches_gathered_sums(case):
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
     r1, r2, r3 = regularization_remainders(cloud, drag, u, u_star, eps, coupling=coupling,
                                            drag_coefficient=drag_coeff)
-    _assert_sum_matches(r1, [drag_coeff * w * np.sum(up**2, axis=1) * (1.0 - cut)])
+    _assert_sum_matches(r1, [drag_coeff * w * u_sq * (1.0 - cut)])
     _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])
     _assert_sum_matches(r3, [w * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),
                              -w * xi_up])

@@ -446,10 +446,38 @@ def test_property_merge(case):
         assert np.all(np.unique(out.species, return_counts=True)[1] == 1)
 
 
+def _phase_space(cloud, group):
+    """The merge's metric: positions and velocities scaled by their spreads."""
+    x, xi = cloud.x[group], cloud.xi[group]
+    return np.concatenate([x / max(x.std(), 1e-12), xi / max(xi.std(), 1e-12)], axis=1)
+
+
+# all coincident, and coincident in fours
+@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0], [PARENT_SPECIES] * 3), 1, 1.0))
+@example((_cloud(np.repeat([[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]], 4, axis=0), np.ones(12),
+                 [PARENT_SPECIES] * 12), 1, 1.0))
+@given(_merge_cases())
+def test_property_edges_are_within_the_approximation(case):
+    # every edge joins two particles and is at most (1 + eps) times as long
+    # as the exact nearest-neighbour distance of its source
+    cloud, _, _ = case
+    for sid in (PARENT_SPECIES, FRAGMENT_SPECIES):
+        group = np.flatnonzero(cloud.species == sid)
+        if group.size < 2:
+            continue
+        z = _phase_space(cloud, group)
+        nn, length = kinetic._nearest_edges(z)
+        assert np.all(nn != np.arange(group.size))
+        assert np.allclose(length, np.linalg.norm(z - z[nn], axis=1), rtol=1e-12, atol=1e-12)
+        exact = cKDTree(z).query(z, k=2)[0][:, 1]
+        assert np.all(length <= (1.0 + kinetic._NN_EPS) * exact + 1e-12)
+
+
 def _nn_edges(z):
-    """Each point's edge to its nearest other point and the stable order of
-    the edge lengths, built as the merge builds them but queried in input order."""
-    dist, nn = cKDTree(z).query(z, k=2)
+    """Each point's edge to an approximate nearest other point and the stable
+    order of the edge lengths, built as the merge builds them but queried in
+    input order: an approximate query does not depend on the query order."""
+    dist, nn = cKDTree(z).query(z, k=2, eps=kinetic._NN_EPS)
     nn = np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1])
     return nn, np.argsort(dist[:, 1], kind="stable")
 
@@ -506,11 +534,7 @@ def _reference_merge_pass(cloud, group, max_merges, length):
     """The merge pass as a loop over the pairs, with the tree queried in input order."""
     if group.size < 2 or max_merges < 1:
         return None
-    x = cloud.x[group]
-    xi = cloud.xi[group]
-    sx = max(x.std(), 1e-12)
-    sv = max(xi.std(), 1e-12)
-    nn, order = _nn_edges(np.concatenate([x / sx, xi / sv], axis=1))
+    nn, order = _nn_edges(_phase_space(cloud, group))
     src = _sequential_greedy(nn, order, max_merges)
     a, b = group[src], group[nn[src]]
     wa, wb = cloud.w[a], cloud.w[b]
