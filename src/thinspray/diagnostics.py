@@ -11,10 +11,9 @@ residuals, which scale first order in dt for the splitting used here.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fluid import DragField, FluidState
 from .grid import (
@@ -83,26 +82,48 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum(a, list(range(a.ndim)), b, list(range(b.ndim)), []))
 
 
-def _cutoff_tail(cloud: ParticleCloud, eps: float | None):
-    """The particles the velocity cutoff reaches, |xi| > 1/eps (none without
-    a cutoff), and their weight defect 1 - cutoff."""
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of the samples y(t) from t[0] to each t, as
+    scipy.integrate.cumulative_trapezoid(y, t, initial=0.0) sums it."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
+
+
+class CutoffTail(NamedTuple):
+    """The particles the velocity cutoff reaches, |xi| > 1/eps, with their
+    weight defect 1 - cutoff and the fluid's u and |u|^2 gathered there."""
+
+    index: np.ndarray    # (k,) rows of the cloud
+    defect: np.ndarray   # (k,)
+    u: np.ndarray        # (k, dim)
+    u_sq: np.ndarray     # (k,)
+
+
+def cutoff_tail(cloud: ParticleCloud, u: VectorField, eps: float | None) -> CutoffTail:
+    """The cutoff tail of the cloud in the field u, empty without a cutoff.
+
+    A record gathers it once; collect_record and regularization_remainders
+    both read it."""
     if eps is None:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
+        return CutoffTail(np.zeros(0, dtype=np.int64), np.zeros(0),
+                          np.zeros((0, cloud.dim)), np.zeros(0))
     defect = 1.0 - velocity_cutoff(cloud.xi, eps)
-    tail = np.flatnonzero(defect > 0.0)
-    return tail, defect[tail]
+    index = np.flatnonzero(defect > 0.0)
+    x = cloud.x[index]
+    u_sq = ScalarField(u.grid, np.sum(u.values**2, axis=0))
+    return CutoffTail(index, defect[index], cic_gather(u, x), cic_gather(u_sq, x))
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   rho: ScalarField, drag: DragField, *, r2: float = 1.0,
-                   nu: float = 1.0, eps: float | None = None) -> DiagnosticsRecord:
+                   rho: ScalarField, drag: DragField, tail: CutoffTail, *,
+                   r2: float = 1.0, nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     rho is the added density; a run without one passes ScalarField.zeros.
     drag is the cloud's drag deposit of weights w r, times the velocity
-    cutoff of width eps if given; the radius r (1 for parents, r2 for
-    fragments), the Stokes drag weight, also weighs |u - xi|^2 f in the drag
-    dissipation.  A non-finite u raises FieldError.
+    cutoff of width eps if it has one; tail is cutoff_tail(cloud, fluid.u,
+    eps) with that eps (None without a cutoff).  The radius r (1 for
+    parents, r2 for fragments), the Stokes drag weight, also weighs
+    |u - xi|^2 f in the drag dissipation.  A non-finite u raises FieldError.
     """
     u = fluid.u
     grid = u.grid
@@ -119,12 +140,10 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     # 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not |I u|^2)
     # cancels the drag work from the energy budget and stays >= 0 (Jensen).
     q = w * species_radius(cloud.species, r2)
-    tail, defect = _cutoff_tail(cloud, eps)
-    slip_tail = (cic_gather(ScalarField(grid, u_sq), cloud.x[tail])
-                 - 2.0 * rowwise_dot(cic_gather(u, cloud.x[tail]), xi[tail]))
+    slip_tail = tail.u_sq - 2.0 * rowwise_dot(tail.u, xi[tail.index])
     dissipation_drag = (
         grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * _pair(u.values, drag.m1.values))
-        + float(q @ xi_sq) + float((q[tail] * defect) @ slip_tail))
+        + float(q @ xi_sq) + float((q[tail.index] * tail.defect) @ slip_tail))
 
     fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
     e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
@@ -165,7 +184,7 @@ def energy_budget(records: Sequence[DiagnosticsRecord],
     dissipation = np.array(
         [r.dissipation_visc + drag_coefficient * r.dissipation_drag for r in records]
     )
-    return energy + cumulative_trapezoid(dissipation, t, initial=0.0) - energy[0]
+    return energy + _cumulative_trapezoid(dissipation, t) - energy[0]
 
 
 def momentum_budget(records: Sequence[DiagnosticsRecord]) -> np.ndarray:
@@ -187,7 +206,7 @@ def momentum_tolerance(records: Sequence[DiagnosticsRecord], dt: float) -> float
     t = np.array([r.t for r in records])
     rate = np.array([2.0 * np.sqrt(max(r.m0, 0.0) * max(r.dissipation_drag, 0.0))
                      for r in records])
-    return 4.0 * dt * float(cumulative_trapezoid(rate, t, initial=0.0)[-1]) + 1e-14
+    return 4.0 * dt * float(_cumulative_trapezoid(rate, t)[-1]) + 1e-14
 
 
 def liquid_volume(cloud: ParticleCloud, r2: float) -> float:
@@ -261,8 +280,8 @@ def check_moment_bound(h: RadialDensity, alpha: float,
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
 
 
-def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorField,
-                              u_mollified: VectorField, eps: float, *, coupling: float,
+def regularization_remainders(cloud: ParticleCloud, drag: DragField, tail: CutoffTail,
+                              u: VectorField, u_mollified: VectorField, *, coupling: float,
                               drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
@@ -276,22 +295,21 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, u: VectorFi
     |u|^2, not u, as collect_record's drag dissipation does.  The cloud must
     hold parents alone, so that drag, its deposit with the cutoff of width
     eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
-    adds the tail |xi| > 1/eps, the only particles gathered, over which r1
-    and r2 sum.  A non-finite u or u_mollified raises FieldError.  All three
-    vanish as eps -> 0 (the cutoff radius 1/eps swallows the sampled
+    adds the tail |xi| > 1/eps, over which r1 and r2 sum.  tail is
+    cutoff_tail(cloud, u, eps), the record's, so only u_mollified is
+    gathered here.  A non-finite u or u_mollified raises FieldError.  All
+    three vanish as eps -> 0 (the cutoff radius 1/eps swallows the sampled
     velocities).
     """
     if np.any(cloud.species != PARENT_SPECIES):
         raise ValueError("the remainders need a cloud of parents only")
     require_finite(u, "fluid velocity")
     require_finite(u_mollified, "mollified velocity")
-    tail, defect = _cutoff_tail(cloud, eps)
-    x_tail, xi_tail, w_tail = cloud.x[tail], cloud.xi[tail], cloud.w[tail] * defect
-    up = cic_gather(u, x_tail)
-    u_sq = cic_gather(ScalarField(u.grid, np.sum(u.values**2, axis=0)), x_tail)
-    r1 = drag_coefficient * float(w_tail @ u_sq)
-    r2 = -coupling * float(w_tail @ rowwise_dot(xi_tail, up))
+    xi_tail, w_tail = cloud.xi[tail.index], cloud.w[tail.index] * tail.defect
+    r1 = drag_coefficient * float(w_tail @ tail.u_sq)
+    r2 = -coupling * float(w_tail @ rowwise_dot(xi_tail, tail.u))
     m1 = drag.m1.values
+    u_star = cic_gather(u_mollified, cloud.x[tail.index])
     r3 = (u.grid.cell_volume * (_pair(u_mollified.values, m1) - _pair(u.values, m1))
-          + float(w_tail @ rowwise_dot(xi_tail, cic_gather(u_mollified, x_tail) - up)))
+          + float(w_tail @ rowwise_dot(xi_tail, u_star - tail.u)))
     return r1, r2, r3

@@ -10,11 +10,11 @@ small-radius limit costs nothing in dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import FieldError
 from .fluid import DragField
@@ -273,7 +273,10 @@ def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's edge to another row of z, at most (1 + _NN_EPS) times as far
     as the nearest, and its length.  The tree is queried in its own leaf
     order, so consecutive queries visit the same nodes; each query's result
-    does not depend on that order."""
+    does not depend on that order.  Only a run that merges loads the tree's
+    module."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(z)
     leaf = tree.indices
     dist, nn = np.empty((len(z), 2)), np.empty((len(z), 2), dtype=np.int64)
@@ -327,26 +330,53 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
     )
 
 
+def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
+    """The first `count` points of Owen's scrambled Halton sequence in [0, 1)^dim,
+    dim <= 3 (Owen, arXiv:1706.02808), bit for bit those of
+    scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(count).
+
+    Coordinate k takes the k-th prime base b.  One generator, seeded once,
+    shuffles a permutation of the digits 0..b-1 for each of the digit
+    positions a double resolves, ceil(54 / log2 b) - 1, base after base; the
+    point i is the radical inverse of i in base b with each digit replaced by
+    its position's permutation, summed digit by digit as scipy sums it.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, dim))
+    for k, base in enumerate((2, 3, 5)[:dim]):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        v, q, b2r = np.zeros(count), np.arange(count), 1.0 / base
+        for perm in perms:
+            # once every index has run out of digits, each later digit is 0
+            # and adds the constant perm[0] b2r: the same sum without a gather
+            v += perm[q % base] * b2r if q.any() else perm[0] * b2r
+            q //= base
+            b2r /= base
+        out[:, k] = v
+    return out
+
+
 def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
                           mean_velocity, sigma: float, seed: int) -> ParticleCloud:
     """Sample a parent-species spray uniform in x with Gaussian velocities.
 
-    Positions come from a seeded scrambled Halton sequence; velocities are
-    Gaussian, then recentred and rescaled so the cloud's number, momentum and
-    second moment match the analytic values exactly:
+    Positions are the first `count` points of the scrambled Halton sequence
+    of `seed` (`_scrambled_halton`, the points scipy's qmc.Halton draws),
+    scaled to the box; velocities are Gaussian, then recentred and rescaled
+    so the cloud's number, momentum and second moment match the analytic
+    values exactly:
 
         sum w          = total_number
         sum w xi       = total_number * mean_velocity
         sum w |xi|^2   = total_number * (dim sigma^2 + |mean_velocity|^2)
     """
-    from scipy.stats import qmc
-
     if count < 2:
         raise ValueError("need at least 2 particles to match moments")
     dim = grid.dim
     mean_velocity = np.broadcast_to(np.asarray(mean_velocity, dtype=np.float64), (dim,))
-    halton = qmc.Halton(d=dim, scramble=True, seed=seed)
-    x = halton.random(count) * grid.length
+    x = _scrambled_halton(count, dim, seed) * grid.length
     rng = np.random.default_rng(seed + 1)
     xi = rng.standard_normal((count, dim))
     xi -= xi.mean(axis=0)

@@ -37,6 +37,7 @@ from .density import DensityField, density_step
 from .diagnostics import (
     check_moment_bound,
     collect_record,
+    cutoff_tail,
     energy_budget,
     liquid_volume,
     momentum_budget,
@@ -287,12 +288,14 @@ def run_scenario(config: SimConfig) -> RunResult:
         return deposit_moments(cloud, grid, eps, radius, lost=lost)
 
     def record(t, drag):  # of the current fluid, cloud and density, and the cloud's deposit
-        records.append(collect_record(t, fluid, cloud, density.rho, drag,
-                                      r2=config.r2, nu=config.nu, eps=eps))
-        volumes.append(liquid_volume(cloud, config.r2))
+        tail = cutoff_tail(cloud, fluid.u, eps)
+        records.append(collect_record(t, fluid, cloud, density.rho, drag, tail,
+                                      r2=config.r2, nu=config.nu))
+        if not is_limit_like:  # only the two-radius summary checks the volume
+            volumes.append(liquid_volume(cloud, config.r2))
         if regularized:
             remainders.append((t, *regularization_remainders(
-                cloud, drag, fluid.u, u_star, eps, coupling=coupling,
+                cloud, drag, tail, fluid.u, u_star, coupling=coupling,
                 drag_coefficient=drag_coeff)))
 
     drag, _ = grid_pass(cloud)

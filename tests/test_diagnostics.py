@@ -6,8 +6,10 @@ from hypothesis.extra.numpy import arrays
 from thinspray.diagnostics import (
     DiagnosticsRecord,
     RadialDensity,
+    _cumulative_trapezoid,
     check_moment_bound,
     collect_record,
+    cutoff_tail,
     energy_budget,
     momentum_budget,
     radial_histogram,
@@ -129,6 +131,16 @@ class TestBudgets:
         assert np.abs(drift[0]).max() == 0.0
         assert drift[1][0] == pytest.approx(0.1)
 
+    def test_trapezoid_is_scipys(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = np.random.default_rng(4)
+        for size in (1, 2, 3, 50, 1001):
+            t = np.cumsum(rng.uniform(1e-4, 0.1, size)) - 0.5
+            y = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+            assert np.array_equal(_cumulative_trapezoid(y, t),
+                                  cumulative_trapezoid(y, t, initial=0.0)), size
+
     def test_nonmonotone_times_rejected(self):
         recs = make_records([0.0, 0.2, 0.1], [1, 1, 1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
@@ -139,8 +151,8 @@ def remainders(cloud, u, u_mollified, eps):
     """The remainders of a regularized record at tau = 1, paired with its drag
     deposit."""
     drag = deposit_moments(cloud, u.grid, eps).drag
-    return regularization_remainders(cloud, drag, u, u_mollified, eps, coupling=2.0,
-                                     drag_coefficient=1.5)
+    return regularization_remainders(cloud, drag, cutoff_tail(cloud, u, eps), u, u_mollified,
+                                     coupling=2.0, drag_coefficient=1.5)
 
 
 class TestRemainders:
@@ -199,7 +211,8 @@ class TestNonFiniteVelocity:
         g, u, cloud = self._case()
         drag = deposit_moments(cloud, g).drag
         with pytest.raises(FieldError, match="non-finite"):
-            collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag)
+            collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag,
+                           cutoff_tail(cloud, u, None))
 
     def test_remainders_raise(self):
         g, u, cloud = self._case()
@@ -250,8 +263,9 @@ def test_property_paired_record_matches_gathered_sums(case):
     r2 = 0.3
     radius = species_radius(cloud.species, r2)
     drag = deposit_moments(cloud, g, eps, radius).drag
-    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag,
-                            r2=r2, eps=eps)
+    tail = cutoff_tail(cloud, u, eps)
+    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail,
+                            r2=r2)
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
     xi, w = cloud.xi, cloud.w
@@ -263,7 +277,7 @@ def test_property_paired_record_matches_gathered_sums(case):
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
-    r1, r2, r3 = regularization_remainders(cloud, drag, u, u_star, eps, coupling=coupling,
+    r1, r2, r3 = regularization_remainders(cloud, drag, tail, u, u_star, coupling=coupling,
                                            drag_coefficient=drag_coeff)
     _assert_sum_matches(r1, [drag_coeff * w * u_sq * (1.0 - cut)])
     _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])

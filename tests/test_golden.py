@@ -6,11 +6,17 @@ seeded cases: every float of the run summary except ``wall_time``, every
 final particle count.  A refactor that keeps the numerics must reproduce them
 to rounding.  Regenerate (only for a deliberate change of the numerics) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+which reruns and rewrites the named cases, every case when none is named.
+The stored values of the cases not named stay byte for byte: the file is
+kept in the one form that ``json.dumps(..., indent=1, sort_keys=True)``
+writes, and a float's repr reads back to the same float.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +70,20 @@ def _expected():
     return json.loads(GOLDEN.read_text())
 
 
+def _dumps(data: dict) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def regenerate(names, path=GOLDEN):
+    """Rerun the named cases and rewrite their stored values in path."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s) {unknown}; pick from {sorted(CASES)}")
+    data = json.loads(path.read_text())
+    data.update({name: case_values(CASES[name]) for name in names})
+    path.write_text(_dumps(data))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_summary(name):
     expected = _expected()[name]
@@ -101,7 +121,25 @@ def test_merging_case_merges(monkeypatch):
         assert max(passes) >= most, name
 
 
+def test_stored_form_is_the_written_form():
+    # so a rewrite of some cases leaves the text of the others as it is
+    text = GOLDEN.read_text()
+    assert _dumps(json.loads(text)) == text
+
+
+def test_regenerating_one_case_keeps_the_others(tmp_path, monkeypatch):
+    path = tmp_path / GOLDEN.name
+    path.write_text(GOLDEN.read_text())
+    # a shorter run, so that the rewritten values differ from the stored ones
+    monkeypatch.setitem(CASES, "limit-2d", dict(CASES["limit-2d"], t_final=0.004))
+    regenerate(["limit-2d"], path)
+    old, new = _expected(), json.loads(path.read_text())
+    assert new["limit-2d"] == case_values(CASES["limit-2d"]) != old["limit-2d"]
+    del old["limit-2d"], new["limit-2d"]
+    assert new == old
+
+
 if __name__ == "__main__":
-    data = {name: case_values(cfg) for name, cfg in sorted(CASES.items())}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    names = sys.argv[1:] or sorted(CASES)
+    regenerate(names)
+    print(f"rewrote {', '.join(names)} in {GOLDEN}")

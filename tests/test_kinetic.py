@@ -398,6 +398,16 @@ class TestSampler:
         cloud = sample_gaussian_spray(g, 500, 1.0, (0.0, 0.0), 1.0, seed=13)
         assert np.all(cloud.x >= 0) and np.all(cloud.x < g.length)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 7, 1311])
+    def test_halton_is_scipys(self, dim, seed):
+        # the positions are the scrambled Halton points scipy draws, bit for bit
+        from scipy.stats import qmc
+
+        for n in (2, 3, 1000, 20_000):
+            want = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+            assert np.array_equal(kinetic._scrambled_halton(n, dim, seed), want), n
+
 
 def _cloud(x, w, species):
     x = np.asarray(x, dtype=float)

@@ -353,9 +353,9 @@ class TestRunScenario:
 
     def test_corner_tables_of_the_cutoff_tail(self, monkeypatch):
         # eps = 0.5 reaches the sampled speeds above 2: every record gathers
-        # u and |u|^2 (collect_record) and u, |u|^2 and u_star (the
-        # remainders) at those particles alone, five tables beyond the four
-        # of a step
+        # u and |u|^2 (cutoff_tail, read by collect_record and the
+        # remainders) and u_star (the remainders) at those particles alone,
+        # three tables beyond the four of a step
         import thinspray.scenarios as sc
 
         tails = []
@@ -368,8 +368,8 @@ class TestRunScenario:
         steps, count, nodes = 5, 200, 16**3
         run_scenario(self._table_config(steps, "regularized", 0.5))
         assert len(tails) == steps + 1 and all(0 < t < count for t in tails)
-        assert len(sizes) == 1 + 4 * steps + 5 * len(tails)
-        assert [s for s in sizes if s not in (count, nodes)] == [t for t in tails for _ in range(5)]
+        assert len(sizes) == 1 + 4 * steps + 3 * len(tails)
+        assert [s for s in sizes if s not in (count, nodes)] == [t for t in tails for _ in range(3)]
 
     def test_outputs_written(self, tmp_path):
         cfg = quick_config(output_dir=str(tmp_path), snapshot_stride=5)
