@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,23 +170,17 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float,
     return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), cloud.w - w_new
 
 
-class GridPass(NamedTuple):
-    drag: DragField
-    lost: np.ndarray | None  # density of the scattered lost weight, if given
-
-
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
                     cutoff_eps: float | None = None,
-                    mass_weights: np.ndarray | None = None, *,
-                    lost: np.ndarray | None = None) -> GridPass:
+                    mass_weights: np.ndarray | None = None) -> DragField:
     """Deposit the number density m0 and momentum density m1 of the cloud.
 
     With a cutoff width `cutoff_eps`, each particle's weight is multiplied by
     the smooth velocity cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps)
     before deposition; a width <= 0 is rejected.  `mass_weights` scales each
     particle; the drag deposit passes the droplet radius, the weight with
-    which a droplet pulls on the gas under Stokes drag.  The same scatter,
-    one corner table per chunk, deposits the weights `lost` when given.
+    which a droplet pulls on the gas under Stokes drag.  One scatter, one
+    corner table per chunk, deposits every column.
     """
     w = cloud.w
     if cutoff_eps is not None:
@@ -197,13 +190,11 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
 
     def charges(sl):  # built chunk by chunk, not as an (N, m) array
         ws = w[sl]
-        cols = [ws] + [ws * xi_j for xi_j in cloud.xi[sl].T]
-        return cols if lost is None else cols + [lost[sl]]
+        return [ws] + [ws * xi_j for xi_j in cloud.xi[sl].T]
 
     dens = cic_scatter(grid, cloud.x, charges)
-    drag = DragField(ScalarField(grid, dens[..., 0]),
-                     VectorField(grid, np.moveaxis(dens[..., 1:1 + cloud.dim], -1, 0)))
-    return GridPass(drag, None if lost is None else dens[..., -1])
+    return DragField(ScalarField(grid, dens[..., 0]),
+                     VectorField(grid, np.moveaxis(dens[..., 1:], -1, 0)))
 
 
 def merge_particles(cloud: ParticleCloud, budget: int,
@@ -347,12 +338,13 @@ def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         for perm in perms:
             rng.shuffle(perm)
-        v, q, b2r = np.zeros(count), np.arange(count), 1.0 / base
+        v, q, b2r, top = np.zeros(count), np.arange(count), 1.0 / base, count - 1
         for perm in perms:
-            # once every index has run out of digits, each later digit is 0
-            # and adds the constant perm[0] b2r: the same sum without a gather
-            v += perm[q % base] * b2r if q.any() else perm[0] * b2r
-            q //= base
+            # once the largest index, top, has run out of digits, every later
+            # digit is 0 and adds the constant perm[0] b2r: no division, no gather
+            q, digit = np.divmod(q, base) if top > 0 else (q, 0)
+            v += perm[digit] * b2r
+            top //= base
             b2r /= base
         out[:, k] = v
     return out

@@ -5,7 +5,8 @@ density transport, diagnostics):
 
 * ``limit``       - unit-radius parents break up at rate 1/tau into the added
                     density rho, which multiplies the fluid inertia; drag
-                    coupling coefficient 1 + 1/tau.
+                    coupling coefficient 1 + 1/tau; the source of rho,
+                    expm1(dt/tau) m0 / dt, comes from the drag deposit.
 * ``bidisperse``  - unit-radius parents break up at rate 1/tau into radius-r2
                     fragments; no added density (rho stays zero); coupling 1.
 * ``regularized`` - the limit dynamics with a mollified advecting velocity
@@ -256,11 +257,12 @@ def run_scenario(config: SimConfig) -> RunResult:
     Step layout: fluid step -> particle push -> breakup (parent weights
     decay by exp(-dt/tau); the lost weight spawns fragments in bidisperse,
     merged over budget, and feeds the density source otherwise) -> one
-    particle-grid pass at the new positions: the next step's drag deposit
-    and the limit's lost-weight density -> density transport -> diagnostics,
-    which pair grid fields with that deposit (see collect_record).  The regularized
-    scenario mollifies u once per step, from its carried spectrum; that
-    field advects the particles, the density and, in the next step, the gas.
+    particle-grid pass at the new positions: the next step's drag deposit,
+    whose m0 gives the limit's density source expm1(dt/tau) m0 / dt ->
+    density transport -> diagnostics, which pair grid fields with that
+    deposit (see collect_record).  The regularized scenario mollifies u
+    once per step, from its carried spectrum; that field advects the
+    particles, the density and, in the next step, the gas.
     A step is rejected when it violates the advective CFL condition (in the
     fluid or the density step) or produces a non-finite field.  Either cause
     raises one StepRejectedError that names the step, t and the cause, after
@@ -283,9 +285,8 @@ def run_scenario(config: SimConfig) -> RunResult:
     u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
     records, volumes, remainders = [], [], []
 
-    def grid_pass(cloud, lost=None):
-        radius = species_radius(cloud.species, config.r2)
-        return deposit_moments(cloud, grid, eps, radius, lost=lost)
+    def grid_pass(cloud):
+        return deposit_moments(cloud, grid, eps, species_radius(cloud.species, config.r2))
 
     def record(t, drag):  # of the current fluid, cloud and density, and the cloud's deposit
         tail = cutoff_tail(cloud, fluid.u, eps)
@@ -298,7 +299,18 @@ def run_scenario(config: SimConfig) -> RunResult:
                 cloud, drag, tail, fluid.u, u_star, coupling=coupling,
                 drag_coefficient=drag_coeff)))
 
-    drag, _ = grid_pass(cloud)
+    def break_up(cloud):  # a function, so that `lost` dies before the next push
+        cloud, lost = absorb_and_fragment(cloud, config.dt, config.tau)
+        if is_limit_like:  # the source of rho is read off the drag deposit
+            return cloud
+        spawn = lost > 0
+        if not spawn.any():
+            return cloud
+        return ParticleCloud.concatenate([cloud, ParticleCloud(
+            cloud.x[spawn], cloud.xi[spawn], lost[spawn] / config.r2**3,
+            np.full(spawn.sum(), FRAGMENT_SPECIES, dtype=np.int64))])
+
+    drag = grid_pass(cloud)
     record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
     last_good = (fluid, cloud, density)
@@ -315,25 +327,18 @@ def run_scenario(config: SimConfig) -> RunResult:
             if not np.isfinite(fluid.u.values).all():
                 raise StepRejectedError("non-finite field")
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
-            cloud = advance_particles(cloud, u_star, config.dt, r2=config.r2)
-            cloud, lost = absorb_and_fragment(cloud, config.dt, config.tau)
-            if not is_limit_like:
-                spawn = lost > 0
-                if spawn.any():
-                    cloud = ParticleCloud.concatenate([cloud, ParticleCloud(
-                        cloud.x[spawn], cloud.xi[spawn], lost[spawn] / config.r2**3,
-                        np.full(spawn.sum(), FRAGMENT_SPECIES, dtype=np.int64))])
-                if cloud.count > config.particle_budget:
-                    cloud, m2_err = merge_particles(cloud, config.particle_budget,
-                                                    length=grid.length)
-                    merge_m2_max = max(merge_m2_max, m2_err)
-                    if m2_err > 0.01:
-                        log.warning("merge pass changed spray energy by %.2e", m2_err)
-            drag, lost_density = grid_pass(cloud, lost if config.scenario == "limit" else None)
-            del lost  # held through the next push, it adds ~5 MB of peak RSS (200k particles)
+            cloud = break_up(advance_particles(cloud, u_star, config.dt, r2=config.r2))
+            if not is_limit_like and cloud.count > config.particle_budget:
+                cloud, m2_err = merge_particles(cloud, config.particle_budget,
+                                                length=grid.length)
+                merge_m2_max = max(merge_m2_max, m2_err)
+                if m2_err > 0.01:
+                    log.warning("merge pass changed spray energy by %.2e", m2_err)
+            drag = grid_pass(cloud)
             if is_limit_like:
                 if not regularized:
-                    source = lost_density / config.dt
+                    # a parent keeps exp(-dt/tau) of its weight: it lost expm1(dt/tau) m0
+                    source = np.expm1(config.dt / config.tau) / config.dt * drag.m0.values
                 density = density_step(density, u_star, ScalarField(grid, source), config.dt)
             if not np.isfinite(density.rho.values).all():
                 raise StepRejectedError("non-finite field")

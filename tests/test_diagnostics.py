@@ -58,6 +58,21 @@ class TestRadialDensity:
         # zeroth moment is binned exactly; higher moments only approximately
         assert hist.moment(0.0) * vol == pytest.approx(cloud.w.sum(), rel=1e-12)
 
+    def test_uniform_bins_match_explicit_edges(self):
+        rng = np.random.default_rng(9)
+        cloud = make_cloud(rng.uniform(0, 6, (20_000, 3)),
+                           1.3 * rng.standard_normal((20_000, 3)),
+                           rng.uniform(0, 1, 20_000))
+        vol, nbins = (2 * np.pi) ** 3, 32
+        hist = radial_histogram(cloud, vol, nbins=nbins)
+        top = hist.edges[-1]
+        assert np.array_equal(hist.edges, np.linspace(0.0, top, nbins + 1))
+        speed = np.sqrt(np.sum(cloud.xi**2, axis=1))
+        want, _ = np.histogram(speed, bins=hist.edges, weights=cloud.w)
+        shell_vol = BALL_FACTOR * np.diff(hist.edges**3)
+        got = hist.values * vol * shell_vol
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
 
 class TestMomentBound:
     def test_unit_ball_case(self):
@@ -150,7 +165,7 @@ class TestBudgets:
 def remainders(cloud, u, u_mollified, eps):
     """The remainders of a regularized record at tau = 1, paired with its drag
     deposit."""
-    drag = deposit_moments(cloud, u.grid, eps).drag
+    drag = deposit_moments(cloud, u.grid, eps)
     return regularization_remainders(cloud, drag, cutoff_tail(cloud, u, eps), u, u_mollified,
                                      coupling=2.0, drag_coefficient=1.5)
 
@@ -209,7 +224,7 @@ class TestNonFiniteVelocity:
 
     def test_collect_record_raises(self):
         g, u, cloud = self._case()
-        drag = deposit_moments(cloud, g).drag
+        drag = deposit_moments(cloud, g)
         with pytest.raises(FieldError, match="non-finite"):
             collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag,
                            cutoff_tail(cloud, u, None))
@@ -262,7 +277,7 @@ def test_property_paired_record_matches_gathered_sums(case):
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
     r2 = 0.3
     radius = species_radius(cloud.species, r2)
-    drag = deposit_moments(cloud, g, eps, radius).drag
+    drag = deposit_moments(cloud, g, eps, radius)
     tail = cutoff_tail(cloud, u, eps)
     record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail,
                             r2=r2)

@@ -263,7 +263,7 @@ class TestDepositMoments:
         xi = np.array([[0.5, -1.0, 2.0]])
         cloud = ParticleCloud(np.array([[g.h, 2 * g.h, 3 * g.h]]), xi,
                               np.array([2.0]), np.array([PARENT_SPECIES]))
-        drag = deposit_moments(cloud, g).drag
+        drag = deposit_moments(cloud, g)
         assert integral(drag.m0) == pytest.approx(2.0, rel=1e-13)
         assert np.asarray(integral(drag.m1)) == pytest.approx(2.0 * xi[0], rel=1e-13)
 
@@ -275,7 +275,7 @@ class TestDepositMoments:
                               np.array([1.0]), np.array([PARENT_SPECIES]))
         cut = velocity_cutoff(xi, eps)[0]
         assert 0.0 < cut < 1.0
-        drag = deposit_moments(cloud, g, eps).drag
+        drag = deposit_moments(cloud, g, eps)
         assert integral(drag.m0) == pytest.approx(cut, rel=1e-12)
 
     def test_total_matches_weighted_sum(self):
@@ -283,13 +283,13 @@ class TestDepositMoments:
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 20000)
         eps = 0.8
-        drag = deposit_moments(cloud, g, eps).drag
+        drag = deposit_moments(cloud, g, eps)
         expected = np.sum(cloud.w * velocity_cutoff(cloud.xi, eps))
         assert integral(drag.m0) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_cloud(self):
         g = GridSpec(2, 16)
-        drag = deposit_moments(ParticleCloud.empty(2), g).drag
+        drag = deposit_moments(ParticleCloud.empty(2), g)
         assert np.abs(drag.m0.values).max() == 0.0
 
 
@@ -596,7 +596,7 @@ def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_
 @st.composite
 def _pass_cases(draw):
     """A cloud with positions two periods below and above the box, possibly
-    empty, its lost weights and a cutoff width or none."""
+    empty, and a cutoff width or none."""
     dim = draw(st.sampled_from([2, 3]))
     n = draw(st.sampled_from([8, 16]))
     count = draw(st.integers(0, 40))
@@ -608,18 +608,18 @@ def _pass_cases(draw):
                           elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
     cloud = ParticleCloud(x, xi, draw(weights), species)
     eps = draw(st.none() | st.sampled_from([0.3, 1.0]))
-    return GridSpec(dim, n), cloud, draw(weights), eps
+    return GridSpec(dim, n), cloud, eps
 
 
 @given(_pass_cases())
 def test_property_pass_matches_one_sided_kernels(case):
     # the one scatter of a step against a scatter of the stacked charge columns
-    g, cloud, lost, eps = case
+    g, cloud, eps = case
     radius = species_radius(cloud.species, 0.3)
-    drag, lost_density = deposit_moments(cloud, g, eps, radius, lost=lost)
+    drag = deposit_moments(cloud, g, eps, radius)
     w = cloud.w * radius if eps is None else cloud.w * velocity_cutoff(cloud.xi, eps) * radius
-    cols = np.column_stack([w, w[:, None] * cloud.xi, lost])
+    cols = np.column_stack([w, w[:, None] * cloud.xi])
     ref = cic_scatter(g, cloud.x, cols)
-    got = np.stack([drag.m0.values, *drag.m1.values, lost_density], axis=-1)
+    got = np.stack([drag.m0.values, *drag.m1.values], axis=-1)
     scale = np.abs(ref).max(axis=tuple(range(g.dim)), keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)

@@ -23,6 +23,7 @@ from thinspray.scenarios import (
     taylor_green_velocity,
 )
 from thinspray.snapshots import read_diagnostics_csv, read_field
+from thinspray.transfer import cic_scatter
 
 
 _DEFAULT = SimConfig()
@@ -211,6 +212,31 @@ class TestRunScenario:
         assert all(rec.mass_rho == 0.0 for rec in res.records)
         assert res.records[-1].mass_f == res.records[0].mass_f
         assert res.records[-1].mass_f == pytest.approx(cfg.spray_mass, rel=1e-13)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.4, math.inf])
+    def test_limit_source_is_scattered_lost_weight(self, monkeypatch, tau):
+        # the source derived from the drag deposit, expm1(dt/tau) m0 / dt,
+        # equals the density of the weight the parents lost, scattered alone
+        import thinspray.scenarios as sc
+
+        seen = {}
+
+        def absorbed(*args, _real=sc.absorb_and_fragment, **kw):
+            seen["cloud"], seen["lost"] = out = _real(*args, **kw)
+            return out
+
+        def transported(density, u, source, dt, _real=sc.density_step):
+            seen["source"] = source.values
+            return _real(density, u, source, dt)
+        monkeypatch.setattr(sc, "absorb_and_fragment", absorbed)
+        monkeypatch.setattr(sc, "density_step", transported)
+        cfg = quick_config(tau=tau, t_final=2e-3)
+        run_scenario(cfg)
+        want = cic_scatter(cfg.grid, seen["cloud"].x, seen["lost"]) / cfg.dt
+        if tau == math.inf:
+            assert not seen["source"].any() and not want.any()
+        else:
+            assert np.abs(seen["source"] - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("tau", [math.inf, 0.4, 0.2])
     @pytest.mark.parametrize("scenario, eps", [("limit", 0.0), ("regularized", 0.5)])
