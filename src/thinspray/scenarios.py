@@ -1,27 +1,29 @@
 """Scenario orchestration: configuration, time loops, budget summaries, sweeps.
 
-Three scenarios share one splitting (fluid step, particle push, breakup,
-density transport, diagnostics):
+Three scenarios share one step path (fluid step, particle push, breakup,
+one particle-grid pass, density transport, diagnostics).  Unit-radius
+parents break up at rate 1/tau, and ``SimConfig.absorbs`` decides where
+their lost weight goes:
 
-* ``limit``       - unit-radius parents break up at rate 1/tau into the added
-                    density rho, which multiplies the fluid inertia; drag
-                    coupling coefficient 1 + 1/tau; the source of rho,
-                    expm1(dt/tau) m0 / dt, comes from the drag deposit.
-* ``bidisperse``  - unit-radius parents break up at rate 1/tau into radius-r2
-                    fragments; no added density (rho stays zero); coupling 1.
-* ``regularized`` - the limit dynamics with a mollified advecting velocity
-                    and a smooth velocity-space cutoff on the deposited
-                    moments; records the cutoff/mollifier energy remainders.
+* ``limit``       - absorbs it into the added density rho, which multiplies
+                    the fluid inertia.
+* ``regularized`` - absorbs it as the limit does; eps > 0 mollifies the
+                    advecting velocity, cuts the deposited moments off in
+                    velocity and adds the energy remainders to the records.
+* ``bidisperse``  - keeps it as radius-r2 fragments, merged when the cloud
+                    outgrows its budget; rho stays zero.
 
-All three run one step path.  Under Stokes drag a droplet of radius r pulls
-on the gas with weight r and relaxes in time r^2, so the drag deposit, the
-particle push and the drag dissipation weigh each particle by its species
-radius; the scenarios differ in the step only by the coupling constant and
-the drag coefficient of the energy budget.  A parent absorbed into rho joins
-the gas at the gas velocity u: breakup at rate 1/tau hands the gas the
-impulse (w/tau)(xi - u) on top of the drag w (xi - u) and dissipates
-(w/2tau)|xi - u|^2, so the limit-like scenarios couple with 1 + 1/tau and
-weigh the drag dissipation with 1 + 1/(2 tau).
+Every absorbing run takes one source rule: a parent keeps exp(-dt/tau) of
+its weight, so the source of rho is expm1(dt/tau) m0 / dt, with m0 the
+number density of the step's (cut-off) drag deposit.  Under Stokes drag a
+droplet of radius r pulls on the gas with weight r and relaxes in time r^2,
+so the deposit, the push and the drag dissipation weigh each particle by
+its species radius.  A parent absorbed into rho joins the gas at velocity
+u: breakup hands the gas the impulse (w/tau)(xi - u) on top of the drag
+w (xi - u) and dissipates (w/2tau)|xi - u|^2, so an absorbing run couples
+with 1 + 1/tau and weighs the drag dissipation with 1 + 1/(2 tau), a
+fragmenting one with 1 and 1.  The summary gates the mass budget of an
+absorbing run without a cutoff, and the liquid volume of a fragmenting one.
 """
 
 from __future__ import annotations
@@ -130,15 +132,18 @@ class SimConfig:
             raise ConfigError("regularized scenario needs eps > 0")
         if self.scenario != "regularized" and self.eps > 0:
             raise ConfigError(f"the {self.scenario} scenario ignores eps; set eps = 0")
+        sampled = self.spray_init != "none" and self.spray_mass > 0  # as initial_cloud
         if self.particle_count < 2 and self.spray_init != "none":
             raise ConfigError("particle_count must be at least 2")
         if self.particle_budget < 1:
             raise ConfigError("particle_budget must be positive")
+        if sampled and self.particle_count > self.particle_budget:
+            raise ConfigError("particle_count must not exceed particle_budget")
         if self.spray_mass < 0 or self.spray_sigma < 0:
             raise ConfigError("spray mass and sigma must be nonnegative")
         if self.rho0 < 0:
             raise ConfigError("rho0 must be nonnegative")
-        if self.scenario == "bidisperse" and self.rho0 > 0:
+        if not self.absorbs and self.rho0 > 0:
             raise ConfigError("the bidisperse scenario has no added density; set rho0 = 0")
         if not self.nu > 0:
             raise ConfigError("nu must be positive")
@@ -146,7 +151,7 @@ class SimConfig:
             raise ConfigError("strides must be positive (snapshot_stride may be 0)")
         h = self.grid.h  # GridSpec validates n and dim
         u_scale = 1.0 if self.fluid_init == "taylor-green" else 0.0
-        if self.spray_init != "none" and self.spray_mass > 0:  # as initial_cloud
+        if sampled:
             mean = self.spray_mean_speed if self.spray_init == "offset" else 0.0
             u_scale += abs(mean) + 3.0 * self.spray_sigma
         if u_scale > 0 and self.dt > h / u_scale:
@@ -163,6 +168,11 @@ class SimConfig:
     @property
     def steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def absorbs(self) -> bool:
+        """Whether breakup feeds rho; else the lost weight becomes fragments."""
+        return self.scenario != "bidisperse"
 
 
 def load_config(path, overrides: dict | None = None) -> SimConfig:
@@ -255,12 +265,14 @@ def run_scenario(config: SimConfig) -> RunResult:
     """Integrate one scenario and summarize every budget.
 
     Step layout: fluid step -> particle push -> breakup (parent weights
-    decay by exp(-dt/tau); the lost weight spawns fragments in bidisperse,
-    merged over budget, and feeds the density source otherwise) -> one
-    particle-grid pass at the new positions: the next step's drag deposit,
-    whose m0 gives the limit's density source expm1(dt/tau) m0 / dt ->
-    density transport -> diagnostics, which pair grid fields with that
-    deposit (see collect_record).  The regularized scenario mollifies u
+    decay by exp(-dt/tau); unless config.absorbs, the lost weight spawns
+    radius-r2 fragments) -> merge, whenever the cloud exceeds its budget ->
+    one particle-grid pass at the new positions: the next step's drag
+    deposit -> when config.absorbs, density transport with the one source
+    expm1(dt/tau) m0 / dt, m0 read off that deposit -> diagnostics, which
+    pair grid fields with that deposit (see collect_record).  Every
+    scenario-dependent constant comes from config.absorbs and config.eps.
+    With eps > 0 the deposit is cut off in velocity, and u is mollified
     once per step, from its carried spectrum; that field advects the
     particles, the density and, in the next step, the gas.
     A step is rejected when it violates the advective CFL condition (in the
@@ -272,12 +284,12 @@ def run_scenario(config: SimConfig) -> RunResult:
     config.validate()
     t_start = time.perf_counter()
     grid = config.grid
-    is_limit_like = config.scenario != "bidisperse"
-    regularized = config.scenario == "regularized"
-    eps = config.eps if regularized else None
+    eps = config.eps or None  # the mollifier and cutoff width, when there is one
     # drag coupling of the fluid step and drag coefficient of the energy budget
-    coupling, drag_coeff = ((1.0 + 1.0 / config.tau, 1.0 + 0.5 / config.tau)
-                            if is_limit_like else (1.0, 1.0))
+    absorb_rate = config.absorbs / config.tau
+    coupling, drag_coeff = 1.0 + absorb_rate, 1.0 + 0.5 * absorb_rate
+    # a parent keeps exp(-dt/tau) of its weight: the source of rho per unit m0
+    gain = np.expm1(config.dt / config.tau) / config.dt
 
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
@@ -292,16 +304,16 @@ def run_scenario(config: SimConfig) -> RunResult:
         tail = cutoff_tail(cloud, fluid.u, eps)
         records.append(collect_record(t, fluid, cloud, density.rho, drag, tail,
                                       r2=config.r2, nu=config.nu))
-        if not is_limit_like:  # only the two-radius summary checks the volume
+        if not config.absorbs:  # only a fragmenting run checks the volume
             volumes.append(liquid_volume(cloud, config.r2))
-        if regularized:
+        if eps:
             remainders.append((t, *regularization_remainders(
                 cloud, drag, tail, fluid.u, u_star, coupling=coupling,
                 drag_coefficient=drag_coeff)))
 
     def break_up(cloud):  # a function, so that `lost` dies before the next push
         cloud, lost = absorb_and_fragment(cloud, config.dt, config.tau)
-        if is_limit_like:  # the source of rho is read off the drag deposit
+        if config.absorbs:  # the source of rho is read off the drag deposit
             return cloud
         spawn = lost > 0
         if not spawn.any():
@@ -321,25 +333,21 @@ def run_scenario(config: SimConfig) -> RunResult:
         try:
             fluid = ns_step(fluid, u_star, density.rho, drag, config.dt, nu=config.nu,
                             coupling=coupling)
-            # regularized: the cut-off number density breaks up at rate 1/tau
-            source = drag.m0.values / config.tau if regularized else None
             del drag  # so one drag field is alive when the pass below makes the next
             if not np.isfinite(fluid.u.values).all():
                 raise StepRejectedError("non-finite field")
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
             cloud = break_up(advance_particles(cloud, u_star, config.dt, r2=config.r2))
-            if not is_limit_like and cloud.count > config.particle_budget:
+            if cloud.count > config.particle_budget:
                 cloud, m2_err = merge_particles(cloud, config.particle_budget,
                                                 length=grid.length)
                 merge_m2_max = max(merge_m2_max, m2_err)
                 if m2_err > 0.01:
                     log.warning("merge pass changed spray energy by %.2e", m2_err)
             drag = grid_pass(cloud)
-            if is_limit_like:
-                if not regularized:
-                    # a parent keeps exp(-dt/tau) of its weight: it lost expm1(dt/tau) m0
-                    source = np.expm1(config.dt / config.tau) / config.dt * drag.m0.values
-                density = density_step(density, u_star, ScalarField(grid, source), config.dt)
+            if config.absorbs:
+                density = density_step(density, u_star,
+                                       ScalarField(grid, gain * drag.m0.values), config.dt)
             if not np.isfinite(density.rho.values).all():
                 raise StepRejectedError("non-finite field")
         except (StepRejectedError, FieldError) as err:
@@ -409,28 +417,17 @@ def _summarize(config: SimConfig, records, volumes, lemma_checks, merge_m2_max,
         "merge_m2_max": merge_m2_max,
     }
 
-    if config.scenario == "bidisperse":
-        vols = np.asarray(volumes)
-        vol_err = float(np.abs(vols - vols[0]).max())
-        vol_tol = VOLUME_TOLERANCE * max(1.0, abs(vols[0]))
-        summary["liquid_volume"] = {
-            "max_error": vol_err, "tol": vol_tol, "pass": vol_err <= vol_tol,
-        }
-        summary["mass_budget"] = {"max_error": None, "tol": None, "pass": None}
-        return summary
-
-    totals = np.array([r.mass_f + r.mass_rho for r in records])
-    scale = max(1.0, abs(totals[0]))
-    mass_err = float(np.abs(totals - totals[0]).max())
-    if config.scenario == "limit":
-        summary["mass_budget"] = {
-            "max_error": mass_err, "tol": MASS_TOLERANCE * scale,
-            "pass": mass_err <= MASS_TOLERANCE * scale,
-        }
+    # the one budget that applies; the other key is filled with Nones
+    if config.absorbs:
+        name, kept = "mass_budget", np.array([r.mass_f + r.mass_rho for r in records])
+        rtol = None if config.eps else MASS_TOLERANCE  # a cutoff removes number on purpose
     else:
-        # the velocity cutoff removes droplet number on purpose; report only
-        summary["mass_budget"] = {"max_error": mass_err, "tol": None, "pass": None}
-    summary["liquid_volume"] = {"max_error": None, "tol": None, "pass": None}
+        name, kept, rtol = "liquid_volume", np.asarray(volumes), VOLUME_TOLERANCE
+    err = float(np.abs(kept - kept[0]).max())
+    tol = None if rtol is None else rtol * max(1.0, abs(kept[0]))
+    summary["mass_budget"] = summary["liquid_volume"] = {
+        "max_error": None, "tol": None, "pass": None}
+    summary[name] = {"max_error": err, "tol": tol, "pass": None if tol is None else err <= tol}
     return summary
 
 

@@ -1,12 +1,15 @@
+import ast
 import math
 import warnings
 from dataclasses import fields as dataclass_fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
+from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, StepRejectedError
 from thinspray.grid import divergence_residual, fft, integral
@@ -82,11 +85,26 @@ class TestConfig:
         dict(nu=0.0), dict(diag_stride=0), dict(fluid_init="vortex"),
         dict(spray_init="maxwell"), dict(rho0=-1.0),
         dict(eps=0.5), dict(scenario="bidisperse", eps=0.5),
-        dict(scenario="bidisperse", rho0=0.1),
+        dict(scenario="bidisperse", rho0=0.1), dict(particle_count=5_001),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
             quick_config(**kw).validate()
+
+    def test_only_the_config_compares_the_scenario(self):
+        # SimConfig decides each scenario's policy once; the step loop and the
+        # summary read absorbs and eps, never the scenario's name
+        tree = ast.parse(Path(scenarios.__file__).read_text())
+        config = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "SimConfig")
+        exempt = {id(node) for item in config.body
+                  if isinstance(item, ast.FunctionDef) and item.name in ("validate", "absorbs")
+                  for node in ast.walk(item)}
+        readers = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Compare) and id(node) not in exempt
+                   and any(isinstance(sub, ast.Attribute) and sub.attr == "scenario"
+                           for sub in ast.walk(node))]
+        assert readers == []
 
     def test_tau_inf_allowed(self):
         quick_config(scenario="bidisperse", tau=math.inf).validate()
@@ -213,10 +231,13 @@ class TestRunScenario:
         assert res.records[-1].mass_f == res.records[0].mass_f
         assert res.records[-1].mass_f == pytest.approx(cfg.spray_mass, rel=1e-13)
 
-    @pytest.mark.parametrize("tau", [1.0, 0.4, math.inf])
-    def test_limit_source_is_scattered_lost_weight(self, monkeypatch, tau):
+    @pytest.mark.parametrize("tau, eps", [
+        pytest.param(1.0, 0.0, id="1.0"), pytest.param(0.4, 0.0, id="0.4"),
+        pytest.param(math.inf, 0.0, id="inf"), pytest.param(1.0, 0.5, id="regularized")])
+    def test_limit_source_is_scattered_lost_weight(self, monkeypatch, tau, eps):
         # the source derived from the drag deposit, expm1(dt/tau) m0 / dt,
-        # equals the density of the weight the parents lost, scattered alone
+        # equals the density of the weight the parents lost, scattered alone;
+        # with a cutoff, the lost weight of the cut-off number density
         import thinspray.scenarios as sc
 
         seen = {}
@@ -230,13 +251,27 @@ class TestRunScenario:
             return _real(density, u, source, dt)
         monkeypatch.setattr(sc, "absorb_and_fragment", absorbed)
         monkeypatch.setattr(sc, "density_step", transported)
-        cfg = quick_config(tau=tau, t_final=2e-3)
+        cfg = quick_config(tau=tau, t_final=2e-3, eps=eps,
+                           scenario="regularized" if eps else "limit")
         run_scenario(cfg)
-        want = cic_scatter(cfg.grid, seen["cloud"].x, seen["lost"]) / cfg.dt
+        lost = seen["lost"] * velocity_cutoff(seen["cloud"].xi, eps) if eps else seen["lost"]
+        assert eps == 0 or not np.array_equal(lost, seen["lost"])  # the cutoff bites
+        want = cic_scatter(cfg.grid, seen["cloud"].x, lost) / cfg.dt
         if tau == math.inf:
             assert not seen["source"].any() and not want.any()
         else:
             assert np.abs(seen["source"] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_regularized_mass_budget_closes_without_tail(self):
+        # with no droplet beyond the cutoff radius 1/eps, the regularized
+        # source is the whole lost weight, as in the limit: rho gains what
+        # the spray loses, to rounding
+        res = run_scenario(quick_config(scenario="regularized", eps=0.2))
+        for cloud in (initial_cloud(res.config), res.cloud):
+            assert np.linalg.norm(cloud.xi, axis=1).max() <= 1 / 0.2
+        total = res.records[0].mass_f + res.records[0].mass_rho
+        assert res.summary["mass_budget"]["max_error"] <= 1e-12 * total
+        assert res.summary["mass_budget"]["pass"] is None  # not gated with a cutoff
 
     @pytest.mark.parametrize("tau", [math.inf, 0.4, 0.2])
     @pytest.mark.parametrize("scenario, eps", [("limit", 0.0), ("regularized", 0.5)])
@@ -437,8 +472,8 @@ class TestRunScenario:
         # subtracting the integrated remainders r1 + r2 + r3 closes the
         # regularized energy budget to first order in dt, once r1 pairs
         # I|u|^2 as the record's drag dissipation does.  eps = 1 puts a large
-        # share of the cloud in the cutoff tail.  Measured maxima 3.54e-6 and
-        # 1.90e-6 (ratio 1.86); with r1 from |I u|^2 the residual rises,
+        # share of the cloud in the cutoff tail.  Measured maxima 3.50e-6 and
+        # 1.88e-6 (ratio 1.86); with r1 from |I u|^2 the residual rises,
         # 3.64e-5 and 3.80e-5
         worst = []
         for dt in (5e-4, 2.5e-4):
