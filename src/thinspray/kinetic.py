@@ -153,20 +153,27 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
     return ParticleCloud(x_new, xi_new, cloud.w, cloud.species)
 
 
-def absorb_and_fragment(cloud: ParticleCloud, dt: float,
-                        tau: float) -> tuple[ParticleCloud, np.ndarray]:
+def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
+                        breaks: np.ndarray | None = None) -> tuple[ParticleCloud, np.ndarray]:
     """Break up parent droplets at rate 1/tau.
 
-    Parent weights decay by exp(-dt/tau); fragments pass through untouched.
-    Returns the decayed cloud, which shares x, xi and species with the input,
-    and the weight each particle lost (zero for fragments, and for every
-    particle when tau is inf).  The caller decides where the lost weight goes.
+    The parents that the boolean mask `breaks` selects, every parent by
+    default, decay by exp(-dt/tau); the other particles, fragments included,
+    pass through untouched.  A caller that breaks up each parent on every
+    k-th step only passes k dt and the parents whose turn it is.  Returns
+    the decayed cloud, which shares x, xi and species with the input, and
+    the weight each particle lost (zero for the untouched ones, and for
+    every particle when tau is inf).  The caller decides where the lost
+    weight goes.
     """
     if not tau > 0:
         raise ValueError(f"breakup time must be positive, got {tau}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    w_new = np.where(cloud.species == PARENT_SPECIES, cloud.w * np.exp(-dt / tau), cloud.w)
+    decays = cloud.species == PARENT_SPECIES
+    if breaks is not None:
+        decays &= breaks
+    w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
     return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), cloud.w - w_new
 
 

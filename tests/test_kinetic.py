@@ -218,6 +218,29 @@ class TestFragmentation:
         after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
         assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
+    def test_mask_breaks_up_only_the_selected_parents(self):
+        rng = np.random.default_rng(9)
+        species = np.where(rng.uniform(size=300) < 0.6, PARENT_SPECIES,
+                           FRAGMENT_SPECIES)
+        cloud = random_cloud(rng, 300, species=species)
+        breaks = rng.uniform(size=300) < 0.5
+        out, lost = absorb_and_fragment(cloud, 0.04, 0.3, breaks)
+        hit = breaks & (species == PARENT_SPECIES)
+        assert np.array_equal(out.w[hit], cloud.w[hit] * np.exp(-0.04 / 0.3))
+        assert np.array_equal(out.w[~hit], cloud.w[~hit])
+        assert not lost[~hit].any() and (lost[hit] > 0).all()
+        assert np.array_equal(lost, cloud.w - out.w)
+
+    def test_default_mask_is_every_parent(self):
+        rng = np.random.default_rng(10)
+        species = np.where(rng.uniform(size=100) < 0.5, PARENT_SPECIES,
+                           FRAGMENT_SPECIES)
+        cloud = random_cloud(rng, 100, species=species)
+        every = absorb_and_fragment(cloud, 0.02, 0.7, np.ones(100, dtype=bool))
+        default = absorb_and_fragment(cloud, 0.02, 0.7)
+        assert np.array_equal(every[0].w, default[0].w)
+        assert np.array_equal(every[1], default[1])
+
     def test_bad_parameters(self):
         cloud = random_cloud(np.random.default_rng(3), 5)
         with pytest.raises(ValueError):

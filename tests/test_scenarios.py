@@ -86,6 +86,7 @@ class TestConfig:
         dict(spray_init="maxwell"), dict(rho0=-1.0),
         dict(eps=0.5), dict(scenario="bidisperse", eps=0.5),
         dict(scenario="bidisperse", rho0=0.1), dict(particle_count=5_001),
+        dict(particle_count=1),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -105,6 +106,13 @@ class TestConfig:
                    and any(isinstance(sub, ast.Attribute) and sub.attr == "scenario"
                            for sub in ast.walk(node))]
         assert readers == []
+
+    @pytest.mark.parametrize("kw", [dict(spray_mass=0.0), dict(spray_init="none")])
+    def test_no_particle_floor_without_a_sampled_spray(self, kw):
+        # a cloud that samples no particle needs no particle count
+        cfg = quick_config(particle_count=1, **kw)
+        cfg.validate()
+        assert initial_cloud(cfg).count == 0
 
     def test_tau_inf_allowed(self):
         quick_config(scenario="bidisperse", tau=math.inf).validate()
@@ -310,6 +318,71 @@ class TestRunScenario:
         assert res.summary["liquid_volume"]["pass"]
         assert liquid_volume(res.cloud, cfg.r2) == pytest.approx(
             cfg.spray_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.05, math.inf])
+    def test_fragmenting_breakup_takes_turns(self, monkeypatch, tau):
+        # on step k only the parents of index i = k (mod 2) break up, each
+        # keeping exp(-2 dt/tau) of its weight and spawning one fragment
+        # with the lost volume at its x and xi
+        import thinspray.scenarios as sc
+
+        pushed, deposited = [], []
+
+        def advance(*args, _real=sc.advance_particles, **kw):
+            pushed.append(_real(*args, **kw))
+            return pushed[-1]
+
+        def deposit(cloud, *args, _real=sc.deposit_moments):
+            deposited.append(cloud)
+            return _real(cloud, *args)
+        monkeypatch.setattr(sc, "advance_particles", advance)
+        monkeypatch.setattr(sc, "deposit_moments", deposit)
+        cfg = quick_config(scenario="bidisperse", tau=tau, r2=0.3, t_final=8e-3,
+                           particle_budget=100_000)
+        run_scenario(cfg)
+        assert len(pushed) == cfg.steps == len(deposited) - 1
+        for step, (before, after) in enumerate(zip(pushed, deposited[1:]), start=1):
+            n = before.count
+            for name in ("x", "xi", "species"):
+                assert np.array_equal(getattr(after, name)[:n], getattr(before, name))
+            turn = (np.arange(n) % 2 == step % 2) & (before.species == PARENT_SPECIES)
+            if tau == math.inf:
+                turn[:] = False
+            assert np.array_equal(after.w[:n][turn],
+                                  before.w[turn] * np.exp(-2 * cfg.dt / tau))
+            assert np.array_equal(after.w[:n][~turn], before.w[~turn])
+            lost = before.w[turn] - after.w[:n][turn]
+            spawned = after.select(np.arange(after.count) >= n)
+            assert spawned.count == turn.sum()
+            assert np.all(spawned.species == FRAGMENT_SPECIES)
+            assert np.array_equal(spawned.x, before.x[turn])
+            assert np.array_equal(spawned.xi, before.xi[turn])
+            assert np.array_equal(spawned.w, lost / cfg.r2**3)
+            assert liquid_volume(after, cfg.r2) == pytest.approx(
+                liquid_volume(before, cfg.r2), rel=1e-14)
+        if tau != math.inf:  # both parities took turns, on parents and beside fragments
+            assert (deposited[-1].species == FRAGMENT_SPECIES).any()
+
+    def test_staggered_merges_take_one_pass(self, monkeypatch):
+        # spawning half the parents per step leaves the merge a share of the
+        # fragments that one greedy pass removes; with every parent spawning
+        # on every step, each of these merges took two passes
+        from thinspray import kinetic
+
+        passes = []
+
+        def counted_pass(*args, _real=kinetic._merge_pass):
+            passes[-1] += 1
+            return _real(*args)
+
+        def counted_merge(*args, _real=scenarios.merge_particles, **kw):
+            passes.append(0)
+            return _real(*args, **kw)
+        monkeypatch.setattr(kinetic, "_merge_pass", counted_pass)
+        monkeypatch.setattr(scenarios, "merge_particles", counted_merge)
+        run_scenario(SimConfig(dim=2, n=16, scenario="bidisperse", particle_count=2_000,
+                               particle_budget=4_000, dt=1e-3, t_final=0.03))
+        assert passes and passes == [1] * len(passes)
 
     def test_regularized_records_remainders(self):
         cfg = quick_config(scenario="regularized", eps=0.5, t_final=0.03)
