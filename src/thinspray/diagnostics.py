@@ -74,11 +74,15 @@ class DiagnosticsRecord:
 
 def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
     """(M0, M1, M2) of weights w, given the velocities and their squares."""
-    return float(w.sum()), w @ xi, float(w @ xi_sq)
+    return float(w.sum()), w @ xi, _pair(w, xi_sq)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of a * b over every entry, with no temporary of their size."""
+    """Sum of a * b over every entry, with no temporary of their size.
+
+    The particle sums use it too, not w @ v: with several BLAS threads one
+    such dot of 200k entries took 8 ms on a 2-core host, against 0.16 ms on
+    one thread or through einsum."""
     return float(np.einsum(a, list(range(a.ndim)), b, list(range(b.ndim)), []))
 
 
@@ -143,7 +147,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     slip_tail = tail.u_sq - 2.0 * rowwise_dot(tail.u, xi[tail.index])
     dissipation_drag = (
         grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * _pair(u.values, drag.m1.values))
-        + float(q @ xi_sq) + float((q[tail.index] * tail.defect) @ slip_tail))
+        + _pair(q, xi_sq) + _pair(q[tail.index] * tail.defect, slip_tail))
 
     fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
     e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
@@ -306,10 +310,10 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, tail: Cutof
     require_finite(u, "fluid velocity")
     require_finite(u_mollified, "mollified velocity")
     xi_tail, w_tail = cloud.xi[tail.index], cloud.w[tail.index] * tail.defect
-    r1 = drag_coefficient * float(w_tail @ tail.u_sq)
-    r2 = -coupling * float(w_tail @ rowwise_dot(xi_tail, tail.u))
+    r1 = drag_coefficient * _pair(w_tail, tail.u_sq)
+    r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, tail.u))
     m1 = drag.m1.values
     u_star = cic_gather(u_mollified, cloud.x[tail.index])
     r3 = (u.grid.cell_volume * (_pair(u_mollified.values, m1) - _pair(u.values, m1))
-          + float(w_tail @ rowwise_dot(xi_tail, u_star - tail.u)))
+          + _pair(w_tail, rowwise_dot(xi_tail, u_star - tail.u)))
     return r1, r2, r3
