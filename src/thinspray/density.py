@@ -27,12 +27,6 @@ class DensityField:
         if self.rho.values.min() < 0:
             raise ValueError("added density must be nonnegative")
 
-    @classmethod
-    def uniform(cls, grid: GridSpec, value: float) -> "DensityField":
-        if value < 0:
-            raise ValueError("added density must be nonnegative")
-        return cls(ScalarField.full(grid, value))
-
 
 @lru_cache(maxsize=16)
 def _grid_nodes(grid: GridSpec) -> np.ndarray:

@@ -24,14 +24,7 @@ from .grid import (
     integral,
     require_finite,
 )
-from .kinetic import (
-    PARENT_SPECIES,
-    ParticleCloud,
-    rowwise_dot,
-    species_mass_factor,
-    species_radius,
-    velocity_cutoff,
-)
+from .kinetic import ParticleCloud, rowwise_dot, velocity_cutoff
 from .transfer import cic_gather
 
 BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
@@ -41,9 +34,9 @@ BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 class DiagnosticsRecord:
     """One row of per-step diagnostics.
 
-    Spray kinetic energy is mass-weighted over species (unit parents, r2^3
-    fragments); the drag dissipation weights each droplet by its radius, so
-    the energy budget closes with a single scenario coefficient.
+    Spray kinetic energy weighs each droplet by its liquid volume r^3 (1 for
+    parents, r2^3 for fragments); the drag dissipation weighs it by its
+    radius r, so the energy budget closes with a single scenario coefficient.
     """
 
     t: float
@@ -119,15 +112,15 @@ def cutoff_tail(cloud: ParticleCloud, u: VectorField, eps: float | None) -> Cuto
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
                    rho: ScalarField, drag: DragField, tail: CutoffTail, *,
-                   r2: float = 1.0, nu: float = 1.0) -> DiagnosticsRecord:
+                   nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     rho is the added density; a run without one passes ScalarField.zeros.
     drag is the cloud's drag deposit of weights w r, times the velocity
     cutoff of width eps if it has one; tail is cutoff_tail(cloud, fluid.u,
-    eps) with that eps (None without a cutoff).  The radius r (1 for
-    parents, r2 for fragments), the Stokes drag weight, also weighs
-    |u - xi|^2 f in the drag dissipation.  A non-finite u raises FieldError.
+    eps) with that eps (None without a cutoff).  The radius r, the Stokes
+    drag weight, also weighs |u - xi|^2 f in the drag dissipation.  A
+    non-finite u raises FieldError.
     """
     u = fluid.u
     grid = u.grid
@@ -138,12 +131,12 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     w, xi = cloud.w, cloud.xi
     xi_sq = rowwise_dot(xi, xi)
     m0, m1, m2 = _moments(w, xi, xi_sq)
-    _, m1_mass, m2_mass = _moments(w * species_mass_factor(cloud.species, r2), xi, xi_sq)
+    _, m1_mass, m2_mass = _moments(w * cloud.r**3, xi, xi_sq)
     # Deposit S and interpolation I share one kernel, cv <g, S(v)> = sum v I(g),
     # so pairing |u|^2 and u with S(q c), S(q c xi) gives sum q c (I|u|^2 -
     # 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not |I u|^2)
     # cancels the drag work from the energy budget and stays >= 0 (Jensen).
-    q = w * species_radius(cloud.species, r2)
+    q = w * cloud.r
     slip_tail = tail.u_sq - 2.0 * rowwise_dot(tail.u, xi[tail.index])
     dissipation_drag = (
         grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * _pair(u.values, drag.m1.values))
@@ -213,9 +206,9 @@ def momentum_tolerance(records: Sequence[DiagnosticsRecord], dt: float) -> float
     return 4.0 * dt * float(_cumulative_trapezoid(rate, t)[-1]) + 1e-14
 
 
-def liquid_volume(cloud: ParticleCloud, r2: float) -> float:
+def liquid_volume(cloud: ParticleCloud) -> float:
     """Total liquid volume: sum of weights times radius cubed."""
-    return float(np.sum(cloud.w * species_mass_factor(cloud.species, r2)))
+    return float(np.sum(cloud.w * cloud.r**3))
 
 
 @dataclass
@@ -305,7 +298,7 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, tail: Cutof
     three vanish as eps -> 0 (the cutoff radius 1/eps swallows the sampled
     velocities).
     """
-    if np.any(cloud.species != PARENT_SPECIES):
+    if np.any(cloud.r != 1.0):
         raise ValueError("the remainders need a cloud of parents only")
     require_finite(u, "fluid velocity")
     require_finite(u_mollified, "mollified velocity")

@@ -3,9 +3,10 @@
 A cloud of weighted particles samples the droplet number density in phase
 space.  Each particle carries a position on the torus, an unbounded velocity,
 a number weight (droplets represented per unit phase-space sampling) and a
-species tag: species 1 are the unit-radius parents, species 2 the radius-r2
-fragments.  Drag relaxation uses the exact exponential update, so the stiff
-small-radius limit costs nothing in dt.
+droplet radius: 1 for the parents, r2 for the fragments they break into.
+The radius sets the Stokes drag weight r, the relaxation time r^2 and the
+liquid volume r^3.  Drag relaxation uses the exact exponential update, so
+the stiff small-radius limit costs nothing in dt.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .fluid import DragField
 from .grid import GridSpec, ScalarField, VectorField
 from .transfer import cic_gather, cic_scatter
 
-PARENT_SPECIES = 1
-FRAGMENT_SPECIES = 2
 # the merge's neighbour query is (1 + eps)-approximate (Arya et al., J. ACM 1998);
 # 3 is the knee of the merge time measured at eps = 1..4 on the bidisperse-merge
 # benchmark, against the shift of the merged pairs and the energy they remove.
@@ -40,18 +39,20 @@ class ParticleCloud:
     x: np.ndarray        # (N, dim) positions in [0, length)
     xi: np.ndarray       # (N, dim) velocities
     w: np.ndarray        # (N,) nonnegative number weights
-    species: np.ndarray  # (N,) int, 1 = radius one, 2 = radius r2
+    r: np.ndarray        # (N,) positive droplet radii, 1 for parents
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
         self.xi = np.atleast_2d(np.asarray(self.xi, dtype=np.float64))
         self.w = np.asarray(self.w, dtype=np.float64).ravel()
-        self.species = np.asarray(self.species, dtype=np.int64).ravel()
+        self.r = np.asarray(self.r, dtype=np.float64).ravel()
         n = self.x.shape[0]
-        if self.xi.shape != self.x.shape or self.w.shape != (n,) or self.species.shape != (n,):
+        if self.xi.shape != self.x.shape or self.w.shape != (n,) or self.r.shape != (n,):
             raise ValueError("particle arrays have inconsistent shapes")
         if n and self.w.min() < 0:
             raise ValueError("particle weights must be nonnegative")
+        if n and not self.r.min() > 0:  # NaN fails too
+            raise ValueError("droplet radii must be positive")
 
     @property
     def count(self) -> int:
@@ -64,7 +65,7 @@ class ParticleCloud:
     @classmethod
     def empty(cls, dim: int) -> "ParticleCloud":
         z = np.zeros((0, dim))
-        return cls(z, z.copy(), np.zeros(0), np.zeros(0, dtype=np.int64))
+        return cls(z, z.copy(), np.zeros(0), np.zeros(0))
 
     @classmethod
     def concatenate(cls, clouds) -> "ParticleCloud":
@@ -75,11 +76,11 @@ class ParticleCloud:
             np.concatenate([c.x for c in clouds]),
             np.concatenate([c.xi for c in clouds]),
             np.concatenate([c.w for c in clouds]),
-            np.concatenate([c.species for c in clouds]),
+            np.concatenate([c.r for c in clouds]),
         )
 
     def select(self, mask: np.ndarray) -> "ParticleCloud":
-        return ParticleCloud(self.x[mask], self.xi[mask], self.w[mask], self.species[mask])
+        return ParticleCloud(self.x[mask], self.xi[mask], self.w[mask], self.r[mask])
 
 
 def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,16 +101,6 @@ def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def species_radius(species: np.ndarray, r2: float) -> np.ndarray:
-    """Radius per particle: 1 for parents, r2 for fragments."""
-    return np.where(species == FRAGMENT_SPECIES, r2, 1.0)
-
-
-def species_mass_factor(species: np.ndarray, r2: float) -> np.ndarray:
-    """Liquid volume carried per unit number weight: radius cubed."""
-    return species_radius(species, r2) ** 3
-
-
 def interpolate_velocity(u: VectorField, x: np.ndarray) -> np.ndarray:
     """Evaluate u at particle positions with the shared multilinear kernel.
 
@@ -121,27 +112,24 @@ def interpolate_velocity(u: VectorField, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
-                      r2: float = 1.0) -> ParticleCloud:
+def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> ParticleCloud:
     """Advance positions and velocities by one step of the drag dynamics.
 
-    A droplet of radius r (1 for parents, r2 for fragments) relaxes in the
-    Stokes time r^2.  With the fluid velocity frozen at the particle position,
-    the characteristics dx/dt = xi, dxi/dt = (u - xi)/r^2 integrate exactly:
+    A droplet of radius r relaxes in the Stokes time r^2.  With the fluid
+    velocity frozen at the particle position, the characteristics
+    dx/dt = xi, dxi/dt = (u - xi)/r^2 integrate exactly:
 
         xi' = u + (xi - u) exp(-dt/r^2)
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
     Only the coordinates that left [0, length) are wrapped back.  The
-    returned cloud shares w and species with the input.
+    returned cloud shares w and r with the input.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if not r2 > 0:
-        raise ValueError(f"droplet radius must be positive, got {r2}")
     up = interpolate_velocity(u, cloud.x)
-    tau_p = species_radius(cloud.species, r2)[:, None] ** 2
+    tau_p = cloud.r[:, None] ** 2
     decay = np.exp(-dt / tau_p)
     dxi = cloud.xi - up
     xi_new = dxi * decay
@@ -154,18 +142,18 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float,
     left = np.flatnonzero((flat < 0.0) | (flat >= length))
     wrapped = np.mod(flat[left], length)  # a tiny negative's remainder rounds up to length
     flat[left] = np.where(wrapped == length, 0.0, wrapped)
-    return ParticleCloud(x_new, xi_new, cloud.w, cloud.species)
+    return ParticleCloud(x_new, xi_new, cloud.w, cloud.r)
 
 
 def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
                         breaks: np.ndarray | None = None) -> tuple[ParticleCloud, np.ndarray]:
-    """Break up parent droplets at rate 1/tau.
+    """Break up parent droplets, those of radius 1, at rate 1/tau.
 
     The parents that the boolean mask `breaks` selects, every parent by
     default, decay by exp(-dt/tau); the other particles, fragments included,
     pass through untouched.  A caller that breaks up each parent on every
     k-th step only passes k dt and the parents whose turn it is.  Returns
-    the decayed cloud, which shares x, xi and species with the input, and
+    the decayed cloud, which shares x, xi and r with the input, and
     the weight each particle lost (zero for the untouched ones, and for
     every particle when tau is inf).  The caller decides where the lost
     weight goes.
@@ -174,30 +162,28 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
         raise ValueError(f"breakup time must be positive, got {tau}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    decays = cloud.species == PARENT_SPECIES
+    decays = cloud.r == 1.0
     if breaks is not None:
         decays &= breaks
     w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
-    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.species), cloud.w - w_new
+    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r), cloud.w - w_new
 
 
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
-                    cutoff_eps: float | None = None,
-                    mass_weights: np.ndarray | None = None) -> DragField:
-    """Deposit the number density m0 and momentum density m1 of the cloud.
+                    cutoff_eps: float | None = None) -> DragField:
+    """Deposit the drag densities m0 and m1 of the cloud, weights w r.
 
-    With a cutoff width `cutoff_eps`, each particle's weight is multiplied by
-    the smooth velocity cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps)
-    before deposition; a width <= 0 is rejected.  `mass_weights` scales each
-    particle; the drag deposit passes the droplet radius, the weight with
-    which a droplet pulls on the gas under Stokes drag.  One scatter, one
-    corner table per chunk, deposits every column.
+    Each particle weighs w times its radius r, the weight with which a
+    droplet pulls on the gas under Stokes drag.  With a cutoff width
+    `cutoff_eps`, the weight is first multiplied by the smooth velocity
+    cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps); a width <= 0 is
+    rejected.  One scatter, one corner table per chunk, deposits every
+    column.
     """
     w = cloud.w
     if cutoff_eps is not None:
         w = w * velocity_cutoff(cloud.xi, cutoff_eps)
-    if mass_weights is not None:
-        w = w * mass_weights
+    w = w * cloud.r
 
     def charges(sl):  # built chunk by chunk, not as an (N, m) array
         ws = w[sl]
@@ -212,7 +198,7 @@ def merge_particles(cloud: ParticleCloud, budget: int,
                     length: float) -> tuple[ParticleCloud, float]:
     """Reduce the cloud to at most `budget` particles by pairwise merging.
 
-    Near phase-space neighbours within one species are combined into a
+    Near phase-space neighbours of one radius are combined into a
     single particle conserving sum(w) and sum(w xi) exactly: each pair's
     distance is at most 1 + _NN_EPS = 4 times the exact nearest-neighbour
     distance of one of its particles.  On spray clouds that bound is loose:
@@ -234,16 +220,17 @@ def merge_particles(cloud: ParticleCloud, budget: int,
     m2_before = m2(cloud)
     out = cloud
     while out.count > budget:
-        ids, counts = np.unique(out.species, return_counts=True)
+        radii, counts = np.unique(out.r, return_counts=True)
         progress = False
-        for sid in ids[np.argsort(-counts, kind="stable")]:
-            group = np.flatnonzero(out.species == sid)
+        # the most numerous radius first; on a tie the larger one
+        for radius in radii[np.lexsort((-radii, -counts))]:
+            group = np.flatnonzero(out.r == radius)
             merged = _merge_pass(out, group, out.count - budget, length)
             if merged is not None:
                 out = merged
                 progress = True
                 break
-        if not progress:  # no species has a pair left to merge
+        if not progress:  # no radius has a pair left to merge
             break
     rel = abs(m2(out) - m2_before) / max(abs(m2_before), 1e-300)
     return out, rel
@@ -294,7 +281,7 @@ def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
                 length: float):
-    """One greedy nearest-neighbour merge pass inside one species group.
+    """One greedy nearest-neighbour merge pass inside one group of equal radius.
 
     Each particle's edge to an approximate phase-space nearest neighbour,
     another particle at most 1 + _NN_EPS = 4 times as far as the nearest
@@ -333,7 +320,7 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
         np.concatenate([cloud.x[keep], x_m]),
         np.concatenate([cloud.xi[keep], xi_m]),
         np.concatenate([cloud.w[keep], wsum]),
-        np.concatenate([cloud.species[keep], cloud.species[a]]),
+        np.concatenate([cloud.r[keep], cloud.r[a]]),
     )
 
 
@@ -368,7 +355,7 @@ def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
 
 def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
                           mean_velocity, sigma: float, seed: int) -> ParticleCloud:
-    """Sample a parent-species spray uniform in x with Gaussian velocities.
+    """Sample a spray of unit-radius parents uniform in x with Gaussian velocities.
 
     Positions are the first `count` points of the scrambled Halton sequence
     of `seed` (`_scrambled_halton`, the points scipy's qmc.Halton draws),
@@ -395,5 +382,5 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
         xi[:] = 0.0
     xi += mean_velocity
     w = np.full(count, total_number / count)
-    return ParticleCloud(x, xi, w, np.full(count, PARENT_SPECIES, dtype=np.int64))
+    return ParticleCloud(x, xi, w, np.ones(count))
 

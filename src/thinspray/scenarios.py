@@ -24,7 +24,7 @@ source rule: a parent keeps exp(-dt/tau) of its weight, so the source of
 rho is expm1(dt/tau) m0 / dt, with m0 the number density of the step's
 (cut-off) drag deposit.  Under Stokes drag a droplet of radius r pulls on
 the gas with weight r and relaxes in time r^2, so the deposit, the push
-and the drag dissipation weigh each particle by its species radius.  A
+and the drag dissipation read each particle's radius off the cloud.  A
 parent absorbed into rho joins the gas at velocity u: breakup hands the
 gas the impulse (w/tau)(xi - u) on top of the drag w (xi - u) and
 dissipates (w/2tau)|xi - u|^2, so an absorbing run couples with 1 + 1/tau
@@ -59,7 +59,6 @@ from .errors import ConfigError, FieldError, StepRejectedError
 from .fluid import FluidState, ns_step
 from .grid import GridSpec, ScalarField, VectorField, leray_project, mollify
 from .kinetic import (
-    FRAGMENT_SPECIES,
     ParticleCloud,
     absorb_and_fragment,
     advance_particles,
@@ -67,7 +66,6 @@ from .kinetic import (
     interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
-    species_radius,
 )
 from .snapshots import (
     write_diagnostics_csv,
@@ -114,7 +112,6 @@ class SimConfig:
     spray_mass: float = 0.3       # total droplet number of the initial cloud
     spray_sigma: float = 0.6      # velocity spread of the initial cloud
     spray_mean_speed: float = 0.5  # offset preset: mean velocity along x
-    rho0: float = 0.0             # uniform initial added density; not bidisperse
     nu: float = 1.0
     diag_stride: int = 1
     snapshot_stride: int = 0      # 0 = no snapshots
@@ -150,10 +147,6 @@ class SimConfig:
             raise ConfigError("particle_count must not exceed particle_budget")
         if self.spray_mass < 0 or self.spray_sigma < 0:
             raise ConfigError("spray mass and sigma must be nonnegative")
-        if self.rho0 < 0:
-            raise ConfigError("rho0 must be nonnegative")
-        if not self.absorbs and self.rho0 > 0:
-            raise ConfigError("the bidisperse scenario has no added density; set rho0 = 0")
         if not self.nu > 0:
             raise ConfigError("nu must be positive")
         if self.diag_stride < 1 or self.snapshot_stride < 0:
@@ -304,19 +297,15 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
-    density = DensityField.uniform(grid, config.rho0)
+    density = DensityField(ScalarField.zeros(grid))
     u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
     records, volumes, remainders = [], [], []
 
-    def grid_pass(cloud):
-        return deposit_moments(cloud, grid, eps, species_radius(cloud.species, config.r2))
-
     def record(t, drag):  # of the current fluid, cloud and density, and the cloud's deposit
         tail = cutoff_tail(cloud, fluid.u, eps)
-        records.append(collect_record(t, fluid, cloud, density.rho, drag, tail,
-                                      r2=config.r2, nu=config.nu))
+        records.append(collect_record(t, fluid, cloud, density.rho, drag, tail, nu=config.nu))
         if not config.absorbs:  # only a fragmenting run checks the volume
-            volumes.append(liquid_volume(cloud, config.r2))
+            volumes.append(liquid_volume(cloud))
         if eps:
             remainders.append((t, *regularization_remainders(
                 cloud, drag, tail, fluid.u, u_star, coupling=coupling,
@@ -332,9 +321,9 @@ def run_scenario(config: SimConfig) -> RunResult:
             return cloud
         return ParticleCloud.concatenate([cloud, ParticleCloud(
             cloud.x[spawn], cloud.xi[spawn], lost[spawn] / config.r2**3,
-            np.full(spawn.sum(), FRAGMENT_SPECIES, dtype=np.int64))])
+            np.full(spawn.sum(), config.r2))])
 
-    drag = grid_pass(cloud)
+    drag = deposit_moments(cloud, grid, eps)
     record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
     last_good = (fluid, cloud, density)
@@ -349,14 +338,14 @@ def run_scenario(config: SimConfig) -> RunResult:
             if not np.isfinite(fluid.u.values).all():
                 raise StepRejectedError("non-finite field")
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
-            cloud = break_up(advance_particles(cloud, u_star, config.dt, r2=config.r2), step)
+            cloud = break_up(advance_particles(cloud, u_star, config.dt), step)
             if cloud.count > config.particle_budget:
                 cloud, m2_err = merge_particles(cloud, config.particle_budget,
                                                 length=grid.length)
                 merge_m2_max = max(merge_m2_max, m2_err)
                 if m2_err > 0.01:
                     log.warning("merge pass changed spray energy by %.2e", m2_err)
-            drag = grid_pass(cloud)
+            drag = deposit_moments(cloud, grid, eps)
             if config.absorbs:
                 density = density_step(density, u_star,
                                        ScalarField(grid, gain * drag.m0.values), config.dt)
@@ -468,24 +457,23 @@ class SweepResult:
 
 
 def fragment_slip(result: RunResult) -> float:
-    """Mass-weighted mean |xi - u(x)|^2 over the fragment species."""
+    """Mass-weighted mean |xi - u(x)|^2 over the fragments, radius below 1."""
     cloud = result.cloud
-    fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
+    fragments = cloud.select(cloud.r < 1.0)
     if fragments.count == 0:
         return 0.0
     up = interpolate_velocity(result.fluid.u, fragments.x)
     slip = np.sum((fragments.xi - up) ** 2, axis=1)
-    # the r2^3 mass factor is common to numerator and denominator
+    # the fragments share one radius, so its r^3 mass factor cancels
     return float(np.sum(fragments.w * slip) / fragments.w.sum())
 
 
 def fragment_mass_density(result: RunResult) -> ScalarField:
-    """Mass density r2^3 m0 of the fragment species on the grid."""
+    """Mass density sum w r^3 of the fragments, radius below 1, on the grid."""
     cloud = result.cloud
     grid = result.config.grid
-    fragments = cloud.select(cloud.species == FRAGMENT_SPECIES)
-    m0 = cic_scatter(grid, fragments.x, fragments.w)
-    return ScalarField(grid, result.config.r2**3 * m0)
+    fragments = cloud.select(cloud.r < 1.0)
+    return ScalarField(grid, cic_scatter(grid, fragments.x, fragments.w * fragments.r**3))
 
 
 def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
@@ -515,8 +503,7 @@ def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
     rows = []
     summaries = {}
     for r2 in r2_list:
-        member = replace(config, scenario="bidisperse", r2=r2, eps=0.0, rho0=0.0,
-                         output_dir="")
+        member = replace(config, scenario="bidisperse", r2=r2, eps=0.0, output_dir="")
         log.info("sweep: running bidisperse member r2=%g", r2)
         run = run_scenario(member)
         mismatch_field = fragment_mass_density(run).values - rho_limit.values

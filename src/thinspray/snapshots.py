@@ -3,8 +3,8 @@
 A snapshot file is one line of JSON (terminated by a newline) followed by the
 raw array data as little-endian 64-bit floats in row-major order.  Field
 headers carry {dim, n, length, components, time}; particle headers carry
-{dim, count, columns, time} with columns x|xi|w|species (species stored as
-floats).
+{dim, count, columns, time} with columns x|xi|w|r (r the droplet radius); a
+particle file whose columns differ is rejected.
 """
 
 from __future__ import annotations
@@ -49,15 +49,14 @@ def read_field(path) -> tuple[ScalarField | VectorField, float]:
     return field, float(header["time"])
 
 
+def _particle_columns(dim: int) -> list[str]:
+    return [f"x{ax}" for ax in range(dim)] + [f"xi{ax}" for ax in range(dim)] + ["w", "r"]
+
+
 def write_particles(path, cloud: ParticleCloud, time: float = 0.0):
-    dim = cloud.dim
-    columns = [f"x{ax}" for ax in range(dim)] + [f"xi{ax}" for ax in range(dim)] \
-        + ["w", "species"]
-    header = {"dim": dim, "count": cloud.count, "columns": columns, "time": float(time)}
-    table = np.concatenate(
-        [cloud.x, cloud.xi, cloud.w[:, None], cloud.species[:, None].astype(np.float64)],
-        axis=1,
-    )
+    header = {"dim": cloud.dim, "count": cloud.count,
+              "columns": _particle_columns(cloud.dim), "time": float(time)}
+    table = np.concatenate([cloud.x, cloud.xi, cloud.w[:, None], cloud.r[:, None]], axis=1)
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("ascii"))
         fh.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
@@ -68,12 +67,15 @@ def read_particles(path) -> tuple[ParticleCloud, float]:
         header = json.loads(fh.readline().decode("ascii"))
         raw = np.frombuffer(fh.read(), dtype="<f8")
     dim, count = int(header["dim"]), int(header["count"])
+    columns = _particle_columns(dim)
+    if header.get("columns") != columns:
+        raise ValueError(f"{path}: particle columns {header.get('columns')} are not {columns}")
     table = raw.reshape(count, 2 * dim + 2)
     cloud = ParticleCloud(
         table[:, :dim].copy(),
         table[:, dim:2 * dim].copy(),
         table[:, 2 * dim].copy(),
-        table[:, 2 * dim + 1].astype(np.int64),
+        table[:, 2 * dim + 1].copy(),
     )
     return cloud, float(header["time"])
 

@@ -1,12 +1,14 @@
 """The demos import only names the package still has and exports.
 
-Every demo is parsed; the fast ones also run in-process.  The others are
-parsed only: they take from seconds to minutes.
+Every demo is parsed; the fast ones also run in-process, with the command
+line they are listed with.  The others are parsed only: they take from
+seconds to minutes.
 """
 
 import ast
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,12 @@ import thinspray
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
-FAST_DEMOS = [DEMO_DIR / "demo_inequalities.py"]
+# name -> arguments; each takes under a second with them
+FAST_DEMOS = {
+    "demo_bidisperse_breakup.py": ["--fast"],
+    "demo_inequalities.py": [],
+    "demo_limit_system.py": ["--fast"],
+}
 
 
 def thinspray_imports(path: Path):
@@ -53,7 +60,9 @@ def test_demo_top_level_imports_are_exported(path):
     assert not unlisted, f"{path.name} imports names not in thinspray.__all__: {unlisted}"
 
 
-@pytest.mark.parametrize("path", FAST_DEMOS, ids=lambda p: p.name)
-def test_fast_demo_runs(path, capsys):
+@pytest.mark.parametrize("name", sorted(FAST_DEMOS))
+def test_fast_demo_runs(name, capsys, monkeypatch):
+    path = DEMO_DIR / name
+    monkeypatch.setattr(sys, "argv", [str(path), *FAST_DEMOS[name]])
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out

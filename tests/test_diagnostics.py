@@ -18,21 +18,14 @@ from thinspray.diagnostics import (
 from thinspray.errors import FieldError
 from thinspray.fluid import FluidState
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, mollify
-from thinspray.kinetic import (
-    FRAGMENT_SPECIES,
-    PARENT_SPECIES,
-    ParticleCloud,
-    deposit_moments,
-    species_radius,
-    velocity_cutoff,
-)
+from thinspray.kinetic import ParticleCloud, deposit_moments, velocity_cutoff
 from thinspray.transfer import cic_gather
 
 BALL_FACTOR = 4.0 * np.pi / 3.0
 
 
 def make_cloud(x, xi, w):
-    return ParticleCloud(x, xi, w, np.full(len(w), PARENT_SPECIES))
+    return ParticleCloud(x, xi, w, np.ones(len(w)))
 
 
 class TestRadialDensity:
@@ -204,8 +197,7 @@ class TestRemainders:
         # the pairing assumes the deposit weight w cutoff of unit-radius parents
         g = GridSpec(2, 16)
         zero = VectorField.zeros(g)
-        cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2),
-                              [PARENT_SPECIES, FRAGMENT_SPECIES])
+        cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), [1.0, 0.3])
         with pytest.raises(ValueError, match="parents only"):
             remainders(cloud, zero, zero, 0.5)
 
@@ -253,11 +245,10 @@ def _record_cases(draw):
     eps = draw(st.sampled_from([None, 0.3, 1.0]))
     if eps is not None and draw(st.booleans()):
         xi[:, 0] = np.copysign(1.0 / eps + 0.5 + np.abs(xi[:, 0]), xi[:, 0])
-    species = np.full(count, PARENT_SPECIES)
+    r = np.ones(count)
     if draw(st.booleans()):
-        species = draw(arrays(np.int64, count,
-                              elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
-    cloud = ParticleCloud(x, xi, w, species)
+        r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, 0.3])))
+    cloud = ParticleCloud(x, xi, w, r)
     return GridSpec(dim, n), cloud, eps, draw(st.integers(0, 2**32 - 1))
 
 
@@ -275,20 +266,17 @@ def test_property_paired_record_matches_gathered_sums(case):
     g, cloud, eps, seed = case
     rng = np.random.default_rng(seed)
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
-    r2 = 0.3
-    radius = species_radius(cloud.species, r2)
-    drag = deposit_moments(cloud, g, eps, radius)
+    drag = deposit_moments(cloud, g, eps)
     tail = cutoff_tail(cloud, u, eps)
-    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail,
-                            r2=r2)
+    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail)
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
     xi, w = cloud.xi, cloud.w
     xi_up = np.sum(xi * up, axis=1)
-    q = w * radius
+    q = w * cloud.r
     _assert_sum_matches(record.dissipation_drag,
                         [q * u_sq, -2.0 * q * xi_up, q * np.sum(xi**2, axis=1)])
-    if np.any(cloud.species != PARENT_SPECIES):
+    if np.any(cloud.r != 1.0):
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4

@@ -8,8 +8,6 @@ from scipy.spatial import cKDTree
 from thinspray import kinetic, scenarios
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, integral
 from thinspray.kinetic import (
-    FRAGMENT_SPECIES,
-    PARENT_SPECIES,
     ParticleCloud,
     absorb_and_fragment,
     advance_particles,
@@ -17,11 +15,11 @@ from thinspray.kinetic import (
     interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
-    species_mass_factor,
-    species_radius,
     velocity_cutoff,
 )
 from thinspray.transfer import cic_scatter
+
+R2 = 0.3  # the fragment radius of the mixed clouds below
 
 
 def uniform_velocity(grid, vec):
@@ -29,41 +27,48 @@ def uniform_velocity(grid, vec):
     return VectorField.from_components(grid, *comps)
 
 
-def random_cloud(rng, n, dim=3, species=None):
+def random_cloud(rng, n, dim=3, r=None):
     return ParticleCloud(
         rng.uniform(0, 2 * np.pi, (n, dim)),
         rng.standard_normal((n, dim)),
         rng.uniform(0.1, 2.0, n),
-        np.full(n, PARENT_SPECIES) if species is None else species,
+        np.ones(n) if r is None else r,
     )
 
 
-def relax_time(species, r2, dt=0.01):
-    """Relaxation time a droplet shows in one push through still fluid."""
+def mixed_radii(rng, n, parents):
+    """Radius 1 with probability `parents`, else R2."""
+    return np.where(rng.uniform(size=n) < parents, 1.0, R2)
+
+
+def relax_time(r, dt=0.01):
+    """Relaxation time a droplet of radius r shows in one push through still fluid."""
     g = GridSpec(2, 16)
     cloud = ParticleCloud(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]),
-                          np.array([1.0]), np.array([species]))
-    out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), dt, r2=r2)
+                          np.array([1.0]), np.array([r]))
+    out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), dt)
     return -dt / np.log(out.xi[0, 0])
 
 
 class TestStokesRelaxTime:
     # a droplet of radius r relaxes toward the fluid velocity in time r^2
     def test_unit_radius(self):
-        assert relax_time(PARENT_SPECIES, 0.3) == pytest.approx(1.0, rel=1e-12)
+        assert relax_time(1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_half_radius(self):
-        assert relax_time(FRAGMENT_SPECIES, 0.5) == pytest.approx(0.25, rel=1e-12)
+        assert relax_time(0.5) == pytest.approx(0.25, rel=1e-12)
 
     def test_vanishing_radius_monotone(self):
         radii = [0.4, 0.2, 0.1, 0.05]
-        times = [relax_time(FRAGMENT_SPECIES, r, dt=1e-4) for r in radii]
+        times = [relax_time(r, dt=1e-4) for r in radii]
         assert all(b < a for a, b in zip(times, times[1:]))
         assert times[-1] == pytest.approx(0.0025, rel=1e-9)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            relax_time(FRAGMENT_SPECIES, 0.0)
+        # the cloud refuses a radius that no push could relax with
+        for r in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="radii must be positive"):
+                ParticleCloud(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), [1.0, r])
 
 
 class TestVelocityCutoff:
@@ -97,7 +102,7 @@ class TestAdvanceParticles:
         u = uniform_velocity(g, (0.3, -0.1, 0.2))
         x0 = np.array([[1.0, 2.0, 3.0]])
         cloud = ParticleCloud(x0, np.array([[0.3, -0.1, 0.2]]),
-                              np.array([1.0]), np.array([PARENT_SPECIES]))
+                              np.array([1.0]), np.array([1.0]))
         out = advance_particles(cloud, u, 0.25)
         assert np.abs(out.xi[0] - cloud.xi[0]).max() < 1e-14
         assert np.abs(out.x[0] - (x0[0] + 0.25 * cloud.xi[0])).max() < 1e-13
@@ -106,8 +111,8 @@ class TestAdvanceParticles:
         g = GridSpec(3, 16)
         u = uniform_velocity(g, (1.0, 0.0, 0.0))
         cloud = ParticleCloud(np.array([[0.0, 0.0, 0.0]]), np.array([[5.0, 5.0, 5.0]]),
-                              np.array([1.0]), np.array([FRAGMENT_SPECIES]))
-        out = advance_particles(cloud, u, 1.0, r2=0.01)  # dt/r^2 = 1e4
+                              np.array([1.0]), np.array([0.01]))
+        out = advance_particles(cloud, u, 1.0)  # dt/r^2 = 1e4
         assert np.abs(out.xi[0] - np.array([1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_matches_ode_oracle(self):
@@ -118,9 +123,8 @@ class TestAdvanceParticles:
         r = 0.3
         x0 = np.array([1.0, 2.0, 3.0])
         xi0 = np.array([0.5, -1.0, 2.0])
-        cloud = ParticleCloud(x0[None], xi0[None], np.array([1.0]),
-                              np.array([FRAGMENT_SPECIES]))
-        out = advance_particles(cloud, u, 0.1, r2=r)
+        cloud = ParticleCloud(x0[None], xi0[None], np.array([1.0]), np.array([r]))
+        out = advance_particles(cloud, u, 0.1)
 
         def rhs(t, y):
             return np.concatenate([y[3:], (uvec - y[3:]) / r**2])
@@ -134,7 +138,7 @@ class TestAdvanceParticles:
         g = GridSpec(2, 16)
         u = uniform_velocity(g, (10.0, 0.0))
         cloud = ParticleCloud(np.array([[6.0, 1.0]]), np.array([[10.0, 0.0]]),
-                              np.array([1.0]), np.array([PARENT_SPECIES]))
+                              np.array([1.0]), np.array([1.0]))
         out = advance_particles(cloud, u, 0.1)
         assert 0 <= out.x[0, 0] < g.length
 
@@ -142,7 +146,7 @@ class TestAdvanceParticles:
         # x = -1e-17 after the push: np.mod alone rounds it up to exactly L
         g = GridSpec(2, 16)
         cloud = ParticleCloud(np.array([[0.0, 1.0]]), np.array([[-1e-14, 0.0]]),
-                              np.array([1.0]), np.array([PARENT_SPECIES]))
+                              np.array([1.0]), np.array([1.0]))
         out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), 1e-3)
         assert np.all((out.x >= 0.0) & (out.x < g.length))
 
@@ -152,7 +156,7 @@ def with_fragments(cloud, lost, r2):
     spawn = lost > 0
     return ParticleCloud.concatenate([cloud, ParticleCloud(
         cloud.x[spawn], cloud.xi[spawn], lost[spawn] / r2**3,
-        np.full(spawn.sum(), FRAGMENT_SPECIES))])
+        np.full(spawn.sum(), r2))])
 
 
 class TestFragmentation:
@@ -165,7 +169,7 @@ class TestFragmentation:
 
     def test_half_life_closed_form(self):
         cloud = ParticleCloud(np.zeros((1, 3)), np.zeros((1, 3)),
-                              np.array([1.0]), np.array([PARENT_SPECIES]))
+                              np.array([1.0]), np.array([1.0]))
         tau = 0.7
         out, lost = absorb_and_fragment(cloud, tau * np.log(2.0), tau)
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
@@ -173,15 +177,13 @@ class TestFragmentation:
 
     def test_fragments_pass_through(self):
         rng = np.random.default_rng(6)
-        species = np.where(rng.uniform(size=200) < 0.5, PARENT_SPECIES,
-                           FRAGMENT_SPECIES)
-        cloud = random_cloud(rng, 200, species=species)
+        cloud = random_cloud(rng, 200, r=mixed_radii(rng, 200, 0.5))
         out, lost = absorb_and_fragment(cloud, 0.05, 0.3)
-        frag = species == FRAGMENT_SPECIES
+        frag = cloud.r != 1.0
         assert np.array_equal(out.w[frag], cloud.w[frag])
         assert not lost[frag].any()
         assert (lost[~frag] > 0).all()
-        assert np.array_equal(out.species, cloud.species)
+        assert np.array_equal(out.r, cloud.r)
 
     def test_infinite_tau_loses_nothing(self):
         cloud = random_cloud(np.random.default_rng(7), 50)
@@ -194,18 +196,16 @@ class TestFragmentation:
         out, _ = absorb_and_fragment(cloud, 0.01, 1.0)
         assert np.shares_memory(out.x, cloud.x)
         assert np.shares_memory(out.xi, cloud.xi)
-        assert np.shares_memory(out.species, cloud.species)
+        assert np.shares_memory(out.r, cloud.r)
         assert not np.shares_memory(out.w, cloud.w)
 
     def test_liquid_volume_conserved(self):
         rng = np.random.default_rng(1)
-        species = np.where(rng.uniform(size=500) < 0.7, PARENT_SPECIES,
-                           FRAGMENT_SPECIES)
-        cloud = random_cloud(rng, 500, species=species)
         r2 = 0.31
-        before = np.sum(cloud.w * species_mass_factor(cloud.species, r2))
+        cloud = random_cloud(rng, 500, r=np.where(rng.uniform(size=500) < 0.7, 1.0, r2))
+        before = np.sum(cloud.w * cloud.r**3)
         merged = with_fragments(*absorb_and_fragment(cloud, 0.013, 0.4), r2)
-        after = np.sum(merged.w * species_mass_factor(merged.species, r2))
+        after = np.sum(merged.w * merged.r**3)
         assert after == pytest.approx(before, rel=1e-14)
 
     def test_mass_weighted_momentum_conserved(self):
@@ -214,18 +214,16 @@ class TestFragmentation:
         r2 = 0.17
         before = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
         merged = with_fragments(*absorb_and_fragment(cloud, 0.05, 0.5), r2)
-        mass = species_mass_factor(merged.species, r2)
+        mass = merged.r**3
         after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
         assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
     def test_mask_breaks_up_only_the_selected_parents(self):
         rng = np.random.default_rng(9)
-        species = np.where(rng.uniform(size=300) < 0.6, PARENT_SPECIES,
-                           FRAGMENT_SPECIES)
-        cloud = random_cloud(rng, 300, species=species)
+        cloud = random_cloud(rng, 300, r=mixed_radii(rng, 300, 0.6))
         breaks = rng.uniform(size=300) < 0.5
         out, lost = absorb_and_fragment(cloud, 0.04, 0.3, breaks)
-        hit = breaks & (species == PARENT_SPECIES)
+        hit = breaks & (cloud.r == 1.0)
         assert np.array_equal(out.w[hit], cloud.w[hit] * np.exp(-0.04 / 0.3))
         assert np.array_equal(out.w[~hit], cloud.w[~hit])
         assert not lost[~hit].any() and (lost[hit] > 0).all()
@@ -233,9 +231,7 @@ class TestFragmentation:
 
     def test_default_mask_is_every_parent(self):
         rng = np.random.default_rng(10)
-        species = np.where(rng.uniform(size=100) < 0.5, PARENT_SPECIES,
-                           FRAGMENT_SPECIES)
-        cloud = random_cloud(rng, 100, species=species)
+        cloud = random_cloud(rng, 100, r=mixed_radii(rng, 100, 0.5))
         every = absorb_and_fragment(cloud, 0.02, 0.7, np.ones(100, dtype=bool))
         default = absorb_and_fragment(cloud, 0.02, 0.7)
         assert np.array_equal(every[0].w, default[0].w)
@@ -264,7 +260,7 @@ class TestAbsorbToDensity:
     def test_half_life_closed_form(self):
         g = GridSpec(3, 16)
         cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
-                              np.array([1.0]), np.array([PARENT_SPECIES]))
+                              np.array([1.0]), np.array([1.0]))
         out, lost = absorb_and_fragment(cloud, np.log(2.0), 1.0)
         released = ScalarField(g, cic_scatter(g, out.x, lost))
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
@@ -285,7 +281,7 @@ class TestDepositMoments:
         g = GridSpec(3, 16)
         xi = np.array([[0.5, -1.0, 2.0]])
         cloud = ParticleCloud(np.array([[g.h, 2 * g.h, 3 * g.h]]), xi,
-                              np.array([2.0]), np.array([PARENT_SPECIES]))
+                              np.array([2.0]), np.array([1.0]))
         drag = deposit_moments(cloud, g)
         assert integral(drag.m0) == pytest.approx(2.0, rel=1e-13)
         assert np.asarray(integral(drag.m1)) == pytest.approx(2.0 * xi[0], rel=1e-13)
@@ -295,7 +291,7 @@ class TestDepositMoments:
         eps = 0.5
         xi = np.array([[1.5 / eps, 0.0, 0.0]])
         cloud = ParticleCloud(np.array([[1.0, 1.0, 1.0]]), xi,
-                              np.array([1.0]), np.array([PARENT_SPECIES]))
+                              np.array([1.0]), np.array([1.0]))
         cut = velocity_cutoff(xi, eps)[0]
         assert 0.0 < cut < 1.0
         drag = deposit_moments(cloud, g, eps)
@@ -349,7 +345,7 @@ class TestMerge:
             np.array([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]),
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             np.array([0.5, 0.5]),
-            np.array([PARENT_SPECIES, PARENT_SPECIES]),
+            np.array([1.0, 1.0]),
         )
         out, _ = merge_particles(cloud, 1, TWO_PI)
         assert out.count == 1
@@ -359,26 +355,24 @@ class TestMerge:
 
     def test_conserves_number_and_momentum(self):
         rng = np.random.default_rng(10)
-        species = np.where(rng.uniform(size=4000) < 0.5, PARENT_SPECIES,
-                           FRAGMENT_SPECIES)
-        cloud = random_cloud(rng, 4000, species=species)
+        cloud = random_cloud(rng, 4000, r=mixed_radii(rng, 4000, 0.5))
         w0 = cloud.w.sum()
         p0 = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
-        counts0 = {s: cloud.w[cloud.species == s].sum() for s in (1, 2)}
+        counts0 = {r: cloud.w[cloud.r == r].sum() for r in (1.0, R2)}
         out, err = merge_particles(cloud, 2500, TWO_PI)
         assert out.count <= 2500
         assert out.w.sum() == pytest.approx(w0, rel=1e-13)
         assert np.abs(np.sum(out.w[:, None] * out.xi, axis=0) - p0).max() \
             <= 1e-12 * max(np.abs(p0).max(), 1.0)
-        for s in (1, 2):  # merging never moves weight across species
-            assert out.w[out.species == s].sum() == pytest.approx(counts0[s], rel=1e-13)
+        for r in (1.0, R2):  # merging never moves weight across radii
+            assert out.w[out.r == r].sum() == pytest.approx(counts0[r], rel=1e-13)
         assert err < 0.05
 
     def test_merges_across_the_seam_of_the_given_period(self):
         # on a period-1 torus, 0.95 and 0.05 are 0.1 apart across the seam
         cloud = ParticleCloud(
             np.array([[0.95, 0.5], [0.05, 0.5]]), np.zeros((2, 2)),
-            np.array([1.0, 1.0]), np.array([PARENT_SPECIES, PARENT_SPECIES]),
+            np.array([1.0, 1.0]), np.array([1.0, 1.0]),
         )
         out, _ = merge_particles(cloud, 1, 1.0)
         x = out.x[0, 0]
@@ -387,8 +381,7 @@ class TestMerge:
 
     def test_coincident_particles_merge_with_each_other(self):
         # the tree may return a coincident point before the query point itself
-        cloud = ParticleCloud(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4),
-                              np.full(4, PARENT_SPECIES))
+        cloud = ParticleCloud(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4), np.ones(4))
         out, _ = merge_particles(cloud, 1, 1.0)
         assert out.count == 1 and out.w[0] == 4.0
 
@@ -432,9 +425,9 @@ class TestSampler:
             assert np.array_equal(kinetic._scrambled_halton(n, dim, seed), want), n
 
 
-def _cloud(x, w, species):
+def _cloud(x, w):
     x = np.asarray(x, dtype=float)
-    return ParticleCloud(x, np.ones_like(x), w, species)
+    return ParticleCloud(x, np.ones_like(x), w, np.ones(len(x)))
 
 
 @st.composite
@@ -449,25 +442,22 @@ def _merge_cases(draw):
     # zero weights make zero-weight pairs, which merge by the unweighted mean
     w = draw(arrays(np.float64, count, elements=st.just(0.0)
                     | st.floats(0.0, 10.0, allow_subnormal=False)))
-    species = draw(arrays(np.int64, count,
-                          elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
+    r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, R2])))
     budget = draw(st.integers(1, count))
-    return ParticleCloud(x, xi, w, species), budget, length
+    return ParticleCloud(x, xi, w, r), budget, length
 
 
 # a zero-weight pair, coincident particles, and a pair whose weighted mean
 # lands a rounding error below 0 (np.remainder maps that to the period itself)
-@example((_cloud([[0.5, 0.5], [0.6, 0.5], [0.1, 0.9]], [0.0, 0.0, 1.0],
-                 [PARENT_SPECIES] * 3), 1, 1.0))
-@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0], [PARENT_SPECIES] * 3), 1, 1.0))
-@example((_cloud([[0.0, 1.0], [TWO_PI - 2e-15, 1.0]], [0.8, 0.2],
-                 [PARENT_SPECIES] * 2), 1, TWO_PI))
+@example((_cloud([[0.5, 0.5], [0.6, 0.5], [0.1, 0.9]], [0.0, 0.0, 1.0]), 1, 1.0))
+@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1, 1.0))
+@example((_cloud([[0.0, 1.0], [TWO_PI - 2e-15, 1.0]], [0.8, 0.2]), 1, TWO_PI))
 @given(_merge_cases())
 def test_property_merge(case):
     cloud, budget, length = case
     out, _ = merge_particles(cloud, budget, length)
-    for sid in (PARENT_SPECIES, FRAGMENT_SPECIES):
-        before, after = cloud.species == sid, out.species == sid
+    for r in (1.0, R2):  # merging never moves weight or momentum across radii
+        before, after = cloud.r == r, out.r == r
         w_before = cloud.w[before]
         assert abs(out.w[after].sum() - w_before.sum()) <= 1e-13 * w_before.sum()
         p_before = w_before @ cloud.xi[before]
@@ -476,7 +466,7 @@ def test_property_merge(case):
         assert np.all(np.abs(p_after - p_before) <= 1e-12 * p_scale)
     assert np.all((out.x >= 0.0) & (out.x < length))
     if out.count > budget:  # merging stopped only for want of pairs
-        assert np.all(np.unique(out.species, return_counts=True)[1] == 1)
+        assert np.all(np.unique(out.r, return_counts=True)[1] == 1)
 
 
 def _phase_space(cloud, group):
@@ -486,16 +476,16 @@ def _phase_space(cloud, group):
 
 
 # all coincident, and coincident in fours
-@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0], [PARENT_SPECIES] * 3), 1, 1.0))
-@example((_cloud(np.repeat([[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]], 4, axis=0), np.ones(12),
-                 [PARENT_SPECIES] * 12), 1, 1.0))
+@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1, 1.0))
+@example((_cloud(np.repeat([[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]], 4, axis=0), np.ones(12)),
+          1, 1.0))
 @given(_merge_cases())
 def test_property_edges_are_within_the_approximation(case):
     # every edge joins two particles and is at most (1 + eps) times as long
     # as the exact nearest-neighbour distance of its source
     cloud, _, _ = case
-    for sid in (PARENT_SPECIES, FRAGMENT_SPECIES):
-        group = np.flatnonzero(cloud.species == sid)
+    for r in (1.0, R2):
+        group = np.flatnonzero(cloud.r == r)
         if group.size < 2:
             continue
         z = _phase_space(cloud, group)
@@ -548,7 +538,7 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
         return merge(cloud, budget, **kwargs)
 
     def pooled():
-        return sum(_pair_shifts(cloud, np.flatnonzero(cloud.species == FRAGMENT_SPECIES),
+        return sum(_pair_shifts(cloud, np.flatnonzero(cloud.r < 1.0),
                                 cloud.count - budget, TWO_PI) for cloud, budget in inputs)
 
     eps = kinetic._NN_EPS
@@ -647,18 +637,17 @@ def _reference_merge_pass(cloud, group, max_merges, length):
         np.concatenate([cloud.x[keep], x_m]),
         np.concatenate([cloud.xi[keep], xi_m]),
         np.concatenate([cloud.w[keep], wsum]),
-        np.concatenate([cloud.species[keep], cloud.species[a]]),
+        np.concatenate([cloud.r[keep], cloud.r[a]]),
     )
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("budget, passes, two_species", [
+@pytest.mark.parametrize("budget, passes, two_radii", [
     (380, 1, False), (200, 2, False), (150, 3, False), (200, 4, True)])
-def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_species):
+def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_radii):
     rng = np.random.default_rng(40 + dim)
-    species = np.where(rng.uniform(size=400) < 0.5, PARENT_SPECIES, FRAGMENT_SPECIES) \
-        if two_species else None
-    cloud = random_cloud(rng, 400, dim, species)
+    r = mixed_radii(rng, 400, 0.5) if two_radii else None
+    cloud = random_cloud(rng, 400, dim, r)
     calls = []
 
     def counted(*args):
@@ -669,7 +658,7 @@ def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_
     monkeypatch.setattr(kinetic, "_merge_pass", counted)
     want, want_m2 = merge_particles(cloud, budget, TWO_PI)
     assert len(calls) == passes
-    for name in ("x", "xi", "w", "species"):
+    for name in ("x", "xi", "w", "r"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got_m2 == want_m2
 
@@ -685,9 +674,8 @@ def _pass_cases(draw):
                     elements=st.floats(-2 * TWO_PI, 3 * TWO_PI, exclude_max=True)))
     xi = draw(arrays(np.float64, (count, dim), elements=st.floats(-5.0, 5.0)))
     weights = arrays(np.float64, count, elements=st.floats(0.0, 10.0, allow_subnormal=False))
-    species = draw(arrays(np.int64, count,
-                          elements=st.sampled_from([PARENT_SPECIES, FRAGMENT_SPECIES])))
-    cloud = ParticleCloud(x, xi, draw(weights), species)
+    r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, R2])))
+    cloud = ParticleCloud(x, xi, draw(weights), r)
     eps = draw(st.none() | st.sampled_from([0.3, 1.0]))
     return GridSpec(dim, n), cloud, eps
 
@@ -696,9 +684,8 @@ def _pass_cases(draw):
 def test_property_pass_matches_one_sided_kernels(case):
     # the one scatter of a step against a scatter of the stacked charge columns
     g, cloud, eps = case
-    radius = species_radius(cloud.species, 0.3)
-    drag = deposit_moments(cloud, g, eps, radius)
-    w = cloud.w * radius if eps is None else cloud.w * velocity_cutoff(cloud.xi, eps) * radius
+    drag = deposit_moments(cloud, g, eps)
+    w = cloud.w * cloud.r if eps is None else cloud.w * velocity_cutoff(cloud.xi, eps) * cloud.r
     cols = np.column_stack([w, w[:, None] * cloud.xi])
     ref = cic_scatter(g, cloud.x, cols)
     got = np.stack([drag.m0.values, *drag.m1.values], axis=-1)

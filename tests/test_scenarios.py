@@ -13,7 +13,7 @@ from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, StepRejectedError
 from thinspray.grid import divergence_residual, fft, integral
-from thinspray.kinetic import FRAGMENT_SPECIES, PARENT_SPECIES, velocity_cutoff
+from thinspray.kinetic import velocity_cutoff
 from thinspray.scenarios import (
     SimConfig,
     fragment_mass_density,
@@ -83,9 +83,8 @@ class TestConfig:
         dict(r2=1.5), dict(r2=0.0), dict(tau=0.0), dict(eps=-0.1),
         dict(scenario="regularized", eps=0.0), dict(particle_budget=0),
         dict(nu=0.0), dict(diag_stride=0), dict(fluid_init="vortex"),
-        dict(spray_init="maxwell"), dict(rho0=-1.0),
-        dict(eps=0.5), dict(scenario="bidisperse", eps=0.5),
-        dict(scenario="bidisperse", rho0=0.1), dict(particle_count=5_001),
+        dict(spray_init="maxwell"),
+        dict(eps=0.5), dict(scenario="bidisperse", eps=0.5), dict(particle_count=5_001),
         dict(particle_count=1),
     ])
     def test_invalid(self, kw):
@@ -106,6 +105,16 @@ class TestConfig:
                    and any(isinstance(sub, ast.Attribute) and sub.attr == "scenario"
                            for sub in ast.walk(node))]
         assert readers == []
+
+    def test_only_the_cloud_carries_the_radius(self):
+        # each particle's radius lives on the cloud, which the spawn sets to
+        # config.r2; no function takes r2 to rebuild it
+        takers = [f"{path.name}:{node.lineno}"
+                  for path in sorted(Path(scenarios.__file__).parent.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  and "r2" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+        assert takers == []
 
     @pytest.mark.parametrize("kw", [dict(spray_mass=0.0), dict(spray_init="none")])
     def test_no_particle_floor_without_a_sampled_spray(self, kw):
@@ -305,8 +314,8 @@ class TestRunScenario:
     def test_bidisperse_tau_inf_two_populations(self):
         cfg = quick_config(scenario="bidisperse", tau=math.inf, t_final=0.05)
         res = run_scenario(cfg)
-        # no fragmentation: species-1 count only, weights untouched
-        assert np.all(res.cloud.species == PARENT_SPECIES)
+        # no fragmentation: unit-radius parents only, weights untouched
+        assert np.all(res.cloud.r == 1.0)
         assert res.cloud.w.sum() == pytest.approx(cfg.spray_mass, rel=1e-13)
         assert res.summary["liquid_volume"]["pass"]
 
@@ -314,9 +323,9 @@ class TestRunScenario:
         cfg = quick_config(scenario="bidisperse", tau=0.05, r2=0.3,
                            t_final=0.05, particle_budget=6_000)
         res = run_scenario(cfg)
-        assert (res.cloud.species == FRAGMENT_SPECIES).any()
+        assert (res.cloud.r == cfg.r2).any()
         assert res.summary["liquid_volume"]["pass"]
-        assert liquid_volume(res.cloud, cfg.r2) == pytest.approx(
+        assert liquid_volume(res.cloud) == pytest.approx(
             cfg.spray_mass, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.05, math.inf])
@@ -343,9 +352,9 @@ class TestRunScenario:
         assert len(pushed) == cfg.steps == len(deposited) - 1
         for step, (before, after) in enumerate(zip(pushed, deposited[1:]), start=1):
             n = before.count
-            for name in ("x", "xi", "species"):
+            for name in ("x", "xi", "r"):
                 assert np.array_equal(getattr(after, name)[:n], getattr(before, name))
-            turn = (np.arange(n) % 2 == step % 2) & (before.species == PARENT_SPECIES)
+            turn = (np.arange(n) % 2 == step % 2) & (before.r == 1.0)
             if tau == math.inf:
                 turn[:] = False
             assert np.array_equal(after.w[:n][turn],
@@ -354,14 +363,13 @@ class TestRunScenario:
             lost = before.w[turn] - after.w[:n][turn]
             spawned = after.select(np.arange(after.count) >= n)
             assert spawned.count == turn.sum()
-            assert np.all(spawned.species == FRAGMENT_SPECIES)
+            assert np.all(spawned.r == cfg.r2)
             assert np.array_equal(spawned.x, before.x[turn])
             assert np.array_equal(spawned.xi, before.xi[turn])
             assert np.array_equal(spawned.w, lost / cfg.r2**3)
-            assert liquid_volume(after, cfg.r2) == pytest.approx(
-                liquid_volume(before, cfg.r2), rel=1e-14)
+            assert liquid_volume(after) == pytest.approx(liquid_volume(before), rel=1e-14)
         if tau != math.inf:  # both parities took turns, on parents and beside fragments
-            assert (deposited[-1].species == FRAGMENT_SPECIES).any()
+            assert (deposited[-1].r == cfg.r2).any()
 
     def test_staggered_merges_take_one_pass(self, monkeypatch):
         # spawning half the parents per step leaves the merge a share of the
@@ -588,5 +596,5 @@ class TestSweep:
         cfg = quick_config(scenario="bidisperse", tau=0.02, r2=0.4, t_final=0.04)
         res = run_scenario(cfg)
         field = fragment_mass_density(res)
-        frag = res.cloud.select(res.cloud.species == FRAGMENT_SPECIES)
+        frag = res.cloud.select(res.cloud.r == 0.4)
         assert integral(field) == pytest.approx(0.4**3 * frag.w.sum(), rel=1e-12)

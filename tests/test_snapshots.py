@@ -63,7 +63,7 @@ def test_particle_round_trip(tmp_path):
         rng.uniform(0, 2 * np.pi, (100, 3)),
         rng.standard_normal((100, 3)),
         rng.uniform(0, 1, 100),
-        rng.integers(1, 3, 100),
+        rng.choice([1.0, 0.3], 100),
     )
     path = tmp_path / "cloud.particles"
     write_particles(path, cloud, time=0.75)
@@ -72,7 +72,18 @@ def test_particle_round_trip(tmp_path):
     assert np.array_equal(back.x, cloud.x)
     assert np.array_equal(back.xi, cloud.xi)
     assert np.array_equal(back.w, cloud.w)
-    assert np.array_equal(back.species, cloud.species)
+    assert np.array_equal(back.r, cloud.r)
+
+
+def test_particles_of_another_layout_rejected(tmp_path):
+    # a file of the species layout: its last column holds tags 1 and 2, not radii
+    header = {"dim": 2, "count": 2, "columns": ["x0", "x1", "xi0", "xi1", "w", "species"],
+              "time": 0.0}
+    table = np.array([[0.5, 0.5, 0.0, 0.0, 1.0, 1.0], [1.5, 1.5, 0.0, 0.0, 1.0, 2.0]])
+    path = tmp_path / "old.particles"
+    path.write_bytes((json.dumps(header) + "\n").encode("ascii") + table.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="species"):
+        read_particles(path)
 
 
 @st.composite
@@ -84,8 +95,9 @@ def _clouds(draw):
     x = draw(arrays(np.float64, (count, dim), elements=finite))
     xi = draw(arrays(np.float64, (count, dim), elements=finite))
     w = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False)))
-    species = draw(arrays(np.int64, count, elements=st.sampled_from([1, 2])))
-    return ParticleCloud(x, xi, w, species), draw(finite)
+    r = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False,
+                                                          exclude_min=True)))
+    return ParticleCloud(x, xi, w, r), draw(finite)
 
 
 @example((ParticleCloud.empty(3), 0.0))
@@ -96,7 +108,7 @@ def test_property_particle_round_trip_bit_exact(tmp_path_factory, case):
     write_particles(path, cloud, time=time)
     back, t = read_particles(path)
     assert np.float64(t).tobytes() == np.float64(time).tobytes()
-    for name in ("x", "xi", "w", "species"):
+    for name in ("x", "xi", "w", "r"):
         a, b = getattr(back, name), getattr(cloud, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
