@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from thinspray import SimConfig, run_scenario
-from thinspray.diagnostics import liquid_volume
 
 fast = "--fast" in sys.argv
 config = SimConfig(
@@ -46,7 +45,7 @@ print(f"parent number remaining: {cloud.w[parents].sum():.5f} of "
 print(f"fragment number: {cloud.w[fragments].sum():.2f} "
       f"(amplified by 1/r2^3 = {1 / config.r2**3:.0f})")
 
-vol = liquid_volume(cloud)
+vol = result.records[-1].volume
 print(f"\nliquid volume: {vol:.12f} vs initial {config.spray_mass:.12f} "
       f"(error {abs(vol - config.spray_mass):.2e})")
 print(f"summary liquid-volume flag: {result.summary['liquid_volume']}")

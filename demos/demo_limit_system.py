@@ -34,14 +34,14 @@ print(f"limit-system run: n={config.n}^{config.dim}, dt={config.dt}, "
 result = run_scenario(config)
 records = result.records
 
-print(f"\n{'t':>6s} {'E_spray':>9s} {'E_fluid':>9s} {'M0 f':>8s} "
+print(f"\n{'t':>6s} {'E_spray':>9s} {'E_fluid':>9s} {'volume':>8s} "
       f"{'int rho':>8s} {'total P_x':>10s}")
 for rec in records[:: max(1, len(records) // 8)]:
     print(f"{rec.t:6.3f} {rec.e_kinetic_spray:9.5f} {rec.e_fluid:9.3f} "
-          f"{rec.mass_f:8.5f} {rec.mass_rho:8.5f} {rec.total_momentum[0]:10.6f}")
+          f"{rec.volume:8.5f} {rec.mass_rho:8.5f} {rec.total_momentum[0]:10.6f}")
 
-totals = [r.mass_f + r.mass_rho for r in records]
-print(f"\ndroplet number + added density: max drift "
+totals = [r.volume + r.mass_rho for r in records]
+print(f"\nspray volume + added density: max drift "
       f"{max(abs(v - totals[0]) for v in totals):.2e} (conserved)")
 
 print(f"energy inequality residual at T: "

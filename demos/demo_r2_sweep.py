@@ -37,9 +37,5 @@ for row in result.rows:
 print(f"\nfitted log-log slope of delta vs r2: {result.slope:.3f}")
 print("(the r2^2 relaxation time suggests a slope near 2; reported, not asserted)")
 
-deltas = [row.delta for row in result.rows]
-print("delta strictly decreasing:",
-      all(b < a for a, b in zip(deltas, deltas[1:])))
-mism = [row.rho_mismatch for row in result.rows]
-print("rho mismatch non-increasing:",
-      all(b <= a for a, b in zip(mism, mism[1:])))
+for name, ok in result.checks().items():
+    print(f"{name}:", ok)

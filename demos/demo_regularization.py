@@ -23,8 +23,7 @@ print(f"{'eps':>7s} {'sup_t |r1|':>12s} {'sup_t |r2|':>12s} "
 sums = []
 for eps in (0.5, 0.25, 0.125):
     result = run_scenario(SimConfig(eps=eps, **base))
-    series = np.array([(abs(r1), abs(r2), abs(r3))
-                       for _, r1, r2, r3 in result.remainders])
+    series = np.array([(abs(r.r1), abs(r.r2), abs(r.r3)) for r in result.records])
     sup = series.max(axis=0)
     total = series.sum(axis=1).max()
     sums.append(total)

@@ -11,7 +11,6 @@ configuration, 3 when a run aborts on a rejected step.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -73,17 +72,12 @@ def _cmd_sweep(args) -> int:
     for row in result.rows:
         print(f"{row.r2:8.3f} {row.delta:12.5e} {row.rho_mismatch:14.5e}")
     print(f"log-log slope of delta vs r2: {result.slope:.3f} (relaxation scaling ~2)")
-    deltas = [row.delta for row in result.rows]
-    mism = [row.rho_mismatch for row in result.rows]
-    ok = all(b < a for a, b in zip(deltas, deltas[1:])) \
-        and all(b <= a for a, b in zip(mism, mism[1:]))
-    print(f"[{'PASS' if ok else 'FAIL'}] delta strictly decreasing, mismatch non-increasing")
-    if not args.output_json:
-        return 0 if ok else 1
-    with open(args.output_json, "w") as fh:
-        json.dump(result.as_dict(), fh, indent=2)
-    print(f"wrote {args.output_json}")
-    return 0 if ok else 1
+    checks = result.checks()
+    for name, ok in checks.items():
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+    if cfg.output_dir:
+        print(f"wrote {cfg.output_dir}/sweep.json")
+    return 0 if all(checks.values()) else 1
 
 
 def main(argv=None) -> int:
@@ -99,7 +93,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", help="flat key=value config file")
     p_sweep.add_argument("--r2-list", default="0.4,0.2,0.1",
                          help="comma-separated decreasing radii")
-    p_sweep.add_argument("--output-json", default="", help="write sweep rows here")
     _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

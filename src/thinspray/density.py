@@ -38,7 +38,7 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField,
     """One semi-Lagrangian transport step with a nonnegative source.
 
     source is the density added per unit time; a source-free step passes
-    ScalarField.zeros.  u is the advecting velocity the feet are traced
+    zeros.  u is the advecting velocity the feet are traced
     with; a caller that advects with a mollified velocity passes the
     mollified field.  The CFL check applies to that same field.
     The advected field is rescaled by the ratio of old to interpolated total

@@ -32,11 +32,13 @@ BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 
 @dataclass
 class DiagnosticsRecord:
-    """One row of per-step diagnostics.
+    """One row of per-step diagnostics: every budget input of one step.
 
     Spray kinetic energy weighs each droplet by its liquid volume r^3 (1 for
     parents, r2^3 for fragments); the drag dissipation weighs it by its
     radius r, so the energy budget closes with a single scenario coefficient.
+    volume + mass_rho is the liquid every scenario conserves; r1, r2, r3
+    are the regularization_remainders, 0.0 without a cutoff.
     """
 
     t: float
@@ -48,9 +50,12 @@ class DiagnosticsRecord:
     m1: np.ndarray           # (dim,) number-weighted momentum of the spray
     m2: float
     total_momentum: np.ndarray  # (dim,) mass-weighted spray + (1+rho) fluid
-    mass_f: float            # number of droplets (sum of weights)
+    volume: float            # liquid volume of the spray, sum w r^3
     mass_rho: float          # integral of the added density
     div_residual: float
+    r1: float
+    r2: float
+    r3: float
 
     def scalars(self) -> dict:
         """Flatten to plain floats with stable per-axis column names."""
@@ -112,15 +117,17 @@ def cutoff_tail(cloud: ParticleCloud, u: VectorField, eps: float | None) -> Cuto
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
                    rho: ScalarField, drag: DragField, tail: CutoffTail, *,
+                   volume: float, remainders=(0.0, 0.0, 0.0),
                    nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
-    rho is the added density; a run without one passes ScalarField.zeros.
+    rho is the added density; a run without one passes zeros.
     drag is the cloud's drag deposit of weights w r, times the velocity
     cutoff of width eps if it has one; tail is cutoff_tail(cloud, fluid.u,
     eps) with that eps (None without a cutoff).  The radius r, the Stokes
-    drag weight, also weighs |u - xi|^2 f in the drag dissipation.  A
-    non-finite u raises FieldError.
+    drag weight, also weighs |u - xi|^2 f in the drag dissipation.  volume
+    (liquid_volume) and remainders (of regularization_remainders, zeros
+    without a cutoff) are stored as given.  A non-finite u raises FieldError.
     """
     u = fluid.u
     grid = u.grid
@@ -155,9 +162,10 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
         m1=np.asarray(m1, dtype=float),
         m2=m2,
         total_momentum=np.asarray(m1_mass + fluid_momentum, dtype=float),
-        mass_f=m0,
+        volume=volume,
         mass_rho=float(integral(rho)),
         div_residual=divergence_residual(grid, fluid.u_hat),
+        r1=remainders[0], r2=remainders[1], r3=remainders[2],
     )
 
 

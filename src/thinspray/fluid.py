@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import StepRejectedError
 from .grid import (
-    GridSpec,
     ScalarField,
     VectorField,
     _spectral_tables,
@@ -61,10 +60,6 @@ class DragField:
 
     def __post_init__(self):
         require_same_grid(self.m0, self.m1)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "DragField":
-        return cls(ScalarField.zeros(grid), VectorField.zeros(grid))
 
 
 def drag_force(u: VectorField, drag: DragField, coupling: float) -> VectorField:
@@ -101,7 +96,7 @@ def ns_step(state: FluidState, u_adv: VectorField, rho: ScalarField,
     u_adv is the advecting velocity: state.u, or its mollification in the
     regularized system.  rho is the added density and drag holds the droplet
     moments, which act on the gas with the given coupling; a caller without
-    either passes ScalarField.zeros or DragField.zeros.  The step reads
+    either passes zero fields.  The step reads
     state.u_hat; the returned velocity is Leray-projected and carries its
     projected spectrum.  The whole explicit tendency is dealiased by the 2/3
     rule, so a band-limited u stays band-limited.

@@ -83,10 +83,6 @@ class ScalarField:
     def zeros(cls, grid: GridSpec) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def full(cls, grid: GridSpec, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 

@@ -9,7 +9,7 @@ their lost weight goes:
                     the fluid inertia.
 * ``regularized`` - absorbs it as the limit does; eps > 0 mollifies the
                     advecting velocity, cuts the deposited moments off in
-                    velocity and adds the energy remainders to the records.
+                    velocity and records the energy remainders r1, r2, r3.
 * ``bidisperse``  - keeps it as radius-r2 fragments, merged when the cloud
                     outgrows its budget; rho stays zero.
 
@@ -29,8 +29,9 @@ parent absorbed into rho joins the gas at velocity u: breakup hands the
 gas the impulse (w/tau)(xi - u) on top of the drag w (xi - u) and
 dissipates (w/2tau)|xi - u|^2, so an absorbing run couples with 1 + 1/tau
 and weighs the drag dissipation with 1 + 1/(2 tau), a fragmenting one with
-1 and 1.  The summary gates the mass budget of an absorbing run without a
-cutoff, and the liquid volume of a fragmenting one.
+1 and 1.  Every scenario keeps one liquid, the spray's sum w r^3 plus the
+integral of rho: the summary gates it as the mass budget of an absorbing
+run without a cutoff, and as the liquid volume of a fragmenting one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,6 @@ class SimConfig:
     spray_sigma: float = 0.6      # velocity spread of the initial cloud
     spray_mean_speed: float = 0.5  # offset preset: mean velocity along x
     nu: float = 1.0
-    diag_stride: int = 1
     snapshot_stride: int = 0      # 0 = no snapshots
     output_dir: str = ""
 
@@ -149,8 +149,8 @@ class SimConfig:
             raise ConfigError("spray mass and sigma must be nonnegative")
         if not self.nu > 0:
             raise ConfigError("nu must be positive")
-        if self.diag_stride < 1 or self.snapshot_stride < 0:
-            raise ConfigError("strides must be positive (snapshot_stride may be 0)")
+        if self.snapshot_stride < 0:
+            raise ConfigError("snapshot_stride must be nonnegative")
         h = self.grid.h  # GridSpec validates n and dim
         u_scale = 1.0 if self.fluid_init == "taylor-green" else 0.0
         if sampled:
@@ -250,7 +250,6 @@ class RunResult:
     fluid: FluidState
     cloud: ParticleCloud
     density: DensityField
-    remainders: list = field(default_factory=list)  # (t, r1, r2, r3) when regularized
 
 
 def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState,
@@ -299,17 +298,16 @@ def run_scenario(config: SimConfig) -> RunResult:
     cloud = initial_cloud(config)
     density = DensityField(ScalarField.zeros(grid))
     u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
-    records, volumes, remainders = [], [], []
+    records = []
 
     def record(t, drag):  # of the current fluid, cloud and density, and the cloud's deposit
         tail = cutoff_tail(cloud, fluid.u, eps)
-        records.append(collect_record(t, fluid, cloud, density.rho, drag, tail, nu=config.nu))
-        if not config.absorbs:  # only a fragmenting run checks the volume
-            volumes.append(liquid_volume(cloud))
-        if eps:
-            remainders.append((t, *regularization_remainders(
-                cloud, drag, tail, fluid.u, u_star, coupling=coupling,
-                drag_coefficient=drag_coeff)))
+        remainders = regularization_remainders(
+            cloud, drag, tail, fluid.u, u_star, coupling=coupling,
+            drag_coefficient=drag_coeff) if eps else (0.0, 0.0, 0.0)
+        records.append(collect_record(t, fluid, cloud, density.rho, drag, tail,
+                                      volume=liquid_volume(cloud), remainders=remainders,
+                                      nu=config.nu))
 
     def break_up(cloud, step):  # a function, so that `lost` dies before the next push
         if config.absorbs:  # every parent, every step: rho's source rule needs that
@@ -360,8 +358,7 @@ def run_scenario(config: SimConfig) -> RunResult:
                                     f"last-good snapshot {snapshot}") from err
         last_good = (fluid, cloud, density)
 
-        if step % config.diag_stride == 0 or step == config.steps:
-            record(t, drag)
+        record(t, drag)
         if step % lemma_stride == 0 and cloud.count:
             hist = radial_histogram(cloud, grid.volume)
             for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
@@ -369,9 +366,9 @@ def run_scenario(config: SimConfig) -> RunResult:
         if config.snapshot_stride and step % config.snapshot_stride == 0:
             _write_snapshots(config, f"{step:06d}", fluid, cloud, density)
 
-    summary = _summarize(config, records, volumes, lemma_checks, merge_m2_max,
-                         drag_coeff, time.perf_counter() - t_start)
-    result = RunResult(config, records, summary, fluid, cloud, density, remainders)
+    summary = _summarize(config, records, lemma_checks, merge_m2_max, drag_coeff,
+                         time.perf_counter() - t_start)
+    result = RunResult(config, records, summary, fluid, cloud, density)
     if config.output_dir:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -381,8 +378,8 @@ def run_scenario(config: SimConfig) -> RunResult:
     return result
 
 
-def _summarize(config: SimConfig, records, volumes, lemma_checks, merge_m2_max,
-               drag_coeff, wall_time) -> dict:
+def _summarize(config: SimConfig, records, lemma_checks, merge_m2_max, drag_coeff,
+               wall_time) -> dict:
     t = np.array([r.t for r in records])
     div_max = max(r.div_residual for r in records)
 
@@ -418,12 +415,13 @@ def _summarize(config: SimConfig, records, volumes, lemma_checks, merge_m2_max,
         "merge_m2_max": merge_m2_max,
     }
 
-    # the one budget that applies; the other key is filled with Nones
-    if config.absorbs:
-        name, kept = "mass_budget", np.array([r.mass_f + r.mass_rho for r in records])
-        rtol = None if config.eps else MASS_TOLERANCE  # a cutoff removes number on purpose
+    # one liquid budget, reported under the key of the scenario's policy;
+    # the other key is filled with Nones
+    kept = np.array([r.volume + r.mass_rho for r in records])
+    if config.absorbs:  # a cutoff removes number on purpose
+        name, rtol = "mass_budget", None if config.eps else MASS_TOLERANCE
     else:
-        name, kept, rtol = "liquid_volume", np.asarray(volumes), VOLUME_TOLERANCE
+        name, rtol = "liquid_volume", VOLUME_TOLERANCE
     err = float(np.abs(kept - kept[0]).max())
     tol = None if rtol is None else rtol * max(1.0, abs(kept[0]))
     summary["mass_budget"] = summary["liquid_volume"] = {
@@ -454,6 +452,13 @@ class SweepResult:
             "limit_summary": self.limit_summary,
             "run_summaries": self.run_summaries,
         }
+
+    def checks(self) -> dict:
+        """Whether delta and the rho mismatch fall as r2 shrinks, by check."""
+        delta = np.diff([r.delta for r in self.rows])
+        mismatch = np.diff([r.rho_mismatch for r in self.rows])
+        return {"delta strictly decreasing": bool(np.all(delta < 0)),
+                "rho mismatch non-increasing": bool(np.all(mismatch <= 0))}
 
 
 def fragment_slip(result: RunResult) -> float:

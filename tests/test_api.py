@@ -5,8 +5,9 @@ The sources of ``src/thinspray``, ``demos/`` and ``perfbench/`` are parsed
 function, class or constant of ``src/thinspray`` must be referenced outside
 its own definition and the re-export in ``__init__``: by a name that no
 enclosing function binds, an attribute of a thinspray module or an import
-alias.  A capability that only tests use fails here; delete it with its
-tests, or put it on a run path.
+alias.  A public classmethod or staticmethod must be referenced as
+``Class.name`` outside its own definition.  A capability that only tests use
+fails here; delete it with its tests, or put it on a run path.
 """
 
 import ast
@@ -120,3 +121,38 @@ def test_every_public_name_is_used():
     assert not set(unused) - set(EXEMPT), \
         f"public names no run, demo or benchmark uses: {sorted(set(unused) - set(EXEMPT))}"
     assert set(EXEMPT) <= set(unused), "an exempt reader has a caller; drop its exemption"
+
+
+def _class_methods(tree):
+    """(class, name, node) of each public classmethod and staticmethod."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                        and any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                                for d in node.decorator_list):
+                    yield cls.name, node.name, node
+
+
+def _class_attributes(tree):
+    """(class, attribute, line) of each Class.name, also as module.Class.name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                yield owner.id, node.attr, node.lineno
+            elif isinstance(owner, ast.Attribute):
+                yield owner.attr, node.attr, node.lineno
+
+
+def test_every_public_class_method_is_used():
+    trees = _parsed()
+    refs = {(cls, name, path, line) for path, tree in trees.items()
+            for cls, name, line in _class_attributes(tree)}
+    unused = [f"{path.stem}.{cls}.{name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name, node in _class_methods(trees[path])
+              if not any(c == cls and n == name
+                         and not (where == path and node.lineno <= line <= node.end_lineno)
+                         for c, n, where, line in refs)]
+    assert not unused, f"class methods no run, demo or benchmark uses: {unused}"

@@ -47,15 +47,14 @@ def test_rejected_step_returns_3_without_traceback(capsys):
 
 
 def test_sweep_single_member(tmp_path, capsys):
-    out_json = tmp_path / "sweep.json"
     code = main([
         "sweep-r2", "--dim", "2", "--n", "16", "--dt", "2e-3",
         "--t-final", "0.04", "--particle-count", "2000",
         "--particle-budget", "6000", "--tau", "0.05", "--spray-init", "offset",
-        "--r2-list", "0.3", "--output-json", str(out_json),
+        "--r2-list", "0.3", "--output-dir", str(tmp_path),
     ])
     assert code == 0
-    rows = json.loads(out_json.read_text())["rows"]
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
     assert len(rows) == 1 and rows[0]["r2"] == 0.3
     assert "delta" in capsys.readouterr().out
 

@@ -28,7 +28,7 @@ def test_no_flow_no_source_identity():
 def test_constant_source_exact():
     g = GridSpec(2, 32)
     rho = DensityField(gaussian_blob(g, (np.pi, np.pi), 1.0))
-    src = ScalarField.full(g, 0.7)
+    src = ScalarField(g, np.full(g.shape, 0.7))
     out = density_step(rho, VectorField.zeros(g), src, 1e-3)
     assert np.abs(out.rho.values - (rho.rho.values + 0.7e-3)).max() < 1e-15
 
@@ -36,7 +36,7 @@ def test_constant_source_exact():
 def test_zero_dt_identity():
     g = GridSpec(2, 16)
     rho = DensityField(gaussian_blob(g, (np.pi, np.pi), 0.8))
-    out = density_step(rho, cellular_flow(g), ScalarField.full(g, 1.0), 0.0)
+    out = density_step(rho, cellular_flow(g), ScalarField(g, np.full(g.shape, 1.0)), 0.0)
     assert np.array_equal(out.rho.values, rho.rho.values)
 
 
@@ -81,7 +81,7 @@ def test_mass_budget_exact_with_fixer():
 
 def test_mollified_advection_same_for_uniform_density():
     g = GridSpec(2, 32)
-    rho = DensityField(ScalarField.full(g, 0.4))
+    rho = DensityField(ScalarField(g, np.full(g.shape, 0.4)))
     u = cellular_flow(g)
     a = density_step(rho, u, ScalarField.zeros(g), 1e-3)
     b = density_step(rho, mollify(u, 0.5), ScalarField.zeros(g), 1e-3)
@@ -91,7 +91,7 @@ def test_mollified_advection_same_for_uniform_density():
 def test_cfl_advisory_rejects():
     g = GridSpec(2, 16)
     u = VectorField(g, np.full((2,) + g.shape, 50.0))
-    rho = DensityField(ScalarField.full(g, 1.0))
+    rho = DensityField(ScalarField(g, np.full(g.shape, 1.0)))
     with pytest.raises(StepRejectedError):
         density_step(rho, u, ScalarField.zeros(g), 0.1)
 
@@ -99,7 +99,7 @@ def test_cfl_advisory_rejects():
 def test_negative_inputs_rejected():
     g = GridSpec(2, 16)
     with pytest.raises(ValueError):
-        DensityField(ScalarField.full(g, -0.1))
-    rho = DensityField(ScalarField.full(g, 0.1))
+        DensityField(ScalarField(g, np.full(g.shape, -0.1)))
+    rho = DensityField(ScalarField(g, np.full(g.shape, 0.1)))
     with pytest.raises(ValueError):
-        density_step(rho, VectorField.zeros(g), ScalarField.full(g, -1.0), 1e-3)
+        density_step(rho, VectorField.zeros(g), ScalarField(g, np.full(g.shape, -1.0)), 1e-3)

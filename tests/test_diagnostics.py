@@ -11,6 +11,7 @@ from thinspray.diagnostics import (
     collect_record,
     cutoff_tail,
     energy_budget,
+    liquid_volume,
     momentum_budget,
     radial_histogram,
     regularization_remainders,
@@ -107,7 +108,7 @@ def make_records(t, energies, visc, drag):
             t=t[k], e_kinetic_spray=0.0, e_fluid=energies[k],
             dissipation_visc=visc[k], dissipation_drag=drag[k],
             m0=1.0, m1=np.zeros(3), m2=0.0, total_momentum=np.zeros(3),
-            mass_f=0.0, mass_rho=0.0, div_residual=0.0))
+            volume=0.0, mass_rho=0.0, div_residual=0.0, r1=0.0, r2=0.0, r3=0.0))
     return recs
 
 
@@ -219,7 +220,7 @@ class TestNonFiniteVelocity:
         drag = deposit_moments(cloud, g)
         with pytest.raises(FieldError, match="non-finite"):
             collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag,
-                           cutoff_tail(cloud, u, None))
+                           cutoff_tail(cloud, u, None), volume=liquid_volume(cloud))
 
     def test_remainders_raise(self):
         g, u, cloud = self._case()
@@ -268,7 +269,8 @@ def test_property_paired_record_matches_gathered_sums(case):
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
     drag = deposit_moments(cloud, g, eps)
     tail = cutoff_tail(cloud, u, eps)
-    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail)
+    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail,
+                            volume=liquid_volume(cloud))
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
     xi, w = cloud.xi, cloud.w

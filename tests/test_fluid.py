@@ -19,7 +19,7 @@ from thinspray.grid import (
 
 def no_coupling(grid):
     """The rho and drag arguments of a step without added density or droplets."""
-    return ScalarField.zeros(grid), DragField.zeros(grid)
+    return ScalarField.zeros(grid), DragField(ScalarField.zeros(grid), VectorField.zeros(grid))
 
 
 def band_limited(v):
@@ -46,7 +46,7 @@ class TestDragForce:
     def test_unit_example(self):
         g = GridSpec(3, 16)
         u = VectorField.zeros(g)
-        m0 = ScalarField.full(g, 1.0)
+        m0 = ScalarField(g, np.full(g.shape, 1.0))
         m1 = VectorField.from_components(
             g, np.ones(g.shape), np.zeros(g.shape), np.zeros(g.shape))
         force = drag_force(u, DragField(m0, m1), coupling=2.0)
@@ -71,7 +71,8 @@ class TestDragForce:
 
     def test_grid_mismatch(self):
         u = VectorField.zeros(GridSpec(2, 16))
-        drag = DragField.zeros(GridSpec(2, 32))
+        fine = GridSpec(2, 32)
+        drag = DragField(ScalarField.zeros(fine), VectorField.zeros(fine))
         with pytest.raises(GridMismatchError):
             drag_force(u, drag, 1.0)
 
@@ -108,9 +109,9 @@ class TestNsStep:
         u0 = np.array([1.0, 0.5, -0.3])
         state = FluidState(VectorField.from_components(
             g, *[np.full(g.shape, val) for val in u0]))
-        rho = ScalarField.full(g, rho_c)
+        rho = ScalarField(g, np.full(g.shape, rho_c))
         drag = DragField(
-            ScalarField.full(g, c),
+            ScalarField(g, np.full(g.shape, c)),
             VectorField.from_components(g, *[np.full(g.shape, c * val) for val in v]),
         )
         dt, t_end = 2e-5, 0.05
@@ -155,8 +156,8 @@ class TestNsStep:
         g = GridSpec(2, 16)
         state = shear_state(g)
         with pytest.raises(ValueError):
-            ns_step(state, state.u, ScalarField.full(g, -0.5), DragField.zeros(g), 1e-3,
-                    coupling=1.0)
+            ns_step(state, state.u, ScalarField(g, np.full(g.shape, -0.5)),
+                    no_coupling(g)[1], 1e-3, coupling=1.0)
 
     def test_mollified_convection_matches_plain_for_uniform(self):
         # uniform fields are fixed points of the mollifier

@@ -2,9 +2,10 @@
 
 The expected values in ``golden_summaries.json`` are run outputs of small
 seeded cases: every float of the run summary except ``wall_time``, every
-``DiagnosticsRecord.scalars()`` value, the regularization remainders and the
-final particle count.  A refactor that keeps the numerics must reproduce them
-to rounding.  Regenerate (only for a deliberate change of the numerics) with
+``DiagnosticsRecord.scalars()`` value (the record carries the regularization
+remainders) and the final particle count.  A refactor that keeps the
+numerics must reproduce them to rounding.  Regenerate (only for a
+deliberate change of the numerics) with
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
@@ -59,9 +60,6 @@ def case_values(config: dict) -> dict:
     for i, rec in enumerate(res.records):
         for key, value in rec.scalars().items():
             out[f"record{i}.{key}"] = value
-    for i, rem in enumerate(res.remainders):
-        for key, value in zip(("t", "r1", "r2", "r3"), rem):
-            out[f"remainder{i}.{key}"] = value
     out["final_count"] = res.cloud.count
     return out
 

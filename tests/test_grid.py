@@ -128,7 +128,7 @@ class TestLeray:
 class TestMollify:
     def test_constant_preserved(self):
         g = GridSpec(3, 16)
-        c = ScalarField.full(g, 2.5)
+        c = ScalarField(g, np.full(g.shape, 2.5))
         out = mollify(c, 0.7)
         assert np.abs(out.values - 2.5).max() < 1e-13
 
@@ -175,6 +175,6 @@ class TestMollify:
 
 def test_integral_and_norms():
     g = GridSpec(2, 16)
-    one = ScalarField.full(g, 1.0)
+    one = ScalarField(g, np.full(g.shape, 1.0))
     assert integral(one) == pytest.approx(g.volume, rel=1e-14)
     assert divergence_residual(g, fft(VectorField.zeros(g))) == 0.0

@@ -82,7 +82,7 @@ class TestConfig:
         dict(scenario="nope"), dict(dt=0.0), dict(t_final=-1.0),
         dict(r2=1.5), dict(r2=0.0), dict(tau=0.0), dict(eps=-0.1),
         dict(scenario="regularized", eps=0.0), dict(particle_budget=0),
-        dict(nu=0.0), dict(diag_stride=0), dict(fluid_init="vortex"),
+        dict(nu=0.0), dict(snapshot_stride=-1), dict(fluid_init="vortex"),
         dict(spray_init="maxwell"),
         dict(eps=0.5), dict(scenario="bidisperse", eps=0.5), dict(particle_count=5_001),
         dict(particle_count=1),
@@ -232,12 +232,12 @@ class TestRunScenario:
     def test_limit_mass_budget(self):
         res = run_scenario(quick_config(t_final=0.05))
         assert res.summary["mass_budget"]["pass"]
-        totals = [r.mass_f + r.mass_rho for r in res.records]
+        totals = [r.volume + r.mass_rho for r in res.records]
         assert max(abs(v - totals[0]) for v in totals) < 1e-12
 
     def test_limit_breakup_honours_tau(self):
         res = run_scenario(quick_config(tau=0.5))
-        assert res.records[-1].mass_f == pytest.approx(0.3 * math.exp(-0.02 / 0.5),
+        assert res.records[-1].volume == pytest.approx(0.3 * math.exp(-0.02 / 0.5),
                                                        rel=1e-12)
         assert res.summary["mass_budget"]["pass"]
 
@@ -245,8 +245,8 @@ class TestRunScenario:
         cfg = quick_config(tau=math.inf)
         res = run_scenario(cfg)
         assert all(rec.mass_rho == 0.0 for rec in res.records)
-        assert res.records[-1].mass_f == res.records[0].mass_f
-        assert res.records[-1].mass_f == pytest.approx(cfg.spray_mass, rel=1e-13)
+        assert res.records[-1].volume == res.records[0].volume
+        assert res.records[-1].volume == pytest.approx(cfg.spray_mass, rel=1e-13)
 
     @pytest.mark.parametrize("tau, eps", [
         pytest.param(1.0, 0.0, id="1.0"), pytest.param(0.4, 0.0, id="0.4"),
@@ -286,7 +286,7 @@ class TestRunScenario:
         res = run_scenario(quick_config(scenario="regularized", eps=0.2))
         for cloud in (initial_cloud(res.config), res.cloud):
             assert np.linalg.norm(cloud.xi, axis=1).max() <= 1 / 0.2
-        total = res.records[0].mass_f + res.records[0].mass_rho
+        total = res.records[0].volume + res.records[0].mass_rho
         assert res.summary["mass_budget"]["max_error"] <= 1e-12 * total
         assert res.summary["mass_budget"]["pass"] is None  # not gated with a cutoff
 
@@ -395,9 +395,27 @@ class TestRunScenario:
     def test_regularized_records_remainders(self):
         cfg = quick_config(scenario="regularized", eps=0.5, t_final=0.03)
         res = run_scenario(cfg)
-        assert len(res.remainders) == len(res.records)
-        t0, r1, r2, r3 = res.remainders[-1]
-        assert np.isfinite([r1, r2, r3]).all()
+        rem = np.array([(r.r1, r.r2, r.r3) for r in res.records])
+        assert np.isfinite(rem).all() and np.all(rem[:, 0] > 0)  # eps = 0.5 has a tail
+
+    def test_diagnostics_csv_carries_the_budget_inputs(self, tmp_path):
+        # the volume and the remainders reach the CSV, not only the records
+        cfg = quick_config(scenario="regularized", eps=0.5, output_dir=str(tmp_path))
+        res = run_scenario(cfg)
+        data = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+        for name in ("volume", "r1", "r2", "r3"):
+            assert list(data[name]) == [getattr(r, name) for r in res.records], name
+
+    @pytest.mark.parametrize("kw, name", [
+        (dict(), "mass_budget"),
+        (dict(scenario="bidisperse", tau=0.05, r2=0.3), "liquid_volume")])
+    def test_one_liquid_budget_from_the_records(self, kw, name):
+        # every scenario gates the liquid of its records, volume + mass_rho:
+        # the limit moves it into rho, the fragments keep it in the spray
+        res = run_scenario(quick_config(**kw))
+        kept = np.array([r.volume + r.mass_rho for r in res.records])
+        assert res.summary[name]["max_error"] == float(np.abs(kept - kept[0]).max())
+        assert res.summary[name]["pass"]
 
     def test_nonfinite_abort(self, monkeypatch, tmp_path):
         import thinspray.scenarios as sc
@@ -560,7 +578,7 @@ class TestRunScenario:
         for dt in (5e-4, 2.5e-4):
             res = run_scenario(quick_config(scenario="regularized", eps=1.0, tau=1.0,
                                             dt=dt, t_final=0.04))
-            t, *rates = np.array(res.remainders).T
+            t, *rates = np.array([(r.t, r.r1, r.r2, r.r3) for r in res.records]).T
             corrected = (energy_budget(res.records, 1.5)  # c = 1 + 1/(2 tau)
                          - cumulative_trapezoid(np.sum(rates, axis=0), t, initial=0.0))
             worst.append(np.abs(corrected).max())

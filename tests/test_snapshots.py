@@ -46,7 +46,7 @@ def test_vector_field_round_trip(tmp_path):
 def test_field_header_layout(tmp_path):
     g = GridSpec(2, 16)
     path = tmp_path / "layout.field"
-    write_field(path, ScalarField.full(g, 2.0), time=0.0)
+    write_field(path, ScalarField(g, np.full(g.shape, 2.0)), time=0.0)
     raw = path.read_bytes()
     newline = raw.index(b"\n")
     header = json.loads(raw[:newline])
@@ -117,8 +117,8 @@ def make_record(t):
     return DiagnosticsRecord(
         t=t, e_kinetic_spray=0.1, e_fluid=1.0, dissipation_visc=2.0,
         dissipation_drag=0.3, m0=0.5, m1=np.array([0.1, 0.2, 0.3]), m2=0.7,
-        total_momentum=np.array([1.0, -1.0, 0.0]), mass_f=0.5, mass_rho=0.2,
-        div_residual=1e-15)
+        total_momentum=np.array([1.0, -1.0, 0.0]), volume=0.5, mass_rho=0.2,
+        div_residual=1e-15, r1=0.0, r2=0.0, r3=0.0)
 
 
 def test_diagnostics_csv_round_trip(tmp_path):

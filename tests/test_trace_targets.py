@@ -4,8 +4,9 @@
 its ``TARGETS``; a target whose attribute is gone is skipped silently, so a
 rename in the solver would drop a per-layer metric without an error.  This
 test reads that file (it is not changed or installed) and checks that the
-step anchor resolves and that every span name keeps at least one target
-that resolves.
+step anchor resolves, that every span name keeps at least one target that
+resolves, and that the run path calls every ``thinspray.scenarios`` target
+that resolves, so no import is kept only for a target to resolve.
 """
 
 import importlib
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import CASES
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,3 +44,19 @@ def test_every_span_name_keeps_a_target(name):
     targets = [(m, a) for m, a, n in spans.TARGETS if n == name]
     assert any(_resolves(m, a) for m, a in targets), \
         f"no target of span {name!r} resolves: {targets}"
+
+
+def test_the_golden_runs_call_every_scenarios_target(monkeypatch):
+    scenarios = importlib.import_module("thinspray.scenarios")
+    calls = {}
+    for module, attr, _ in spans.TARGETS:
+        if module == scenarios.__name__ and _resolves(module, attr):
+            calls[attr] = 0
+
+            def counted(*args, _attr=attr, _real=getattr(scenarios, attr), **kwargs):
+                calls[_attr] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(scenarios, attr, counted)
+    for config in CASES.values():
+        scenarios.run_scenario(scenarios.SimConfig(**config))
+    assert calls and [attr for attr, count in calls.items() if not count] == []

@@ -40,7 +40,7 @@ def test_scatter_gather_adjoint(rng):
 def test_gather_constant_field(rng):
     g = GridSpec(2, 16)
     x = rng.uniform(0, g.length, (1_000, 2))
-    c = ScalarField.full(g, -1.75)
+    c = ScalarField(g, np.full(g.shape, -1.75))
     assert np.abs(cic_gather(c, x) + 1.75).max() < 1e-13
 
 
