@@ -61,11 +61,6 @@ class GridSpec:
         x = self.axis_points()
         return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
-    def nodes(self) -> np.ndarray:
-        """All grid nodes as an (n^dim, dim) array, C order."""
-        mesh = self.meshgrid()
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 @dataclass
 class ScalarField:

@@ -278,11 +278,11 @@ def run_scenario(config: SimConfig) -> RunResult:
     With eps > 0 the deposit is cut off in velocity, and u is mollified
     once per step, from its carried spectrum; that field advects the
     particles, the density and, in the next step, the gas.
-    A step is rejected when it violates the advective CFL condition (in the
-    fluid or the density step) or produces a non-finite field.  Either cause
-    raises one StepRejectedError that names the step, t and the cause, after
-    writing the last healthy state as the "last_good" snapshot when an
-    output directory is set.
+    A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or
+    the density step's outflow bound, dt/h times each cell's summed outflow
+    face speed <= 1, or makes a non-finite field: one StepRejectedError names
+    the step, t and the cause, after writing the last healthy state as the
+    "last_good" snapshot when an output directory is set.
     """
     config.validate()
     t_start = time.perf_counter()

@@ -499,15 +499,15 @@ class TestRunScenario:
         return sizes
 
     @pytest.mark.parametrize("scenario, eps, per_step", [
-        pytest.param("limit", 0.0, 4, id="limit-4"),
+        pytest.param("limit", 0.0, 2, id="limit-2"),
         pytest.param("bidisperse", 0.0, 2, id="bidisperse-2"),
-        pytest.param("regularized", 0.05, 4, id="regularized-4")])
+        pytest.param("regularized", 0.05, 2, id="regularized-2")])
     def test_corner_tables_per_step(self, monkeypatch, scenario, eps, per_step):
         # with fewer particles than one chunk, every particle-grid transfer
         # builds one corner table: the push gather and the one pass at the
-        # new positions, plus the two grid-node gathers of the density step;
-        # the record pairs with the pass's deposit and gathers nothing (the
-        # cutoff radius 1/0.05 = 20 reaches no sampled velocity)
+        # new positions (the density step gathers nothing); the record pairs
+        # with the pass's deposit and gathers nothing (the cutoff radius
+        # 1/0.05 = 20 reaches no sampled velocity)
         calls = self._count_tables(monkeypatch)
         assert self._calls_per_step(scenario, calls, eps) == per_step
 
@@ -515,7 +515,7 @@ class TestRunScenario:
         # eps = 0.5 reaches the sampled speeds above 2: every record gathers
         # u and |u|^2 (cutoff_tail, read by collect_record and the
         # remainders) and u_star (the remainders) at those particles alone,
-        # three tables beyond the four of a step
+        # three tables beyond the two of a step
         import thinspray.scenarios as sc
 
         tails = []
@@ -525,11 +525,11 @@ class TestRunScenario:
             return _real(t, fluid, cloud, *args, **kw)
         monkeypatch.setattr(sc, "collect_record", recorded)
         sizes = self._count_tables(monkeypatch)
-        steps, count, nodes = 5, 200, 16**3
+        steps, count = 5, 200
         run_scenario(self._table_config(steps, "regularized", 0.5))
         assert len(tails) == steps + 1 and all(0 < t < count for t in tails)
-        assert len(sizes) == 1 + 4 * steps + 3 * len(tails)
-        assert [s for s in sizes if s not in (count, nodes)] == [t for t in tails for _ in range(3)]
+        assert len(sizes) == 1 + 2 * steps + 3 * len(tails)
+        assert [s for s in sizes if s != count] == [t for t in tails for _ in range(3)]
 
     def test_outputs_written(self, tmp_path):
         cfg = quick_config(output_dir=str(tmp_path), snapshot_stride=5)
