@@ -1,4 +1,5 @@
-"""Transport of the added carrier density by the fluid velocity.
+"""Transport of the added density rho, a variable of the fluid state, by the
+fluid velocity.
 
 Donor-cell upwind step in flux form (LeVeque, Finite Volume Methods for
 Hyperbolic Problems, 2002): the face velocity at i+1/2 is the mean of its two
@@ -8,27 +9,17 @@ leaves one cell and enters the next, so the total mass telescopes to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StepRejectedError
 from .grid import ScalarField, VectorField, require_same_grid
 
 
-@dataclass
-class DensityField:
-    rho: ScalarField
+def density_step(rho: ScalarField, u: VectorField, source: ScalarField,
+                 dt: float) -> ScalarField:
+    """One donor-cell transport step of rho with a nonnegative source.
 
-    def __post_init__(self):
-        if self.rho.values.min() < 0:
-            raise ValueError("added density must be nonnegative")
-
-
-def density_step(density: DensityField, u: VectorField, source: ScalarField,
-                 dt: float) -> DensityField:
-    """One donor-cell transport step with a nonnegative source.
-
+    rho is FluidState.rho, and the caller stores the returned field there.
     source is the density added per unit time; u is the advecting velocity
     on the grid nodes (the mollified one where the caller advects with it).
     With c = dt/h, out_i the summed outflow face speeds of cell i and in_i
@@ -40,7 +31,6 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField,
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    rho = density.rho
     grid = rho.grid
     require_same_grid(rho, u)
     require_same_grid(rho, source)
@@ -58,5 +48,4 @@ def density_step(density: DensityField, u: VectorField, source: ScalarField,
     if keep.min() < 0.0:
         raise StepRejectedError(f"density outflow bound violated: dt/h * max cell outflow "
                                 f"face speed = {1.0 - keep.min():.3g} > 1; reduce dt")
-    new = r * keep + c * inflow + dt * source.values
-    return DensityField(ScalarField(grid, new))
+    return ScalarField(grid, r * keep + c * inflow + dt * source.values)

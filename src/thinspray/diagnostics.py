@@ -116,12 +116,11 @@ def cutoff_tail(cloud: ParticleCloud, u: VectorField, eps: float | None) -> Cuto
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   rho: ScalarField, drag: DragField, tail: CutoffTail, *,
-                   volume: float, remainders=(0.0, 0.0, 0.0),
-                   nu: float = 1.0) -> DiagnosticsRecord:
+                   drag: DragField, tail: CutoffTail, *, volume: float,
+                   remainders=(0.0, 0.0, 0.0), nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
-    rho is the added density; a run without one passes zeros.
+    fluid.rho, the added density, weighs the fluid's energy and momentum.
     drag is the cloud's drag deposit of weights w r, times the velocity
     cutoff of width eps if it has one; tail is cutoff_tail(cloud, fluid.u,
     eps) with that eps (None without a cutoff).  The radius r, the Stokes
@@ -129,7 +128,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     (liquid_volume) and remainders (of regularization_remainders, zeros
     without a cutoff) are stored as given.  A non-finite u raises FieldError.
     """
-    u = fluid.u
+    u, rho = fluid.u, fluid.rho
     grid = u.grid
     require_finite(u, "fluid velocity")
     u_sq = np.sum(u.values**2, axis=0)

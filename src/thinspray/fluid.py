@@ -14,9 +14,12 @@ and an exact spectral integrating factor for the mean-coefficient diffusion
 nu lap u / (1 + mean rho), which keeps the step stable for any dt at the
 resolved wavenumbers.
 
-A FluidState carries the rfftn spectrum u_hat of u.  A step reads it for the
-convection derivatives, the Laplacian, the update and the Leray projection,
-transforms the projected spectrum back once and hands it on with the new u.
+The added density rho, the broken-up droplets carried as part of the fluid,
+is a variable of the FluidState; a step reads it and hands it on unchanged
+(density.density_step transports it).  A FluidState also carries the rfftn
+spectrum u_hat of u.  A step reads it for the convection derivatives, the
+Laplacian, the update and the Leray projection, transforms the projected
+spectrum back once and hands it on with the new u.
 """
 
 from __future__ import annotations
@@ -40,13 +43,18 @@ from .grid import (
 
 @dataclass
 class FluidState:
-    """Velocity u at time t and its rfftn spectrum u_hat, computed if not given."""
+    """Velocity u and added density rho >= 0 on u's grid at time t, and the
+    rfftn spectrum u_hat of u, computed if not given."""
 
     u: VectorField
+    rho: ScalarField
     t: float = 0.0
     u_hat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        require_same_grid(self.u, self.rho)
+        if self.rho.values.min() < 0:
+            raise ValueError("added density must be nonnegative")
         if self.u_hat is None:
             self.u_hat = fft(self.u)
 
@@ -88,15 +96,14 @@ def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndar
     return out
 
 
-def ns_step(state: FluidState, u_adv: VectorField, rho: ScalarField,
-            drag: DragField, dt: float, *, coupling: float,
-            nu: float = 1.0) -> FluidState:
+def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *,
+            coupling: float, nu: float = 1.0) -> FluidState:
     """Advance the fluid one step.
 
     u_adv is the advecting velocity: state.u, or its mollification in the
-    regularized system.  rho is the added density and drag holds the droplet
-    moments, which act on the gas with the given coupling; a caller without
-    either passes zero fields.  The step reads
+    regularized system.  state.rho weighs the inertia and is handed on as it
+    is.  drag holds the droplet moments, which act on the gas with the given
+    coupling; a caller without droplets passes zero fields.  The step reads
     state.u_hat; the returned velocity is Leray-projected and carries its
     projected spectrum.  The whole explicit tendency is dealiased by the 2/3
     rule, so a band-limited u stays band-limited.
@@ -109,11 +116,8 @@ def ns_step(state: FluidState, u_adv: VectorField, rho: ScalarField,
     check_cfl(u, dt)
 
     require_same_grid(u, u_adv)
-    require_same_grid(u, rho)
-    if rho.values.min() < -1e-12:
-        raise ValueError("added density must be nonnegative")
-    denom = 1.0 + rho.values
-    rho_bar = float(rho.values.mean())
+    denom = 1.0 + state.rho.values
+    rho_bar = float(state.rho.values.mean())
     nu_bar = nu / (1.0 + rho_bar)
 
     tab = _spectral_tables(grid)
@@ -130,4 +134,4 @@ def ns_step(state: FluidState, u_adv: VectorField, rho: ScalarField,
     u_hat = project_spectrum(grid, u_hat)
     u_new = VectorField(grid, ifft_like(u, u_hat))
     require_finite(u_new, "fluid velocity after step")
-    return FluidState(u_new, state.t + dt, u_hat)
+    return FluidState(u_new, state.rho, state.t + dt, u_hat)

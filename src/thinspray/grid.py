@@ -78,9 +78,6 @@ class ScalarField:
     def zeros(cls, grid: GridSpec) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:

@@ -221,17 +221,10 @@ def merge_particles(cloud: ParticleCloud, budget: int,
     out = cloud
     while out.count > budget:
         radii, counts = np.unique(out.r, return_counts=True)
-        progress = False
-        # the most numerous radius first; on a tie the larger one
-        for radius in radii[np.lexsort((-radii, -counts))]:
-            group = np.flatnonzero(out.r == radius)
-            merged = _merge_pass(out, group, out.count - budget, length)
-            if merged is not None:
-                out = merged
-                progress = True
-                break
-        if not progress:  # no radius has a pair left to merge
+        top = np.lexsort((radii, counts))[-1]  # the most numerous radius; on a tie the larger
+        if counts[top] < 2:  # no radius has a pair left to merge
             break
+        out = _merge_pass(out, np.flatnonzero(out.r == radii[top]), out.count - budget, length)
     rel = abs(m2(out) - m2_before) / max(abs(m2_before), 1e-300)
     return out, rel
 
@@ -287,10 +280,9 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
     another particle at most 1 + _NN_EPS = 4 times as far as the nearest
     (`_nearest_edges`), is ranked by length; the greedy matching over these
     edges is taken in rounds by `_greedy_pairs`, and its `max_merges`
-    shortest pairs are merged.
+    shortest pairs are merged.  The group needs two particles and max_merges
+    must be positive.
     """
-    if group.size < 2 or max_merges < 1:
-        return None
     x = cloud.x[group]
     xi = cloud.xi[group]
     # balance the metric between position and velocity spread

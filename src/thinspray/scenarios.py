@@ -5,8 +5,8 @@ one particle-grid pass, density transport, diagnostics).  Unit-radius
 parents break up at rate 1/tau, and ``SimConfig.absorbs`` decides where
 their lost weight goes:
 
-* ``limit``       - absorbs it into the added density rho, which multiplies
-                    the fluid inertia.
+* ``limit``       - absorbs it into the added density rho, a variable of
+                    the fluid state, which multiplies the fluid inertia.
 * ``regularized`` - absorbs it as the limit does; eps > 0 mollifies the
                     advecting velocity, cuts the deposited moments off in
                     velocity and records the energy remainders r1, r2, r3.
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DensityField, density_step
+from .density import density_step
 from .diagnostics import (
     check_moment_bound,
     collect_record,
@@ -124,10 +124,16 @@ class SimConfig:
             raise ConfigError(f"unknown fluid preset {self.fluid_init!r}")
         if self.spray_init not in SPRAY_PRESETS:
             raise ConfigError(f"unknown spray preset {self.spray_init!r}")
+        for name in ("dt", "t_final", "eps", "nu", "spray_mass", "spray_sigma",
+                     "spray_mean_speed"):  # tau = inf disables breakup
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if not self.t_final > 0:
             raise ConfigError("t_final must be positive")
+        if self.steps < 1:
+            raise ConfigError("t_final must hold at least one step of dt")
         if not 0 < self.r2 < 1:
             raise ConfigError("r2 must lie in (0, 1)")
         if not self.tau > 0:
@@ -226,7 +232,7 @@ def initial_fluid(config: SimConfig) -> FluidState:
         u = VectorField.zeros(grid)
     else:
         u = leray_project(taylor_green_velocity(grid))
-    return FluidState(u, 0.0)
+    return FluidState(u, ScalarField.zeros(grid))
 
 
 def initial_cloud(config: SimConfig) -> ParticleCloud:
@@ -249,15 +255,13 @@ class RunResult:
     summary: dict
     fluid: FluidState
     cloud: ParticleCloud
-    density: DensityField
 
 
-def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState,
-                     cloud: ParticleCloud, density: DensityField):
+def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState, cloud: ParticleCloud):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / f"velocity_{tag}.field", fluid.u, fluid.t)
-    write_field(out / f"density_{tag}.field", density.rho, fluid.t)
+    write_field(out / f"density_{tag}.field", fluid.rho, fluid.t)
     if cloud.count:
         write_particles(out / f"particles_{tag}.particles", cloud, fluid.t)
 
@@ -265,15 +269,16 @@ def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState,
 def run_scenario(config: SimConfig) -> RunResult:
     """Integrate one scenario and summarize every budget.
 
+    A run's state is the fluid, which carries rho, and the particle cloud.
     Step layout: fluid step -> particle push -> breakup (when
     config.absorbs, every parent's weight decays by exp(-dt/tau); else only
     the parents whose index has the step's parity decay, by
     exp(-2 dt/tau), and each spawns one radius-r2 fragment with the lost
     volume) -> merge, whenever the cloud exceeds its budget ->
     one particle-grid pass at the new positions: the next step's drag
-    deposit -> when config.absorbs, density transport with the one source
-    expm1(dt/tau) m0 / dt, m0 read off that deposit -> diagnostics, which
-    pair grid fields with that deposit (see collect_record).  Every
+    deposit -> when config.absorbs, transport of fluid.rho with the one
+    source expm1(dt/tau) m0 / dt, m0 read off that deposit -> diagnostics,
+    which pair grid fields with that deposit (see collect_record).  Every
     scenario-dependent constant comes from config.absorbs and config.eps.
     With eps > 0 the deposit is cut off in velocity, and u is mollified
     once per step, from its carried spectrum; that field advects the
@@ -296,16 +301,15 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
-    density = DensityField(ScalarField.zeros(grid))
     u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
     records = []
 
-    def record(t, drag):  # of the current fluid, cloud and density, and the cloud's deposit
+    def record(t, drag):  # of the current fluid and cloud, and the cloud's deposit
         tail = cutoff_tail(cloud, fluid.u, eps)
         remainders = regularization_remainders(
             cloud, drag, tail, fluid.u, u_star, coupling=coupling,
             drag_coefficient=drag_coeff) if eps else (0.0, 0.0, 0.0)
-        records.append(collect_record(t, fluid, cloud, density.rho, drag, tail,
+        records.append(collect_record(t, fluid, cloud, drag, tail,
                                       volume=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
@@ -324,14 +328,13 @@ def run_scenario(config: SimConfig) -> RunResult:
     drag = deposit_moments(cloud, grid, eps)
     record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
-    last_good = (fluid, cloud, density)
+    last_good = (fluid, cloud)
     lemma_stride = max(1, config.steps // 10)
 
     for step in range(1, config.steps + 1):
         t = step * config.dt
         try:
-            fluid = ns_step(fluid, u_star, density.rho, drag, config.dt, nu=config.nu,
-                            coupling=coupling)
+            fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu, coupling=coupling)
             del drag  # so one drag field is alive when the pass below makes the next
             if not np.isfinite(fluid.u.values).all():
                 raise StepRejectedError("non-finite field")
@@ -345,9 +348,9 @@ def run_scenario(config: SimConfig) -> RunResult:
                     log.warning("merge pass changed spray energy by %.2e", m2_err)
             drag = deposit_moments(cloud, grid, eps)
             if config.absorbs:
-                density = density_step(density, u_star,
-                                       ScalarField(grid, gain * drag.m0.values), config.dt)
-            if not np.isfinite(density.rho.values).all():
+                fluid = replace(fluid, rho=density_step(
+                    fluid.rho, u_star, ScalarField(grid, gain * drag.m0.values), config.dt))
+            if not np.isfinite(fluid.rho.values).all():
                 raise StepRejectedError("non-finite field")
         except (StepRejectedError, FieldError) as err:
             snapshot = "not requested"
@@ -356,7 +359,7 @@ def run_scenario(config: SimConfig) -> RunResult:
                 snapshot = f"written to {config.output_dir}"
             raise StepRejectedError(f"step {step} (t={t:.4g}) rejected: {err}; "
                                     f"last-good snapshot {snapshot}") from err
-        last_good = (fluid, cloud, density)
+        last_good = (fluid, cloud)
 
         record(t, drag)
         if step % lemma_stride == 0 and cloud.count:
@@ -364,17 +367,17 @@ def run_scenario(config: SimConfig) -> RunResult:
             for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
                 lemma_checks.append(check_moment_bound(hist, alpha, gamma)[2])
         if config.snapshot_stride and step % config.snapshot_stride == 0:
-            _write_snapshots(config, f"{step:06d}", fluid, cloud, density)
+            _write_snapshots(config, f"{step:06d}", fluid, cloud)
 
     summary = _summarize(config, records, lemma_checks, merge_m2_max, drag_coeff,
                          time.perf_counter() - t_start)
-    result = RunResult(config, records, summary, fluid, cloud, density)
+    result = RunResult(config, records, summary, fluid, cloud)
     if config.output_dir:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_diagnostics_csv(out / "diagnostics.csv", records)
         write_summary_json(out / "summary.json", summary)
-        _write_snapshots(config, "final", fluid, cloud, density)
+        _write_snapshots(config, "final", fluid, cloud)
     return result
 
 
@@ -503,7 +506,7 @@ def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
     limit_cfg = replace(config, scenario="limit", eps=0.0, output_dir="")
     log.info("sweep: running matched limit-system member")
     limit_run = run_scenario(limit_cfg)
-    rho_limit = limit_run.density.rho
+    rho_limit = limit_run.fluid.rho
 
     rows = []
     summaries = {}

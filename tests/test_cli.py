@@ -35,6 +35,12 @@ def test_invalid_config_returns_2(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_non_finite_option_returns_2(capsys):
+    assert main(["run", "--dim", "2", "--n", "16", "--particle-count", "500",
+                 "--t-final", "0.004", "--dt", "2e-3", "--eps", "nan"]) == 2
+    assert "eps must be finite" in capsys.readouterr().err
+
+
 def test_rejected_step_returns_3_without_traceback(capsys):
     # dt far beyond the CFL limit of the initial flow: the first step is rejected
     with pytest.warns(UserWarning, match="advective scale"):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from thinspray.density import DensityField, density_step
+from thinspray.density import density_step
 from thinspray.errors import StepRejectedError
-from thinspray.fluid import check_cfl
+from thinspray.fluid import FluidState, check_cfl
 from thinspray.grid import GridSpec, ScalarField, VectorField, integral, leray_project, mollify
 from thinspray.transfer import cic_gather
 
@@ -35,14 +35,14 @@ def outflow_speeds(u):
     return total
 
 
-def semi_lagrangian_step(density, u, source, dt):
+def semi_lagrangian_step(rho, u, source, dt):
     """The step this scheme replaced: midpoint feet, gathers, mass rescale."""
     g = u.grid
     nodes = np.stack([m.ravel() for m in g.meshgrid()], axis=-1)
     v_node = np.moveaxis(u.values.reshape(g.dim, -1), 0, 1)
     feet = nodes - dt * cic_gather(u, nodes - 0.5 * dt * v_node)
-    advected = np.maximum(cic_gather(density.rho, feet), 0.0).reshape(g.shape)
-    advected *= density.rho.values.sum() / advected.sum()
+    advected = np.maximum(cic_gather(rho, feet), 0.0).reshape(g.shape)
+    advected *= rho.values.sum() / advected.sum()
     return advected + dt * source.values
 
 
@@ -52,36 +52,36 @@ def test_constant_axis_flow_matches_semi_lagrangian(dim, axis, sign):
     # (1 - c) rho_i + c rho_upwind, c = |u| dt / h
     g = GridSpec(dim, 16)
     rng = np.random.default_rng(4)
-    rho = DensityField(ScalarField(g, rng.uniform(0, 1, g.shape)))
+    rho = ScalarField(g, rng.uniform(0, 1, g.shape))
     src = ScalarField(g, rng.uniform(0, 0.5, g.shape))
     dt = 1e-2
     values = np.zeros((dim,) + g.shape)
     values[axis] = sign * 0.37 * g.h / dt
     u = VectorField(g, values)
     out = density_step(rho, u, src, dt)
-    assert np.abs(out.rho.values - semi_lagrangian_step(rho, u, src, dt)).max() <= 1e-14
+    assert np.abs(out.values - semi_lagrangian_step(rho, u, src, dt)).max() <= 1e-14
 
 
 def test_no_flow_no_source_identity():
     g = GridSpec(2, 32)
-    rho = DensityField(gaussian_blob(g, (np.pi, np.pi), 1.0))
+    rho = gaussian_blob(g, (np.pi, np.pi), 1.0)
     out = density_step(rho, VectorField.zeros(g), ScalarField.zeros(g), 1e-3)
-    assert np.abs(out.rho.values - rho.rho.values).max() < 1e-14
+    assert np.abs(out.values - rho.values).max() < 1e-14
 
 
 def test_constant_source_exact():
     g = GridSpec(2, 32)
-    rho = DensityField(gaussian_blob(g, (np.pi, np.pi), 1.0))
+    rho = gaussian_blob(g, (np.pi, np.pi), 1.0)
     src = ScalarField(g, np.full(g.shape, 0.7))
     out = density_step(rho, VectorField.zeros(g), src, 1e-3)
-    assert np.abs(out.rho.values - (rho.rho.values + 0.7e-3)).max() < 1e-15
+    assert np.abs(out.values - (rho.values + 0.7e-3)).max() < 1e-15
 
 
 def test_zero_dt_identity():
     g = GridSpec(2, 16)
-    rho = DensityField(gaussian_blob(g, (np.pi, np.pi), 0.8))
+    rho = gaussian_blob(g, (np.pi, np.pi), 0.8)
     out = density_step(rho, cellular_flow(g), ScalarField(g, np.full(g.shape, 1.0)), 0.0)
-    assert np.array_equal(out.rho.values, rho.rho.values)
+    assert np.array_equal(out.values, rho.values)
 
 
 def test_rotation_reversal_error_small():
@@ -92,23 +92,23 @@ def test_rotation_reversal_error_small():
     u = cellular_flow(g)
     u_back = VectorField(g, -u.values)
     rho0 = gaussian_blob(g, (np.pi, np.pi), 1.3)
-    rho = DensityField(rho0.copy())
+    rho = rho0
     dt = 1e-3
     steps = int(round(np.pi / 12 / dt))
     for _ in range(steps):
         rho = density_step(rho, u, ScalarField.zeros(g), dt)
     for _ in range(steps):
         rho = density_step(rho, u_back, ScalarField.zeros(g), dt)
-    err = np.linalg.norm(rho.rho.values - rho0.values) / np.linalg.norm(rho0.values)
+    err = np.linalg.norm(rho.values - rho0.values) / np.linalg.norm(rho0.values)
     assert err <= 0.02
 
 
 def test_positivity_preserved():
     g = GridSpec(2, 32)
     rng = np.random.default_rng(0)
-    rho = DensityField(ScalarField(g, rng.uniform(0, 1, g.shape)))
+    rho = ScalarField(g, rng.uniform(0, 1, g.shape))
     out = density_step(rho, cellular_flow(g), ScalarField.zeros(g), 5e-3)
-    assert out.rho.values.min() >= 0.0
+    assert out.values.min() >= 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -116,13 +116,13 @@ def test_mass_budget_closes_without_rescale(dim):
     # every face flux leaves one cell and enters the next: the sum telescopes
     g = GridSpec(dim, 16)
     rng = np.random.default_rng(2)
-    rho = DensityField(ScalarField(g, rng.uniform(0.1, 1, g.shape)))
+    rho = ScalarField(g, rng.uniform(0.1, 1, g.shape))
     src = ScalarField(g, rng.uniform(0, 0.5, g.shape))
     u = random_flow(g, rng)
     dt = 0.9 * g.h / outflow_speeds(u).max()
     out = density_step(rho, u, src, dt)
-    budget = integral(out.rho) - integral(rho.rho) - dt * integral(src)
-    assert abs(budget) < 1e-13 * integral(rho.rho)
+    budget = integral(out) - integral(rho) - dt * integral(src)
+    assert abs(budget) < 1e-13 * integral(rho)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -132,7 +132,7 @@ def test_step_at_the_outflow_bound_stays_nonnegative(dim):
     g = GridSpec(dim, 16)
     rng = np.random.default_rng(7)
     values = rng.uniform(0, 1, g.shape) * (rng.uniform(size=g.shape) < 0.5)
-    rho = DensityField(ScalarField(g, values))
+    rho = ScalarField(g, values)
     u = random_flow(g, rng)
     dt = g.h / outflow_speeds(u).max()
     for _ in range(8):
@@ -143,7 +143,7 @@ def test_step_at_the_outflow_bound_stays_nonnegative(dim):
             dt = np.nextafter(dt, 0.0)
     else:
         pytest.fail("no dt within 8 ulp of the outflow bound was accepted")
-    assert (values == 0).any() and out.rho.values.min() >= 0.0
+    assert (values == 0).any() and out.values.min() >= 0.0
     assert dt * outflow_speeds(u).max() / g.h > 1 - 1e-14
 
 
@@ -153,32 +153,32 @@ def test_outflow_bound_stricter_than_cfl():
     dt = 1e-2
     u = VectorField(g, np.full((3,) + g.shape, 0.5 * g.h / dt))
     check_cfl(u, dt)
-    rho = DensityField(ScalarField(g, np.full(g.shape, 1.0)))
+    rho = ScalarField(g, np.full(g.shape, 1.0))
     with pytest.raises(StepRejectedError, match="outflow bound"):
         density_step(rho, u, ScalarField.zeros(g), dt)
 
 
 def test_mollified_advection_same_for_uniform_density():
     g = GridSpec(2, 32)
-    rho = DensityField(ScalarField(g, np.full(g.shape, 0.4)))
+    rho = ScalarField(g, np.full(g.shape, 0.4))
     u = cellular_flow(g)
     a = density_step(rho, u, ScalarField.zeros(g), 1e-3)
     b = density_step(rho, mollify(u, 0.5), ScalarField.zeros(g), 1e-3)
-    assert np.abs(a.rho.values - b.rho.values).max() < 1e-12
+    assert np.abs(a.values - b.values).max() < 1e-12
 
 
 def test_cfl_advisory_rejects():
     g = GridSpec(2, 16)
     u = VectorField(g, np.full((2,) + g.shape, 50.0))
-    rho = DensityField(ScalarField(g, np.full(g.shape, 1.0)))
+    rho = ScalarField(g, np.full(g.shape, 1.0))
     with pytest.raises(StepRejectedError):
         density_step(rho, u, ScalarField.zeros(g), 0.1)
 
 
 def test_negative_inputs_rejected():
     g = GridSpec(2, 16)
-    with pytest.raises(ValueError):
-        DensityField(ScalarField(g, np.full(g.shape, -0.1)))
-    rho = DensityField(ScalarField(g, np.full(g.shape, 0.1)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        FluidState(VectorField.zeros(g), ScalarField(g, np.full(g.shape, -0.1)))
+    rho = ScalarField(g, np.full(g.shape, 0.1))
     with pytest.raises(ValueError):
         density_step(rho, VectorField.zeros(g), ScalarField(g, np.full(g.shape, -1.0)), 1e-3)

@@ -219,7 +219,7 @@ class TestNonFiniteVelocity:
         g, u, cloud = self._case()
         drag = deposit_moments(cloud, g)
         with pytest.raises(FieldError, match="non-finite"):
-            collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag,
+            collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag,
                            cutoff_tail(cloud, u, None), volume=liquid_volume(cloud))
 
     def test_remainders_raise(self):
@@ -269,7 +269,7 @@ def test_property_paired_record_matches_gathered_sums(case):
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
     drag = deposit_moments(cloud, g, eps)
     tail = cutoff_tail(cloud, u, eps)
-    record = collect_record(0.0, FluidState(u), cloud, ScalarField.zeros(g), drag, tail,
+    record = collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag, tail,
                             volume=liquid_volume(cloud))
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)

@@ -17,9 +17,14 @@ from thinspray.grid import (
 )
 
 
-def no_coupling(grid):
-    """The rho and drag arguments of a step without added density or droplets."""
-    return ScalarField.zeros(grid), DragField(ScalarField.zeros(grid), VectorField.zeros(grid))
+def no_drag(grid):
+    """The drag argument of a step without droplets."""
+    return DragField(ScalarField.zeros(grid), VectorField.zeros(grid))
+
+
+def fluid_state(u, rho=None):
+    """The fluid state of u, with the added density rho (zero if not given)."""
+    return FluidState(u, ScalarField.zeros(u.grid) if rho is None else rho)
 
 
 def band_limited(v):
@@ -30,7 +35,7 @@ def band_limited(v):
 def shear_state(grid):
     x = grid.meshgrid()
     comps = [np.sin(x[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
-    return FluidState(VectorField.from_components(grid, *comps), 0.0)
+    return fluid_state(VectorField.from_components(grid, *comps))
 
 
 class TestDragForce:
@@ -84,39 +89,39 @@ class TestNsStep:
         state = shear_state(g)
         e0 = np.linalg.norm(state.u.values) ** 2
         for _ in range(100):
-            state = ns_step(state, state.u, *no_coupling(g), 1e-3, coupling=1.0)
+            state = ns_step(state, state.u, no_drag(g), 1e-3, coupling=1.0)
         ratio = np.linalg.norm(state.u.values) ** 2 / e0
         assert ratio == pytest.approx(np.exp(-0.2), abs=1e-3)
 
     def test_zero_dt_identity(self):
         g = GridSpec(2, 32)
         state = shear_state(g)
-        out = ns_step(state, state.u, *no_coupling(g), 0.0, coupling=1.0)
+        out = ns_step(state, state.u, no_drag(g), 0.0, coupling=1.0)
         assert np.abs(out.u.values - state.u.values).max() < 1e-14
         assert out.t == state.t
 
     def test_cfl_rejection(self):
         g = GridSpec(2, 32)
         u = VectorField(g, np.full((2,) + g.shape, 30.0))
-        state = FluidState(leray_project(u))
+        state = fluid_state(leray_project(u))
         with pytest.raises(StepRejectedError, match="reduce dt"):
-            ns_step(state, state.u, *no_coupling(g), 0.05, coupling=1.0)
+            ns_step(state, state.u, no_drag(g), 0.05, coupling=1.0)
 
     def test_homogeneous_drag_ode(self):
         # uniform u, frozen uniform drag: (1+rho) du/dt = 2 c (v - u)
         g = GridSpec(3, 16)
         c, v, rho_c = 0.8, np.array([0.4, -0.2, 0.1]), 0.35
         u0 = np.array([1.0, 0.5, -0.3])
-        state = FluidState(VectorField.from_components(
-            g, *[np.full(g.shape, val) for val in u0]))
         rho = ScalarField(g, np.full(g.shape, rho_c))
+        state = fluid_state(VectorField.from_components(
+            g, *[np.full(g.shape, val) for val in u0]), rho)
         drag = DragField(
             ScalarField(g, np.full(g.shape, c)),
             VectorField.from_components(g, *[np.full(g.shape, c * val) for val in v]),
         )
         dt, t_end = 2e-5, 0.05
         for _ in range(int(round(t_end / dt))):
-            state = ns_step(state, state.u, rho, drag, dt, coupling=2.0)
+            state = ns_step(state, state.u, drag, dt, coupling=2.0)
 
         sol = solve_ivp(lambda t, y: 2.0 * c * (v - y) / (1.0 + rho_c),
                         (0.0, t_end), u0, method="DOP853", rtol=1e-12, atol=1e-14)
@@ -127,14 +132,15 @@ class TestNsStep:
         rng = np.random.default_rng(2)
         u = leray_project(band_limited(
             VectorField(g, 0.5 * rng.standard_normal((2,) + g.shape))))
-        state = FluidState(u)
         rho = ScalarField(g, rng.uniform(0, 0.5, g.shape))
+        state = fluid_state(u, rho)
         drag = DragField(
             ScalarField(g, rng.uniform(0, 0.3, g.shape)),
             VectorField(g, 0.1 * rng.standard_normal((2,) + g.shape)),
         )
         for _ in range(20):
-            state = ns_step(state, state.u, rho, drag, 1e-3, coupling=2.0)
+            state = ns_step(state, state.u, drag, 1e-3, coupling=2.0)
+            assert state.rho is rho  # a step hands the added density on as it is
             assert divergence_residual(g, fft(state.u)) <= 1e-10
             # the carried spectrum is that of the returned velocity
             assert np.abs(state.u_hat - fft(state.u)).max() <= 1e-12 * np.abs(state.u_hat).max()
@@ -147,23 +153,31 @@ class TestNsStep:
             raw = VectorField(g, rng.standard_normal((2,) + g.shape))
             u = leray_project(band_limited(raw))
             u.values -= u.values.mean(axis=(1, 2), keepdims=True)
-            state = FluidState(u)
+            state = fluid_state(u)
             e0 = np.linalg.norm(state.u.values)
-            out = ns_step(state, state.u, *no_coupling(g), 1e-3, coupling=1.0)
+            out = ns_step(state, state.u, no_drag(g), 1e-3, coupling=1.0)
             assert np.linalg.norm(out.u.values) <= e0 * (1 + 1e-13)
 
     def test_negative_density_rejected(self):
+        # the state checks rho >= 0 strictly, with no slack below zero
         g = GridSpec(2, 16)
-        state = shear_state(g)
-        with pytest.raises(ValueError):
-            ns_step(state, state.u, ScalarField(g, np.full(g.shape, -0.5)),
-                    no_coupling(g)[1], 1e-3, coupling=1.0)
+        u = shear_state(g).u
+        with pytest.raises(ValueError, match="nonnegative"):
+            FluidState(u, ScalarField(g, np.full(g.shape, -0.5)))
+        values = np.zeros(g.shape)
+        values[3, 5] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            FluidState(u, ScalarField(g, values))
+
+    def test_density_grid_mismatch(self):
+        with pytest.raises(GridMismatchError):
+            FluidState(shear_state(GridSpec(2, 16)).u, ScalarField.zeros(GridSpec(2, 32)))
 
     def test_mollified_convection_matches_plain_for_uniform(self):
         # uniform fields are fixed points of the mollifier
         g = GridSpec(2, 16)
-        state = FluidState(VectorField.from_components(
+        state = fluid_state(VectorField.from_components(
             g, np.full(g.shape, 0.3), np.full(g.shape, -0.2)))
-        a = ns_step(state, state.u, *no_coupling(g), 1e-3, coupling=1.0)
-        b = ns_step(state, mollify(state.u, 0.5), *no_coupling(g), 1e-3, coupling=1.0)
+        a = ns_step(state, state.u, no_drag(g), 1e-3, coupling=1.0)
+        b = ns_step(state, mollify(state.u, 0.5), no_drag(g), 1e-3, coupling=1.0)
         assert np.abs(a.u.values - b.u.values).max() < 1e-14

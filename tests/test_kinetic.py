@@ -613,8 +613,6 @@ def test_property_greedy_rounds_match_the_sequential_greedy(z):
 
 def _reference_merge_pass(cloud, group, max_merges, length):
     """The merge pass as a loop over the pairs, with the tree queried in input order."""
-    if group.size < 2 or max_merges < 1:
-        return None
     nn, order = _nn_edges(_phase_space(cloud, group))
     src = _sequential_greedy(nn, order, max_merges)
     a, b = group[src], group[nn[src]]

@@ -86,6 +86,11 @@ class TestConfig:
         dict(spray_init="maxwell"),
         dict(eps=0.5), dict(scenario="bidisperse", eps=0.5), dict(particle_count=5_001),
         dict(particle_count=1),
+        dict(eps=math.nan), dict(scenario="regularized", eps=math.inf),
+        dict(spray_sigma=math.nan), dict(spray_mass=math.nan), dict(spray_mass=math.inf),
+        dict(spray_mean_speed=math.nan), dict(spray_mean_speed=math.inf),
+        dict(nu=math.inf), dict(t_final=math.inf), dict(dt=math.inf),
+        dict(t_final=4e-4, dt=1e-3),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -105,6 +110,22 @@ class TestConfig:
                    and any(isinstance(sub, ast.Attribute) and sub.attr == "scenario"
                            for sub in ast.walk(node))]
         assert readers == []
+
+    def test_only_the_fluid_carries_the_added_density(self):
+        # rho is a field of FluidState; density_step alone takes it, to
+        # transport it, and every other reader takes the fluid state
+        takers, holders = [], []
+        for path in sorted(Path(scenarios.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                        and "rho" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}:
+                    takers.append(getattr(node, "name", f"lambda:{node.lineno}"))
+                elif isinstance(node, ast.ClassDef) and any(
+                        isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and item.target.id == "rho" for item in node.body):
+                    holders.append(node.name)
+        assert takers == ["density_step"]
+        assert holders == ["FluidState"]
 
     def test_only_the_cloud_carries_the_radius(self):
         # each particle's radius lives on the cloud, which the spawn sets to
@@ -133,7 +154,7 @@ class TestConfig:
     def test_cfl_advisory_counts_offset_mean_speed(self):
         # h / (1 + 5 + 3 * 0.6) = 0.05 < dt
         with pytest.warns(UserWarning, match="advective"):
-            quick_config(dt=0.1, spray_mean_speed=5.0).validate()
+            quick_config(dt=0.1, t_final=0.1, spray_mean_speed=5.0).validate()
 
     @pytest.mark.parametrize("kw", [
         dict(spray_init="gaussian"), dict(spray_init="none"), dict(spray_mass=0.0),
@@ -142,7 +163,7 @@ class TestConfig:
         # no spray moves at the mean speed here: h / (1 + 3 * 0.6) = 0.14 > dt
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            quick_config(dt=0.1, spray_mean_speed=5.0, **kw).validate()
+            quick_config(dt=0.1, t_final=0.1, spray_mean_speed=5.0, **kw).validate()
 
     def test_config_file_and_overrides(self, tmp_path):
         text = "\n".join([
@@ -212,7 +233,7 @@ class TestRunScenario:
     def test_pure_fluid_when_no_spray(self):
         res = run_scenario(quick_config(spray_init="none", t_final=0.04))
         assert res.cloud.count == 0
-        assert np.abs(res.density.rho.values).max() == 0.0
+        assert np.abs(res.fluid.rho.values).max() == 0.0
         for rec in res.records:
             assert rec.m0 == 0.0 and rec.m2 == 0.0
             assert rec.dissipation_drag == 0.0
@@ -263,9 +284,9 @@ class TestRunScenario:
             seen["cloud"], seen["lost"] = out = _real(*args, **kw)
             return out
 
-        def transported(density, u, source, dt, _real=sc.density_step):
+        def transported(rho, u, source, dt, _real=sc.density_step):
             seen["source"] = source.values
-            return _real(density, u, source, dt)
+            return _real(rho, u, source, dt)
         monkeypatch.setattr(sc, "absorb_and_fragment", absorbed)
         monkeypatch.setattr(sc, "density_step", transported)
         cfg = quick_config(tau=tau, t_final=2e-3, eps=eps,
