@@ -38,14 +38,29 @@ def density_step(rho: ScalarField, u: VectorField, source: ScalarField,
         raise ValueError("density source must be nonnegative")
     r = rho.values
     out, inflow = np.zeros(grid.shape), np.zeros(grid.shape)
+    face, right, left = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
     for a, ua in enumerate(u.values):
-        face = 0.5 * (ua + np.roll(ua, -1, axis=a))  # face velocity at i+1/2
-        right, left = np.maximum(face, 0.0), np.maximum(-face, 0.0)
-        out += right + np.roll(left, 1, axis=a)
-        inflow += np.roll(right * r, 1, axis=a) + left * np.roll(r, -1, axis=a)
+        np.add(ua, np.roll(ua, -1, axis=a), out=face)
+        face *= 0.5  # face velocity at i+1/2
+        np.maximum(face, 0.0, out=right)
+        np.maximum(np.negative(face, out=left), 0.0, out=left)
+        shifted = np.roll(left, 1, axis=a)
+        shifted += right
+        out += shifted  # right + roll(left, 1): the faces cell i flows out through
+        right *= r
+        shifted = np.roll(right, 1, axis=a)
+        left *= np.roll(r, -1, axis=a)
+        shifted += left
+        inflow += shifted  # roll(right r, 1) + left roll(r, -1): the upwinded inflow
     c = dt / grid.h
-    keep = 1.0 - c * out  # the share of rho_i a cell keeps
+    keep = out  # the share of rho_i a cell keeps, 1 - c out_i, in out's array
+    keep *= c
+    np.subtract(1.0, keep, out=keep)
     if keep.min() < 0.0:
         raise StepRejectedError(f"density outflow bound violated: dt/h * max cell outflow "
                                 f"face speed = {1.0 - keep.min():.3g} > 1; reduce dt")
-    return ScalarField(grid, r * keep + c * inflow + dt * source.values)
+    keep *= r  # rho_i', summed term by term in keep's array
+    inflow *= c
+    keep += inflow
+    keep += np.multiply(dt, source.values, out=inflow)
+    return ScalarField(grid, keep)

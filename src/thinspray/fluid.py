@@ -73,7 +73,9 @@ class DragField:
 def drag_force(u: VectorField, drag: DragField, coupling: float) -> VectorField:
     """Force density the droplets exert on the fluid: coupling (m1 - u m0)."""
     require_same_grid(u, drag.m0)
-    force = coupling * (drag.m1.values - u.values * drag.m0.values[None])
+    force = u.values * drag.m0.values[None]
+    np.subtract(drag.m1.values, force, out=force)
+    force *= coupling
     return VectorField(u.grid, force)
 
 
@@ -87,12 +89,20 @@ def check_cfl(u: VectorField, dt: float):
 
 
 def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndarray:
-    """(u_adv . grad) u, pseudo-spectral, gradient from the spectrum u_hat of u."""
+    """(u_adv . grad) u, pseudo-spectral, gradient from the spectrum u_hat of u.
+
+    The sum accumulates in the array of its first term.
+    """
     tab = _spectral_tables(u.grid)
-    out = np.zeros_like(u.values)
+    out = None
     for j, kj in enumerate(tab.k):
         du_j = ifft_like(u, 1j * kj * u_hat)  # d u / d x_j for all components
-        out += u_adv[j] * du_j
+        du_j *= u_adv[j]
+        if out is None:
+            out = du_j
+        else:
+            out += du_j
+        del du_j  # so that the next derivative is made with one field fewer alive
     return out
 
 
@@ -120,18 +130,31 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     rho_bar = float(state.rho.values.mean())
     nu_bar = nu / (1.0 + rho_bar)
 
+    # the tendency is built in place, and each term is dropped once added,
+    # so that at most four fields of u's size are alive at once
     tab = _spectral_tables(grid)
-    tendency = -_convection(u_adv.values, u, state.u_hat)
+    tendency = _convection(u_adv.values, u, state.u_hat)
+    np.negative(tendency, out=tendency)
 
     # spatially varying share of the viscous coefficient, explicit
-    lap_u = ifft_like(u, -tab.k2 * state.u_hat)
-    tendency += nu * lap_u * (1.0 / denom - 1.0 / (1.0 + rho_bar))
+    viscous = ifft_like(u, -tab.k2 * state.u_hat)  # lap u
+    viscous *= nu
+    viscous *= 1.0 / denom - 1.0 / (1.0 + rho_bar)
+    tendency += viscous
+    del viscous
 
-    tendency += drag_force(u, drag, coupling).values / denom
+    force = drag_force(u, drag, coupling).values
+    force /= denom
+    tendency += force
+    del force
 
-    t_hat = tab.mask * np.fft.rfftn(tendency, axes=tuple(range(-grid.dim, 0)))
-    u_hat = np.exp(-nu_bar * tab.k2 * dt) * (state.u_hat + dt * t_hat)
-    u_hat = project_spectrum(grid, u_hat)
-    u_new = VectorField(grid, ifft_like(u, u_hat))
+    t_hat = fft(VectorField(grid, tendency))
+    del tendency
+    t_hat *= tab.mask
+    t_hat *= dt
+    t_hat += state.u_hat
+    t_hat *= np.exp(-nu_bar * tab.k2 * dt)
+    u_hat = project_spectrum(grid, t_hat)
+    u_new = VectorField(grid, ifft_like(u, u_hat.copy()))  # u_hat is handed on
     require_finite(u_new, "fluid velocity after step")
     return FluidState(u_new, state.rho, state.t + dt, u_hat)

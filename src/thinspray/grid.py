@@ -5,6 +5,14 @@ boundary conditions.  All spectral operators act through the real FFT;
 first-derivative multipliers zero the Nyquist frequency so that every
 operator maps real fields to real fields and the Leray projector P obeys
 div(P v) == 0 and P P == P to rounding.
+
+The transforms run in place, as far as NumPy's ``out=`` (NumPy 2.0) allows:
+`fft` runs the complex passes of its forward transform in the one array it
+returns, and `ifft_like` runs every inverse pass but the last in the
+spectrum it is given, which it overwrites.  A caller that still needs a
+spectrum after inverting it passes a copy.  Both take the passes of
+np.fft.rfftn and np.fft.irfftn in the same order, so they agree with them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ Field = ScalarField | VectorField
 class SpectralTables(NamedTuple):
     k: tuple          # dim broadcastable wavenumber arrays, Nyquist zeroed
     k2: np.ndarray    # sum of squares of the Nyquist-zeroed wavenumbers
-    inv_k2: np.ndarray  # 1/k2 with zero entries (mean mode, pure Nyquist) set to 0
+    k_inv_k2: tuple   # k_j / k2 per axis, 0 where k2 == 0: the Leray projector
     k2_full: np.ndarray  # |k|^2 with the true Nyquist magnitude (mollifier)
     mask: np.ndarray  # 2/3-rule dealias mask (True = keep)
     weights: np.ndarray  # Parseval weights (2 for interior modes of the halved axis)
@@ -137,6 +145,7 @@ def _spectral_tables(grid: GridSpec) -> SpectralTables:
     inv_k2 = np.zeros_like(k2)
     nonzero = k2 > 0
     inv_k2[nonzero] = 1.0 / k2[nonzero]
+    k_inv_k2 = tuple(kt * inv_k2 for kt in k)
     k2_full = sum(kf**2 for kf in k_full)
 
     kmax_keep = int(np.ceil(n / 3)) - 1  # 3*kmax_keep < n: cubic products alias-free
@@ -153,7 +162,15 @@ def _spectral_tables(grid: GridSpec) -> SpectralTables:
     wshape[-1] = half.size
     weights = weights.reshape(wshape)
 
-    return SpectralTables(tuple(k), k2, inv_k2, k2_full, mask, weights)
+    return SpectralTables(tuple(k), k2, k_inv_k2, k2_full, mask, weights)
+
+
+@lru_cache(maxsize=64)
+def _mollifier(grid: GridSpec, eps: float) -> np.ndarray:
+    """The Gaussian multiplier exp(-eps^2 |k|^2 / 2) of `mollify`, read-only."""
+    multiplier = np.exp(-0.5 * eps**2 * _spectral_tables(grid).k2_full)
+    multiplier.flags.writeable = False
+    return multiplier
 
 
 def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
@@ -161,11 +178,23 @@ def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
 
 
 def fft(field: Field) -> np.ndarray:
-    return np.fft.rfftn(field.values, axes=_fft_axes(field.grid))
+    """The rfftn spectrum of the field, its complex passes run in that one array."""
+    values = field.values
+    out = np.empty(values.shape[:-1] + (field.grid.n // 2 + 1,), dtype=np.complex128)
+    return np.fft.rfftn(values, axes=_fft_axes(field.grid), out=out)
 
 
 def ifft_like(field: Field, spectrum: np.ndarray) -> np.ndarray:
-    return np.fft.irfftn(spectrum, s=field.grid.shape, axes=_fft_axes(field.grid))
+    """The real values on field's grid whose rfftn spectrum is `spectrum`.
+
+    Transforms `spectrum` in place and leaves it overwritten: every axis but
+    the last is inverted in it, in the order of np.fft.irfftn, before the
+    final real pass allocates the result.  Pass a copy to keep the spectrum.
+    """
+    axes = _fft_axes(field.grid)
+    for a in axes[:-1]:
+        np.fft.ifft(spectrum, axis=a, out=spectrum)
+    return np.fft.irfft(spectrum, field.grid.n, axis=axes[-1])
 
 
 def require_finite(field: Field, what: str = "field"):
@@ -182,8 +211,8 @@ def project_spectrum(grid: GridSpec, v_hat: np.ndarray) -> np.ndarray:
     """Leray-project a vector spectrum in place, mode by mode, and return it."""
     tab = _spectral_tables(grid)
     k_dot_v = sum(kj * v_hat[j] for j, kj in enumerate(tab.k))
-    for j, kj in enumerate(tab.k):
-        v_hat[j] -= kj * tab.inv_k2 * k_dot_v
+    for j, kj_inv_k2 in enumerate(tab.k_inv_k2):
+        v_hat[j] -= kj_inv_k2 * k_dot_v
     return v_hat
 
 
@@ -207,9 +236,8 @@ def mollify(field: Field, eps: float, spectrum: np.ndarray | None = None) -> Fie
     if not eps > 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
     require_finite(field)
-    multiplier = np.exp(-0.5 * eps**2 * _spectral_tables(field.grid).k2_full)
     spectrum = fft(field) if spectrum is None else spectrum
-    return type(field)(field.grid, ifft_like(field, multiplier * spectrum))
+    return type(field)(field.grid, ifft_like(field, _mollifier(field.grid, eps) * spectrum))
 
 
 def integral(field: Field) -> float | np.ndarray:

@@ -285,9 +285,10 @@ def run_scenario(config: SimConfig) -> RunResult:
     particles, the density and, in the next step, the gas.
     A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or
     the density step's outflow bound, dt/h times each cell's summed outflow
-    face speed <= 1, or makes a non-finite field: one StepRejectedError names
-    the step, t and the cause, after writing the last healthy state as the
-    "last_good" snapshot when an output directory is set.
+    face speed <= 1, or makes a non-finite field, or when its record or lemma
+    checks raise a FieldError: one StepRejectedError names the step, t and
+    the cause, after writing the last healthy state as the "last_good"
+    snapshot when an output directory is set.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -328,7 +329,9 @@ def run_scenario(config: SimConfig) -> RunResult:
     drag = deposit_moments(cloud, grid, eps)
     record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
-    last_good = (fluid, cloud)
+    # only the snapshot on abort reads the last healthy state: without an
+    # output directory none is held, so the old one dies with its step
+    last_good = (fluid, cloud) if config.output_dir else None
     lemma_stride = max(1, config.steps // 10)
 
     for step in range(1, config.steps + 1):
@@ -352,6 +355,11 @@ def run_scenario(config: SimConfig) -> RunResult:
                     fluid.rho, u_star, ScalarField(grid, gain * drag.m0.values), config.dt))
             if not np.isfinite(fluid.rho.values).all():
                 raise StepRejectedError("non-finite field")
+            record(t, drag)
+            if step % lemma_stride == 0 and cloud.count:
+                hist = radial_histogram(cloud, grid.volume)
+                for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
+                    lemma_checks.append(check_moment_bound(hist, alpha, gamma)[2])
         except (StepRejectedError, FieldError) as err:
             snapshot = "not requested"
             if config.output_dir:
@@ -359,13 +367,8 @@ def run_scenario(config: SimConfig) -> RunResult:
                 snapshot = f"written to {config.output_dir}"
             raise StepRejectedError(f"step {step} (t={t:.4g}) rejected: {err}; "
                                     f"last-good snapshot {snapshot}") from err
-        last_good = (fluid, cloud)
-
-        record(t, drag)
-        if step % lemma_stride == 0 and cloud.count:
-            hist = radial_histogram(cloud, grid.volume)
-            for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
-                lemma_checks.append(check_moment_bound(hist, alpha, gamma)[2])
+        if config.output_dir:
+            last_good = (fluid, cloud)
         if config.snapshot_stride and step % config.snapshot_stride == 0:
             _write_snapshots(config, f"{step:06d}", fluid, cloud)
 

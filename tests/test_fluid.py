@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -181,3 +183,31 @@ class TestNsStep:
         a = ns_step(state, state.u, no_drag(g), 1e-3, coupling=1.0)
         b = ns_step(state, mollify(state.u, 0.5), no_drag(g), 1e-3, coupling=1.0)
         assert np.abs(a.u.values - b.u.values).max() < 1e-14
+
+
+def transient_peak(call) -> int:
+    """Peak bytes one call of `call` allocates beyond what is alive before it."""
+    call()  # builds the cached spectral tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_transient_memory_of_one_step():
+    # the transforms and the tendency run in place: in fields the size of
+    # u, one step holds at most four at once, the mollifier at most 2.5
+    g = GridSpec(3, 32)
+    rng = np.random.default_rng(9)
+    state = fluid_state(band_limited(VectorField(g, rng.standard_normal((3,) + g.shape))),
+                        ScalarField(g, rng.random(g.shape)))
+    drag = DragField(ScalarField(g, rng.random(g.shape)),
+                     VectorField(g, rng.standard_normal((3,) + g.shape)))
+    size = state.u.values.nbytes
+    step = transient_peak(lambda: ns_step(state, state.u, drag, 1e-4, coupling=2.0))
+    assert step <= 4.0 * size
+    assert transient_peak(lambda: mollify(state.u, 0.1, state.u_hat)) <= 2.5 * size

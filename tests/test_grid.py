@@ -62,6 +62,22 @@ class TestTransforms:
         back = ifft_like(s, fft(s))
         assert np.abs(back - s.values).max() <= 1e-12 * np.abs(s.values).max()
 
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("make", [random_scalar, random_vector])
+    def test_match_numpy_bit_for_bit(self, dim, n, make):
+        # the in-place passes are numpy's own, taken in numpy's order
+        g = GridSpec(dim, n)
+        f = make(g, np.random.default_rng(7))
+        axes = tuple(range(-dim, 0))
+        spectrum = fft(f)
+        expected = np.fft.rfftn(f.values, axes=axes)
+        assert spectrum.shape == expected.shape
+        assert spectrum.tobytes() == expected.tobytes()
+        expected = np.fft.irfftn(spectrum, s=g.shape, axes=axes)
+        back = ifft_like(f, spectrum)
+        assert back.shape == expected.shape
+        assert back.tobytes() == expected.tobytes()
+
     def test_gradient_norm_matches_real_space(self):
         g = GridSpec(3, 16)
         x, y, z = g.meshgrid()
@@ -165,6 +181,16 @@ class TestMollify:
         a = mollify(leray_project(v), 0.3)
         b = leray_project(mollify(v, 0.3))
         assert np.abs(a.values - b.values).max() <= 1e-12 * l2_scale(v)
+
+    def test_given_spectrum_left_as_it_is(self):
+        # a caller hands in the spectrum it keeps (FluidState.u_hat)
+        g = GridSpec(3, 16)
+        v = random_vector(g, np.random.default_rng(8))
+        spectrum = fft(v)
+        kept = spectrum.copy()
+        out = mollify(v, 0.3, spectrum)
+        assert spectrum.tobytes() == kept.tobytes()
+        assert out.values.tobytes() == mollify(v, 0.3).values.tobytes()
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_bad_width_rejected(self, eps):

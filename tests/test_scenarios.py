@@ -11,7 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
-from thinspray.errors import ConfigError, StepRejectedError
+from thinspray.errors import ConfigError, FieldError, StepRejectedError
 from thinspray.grid import divergence_residual, fft, integral
 from thinspray.kinetic import velocity_cutoff
 from thinspray.scenarios import (
@@ -458,6 +458,29 @@ class TestRunScenario:
         field, _ = read_field(tmp_path / "velocity_last_good.field")
         assert np.isfinite(field.values).all()
 
+    def test_record_error_rejects_the_step(self, monkeypatch, tmp_path):
+        # a FieldError from a step's record ends as that step's rejection,
+        # with the state of the step before as the last-good snapshot
+        import thinspray.scenarios as sc
+
+        calls = {"n": 0}
+        real = sc.collect_record
+
+        def failing(*args, **kw):
+            calls["n"] += 1
+            if calls["n"] == 3:  # the t=0 record, then steps 1 and 2
+                raise FieldError("record failed")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(sc, "collect_record", failing)
+        cfg = quick_config(output_dir=str(tmp_path))
+        with pytest.raises(StepRejectedError,
+                           match=r"step 2 \(t=0\.004\) rejected: record failed; "
+                                 r"last-good snapshot written"):
+            run_scenario(cfg)
+        _, t = read_field(tmp_path / "velocity_last_good.field")
+        assert t == pytest.approx(cfg.dt)
+
     def test_cfl_abort_writes_last_good(self, tmp_path):
         # dt far beyond the CFL limit of the initial flow: step 1 is rejected
         cfg = quick_config(dt=0.5, t_final=1.0, spray_mean_speed=5.0,
@@ -497,9 +520,9 @@ class TestRunScenario:
     def test_transforms_per_step(self, monkeypatch, scenario, per_step):
         # u is forward-transformed once per step, in the tendency of ns_step;
         # the regularized step adds the inverse transform of the mollified
-        # spectrum
+        # spectrum.  An inverse is counted by np.fft.irfft, its last pass.
         calls = []
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfftn", "irfft"):
             def counted(*args, _real=getattr(np.fft, name), **kw):
                 calls.append(1)
                 return _real(*args, **kw)
