@@ -17,6 +17,7 @@ import numpy as np
 
 from .fluid import DragField, FluidState
 from .grid import (
+    TWO_PI,
     ScalarField,
     VectorField,
     divergence_residual,
@@ -126,11 +127,11 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     eps) with that eps (None without a cutoff).  The radius r, the Stokes
     drag weight, also weighs |u - xi|^2 f in the drag dissipation.  volume
     (liquid_volume) and remainders (of regularization_remainders, zeros
-    without a cutoff) are stored as given.  A non-finite u raises FieldError.
+    without a cutoff) are stored as given.  The gas is finite: FluidState
+    rejects a non-finite u or rho.
     """
     u, rho = fluid.u, fluid.rho
     grid = u.grid
-    require_finite(u, "fluid velocity")
     u_sq = np.sum(u.values**2, axis=0)
 
     # an empty cloud needs no branch: every particle sum below is then zero
@@ -249,20 +250,19 @@ class RadialDensity:
         return float(self.values.max(initial=0.0))
 
 
-def radial_histogram(cloud: ParticleCloud, volume_x: float,
-                     nbins: int = 32) -> RadialDensity:
+def radial_histogram(cloud: ParticleCloud, nbins: int = 32) -> RadialDensity:
     """Space-averaged radial phase density reconstructed from a cloud.
 
-    Bins sum(w) into speed shells and divides by (spatial volume x shell
-    volume), yielding a bounded nonnegative radial density whose exact shell
-    moments approximate the cloud's.
+    Bins sum(w) into speed shells and divides by (torus volume (2π)^dim x
+    shell volume), yielding a bounded nonnegative radial density whose exact
+    shell moments approximate the cloud's.
     """
     speed = np.sqrt(rowwise_dot(cloud.xi, cloud.xi))
     top = max(float(speed.max(initial=0.0)) * 1.0001, 1e-12)
     # uniform bins take numpy's fast path; the edges are linspace(0, top, nbins + 1)
     counts, edges = np.histogram(speed, bins=nbins, range=(0.0, top), weights=cloud.w)
     shell_vol = BALL_VOLUME_FACTOR * (edges[1:] ** 3 - edges[:-1] ** 3)
-    return RadialDensity(edges, counts / (volume_x * shell_vol))
+    return RadialDensity(edges, counts / (TWO_PI**cloud.dim * shell_vol))
 
 
 def check_moment_bound(h: RadialDensity, alpha: float,

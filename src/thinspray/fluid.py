@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepRejectedError
+from .errors import FieldError, StepRejectedError
 from .grid import (
     ScalarField,
     VectorField,
@@ -44,7 +44,9 @@ from .grid import (
 @dataclass
 class FluidState:
     """Velocity u and added density rho >= 0 on u's grid at time t, and the
-    rfftn spectrum u_hat of u, computed if not given."""
+    rfftn spectrum u_hat of u, computed if not given.  A state is valid by
+    construction: a non-finite u, or a negative or non-finite rho, raises
+    FieldError, also through dataclasses.replace; no other code checks it."""
 
     u: VectorField
     rho: ScalarField
@@ -53,8 +55,10 @@ class FluidState:
 
     def __post_init__(self):
         require_same_grid(self.u, self.rho)
-        if self.rho.values.min() < 0:
-            raise ValueError("added density must be nonnegative")
+        require_finite(self.u, "fluid velocity")
+        rho = self.rho.values
+        if not (rho.min() >= 0 and rho.max() < np.inf):  # NaN fails both
+            raise FieldError("added density must be finite and nonnegative")
         if self.u_hat is None:
             self.u_hat = fft(self.u)
 
@@ -116,12 +120,12 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     coupling; a caller without droplets passes zero fields.  The step reads
     state.u_hat; the returned velocity is Leray-projected and carries its
     projected spectrum.  The whole explicit tendency is dealiased by the 2/3
-    rule, so a band-limited u stays band-limited.
+    rule, so a band-limited u stays band-limited.  A step that makes a
+    non-finite velocity raises FieldError, from the FluidState it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     u = state.u
-    require_finite(u, "fluid velocity")
     grid = u.grid
     check_cfl(u, dt)
 
@@ -156,5 +160,4 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     t_hat *= np.exp(-nu_bar * tab.k2 * dt)
     u_hat = project_spectrum(grid, t_hat)
     u_new = VectorField(grid, ifft_like(u, u_hat.copy()))  # u_hat is handed on
-    require_finite(u_new, "fluid velocity after step")
     return FluidState(u_new, state.rho, state.t + dt, u_hat)

@@ -1,7 +1,8 @@
 """Periodic-torus grid bookkeeping and spectral operators.
 
-Fields live on a uniform n^dim grid over [0, length)^dim with periodic
-boundary conditions.  All spectral operators act through the real FFT;
+Fields live on a uniform n^dim grid over the torus [0, 2π)^dim, with periodic
+boundary conditions.  The period is fixed: `GridSpec.length` is a class
+constant, not a field.  All spectral operators act through the real FFT;
 first-derivative multipliers zero the Nyquist frequency so that every
 operator maps real fields to real fields and the Leray projector P obeys
 div(P v) == 0 and P P == P to rounding.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -30,19 +31,17 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: dim axes, n points per axis, period `length`."""
+    """Uniform periodic grid on [0, 2π)^dim: dim axes, n points per axis."""
 
     dim: int
     n: int
-    length: float = TWO_PI
+    length: ClassVar[float] = TWO_PI  # the period of every axis
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -124,18 +123,18 @@ class SpectralTables(NamedTuple):
 @lru_cache(maxsize=64)
 def _spectral_tables(grid: GridSpec) -> SpectralTables:
     """Wavenumber/multiplier tables in the rfftn layout (last axis halved)."""
-    n, dim, length = grid.n, grid.dim, grid.length
-    scale = TWO_PI / length
-    full = np.fft.fftfreq(n, d=1.0 / n)  # 0..n/2-1, -n/2..-1 (integers)
+    n, dim = grid.n, grid.dim
+    # on the 2π torus the wavenumbers are the integer frequencies
+    full = np.fft.fftfreq(n, d=1.0 / n)  # 0..n/2-1, -n/2..-1
     half = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
 
-    freqs = [full.copy() for _ in range(dim - 1)] + [half.copy()]
+    freqs = [full] * (dim - 1) + [half]
     k_full = []
     k = []
     for ax, f in enumerate(freqs):
         shape = [1] * dim
         shape[ax] = f.size
-        kf = (f * scale).reshape(shape)
+        kf = f.reshape(shape)
         k_full.append(kf)
         kt = kf.copy()
         kt[np.abs(f).reshape(shape) == n // 2] = 0.0  # Nyquist has no sign partner

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FieldError
 from .fluid import DragField
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import TWO_PI, GridSpec, ScalarField, VectorField
 from .transfer import cic_gather, cic_scatter
 
 # the merge's neighbour query is (1 + eps)-approximate (Arya et al., J. ACM 1998);
@@ -36,7 +36,7 @@ class ParticleCloud:
     unchanged with the cloud they return, so no code writes into one in place.
     """
 
-    x: np.ndarray        # (N, dim) positions in [0, length)
+    x: np.ndarray        # (N, dim) positions in [0, 2π)
     xi: np.ndarray       # (N, dim) velocities
     w: np.ndarray        # (N,) nonnegative number weights
     r: np.ndarray        # (N,) positive droplet radii, 1 for parents
@@ -123,7 +123,7 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
-    Only the coordinates that left [0, length) are wrapped back.  The
+    Only the coordinates that left [0, 2π) are wrapped back.  The
     returned cloud shares w and r with the input.
     """
     if dt < 0:
@@ -138,10 +138,10 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
     x_new = np.multiply(up, dt, out=up)  # up is not read again: x' reuses its buffer
     x_new += cloud.x
     x_new += dxi
-    flat, length = x_new.reshape(-1), u.grid.length
-    left = np.flatnonzero((flat < 0.0) | (flat >= length))
-    wrapped = np.mod(flat[left], length)  # a tiny negative's remainder rounds up to length
-    flat[left] = np.where(wrapped == length, 0.0, wrapped)
+    flat = x_new.reshape(-1)
+    left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
+    wrapped = np.mod(flat[left], TWO_PI)  # a tiny negative's remainder rounds up to 2π
+    flat[left] = np.where(wrapped == TWO_PI, 0.0, wrapped)
     return ParticleCloud(x_new, xi_new, cloud.w, cloud.r)
 
 
@@ -194,8 +194,7 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
                      VectorField(grid, np.moveaxis(dens[..., 1:], -1, 0)))
 
 
-def merge_particles(cloud: ParticleCloud, budget: int,
-                    length: float) -> tuple[ParticleCloud, float]:
+def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, float]:
     """Reduce the cloud to at most `budget` particles by pairwise merging.
 
     Near phase-space neighbours of one radius are combined into a
@@ -204,10 +203,9 @@ def merge_particles(cloud: ParticleCloud, budget: int,
     distance of one of its particles.  On spray clouds that bound is loose:
     the merged pairs' mean squared position shift, weighted by reduced
     mass, measured 1.07-1.20 times an exact query's.  Positions use the
-    periodic weighted mean on a torus of period `length`, which must be the
-    grid's.  Returns the merged cloud and the relative change of
-    sum(w |xi|^2), the one moment a merge does not preserve; a cloud within
-    the budget is returned as it is.
+    periodic weighted mean on the torus [0, 2π).  Returns the merged cloud
+    and the relative change of sum(w |xi|^2), the one moment a merge does
+    not preserve; a cloud within the budget is returned as it is.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -224,7 +222,7 @@ def merge_particles(cloud: ParticleCloud, budget: int,
         top = np.lexsort((radii, counts))[-1]  # the most numerous radius; on a tie the larger
         if counts[top] < 2:  # no radius has a pair left to merge
             break
-        out = _merge_pass(out, np.flatnonzero(out.r == radii[top]), out.count - budget, length)
+        out = _merge_pass(out, np.flatnonzero(out.r == radii[top]), out.count - budget)
     rel = abs(m2(out) - m2_before) / max(abs(m2_before), 1e-300)
     return out, rel
 
@@ -272,8 +270,7 @@ def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1]), dist[:, 1]
 
 
-def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
-                length: float):
+def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int):
     """One greedy nearest-neighbour merge pass inside one group of equal radius.
 
     Each particle's edge to an approximate phase-space nearest neighbour,
@@ -302,9 +299,9 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int,
         (wa[:, None] * cloud.xi[a] + wb[:, None] * cloud.xi[b]) / safe[:, None],
         0.5 * (cloud.xi[a] + cloud.xi[b]),
     )
-    delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * length, length) - 0.5 * length
-    x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, length)
-    x_m[x_m == length] = 0.0  # the remainder of a tiny negative rounds up to length
+    delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
+    x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, TWO_PI)
+    x_m[x_m == TWO_PI] = 0.0  # the remainder of a tiny negative rounds up to 2π
     keep = np.ones(cloud.count, dtype=bool)
     keep[a] = False
     keep[b] = False

@@ -89,8 +89,9 @@ DEFAULT_ENERGY_RATE = 250.0
 # a fragmenting run breaks each parent up on every _SPAWN_PERIOD-th step
 _SPAWN_PERIOD = 2
 DIV_TOLERANCE = 1e-10
-MASS_TOLERANCE = 1e-10
-VOLUME_TOLERANCE = 1e-12
+# relative gate of the liquid budget, volume + integral of rho, which the
+# flux-form density step closes to rounding
+LIQUID_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -285,10 +286,11 @@ def run_scenario(config: SimConfig) -> RunResult:
     particles, the density and, in the next step, the gas.
     A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or
     the density step's outflow bound, dt/h times each cell's summed outflow
-    face speed <= 1, or makes a non-finite field, or when its record or lemma
-    checks raise a FieldError: one StepRejectedError names the step, t and
-    the cause, after writing the last healthy state as the "last_good"
-    snapshot when an output directory is set.
+    face speed <= 1, or when FluidState, the one check of the gas, rejects
+    the non-finite u or rho it makes, or when its record or lemma checks
+    raise a FieldError: one StepRejectedError names the step, t and the
+    cause, after writing the last healthy state as the "last_good" snapshot
+    when an output directory is set.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -339,25 +341,20 @@ def run_scenario(config: SimConfig) -> RunResult:
         try:
             fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu, coupling=coupling)
             del drag  # so one drag field is alive when the pass below makes the next
-            if not np.isfinite(fluid.u.values).all():
-                raise StepRejectedError("non-finite field")
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
             cloud = break_up(advance_particles(cloud, u_star, config.dt), step)
             if cloud.count > config.particle_budget:
-                cloud, m2_err = merge_particles(cloud, config.particle_budget,
-                                                length=grid.length)
+                cloud, m2_err = merge_particles(cloud, config.particle_budget)
                 merge_m2_max = max(merge_m2_max, m2_err)
                 if m2_err > 0.01:
                     log.warning("merge pass changed spray energy by %.2e", m2_err)
             drag = deposit_moments(cloud, grid, eps)
-            if config.absorbs:
+            if config.absorbs:  # replace re-runs FluidState's check on the new rho
                 fluid = replace(fluid, rho=density_step(
                     fluid.rho, u_star, ScalarField(grid, gain * drag.m0.values), config.dt))
-            if not np.isfinite(fluid.rho.values).all():
-                raise StepRejectedError("non-finite field")
             record(t, drag)
             if step % lemma_stride == 0 and cloud.count:
-                hist = radial_histogram(cloud, grid.volume)
+                hist = radial_histogram(cloud)
                 for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
                     lemma_checks.append(check_moment_bound(hist, alpha, gamma)[2])
         except (StepRejectedError, FieldError) as err:
@@ -424,12 +421,10 @@ def _summarize(config: SimConfig, records, lemma_checks, merge_m2_max, drag_coef
     # one liquid budget, reported under the key of the scenario's policy;
     # the other key is filled with Nones
     kept = np.array([r.volume + r.mass_rho for r in records])
-    if config.absorbs:  # a cutoff removes number on purpose
-        name, rtol = "mass_budget", None if config.eps else MASS_TOLERANCE
-    else:
-        name, rtol = "liquid_volume", VOLUME_TOLERANCE
+    name = "mass_budget" if config.absorbs else "liquid_volume"
     err = float(np.abs(kept - kept[0]).max())
-    tol = None if rtol is None else rtol * max(1.0, abs(kept[0]))
+    # a cutoff removes number on purpose
+    tol = None if config.eps else LIQUID_TOLERANCE * max(1.0, abs(kept[0]))
     summary["mass_budget"] = summary["liquid_volume"] = {
         "max_error": None, "tol": None, "pass": None}
     summary[name] = {"max_error": err, "tol": tol, "pass": None if tol is None else err <= tol}
@@ -522,7 +517,6 @@ def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
         rows.append(SweepRow(r2, fragment_slip(run), mismatch))
         summaries[f"{r2:g}"] = run.summary
 
-    rows.sort(key=lambda r: -r.r2)
     deltas = np.array([r.delta for r in rows])
     r2s = np.array([r.r2 for r in rows])
     if np.all(deltas > 0) and len(rows) > 1:

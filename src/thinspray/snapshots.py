@@ -2,9 +2,10 @@
 
 A snapshot file is one line of JSON (terminated by a newline) followed by the
 raw array data as little-endian 64-bit floats in row-major order.  Field
-headers carry {dim, n, length, components, time}; particle headers carry
-{dim, count, columns, time} with columns x|xi|w|r (r the droplet radius); a
-particle file whose columns differ is rejected.
+headers carry {dim, n, length, components, time}, where length, the period
+of the torus, is always 2π: a field file of another period is rejected.
+Particle headers carry {dim, count, columns, time} with columns x|xi|w|r (r
+the droplet radius); a particle file whose columns differ is rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def read_field(path) -> tuple[ScalarField | VectorField, float]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    grid = GridSpec(int(header["dim"]), int(header["n"]), float(header["length"]))
+    if float(header["length"]) != GridSpec.length:
+        raise ValueError(f"{path}: field period {header['length']} is not 2π")
+    grid = GridSpec(int(header["dim"]), int(header["n"]))
     components = int(header["components"])
     if components == 1:
         field = ScalarField(grid, raw.reshape(grid.shape).copy())

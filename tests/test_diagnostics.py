@@ -47,8 +47,8 @@ class TestRadialDensity:
         cloud = make_cloud(rng.uniform(0, 6, (50_000, 3)),
                            0.8 * rng.standard_normal((50_000, 3)),
                            rng.uniform(0, 1, 50_000))
-        vol = (2 * np.pi) ** 3
-        hist = radial_histogram(cloud, vol, nbins=64)
+        vol = (2 * np.pi) ** 3  # the torus the histogram averages over
+        hist = radial_histogram(cloud, nbins=64)
         # zeroth moment is binned exactly; higher moments only approximately
         assert hist.moment(0.0) * vol == pytest.approx(cloud.w.sum(), rel=1e-12)
 
@@ -58,7 +58,7 @@ class TestRadialDensity:
                            1.3 * rng.standard_normal((20_000, 3)),
                            rng.uniform(0, 1, 20_000))
         vol, nbins = (2 * np.pi) ** 3, 32
-        hist = radial_histogram(cloud, vol, nbins=nbins)
+        hist = radial_histogram(cloud, nbins=nbins)
         top = hist.edges[-1]
         assert np.array_equal(hist.edges, np.linspace(0.0, top, nbins + 1))
         speed = np.sqrt(np.sum(cloud.xi**2, axis=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from thinspray.errors import GridMismatchError, StepRejectedError
+from thinspray.errors import FieldError, GridMismatchError, StepRejectedError
 from thinspray.fluid import DragField, FluidState, drag_force, ns_step
 from thinspray.grid import (
     GridSpec,
@@ -170,6 +170,22 @@ class TestNsStep:
         values[3, 5] = -1e-300
         with pytest.raises(ValueError, match="nonnegative"):
             FluidState(u, ScalarField(g, values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, bad):
+        # NaN is not below 0, so a check of rho < 0 alone lets it through
+        g = GridSpec(2, 16)
+        values = np.zeros(g.shape)
+        values[3, 3] = bad
+        with pytest.raises(FieldError, match="finite"):
+            FluidState(VectorField.zeros(g), ScalarField(g, values))
+
+    def test_non_finite_velocity_rejected(self):
+        g = GridSpec(2, 16)
+        u = VectorField.zeros(g)
+        u.values[1, 3, 3] = np.nan
+        with pytest.raises(FieldError, match="non-finite"):
+            FluidState(u, ScalarField.zeros(g))
 
     def test_density_grid_mismatch(self):
         with pytest.raises(GridMismatchError):

@@ -37,13 +37,10 @@ class TestGridSpec:
         assert g.h == pytest.approx(2 * np.pi / 32)
         assert g.volume == pytest.approx((2 * np.pi) ** 3)
 
-    @pytest.mark.parametrize("dim,n,length", [(1, 32, 1.0), (4, 32, 1.0),
-                                              (3, 7, 1.0), (3, 24, 1.0),
-                                              (3, 4, 1.0), (3, 32, 0.0),
-                                              (3, 32, -1.0)])
-    def test_invalid(self, dim, n, length):
+    @pytest.mark.parametrize("dim,n", [(1, 32), (4, 32), (3, 7), (3, 24), (3, 4)])
+    def test_invalid(self, dim, n):
         with pytest.raises(ValueError):
-            GridSpec(dim, n, length)
+            GridSpec(dim, n)
 
     def test_field_shape_checked(self):
         g = GridSpec(2, 16)

@@ -336,7 +336,7 @@ class TestInterpolateVelocity:
 class TestMerge:
     def test_under_budget_identity(self):
         cloud = random_cloud(np.random.default_rng(9), 50)
-        out, err = merge_particles(cloud, 100, TWO_PI)
+        out, err = merge_particles(cloud, 100)
         assert out.count == 50
         assert err == 0.0
 
@@ -347,7 +347,7 @@ class TestMerge:
             np.array([0.5, 0.5]),
             np.array([1.0, 1.0]),
         )
-        out, _ = merge_particles(cloud, 1, TWO_PI)
+        out, _ = merge_particles(cloud, 1)
         assert out.count == 1
         assert out.w[0] == pytest.approx(1.0, rel=1e-14)
         assert np.abs(out.xi[0] - np.array([0.5, 0.5, 0.0])).max() < 1e-14
@@ -359,7 +359,7 @@ class TestMerge:
         w0 = cloud.w.sum()
         p0 = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
         counts0 = {r: cloud.w[cloud.r == r].sum() for r in (1.0, R2)}
-        out, err = merge_particles(cloud, 2500, TWO_PI)
+        out, err = merge_particles(cloud, 2500)
         assert out.count <= 2500
         assert out.w.sum() == pytest.approx(w0, rel=1e-13)
         assert np.abs(np.sum(out.w[:, None] * out.xi, axis=0) - p0).max() \
@@ -369,25 +369,25 @@ class TestMerge:
         assert err < 0.05
 
     def test_merges_across_the_seam_of_the_given_period(self):
-        # on a period-1 torus, 0.95 and 0.05 are 0.1 apart across the seam
+        # on the 2π torus, 2π - 0.05 and 0.05 are 0.1 apart across the seam
         cloud = ParticleCloud(
-            np.array([[0.95, 0.5], [0.05, 0.5]]), np.zeros((2, 2)),
+            np.array([[TWO_PI - 0.05, 0.5], [0.05, 0.5]]), np.zeros((2, 2)),
             np.array([1.0, 1.0]), np.array([1.0, 1.0]),
         )
-        out, _ = merge_particles(cloud, 1, 1.0)
+        out, _ = merge_particles(cloud, 1)
         x = out.x[0, 0]
-        assert 0.0 <= x < 1.0
-        assert min(x, 1.0 - x) < 1e-12
+        assert 0.0 <= x < TWO_PI
+        assert min(x, TWO_PI - x) < 1e-12
 
     def test_coincident_particles_merge_with_each_other(self):
         # the tree may return a coincident point before the query point itself
         cloud = ParticleCloud(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4), np.ones(4))
-        out, _ = merge_particles(cloud, 1, 1.0)
+        out, _ = merge_particles(cloud, 1)
         assert out.count == 1 and out.w[0] == 4.0
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            merge_particles(ParticleCloud.empty(3), 0, TWO_PI)
+            merge_particles(ParticleCloud.empty(3), 0)
 
 
 class TestSampler:
@@ -432,30 +432,31 @@ def _cloud(x, w):
 
 @st.composite
 def _merge_cases(draw):
-    """A cloud on a torus of period `length` and a budget it may exceed."""
+    """A cloud on the 2π torus and a budget it may exceed."""
     dim = draw(st.sampled_from([2, 3]))
-    length = draw(st.sampled_from([1.0, TWO_PI]))
     count = draw(st.integers(2, 40))
     x = draw(arrays(np.float64, (count, dim),
-                    elements=st.floats(0.0, length, exclude_max=True)))
+                    elements=st.floats(0.0, TWO_PI, exclude_max=True)))
     xi = draw(arrays(np.float64, (count, dim), elements=st.floats(-5.0, 5.0)))
     # zero weights make zero-weight pairs, which merge by the unweighted mean
     w = draw(arrays(np.float64, count, elements=st.just(0.0)
                     | st.floats(0.0, 10.0, allow_subnormal=False)))
     r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, R2])))
     budget = draw(st.integers(1, count))
-    return ParticleCloud(x, xi, w, r), budget, length
+    return ParticleCloud(x, xi, w, r), budget
 
 
-# a zero-weight pair, coincident particles, and a pair whose weighted mean
-# lands a rounding error below 0 (np.remainder maps that to the period itself)
-@example((_cloud([[0.5, 0.5], [0.6, 0.5], [0.1, 0.9]], [0.0, 0.0, 1.0]), 1, 1.0))
-@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1, 1.0))
-@example((_cloud([[0.0, 1.0], [TWO_PI - 2e-15, 1.0]], [0.8, 0.2]), 1, TWO_PI))
+# a zero-weight pair, coincident particles, a pair 0.1 apart across the
+# seam, and a pair whose weighted mean lands a rounding error below 0
+# (np.remainder maps that to the period itself)
+@example((_cloud([[0.5, 0.5], [0.6, 0.5], [0.1, 0.9]], [0.0, 0.0, 1.0]), 1))
+@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1))
+@example((_cloud([[TWO_PI - 0.05, 1.0], [0.05, 1.0]], [1.0, 3.0]), 1))
+@example((_cloud([[0.0, 1.0], [TWO_PI - 2e-15, 1.0]], [0.8, 0.2]), 1))
 @given(_merge_cases())
 def test_property_merge(case):
-    cloud, budget, length = case
-    out, _ = merge_particles(cloud, budget, length)
+    cloud, budget = case
+    out, _ = merge_particles(cloud, budget)
     for r in (1.0, R2):  # merging never moves weight or momentum across radii
         before, after = cloud.r == r, out.r == r
         w_before = cloud.w[before]
@@ -464,7 +465,7 @@ def test_property_merge(case):
         p_after = out.w[after] @ out.xi[after]
         p_scale = w_before @ np.abs(cloud.xi[before])
         assert np.all(np.abs(p_after - p_before) <= 1e-12 * p_scale)
-    assert np.all((out.x >= 0.0) & (out.x < length))
+    assert np.all((out.x >= 0.0) & (out.x < TWO_PI))
     if out.count > budget:  # merging stopped only for want of pairs
         assert np.all(np.unique(out.r, return_counts=True)[1] == 1)
 
@@ -476,14 +477,13 @@ def _phase_space(cloud, group):
 
 
 # all coincident, and coincident in fours
-@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1, 1.0))
-@example((_cloud(np.repeat([[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]], 4, axis=0), np.ones(12)),
-          1, 1.0))
+@example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1))
+@example((_cloud(np.repeat([[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]], 4, axis=0), np.ones(12)), 1))
 @given(_merge_cases())
 def test_property_edges_are_within_the_approximation(case):
     # every edge joins two particles and is at most (1 + eps) times as long
     # as the exact nearest-neighbour distance of its source
-    cloud, _, _ = case
+    cloud, _ = case
     for r in (1.0, R2):
         group = np.flatnonzero(cloud.r == r)
         if group.size < 2:
@@ -507,7 +507,7 @@ def test_edges_stay_in_range_with_a_lone_point_in_a_leaf(dim):
     assert nn[16] < 16 and length[16] == np.sqrt(dim)
 
 
-def _pair_shifts(cloud, group, max_merges, length):
+def _pair_shifts(cloud, group, max_merges):
     """Mean squared position and velocity shift of the pairs one merge pass
     takes in group, each weighted by the pair's reduced mass: merging a and
     b into their weighted mean moves them by w_a w_b / (w_a + w_b) |b - a|^2
@@ -518,7 +518,7 @@ def _pair_shifts(cloud, group, max_merges, length):
     src = kinetic._greedy_pairs(nn, key)[:max_merges]
     a, b = group[src], group[nn[src]]
     mu = cloud.w[a] * cloud.w[b] / (cloud.w[a] + cloud.w[b])
-    dx = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * length, length) - 0.5 * length
+    dx = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
     dxi = cloud.xi[b] - cloud.xi[a]
     return np.array([np.mean(mu * np.sum(d**2, axis=1)) for d in (dx, dxi)])
 
@@ -533,13 +533,13 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
     # (eps = 1e3).
     inputs, merge = [], scenarios.merge_particles
 
-    def captured(cloud, budget, **kwargs):
+    def captured(cloud, budget):
         inputs.append((cloud, budget))
-        return merge(cloud, budget, **kwargs)
+        return merge(cloud, budget)
 
     def pooled():
-        return sum(_pair_shifts(cloud, np.flatnonzero(cloud.r < 1.0),
-                                cloud.count - budget, TWO_PI) for cloud, budget in inputs)
+        return sum(_pair_shifts(cloud, np.flatnonzero(cloud.r < 1.0), cloud.count - budget)
+                   for cloud, budget in inputs)
 
     eps = kinetic._NN_EPS
     monkeypatch.setattr(scenarios, "merge_particles", captured)
@@ -611,7 +611,7 @@ def test_property_greedy_rounds_match_the_sequential_greedy(z):
     assert np.all(np.diff(key[src]) > 0)
 
 
-def _reference_merge_pass(cloud, group, max_merges, length):
+def _reference_merge_pass(cloud, group, max_merges):
     """The merge pass as a loop over the pairs, with the tree queried in input order."""
     nn, order = _nn_edges(_phase_space(cloud, group))
     src = _sequential_greedy(nn, order, max_merges)
@@ -625,9 +625,9 @@ def _reference_merge_pass(cloud, group, max_merges, length):
         (wa[:, None] * cloud.xi[a] + wb[:, None] * cloud.xi[b]) / safe[:, None],
         0.5 * (cloud.xi[a] + cloud.xi[b]),
     )
-    delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * length, length) - 0.5 * length
-    x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, length)
-    x_m[x_m == length] = 0.0
+    delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
+    x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, TWO_PI)
+    x_m[x_m == TWO_PI] = 0.0
     keep = np.ones(cloud.count, dtype=bool)
     keep[a] = False
     keep[b] = False
@@ -652,9 +652,9 @@ def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_
         calls.append(args)
         return _reference_merge_pass(*args)
 
-    got, got_m2 = merge_particles(cloud, budget, TWO_PI)
+    got, got_m2 = merge_particles(cloud, budget)
     monkeypatch.setattr(kinetic, "_merge_pass", counted)
-    want, want_m2 = merge_particles(cloud, budget, TWO_PI)
+    want, want_m2 = merge_particles(cloud, budget)
     assert len(calls) == passes
     for name in ("x", "xi", "w", "r"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, FieldError, StepRejectedError
-from thinspray.grid import divergence_residual, fft, integral
+from thinspray.grid import GridSpec, divergence_residual, fft, integral
 from thinspray.kinetic import velocity_cutoff
 from thinspray.scenarios import (
     SimConfig,
@@ -136,6 +136,18 @@ class TestConfig:
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
                   and "r2" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
         assert takers == []
+
+    def test_only_the_grid_knows_the_period(self):
+        # the torus is [0, 2π)^dim, a constant of GridSpec: no function takes
+        # a period or a box volume, and a grid is its dim and n alone
+        takers = [f"{path.name}:{node.lineno}"
+                  for path in sorted(Path(scenarios.__file__).parent.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  and {"length", "volume_x"} & {a.arg for a in ast.walk(node.args)
+                                                if isinstance(a, ast.arg)}]
+        assert takers == []
+        assert tuple(f.name for f in dataclass_fields(GridSpec)) == ("dim", "n")
 
     @pytest.mark.parametrize("kw", [dict(spray_mass=0.0), dict(spray_init="none")])
     def test_no_particle_floor_without_a_sampled_spray(self, kw):
@@ -528,6 +540,21 @@ class TestRunScenario:
                 return _real(*args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
         assert self._calls_per_step(scenario, calls) == per_step
+
+    @pytest.mark.parametrize("scenario, per_step", [
+        ("limit", 2), ("bidisperse", 1), ("regularized", 5)])
+    def test_finiteness_scans_of_u_per_step(self, monkeypatch, scenario, per_step):
+        # FluidState checks the gas it is made of: ns_step's new state, and an
+        # absorbing step's replace of rho.  The regularized step adds mollify's
+        # check and the two of regularization_remainders.
+        calls = []
+
+        def counted(x, *args, _real=np.isfinite, **kw):
+            if np.shape(x) == (3,) + (16,) * 3:  # u on _table_config's grid
+                calls.append(1)
+            return _real(x, *args, **kw)
+        monkeypatch.setattr(np, "isfinite", counted)
+        assert self._calls_per_step(scenario, calls) <= per_step
 
     @staticmethod
     def _count_tables(monkeypatch):

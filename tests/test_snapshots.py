@@ -57,6 +57,20 @@ def test_field_header_layout(tmp_path):
     assert np.all(body == 2.0)
 
 
+def test_field_of_another_period_rejected(tmp_path):
+    # the torus is [0, 2π)^dim; a header of period 1 is not read as a grid
+    g = GridSpec(2, 16)
+    path = tmp_path / "period.field"
+    write_field(path, ScalarField.zeros(g))
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    header["length"] = 1.0
+    path.write_bytes(json.dumps(header).encode("ascii") + raw[newline:])
+    with pytest.raises(ValueError, match="period"):
+        read_field(path)
+
+
 def test_particle_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     cloud = ParticleCloud(
