@@ -15,6 +15,15 @@ from .errors import StepRejectedError
 from .grid import ScalarField, VectorField, require_same_grid
 
 
+def _rolled(op, x: np.ndarray, shift: int, y: np.ndarray, a: int, out: np.ndarray):
+    """out = op(np.roll(x, shift, axis=a), y) for shift = +1 or -1, without the
+    rolled copy: one operation on the bulk of axis a, one on its wrapped end."""
+    lead = (slice(None),) * a
+    for src, dst in ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))):
+        src, dst = (src, dst) if shift == 1 else (dst, src)
+        op(x[lead + (src,)], y[lead + (dst,)], out=out[lead + (dst,)])
+
+
 def density_step(rho: ScalarField, u: VectorField, source: ScalarField,
                  dt: float) -> ScalarField:
     """One donor-cell transport step of rho with a nonnegative source.
@@ -40,18 +49,16 @@ def density_step(rho: ScalarField, u: VectorField, source: ScalarField,
     out, inflow = np.zeros(grid.shape), np.zeros(grid.shape)
     face, right, left = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
     for a, ua in enumerate(u.values):
-        np.add(ua, np.roll(ua, -1, axis=a), out=face)
+        _rolled(np.add, ua, -1, ua, a, out=face)
         face *= 0.5  # face velocity at i+1/2
         np.maximum(face, 0.0, out=right)
         np.maximum(np.negative(face, out=left), 0.0, out=left)
-        shifted = np.roll(left, 1, axis=a)
-        shifted += right
-        out += shifted  # right + roll(left, 1): the faces cell i flows out through
+        _rolled(np.add, left, 1, right, a, out=face)
+        out += face  # right + roll(left, 1): the faces cell i flows out through
         right *= r
-        shifted = np.roll(right, 1, axis=a)
-        left *= np.roll(r, -1, axis=a)
-        shifted += left
-        inflow += shifted  # roll(right r, 1) + left roll(r, -1): the upwinded inflow
+        _rolled(np.multiply, r, -1, left, a, out=left)
+        _rolled(np.add, right, 1, left, a, out=face)
+        inflow += face  # roll(right r, 1) + left roll(r, -1): the upwinded inflow
     c = dt / grid.h
     keep = out  # the share of rho_i a cell keeps, 1 - c out_i, in out's array
     keep *= c

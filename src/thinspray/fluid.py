@@ -16,10 +16,11 @@ resolved wavenumbers.
 
 The added density rho, the broken-up droplets carried as part of the fluid,
 is a variable of the FluidState; a step reads it and hands it on unchanged
-(density.density_step transports it).  A FluidState also carries the rfftn
-spectrum u_hat of u.  A step reads it for the convection derivatives, the
-Laplacian, the update and the Leray projection, transforms the projected
-spectrum back once and hands it on with the new u.
+(density.density_step transports it).  A FluidState also carries u_hat, the
+spectrum of u in grid's resolved layout: only the modes the 2/3 rule keeps.
+A step reads u_hat for the convection derivatives, the Laplacian, the update
+and the Leray projection, transforms the projected spectrum back once and
+hands it on with the new, band-limited u.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ from .grid import (
 @dataclass
 class FluidState:
     """Velocity u and added density rho >= 0 on u's grid at time t, and the
-    rfftn spectrum u_hat of u, computed if not given.  A state is valid by
-    construction: a non-finite u, or a negative or non-finite rho, raises
-    FieldError, also through dataclasses.replace; no other code checks it."""
+    spectrum u_hat of u, computed if not given.  u_hat carries only the
+    resolved modes: a u with modes above the band keeps them in its values,
+    and its first step drops them.  A state is valid by construction: a
+    non-finite u, or a negative or non-finite rho, raises FieldError, also
+    through dataclasses.replace; no other code checks it."""
 
     u: VectorField
     rho: ScalarField
@@ -84,7 +87,7 @@ def drag_force(u: VectorField, drag: DragField, coupling: float) -> VectorField:
 
 
 def check_cfl(u: VectorField, dt: float):
-    umax = float(np.abs(u.values).max(initial=0.0))
+    umax = float(max(u.values.max(), -u.values.min()))  # max|u|, without a temporary
     if umax * dt / u.grid.h > 1.0:
         raise StepRejectedError(
             f"advective CFL violated: max|u|*dt/h = {umax * dt / u.grid.h:.3g} > 1; "
@@ -119,9 +122,10 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     is.  drag holds the droplet moments, which act on the gas with the given
     coupling; a caller without droplets passes zero fields.  The step reads
     state.u_hat; the returned velocity is Leray-projected and carries its
-    projected spectrum.  The whole explicit tendency is dealiased by the 2/3
-    rule, so a band-limited u stays band-limited.  A step that makes a
-    non-finite velocity raises FieldError, from the FluidState it returns.
+    projected spectrum.  The state carries only resolved modes, so the
+    explicit tendency is dealiased by the 2/3 rule as it is transformed, and
+    the returned velocity is band-limited.  A step that makes a non-finite
+    velocity raises FieldError, from the FluidState it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -154,10 +158,9 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
 
     t_hat = fft(VectorField(grid, tendency))
     del tendency
-    t_hat *= tab.mask
     t_hat *= dt
     t_hat += state.u_hat
     t_hat *= np.exp(-nu_bar * tab.k2 * dt)
     u_hat = project_spectrum(grid, t_hat)
-    u_new = VectorField(grid, ifft_like(u, u_hat.copy()))  # u_hat is handed on
+    u_new = VectorField(grid, ifft_like(u, u_hat))
     return FluidState(u_new, state.rho, state.t + dt, u_hat)

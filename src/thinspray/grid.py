@@ -2,24 +2,30 @@
 
 Fields live on a uniform n^dim grid over the torus [0, 2π)^dim, with periodic
 boundary conditions.  The period is fixed: `GridSpec.length` is a class
-constant, not a field.  All spectral operators act through the real FFT;
-first-derivative multipliers zero the Nyquist frequency so that every
-operator maps real fields to real fields and the Leray projector P obeys
-div(P v) == 0 and P P == P to rounding.
+constant, not a field.
 
-The transforms run in place, as far as NumPy's ``out=`` (NumPy 2.0) allows:
-`fft` runs the complex passes of its forward transform in the one array it
-returns, and `ifft_like` runs every inverse pass but the last in the
-spectrum it is given, which it overwrites.  A caller that still needs a
-spectrum after inverting it passes a copy.  Both take the passes of
-np.fft.rfftn and np.fft.irfftn in the same order, so they agree with them
-bit for bit.
+A spectrum is the resolved block of the real FFT: the modes the 2/3 rule
+keeps (Orszag 1971), |k_j| <= kk - 1 on every axis with kk = ceil(n/3), in
+the rfftn order, shape (..., 2kk-1, ..., 2kk-1, kk): k = 0..kk-1, 1-kk..-1 on
+each full axis, 0..kk-1 on the halved last one.  No resolved mode is a
+Nyquist mode, so every multiplier maps real fields to real fields as it
+stands, and the Leray projector P obeys div(P v) == 0 and P P == P to
+rounding.  An operator that transforms a field back band-limits it.
+
+`fft` runs NumPy's passes in np.fft.rfftn's order, each only on the kept
+lines: rfft on the last axis, fft on axis -2, then (3-D) on axis -3.
+`ifft_like` zero-pads the block, runs ifft in np.fft.irfftn's order on the
+lines that are not all zero (axis -3 where axis -2 is kept, then axis -2),
+and ends with irfft, which pads the halved axis itself.  So `fft(f)` is the
+resolved block of np.fft.rfftn(f), and `ifft_like(f, s)` np.fft.irfftn of s
+zero-padded, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -112,88 +118,81 @@ Field = ScalarField | VectorField
 
 
 class SpectralTables(NamedTuple):
-    k: tuple          # dim broadcastable wavenumber arrays, Nyquist zeroed
-    k2: np.ndarray    # sum of squares of the Nyquist-zeroed wavenumbers
+    k: tuple          # dim broadcastable wavenumber arrays of the resolved block
+    k2: np.ndarray    # |k|^2
     k_inv_k2: tuple   # k_j / k2 per axis, 0 where k2 == 0: the Leray projector
-    k2_full: np.ndarray  # |k|^2 with the true Nyquist magnitude (mollifier)
-    mask: np.ndarray  # 2/3-rule dealias mask (True = keep)
-    weights: np.ndarray  # Parseval weights (2 for interior modes of the halved axis)
+    weights: np.ndarray  # Parseval weights (2 off the zero plane of the halved axis)
+
+
+def _kept(n: int) -> int:
+    """kk = ceil(n/3): the 2/3 rule keeps the modes with |k_j| <= kk - 1."""
+    return -(-n // 3)  # 3 (kk - 1) < n: cubic products alias-free
 
 
 @lru_cache(maxsize=64)
 def _spectral_tables(grid: GridSpec) -> SpectralTables:
-    """Wavenumber/multiplier tables in the rfftn layout (last axis halved)."""
-    n, dim = grid.n, grid.dim
+    """Wavenumber/multiplier tables of the resolved block (see `fft`)."""
+    kk, dim = _kept(grid.n), grid.dim
     # on the 2π torus the wavenumbers are the integer frequencies
-    full = np.fft.fftfreq(n, d=1.0 / n)  # 0..n/2-1, -n/2..-1
-    half = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
-
-    freqs = [full] * (dim - 1) + [half]
-    k_full = []
-    k = []
-    for ax, f in enumerate(freqs):
-        shape = [1] * dim
-        shape[ax] = f.size
-        kf = f.reshape(shape)
-        k_full.append(kf)
-        kt = kf.copy()
-        kt[np.abs(f).reshape(shape) == n // 2] = 0.0  # Nyquist has no sign partner
-        k.append(kt)
-
-    k2 = sum(kt**2 for kt in k)
-    inv_k2 = np.zeros_like(k2)
-    nonzero = k2 > 0
-    inv_k2[nonzero] = 1.0 / k2[nonzero]
-    k_inv_k2 = tuple(kt * inv_k2 for kt in k)
-    k2_full = sum(kf**2 for kf in k_full)
-
-    kmax_keep = int(np.ceil(n / 3)) - 1  # 3*kmax_keep < n: cubic products alias-free
-    mask = np.ones(k2.shape, dtype=bool)
-    for ax, f in enumerate(freqs):
-        shape = [1] * dim
-        shape[ax] = f.size
-        mask &= np.abs(f).reshape(shape) <= kmax_keep
-
-    weights = np.full(half.size, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    wshape = [1] * dim
-    wshape[-1] = half.size
-    weights = weights.reshape(wshape)
-
-    return SpectralTables(tuple(k), k2, k_inv_k2, k2_full, mask, weights)
+    full = np.concatenate([np.arange(kk), np.arange(1 - kk, 0)]).astype(float)
+    freqs = [full] * (dim - 1) + [np.arange(kk, dtype=float)]
+    k = tuple(f.reshape([-1 if ax == a else 1 for ax in range(dim)])
+              for a, f in enumerate(freqs))
+    k2 = sum(kj**2 for kj in k)
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    weights = np.where(k[-1] == 0, 1.0, 2.0)
+    return SpectralTables(k, k2, tuple(kj * inv_k2 for kj in k), weights)
 
 
 @lru_cache(maxsize=64)
 def _mollifier(grid: GridSpec, eps: float) -> np.ndarray:
     """The Gaussian multiplier exp(-eps^2 |k|^2 / 2) of `mollify`, read-only."""
-    multiplier = np.exp(-0.5 * eps**2 * _spectral_tables(grid).k2_full)
+    multiplier = np.exp(-0.5 * eps**2 * _spectral_tables(grid).k2)
     multiplier.flags.writeable = False
     return multiplier
 
 
-def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(-grid.dim, 0))
+def _kept_ranges(n: int) -> tuple:
+    """The two kept ranges of a full axis, as (full-axis slice, block slice) pairs."""
+    kk = _kept(n)
+    return (slice(0, kk),) * 2, (slice(n - kk + 1, n), slice(kk, 2 * kk - 1))
+
+
+def _corners(grid: GridSpec) -> list:
+    """(index in the full axes, index in the block) of each of the 2^(dim-1)
+    corners that the kept ranges of the full axes make."""
+    return [tuple((...,) + s + (slice(None),) for s in zip(*corner))
+            for corner in product(_kept_ranges(grid.n), repeat=grid.dim - 1)]
 
 
 def fft(field: Field) -> np.ndarray:
-    """The rfftn spectrum of the field, its complex passes run in that one array."""
-    values = field.values
-    out = np.empty(values.shape[:-1] + (field.grid.n // 2 + 1,), dtype=np.complex128)
-    return np.fft.rfftn(values, axes=_fft_axes(field.grid), out=out)
+    """The resolved block of the field's rfftn spectrum (see the module docstring)."""
+    grid, kk = field.grid, _kept(field.grid.n)
+    spectrum = np.fft.rfft(field.values, axis=-1)[..., :kk]
+    np.fft.fft(spectrum, axis=-2, out=spectrum)
+    if grid.dim == 3:  # axis -3 on the lines that axis -2 keeps
+        for lines, _ in _kept_ranges(grid.n):
+            np.fft.fft(spectrum[..., lines, :], axis=-3, out=spectrum[..., lines, :])
+    block = np.empty(spectrum.shape[:-grid.dim] + (2 * kk - 1,) * (grid.dim - 1) + (kk,),
+                     dtype=complex)
+    for full, part in _corners(grid):
+        block[part] = spectrum[full]
+    return block
 
 
 def ifft_like(field: Field, spectrum: np.ndarray) -> np.ndarray:
-    """The real values on field's grid whose rfftn spectrum is `spectrum`.
-
-    Transforms `spectrum` in place and leaves it overwritten: every axis but
-    the last is inverted in it, in the order of np.fft.irfftn, before the
-    final real pass allocates the result.  Pass a copy to keep the spectrum.
-    """
-    axes = _fft_axes(field.grid)
-    for a in axes[:-1]:
-        np.fft.ifft(spectrum, axis=a, out=spectrum)
-    return np.fft.irfft(spectrum, field.grid.n, axis=axes[-1])
+    """The real values on field's grid whose resolved block is `spectrum`,
+    every mode outside it zero; `spectrum` is left as it is."""
+    grid = field.grid
+    padded = np.zeros(spectrum.shape[:-grid.dim] + grid.shape[1:] + (_kept(grid.n),),
+                      dtype=complex)
+    for full, part in _corners(grid):
+        padded[full] = spectrum[part]
+    if grid.dim == 3:  # axis -3 on the lines that axis -2 keeps
+        for lines, _ in _kept_ranges(grid.n):
+            np.fft.ifft(padded[..., lines, :], axis=-3, out=padded[..., lines, :])
+    np.fft.ifft(padded, axis=-2, out=padded)
+    return np.fft.irfft(padded, grid.n, axis=-1)
 
 
 def require_finite(field: Field, what: str = "field"):
@@ -220,6 +219,7 @@ def leray_project(v: VectorField) -> VectorField:
 
     Acts mode by mode in Fourier space; the mean (k=0) mode passes through
     unchanged, which fixes the zero-mean gauge of the inverse Laplacian.
+    The output is band-limited: the modes outside the resolved block are dropped.
     """
     require_finite(v, "leray_project input")
     return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
@@ -229,8 +229,9 @@ def mollify(field: Field, eps: float, spectrum: np.ndarray | None = None) -> Fie
     """Smooth with the periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2).
 
     Mean preserving, L2 non-expansive, commutes with every other spectral
-    operator here.  A caller that holds the rfftn spectrum of the field
-    passes it, and the field is not transformed forward again.
+    operator here.  The output is band-limited: the modes outside the
+    resolved block are dropped.  A caller that holds the spectrum of the
+    field passes it, and the field is not transformed forward again.
     """
     if not eps > 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
@@ -241,12 +242,11 @@ def mollify(field: Field, eps: float, spectrum: np.ndarray | None = None) -> Fie
 
 def integral(field: Field) -> float | np.ndarray:
     """Integral over the torus (trapezoid = spectral for periodic fields)."""
-    axes = _fft_axes(field.grid)
-    return field.values.sum(axis=axes) * field.grid.cell_volume
+    return field.values.sum(axis=tuple(range(-field.grid.dim, 0))) * field.grid.cell_volume
 
 
 def grad_l2_norm_sq(grid: GridSpec, spectrum: np.ndarray) -> float:
-    """Integral of |grad f|^2 by Parseval from the rfftn spectrum of f (all components)."""
+    """Integral of |grad f|^2 by Parseval from the spectrum of f (all components)."""
     tab = _spectral_tables(grid)
     total = float(np.sum(tab.weights * tab.k2 * np.abs(spectrum) ** 2))
     return total * grid.volume / grid.n ** (2 * grid.dim)

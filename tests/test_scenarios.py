@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, FieldError, StepRejectedError
-from thinspray.grid import GridSpec, divergence_residual, fft, integral
+from thinspray.grid import GridSpec, divergence_residual, fft, ifft_like, integral
 from thinspray.kinetic import velocity_cutoff
 from thinspray.scenarios import (
     SimConfig,
@@ -532,14 +532,31 @@ class TestRunScenario:
     def test_transforms_per_step(self, monkeypatch, scenario, per_step):
         # u is forward-transformed once per step, in the tendency of ns_step;
         # the regularized step adds the inverse transform of the mollified
-        # spectrum.  An inverse is counted by np.fft.irfft, its last pass.
+        # spectrum.  A forward transform is counted by np.fft.rfft, its first
+        # pass, and an inverse by np.fft.irfft, its last.
         calls = []
-        for name in ("rfftn", "irfft"):
+        for name in ("rfft", "irfft"):
             def counted(*args, _real=getattr(np.fft, name), **kw):
                 calls.append(1)
                 return _real(*args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
         assert self._calls_per_step(scenario, calls) == per_step
+
+    def test_carried_spectrum_is_the_resolved_block_of_u(self, monkeypatch):
+        # every step hands on u_hat, the resolved block of u, and u is its
+        # inverse: no transform or mollify of the step overwrites it
+        states = []
+
+        def step(state, *args, _real=scenarios.ns_step, **kw):
+            states.append(state)
+            return _real(state, *args, **kw)
+        monkeypatch.setattr(scenarios, "ns_step", step)
+        result = run_scenario(self._table_config(5, "regularized", eps=0.5))
+        states.append(result.fluid)
+        assert len(states) == 6
+        for state in states[1:]:  # the first is the initial state
+            assert state.u_hat.shape == (3, 11, 11, 6)  # 2 ceil(16/3) - 1, ceil(16/3)
+            assert ifft_like(state.u, state.u_hat).tobytes() == state.u.values.tobytes()
 
     @pytest.mark.parametrize("scenario, per_step", [
         ("limit", 2), ("bidisperse", 1), ("regularized", 5)])
