@@ -38,11 +38,14 @@ def _build_config(args) -> SimConfig:
     return SimConfig(**overrides)  # run_scenario validates it
 
 
+_STATUS = {True: "PASS", False: "FAIL", None: "  - "}  # None: not applicable
+
+
 def _print_flag(name: str, entry: dict):
-    status = {True: "PASS", False: "FAIL", None: "  - "}[entry.get("pass")]
-    value = next((entry[k] for k in ("max", "max_residual", "max_error", "max_drift")
+    value = next((entry[k] for k in ("max", "max_residual", "max_error", "max_drift",
+                                     "checked")
                   if entry.get(k) is not None), None)
-    print(f"  [{status}] {name:16s} value={value!r} tol={entry.get('tol')!r}")
+    print(f"  [{_STATUS[entry['pass']]}] {name:16s} value={value!r} tol={entry.get('tol')!r}")
 
 
 def _cmd_run(args) -> int:
@@ -52,13 +55,10 @@ def _cmd_run(args) -> int:
     print(f"scenario={cfg.scenario} steps={summary['steps']} "
           f"wall={summary['wall_time']:.1f}s")
     failed = False
-    for name in ("divergence", "energy", "momentum", "mass_budget",
-                 "liquid_volume", "lemma1"):
-        entry = summary[name]
-        if name == "lemma1":
-            entry = {"pass": entry["pass"], "max": entry["checked"]}
-        _print_flag(name, entry)
-        failed |= entry["pass"] is False
+    for name, entry in summary.items():  # every gate of the summary
+        if isinstance(entry, dict) and "pass" in entry:
+            _print_flag(name, entry)
+            failed |= entry["pass"] is False
     if cfg.output_dir:
         print(f"outputs in {cfg.output_dir}/")
     return 1 if failed else 0
@@ -74,10 +74,10 @@ def _cmd_sweep(args) -> int:
     print(f"log-log slope of delta vs r2: {result.slope:.3f} (relaxation scaling ~2)")
     checks = result.checks()
     for name, ok in checks.items():
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+        print(f"[{_STATUS[ok]}] {name}")
     if cfg.output_dir:
         print(f"wrote {cfg.output_dir}/sweep.json")
-    return 0 if all(checks.values()) else 1
+    return 1 if False in checks.values() else 0
 
 
 def main(argv=None) -> int:

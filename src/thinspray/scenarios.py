@@ -68,12 +68,7 @@ from .kinetic import (
     merge_particles,
     sample_gaussian_spray,
 )
-from .snapshots import (
-    write_diagnostics_csv,
-    write_field,
-    write_particles,
-    write_summary_json,
-)
+from .snapshots import write_diagnostics_csv, write_state, write_summary_json
 from .transfer import cic_scatter
 
 log = logging.getLogger(__name__)
@@ -258,15 +253,6 @@ class RunResult:
     cloud: ParticleCloud
 
 
-def _write_snapshots(config: SimConfig, tag: str, fluid: FluidState, cloud: ParticleCloud):
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_field(out / f"velocity_{tag}.field", fluid.u, fluid.t)
-    write_field(out / f"density_{tag}.field", fluid.rho, fluid.t)
-    if cloud.count:
-        write_particles(out / f"particles_{tag}.particles", cloud, fluid.t)
-
-
 def run_scenario(config: SimConfig) -> RunResult:
     """Integrate one scenario and summarize every budget.
 
@@ -289,8 +275,10 @@ def run_scenario(config: SimConfig) -> RunResult:
     face speed <= 1, or when FluidState, the one check of the gas, rejects
     the non-finite u or rho it makes, or when its record or lemma checks
     raise a FieldError: one StepRejectedError names the step, t and the
-    cause, after writing the last healthy state as the "last_good" snapshot
-    when an output directory is set.
+    cause, after writing the last healthy state to state_last_good.npz
+    when an output directory is set.  Every file of a run goes to that
+    directory, made once: the stride snapshots state_<step>.npz, the final
+    state_final.npz, diagnostics.csv and summary.json (see snapshots).
     """
     config.validate()
     t_start = time.perf_counter()
@@ -301,6 +289,9 @@ def run_scenario(config: SimConfig) -> RunResult:
     coupling, drag_coeff = 1.0 + absorb_rate, 1.0 + 0.5 * absorb_rate
     # a parent keeps exp(-dt/tau) of its weight: the source of rho per unit m0
     gain = np.expm1(config.dt / config.tau) / config.dt
+    out = Path(config.output_dir)
+    if config.output_dir:
+        out.mkdir(parents=True, exist_ok=True)
 
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
@@ -360,24 +351,22 @@ def run_scenario(config: SimConfig) -> RunResult:
         except (StepRejectedError, FieldError) as err:
             snapshot = "not requested"
             if config.output_dir:
-                _write_snapshots(config, "last_good", *last_good)
+                write_state(out / "state_last_good.npz", *last_good)
                 snapshot = f"written to {config.output_dir}"
             raise StepRejectedError(f"step {step} (t={t:.4g}) rejected: {err}; "
                                     f"last-good snapshot {snapshot}") from err
         if config.output_dir:
             last_good = (fluid, cloud)
-        if config.snapshot_stride and step % config.snapshot_stride == 0:
-            _write_snapshots(config, f"{step:06d}", fluid, cloud)
+            if config.snapshot_stride and step % config.snapshot_stride == 0:
+                write_state(out / f"state_{step:06d}.npz", fluid, cloud)
 
     summary = _summarize(config, records, lemma_checks, merge_m2_max, drag_coeff,
                          time.perf_counter() - t_start)
     result = RunResult(config, records, summary, fluid, cloud)
     if config.output_dir:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_diagnostics_csv(out / "diagnostics.csv", records)
         write_summary_json(out / "summary.json", summary)
-        _write_snapshots(config, "final", fluid, cloud)
+        write_state(out / "state_final.npz", fluid, cloud)
     return result
 
 
@@ -441,7 +430,7 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list            # sorted by r2 descending
-    slope: float          # fitted log-log slope of delta vs r2
+    slope: float          # fitted log-log slope of delta vs r2, NaN if none fits
     limit_summary: dict
     run_summaries: dict   # r2 -> summary
 
@@ -449,17 +438,20 @@ class SweepResult:
         return {
             "rows": [{"r2": r.r2, "delta": r.delta, "rho_mismatch": r.rho_mismatch}
                      for r in self.rows],
-            "loglog_slope": self.slope,
+            "loglog_slope": None if np.isnan(self.slope) else self.slope,
             "limit_summary": self.limit_summary,
             "run_summaries": self.run_summaries,
         }
 
     def checks(self) -> dict:
-        """Whether delta and the rho mismatch fall as r2 shrinks, by check."""
+        """Whether delta and the rho mismatch fall as r2 shrinks, by check;
+        None (not applicable) for a sweep of fewer than two members."""
+        names = ("delta strictly decreasing", "rho mismatch non-increasing")
+        if len(self.rows) < 2:
+            return dict.fromkeys(names)
         delta = np.diff([r.delta for r in self.rows])
         mismatch = np.diff([r.rho_mismatch for r in self.rows])
-        return {"delta strictly decreasing": bool(np.all(delta < 0)),
-                "rho mismatch non-increasing": bool(np.all(mismatch <= 0))}
+        return dict(zip(names, (bool(np.all(delta < 0)), bool(np.all(mismatch <= 0)))))
 
 
 def fragment_slip(result: RunResult) -> float:

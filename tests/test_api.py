@@ -19,8 +19,7 @@ READERS = ROOT / "demos", ROOT / "perfbench"
 
 # They read back the formats a run writes; the writers are on the run path.
 EXEMPT = {
-    "snapshots.read_field": "inverts write_field",
-    "snapshots.read_particles": "inverts write_particles",
+    "snapshots.read_state": "inverts write_state",
     "snapshots.read_diagnostics_csv": "inverts write_diagnostics_csv",
 }
 

@@ -65,6 +65,20 @@ def test_sweep_single_member(tmp_path, capsys):
     assert "delta" in capsys.readouterr().out
 
 
+def test_sweep_json_is_strict_json(tmp_path, capsys):
+    # a one-member sweep fits no slope: null, not NaN, which strict parsers reject
+    assert main(["sweep-r2", "--dim", "2", "--n", "16", "--dt", "2e-3",
+                 "--t-final", "0.008", "--particle-count", "500", "--tau", "0.05",
+                 "--r2-list", "0.3", "--output-dir", str(tmp_path)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    sweep = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=reject)
+    assert sweep["loglog_slope"] is None
+    out = capsys.readouterr().out
+    assert "[  - ] delta strictly decreasing" in out and "FAIL" not in out
+
+
 def test_config_file_run_warns_once(tmp_path, capsys):
     # the configuration is validated once, in run_scenario, not again on load
     cfg = tmp_path / "coarse.cfg"

@@ -25,7 +25,7 @@ from thinspray.scenarios import (
     sweep_r2,
     taylor_green_velocity,
 )
-from thinspray.snapshots import read_diagnostics_csv, read_field
+from thinspray.snapshots import read_diagnostics_csv, read_state
 from thinspray.transfer import cic_scatter
 
 
@@ -467,8 +467,8 @@ class TestRunScenario:
         cfg = quick_config(t_final=0.02, output_dir=str(tmp_path))
         with pytest.raises(RuntimeError, match="non-finite"):
             run_scenario(cfg)
-        field, _ = read_field(tmp_path / "velocity_last_good.field")
-        assert np.isfinite(field.values).all()
+        fluid, _ = read_state(tmp_path / "state_last_good.npz")  # FluidState checks u
+        assert np.isfinite(fluid.u.values).all()
 
     def test_record_error_rejects_the_step(self, monkeypatch, tmp_path):
         # a FieldError from a step's record ends as that step's rejection,
@@ -490,8 +490,8 @@ class TestRunScenario:
                            match=r"step 2 \(t=0\.004\) rejected: record failed; "
                                  r"last-good snapshot written"):
             run_scenario(cfg)
-        _, t = read_field(tmp_path / "velocity_last_good.field")
-        assert t == pytest.approx(cfg.dt)
+        fluid, _ = read_state(tmp_path / "state_last_good.npz")
+        assert fluid.t == pytest.approx(cfg.dt)
 
     def test_cfl_abort_writes_last_good(self, tmp_path):
         # dt far beyond the CFL limit of the initial flow: step 1 is rejected
@@ -500,9 +500,13 @@ class TestRunScenario:
         with pytest.warns(UserWarning, match="advective scale"), \
                 pytest.raises(StepRejectedError, match=r"step 1 \(t=0\.5\).*CFL"):
             run_scenario(cfg)
-        field, t = read_field(tmp_path / "velocity_last_good.field")
-        assert t == 0.0
-        assert np.allclose(field.values, initial_fluid(cfg).u.values)
+        fluid, cloud = read_state(tmp_path / "state_last_good.npz")
+        assert fluid.t == 0.0
+        assert np.allclose(fluid.u.values, initial_fluid(cfg).u.values)
+        assert not fluid.rho.values.any()
+        start = initial_cloud(cfg)
+        for name in ("x", "xi", "w", "r"):
+            assert np.array_equal(getattr(cloud, name), getattr(start, name)), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_in_fluid_step_aborts(self, tmp_path):
@@ -510,7 +514,7 @@ class TestRunScenario:
         cfg = quick_config(spray_mass=1e308, output_dir=str(tmp_path))
         with pytest.raises(StepRejectedError, match=r"step 1 \(t=0\.002\).*non-finite"):
             run_scenario(cfg)
-        assert (tmp_path / "velocity_last_good.field").exists()
+        assert (tmp_path / "state_last_good.npz").exists()
 
     @staticmethod
     def _table_config(steps, scenario, eps=0.0):
@@ -625,8 +629,11 @@ class TestRunScenario:
         data = read_diagnostics_csv(tmp_path / "diagnostics.csv")
         assert len(data["t"]) == len(res.records)
         assert (tmp_path / "summary.json").exists()
-        assert (tmp_path / "velocity_final.field").exists()
-        assert (tmp_path / "velocity_000005.field").exists()
+        assert sorted(p.name for p in tmp_path.glob("state_*.npz")) == [
+            "state_000005.npz", "state_000010.npz", "state_final.npz"]
+        fluid, cloud = read_state(tmp_path / "state_final.npz")
+        assert fluid.t == res.fluid.t and cloud.count == res.cloud.count
+        assert np.array_equal(fluid.u.values, res.fluid.u.values)
 
     def test_budget_series_first_order_shape(self):
         # halving dt about halves the energy residual and the momentum drift of
@@ -689,6 +696,9 @@ class TestSweep:
         assert result.rows[0].r2 == 0.3
         assert result.rows[0].delta >= 0.0
         assert math.isnan(result.slope) or result.slope != 0
+        # one member fits no slope and orders nothing: null, and not applicable
+        assert result.as_dict()["loglog_slope"] is None
+        assert set(result.checks().values()) == {None}
 
     def test_equilibrated_fragments_zero_slip(self):
         # u = 0 and monokinetic fragments at 0: slip metric vanishes

@@ -6,125 +6,113 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thinspray.diagnostics import DiagnosticsRecord
+from thinspray.errors import FieldError
+from thinspray.fluid import FluidState
 from thinspray.grid import GridSpec, ScalarField, VectorField
 from thinspray.kinetic import ParticleCloud
 from thinspray.snapshots import (
     read_diagnostics_csv,
-    read_field,
-    read_particles,
+    read_state,
     write_diagnostics_csv,
-    write_field,
-    write_particles,
+    write_state,
     write_summary_json,
 )
 
 
-def test_scalar_field_round_trip(tmp_path):
-    g = GridSpec(3, 16)
-    rng = np.random.default_rng(0)
-    field = ScalarField(g, rng.standard_normal(g.shape))
-    path = tmp_path / "scalar.field"
-    write_field(path, field, time=1.25)
-    back, t = read_field(path)
-    assert isinstance(back, ScalarField)
-    assert back.grid == g
-    assert t == 1.25
-    assert np.array_equal(back.values, field.values)
-
-
-def test_vector_field_round_trip(tmp_path):
-    g = GridSpec(2, 32)
-    rng = np.random.default_rng(1)
-    field = VectorField(g, rng.standard_normal((2,) + g.shape))
-    path = tmp_path / "vector.field"
-    write_field(path, field, time=0.5)
-    back, t = read_field(path)
-    assert isinstance(back, VectorField)
-    assert np.array_equal(back.values, field.values)
-
-
-def test_field_header_layout(tmp_path):
-    g = GridSpec(2, 16)
-    path = tmp_path / "layout.field"
-    write_field(path, ScalarField(g, np.full(g.shape, 2.0)), time=0.0)
-    raw = path.read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline])
-    assert header == {"dim": 2, "n": 16, "length": g.length,
-                      "components": 1, "time": 0.0}
-    body = np.frombuffer(raw[newline + 1:], dtype="<f8")
-    assert body.size == 16 * 16
-    assert np.all(body == 2.0)
-
-
-def test_field_of_another_period_rejected(tmp_path):
-    # the torus is [0, 2π)^dim; a header of period 1 is not read as a grid
-    g = GridSpec(2, 16)
-    path = tmp_path / "period.field"
-    write_field(path, ScalarField.zeros(g))
-    raw = path.read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline])
-    header["length"] = 1.0
-    path.write_bytes(json.dumps(header).encode("ascii") + raw[newline:])
-    with pytest.raises(ValueError, match="period"):
-        read_field(path)
-
-
-def test_particle_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    cloud = ParticleCloud(
-        rng.uniform(0, 2 * np.pi, (100, 3)),
-        rng.standard_normal((100, 3)),
-        rng.uniform(0, 1, 100),
-        rng.choice([1.0, 0.3], 100),
-    )
-    path = tmp_path / "cloud.particles"
-    write_particles(path, cloud, time=0.75)
-    back, t = read_particles(path)
-    assert t == 0.75
-    assert np.array_equal(back.x, cloud.x)
-    assert np.array_equal(back.xi, cloud.xi)
-    assert np.array_equal(back.w, cloud.w)
-    assert np.array_equal(back.r, cloud.r)
-
-
-def test_particles_of_another_layout_rejected(tmp_path):
-    # a file of the species layout: its last column holds tags 1 and 2, not radii
-    header = {"dim": 2, "count": 2, "columns": ["x0", "x1", "xi0", "xi1", "w", "species"],
-              "time": 0.0}
-    table = np.array([[0.5, 0.5, 0.0, 0.0, 1.0, 1.0], [1.5, 1.5, 0.0, 0.0, 1.0, 2.0]])
-    path = tmp_path / "old.particles"
-    path.write_bytes((json.dumps(header) + "\n").encode("ascii") + table.astype("<f8").tobytes())
-    with pytest.raises(ValueError, match="species"):
-        read_particles(path)
-
-
 @st.composite
-def _clouds(draw):
-    """Any finite cloud, empty ones included, with a finite snapshot time."""
+def _states(draw):
+    """Any valid (fluid, cloud) of 2-D or 3-D, empty clouds included, at any
+    finite time: u finite, rho finite and nonnegative, radii positive."""
     dim = draw(st.sampled_from([2, 3]))
-    count = draw(st.integers(0, 30))
+    grid = GridSpec(dim, 8)
     finite = st.floats(allow_nan=False, allow_infinity=False)
+    # the spectrum FluidState takes of u overflows near the float limit
+    u = draw(arrays(np.float64, (dim,) + grid.shape, elements=st.floats(-1e300, 1e300)))
+    rho = draw(arrays(np.float64, grid.shape, elements=st.floats(0.0, allow_infinity=False)))
+    count = draw(st.integers(0, 30))
     x = draw(arrays(np.float64, (count, dim), elements=finite))
     xi = draw(arrays(np.float64, (count, dim), elements=finite))
     w = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False)))
     r = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False,
                                                           exclude_min=True)))
-    return ParticleCloud(x, xi, w, r), draw(finite)
+    fluid = FluidState(VectorField(grid, u), ScalarField(grid, rho), draw(finite))
+    return fluid, ParticleCloud(x, xi, w, r)
 
 
-@example((ParticleCloud.empty(3), 0.0))
-@given(_clouds())
-def test_property_particle_round_trip_bit_exact(tmp_path_factory, case):
-    cloud, time = case
-    path = tmp_path_factory.mktemp("round_trip") / "cloud.particles"
-    write_particles(path, cloud, time=time)
-    back, t = read_particles(path)
-    assert np.float64(t).tobytes() == np.float64(time).tobytes()
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _run_state(dim=2, count=5, t=0.25):
+    grid = GridSpec(dim, 8)
+    rng = np.random.default_rng(dim)
+    fluid = FluidState(VectorField(grid, rng.standard_normal((dim,) + grid.shape)),
+                       ScalarField(grid, rng.uniform(0, 1, grid.shape)), t)
+    cloud = ParticleCloud(rng.uniform(0, 2 * np.pi, (count, dim)),
+                          rng.standard_normal((count, dim)), rng.uniform(0, 1, count),
+                          rng.choice([1.0, 0.3], count))
+    return fluid, cloud
+
+
+@example(_run_state(3, count=0, t=0.0))
+@given(_states())
+def test_property_state_round_trip_bit_exact(tmp_path_factory, state):
+    fluid, cloud = state
+    path = tmp_path_factory.mktemp("round_trip") / "state.npz"
+    write_state(path, fluid, cloud)
+    back_fluid, back_cloud = read_state(path)
+    assert back_fluid.u.grid == fluid.u.grid
+    assert np.float64(back_fluid.t).tobytes() == np.float64(fluid.t).tobytes()
+    assert _same_bytes(back_fluid.u.values, fluid.u.values)
+    assert _same_bytes(back_fluid.rho.values, fluid.rho.values)
     for name in ("x", "xi", "w", "r"):
-        a, b = getattr(back, name), getattr(cloud, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert _same_bytes(getattr(back_cloud, name), getattr(cloud, name)), name
+
+
+def test_state_file_layout(tmp_path):
+    # a plain .npz: NumPy alone reads it, one array per key of the state
+    fluid, cloud = _run_state(dim=3, count=4, t=1.5)
+    path = tmp_path / "state.npz"
+    write_state(path, fluid, cloud)
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == ["r", "rho", "t", "u", "w", "x", "xi"]
+        assert data["t"].shape == () and data["t"] == 1.5
+        assert data["u"].shape == (3, 8, 8, 8) and data["rho"].shape == (8, 8, 8)
+        assert data["x"].shape == data["xi"].shape == (4, 3)
+        assert data["w"].shape == data["r"].shape == (4,)
+
+
+def _rewritten(path, **changes):
+    """The state file at path with keys replaced, or dropped when None."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays_ = {key: data[key] for key in data.files}
+    arrays_.update(changes)
+    np.savez(path, **{k: v for k, v in arrays_.items() if v is not None})
+
+
+@pytest.mark.parametrize("changes, error", [
+    pytest.param(dict(w=None), KeyError, id="missing-key"),
+    pytest.param(dict(rho=np.zeros((8, 4))), FieldError, id="rho-shape"),
+    pytest.param(dict(rho=np.full((8, 8), -1.0)), FieldError, id="negative-rho"),
+    pytest.param(dict(r=np.array([1.0, 0.0, 1.0, 1.0, 1.0])), ValueError, id="zero-radius"),
+    pytest.param(dict(xi=np.zeros((5, 3))), ValueError, id="xi-shape"),
+    pytest.param(dict(x=np.ones((5, 3)), xi=np.zeros((5, 3))), ValueError, id="cloud-dim"),
+])
+def test_malformed_state_rejected(tmp_path, changes, error):
+    path = tmp_path / "state.npz"
+    write_state(path, *_run_state(dim=2, count=5))
+    _rewritten(path, **changes)
+    with pytest.raises(error):
+        read_state(path)
+
+
+def test_particles_of_another_layout_rejected(tmp_path):
+    # a state of the species layout: tags 1 and 2 under "species", no radii
+    path = tmp_path / "old.npz"
+    write_state(path, *_run_state(dim=2, count=2))
+    _rewritten(path, r=None, species=np.array([1.0, 2.0]))
+    with pytest.raises(KeyError, match="r is not a file"):
+        read_state(path)
 
 
 def make_record(t):
@@ -153,6 +141,12 @@ def test_summary_json(tmp_path):
     write_summary_json(path, {"b": 1, "a": {"pass": True}})
     loaded = json.loads(path.read_text())
     assert loaded == {"b": 1, "a": {"pass": True}}
+
+
+def test_summary_json_rejects_nan(tmp_path):
+    # NaN is not JSON: a strict parser would reject the file
+    with pytest.raises(ValueError, match="JSON"):
+        write_summary_json(tmp_path / "summary.json", {"slope": float("nan")})
 
 
 def test_empty_records_rejected(tmp_path):
