@@ -91,48 +91,56 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
 
 
-class CutoffTail(NamedTuple):
-    """The particles the velocity cutoff reaches, |xi| > 1/eps, with their
-    weight defect 1 - cutoff and the fluid's u and |u|^2 gathered there."""
+class RecordTerms(NamedTuple):
+    """What one record forms once and reads twice: the fluid's |u|^2 on the
+    grid, its pairing <u, m1> with the drag deposit, and the cutoff tail,
+    the particles the velocity cutoff reaches, |xi| > 1/eps, with their
+    weight defect 1 - cutoff and u and |u|^2 gathered there."""
 
+    grid_u_sq: np.ndarray  # the grid's shape
+    u_m1: float          # sum of u m1 over the grid, without the cell volume
     index: np.ndarray    # (k,) rows of the cloud
     defect: np.ndarray   # (k,)
     u: np.ndarray        # (k, dim)
     u_sq: np.ndarray     # (k,)
 
 
-def cutoff_tail(cloud: ParticleCloud, u: VectorField, eps: float | None) -> CutoffTail:
-    """The cutoff tail of the cloud in the field u, empty without a cutoff.
+def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
+                 eps: float | None) -> RecordTerms:
+    """The record terms of the cloud and its deposit drag in the field u,
+    with an empty tail without a cutoff.
 
-    A record gathers it once; collect_record and regularization_remainders
-    both read it."""
+    collect_record reads every term, regularization_remainders <u, m1> and
+    the tail."""
+    grid_u_sq = np.sum(u.values**2, axis=0)
+    u_m1 = _pair(u.values, drag.m1.values)
     if eps is None:
-        return CutoffTail(np.zeros(0, dtype=np.int64), np.zeros(0),
-                          np.zeros((0, cloud.dim)), np.zeros(0))
+        return RecordTerms(grid_u_sq, u_m1, np.zeros(0, dtype=np.int64), np.zeros(0),
+                           np.zeros((0, cloud.dim)), np.zeros(0))
     defect = 1.0 - velocity_cutoff(cloud.xi, eps)
     index = np.flatnonzero(defect > 0.0)
     x = cloud.x[index]
-    u_sq = ScalarField(u.grid, np.sum(u.values**2, axis=0))
-    return CutoffTail(index, defect[index], cic_gather(u, x), cic_gather(u_sq, x))
+    return RecordTerms(grid_u_sq, u_m1, index, defect[index], cic_gather(u, x),
+                       cic_gather(ScalarField(u.grid, grid_u_sq), x))
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   drag: DragField, tail: CutoffTail, *, volume: float,
+                   drag: DragField, terms: RecordTerms, *, volume: float,
                    remainders=(0.0, 0.0, 0.0), nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     fluid.rho, the added density, weighs the fluid's energy and momentum.
     drag is the cloud's drag deposit of weights w r, times the velocity
-    cutoff of width eps if it has one; tail is cutoff_tail(cloud, fluid.u,
-    eps) with that eps (None without a cutoff).  The radius r, the Stokes
-    drag weight, also weighs |u - xi|^2 f in the drag dissipation.  volume
-    (liquid_volume) and remainders (of regularization_remainders, zeros
-    without a cutoff) are stored as given.  The gas is finite: FluidState
-    rejects a non-finite u or rho.
+    cutoff of width eps if it has one; terms is record_terms(cloud,
+    fluid.u, drag, eps) with that eps (None without a cutoff).  The radius
+    r, the Stokes drag weight, also weighs |u - xi|^2 f in the drag
+    dissipation.  volume (liquid_volume) and remainders (of
+    regularization_remainders, zeros without a cutoff) are stored as given.
+    The gas is finite: FluidState rejects a non-finite u or rho.
     """
     u, rho = fluid.u, fluid.rho
     grid = u.grid
-    u_sq = np.sum(u.values**2, axis=0)
+    u_sq = terms.grid_u_sq
 
     # an empty cloud needs no branch: every particle sum below is then zero
     w, xi = cloud.w, cloud.xi
@@ -144,10 +152,10 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     # 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not |I u|^2)
     # cancels the drag work from the energy budget and stays >= 0 (Jensen).
     q = w * cloud.r
-    slip_tail = tail.u_sq - 2.0 * rowwise_dot(tail.u, xi[tail.index])
+    slip_tail = terms.u_sq - 2.0 * rowwise_dot(terms.u, xi[terms.index])
     dissipation_drag = (
-        grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * _pair(u.values, drag.m1.values))
-        + _pair(q, xi_sq) + _pair(q[tail.index] * tail.defect, slip_tail))
+        grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * terms.u_m1)
+        + _pair(q, xi_sq) + _pair(q[terms.index] * terms.defect, slip_tail))
 
     fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
     e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
@@ -284,7 +292,7 @@ def check_moment_bound(h: RadialDensity, alpha: float,
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
 
 
-def regularization_remainders(cloud: ParticleCloud, drag: DragField, tail: CutoffTail,
+def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: RecordTerms,
                               u: VectorField, u_mollified: VectorField, *, coupling: float,
                               drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
@@ -299,21 +307,20 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, tail: Cutof
     |u|^2, not u, as collect_record's drag dissipation does.  The cloud must
     hold parents alone, so that drag, its deposit with the cutoff of width
     eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
-    adds the tail |xi| > 1/eps, over which r1 and r2 sum.  tail is
-    cutoff_tail(cloud, u, eps), the record's, so only u_mollified is
-    gathered here.  A non-finite u or u_mollified raises FieldError.  All
-    three vanish as eps -> 0 (the cutoff radius 1/eps swallows the sampled
-    velocities).
+    adds the tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
+    record_terms(cloud, u, drag, eps), the record's, so only u_mollified is
+    paired and gathered here.  A non-finite u or u_mollified raises
+    FieldError.  All three vanish as eps -> 0 (the cutoff radius 1/eps
+    swallows the sampled velocities).
     """
     if np.any(cloud.r != 1.0):
         raise ValueError("the remainders need a cloud of parents only")
     require_finite(u, "fluid velocity")
     require_finite(u_mollified, "mollified velocity")
-    xi_tail, w_tail = cloud.xi[tail.index], cloud.w[tail.index] * tail.defect
-    r1 = drag_coefficient * _pair(w_tail, tail.u_sq)
-    r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, tail.u))
-    m1 = drag.m1.values
-    u_star = cic_gather(u_mollified, cloud.x[tail.index])
-    r3 = (u.grid.cell_volume * (_pair(u_mollified.values, m1) - _pair(u.values, m1))
-          + _pair(w_tail, rowwise_dot(xi_tail, u_star - tail.u)))
+    xi_tail, w_tail = cloud.xi[terms.index], cloud.w[terms.index] * terms.defect
+    r1 = drag_coefficient * _pair(w_tail, terms.u_sq)
+    r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, terms.u))
+    u_star = cic_gather(u_mollified, cloud.x[terms.index])
+    r3 = (u.grid.cell_volume * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
+          + _pair(w_tail, rowwise_dot(xi_tail, u_star - terms.u)))
     return r1, r2, r3

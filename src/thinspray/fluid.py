@@ -49,7 +49,8 @@ class FluidState:
     resolved modes: a u with modes above the band keeps them in its values,
     and its first step drops them.  A state is valid by construction: a
     non-finite u, or a negative or non-finite rho, raises FieldError, also
-    through dataclasses.replace; no other code checks it."""
+    through dataclasses.replace, and so does a u whose computed spectrum
+    overflows; no other code checks it."""
 
     u: VectorField
     rho: ScalarField
@@ -63,7 +64,11 @@ class FluidState:
         if not (rho.min() >= 0 and rho.max() < np.inf):  # NaN fails both
             raise FieldError("added density must be finite and nonnegative")
         if self.u_hat is None:
-            self.u_hat = fft(self.u)
+            # a finite u near the float limit can overflow its spectrum
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                self.u_hat = fft(self.u)
+            if not np.isfinite(self.u_hat).all():
+                raise FieldError("fluid velocity spectrum is non-finite")
 
 
 @dataclass

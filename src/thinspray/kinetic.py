@@ -19,7 +19,7 @@ import numpy as np
 from .errors import FieldError
 from .fluid import DragField
 from .grid import TWO_PI, GridSpec, ScalarField, VectorField
-from .transfer import cic_gather, cic_scatter
+from .transfer import _CHUNK, cic_gather, cic_scatter
 
 # the merge's neighbour query is (1 + eps)-approximate (Arya et al., J. ACM 1998);
 # 3 is the knee of the merge time measured at eps = 1..4 on the bidisperse-merge
@@ -123,25 +123,32 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
-    Only the coordinates that left [0, 2π) are wrapped back.  The
-    returned cloud shares w and r with the input.
+    Only the coordinates that left [0, 2π) are wrapped back.  u is gathered
+    at every particle in one call, into the array that becomes x'; the
+    update then runs over `transfer._CHUNK` rows at a time, writing each
+    chunk's xi' and x' rows in place, so that no other array the size of
+    the cloud is made.  The returned cloud shares w and r with the input.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    up = interpolate_velocity(u, cloud.x)
-    tau_p = cloud.r[:, None] ** 2
-    decay = np.exp(-dt / tau_p)
-    dxi = cloud.xi - up
-    xi_new = dxi * decay
-    xi_new += up
-    dxi *= tau_p * (1.0 - decay)
-    x_new = np.multiply(up, dt, out=up)  # up is not read again: x' reuses its buffer
-    x_new += cloud.x
-    x_new += dxi
-    flat = x_new.reshape(-1)
-    left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
-    wrapped = np.mod(flat[left], TWO_PI)  # a tiny negative's remainder rounds up to 2π
-    flat[left] = np.where(wrapped == TWO_PI, 0.0, wrapped)
+    x_new = interpolate_velocity(u, cloud.x)  # u at x; each chunk's rows become x'
+    xi_new = np.empty_like(cloud.xi)
+    for start in range(0, cloud.count, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        up = x_new[sl]
+        tau_p = cloud.r[sl, None] ** 2
+        decay = np.exp(-dt / tau_p)
+        dxi = cloud.xi[sl] - up
+        xi = np.multiply(dxi, decay, out=xi_new[sl])
+        xi += up
+        dxi *= tau_p * (1.0 - decay)
+        up *= dt  # from here on, up holds the chunk's rows of x'
+        up += cloud.x[sl]
+        up += dxi
+        flat = up.reshape(-1)  # a view: the rows of one chunk are contiguous
+        left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
+        wrapped = np.mod(flat[left], TWO_PI)  # a tiny negative's remainder rounds up to 2π
+        flat[left] = np.where(wrapped == TWO_PI, 0.0, wrapped)
     return ParticleCloud(x_new, xi_new, cloud.w, cloud.r)
 
 

@@ -48,12 +48,12 @@ from .density import density_step
 from .diagnostics import (
     check_moment_bound,
     collect_record,
-    cutoff_tail,
     energy_budget,
     liquid_volume,
     momentum_budget,
     momentum_tolerance,
     radial_histogram,
+    record_terms,
     regularization_remainders,
 )
 from .errors import ConfigError, FieldError, StepRejectedError
@@ -269,7 +269,10 @@ def run_scenario(config: SimConfig) -> RunResult:
     scenario-dependent constant comes from config.absorbs and config.eps.
     With eps > 0 the deposit is cut off in velocity, and u is mollified
     once per step, from its carried spectrum; that field advects the
-    particles, the density and, in the next step, the gas.
+    particles, the density and, in the next step, the gas.  The push and the
+    breakup are two statements, so that the pre-push positions and
+    velocities die before the breakup allocates, unless an output directory
+    holds them as the last healthy state.
     A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or
     the density step's outflow bound, dt/h times each cell's summed outflow
     face speed <= 1, or when FluidState, the one check of the gas, rejects
@@ -299,11 +302,11 @@ def run_scenario(config: SimConfig) -> RunResult:
     records = []
 
     def record(t, drag):  # of the current fluid and cloud, and the cloud's deposit
-        tail = cutoff_tail(cloud, fluid.u, eps)
+        terms = record_terms(cloud, fluid.u, drag, eps)
         remainders = regularization_remainders(
-            cloud, drag, tail, fluid.u, u_star, coupling=coupling,
+            cloud, drag, terms, fluid.u, u_star, coupling=coupling,
             drag_coefficient=drag_coeff) if eps else (0.0, 0.0, 0.0)
-        records.append(collect_record(t, fluid, cloud, drag, tail,
+        records.append(collect_record(t, fluid, cloud, drag, terms,
                                       volume=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
@@ -333,7 +336,9 @@ def run_scenario(config: SimConfig) -> RunResult:
             fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu, coupling=coupling)
             del drag  # so one drag field is alive when the pass below makes the next
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
-            cloud = break_up(advance_particles(cloud, u_star, config.dt), step)
+            # two statements, so the pre-push x and xi die before the breakup allocates
+            cloud = advance_particles(cloud, u_star, config.dt)
+            cloud = break_up(cloud, step)
             if cloud.count > config.particle_budget:
                 cloud, m2_err = merge_particles(cloud, config.particle_budget)
                 merge_m2_max = max(merge_m2_max, m2_err)

@@ -3,11 +3,29 @@
 Property tests run under one deterministic hypothesis profile: examples are
 derived from each test's own code, not from a random seed or a stored example
 database, and their number is bounded, so every run of the suite checks the
-same cases in about the same time.
+same cases in about the same time.  The memory tests share transient_peak.
 """
+
+import tracemalloc
 
 from hypothesis import settings
 
 settings.register_profile("thinspray", derandomize=True, deadline=None,
                           max_examples=40, database=None)
 settings.load_profile("thinspray")
+
+
+def transient_peak(call) -> int:
+    """Peak bytes one call of `call` allocates beyond what is alive before it.
+
+    `call` runs once untraced first, so that caches it fills (the spectral
+    tables) are alive before the traced call."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

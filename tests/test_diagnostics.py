@@ -9,11 +9,11 @@ from thinspray.diagnostics import (
     _cumulative_trapezoid,
     check_moment_bound,
     collect_record,
-    cutoff_tail,
     energy_budget,
     liquid_volume,
     momentum_budget,
     radial_histogram,
+    record_terms,
     regularization_remainders,
 )
 from thinspray.errors import FieldError
@@ -160,7 +160,8 @@ def remainders(cloud, u, u_mollified, eps):
     """The remainders of a regularized record at tau = 1, paired with its drag
     deposit."""
     drag = deposit_moments(cloud, u.grid, eps)
-    return regularization_remainders(cloud, drag, cutoff_tail(cloud, u, eps), u, u_mollified,
+    terms = record_terms(cloud, u, drag, eps)
+    return regularization_remainders(cloud, drag, terms, u, u_mollified,
                                      coupling=2.0, drag_coefficient=1.5)
 
 
@@ -220,7 +221,7 @@ class TestNonFiniteVelocity:
         drag = deposit_moments(cloud, g)
         with pytest.raises(FieldError, match="non-finite"):
             collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag,
-                           cutoff_tail(cloud, u, None), volume=liquid_volume(cloud))
+                           record_terms(cloud, u, drag, None), volume=liquid_volume(cloud))
 
     def test_remainders_raise(self):
         g, u, cloud = self._case()
@@ -268,8 +269,8 @@ def test_property_paired_record_matches_gathered_sums(case):
     rng = np.random.default_rng(seed)
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
     drag = deposit_moments(cloud, g, eps)
-    tail = cutoff_tail(cloud, u, eps)
-    record = collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag, tail,
+    terms = record_terms(cloud, u, drag, eps)
+    record = collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag, terms,
                             volume=liquid_volume(cloud))
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
@@ -282,7 +283,7 @@ def test_property_paired_record_matches_gathered_sums(case):
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
-    r1, r2, r3 = regularization_remainders(cloud, drag, tail, u, u_star, coupling=coupling,
+    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u, u_star, coupling=coupling,
                                            drag_coefficient=drag_coeff)
     _assert_sum_matches(r1, [drag_coeff * w * u_sq * (1.0 - cut)])
     _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])

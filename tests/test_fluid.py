@@ -1,7 +1,8 @@
-import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from conftest import transient_peak
 from scipy.integrate import solve_ivp
 
 from thinspray.errors import FieldError, GridMismatchError, StepRejectedError
@@ -198,6 +199,16 @@ class TestNsStep:
         with pytest.raises(FieldError, match="non-finite"):
             FluidState(u, ScalarField.zeros(g))
 
+    def test_overflowing_spectrum_rejected(self):
+        # u is finite, but the sums of its transform pass the float limit;
+        # the FieldError is the one report, with no overflow warning
+        g = GridSpec(2, 16)
+        u = VectorField(g, np.full((2,) + g.shape, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldError, match="spectrum is non-finite"):
+                FluidState(u, ScalarField.zeros(g))
+
     def test_density_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
             FluidState(shear_state(GridSpec(2, 16)).u, ScalarField.zeros(GridSpec(2, 32)))
@@ -210,19 +221,6 @@ class TestNsStep:
         a = ns_step(state, state.u, no_drag(g), 1e-3, coupling=1.0)
         b = ns_step(state, mollify(state.u, 0.5), no_drag(g), 1e-3, coupling=1.0)
         assert np.abs(a.u.values - b.u.values).max() < 1e-14
-
-
-def transient_peak(call) -> int:
-    """Peak bytes one call of `call` allocates beyond what is alive before it."""
-    call()  # builds the cached spectral tables
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_transient_memory_of_one_step():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import transient_peak
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
@@ -17,7 +18,7 @@ from thinspray.kinetic import (
     sample_gaussian_spray,
     velocity_cutoff,
 )
-from thinspray.transfer import cic_scatter
+from thinspray.transfer import _CHUNK, cic_gather, cic_scatter
 
 R2 = 0.3  # the fragment radius of the mixed clouds below
 
@@ -149,6 +150,43 @@ class TestAdvanceParticles:
                               np.array([1.0]), np.array([1.0]))
         out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), 1e-3)
         assert np.all((out.x >= 0.0) & (out.x < g.length))
+
+    def test_chunks_match_the_whole_array_update(self):
+        # two chunks and three rows, pushed chunk by chunk, give bit for bit
+        # the docstring's closed form on whole arrays, wrapped back to [0, 2π)
+        g = GridSpec(3, 16)
+        rng = np.random.default_rng(27)
+        n = 2 * _CHUNK + 3
+        cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.5))
+        cloud.xi *= 20.0  # fast enough that some particles cross the seam
+        cloud.x[-2:, 0], cloud.xi[-2:, 0] = [TWO_PI - 1e-3, 1e-3], [20.0, -20.0]
+        u = VectorField(g, rng.standard_normal((3,) + g.shape))
+        dt = 0.02
+        out = advance_particles(cloud, u, dt)
+        up = cic_gather(u, cloud.x)
+        tau = cloud.r[:, None] ** 2
+        decay = np.exp(-dt / tau)
+        xi_new = up + (cloud.xi - up) * decay
+        x_new = cloud.x + dt * up + tau * (1.0 - decay) * (cloud.xi - up)
+        crossed = (x_new < 0.0) | (x_new >= TWO_PI)
+        assert crossed[:_CHUNK].any() and crossed[2 * _CHUNK:].any()
+        assert np.any(cloud.r[crossed.any(axis=1)] == R2)
+        x_new = np.mod(x_new, TWO_PI)
+        x_new[x_new == TWO_PI] = 0.0
+        assert out.xi.tobytes() == xi_new.tobytes()
+        assert out.x.tobytes() == x_new.tobytes()
+
+    def test_transient_memory_of_one_push(self):
+        # u is gathered once, into the array that becomes x', and the update
+        # runs chunk by chunk: beyond x' and xi' a push holds small chunks
+        # and the gather's own tables (4.0 times x before the chunks)
+        g = GridSpec(3, 32)
+        rng = np.random.default_rng(28)
+        n = 200_000
+        cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.5))
+        u = VectorField(g, rng.standard_normal((3,) + g.shape))
+        peak = transient_peak(lambda: advance_particles(cloud, u, 1e-3))
+        assert peak <= 2.5 * cloud.x.nbytes
 
 
 def with_fragments(cloud, lost, r2):

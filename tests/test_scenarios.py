@@ -404,6 +404,30 @@ class TestRunScenario:
         if tau != math.inf:  # both parities took turns, on parents and beside fragments
             assert (deposited[-1].r == cfg.r2).any()
 
+    @pytest.mark.parametrize("scenario, eps", [
+        ("limit", 0.0), ("bidisperse", 0.0), ("regularized", 0.5)])
+    def test_pre_push_positions_die_before_breakup(self, monkeypatch, scenario, eps):
+        # the push and the breakup are two statements: without an output
+        # directory nothing holds the pushed cloud's x when the breakup runs
+        import weakref
+
+        import thinspray.scenarios as sc
+
+        pushed, alive = [], []
+
+        def advance(cloud, *args, _real=sc.advance_particles):
+            pushed.append(weakref.ref(cloud.x))
+            return _real(cloud, *args)
+
+        def absorb(*args, _real=sc.absorb_and_fragment, **kw):
+            alive.append(pushed[-1]() is not None)
+            return _real(*args, **kw)
+        monkeypatch.setattr(sc, "advance_particles", advance)
+        monkeypatch.setattr(sc, "absorb_and_fragment", absorb)
+        cfg = quick_config(scenario=scenario, eps=eps, tau=0.05, t_final=8e-3)
+        run_scenario(cfg)
+        assert alive == [False] * cfg.steps
+
     def test_staggered_merges_take_one_pass(self, monkeypatch):
         # spawning half the parents per step leaves the merge a share of the
         # fragments that one greedy pass removes; with every parent spawning
@@ -605,7 +629,7 @@ class TestRunScenario:
 
     def test_corner_tables_of_the_cutoff_tail(self, monkeypatch):
         # eps = 0.5 reaches the sampled speeds above 2: every record gathers
-        # u and |u|^2 (cutoff_tail, read by collect_record and the
+        # u and |u|^2 (record_terms, read by collect_record and the
         # remainders) and u_star (the remainders) at those particles alone,
         # three tables beyond the two of a step
         import thinspray.scenarios as sc
