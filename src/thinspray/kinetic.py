@@ -327,25 +327,56 @@ def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
 
     Coordinate k takes the k-th prime base b.  One generator, seeded once,
     shuffles a permutation of the digits 0..b-1 for each of the digit
-    positions a double resolves, ceil(54 / log2 b) - 1, base after base; the
-    point i is the radical inverse of i in base b with each digit replaced by
-    its position's permutation, summed digit by digit as scipy sums it.
+    positions a double resolves, ceil(54 / log2 b) - 1, base after base; all
+    of them are shuffled before any point is formed, so the stream is scipy's.
+    The point i is the radical inverse of i in base b with digit j replaced
+    by perm_j[digit], the terms perm_j[digit] b^-(j+1) summed as scipy sums
+    them.  The points are formed `transfer._CHUNK` indices at a time, so each
+    digit pass runs on block-sized arrays and no count-sized temporary is made.
+
+    Base 2 is one exact integer: every term is 0 or 2^-(j+1), j < 53, so
+    every partial sum is exact and the sum is bits * 2^-53, where bit 52 - j
+    of `bits` is perm_j[digit j], that is digit j xor perm_j[0].  Bases 3 and
+    5 look each term up in a per-position table perm_j b^-(j+1) and add it in
+    scipy's order; once the block's largest index has run out of digits,
+    every later digit is 0 and adds the constant perm_j[0] b^-(j+1).
     """
     rng = np.random.default_rng(seed)
-    out = np.empty((count, dim))
-    for k, base in enumerate((2, 3, 5)[:dim]):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        v, q, b2r, top = np.zeros(count), np.arange(count), 1.0 / base, count - 1
-        for perm in perms:
-            # once the largest index, top, has run out of digits, every later
-            # digit is 0 and adds the constant perm[0] b2r: no division, no gather
-            q, digit = np.divmod(q, base) if top > 0 else (q, 0)
-            v += perm[digit] * b2r
-            top //= base
+    perms = []
+    for base in (2, 3, 5)[:dim]:
+        perm = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for row in perm:
+            rng.shuffle(row)
+        perms.append(perm)
+    flip = sum(int(p0) << (52 - j) for j, p0 in enumerate(perms[0][:, 0]))
+    tables = []
+    for perm in perms[1:]:
+        base = perm.shape[1]
+        b2r, table = 1.0 / base, []
+        for row in perm:
+            table.append(row * b2r)
             b2r /= base
-        out[:, k] = v
+        tables.append(table)
+    out = np.empty((count, dim))
+    for start in range(0, count, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        index = np.arange(start, min(start + _CHUNK, count))
+        top = int(index[-1])
+        bits = np.full(index.shape, flip, dtype=np.int64)
+        for j in range(top.bit_length()):
+            bits ^= (index >> j & 1) << (52 - j)
+        out[sl, 0] = bits * 2.0**-53
+        for k, table in enumerate(tables, 1):
+            base, digits_top = len(table[0]), top
+            q, v = index, np.zeros(index.shape)
+            for row in table:
+                if digits_top > 0:
+                    nq = q // base
+                    v += row[q - nq * base]
+                    q, digits_top = nq, digits_top // base
+                else:
+                    v += row[0]
+            out[sl, k] = v
     return out
 
 

@@ -206,17 +206,20 @@ def load_config(path, overrides: dict | None = None) -> SimConfig:
 
 
 def taylor_green_velocity(grid: GridSpec) -> VectorField:
-    """Divergence-free cellular vortex initial velocity of unit amplitude."""
-    mesh = grid.meshgrid()
+    """Divergence-free cellular vortex initial velocity of unit amplitude,
+
+        u = (sin x cos y [cos z], -cos x sin y [cos z] [, 0]),
+
+    formed as outer products of the 1-D sines and cosines of the axis."""
+    x = grid.axis_points()
+    s, c = np.sin(x), np.cos(x)
     if grid.dim == 2:
-        comps = [
-            np.sin(mesh[0]) * np.cos(mesh[1]),
-            -np.cos(mesh[0]) * np.sin(mesh[1]),
-        ]
+        comps = [s[:, None] * c, -c[:, None] * s]
     else:
+        cz = c[None, None, :]
         comps = [
-            np.sin(mesh[0]) * np.cos(mesh[1]) * np.cos(mesh[2]),
-            -np.cos(mesh[0]) * np.sin(mesh[1]) * np.cos(mesh[2]),
+            s[:, None, None] * c[:, None] * cz,
+            -c[:, None, None] * s[:, None] * cz,
             np.zeros(grid.shape),
         ]
     return VectorField.from_components(grid, *comps)

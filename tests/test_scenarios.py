@@ -225,6 +225,21 @@ class TestInitialData:
         u = taylor_green_velocity(g)
         assert divergence_residual(g, fft(u)) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_taylor_green_is_the_meshgrid_form(self, dim, n):
+        # the 1-D outer products give the full-grid formula bit for bit, signed zeros too
+        g = GridSpec(dim, n)
+        x = g.meshgrid()
+        if dim == 2:
+            want = [np.sin(x[0]) * np.cos(x[1]), -np.cos(x[0]) * np.sin(x[1])]
+        else:
+            want = [np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2]),
+                    -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2]), np.zeros(g.shape)]
+        got = taylor_green_velocity(g).values
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_spray_targets_match_cloud(self):
         cfg = quick_config(spray_init="offset", spray_mass=0.4,
                            spray_sigma=0.8, spray_mean_speed=0.3)
