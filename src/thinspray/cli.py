@@ -66,8 +66,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    r2_list = [float(v) for v in args.r2_list.split(",")]
-    result = sweep_r2(cfg, r2_list)
+    result = sweep_r2(cfg, args.r2_list.split(","))  # it converts and checks each
     print(f"{'r2':>8s} {'delta':>12s} {'rho_mismatch':>14s}")
     for row in result.rows:
         print(f"{row.r2:8.3f} {row.delta:12.5e} {row.rho_mismatch:14.5e}")

@@ -23,7 +23,6 @@ from .grid import (
     divergence_residual,
     grad_l2_norm_sq,
     integral,
-    require_finite,
 )
 from .kinetic import ParticleCloud, rowwise_dot, velocity_cutoff
 from .transfer import cic_gather
@@ -242,12 +241,14 @@ class RadialDensity:
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.edges[0] != 0.0 or np.any(np.diff(self.edges) <= 0):
-            raise ValueError("edges must increase from 0")
+        # NaN fails every comparison, so a non-finite edge or value is rejected too
+        if self.edges[0] != 0.0 or not (np.all(np.diff(self.edges) > 0)
+                                        and self.edges[-1] < np.inf):
+            raise ValueError("edges must increase from 0 to a finite end")
         if self.values.size != self.edges.size - 1:
             raise ValueError("need one value per shell")
-        if self.values.size and self.values.min() < 0:
-            raise ValueError("radial density must be nonnegative")
+        if self.values.size and not (self.values.min() >= 0 and self.values.max() < np.inf):
+            raise ValueError("radial density must be nonnegative and finite")
 
     def moment(self, alpha: float) -> float:
         p = alpha + 3.0
@@ -309,14 +310,11 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
     adds the tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
     record_terms(cloud, u, drag, eps), the record's, so only u_mollified is
-    paired and gathered here.  A non-finite u or u_mollified raises
-    FieldError.  All three vanish as eps -> 0 (the cutoff radius 1/eps
-    swallows the sampled velocities).
+    paired and gathered here.  All three vanish as eps -> 0 (the cutoff
+    radius 1/eps swallows the sampled velocities).
     """
     if np.any(cloud.r != 1.0):
         raise ValueError("the remainders need a cloud of parents only")
-    require_finite(u, "fluid velocity")
-    require_finite(u_mollified, "mollified velocity")
     xi_tail, w_tail = cloud.xi[terms.index], cloud.w[terms.index] * terms.defect
     r1 = drag_coefficient * _pair(w_tail, terms.u_sq)
     r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, terms.u))

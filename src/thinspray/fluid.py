@@ -48,9 +48,9 @@ class FluidState:
     spectrum u_hat of u, computed if not given.  u_hat carries only the
     resolved modes: a u with modes above the band keeps them in its values,
     and its first step drops them.  A state is valid by construction: a
-    non-finite u, or a negative or non-finite rho, raises FieldError, also
-    through dataclasses.replace, and so does a u whose computed spectrum
-    overflows; no other code checks it."""
+    non-finite u or t, or a negative or non-finite rho, raises FieldError,
+    also through dataclasses.replace, and so does a u whose computed
+    spectrum overflows; no other code checks it."""
 
     u: VectorField
     rho: ScalarField
@@ -59,6 +59,8 @@ class FluidState:
 
     def __post_init__(self):
         require_same_grid(self.u, self.rho)
+        if not np.isfinite(self.t):
+            raise FieldError(f"time must be finite, got {self.t}")
         require_finite(self.u, "fluid velocity")
         rho = self.rho.values
         if not (rho.min() >= 0 and rho.max() < np.inf):  # NaN fails both

@@ -35,6 +35,12 @@ from .errors import FieldError, GridMismatchError
 TWO_PI = 2.0 * np.pi
 
 
+def wrap_to_torus(x: np.ndarray) -> np.ndarray:
+    """x mod 2π in [0, 2π): the 2π that a tiny negative's remainder rounds to is 0."""
+    wrapped = np.mod(x, TWO_PI)
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [0, 2π)^dim: dim axes, n points per axis."""

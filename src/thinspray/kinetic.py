@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FieldError
 from .fluid import DragField
-from .grid import TWO_PI, GridSpec, ScalarField, VectorField
+from .grid import TWO_PI, GridSpec, ScalarField, VectorField, wrap_to_torus
 from .transfer import _CHUNK, cic_gather, cic_scatter
 
 # the merge's neighbour query is (1 + eps)-approximate (Arya et al., J. ACM 1998);
@@ -34,6 +34,8 @@ class ParticleCloud:
     """Weighted particles sampling the droplet phase, handled as a value: the
     functions that push, decay or merge a cloud share every array they leave
     unchanged with the cloud they return, so no code writes into one in place.
+    Its constructor is the one check of the particle state: a non-finite x,
+    xi, w or r, a negative w or a radius that is not positive raises FieldError.
     """
 
     x: np.ndarray        # (N, dim) positions in [0, 2π)
@@ -48,11 +50,13 @@ class ParticleCloud:
         self.r = np.asarray(self.r, dtype=np.float64).ravel()
         n = self.x.shape[0]
         if self.xi.shape != self.x.shape or self.w.shape != (n,) or self.r.shape != (n,):
-            raise ValueError("particle arrays have inconsistent shapes")
-        if n and self.w.min() < 0:
-            raise ValueError("particle weights must be nonnegative")
-        if n and not self.r.min() > 0:  # NaN fails too
-            raise ValueError("droplet radii must be positive")
+            raise FieldError("particle arrays have inconsistent shapes")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.xi).all()):
+            raise FieldError("particle positions x or velocities ξ are non-finite")
+        if n and not (self.w.min() >= 0 and self.w.max() < np.inf):  # NaN fails both
+            raise FieldError("particle weights must be nonnegative and finite")
+        if n and not (self.r.min() > 0 and self.r.max() < np.inf):
+            raise FieldError("droplet radii must be positive and finite")
 
     @property
     def count(self) -> int:
@@ -101,17 +105,6 @@ def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def interpolate_velocity(u: VectorField, x: np.ndarray) -> np.ndarray:
-    """Evaluate u at particle positions with the shared multilinear kernel.
-
-    A non-finite value raises FieldError.
-    """
-    vals = cic_gather(u, x)
-    if not np.isfinite(vals).all():
-        raise FieldError("interpolated velocity is non-finite")
-    return vals
-
-
 def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> ParticleCloud:
     """Advance positions and velocities by one step of the drag dynamics.
 
@@ -123,15 +116,16 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
         x'  = x + dt u + r^2 (1 - exp(-dt/r^2)) (xi - u)
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
-    Only the coordinates that left [0, 2π) are wrapped back.  u is gathered
-    at every particle in one call, into the array that becomes x'; the
-    update then runs over `transfer._CHUNK` rows at a time, writing each
-    chunk's xi' and x' rows in place, so that no other array the size of
-    the cloud is made.  The returned cloud shares w and r with the input.
+    Only the coordinates that left [0, 2π) are wrapped back (`wrap_to_torus`).
+    u is gathered at every particle in one call, into the array that becomes
+    x'; the update then runs over `transfer._CHUNK` rows at a time, writing
+    each chunk's xi' and x' rows in place, so that no other array the size
+    of the cloud is made.  The returned cloud shares w and r with the input;
+    a non-finite x' or xi' raises FieldError, from that cloud.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    x_new = interpolate_velocity(u, cloud.x)  # u at x; each chunk's rows become x'
+    x_new = cic_gather(u, cloud.x)  # u at x; each chunk's rows become x'
     xi_new = np.empty_like(cloud.xi)
     for start in range(0, cloud.count, _CHUNK):
         sl = slice(start, start + _CHUNK)
@@ -147,8 +141,7 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
         up += dxi
         flat = up.reshape(-1)  # a view: the rows of one chunk are contiguous
         left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
-        wrapped = np.mod(flat[left], TWO_PI)  # a tiny negative's remainder rounds up to 2π
-        flat[left] = np.where(wrapped == TWO_PI, 0.0, wrapped)
+        flat[left] = wrap_to_torus(flat[left])
     return ParticleCloud(x_new, xi_new, cloud.w, cloud.r)
 
 
@@ -307,8 +300,7 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int):
         0.5 * (cloud.xi[a] + cloud.xi[b]),
     )
     delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
-    x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, TWO_PI)
-    x_m[x_m == TWO_PI] = 0.0  # the remainder of a tiny negative rounds up to 2π
+    x_m = wrap_to_torus(cloud.x[a] + frac_b[:, None] * delta)
     keep = np.ones(cloud.count, dtype=bool)
     keep[a] = False
     keep[b] = False

@@ -64,12 +64,11 @@ from .kinetic import (
     absorb_and_fragment,
     advance_particles,
     deposit_moments,
-    interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
 )
 from .snapshots import write_diagnostics_csv, write_state, write_summary_json
-from .transfer import cic_scatter
+from .transfer import cic_gather, cic_scatter
 
 log = logging.getLogger(__name__)
 
@@ -276,12 +275,12 @@ def run_scenario(config: SimConfig) -> RunResult:
     breakup are two statements, so that the pre-push positions and
     velocities die before the breakup allocates, unless an output directory
     holds them as the last healthy state.
-    A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or
-    the density step's outflow bound, dt/h times each cell's summed outflow
-    face speed <= 1, or when FluidState, the one check of the gas, rejects
-    the non-finite u or rho it makes, or when its record or lemma checks
-    raise a FieldError: one StepRejectedError names the step, t and the
-    cause, after writing the last healthy state to state_last_good.npz
+    A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or the
+    density step's outflow bound, dt/h times each cell's summed outflow face
+    speed <= 1, or when FluidState and ParticleCloud, the one checks of the gas
+    and the particles, reject the non-finite state it makes, or when its record
+    or lemma checks raise a FieldError: one StepRejectedError names the step, t
+    and the cause, after writing the last healthy state to state_last_good.npz
     when an output directory is set.  Every file of a run goes to that
     directory, made once: the stride snapshots state_<step>.npz, the final
     state_final.npz, diagnostics.csv and summary.json (see snapshots).
@@ -468,7 +467,7 @@ def fragment_slip(result: RunResult) -> float:
     fragments = cloud.select(cloud.r < 1.0)
     if fragments.count == 0:
         return 0.0
-    up = interpolate_velocity(result.fluid.u, fragments.x)
+    up = cic_gather(result.fluid.u, fragments.x)
     slip = np.sum((fragments.xi - up) ** 2, axis=1)
     # the fragments share one radius, so its r^3 mass factor cancels
     return float(np.sum(fragments.w * slip) / fragments.w.sum())
@@ -485,21 +484,24 @@ def fragment_mass_density(result: RunResult) -> ScalarField:
 def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
     """Compare two-radius runs against the matched limit-system run.
 
-    All members share the seed, the initial data and the breakup time tau,
-    so the matched limit run absorbs into rho at the rate at which the
-    bidisperse members fragment.  The members break each parent up on every
-    second step (see run_scenario), so the two rates agree on average over
-    two steps, not on each step.  r2_list must be strictly decreasing.
-    delta(r2) is the fragments' velocity-relaxation metric at the final
-    time; rho_mismatch compares their mass density against the limit run's
-    added density.  The fitted log-log slope of delta is reported (the r2^2
+    All members share the seed, the initial data and the breakup time tau, so
+    the matched limit run absorbs into rho at the rate at which the bidisperse
+    members fragment.  The members break each parent up on every second step
+    (see run_scenario), so the two rates agree on average over two steps, not
+    on each step.  r2_list is one or more radii in (0, 1), strictly decreasing.
+    delta(r2) is the fragments' velocity-relaxation metric at the final time;
+    rho_mismatch compares their mass density against the limit run's added
+    density.  The fitted log-log slope of delta is reported (the r2^2
     relaxation time suggests a slope near 2).
     """
-    r2_list = [float(v) for v in r2_list]
+    try:
+        r2_list = [float(v) for v in r2_list]
+    except ValueError as err:
+        raise ConfigError(f"every r2 must be a number: {err}") from None
     if any(b >= a for a, b in zip(r2_list, r2_list[1:])):
         raise ConfigError("r2_list must be strictly decreasing")
-    if any(not 0 < v < 1 for v in r2_list):
-        raise ConfigError("every r2 must lie in (0, 1)")
+    if not r2_list or any(not 0 < v < 1 for v in r2_list):
+        raise ConfigError(f"r2_list needs one r2 or more, each in (0, 1), got {r2_list}")
 
     limit_cfg = replace(config, scenario="limit", eps=0.0, output_dir="")
     log.info("sweep: running matched limit-system member")

@@ -5,7 +5,7 @@ A snapshot is the run state, one NumPy .npz per snapshot with the keys t
 x, xi, w and r (the particle positions, velocities, number weights and
 radii, one row per particle).  read_state rebuilds the FluidState and the
 ParticleCloud from them, so a file is checked by the same constructors as a
-state of a run.
+state of a run: FluidState and ParticleCloud, the one check of each half.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def write_state(path, fluid: FluidState, cloud: ParticleCloud):
 
 def read_state(path) -> tuple[FluidState, ParticleCloud]:
     """Rebuild the (fluid, cloud) that write_state wrote; the grid is read
-    off u's shape, and the state types reject what is not a valid state."""
+    off u's shape, and a non-finite t, u, rho, x, xi, w or r raises FieldError."""
     with np.load(path, allow_pickle=False) as data:
         u = data["u"]
         grid = GridSpec(u.ndim - 1, u.shape[-1])

@@ -79,6 +79,14 @@ def test_sweep_json_is_strict_json(tmp_path, capsys):
     assert "[  - ] delta strictly decreasing" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("r2_list", ["0.4,abc", ""])
+def test_sweep_r2_list_not_numbers_returns_2(r2_list, capsys):
+    # a bad list is a configuration error (2), not a failed check (1)
+    assert main(["sweep-r2", "--dim", "2", "--n", "16", "--r2-list", r2_list]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
 def test_config_file_run_warns_once(tmp_path, capsys):
     # the configuration is validated once, in run_scenario, not again on load
     cfg = tmp_path / "coarse.cfg"

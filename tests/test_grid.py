@@ -3,6 +3,7 @@ import pytest
 
 from thinspray.errors import FieldError
 from thinspray.grid import (
+    TWO_PI,
     GridSpec,
     ScalarField,
     VectorField,
@@ -13,6 +14,7 @@ from thinspray.grid import (
     integral,
     leray_project,
     mollify,
+    wrap_to_torus,
 )
 
 
@@ -233,3 +235,18 @@ def test_integral_and_norms():
     one = ScalarField(g, np.full(g.shape, 1.0))
     assert integral(one) == pytest.approx(g.volume, rel=1e-14)
     assert divergence_residual(g, fft(VectorField.zeros(g))) == 0.0
+
+
+def test_wrap_to_torus_at_the_seam():
+    # the remainder of -1e-17 rounds up to 2π, which the torus holds as 0
+    x = np.array([-1e-17, TWO_PI, 2 * TWO_PI - np.spacing(2 * TWO_PI), -2 * TWO_PI])
+    got = wrap_to_torus(x)
+    assert np.array_equal(got, [0.0, 0.0, TWO_PI - np.spacing(2 * TWO_PI), 0.0])
+    assert not np.signbit(got).any()
+    assert np.all((got >= 0.0) & (got < TWO_PI))
+    # the two rules it replaces, the push's and the merge's, agree bit for bit
+    push = np.mod(x, TWO_PI)
+    push = np.where(push == TWO_PI, 0.0, push)
+    merge = np.remainder(x, TWO_PI)
+    merge[merge == TWO_PI] = 0.0
+    assert got.tobytes() == push.tobytes() == merge.tobytes()

@@ -13,7 +13,6 @@ from thinspray.kinetic import (
     absorb_and_fragment,
     advance_particles,
     deposit_moments,
-    interpolate_velocity,
     merge_particles,
     sample_gaussian_spray,
     velocity_cutoff,
@@ -348,27 +347,6 @@ class TestDepositMoments:
         g = GridSpec(2, 16)
         drag = deposit_moments(ParticleCloud.empty(2), g)
         assert np.abs(drag.m0.values).max() == 0.0
-
-
-class TestInterpolateVelocity:
-    def test_constant(self):
-        g = GridSpec(2, 16)
-        u = uniform_velocity(g, (1.5, -2.5))
-        x = np.random.default_rng(7).uniform(0, g.length, (50, 2))
-        out = interpolate_velocity(u, x)
-        assert np.abs(out - np.array([1.5, -2.5])).max() < 1e-13
-
-    def test_second_order(self):
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(0, 2 * np.pi, (400, 2))
-        exact = np.sin(pts[:, 0])
-        errs = []
-        for n in (16, 32):
-            g = GridSpec(2, n)
-            u = VectorField.from_components(
-                g, np.sin(g.meshgrid()[0]), np.zeros(g.shape))
-            errs.append(np.abs(interpolate_velocity(u, pts)[:, 0] - exact).max())
-        assert errs[0] / errs[1] > 3.0
 
 
 class TestMerge:

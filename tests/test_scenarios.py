@@ -727,6 +727,17 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_r2(cfg, [1.2, 0.5])
 
+    def test_empty_sweep_rejected(self, monkeypatch):
+        # an empty sweep checks nothing: it is refused before any member runs
+        import thinspray.scenarios as sc
+
+        def no_run(config):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(sc, "run_scenario", no_run)
+        with pytest.raises(ConfigError, match="r2_list"):
+            sweep_r2(quick_config(scenario="bidisperse"), [])
+
     def test_single_member_sweep(self):
         cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=0.04,
                            spray_init="offset")

@@ -97,6 +97,12 @@ def _rewritten(path, **changes):
     pytest.param(dict(r=np.array([1.0, 0.0, 1.0, 1.0, 1.0])), ValueError, id="zero-radius"),
     pytest.param(dict(xi=np.zeros((5, 3))), ValueError, id="xi-shape"),
     pytest.param(dict(x=np.ones((5, 3)), xi=np.zeros((5, 3))), ValueError, id="cloud-dim"),
+    pytest.param(dict(x=np.full((5, 2), np.nan)), FieldError, id="nan-x"),
+    pytest.param(dict(xi=np.full((5, 2), np.inf)), FieldError, id="inf-xi"),
+    pytest.param(dict(w=np.array([1.0, np.nan, 1.0, 1.0, 1.0])), FieldError, id="nan-w"),
+    pytest.param(dict(w=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), FieldError, id="inf-w"),
+    pytest.param(dict(r=np.array([1.0, 1.0, 1.0, np.inf, 1.0])), FieldError, id="inf-r"),
+    pytest.param(dict(t=np.float64(np.nan)), FieldError, id="nan-t"),
 ])
 def test_malformed_state_rejected(tmp_path, changes, error):
     path = tmp_path / "state.npz"
@@ -104,6 +110,26 @@ def test_malformed_state_rejected(tmp_path, changes, error):
     _rewritten(path, **changes)
     with pytest.raises(error):
         read_state(path)
+
+
+@given(_states(), st.data())
+def test_property_non_finite_entry_rejected(state, data):
+    # the constructors are the one check of the state: a NaN or ±inf at any
+    # entry of any of its arrays, or as its time, is a FieldError
+    fluid, cloud = state
+    parts = {"u": fluid.u.values, "rho": fluid.rho.values, "t": np.array(fluid.t),
+             "x": cloud.x, "xi": cloud.xi, "w": cloud.w, "r": cloud.r}
+    name = data.draw(st.sampled_from([k for k, v in parts.items() if v.size]))
+    parts[name] = bad = parts[name].copy()
+    bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    grid = fluid.u.grid
+    with pytest.raises(FieldError):
+        if name in ("u", "rho", "t"):
+            FluidState(VectorField(grid, parts["u"]), ScalarField(grid, parts["rho"]),
+                       float(parts["t"]))
+        else:
+            ParticleCloud(parts["x"], parts["xi"], parts["w"], parts["r"])
 
 
 def test_particles_of_another_layout_rejected(tmp_path):
