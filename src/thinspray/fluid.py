@@ -44,23 +44,21 @@ from .grid import (
 
 @dataclass
 class FluidState:
-    """Velocity u and added density rho >= 0 on u's grid at time t, and the
-    spectrum u_hat of u, computed if not given.  u_hat carries only the
-    resolved modes: a u with modes above the band keeps them in its values,
-    and its first step drops them.  A state is valid by construction: a
-    non-finite u or t, or a negative or non-finite rho, raises FieldError,
-    also through dataclasses.replace, and so does a u whose computed
-    spectrum overflows; no other code checks it."""
+    """Velocity u and added density rho >= 0 on u's grid, and the spectrum
+    u_hat of u, computed if not given.  It carries no time: the run loop's
+    step * dt is the one clock.  u_hat carries only the resolved modes: a u
+    with modes above the band keeps them in its values, and its first step
+    drops them.  A state is valid by construction: a non-finite u, or a
+    negative or non-finite rho, raises FieldError, also through
+    dataclasses.replace, and so does a u whose computed spectrum overflows;
+    no other code checks it."""
 
     u: VectorField
     rho: ScalarField
-    t: float = 0.0
     u_hat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         require_same_grid(self.u, self.rho)
-        if not np.isfinite(self.t):
-            raise FieldError(f"time must be finite, got {self.t}")
         require_finite(self.u, "fluid velocity")
         rho = self.rho.values
         if not (rho.min() >= 0 and rho.max() < np.inf):  # NaN fails both
@@ -131,7 +129,8 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     state.u_hat; the returned velocity is Leray-projected and carries its
     projected spectrum.  The state carries only resolved modes, so the
     explicit tendency is dealiased by the 2/3 rule as it is transformed, and
-    the returned velocity is band-limited.  A step that makes a non-finite
+    the returned velocity is band-limited.  The step keeps no clock: the
+    caller knows which step it is.  A step that makes a non-finite
     velocity raises FieldError, from the FluidState it returns.
     """
     if dt < 0:
@@ -170,4 +169,4 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     t_hat *= np.exp(-nu_bar * tab.k2 * dt)
     u_hat = project_spectrum(grid, t_hat)
     u_new = VectorField(grid, ifft_like(u, u_hat))
-    return FluidState(u_new, state.rho, state.t + dt, u_hat)
+    return FluidState(u_new, state.rho, u_hat)

@@ -71,18 +71,6 @@ class ParticleCloud:
         z = np.zeros((0, dim))
         return cls(z, z.copy(), np.zeros(0), np.zeros(0))
 
-    @classmethod
-    def concatenate(cls, clouds) -> "ParticleCloud":
-        clouds = [c for c in clouds if c.count]
-        if not clouds:
-            raise ValueError("nothing to concatenate")
-        return cls(
-            np.concatenate([c.x for c in clouds]),
-            np.concatenate([c.xi for c in clouds]),
-            np.concatenate([c.w for c in clouds]),
-            np.concatenate([c.r for c in clouds]),
-        )
-
     def select(self, mask: np.ndarray) -> "ParticleCloud":
         return ParticleCloud(self.x[mask], self.xi[mask], self.w[mask], self.r[mask])
 
@@ -146,17 +134,17 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
 
 
 def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
-                        breaks: np.ndarray | None = None) -> tuple[ParticleCloud, np.ndarray]:
+                        breaks: np.ndarray | None = None) -> ParticleCloud:
     """Break up parent droplets, those of radius 1, at rate 1/tau.
 
     The parents that the boolean mask `breaks` selects, every parent by
     default, decay by exp(-dt/tau); the other particles, fragments included,
     pass through untouched.  A caller that breaks up each parent on every
     k-th step only passes k dt and the parents whose turn it is.  Returns
-    the decayed cloud, which shares x, xi and r with the input, and
-    the weight each particle lost (zero for the untouched ones, and for
-    every particle when tau is inf).  The caller decides where the lost
-    weight goes.
+    the decayed cloud, which shares x, xi and r with the input.  The weight
+    each particle lost is cloud.w minus the returned w (zero for the
+    untouched ones, and for every particle when tau is inf); a caller that
+    keeps it forms it, and decides where it goes.
     """
     if not tau > 0:
         raise ValueError(f"breakup time must be positive, got {tau}")
@@ -166,7 +154,7 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
     if breaks is not None:
         decays &= breaks
     w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
-    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r), cloud.w - w_new
+    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
 
 
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,

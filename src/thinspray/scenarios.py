@@ -16,8 +16,10 @@ their lost weight goes:
 A fragmenting run breaks each parent up on every second step only, taking
 turns by index parity: on step k the parents of index i = k (mod 2) keep
 exp(-2 dt/tau) of their weight and each spawns one fragment with the lost
-volume, at its x and xi.  The rate stays 1/tau, the liquid volume exact,
-and a step spawns half as many fragments for the merge to take back.
+volume, at its x and xi; the fragments follow the decayed particles, in
+parent order, in the one cloud the step builds.  The rate stays 1/tau, the
+liquid volume exact, and a step spawns half as many fragments for the
+merge to take back.
 
 Every absorbing run breaks every parent up on every step and takes one
 source rule: a parent keeps exp(-dt/tau) of its weight, so the source of
@@ -258,8 +260,9 @@ class RunResult:
 def run_scenario(config: SimConfig) -> RunResult:
     """Integrate one scenario and summarize every budget.
 
-    A run's state is the fluid, which carries rho, and the particle cloud.
-    Step layout: fluid step -> particle push -> breakup (when
+    A run's state is the fluid, which carries rho, and the particle cloud;
+    t = step * dt is the run's one clock, stamped on each record and
+    snapshot.  Step layout: fluid step -> particle push -> breakup (when
     config.absorbs, every parent's weight decays by exp(-dt/tau); else only
     the parents whose index has the step's parity decay, by
     exp(-2 dt/tau), and each spawns one radius-r2 fragment with the lost
@@ -312,24 +315,24 @@ def run_scenario(config: SimConfig) -> RunResult:
                                       volume=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
-    def break_up(cloud, step):  # a function, so that `lost` dies before the next push
+    def break_up(cloud, step):  # a function, so its temporaries die before the next push
         if config.absorbs:  # every parent, every step: rho's source rule needs that
-            return absorb_and_fragment(cloud, config.dt, config.tau)[0]
+            return absorb_and_fragment(cloud, config.dt, config.tau)
         turn = np.arange(cloud.count) % _SPAWN_PERIOD == step % _SPAWN_PERIOD
-        cloud, lost = absorb_and_fragment(cloud, _SPAWN_PERIOD * config.dt, config.tau, turn)
-        spawn = lost > 0
-        if not spawn.any():
-            return cloud
-        return ParticleCloud.concatenate([cloud, ParticleCloud(
-            cloud.x[spawn], cloud.xi[spawn], lost[spawn] / config.r2**3,
-            np.full(spawn.sum(), config.r2))])
+        decayed = absorb_and_fragment(cloud, _SPAWN_PERIOD * config.dt, config.tau, turn)
+        lost = cloud.w - decayed.w
+        spawn = lost > 0  # each spawns one fragment, appended in parent order
+        spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / config.r2**3,
+                   np.full(spawn.sum(), config.r2))
+        kept = (decayed.x, decayed.xi, decayed.w, decayed.r)
+        return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
 
     drag = deposit_moments(cloud, grid, eps)
     record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
     # only the snapshot on abort reads the last healthy state: without an
     # output directory none is held, so the old one dies with its step
-    last_good = (fluid, cloud) if config.output_dir else None
+    last_good = (0.0, fluid, cloud) if config.output_dir else None
     lemma_stride = max(1, config.steps // 10)
 
     for step in range(1, config.steps + 1):
@@ -363,9 +366,9 @@ def run_scenario(config: SimConfig) -> RunResult:
             raise StepRejectedError(f"step {step} (t={t:.4g}) rejected: {err}; "
                                     f"last-good snapshot {snapshot}") from err
         if config.output_dir:
-            last_good = (fluid, cloud)
+            last_good = (t, fluid, cloud)
             if config.snapshot_stride and step % config.snapshot_stride == 0:
-                write_state(out / f"state_{step:06d}.npz", fluid, cloud)
+                write_state(out / f"state_{step:06d}.npz", t, fluid, cloud)
 
     summary = _summarize(config, records, lemma_checks, merge_m2_max, drag_coeff,
                          time.perf_counter() - t_start)
@@ -373,7 +376,7 @@ def run_scenario(config: SimConfig) -> RunResult:
     if config.output_dir:
         write_diagnostics_csv(out / "diagnostics.csv", records)
         write_summary_json(out / "summary.json", summary)
-        write_state(out / "state_final.npz", fluid, cloud)
+        write_state(out / "state_final.npz", records[-1].t, fluid, cloud)
     return result
 
 

@@ -1,11 +1,13 @@
 """On-disk formats: run-state snapshots, diagnostics CSV, summaries.
 
 A snapshot is the run state, one NumPy .npz per snapshot with the keys t
-(the time), u and rho (the gas velocity and added density, grid-shaped) and
-x, xi, w and r (the particle positions, velocities, number weights and
-radii, one row per particle).  read_state rebuilds the FluidState and the
-ParticleCloud from them, so a file is checked by the same constructors as a
-state of a run: FluidState and ParticleCloud, the one check of each half.
+(the run's time, step * dt, as its diagnostics record holds it), u and rho
+(the gas velocity and added density, grid-shaped) and x, xi, w and r (the
+particle positions, velocities, number weights and radii, one row per
+particle).  read_state rebuilds the FluidState and the ParticleCloud from
+them, so a file is checked by the same constructors as a state of a run:
+FluidState and ParticleCloud, the one check of each half.  Neither carries
+the time, so read_state checks t itself.
 """
 
 from __future__ import annotations
@@ -18,29 +20,32 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
+from .errors import FieldError
 from .fluid import FluidState
 from .grid import GridSpec, ScalarField, VectorField
 from .kinetic import ParticleCloud
 
 
-def write_state(path, fluid: FluidState, cloud: ParticleCloud):
-    """Write the run state (fluid, cloud) as one .npz; see the module docstring."""
-    np.savez(path, t=fluid.t, u=fluid.u.values, rho=fluid.rho.values,
+def write_state(path, t: float, fluid: FluidState, cloud: ParticleCloud):
+    """Write the run state (t, fluid, cloud) as one .npz; see the module docstring."""
+    np.savez(path, t=t, u=fluid.u.values, rho=fluid.rho.values,
              x=cloud.x, xi=cloud.xi, w=cloud.w, r=cloud.r)
 
 
-def read_state(path) -> tuple[FluidState, ParticleCloud]:
-    """Rebuild the (fluid, cloud) that write_state wrote; the grid is read
+def read_state(path) -> tuple[float, FluidState, ParticleCloud]:
+    """Rebuild the (t, fluid, cloud) that write_state wrote; the grid is read
     off u's shape, and a non-finite t, u, rho, x, xi, w or r raises FieldError."""
     with np.load(path, allow_pickle=False) as data:
+        t = float(data["t"])
+        if not np.isfinite(t):
+            raise FieldError(f"{path}: time must be finite, got {t}")
         u = data["u"]
         grid = GridSpec(u.ndim - 1, u.shape[-1])
-        fluid = FluidState(VectorField(grid, u), ScalarField(grid, data["rho"]),
-                           float(data["t"]))
+        fluid = FluidState(VectorField(grid, u), ScalarField(grid, data["rho"]))
         cloud = ParticleCloud(data["x"], data["xi"], data["w"], data["r"])
     if cloud.dim != grid.dim:
         raise ValueError(f"{path}: {cloud.dim}-D particles on a {grid.dim}-D grid")
-    return fluid, cloud
+    return t, fluid, cloud
 
 
 def diagnostics_columns(records: Sequence[DiagnosticsRecord]) -> list[str]:

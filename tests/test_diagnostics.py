@@ -16,7 +16,6 @@ from thinspray.diagnostics import (
     record_terms,
     regularization_remainders,
 )
-from thinspray.errors import FieldError
 from thinspray.fluid import FluidState
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, mollify
 from thinspray.kinetic import ParticleCloud, deposit_moments, velocity_cutoff
@@ -211,26 +210,6 @@ class TestRemainders:
         cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), [1.0, 0.3])
         with pytest.raises(ValueError, match="parents only"):
             remainders(cloud, zero, zero, 0.5)
-
-
-class TestNonFiniteVelocity:
-    """A NaN in u is a typed error, not a NaN budget: FluidState, the one
-    check of the gas, rejects it before a record is made."""
-
-    @staticmethod
-    def _case():
-        g = GridSpec(2, 16)
-        u = VectorField.zeros(g)
-        u.values[0, 3, 5] = np.nan
-        x = np.array([[3.5 * g.h, 5.5 * g.h], [1.0, 1.0]])
-        return g, u, make_cloud(x, np.zeros((2, 2)), np.ones(2))
-
-    def test_collect_record_raises(self):
-        g, u, cloud = self._case()
-        drag = deposit_moments(cloud, g)
-        with pytest.raises(FieldError, match="non-finite"):
-            collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag,
-                           record_terms(cloud, u, drag, None), volume=liquid_volume(cloud))
 
 
 @st.composite

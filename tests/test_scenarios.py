@@ -12,6 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, FieldError, StepRejectedError
+from thinspray.fluid import FluidState
 from thinspray.grid import GridSpec, divergence_residual, fft, ifft_like, integral
 from thinspray.kinetic import velocity_cutoff
 from thinspray.scenarios import (
@@ -148,6 +149,11 @@ class TestConfig:
                                                 if isinstance(a, ast.arg)}]
         assert takers == []
         assert tuple(f.name for f in dataclass_fields(GridSpec)) == ("dim", "n")
+
+    def test_only_the_run_keeps_the_clock(self):
+        # the run's step * dt is the one time: the fluid state carries none,
+        # and the snapshots take the run's t
+        assert tuple(f.name for f in dataclass_fields(FluidState)) == ("u", "rho", "u_hat")
 
     @pytest.mark.parametrize("kw", [dict(spray_mass=0.0), dict(spray_init="none")])
     def test_no_particle_floor_without_a_sampled_spray(self, kw):
@@ -307,8 +313,9 @@ class TestRunScenario:
 
         seen = {}
 
-        def absorbed(*args, _real=sc.absorb_and_fragment, **kw):
-            seen["cloud"], seen["lost"] = out = _real(*args, **kw)
+        def absorbed(cloud, *args, _real=sc.absorb_and_fragment, **kw):
+            seen["cloud"] = out = _real(cloud, *args, **kw)
+            seen["lost"] = cloud.w - out.w
             return out
 
         def transported(rho, u, source, dt, _real=sc.density_step):
@@ -506,7 +513,7 @@ class TestRunScenario:
         cfg = quick_config(t_final=0.02, output_dir=str(tmp_path))
         with pytest.raises(RuntimeError, match="non-finite"):
             run_scenario(cfg)
-        fluid, _ = read_state(tmp_path / "state_last_good.npz")  # FluidState checks u
+        _, fluid, _ = read_state(tmp_path / "state_last_good.npz")  # FluidState checks u
         assert np.isfinite(fluid.u.values).all()
 
     def test_record_error_rejects_the_step(self, monkeypatch, tmp_path):
@@ -529,8 +536,8 @@ class TestRunScenario:
                            match=r"step 2 \(t=0\.004\) rejected: record failed; "
                                  r"last-good snapshot written"):
             run_scenario(cfg)
-        fluid, _ = read_state(tmp_path / "state_last_good.npz")
-        assert fluid.t == pytest.approx(cfg.dt)
+        t, _, _ = read_state(tmp_path / "state_last_good.npz")
+        assert t == cfg.dt
 
     def test_cfl_abort_writes_last_good(self, tmp_path):
         # dt far beyond the CFL limit of the initial flow: step 1 is rejected
@@ -539,13 +546,40 @@ class TestRunScenario:
         with pytest.warns(UserWarning, match="advective scale"), \
                 pytest.raises(StepRejectedError, match=r"step 1 \(t=0\.5\).*CFL"):
             run_scenario(cfg)
-        fluid, cloud = read_state(tmp_path / "state_last_good.npz")
-        assert fluid.t == 0.0
+        t, fluid, cloud = read_state(tmp_path / "state_last_good.npz")
+        assert t == 0.0
         assert np.allclose(fluid.u.values, initial_fluid(cfg).u.values)
         assert not fluid.rho.values.any()
         start = initial_cloud(cfg)
         for name in ("x", "xi", "w", "r"):
             assert np.array_equal(getattr(cloud, name), getattr(start, name)), name
+
+    def test_snapshot_time_is_the_record_time(self, monkeypatch, tmp_path):
+        # step * dt is the run's one clock: every snapshot holds the t of its
+        # step's diagnostics row, bit for bit, where a clock summed step by
+        # step drifts (ten steps of 1e-3 add up to 0.010000000000000002)
+        cfg = quick_config(dt=1e-3, t_final=0.03, snapshot_stride=10,
+                           output_dir=str(tmp_path / "run"))
+        run_scenario(cfg)
+        rows = read_diagnostics_csv(tmp_path / "run" / "diagnostics.csv")["t"]
+        for name, step in (("000010", 10), ("000020", 20), ("000030", 30), ("final", -1)):
+            t, _, _ = read_state(tmp_path / "run" / f"state_{name}.npz")
+            assert np.float64(t).tobytes() == rows[step].tobytes(), name
+        # a CFL rejection of step 11 leaves step 10's time as the last good one
+        import thinspray.fluid as fl
+
+        calls = {"n": 0}
+
+        def cfl(u, dt, _real=fl.check_cfl):
+            calls["n"] += 1
+            if calls["n"] == 11:
+                raise StepRejectedError("advective CFL violated")
+            return _real(u, dt)
+        monkeypatch.setattr(fl, "check_cfl", cfl)
+        with pytest.raises(StepRejectedError, match=r"step 11 \(t=0\.011\).*CFL"):
+            run_scenario(replace(cfg, output_dir=str(tmp_path / "abort")))
+        t, _, _ = read_state(tmp_path / "abort" / "state_last_good.npz")
+        assert np.float64(t).tobytes() == rows[10].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_in_fluid_step_aborts(self, tmp_path):
@@ -670,8 +704,8 @@ class TestRunScenario:
         assert (tmp_path / "summary.json").exists()
         assert sorted(p.name for p in tmp_path.glob("state_*.npz")) == [
             "state_000005.npz", "state_000010.npz", "state_final.npz"]
-        fluid, cloud = read_state(tmp_path / "state_final.npz")
-        assert fluid.t == res.fluid.t and cloud.count == res.cloud.count
+        t, fluid, cloud = read_state(tmp_path / "state_final.npz")
+        assert t == res.records[-1].t and cloud.count == res.cloud.count
         assert np.array_equal(fluid.u.values, res.fluid.u.values)
 
     def test_budget_series_first_order_shape(self):

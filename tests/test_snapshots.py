@@ -21,8 +21,8 @@ from thinspray.snapshots import (
 
 @st.composite
 def _states(draw):
-    """Any valid (fluid, cloud) of 2-D or 3-D, empty clouds included, at any
-    finite time: u finite, rho finite and nonnegative, radii positive."""
+    """Any valid (t, fluid, cloud) of 2-D or 3-D, empty clouds included, at
+    any finite time t: u finite, rho finite and nonnegative, radii positive."""
     dim = draw(st.sampled_from([2, 3]))
     grid = GridSpec(dim, 8)
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -35,8 +35,8 @@ def _states(draw):
     w = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False)))
     r = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False,
                                                           exclude_min=True)))
-    fluid = FluidState(VectorField(grid, u), ScalarField(grid, rho), draw(finite))
-    return fluid, ParticleCloud(x, xi, w, r)
+    fluid = FluidState(VectorField(grid, u), ScalarField(grid, rho))
+    return draw(finite), fluid, ParticleCloud(x, xi, w, r)
 
 
 def _same_bytes(a, b):
@@ -47,22 +47,22 @@ def _run_state(dim=2, count=5, t=0.25):
     grid = GridSpec(dim, 8)
     rng = np.random.default_rng(dim)
     fluid = FluidState(VectorField(grid, rng.standard_normal((dim,) + grid.shape)),
-                       ScalarField(grid, rng.uniform(0, 1, grid.shape)), t)
+                       ScalarField(grid, rng.uniform(0, 1, grid.shape)))
     cloud = ParticleCloud(rng.uniform(0, 2 * np.pi, (count, dim)),
                           rng.standard_normal((count, dim)), rng.uniform(0, 1, count),
                           rng.choice([1.0, 0.3], count))
-    return fluid, cloud
+    return t, fluid, cloud
 
 
 @example(_run_state(3, count=0, t=0.0))
 @given(_states())
 def test_property_state_round_trip_bit_exact(tmp_path_factory, state):
-    fluid, cloud = state
+    t, fluid, cloud = state
     path = tmp_path_factory.mktemp("round_trip") / "state.npz"
-    write_state(path, fluid, cloud)
-    back_fluid, back_cloud = read_state(path)
+    write_state(path, t, fluid, cloud)
+    back_t, back_fluid, back_cloud = read_state(path)
     assert back_fluid.u.grid == fluid.u.grid
-    assert np.float64(back_fluid.t).tobytes() == np.float64(fluid.t).tobytes()
+    assert np.float64(back_t).tobytes() == np.float64(t).tobytes()
     assert _same_bytes(back_fluid.u.values, fluid.u.values)
     assert _same_bytes(back_fluid.rho.values, fluid.rho.values)
     for name in ("x", "xi", "w", "r"):
@@ -71,9 +71,8 @@ def test_property_state_round_trip_bit_exact(tmp_path_factory, state):
 
 def test_state_file_layout(tmp_path):
     # a plain .npz: NumPy alone reads it, one array per key of the state
-    fluid, cloud = _run_state(dim=3, count=4, t=1.5)
     path = tmp_path / "state.npz"
-    write_state(path, fluid, cloud)
+    write_state(path, *_run_state(dim=3, count=4, t=1.5))
     with np.load(path, allow_pickle=False) as data:
         assert sorted(data.files) == ["r", "rho", "t", "u", "w", "x", "xi"]
         assert data["t"].shape == () and data["t"] == 1.5
@@ -103,6 +102,7 @@ def _rewritten(path, **changes):
     pytest.param(dict(w=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), FieldError, id="inf-w"),
     pytest.param(dict(r=np.array([1.0, 1.0, 1.0, np.inf, 1.0])), FieldError, id="inf-r"),
     pytest.param(dict(t=np.float64(np.nan)), FieldError, id="nan-t"),
+    pytest.param(dict(t=np.float64(-np.inf)), FieldError, id="inf-t"),
 ])
 def test_malformed_state_rejected(tmp_path, changes, error):
     path = tmp_path / "state.npz"
@@ -113,11 +113,12 @@ def test_malformed_state_rejected(tmp_path, changes, error):
 
 
 @given(_states(), st.data())
-def test_property_non_finite_entry_rejected(state, data):
+def test_property_non_finite_entry_rejected(tmp_path_factory, state, data):
     # the constructors are the one check of the state: a NaN or ±inf at any
-    # entry of any of its arrays, or as its time, is a FieldError
-    fluid, cloud = state
-    parts = {"u": fluid.u.values, "rho": fluid.rho.values, "t": np.array(fluid.t),
+    # entry of any of its arrays is a FieldError; no constructor holds the
+    # time, so read_state rejects a non-finite t itself
+    t, fluid, cloud = state
+    parts = {"u": fluid.u.values, "rho": fluid.rho.values, "t": np.array(t),
              "x": cloud.x, "xi": cloud.xi, "w": cloud.w, "r": cloud.r}
     name = data.draw(st.sampled_from([k for k, v in parts.items() if v.size]))
     parts[name] = bad = parts[name].copy()
@@ -125,9 +126,12 @@ def test_property_non_finite_entry_rejected(state, data):
         st.sampled_from([np.nan, np.inf, -np.inf]))
     grid = fluid.u.grid
     with pytest.raises(FieldError):
-        if name in ("u", "rho", "t"):
-            FluidState(VectorField(grid, parts["u"]), ScalarField(grid, parts["rho"]),
-                       float(parts["t"]))
+        if name == "t":
+            path = tmp_path_factory.mktemp("non_finite_t") / "state.npz"
+            write_state(path, float(parts["t"]), fluid, cloud)
+            read_state(path)
+        elif name in ("u", "rho"):
+            FluidState(VectorField(grid, parts["u"]), ScalarField(grid, parts["rho"]))
         else:
             ParticleCloud(parts["x"], parts["xi"], parts["w"], parts["r"])
 
