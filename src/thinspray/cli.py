@@ -2,10 +2,12 @@
 
 Subcommands:
   run          integrate one scenario (flags mirror the SimConfig keys)
-  sweep-r2     fragment-radius sweep against the matched limit run
+  sweep-r2     fragment-radius sweep against the matched limit run: prints
+               sweep_r2's rows, slope and checks ("n/a" and "-" for None)
 
-Exit status: 0 when every check passes, 1 when one fails, 2 for an invalid
-configuration, 3 when a run aborts on a rejected step.
+Exit status: 0 when every check passes, 1 when one fails (a run's summary
+gates, a sweep's result["checks"]), 2 for an invalid configuration, 3 when a
+run aborts on a rejected step.
 """
 
 from __future__ import annotations
@@ -68,15 +70,16 @@ def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     result = sweep_r2(cfg, args.r2_list.split(","))  # it converts and checks each
     print(f"{'r2':>8s} {'delta':>12s} {'rho_mismatch':>14s}")
-    for row in result.rows:
-        print(f"{row.r2:8.3f} {row.delta:12.5e} {row.rho_mismatch:14.5e}")
-    print(f"log-log slope of delta vs r2: {result.slope:.3f} (relaxation scaling ~2)")
-    checks = result.checks()
-    for name, ok in checks.items():
+    for row in result["rows"]:
+        print(f"{row['r2']:8.3f} {row['delta']:12.5e} {row['rho_mismatch']:14.5e}")
+    slope = result["loglog_slope"]
+    print(f"log-log slope of delta vs r2: {'n/a' if slope is None else f'{slope:.3f}'} "
+          "(relaxation scaling ~2)")
+    for name, ok in result["checks"].items():
         print(f"[{_STATUS[ok]}] {name}")
     if cfg.output_dir:
         print(f"wrote {cfg.output_dir}/sweep.json")
-    return 1 if False in checks.values() else 0
+    return 1 if False in result["checks"].values() else 0
 
 
 def main(argv=None) -> int:

@@ -50,7 +50,7 @@ class DiagnosticsRecord:
     m1: np.ndarray           # (dim,) number-weighted momentum of the spray
     m2: float
     total_momentum: np.ndarray  # (dim,) mass-weighted spray + (1+rho) fluid
-    volume: float            # liquid volume of the spray, sum w r^3
+    volume: float            # liquid volume of the spray, sum of liquid_volume
     mass_rho: float          # integral of the added density
     div_residual: float
     r1: float
@@ -124,7 +124,7 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   drag: DragField, terms: RecordTerms, *, volume: float,
+                   drag: DragField, terms: RecordTerms, *, liquid: np.ndarray,
                    remainders=(0.0, 0.0, 0.0), nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
@@ -133,7 +133,8 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     cutoff of width eps if it has one; terms is record_terms(cloud,
     fluid.u, drag, eps) with that eps (None without a cutoff).  The radius
     r, the Stokes drag weight, also weighs |u - xi|^2 f in the drag
-    dissipation.  volume (liquid_volume) and remainders (of
+    dissipation.  liquid, each particle's w r^3 (liquid_volume), sums to the
+    record's volume and weighs the mass-weighted moments; remainders (of
     regularization_remainders, zeros without a cutoff) are stored as given.
     The gas is finite: FluidState rejects a non-finite u or rho.
     """
@@ -145,7 +146,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     w, xi = cloud.w, cloud.xi
     xi_sq = rowwise_dot(xi, xi)
     m0, m1, m2 = _moments(w, xi, xi_sq)
-    _, m1_mass, m2_mass = _moments(w * cloud.r**3, xi, xi_sq)
+    volume, m1_mass, m2_mass = _moments(liquid, xi, xi_sq)
     # Deposit S and interpolation I share one kernel, cv <g, S(v)> = sum v I(g),
     # so pairing |u|^2 and u with S(q c), S(q c xi) gives sum q c (I|u|^2 -
     # 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not |I u|^2)
@@ -221,9 +222,9 @@ def momentum_tolerance(records: Sequence[DiagnosticsRecord], dt: float) -> float
     return 4.0 * dt * float(_cumulative_trapezoid(rate, t)[-1]) + 1e-14
 
 
-def liquid_volume(cloud: ParticleCloud) -> float:
-    """Total liquid volume: sum of weights times radius cubed."""
-    return float(np.sum(cloud.w * cloud.r**3))
+def liquid_volume(cloud: ParticleCloud) -> np.ndarray:
+    """Each particle's liquid volume, w r^3; collect_record sums it."""
+    return cloud.w * cloud.r**3
 
 
 @dataclass

@@ -157,6 +157,19 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
     return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
 
 
+def spawn_fragments(cloud: ParticleCloud, decayed: ParticleCloud,
+                    radius: float) -> ParticleCloud:
+    """decayed, cloud after absorb_and_fragment, then, in parent order, one
+    fragment of the given radius per particle that lost weight, at its x and
+    xi with the lost liquid volume (weight lost / radius^3), as one cloud."""
+    lost = cloud.w - decayed.w
+    spawn = lost > 0
+    spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / radius**3,
+               np.full(spawn.sum(), radius))
+    kept = (decayed.x, decayed.xi, decayed.w, decayed.r)
+    return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
+
+
 def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
                     cutoff_eps: float | None = None) -> DragField:
     """Deposit the drag densities m0 and m1 of the cloud, weights w r.

@@ -68,6 +68,7 @@ from .kinetic import (
     deposit_moments,
     merge_particles,
     sample_gaussian_spray,
+    spawn_fragments,
 )
 from .snapshots import write_diagnostics_csv, write_state, write_summary_json
 from .transfer import cic_gather, cic_scatter
@@ -312,7 +313,7 @@ def run_scenario(config: SimConfig) -> RunResult:
             cloud, drag, terms, fluid.u, u_star, coupling=coupling,
             drag_coefficient=drag_coeff) if eps else (0.0, 0.0, 0.0)
         records.append(collect_record(t, fluid, cloud, drag, terms,
-                                      volume=liquid_volume(cloud), remainders=remainders,
+                                      liquid=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
     def break_up(cloud, step):  # a function, so its temporaries die before the next push
@@ -320,12 +321,7 @@ def run_scenario(config: SimConfig) -> RunResult:
             return absorb_and_fragment(cloud, config.dt, config.tau)
         turn = np.arange(cloud.count) % _SPAWN_PERIOD == step % _SPAWN_PERIOD
         decayed = absorb_and_fragment(cloud, _SPAWN_PERIOD * config.dt, config.tau, turn)
-        lost = cloud.w - decayed.w
-        spawn = lost > 0  # each spawns one fragment, appended in parent order
-        spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / config.r2**3,
-                   np.full(spawn.sum(), config.r2))
-        kept = (decayed.x, decayed.xi, decayed.w, decayed.r)
-        return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
+        return spawn_fragments(cloud, decayed, config.r2)
 
     drag = deposit_moments(cloud, grid, eps)
     record(0.0, drag)
@@ -430,40 +426,6 @@ def _summarize(config: SimConfig, records, lemma_checks, merge_m2_max, drag_coef
     return summary
 
 
-@dataclass
-class SweepRow:
-    r2: float
-    delta: float          # mass-weighted mean squared slip of the fragments
-    rho_mismatch: float   # L2 distance between fragment mass density and rho
-
-
-@dataclass
-class SweepResult:
-    rows: list            # sorted by r2 descending
-    slope: float          # fitted log-log slope of delta vs r2, NaN if none fits
-    limit_summary: dict
-    run_summaries: dict   # r2 -> summary
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [{"r2": r.r2, "delta": r.delta, "rho_mismatch": r.rho_mismatch}
-                     for r in self.rows],
-            "loglog_slope": None if np.isnan(self.slope) else self.slope,
-            "limit_summary": self.limit_summary,
-            "run_summaries": self.run_summaries,
-        }
-
-    def checks(self) -> dict:
-        """Whether delta and the rho mismatch fall as r2 shrinks, by check;
-        None (not applicable) for a sweep of fewer than two members."""
-        names = ("delta strictly decreasing", "rho mismatch non-increasing")
-        if len(self.rows) < 2:
-            return dict.fromkeys(names)
-        delta = np.diff([r.delta for r in self.rows])
-        mismatch = np.diff([r.rho_mismatch for r in self.rows])
-        return dict(zip(names, (bool(np.all(delta < 0)), bool(np.all(mismatch <= 0)))))
-
-
 def fragment_slip(result: RunResult) -> float:
     """Mass-weighted mean |xi - u(x)|^2 over the fragments, radius below 1."""
     cloud = result.cloud
@@ -484,7 +446,7 @@ def fragment_mass_density(result: RunResult) -> ScalarField:
     return ScalarField(grid, cic_scatter(grid, fragments.x, fragments.w * fragments.r**3))
 
 
-def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
+def sweep_r2(config: SimConfig, r2_list) -> dict:
     """Compare two-radius runs against the matched limit-system run.
 
     All members share the seed, the initial data and the breakup time tau, so
@@ -494,8 +456,13 @@ def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
     on each step.  r2_list is one or more radii in (0, 1), strictly decreasing.
     delta(r2) is the fragments' velocity-relaxation metric at the final time;
     rho_mismatch compares their mass density against the limit run's added
-    density.  The fitted log-log slope of delta is reported (the r2^2
-    relaxation time suggests a slope near 2).
+    density.  Returns one plain dict, written as sweep.json when
+    config.output_dir is set: "rows", [{"r2", "delta", "rho_mismatch"}] by
+    r2 descending; "loglog_slope", the fitted log-log slope of delta (the
+    r2^2 relaxation time suggests one near 2), None unless two members or
+    more all have delta > 0; "checks", whether delta strictly decreases and
+    the rho mismatch does not increase, each None for one member; and the
+    "limit_summary" and "run_summaries" ({"<r2>": summary}) of the runs.
     """
     try:
         r2_list = [float(v) for v in r2_list]
@@ -519,18 +486,22 @@ def sweep_r2(config: SimConfig, r2_list) -> SweepResult:
         run = run_scenario(member)
         mismatch_field = fragment_mass_density(run).values - rho_limit.values
         mismatch = float(np.sqrt(np.sum(mismatch_field**2) * config.grid.cell_volume))
-        rows.append(SweepRow(r2, fragment_slip(run), mismatch))
+        rows.append({"r2": r2, "delta": fragment_slip(run), "rho_mismatch": mismatch})
         summaries[f"{r2:g}"] = run.summary
 
-    deltas = np.array([r.delta for r in rows])
-    r2s = np.array([r.r2 for r in rows])
-    if np.all(deltas > 0) and len(rows) > 1:
-        slope = float(np.polyfit(np.log(r2s), np.log(deltas), 1)[0])
-    else:
-        slope = float("nan")
-    result = SweepResult(rows, slope, limit_run.summary, summaries)
+    deltas = np.array([row["delta"] for row in rows])
+    mismatches = np.array([row["rho_mismatch"] for row in rows])
+    names = ("delta strictly decreasing", "rho mismatch non-increasing")
+    slope, checks = None, dict.fromkeys(names)  # one member: not applicable
+    if len(rows) > 1:
+        if np.all(deltas > 0):
+            slope = float(np.polyfit(np.log(r2_list), np.log(deltas), 1)[0])
+        checks = dict(zip(names, (bool(np.all(np.diff(deltas) < 0)),
+                                  bool(np.all(np.diff(mismatches) <= 0)))))
+    result = {"rows": rows, "loglog_slope": slope, "checks": checks,
+              "limit_summary": limit_run.summary, "run_summaries": summaries}
     if config.output_dir:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_summary_json(out / "sweep.json", result.as_dict())
+        write_summary_json(out / "sweep.json", result)
     return result

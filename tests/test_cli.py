@@ -60,9 +60,12 @@ def test_sweep_single_member(tmp_path, capsys):
         "--r2-list", "0.3", "--output-dir", str(tmp_path),
     ])
     assert code == 0
-    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
-    assert len(rows) == 1 and rows[0]["r2"] == 0.3
-    assert "delta" in capsys.readouterr().out
+    sweep = json.loads((tmp_path / "sweep.json").read_text())
+    assert len(sweep["rows"]) == 1 and sweep["rows"][0]["r2"] == 0.3
+    # one member fits no slope and orders nothing
+    assert sweep["loglog_slope"] is None and set(sweep["checks"].values()) == {None}
+    out = capsys.readouterr().out
+    assert "delta" in out and "log-log slope of delta vs r2: n/a" in out
 
 
 def test_sweep_json_is_strict_json(tmp_path, capsys):
@@ -74,7 +77,7 @@ def test_sweep_json_is_strict_json(tmp_path, capsys):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
     sweep = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=reject)
-    assert sweep["loglog_slope"] is None
+    assert sweep["loglog_slope"] is None and set(sweep["checks"].values()) == {None}
     out = capsys.readouterr().out
     assert "[  - ] delta strictly decreasing" in out and "FAIL" not in out
 

@@ -252,7 +252,7 @@ def test_property_paired_record_matches_gathered_sums(case):
     drag = deposit_moments(cloud, g, eps)
     terms = record_terms(cloud, u, drag, eps)
     record = collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag, terms,
-                            volume=liquid_volume(cloud))
+                            liquid=liquid_volume(cloud))
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
     xi, w = cloud.xi, cloud.w

@@ -15,6 +15,7 @@ from thinspray.kinetic import (
     deposit_moments,
     merge_particles,
     sample_gaussian_spray,
+    spawn_fragments,
     velocity_cutoff,
 )
 from thinspray.transfer import _CHUNK, cic_gather, cic_scatter
@@ -188,17 +189,6 @@ class TestAdvanceParticles:
         assert peak <= 2.5 * cloud.x.nbytes
 
 
-def with_fragments(cloud, out, r2):
-    """out, cloud after its breakup, plus one radius-r2 fragment per particle
-    of cloud that lost weight, in one cloud."""
-    lost = cloud.w - out.w
-    spawn = lost > 0
-    return ParticleCloud(np.concatenate([out.x, out.x[spawn]]),
-                         np.concatenate([out.xi, out.xi[spawn]]),
-                         np.concatenate([out.w, lost[spawn] / r2**3]),
-                         np.concatenate([out.r, np.full(spawn.sum(), r2)]))
-
-
 class TestFragmentation:
     def test_zero_dt_identity(self):
         rng = np.random.default_rng(0)
@@ -248,7 +238,7 @@ class TestFragmentation:
         r2 = 0.31
         cloud = random_cloud(rng, 500, r=np.where(rng.uniform(size=500) < 0.7, 1.0, r2))
         before = np.sum(cloud.w * cloud.r**3)
-        merged = with_fragments(cloud, absorb_and_fragment(cloud, 0.013, 0.4), r2)
+        merged = spawn_fragments(cloud, absorb_and_fragment(cloud, 0.013, 0.4), r2)
         after = np.sum(merged.w * merged.r**3)
         assert after == pytest.approx(before, rel=1e-14)
 
@@ -257,7 +247,7 @@ class TestFragmentation:
         cloud = random_cloud(rng, 300)
         r2 = 0.17
         before = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
-        merged = with_fragments(cloud, absorb_and_fragment(cloud, 0.05, 0.5), r2)
+        merged = spawn_fragments(cloud, absorb_and_fragment(cloud, 0.05, 0.5), r2)
         mass = merged.r**3
         after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
         assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
@@ -280,7 +270,12 @@ class TestFragmentation:
         every = absorb_and_fragment(cloud, 0.02, 0.7, np.ones(100, dtype=bool))
         default = absorb_and_fragment(cloud, 0.02, 0.7)
         assert np.array_equal(every.w, default.w)
-        assert np.array_equal(cloud.w - every.w, cloud.w - default.w)
+        # the weight lost, against its closed form: every parent, no fragment
+        parent = cloud.r == 1.0
+        lost = cloud.w - default.w
+        expected = -cloud.w[parent] * np.expm1(-0.02 / 0.7)
+        np.testing.assert_allclose(lost[parent], expected, rtol=1e-14, atol=0.0)
+        assert not lost[~parent].any()
 
     def test_bad_parameters(self):
         cloud = random_cloud(np.random.default_rng(3), 5)
@@ -320,7 +315,9 @@ class TestAbsorbToDensity:
         out = absorb_and_fragment(cloud, 0.02, 1.0)
         lost = cloud.w - out.w
         released = ScalarField(g, cic_scatter(g, out.x, lost))
-        assert lost.sum() == pytest.approx(cloud.w.sum() - out.w.sum(), rel=1e-12)
+        # the weight lost, against its closed form, formed without out
+        expected = -cloud.w * np.expm1(-0.02 / 1.0)
+        np.testing.assert_allclose(lost, expected, rtol=1e-14, atol=0.0)
         assert integral(released) == pytest.approx(lost.sum(), rel=1e-12)
 
 

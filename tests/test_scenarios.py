@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import warnings
 from dataclasses import fields as dataclass_fields, replace
@@ -380,7 +381,7 @@ class TestRunScenario:
         res = run_scenario(cfg)
         assert (res.cloud.r == cfg.r2).any()
         assert res.summary["liquid_volume"]["pass"]
-        assert liquid_volume(res.cloud) == pytest.approx(
+        assert liquid_volume(res.cloud).sum() == pytest.approx(
             cfg.spray_mass, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.05, math.inf])
@@ -422,7 +423,8 @@ class TestRunScenario:
             assert np.array_equal(spawned.x, before.x[turn])
             assert np.array_equal(spawned.xi, before.xi[turn])
             assert np.array_equal(spawned.w, lost / cfg.r2**3)
-            assert liquid_volume(after) == pytest.approx(liquid_volume(before), rel=1e-14)
+            volume = liquid_volume(after).sum()
+            assert volume == pytest.approx(liquid_volume(before).sum(), rel=1e-14)
         if tau != math.inf:  # both parities took turns, on parents and beside fragments
             assert (deposited[-1].r == cfg.r2).any()
 
@@ -776,13 +778,31 @@ class TestSweep:
         cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=0.04,
                            spray_init="offset")
         result = sweep_r2(cfg, [0.3])
-        assert len(result.rows) == 1
-        assert result.rows[0].r2 == 0.3
-        assert result.rows[0].delta >= 0.0
-        assert math.isnan(result.slope) or result.slope != 0
-        # one member fits no slope and orders nothing: null, and not applicable
-        assert result.as_dict()["loglog_slope"] is None
-        assert set(result.checks().values()) == {None}
+        assert [row["r2"] for row in result["rows"]] == [0.3]
+        assert result["rows"][0]["delta"] >= 0.0
+        # one member fits no slope and orders nothing: None, not applicable
+        assert result["loglog_slope"] is None
+        assert set(result["checks"].values()) == {None}
+
+    def test_two_member_sweep_fits_and_checks(self, tmp_path):
+        # two members reach the slope fit and both checks, and the dict
+        # returned is the dict written
+        cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=0.04,
+                           spray_init="offset", output_dir=str(tmp_path))
+        result = sweep_r2(cfg, [0.3, 0.15])
+        rows = result["rows"]
+        assert [row["r2"] for row in rows] == [0.3, 0.15]
+        slope = result["loglog_slope"]
+        assert isinstance(slope, float) and math.isfinite(slope)
+        # two points fit a line through both
+        assert slope == pytest.approx(math.log(rows[1]["delta"] / rows[0]["delta"])
+                                      / math.log(0.15 / 0.3), rel=1e-12)
+        assert result["checks"] == {
+            "delta strictly decreasing": rows[1]["delta"] < rows[0]["delta"],
+            "rho mismatch non-increasing": rows[1]["rho_mismatch"] <= rows[0]["rho_mismatch"]}
+        assert all(isinstance(ok, bool) for ok in result["checks"].values())
+        assert set(result["run_summaries"]) == {"0.3", "0.15"}
+        assert json.loads((tmp_path / "sweep.json").read_text()) == result
 
     def test_equilibrated_fragments_zero_slip(self):
         # u = 0 and monokinetic fragments at 0: slip metric vanishes
