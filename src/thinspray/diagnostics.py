@@ -110,8 +110,11 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
     with an empty tail without a cutoff.
 
     collect_record reads every term, regularization_remainders <u, m1> and
-    the tail."""
-    grid_u_sq = np.sum(u.values**2, axis=0)
+    the tail.  |u|^2 is summed component by component, so the record builds
+    no temporary the size of u."""
+    grid_u_sq = u.values[0] * u.values[0]
+    for comp in u.values[1:]:
+        grid_u_sq += comp * comp
     u_m1 = _pair(u.values, drag.m1.values)
     if eps is None:
         return RecordTerms(grid_u_sq, u_m1, np.zeros(0, dtype=np.int64), np.zeros(0),
@@ -136,7 +139,9 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     dissipation.  liquid, each particle's w r^3 (liquid_volume), sums to the
     record's volume and weighs the mass-weighted moments; remainders (of
     regularization_remainders, zeros without a cutoff) are stored as given.
-    The gas is finite: FluidState rejects a non-finite u or rho.
+    The gas's momentum is summed component by component, with no temporary
+    the size of u.  The gas is finite: FluidState rejects a non-finite u or
+    rho.
     """
     u, rho = fluid.u, fluid.rho
     grid = u.grid
@@ -157,8 +162,9 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
         grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * terms.u_m1)
         + _pair(q, xi_sq) + _pair(q[terms.index] * terms.defect, slip_tail))
 
-    fluid_momentum = integral(VectorField(grid, (1.0 + rho.values) * u.values))
-    e_fluid = 0.5 * float(np.sum((1.0 + rho.values) * u_sq)) * grid.cell_volume
+    weight = 1.0 + rho.values  # the gas's inertia
+    fluid_momentum = np.array([np.sum(weight * comp) for comp in u.values]) * grid.cell_volume
+    e_fluid = 0.5 * float(np.sum(weight * u_sq)) * grid.cell_volume
 
     return DiagnosticsRecord(
         t=t,

@@ -20,7 +20,8 @@ is a variable of the FluidState; a step reads it and hands it on unchanged
 spectrum of u in grid's resolved layout: only the modes the 2/3 rule keeps.
 A step reads u_hat for the convection derivatives, the Laplacian, the update
 and the Leray projection, transforms the projected spectrum back once and
-hands it on with the new, band-limited u.
+hands it on with the new, band-limited u.  It works one velocity component
+at a time, and holds at most 2.25 fields of u's size beyond its inputs.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ class DragField:
         require_same_grid(self.m0, self.m1)
 
 
-def drag_force(u: VectorField, drag: DragField, coupling: float) -> VectorField:
-    """Force density the droplets exert on the fluid: coupling (m1 - u m0)."""
+def drag_force(u: VectorField, drag: DragField, coupling: float, i: int) -> np.ndarray:
+    """Component i of the force density the droplets exert on the fluid,
+    coupling (m1_i - u_i m0), as a new array of the grid's shape."""
     require_same_grid(u, drag.m0)
-    force = u.values * drag.m0.values[None]
-    np.subtract(drag.m1.values, force, out=force)
+    force = u.values[i] * drag.m0.values
+    np.subtract(drag.m1.values[i], force, out=force)
     force *= coupling
-    return VectorField(u.grid, force)
+    return force
 
 
 def check_cfl(u: VectorField, dt: float):
@@ -100,15 +102,16 @@ def check_cfl(u: VectorField, dt: float):
         )
 
 
-def _convection(u_adv: np.ndarray, u: VectorField, u_hat: np.ndarray) -> np.ndarray:
-    """(u_adv . grad) u, pseudo-spectral, gradient from the spectrum u_hat of u.
+def _convection(u_adv: np.ndarray, u: VectorField, u_hat_i: np.ndarray) -> np.ndarray:
+    """(u_adv . grad) u_i, pseudo-spectral, gradient from the spectrum u_hat_i
+    of the one component u_i.
 
-    The sum accumulates in the array of its first term.
+    The sum accumulates in the array of its first term, in the order of j.
     """
     tab = _spectral_tables(u.grid)
     out = None
     for j, kj in enumerate(tab.k):
-        du_j = ifft_like(u, 1j * kj * u_hat)  # d u / d x_j for all components
+        du_j = ifft_like(u, 1j * kj * u_hat_i)  # d u_i / d x_j
         du_j *= u_adv[j]
         if out is None:
             out = du_j
@@ -129,9 +132,12 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     state.u_hat; the returned velocity is Leray-projected and carries its
     projected spectrum.  The state carries only resolved modes, so the
     explicit tendency is dealiased by the 2/3 rule as it is transformed, and
-    the returned velocity is band-limited.  The step keeps no clock: the
-    caller knows which step it is.  A step that makes a non-finite
-    velocity raises FieldError, from the FluidState it returns.
+    the returned velocity is band-limited.  Each component's tendency is
+    formed, transformed and dropped before the next one starts, with every
+    per-element operation in the order of forming all components at once,
+    and the same bytes.  The step keeps no clock: the caller knows which
+    step it is.  A step that makes a non-finite velocity raises FieldError,
+    from the FluidState it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -143,30 +149,34 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     denom = 1.0 + state.rho.values
     rho_bar = float(state.rho.values.mean())
     nu_bar = nu / (1.0 + rho_bar)
+    varying = 1.0 / denom - 1.0 / (1.0 + rho_bar)  # the viscous share left explicit
 
-    # the tendency is built in place, and each term is dropped once added,
-    # so that at most four fields of u's size are alive at once
+    # each component's tendency is built in place and transformed before the
+    # next one starts, each term dropped once added: at most 2.25 fields of
+    # u's size are alive at once, the new u among them
     tab = _spectral_tables(grid)
-    tendency = _convection(u_adv.values, u, state.u_hat)
-    np.negative(tendency, out=tendency)
+    t_hat = np.empty_like(state.u_hat)
+    for i, u_hat_i in enumerate(state.u_hat):
+        tendency = _convection(u_adv.values, u, u_hat_i)
+        np.negative(tendency, out=tendency)
+        viscous = ifft_like(u, -tab.k2 * u_hat_i)  # lap u_i
+        viscous *= nu
+        viscous *= varying
+        tendency += viscous
+        del viscous
+        force = drag_force(u, drag, coupling, i)
+        force /= denom
+        tendency += force
+        del force
+        t_hat[i] = fft(ScalarField(grid, tendency))
+        del tendency
+    del denom, varying
 
-    # spatially varying share of the viscous coefficient, explicit
-    viscous = ifft_like(u, -tab.k2 * state.u_hat)  # lap u
-    viscous *= nu
-    viscous *= 1.0 / denom - 1.0 / (1.0 + rho_bar)
-    tendency += viscous
-    del viscous
-
-    force = drag_force(u, drag, coupling).values
-    force /= denom
-    tendency += force
-    del force
-
-    t_hat = fft(VectorField(grid, tendency))
-    del tendency
     t_hat *= dt
     t_hat += state.u_hat
     t_hat *= np.exp(-nu_bar * tab.k2 * dt)
     u_hat = project_spectrum(grid, t_hat)
-    u_new = VectorField(grid, ifft_like(u, u_hat))
-    return FluidState(u_new, state.rho, u_hat)
+    u_new = np.empty_like(u.values)
+    for i, u_hat_i in enumerate(u_hat):
+        ifft_like(u, u_hat_i, out=u_new[i])
+    return FluidState(VectorField(grid, u_new), state.rho, u_hat)

@@ -186,9 +186,10 @@ def fft(field: Field) -> np.ndarray:
     return block
 
 
-def ifft_like(field: Field, spectrum: np.ndarray) -> np.ndarray:
+def ifft_like(field: Field, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The real values on field's grid whose resolved block is `spectrum`,
-    every mode outside it zero; `spectrum` is left as it is."""
+    every mode outside it zero, written into `out` if given; `spectrum` is
+    left as it is."""
     grid = field.grid
     padded = np.zeros(spectrum.shape[:-grid.dim] + grid.shape[1:] + (_kept(grid.n),),
                       dtype=complex)
@@ -198,7 +199,7 @@ def ifft_like(field: Field, spectrum: np.ndarray) -> np.ndarray:
         for lines, _ in _kept_ranges(grid.n):
             np.fft.ifft(padded[..., lines, :], axis=-3, out=padded[..., lines, :])
     np.fft.ifft(padded, axis=-2, out=padded)
-    return np.fft.irfft(padded, grid.n, axis=-1)
+    return np.fft.irfft(padded, grid.n, axis=-1, out=out)
 
 
 def require_finite(field: Field, what: str = "field"):

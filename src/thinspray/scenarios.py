@@ -462,7 +462,7 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     r2^2 relaxation time suggests one near 2), None unless two members or
     more all have delta > 0; "checks", whether delta strictly decreases and
     the rho mismatch does not increase, each None for one member; and the
-    "limit_summary" and "run_summaries" ({"<r2>": summary}) of the runs.
+    "limit_summary" and "run_summaries" ({repr(r2): summary}) of the runs.
     """
     try:
         r2_list = [float(v) for v in r2_list]
@@ -487,7 +487,7 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
         mismatch_field = fragment_mass_density(run).values - rho_limit.values
         mismatch = float(np.sqrt(np.sum(mismatch_field**2) * config.grid.cell_volume))
         rows.append({"r2": r2, "delta": fragment_slip(run), "rho_mismatch": mismatch})
-        summaries[f"{r2:g}"] = run.summary
+        summaries[repr(r2)] = run.summary  # exact: radii that print alike keep apart
 
     deltas = np.array([row["delta"] for row in rows])
     mismatches = np.array([row["rho_mismatch"] for row in rows])

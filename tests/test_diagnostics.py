@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from conftest import transient_peak
 from hypothesis.extra.numpy import arrays
 
 from thinspray.diagnostics import (
@@ -210,6 +211,26 @@ class TestRemainders:
         cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), [1.0, 0.3])
         with pytest.raises(ValueError, match="parents only"):
             remainders(cloud, zero, zero, 0.5)
+
+
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_transient_memory_of_one_record(eps):
+    # |u|^2 and the momentum of the gas are summed component by component:
+    # in fields the size of u, record_terms holds at most 0.75 at once (its
+    # |u|^2 among them), collect_record at most 1.0
+    g = GridSpec(3, 32)
+    rng = np.random.default_rng(3)
+    u = VectorField(g, rng.standard_normal((3,) + g.shape))
+    fluid = FluidState(u, ScalarField(g, rng.random(g.shape)))
+    cloud = make_cloud(rng.uniform(0, g.length, (500, 3)), 2.0 * rng.standard_normal((500, 3)),
+                       rng.random(500))
+    drag = deposit_moments(cloud, g, eps)
+    terms = record_terms(cloud, u, drag, eps)
+    liquid = liquid_volume(cloud)
+    size = u.values.nbytes
+    assert transient_peak(lambda: record_terms(cloud, u, drag, eps)) <= 0.75 * size
+    assert transient_peak(lambda: collect_record(0.0, fluid, cloud, drag, terms,
+                                                 liquid=liquid)) <= 1.0 * size
 
 
 @st.composite

@@ -609,17 +609,20 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario, per_step", [
         ("limit", 6), ("bidisperse", 6), ("regularized", 7)])
     def test_transforms_per_step(self, monkeypatch, scenario, per_step):
-        # u is forward-transformed once per step, in the tendency of ns_step;
-        # the regularized step adds the inverse transform of the mollified
-        # spectrum.  A forward transform is counted by np.fft.rfft, its first
-        # pass, and an inverse by np.fft.irfft, its last.
+        # per_step counts transforms of fields the size of u: the three
+        # derivatives, the Laplacian, the tendency and the projected spectrum
+        # of ns_step; the regularized step adds the inverse transform of the
+        # mollified spectrum.  A forward transform is counted by np.fft.rfft,
+        # its first pass, and an inverse by np.fft.irfft, its last; each call
+        # counts the components it transforms, the product of its leading
+        # shape, whether it takes one component or all three.
         calls = []
         for name in ("rfft", "irfft"):
-            def counted(*args, _real=getattr(np.fft, name), **kw):
-                calls.append(1)
-                return _real(*args, **kw)
+            def counted(a, *args, _real=getattr(np.fft, name), **kw):
+                calls.extend([1] * math.prod(np.shape(a)[:-3]))
+                return _real(a, *args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
-        assert self._calls_per_step(scenario, calls) == per_step
+        assert self._calls_per_step(scenario, calls) == 3 * per_step
 
     def test_carried_spectrum_is_the_resolved_block_of_u(self, monkeypatch):
         # every step hands on u_hat, the resolved block of u, and u is its
@@ -803,6 +806,13 @@ class TestSweep:
         assert all(isinstance(ok, bool) for ok in result["checks"].values())
         assert set(result["run_summaries"]) == {"0.3", "0.15"}
         assert json.loads((tmp_path / "sweep.json").read_text()) == result
+
+    def test_radii_alike_to_six_digits_keep_both_summaries(self):
+        # the summaries are keyed by the exact radius: two radii that print
+        # alike to six digits do not overwrite one another
+        cfg = quick_config(scenario="bidisperse", particle_count=500, t_final=0.008)
+        result = sweep_r2(cfg, [0.1234568, 0.1234567])
+        assert list(result["run_summaries"]) == ["0.1234568", "0.1234567"]
 
     def test_equilibrated_fragments_zero_slip(self):
         # u = 0 and monokinetic fragments at 0: slip metric vanishes
