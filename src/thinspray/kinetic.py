@@ -178,21 +178,15 @@ def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
     droplet pulls on the gas under Stokes drag.  With a cutoff width
     `cutoff_eps`, the weight is first multiplied by the smooth velocity
     cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps); a width <= 0 is
-    rejected.  One scatter, one corner table per chunk, deposits every
-    column.
+    rejected.  One scatter, one corner table per chunk, deposits m0 and
+    the dim components of m1.
     """
     w = cloud.w
     if cutoff_eps is not None:
         w = w * velocity_cutoff(cloud.xi, cutoff_eps)
     w = w * cloud.r
-
-    def charges(sl):  # built chunk by chunk, not as an (N, m) array
-        ws = w[sl]
-        return [ws] + [ws * xi_j for xi_j in cloud.xi[sl].T]
-
-    dens = cic_scatter(grid, cloud.x, charges)
-    return DragField(ScalarField(grid, dens[..., 0]),
-                     VectorField(grid, np.moveaxis(dens[..., 1:], -1, 0)))
+    dens = cic_scatter(grid, cloud.x, w, cloud.xi)
+    return DragField(ScalarField(grid, dens[0]), VectorField(grid, dens[1:]))
 
 
 def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, float]:

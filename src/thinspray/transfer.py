@@ -7,8 +7,9 @@ position is accepted: the cell index is wrapped as an integer, so positions
 are never re-wrapped in floating point.  Scatter uses bincount, which is
 deterministic for a fixed particle order.  Both loop over particle chunks
 and build one corner index/weight table per chunk, small enough to stay cache
-resident; cic_gather reads every field component through it and
-cic_scatter deposits every charge column through it.
+resident; cic_gather reads every field component through it, and
+cic_scatter deposits through it the weights w and, given velocities v, the
+charges w * v_j, component first.
 """
 
 from __future__ import annotations
@@ -68,26 +69,27 @@ def cic_gather(field: Field, x: np.ndarray) -> np.ndarray:
     return out[:, 0] if isinstance(field, ScalarField) else out
 
 
-def cic_scatter(grid: GridSpec, x: np.ndarray, q) -> np.ndarray:
-    """Deposit per-particle charges q as a density array (divided by cell volume).
+def cic_scatter(grid: GridSpec, x: np.ndarray, w: np.ndarray,
+                v: np.ndarray | None = None) -> np.ndarray:
+    """Deposit per-particle weights w as a density array (divided by cell volume).
 
-    The array integrates (cell_volume * sum) back to sum(q) up to rounding.
-    q may be (N,) or (N, m); the result has the grid shape (+ trailing axis m).
-    q may also be a function giving the m charge columns of x[sl] for a
-    slice sl (called on an empty slice to count them), so that no (N, m)
-    array is built.  x may hold any finite positions.
+    Without v the result has the grid shape and integrates (cell_volume * sum)
+    back to sum(w) up to rounding.  With v of shape (N, k) it is the
+    (1 + k,) + grid.shape stack of the densities of w, then of w * v[:, j]
+    for each column j; those charges are formed chunk by chunk, so no
+    (N, 1 + k) array is built.  x may hold any finite positions.
     """
-    cols = None if callable(q) else np.atleast_2d(np.asarray(q, dtype=np.float64).T)
-    charges = q if cols is None else (lambda sl: cols[:, sl])
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    cols = () if v is None else v.T
     ncells = grid.n**grid.dim
-    acc = np.zeros((len(charges(slice(0, 0))), ncells))
+    acc = np.zeros((1 + len(cols), ncells))
     for start in range(0, x.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        flat, w = _corner_flats_weights(grid, x[sl])
+        flat, corner_w = _corner_flats_weights(grid, x[sl])
         raveled = flat.ravel()
-        for row, qs in zip(acc, charges(sl)):
-            row += np.bincount(raveled, weights=(w * qs).ravel(), minlength=ncells)
+        ws = w[sl]
+        for row, qs in zip(acc, [ws, *(ws * col[sl] for col in cols)]):
+            row += np.bincount(raveled, weights=(corner_w * qs).ravel(), minlength=ncells)
     acc /= grid.cell_volume
-    dens = np.moveaxis(acc.reshape((len(acc),) + grid.shape), 0, -1)
-    return dens[..., 0] if np.ndim(q) == 1 else dens
+    dens = acc.reshape((len(acc),) + grid.shape)
+    return dens[0] if v is None else dens

@@ -641,11 +641,11 @@ class TestRunScenario:
             assert ifft_like(state.u, state.u_hat).tobytes() == state.u.values.tobytes()
 
     @pytest.mark.parametrize("scenario, per_step", [
-        ("limit", 2), ("bidisperse", 1), ("regularized", 5)])
+        ("limit", 2), ("bidisperse", 1), ("regularized", 3)])
     def test_finiteness_scans_of_u_per_step(self, monkeypatch, scenario, per_step):
         # FluidState checks the gas it is made of: ns_step's new state, and an
         # absorbing step's replace of rho.  The regularized step adds mollify's
-        # check and the two of regularization_remainders.
+        # check; its remainders scan nothing.
         calls = []
 
         def counted(x, *args, _real=np.isfinite, **kw):
@@ -653,7 +653,7 @@ class TestRunScenario:
                 calls.append(1)
             return _real(x, *args, **kw)
         monkeypatch.setattr(np, "isfinite", counted)
-        assert self._calls_per_step(scenario, calls) <= per_step
+        assert self._calls_per_step(scenario, calls) == per_step
 
     @staticmethod
     def _count_tables(monkeypatch):

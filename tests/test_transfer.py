@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thinspray.grid import GridSpec, ScalarField, VectorField, integral
-from thinspray.transfer import _corner_flats_weights, cic_gather, cic_scatter
+from thinspray.transfer import _CHUNK, _corner_flats_weights, cic_gather, cic_scatter
 
 
 @pytest.fixture
@@ -76,14 +76,25 @@ def test_gather_second_order_convergence(rng):
     assert errs[1] / errs[2] > 3.0
 
 
+def _assert_stacks_scalar_scatters(g, x, w, v):
+    """cic_scatter(g, x, w, v) is, bit for bit, the scalar scatter of w
+    followed by the scalar scatters of the whole-array charges w * v[:, j]."""
+    out = cic_scatter(g, x, w, v)
+    assert out.shape == (1 + v.shape[1],) + g.shape
+    assert np.array_equal(out[0], cic_scatter(g, x, w))
+    for j in range(v.shape[1]):
+        assert np.array_equal(out[1 + j], cic_scatter(g, x, w * v[:, j]))
+    return out
+
+
 def test_scatter_multicolumn_consistent(rng):
     g = GridSpec(2, 16)
-    x = rng.uniform(0, g.length, (2_000, 2))
-    w = rng.uniform(0, 1, 2_000)
-    cols = np.stack([w, 3.0 * w], axis=1)
-    out = cic_scatter(g, x, cols)
-    assert out.shape == g.shape + (2,)
-    assert np.abs(out[..., 1] - 3.0 * out[..., 0]).max() < 1e-12
+    count = 2 * _CHUNK + 500  # three chunks
+    x = rng.uniform(0, g.length, (count, 2))
+    w = rng.uniform(0, 1, count)
+    v = np.column_stack([np.full(count, 3.0), rng.standard_normal(count)])
+    out = _assert_stacks_scalar_scatters(g, x, w, v)
+    assert np.abs(out[1] - 3.0 * out[0]).max() < 1e-12
 
 
 def test_scatter_deterministic(rng):
@@ -141,9 +152,10 @@ def test_positions_outside_the_period_match_wrapped(rng, periods):
     x = rng.uniform(0, g.length, (3_000, 3)) + periods * g.length
     wrapped = np.mod(x, g.length)
     u = VectorField(g, rng.standard_normal((3,) + g.shape))
-    q = rng.uniform(0, 1, (3_000, 2))
+    w = rng.uniform(0, 1, 3_000)
+    v = rng.standard_normal((3_000, 3))
     assert np.abs(cic_gather(u, x) - cic_gather(u, wrapped)).max() < 1e-13
-    dens, dens_wrapped = cic_scatter(g, x, q), cic_scatter(g, wrapped, q)
+    dens, dens_wrapped = cic_scatter(g, x, w, v), cic_scatter(g, wrapped, w, v)
     assert np.abs(dens - dens_wrapped).max() < 1e-13 * np.abs(dens_wrapped).max()
 
 
@@ -160,12 +172,12 @@ def test_positions_at_the_seam_match_zero(rng, coord):
 
 
 def test_chunk_charges_equal_array_charges(rng):
-    # charges given chunk by chunk make the same sums as the (N, m) array
+    # the charges w * v_j formed chunk by chunk make the same sums as the
+    # whole-array charges, positions outside the period included
     g = GridSpec(3, 16)
     x = rng.uniform(-g.length, 2 * g.length, (20_000, 3))  # several chunks
-    q = rng.uniform(0, 1, (20_000, 2))
-    dens = cic_scatter(g, x, q)
-    assert np.array_equal(cic_scatter(g, x, lambda sl: [q[sl, 0], q[sl, 1]]), dens)
+    w = rng.uniform(0, 1, 20_000)
+    _assert_stacks_scalar_scatters(g, x, w, rng.standard_normal((20_000, 3)))
 
 
 _LENGTH = 2 * np.pi
