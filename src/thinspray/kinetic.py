@@ -6,7 +6,9 @@ a number weight (droplets represented per unit phase-space sampling) and a
 droplet radius: 1 for the parents, r2 for the fragments they break into.
 The radius sets the Stokes drag weight r, the relaxation time r^2 and the
 liquid volume r^3.  Drag relaxation uses the exact exponential update, so
-the stiff small-radius limit costs nothing in dt.
+the stiff small-radius limit costs nothing in dt.  Parents break up at rate
+1/tau in one call, `absorb_and_fragment`: their lost weight leaves the
+cloud or becomes fragments, spawned by the parents in turns.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .transfer import _CHUNK, cic_gather, cic_scatter
 # It must stay finite: at eps = inf a point alone in its tree leaf gets the
 # missing index N as its neighbour.
 _NN_EPS = 3.0
+# a fragmenting breakup takes each parent on every _SPAWN_PERIOD-th step
+_SPAWN_PERIOD = 2
 
 
 @dataclass
@@ -133,40 +137,38 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
     return ParticleCloud(x_new, xi_new, cloud.w, cloud.r)
 
 
-def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float,
-                        breaks: np.ndarray | None = None) -> ParticleCloud:
-    """Break up parent droplets, those of radius 1, at rate 1/tau.
+def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float, *,
+                        radius: float | None = None, step: int = 0) -> ParticleCloud:
+    """Break up the parent droplets, those of radius 1, at rate 1/tau.
 
-    The parents that the boolean mask `breaks` selects, every parent by
-    default, decay by exp(-dt/tau); the other particles, fragments included,
-    pass through untouched.  A caller that breaks up each parent on every
-    k-th step only passes k dt and the parents whose turn it is.  Returns
-    the decayed cloud, which shares x, xi and r with the input.  The weight
-    each particle lost is cloud.w minus the returned w (zero for the
-    untouched ones, and for every particle when tau is inf); a caller that
-    keeps it forms it, and decides where it goes.
+    Without a fragment `radius` (absorbing), every parent keeps exp(-dt/tau)
+    of its weight; the weight lost, cloud.w minus the returned w, is the
+    caller's to absorb, and the returned cloud shares x, xi and r with the
+    input.  With a `radius` (fragmenting), the parents take turns: on step k
+    only those of index i = k (mod _SPAWN_PERIOD = 2) break up, each keeping
+    exp(-2 dt/tau) of its weight and spawning one fragment of that radius at
+    its x and xi with the lost liquid volume, weight lost / radius^3.  The
+    fragments follow the decayed particles, in parent order, in the one cloud
+    returned.  The rate stays 1/tau, the liquid volume exact, and a step
+    spawns half as many fragments for the merge to take back.  Fragments, and
+    every particle when tau is inf, pass through untouched.
     """
     if not tau > 0:
         raise ValueError(f"breakup time must be positive, got {tau}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     decays = cloud.r == 1.0
-    if breaks is not None:
-        decays &= breaks
+    if radius is not None:
+        decays &= np.arange(cloud.count) % _SPAWN_PERIOD == step % _SPAWN_PERIOD
+        dt = _SPAWN_PERIOD * dt
     w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
-    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
-
-
-def spawn_fragments(cloud: ParticleCloud, decayed: ParticleCloud,
-                    radius: float) -> ParticleCloud:
-    """decayed, cloud after absorb_and_fragment, then, in parent order, one
-    fragment of the given radius per particle that lost weight, at its x and
-    xi with the lost liquid volume (weight lost / radius^3), as one cloud."""
-    lost = cloud.w - decayed.w
+    if radius is None:
+        return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
+    lost = cloud.w - w_new
     spawn = lost > 0
-    spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / radius**3,
+    spawned = (cloud.x[spawn], cloud.xi[spawn], lost[spawn] / radius**3,
                np.full(spawn.sum(), radius))
-    kept = (decayed.x, decayed.xi, decayed.w, decayed.r)
+    kept = (cloud.x, cloud.xi, w_new, cloud.r)
     return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
 
 

@@ -13,15 +13,10 @@ their lost weight goes:
 * ``bidisperse``  - keeps it as radius-r2 fragments, merged when the cloud
                     outgrows its budget; rho stays zero.
 
-A fragmenting run breaks each parent up on every second step only, taking
-turns by index parity: on step k the parents of index i = k (mod 2) keep
-exp(-2 dt/tau) of their weight and each spawns one fragment with the lost
-volume, at its x and xi; the fragments follow the decayed particles, in
-parent order, in the one cloud the step builds.  The rate stays 1/tau, the
-liquid volume exact, and a step spawns half as many fragments for the
-merge to take back.
+The breakup is one call, ``kinetic.absorb_and_fragment``; a fragmenting run
+passes it r2 and the step, and its parents take turns (see that function).
 
-Every absorbing run breaks every parent up on every step and takes one
+In every absorbing run every parent decays on every step, with one
 source rule: a parent keeps exp(-dt/tau) of its weight, so the source of
 rho is expm1(dt/tau) m0 / dt, with m0 the number density of the step's
 (cut-off) drag deposit.  Under Stokes drag a droplet of radius r pulls on
@@ -68,7 +63,6 @@ from .kinetic import (
     deposit_moments,
     merge_particles,
     sample_gaussian_spray,
-    spawn_fragments,
 )
 from .snapshots import write_diagnostics_csv, write_state, write_summary_json
 from .transfer import cic_gather, cic_scatter
@@ -83,8 +77,6 @@ SPRAY_PRESETS = ("gaussian", "offset", "none")
 # record, the first-order splitting error allowed per unit dt and time.  The
 # rate was measured on the drag-free benchmark (taylor-green, n=32, dt=1e-3).
 DEFAULT_ENERGY_RATE = 250.0
-# a fragmenting run breaks each parent up on every _SPAWN_PERIOD-th step
-_SPAWN_PERIOD = 2
 DIV_TOLERANCE = 1e-10
 # relative gate of the liquid budget, volume + integral of rho, which the
 # flux-form density step closes to rounding
@@ -263,11 +255,10 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     A run's state is the fluid, which carries rho, and the particle cloud;
     t = step * dt is the run's one clock, stamped on each record and
-    snapshot.  Step layout: fluid step -> particle push -> breakup (when
-    config.absorbs, every parent's weight decays by exp(-dt/tau); else only
-    the parents whose index has the step's parity decay, by
-    exp(-2 dt/tau), and each spawns one radius-r2 fragment with the lost
-    volume) -> merge, whenever the cloud exceeds its budget ->
+    snapshot.  Step layout: fluid step -> particle push -> breakup, one
+    absorb_and_fragment call (when config.absorbs, every parent's weight
+    decays by exp(-dt/tau); else the parents take turns and spawn radius-r2
+    fragments) -> merge, whenever the cloud exceeds its budget ->
     one particle-grid pass at the new positions: the next step's drag
     deposit -> when config.absorbs, transport of fluid.rho with the one
     source expm1(dt/tau) m0 / dt, m0 read off that deposit -> diagnostics,
@@ -279,7 +270,7 @@ def run_scenario(config: SimConfig) -> RunResult:
     breakup are two statements, so that the pre-push positions and
     velocities die before the breakup allocates, unless an output directory
     holds them as the last healthy state.
-    A step is rejected when it breaks the fluid's CFL, max|u| dt/h <= 1, or the
+    A step is rejected when it violates the fluid's CFL, max|u| dt/h <= 1, or the
     density step's outflow bound, dt/h times each cell's summed outflow face
     speed <= 1, or when FluidState and ParticleCloud, the one checks of the gas
     and the particles, reject the non-finite state it makes, or when its record
@@ -298,6 +289,8 @@ def run_scenario(config: SimConfig) -> RunResult:
     coupling, drag_coeff = 1.0 + absorb_rate, 1.0 + 0.5 * absorb_rate
     # a parent keeps exp(-dt/tau) of its weight: the source of rho per unit m0
     gain = np.expm1(config.dt / config.tau) / config.dt
+    # absorbing, every parent decays on every step, as that source rule needs
+    fragment_radius = None if config.absorbs else config.r2
     out = Path(config.output_dir)
     if config.output_dir:
         out.mkdir(parents=True, exist_ok=True)
@@ -316,13 +309,6 @@ def run_scenario(config: SimConfig) -> RunResult:
                                       liquid=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
-    def break_up(cloud, step):  # a function, so its temporaries die before the next push
-        if config.absorbs:  # every parent, every step: rho's source rule needs that
-            return absorb_and_fragment(cloud, config.dt, config.tau)
-        turn = np.arange(cloud.count) % _SPAWN_PERIOD == step % _SPAWN_PERIOD
-        decayed = absorb_and_fragment(cloud, _SPAWN_PERIOD * config.dt, config.tau, turn)
-        return spawn_fragments(cloud, decayed, config.r2)
-
     drag = deposit_moments(cloud, grid, eps)
     record(0.0, drag)
     lemma_checks, merge_m2_max = [], 0.0
@@ -339,7 +325,8 @@ def run_scenario(config: SimConfig) -> RunResult:
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
             # two statements, so the pre-push x and xi die before the breakup allocates
             cloud = advance_particles(cloud, u_star, config.dt)
-            cloud = break_up(cloud, step)
+            cloud = absorb_and_fragment(cloud, config.dt, config.tau,
+                                        radius=fragment_radius, step=step)
             if cloud.count > config.particle_budget:
                 cloud, m2_err = merge_particles(cloud, config.particle_budget)
                 merge_m2_max = max(merge_m2_max, m2_err)
@@ -443,7 +430,7 @@ def fragment_mass_density(result: RunResult) -> ScalarField:
     cloud = result.cloud
     grid = result.config.grid
     fragments = cloud.select(cloud.r < 1.0)
-    return ScalarField(grid, cic_scatter(grid, fragments.x, fragments.w * fragments.r**3))
+    return ScalarField(grid, cic_scatter(grid, fragments.x, liquid_volume(fragments)))
 
 
 def sweep_r2(config: SimConfig, r2_list) -> dict:

@@ -15,7 +15,6 @@ from thinspray.kinetic import (
     deposit_moments,
     merge_particles,
     sample_gaussian_spray,
-    spawn_fragments,
     velocity_cutoff,
 )
 from thinspray.transfer import _CHUNK, cic_gather, cic_scatter
@@ -189,41 +188,102 @@ class TestAdvanceParticles:
         assert peak <= 2.5 * cloud.x.nbytes
 
 
+def _old_absorb(cloud, dt, tau, breaks=None):
+    """The decay as it was before the breakup was one call: the parents that
+    the caller's mask selects, every parent by default, keep exp(-dt/tau)."""
+    decays = cloud.r == 1.0
+    if breaks is not None:
+        decays &= breaks
+    w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
+    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
+
+
+def _old_spawn(cloud, decayed, radius):
+    """The spawn as it was: decayed, then one fragment of the given radius per
+    particle that lost weight, at its x and xi with weight lost / radius^3."""
+    lost = cloud.w - decayed.w
+    spawn = lost > 0
+    spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / radius**3,
+               np.full(spawn.sum(), radius))
+    kept = (decayed.x, decayed.xi, decayed.w, decayed.r)
+    return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
+
+
+def _old_breakup(cloud, dt, tau, radius, step):
+    """The run loop's breakup as it composed the two: absorbing, every parent
+    on every step; fragmenting, the parents of the step's parity over 2 dt."""
+    if radius is None:
+        return _old_absorb(cloud, dt, tau)
+    turn = np.arange(cloud.count) % 2 == step % 2
+    return _old_spawn(cloud, _old_absorb(cloud, 2 * dt, tau, turn), radius)
+
+
+def _assert_clouds_equal(a, b):
+    for name in ("x", "xi", "w", "r"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestFragmentation:
+    """The breakup, absorbing (no radius) and fragmenting (with one)."""
+
     def test_zero_dt_identity(self):
-        rng = np.random.default_rng(0)
-        cloud = random_cloud(rng, 10)
-        out = absorb_and_fragment(cloud, 0.0, 1.0)
-        lost = cloud.w - out.w
-        assert np.array_equal(out.w, cloud.w)
-        assert not lost.any()
+        g = GridSpec(3, 16)
+        rng = np.random.default_rng(4)
+        cloud = random_cloud(rng, 20, r=mixed_radii(rng, 20, 0.5))
+        for radius, step in ((None, 0), (R2, 0), (R2, 1)):
+            out = absorb_and_fragment(cloud, 0.0, 1.0, radius=radius, step=step)
+            _assert_clouds_equal(out, cloud)  # no weight lost, so no fragment spawned
+            lost = cloud.w - out.w
+            assert np.abs(cic_scatter(g, cloud.x, lost)).max() == 0.0
 
     def test_half_life_closed_form(self):
-        cloud = ParticleCloud(np.zeros((1, 3)), np.zeros((1, 3)),
+        g = GridSpec(3, 16)
+        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
                               np.array([1.0]), np.array([1.0]))
         tau = 0.7
         out = absorb_and_fragment(cloud, tau * np.log(2.0), tau)
         lost = cloud.w - out.w
+        released = ScalarField(g, cic_scatter(g, out.x, lost))
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
         assert lost[0] == pytest.approx(0.5, rel=1e-14)
+        assert integral(released) == pytest.approx(0.5, rel=1e-12)
+        # fragmenting, the parent's turn spans two steps: half over half the dt
+        out = absorb_and_fragment(cloud, tau * np.log(2.0) / 2, tau, radius=0.5, step=0)
+        assert out.count == 2
+        assert out.w[0] == pytest.approx(0.5, rel=1e-14)
+        assert out.w[1] == pytest.approx(0.5 / 0.5**3, rel=1e-14)
+        assert out.r[1] == 0.5
+
+    def test_released_mass_matches_weight_loss(self):
+        g = GridSpec(2, 32)
+        rng = np.random.default_rng(5)
+        cloud = random_cloud(rng, 5000, dim=2)
+        out = absorb_and_fragment(cloud, 0.02, 1.0)
+        lost = cloud.w - out.w
+        released = ScalarField(g, cic_scatter(g, out.x, lost))
+        # the weight lost, against its closed form, formed without out
+        expected = -cloud.w * np.expm1(-0.02 / 1.0)
+        np.testing.assert_allclose(lost, expected, rtol=1e-14, atol=0.0)
+        assert integral(released) == pytest.approx(lost.sum(), rel=1e-12)
 
     def test_fragments_pass_through(self):
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 200, r=mixed_radii(rng, 200, 0.5))
-        out = absorb_and_fragment(cloud, 0.05, 0.3)
-        lost = cloud.w - out.w
+        n = cloud.count
         frag = cloud.r != 1.0
-        assert np.array_equal(out.w[frag], cloud.w[frag])
-        assert not lost[frag].any()
-        assert (lost[~frag] > 0).all()
-        assert np.array_equal(out.r, cloud.r)
+        for radius, turn in ((None, np.ones(n, dtype=bool)), (R2, np.arange(n) % 2 == 1)):
+            out = absorb_and_fragment(cloud, 0.05, 0.3, radius=radius, step=1)
+            lost = cloud.w - out.w[:n]
+            assert np.array_equal(out.w[:n][frag], cloud.w[frag])
+            assert not lost[frag].any()
+            assert (lost[~frag & turn] > 0).all()
+            assert np.array_equal(out.r[:n], cloud.r)
 
     def test_infinite_tau_loses_nothing(self):
         cloud = random_cloud(np.random.default_rng(7), 50)
-        out = absorb_and_fragment(cloud, 0.1, np.inf)
-        lost = cloud.w - out.w
-        assert np.array_equal(out.w, cloud.w)
-        assert not lost.any()
+        for radius, step in ((None, 0), (R2, 0), (R2, 1)):
+            out = absorb_and_fragment(cloud, 0.1, np.inf, radius=radius, step=step)
+            _assert_clouds_equal(out, cloud)
 
     def test_shares_positions_and_velocities(self):
         cloud = random_cloud(np.random.default_rng(8), 30)
@@ -238,87 +298,109 @@ class TestFragmentation:
         r2 = 0.31
         cloud = random_cloud(rng, 500, r=np.where(rng.uniform(size=500) < 0.7, 1.0, r2))
         before = np.sum(cloud.w * cloud.r**3)
-        merged = spawn_fragments(cloud, absorb_and_fragment(cloud, 0.013, 0.4), r2)
-        after = np.sum(merged.w * merged.r**3)
-        assert after == pytest.approx(before, rel=1e-14)
+        for step in (0, 1):
+            merged = absorb_and_fragment(cloud, 0.013, 0.4, radius=r2, step=step)
+            after = np.sum(merged.w * merged.r**3)
+            assert merged.count > cloud.count
+            assert after == pytest.approx(before, rel=1e-14)
 
     def test_mass_weighted_momentum_conserved(self):
         rng = np.random.default_rng(2)
         cloud = random_cloud(rng, 300)
         r2 = 0.17
         before = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
-        merged = spawn_fragments(cloud, absorb_and_fragment(cloud, 0.05, 0.5), r2)
-        mass = merged.r**3
-        after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
-        assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
+        for step in (0, 1):
+            merged = absorb_and_fragment(cloud, 0.05, 0.5, radius=r2, step=step)
+            mass = merged.r**3
+            after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
+            assert merged.count > cloud.count
+            assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
-    def test_mask_breaks_up_only_the_selected_parents(self):
+    def test_turns_break_up_only_the_parents_of_the_step_parity(self):
         rng = np.random.default_rng(9)
-        cloud = random_cloud(rng, 300, r=mixed_radii(rng, 300, 0.6))
-        breaks = rng.uniform(size=300) < 0.5
-        out = absorb_and_fragment(cloud, 0.04, 0.3, breaks)
-        lost = cloud.w - out.w
-        hit = breaks & (cloud.r == 1.0)
-        assert np.array_equal(out.w[hit], cloud.w[hit] * np.exp(-0.04 / 0.3))
-        assert np.array_equal(out.w[~hit], cloud.w[~hit])
-        assert not lost[~hit].any() and (lost[hit] > 0).all()
-        assert isinstance(out, ParticleCloud)
+        n = 301  # odd, so the two parities differ in size
+        cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.6))
+        for step in range(4):
+            out = absorb_and_fragment(cloud, 0.02, 0.3, radius=R2, step=step)
+            hit = (np.arange(n) % 2 == step % 2) & (cloud.r == 1.0)
+            assert np.array_equal(out.w[:n][hit], cloud.w[hit] * np.exp(-0.04 / 0.3))
+            assert np.array_equal(out.w[:n][~hit], cloud.w[~hit])
+            for name in ("x", "xi", "r"):
+                assert np.array_equal(getattr(out, name)[:n], getattr(cloud, name))
+            # one fragment per parent hit, in parent order, at its x and xi
+            lost = cloud.w[hit] - out.w[:n][hit]
+            assert (lost > 0).all()
+            assert np.array_equal(out.x[n:], cloud.x[hit])
+            assert np.array_equal(out.xi[n:], cloud.xi[hit])
+            assert np.array_equal(out.w[n:], lost / R2**3)
+            assert np.all(out.r[n:] == R2)
 
-    def test_default_mask_is_every_parent(self):
+    def test_two_turns_break_up_every_parent_once(self):
         rng = np.random.default_rng(10)
         cloud = random_cloud(rng, 100, r=mixed_radii(rng, 100, 0.5))
-        every = absorb_and_fragment(cloud, 0.02, 0.7, np.ones(100, dtype=bool))
-        default = absorb_and_fragment(cloud, 0.02, 0.7)
-        assert np.array_equal(every.w, default.w)
-        # the weight lost, against its closed form: every parent, no fragment
         parent = cloud.r == 1.0
+        hit = [absorb_and_fragment(cloud, 0.01, 0.7, radius=R2, step=step).w[:100] != cloud.w
+               for step in (4, 5)]
+        assert not (hit[0] & hit[1]).any()
+        assert np.array_equal(hit[0] | hit[1], parent)
+        # the absorbing breakup: every parent on every step, whatever the step,
+        # and the weight lost against its closed form
+        default = absorb_and_fragment(cloud, 0.02, 0.7)
+        assert np.array_equal(absorb_and_fragment(cloud, 0.02, 0.7, step=1).w, default.w)
         lost = cloud.w - default.w
         expected = -cloud.w[parent] * np.expm1(-0.02 / 0.7)
         np.testing.assert_allclose(lost[parent], expected, rtol=1e-14, atol=0.0)
         assert not lost[~parent].any()
 
+    @pytest.mark.parametrize("radius", [None, R2])
+    def test_one_cloud_per_breakup(self, monkeypatch, radius):
+        built = []
+
+        class Counted(ParticleCloud):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+        monkeypatch.setattr(kinetic, "ParticleCloud", Counted)
+        rng = np.random.default_rng(12)
+        cloud = random_cloud(rng, 400, r=mixed_radii(rng, 400, 0.5))
+        out = absorb_and_fragment(cloud, 0.05, 0.3, radius=radius, step=1)
+        assert len(built) == 1 and built[0] is out
+        assert out.count == (400 if radius is None else 400 + ((cloud.r == 1.0)[1::2]).sum())
+
     def test_bad_parameters(self):
         cloud = random_cloud(np.random.default_rng(3), 5)
-        with pytest.raises(ValueError):
-            absorb_and_fragment(cloud, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            absorb_and_fragment(cloud, 0.1, -1.0)
-        with pytest.raises(ValueError):
-            absorb_and_fragment(cloud, -0.1, 1.0)
+        for radius in (None, R2):
+            with pytest.raises(ValueError):
+                absorb_and_fragment(cloud, 0.1, 0.0, radius=radius)
+            with pytest.raises(ValueError):
+                absorb_and_fragment(cloud, 0.1, -1.0, radius=radius)
+            with pytest.raises(ValueError):
+                absorb_and_fragment(cloud, -0.1, 1.0, radius=radius)
 
 
-class TestAbsorbToDensity:
-    """The limit's use of the lost weight: deposited into the added density."""
-
-    def test_zero_dt_identity(self):
-        g = GridSpec(3, 16)
-        cloud = random_cloud(np.random.default_rng(4), 20)
-        out = absorb_and_fragment(cloud, 0.0, 1.0)
-        lost = cloud.w - out.w
-        assert np.array_equal(out.w, cloud.w)
-        assert np.abs(cic_scatter(g, cloud.x, lost)).max() == 0.0
-
-    def test_half_life_closed_form(self):
-        g = GridSpec(3, 16)
-        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
-                              np.array([1.0]), np.array([1.0]))
-        out = absorb_and_fragment(cloud, np.log(2.0), 1.0)
-        lost = cloud.w - out.w
-        released = ScalarField(g, cic_scatter(g, out.x, lost))
-        assert out.w[0] == pytest.approx(0.5, rel=1e-14)
-        assert integral(released) == pytest.approx(0.5, rel=1e-12)
-
-    def test_released_mass_matches_weight_loss(self):
-        g = GridSpec(2, 32)
-        rng = np.random.default_rng(5)
-        cloud = random_cloud(rng, 5000, dim=2)
-        out = absorb_and_fragment(cloud, 0.02, 1.0)
-        lost = cloud.w - out.w
-        released = ScalarField(g, cic_scatter(g, out.x, lost))
-        # the weight lost, against its closed form, formed without out
-        expected = -cloud.w * np.expm1(-0.02 / 1.0)
-        np.testing.assert_allclose(lost, expected, rtol=1e-14, atol=0.0)
-        assert integral(released) == pytest.approx(lost.sum(), rel=1e-12)
+@given(
+    n=st.integers(0, 60),
+    dim=st.sampled_from([2, 3]),
+    parents=st.floats(0.0, 1.0),
+    radius=st.sampled_from([None, 0.1, R2, 0.9]),
+    step=st.integers(0, 7),
+    dt=st.sampled_from([0.0, 1e-3, 0.05]),
+    tau=st.sampled_from([0.01, 0.3, np.inf]),
+    zero_weights=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_breakup_is_the_old_composition(n, dim, parents, radius, step, dt, tau,
+                                                 zero_weights, seed):
+    # the one call is the decay under the turn mask and the spawn from the
+    # lost weight, as the run loop composed them, bit for bit; a parent of
+    # zero weight loses nothing and spawns no fragment
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, n, dim=dim, r=mixed_radii(rng, n, parents))
+    if zero_weights:
+        w = np.where(rng.uniform(size=n) < 0.3, 0.0, cloud.w)
+        cloud = ParticleCloud(cloud.x, cloud.xi, w, cloud.r)
+    _assert_clouds_equal(absorb_and_fragment(cloud, dt, tau, radius=radius, step=step),
+                         _old_breakup(cloud, dt, tau, radius, step))
 
 
 class TestDepositMoments:

@@ -274,6 +274,27 @@ class TestRunScenario:
             assert rec.mass_rho == 0.0
         assert res.summary["divergence"]["pass"]
 
+    def test_drag_free_taylor_green_gain_is_the_trapezoid_error(self):
+        # without spray, each fluid step multiplies the 2-D Taylor-Green energy
+        # by exactly exp(-4 nu dt): the convection term is a gradient, which the
+        # projection removes.  The energy residual is then the trapezoid rule's
+        # error on the dissipation 4 nu E, in closed form at record k:
+        # E(0) (1 - q^k) ((a/2) (1 + q) / (1 - q) - 1), a = 4 nu dt, q = e^-a
+        final = []
+        for dt in (2e-3, 1e-3):
+            cfg = quick_config(dt=dt, t_final=0.2, spray_mass=0.0)
+            records = run_scenario(cfg).records
+            t = np.array([r.t for r in records])
+            e = np.array([r.e_fluid for r in records])
+            np.testing.assert_allclose(e, e[0] * np.exp(-4 * cfg.nu * t), rtol=1e-13, atol=0)
+            a = 4 * cfg.nu * dt
+            closed = (e[0] * -np.expm1(-a * np.arange(t.size))
+                      * (0.5 * a * (1 + np.exp(-a)) / -np.expm1(-a) - 1))
+            residual = energy_budget(records, 1.0)
+            assert np.abs(residual - closed).max() <= 1e-12 * e[0]
+            final.append(residual[-1])
+        assert final[0] / final[1] == pytest.approx(4.0, abs=0.01)  # second order
+
     def test_deterministic_rerun(self, tmp_path):
         cfg1 = quick_config(output_dir=str(tmp_path / "a"))
         cfg2 = quick_config(output_dir=str(tmp_path / "b"))
