@@ -227,44 +227,26 @@ class TestFragmentation:
     """The breakup, absorbing (no radius) and fragmenting (with one)."""
 
     def test_zero_dt_identity(self):
-        g = GridSpec(3, 16)
         rng = np.random.default_rng(4)
         cloud = random_cloud(rng, 20, r=mixed_radii(rng, 20, 0.5))
         for radius, step in ((None, 0), (R2, 0), (R2, 1)):
             out = absorb_and_fragment(cloud, 0.0, 1.0, radius=radius, step=step)
             _assert_clouds_equal(out, cloud)  # no weight lost, so no fragment spawned
-            lost = cloud.w - out.w
-            assert np.abs(cic_scatter(g, cloud.x, lost)).max() == 0.0
 
     def test_half_life_closed_form(self):
-        g = GridSpec(3, 16)
         cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
                               np.array([1.0]), np.array([1.0]))
         tau = 0.7
         out = absorb_and_fragment(cloud, tau * np.log(2.0), tau)
         lost = cloud.w - out.w
-        released = ScalarField(g, cic_scatter(g, out.x, lost))
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
         assert lost[0] == pytest.approx(0.5, rel=1e-14)
-        assert integral(released) == pytest.approx(0.5, rel=1e-12)
         # fragmenting, the parent's turn spans two steps: half over half the dt
         out = absorb_and_fragment(cloud, tau * np.log(2.0) / 2, tau, radius=0.5, step=0)
         assert out.count == 2
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
         assert out.w[1] == pytest.approx(0.5 / 0.5**3, rel=1e-14)
         assert out.r[1] == 0.5
-
-    def test_released_mass_matches_weight_loss(self):
-        g = GridSpec(2, 32)
-        rng = np.random.default_rng(5)
-        cloud = random_cloud(rng, 5000, dim=2)
-        out = absorb_and_fragment(cloud, 0.02, 1.0)
-        lost = cloud.w - out.w
-        released = ScalarField(g, cic_scatter(g, out.x, lost))
-        # the weight lost, against its closed form, formed without out
-        expected = -cloud.w * np.expm1(-0.02 / 1.0)
-        np.testing.assert_allclose(lost, expected, rtol=1e-14, atol=0.0)
-        assert integral(released) == pytest.approx(lost.sum(), rel=1e-12)
 
     def test_fragments_pass_through(self):
         rng = np.random.default_rng(6)
@@ -401,6 +383,40 @@ def test_property_breakup_is_the_old_composition(n, dim, parents, radius, step, 
         cloud = ParticleCloud(cloud.x, cloud.xi, w, cloud.r)
     _assert_clouds_equal(absorb_and_fragment(cloud, dt, tau, radius=radius, step=step),
                          _old_breakup(cloud, dt, tau, radius, step))
+
+
+class TestAbsorbToDensity:
+    """The absorbing limit's use of the lost weight: deposited into the added density."""
+
+    def test_zero_dt_identity(self):
+        g = GridSpec(3, 16)
+        cloud = random_cloud(np.random.default_rng(4), 20)
+        out = absorb_and_fragment(cloud, 0.0, 1.0)
+        lost = cloud.w - out.w
+        assert np.array_equal(out.w, cloud.w)
+        assert np.abs(cic_scatter(g, cloud.x, lost)).max() == 0.0
+
+    def test_half_life_closed_form(self):
+        g = GridSpec(3, 16)
+        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
+                              np.array([1.0]), np.array([1.0]))
+        out = absorb_and_fragment(cloud, np.log(2.0), 1.0)
+        lost = cloud.w - out.w
+        released = ScalarField(g, cic_scatter(g, out.x, lost))
+        assert out.w[0] == pytest.approx(0.5, rel=1e-14)
+        assert integral(released) == pytest.approx(0.5, rel=1e-12)
+
+    def test_released_mass_matches_weight_loss(self):
+        g = GridSpec(2, 32)
+        rng = np.random.default_rng(5)
+        cloud = random_cloud(rng, 5000, dim=2)
+        out = absorb_and_fragment(cloud, 0.02, 1.0)
+        lost = cloud.w - out.w
+        released = ScalarField(g, cic_scatter(g, out.x, lost))
+        # the weight lost, against its closed form, formed without out
+        expected = -cloud.w * np.expm1(-0.02 / 1.0)
+        np.testing.assert_allclose(lost, expected, rtol=1e-14, atol=0.0)
+        assert integral(released) == pytest.approx(lost.sum(), rel=1e-12)
 
 
 class TestDepositMoments:
