@@ -25,7 +25,7 @@ from .grid import (
     integral,
 )
 from .kinetic import ParticleCloud, rowwise_dot, velocity_cutoff
-from .transfer import _CHUNK, cic_gather
+from .transfer import cic_gather
 
 BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 
@@ -71,23 +71,18 @@ class DiagnosticsRecord:
 
 
 def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
-    """(M0, M1, M2) of weights w, given the velocities and their squares.
-
-    M1 sums w @ xi over `transfer._CHUNK` rows at a time, a dot OpenBLAS runs
-    on one thread: with two BLAS threads and the other core of a 2-core host
-    busy, the whole 200k x 3 dot took 3-8 ms, the blocks about 1 ms."""
-    m1 = np.zeros(xi.shape[1])
-    for start in range(0, w.size, _CHUNK):
-        m1 += w[start:start + _CHUNK] @ xi[start:start + _CHUNK]
-    return float(w.sum()), m1, _pair(w, xi_sq)
+    """(M0, M1, M2) of weights w, given the velocities and their squares."""
+    return float(w.sum()), w @ xi, _pair(w, xi_sq)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of a * b over every entry, with no temporary of their size.
 
-    The scalar particle sums (M2, the remainders) use it, not w @ v: with
+    The scalar particle sums (M2, the remainders) use it too, not w @ v: with
     several BLAS threads one such dot of 200k entries took 8 ms on a 2-core
-    host, against 0.16 ms on one thread or through einsum."""
+    host, against 0.16 ms on one thread or through einsum.  _moments still
+    forms M1 as w @ xi, which pays that cost: 8.0 ms at 200k x 3 with two
+    BLAS threads, 0.31 ms with one."""
     return float(np.einsum(a, list(range(a.ndim)), b, list(range(b.ndim)), []))
 
 

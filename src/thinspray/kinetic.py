@@ -138,25 +138,29 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
 
 
 def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float, *,
-                        radius: float | None = None, step: int = 0) -> ParticleCloud:
+                        radius: float | None = None,
+                        step: int | None = None) -> ParticleCloud:
     """Break up the parent droplets, those of radius 1, at rate 1/tau.
 
     Without a fragment `radius` (absorbing), every parent keeps exp(-dt/tau)
     of its weight; the weight lost, cloud.w minus the returned w, is the
     caller's to absorb, and the returned cloud shares x, xi and r with the
-    input.  With a `radius` (fragmenting), the parents take turns: on step k
-    only those of index i = k (mod _SPAWN_PERIOD = 2) break up, each keeping
-    exp(-2 dt/tau) of its weight and spawning one fragment of that radius at
-    its x and xi with the lost liquid volume, weight lost / radius^3.  The
-    fragments follow the decayed particles, in parent order, in the one cloud
-    returned.  The rate stays 1/tau, the liquid volume exact, and a step
-    spawns half as many fragments for the merge to take back.  Fragments, and
-    every particle when tau is inf, pass through untouched.
+    input.  With a `radius` (fragmenting), the parents take turns, so the
+    `step` k is then required: only the parents of index i = k
+    (mod _SPAWN_PERIOD = 2) break up, each keeping exp(-2 dt/tau) of its
+    weight and spawning one fragment of that radius at its x and xi with the
+    lost liquid volume, weight lost / radius^3.  The fragments follow the
+    decayed particles, in parent order, in the one cloud returned.  The rate
+    stays 1/tau, the liquid volume exact, and a step spawns half as many
+    fragments for the merge to take back.  Fragments, and every particle when
+    tau is inf, pass through untouched.
     """
     if not tau > 0:
         raise ValueError(f"breakup time must be positive, got {tau}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
+    if radius is not None and step is None:
+        raise ValueError("a fragmenting breakup needs the step, which picks the turn")
     decays = cloud.r == 1.0
     if radius is not None:
         decays &= np.arange(cloud.count) % _SPAWN_PERIOD == step % _SPAWN_PERIOD

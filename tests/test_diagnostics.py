@@ -8,7 +8,6 @@ from thinspray.diagnostics import (
     DiagnosticsRecord,
     RadialDensity,
     _cumulative_trapezoid,
-    _moments,
     check_moment_bound,
     collect_record,
     energy_budget,
@@ -20,8 +19,8 @@ from thinspray.diagnostics import (
 )
 from thinspray.fluid import FluidState
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, mollify
-from thinspray.kinetic import ParticleCloud, deposit_moments, rowwise_dot, velocity_cutoff
-from thinspray.transfer import _CHUNK, cic_gather
+from thinspray.kinetic import ParticleCloud, deposit_moments, velocity_cutoff
+from thinspray.transfer import cic_gather
 
 BALL_FACTOR = 4.0 * np.pi / 3.0
 
@@ -164,22 +163,6 @@ class TestBudgets:
         recs = make_records([0.0, 0.2, 0.1], [1, 1, 1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
             energy_budget(recs, 1.0)
-
-
-def test_m1_sums_blocks_of_rows():
-    # M1 sums w @ xi block by block, so no dot spans more than _CHUNK rows:
-    # close to the whole-array dot, equal to it within one block
-    rng = np.random.default_rng(13)
-    for n in (0, 1, _CHUNK - 1, 200_000):
-        w, xi = rng.uniform(0.0, 2.0, n), rng.standard_normal((n, 3))
-        m0, m1, m2 = _moments(w, xi, rowwise_dot(xi, xi))
-        assert m1.shape == (3,) and m0 == w.sum()
-        if n < _CHUNK:
-            assert np.array_equal(m1, w @ xi)
-        else:
-            assert np.abs(m1 - w @ xi).max() <= 1e-13 * np.abs(w @ xi).max()
-    assert np.array_equal(_moments(np.zeros(0), np.zeros((0, 2)), np.zeros(0))[1],
-                          np.zeros(2))
 
 
 def remainders(cloud, u, u_mollified, eps):

@@ -353,11 +353,13 @@ class TestFragmentation:
         cloud = random_cloud(np.random.default_rng(3), 5)
         for radius in (None, R2):
             with pytest.raises(ValueError):
-                absorb_and_fragment(cloud, 0.1, 0.0, radius=radius)
+                absorb_and_fragment(cloud, 0.1, 0.0, radius=radius, step=0)
             with pytest.raises(ValueError):
-                absorb_and_fragment(cloud, 0.1, -1.0, radius=radius)
+                absorb_and_fragment(cloud, 0.1, -1.0, radius=radius, step=0)
             with pytest.raises(ValueError):
-                absorb_and_fragment(cloud, -0.1, 1.0, radius=radius)
+                absorb_and_fragment(cloud, -0.1, 1.0, radius=radius, step=0)
+        with pytest.raises(ValueError, match="step"):
+            absorb_and_fragment(cloud, 0.1, 1.0, radius=R2)  # no turn to take
 
 
 @given(
