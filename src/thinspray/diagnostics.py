@@ -303,7 +303,7 @@ def check_moment_bound(h: RadialDensity, alpha: float,
 
 
 def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: RecordTerms,
-                              u: VectorField, u_mollified: VectorField, *, coupling: float,
+                              u_mollified: VectorField, *, coupling: float,
                               drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
@@ -318,9 +318,10 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     hold parents alone, so that drag, its deposit with the cutoff of width
     eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
     adds the tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
-    record_terms(cloud, u, drag, eps), the record's, so only u_mollified is
-    paired and gathered here.  All three vanish as eps -> 0 (the cutoff
-    radius 1/eps swallows the sampled velocities).
+    record_terms(cloud, u, drag, eps), the record's: it carries u gathered
+    on the tail and its pairing <u, m1>, so u is no argument, and only
+    u_mollified, on u's grid, is paired and gathered here.  All three vanish
+    as eps -> 0 (the cutoff radius 1/eps swallows the sampled velocities).
     """
     if np.any(cloud.r != 1.0):
         raise ValueError("the remainders need a cloud of parents only")
@@ -328,6 +329,6 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     r1 = drag_coefficient * _pair(w_tail, terms.u_sq)
     r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, terms.u))
     u_star = cic_gather(u_mollified, cloud.x[terms.index])
-    r3 = (u.grid.cell_volume * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
+    r3 = (u_mollified.grid.cell_volume * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
           + _pair(w_tail, rowwise_dot(xi_tail, u_star - terms.u)))
     return r1, r2, r3

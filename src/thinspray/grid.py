@@ -75,11 +75,6 @@ class GridSpec:
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
-    def meshgrid(self) -> list[np.ndarray]:
-        """Coordinate arrays of shape `self.shape` (ij indexing)."""
-        x = self.axis_points()
-        return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
-
 
 @dataclass
 class ScalarField:

@@ -71,7 +71,8 @@ log = logging.getLogger(__name__)
 
 SCENARIOS = ("limit", "bidisperse", "regularized")
 FLUID_PRESETS = ("taylor-green", "zero")
-SPRAY_PRESETS = ("gaussian", "offset", "none")
+# one value: spray_init stays only because perfbench/run.py passes it
+SPRAY_PRESETS = ("offset",)
 
 # Energy gate: a run passes when |residual(t)| <= RATE * dt * t at every
 # record, the first-order splitting error allowed per unit dt and time.  The
@@ -102,7 +103,7 @@ class SimConfig:
     spray_init: str = "offset"
     spray_mass: float = 0.3       # total droplet number of the initial cloud
     spray_sigma: float = 0.6      # velocity spread of the initial cloud
-    spray_mean_speed: float = 0.5  # offset preset: mean velocity along x
+    spray_mean_speed: float = 0.5  # mean velocity of the initial cloud along x
     nu: float = 1.0
     snapshot_stride: int = 0      # 0 = no snapshots
     output_dir: str = ""
@@ -134,7 +135,7 @@ class SimConfig:
             raise ConfigError("regularized scenario needs eps > 0")
         if self.scenario != "regularized" and self.eps > 0:
             raise ConfigError(f"the {self.scenario} scenario ignores eps; set eps = 0")
-        sampled = self.spray_init != "none" and self.spray_mass > 0  # as initial_cloud
+        sampled = self.spray_mass > 0
         if sampled and self.particle_count < 2:
             raise ConfigError("particle_count must be at least 2")
         if self.particle_budget < 1:
@@ -150,8 +151,7 @@ class SimConfig:
         h = self.grid.h  # GridSpec validates n and dim
         u_scale = 1.0 if self.fluid_init == "taylor-green" else 0.0
         if sampled:
-            mean = self.spray_mean_speed if self.spray_init == "offset" else 0.0
-            u_scale += abs(mean) + 3.0 * self.spray_sigma
+            u_scale += abs(self.spray_mean_speed) + 3.0 * self.spray_sigma
         if u_scale > 0 and self.dt > h / u_scale:
             warnings.warn(
                 f"dt={self.dt} exceeds the advective scale h/|u| ~ {h / u_scale:.2e}; "
@@ -230,11 +230,10 @@ def initial_fluid(config: SimConfig) -> FluidState:
 
 def initial_cloud(config: SimConfig) -> ParticleCloud:
     grid = config.grid
-    if config.spray_init == "none" or config.spray_mass == 0:
+    if config.spray_mass == 0:
         return ParticleCloud.empty(grid.dim)
     mean = np.zeros(grid.dim)
-    if config.spray_init == "offset":
-        mean[0] = config.spray_mean_speed
+    mean[0] = config.spray_mean_speed
     return sample_gaussian_spray(
         grid, config.particle_count, config.spray_mass, mean,
         config.spray_sigma, config.seed,
@@ -303,7 +302,7 @@ def run_scenario(config: SimConfig) -> RunResult:
     def record(t, drag):  # of the current fluid and cloud, and the cloud's deposit
         terms = record_terms(cloud, fluid.u, drag, eps)
         remainders = regularization_remainders(
-            cloud, drag, terms, fluid.u, u_star, coupling=coupling,
+            cloud, drag, terms, u_star, coupling=coupling,
             drag_coefficient=drag_coeff) if eps else (0.0, 0.0, 0.0)
         records.append(collect_record(t, fluid, cloud, drag, terms,
                                       liquid=liquid_volume(cloud), remainders=remainders,

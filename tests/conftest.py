@@ -3,11 +3,13 @@
 Property tests run under one deterministic hypothesis profile: examples are
 derived from each test's own code, not from a random seed or a stored example
 database, and their number is bounded, so every run of the suite checks the
-same cases in about the same time.  The memory tests share transient_peak.
+same cases in about the same time.  The memory tests share transient_peak,
+the grid tests meshgrid.
 """
 
 import tracemalloc
 
+import numpy as np
 from hypothesis import settings
 
 settings.register_profile("thinspray", derandomize=True, deadline=None,
@@ -29,3 +31,9 @@ def transient_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def meshgrid(grid) -> list[np.ndarray]:
+    """Coordinate arrays of shape grid.shape (ij indexing)."""
+    x = grid.axis_points()
+    return list(np.meshgrid(*([x] * grid.dim), indexing="ij"))

@@ -6,8 +6,11 @@ function, class or constant of ``src/thinspray`` must be referenced outside
 its own definition and the re-export in ``__init__``: by a name that no
 enclosing function binds, an attribute of a thinspray module or an import
 alias.  A public classmethod or staticmethod must be referenced as
-``Class.name`` outside its own definition.  A capability that only tests use
-fails here; delete it with its tests, or put it on a run path.
+``Class.name`` outside its own definition, and every public method and
+property as an attribute ``.name`` outside its own body (by name alone, so a
+shared name can only hide a use).  A capability that only tests use fails
+here; delete it with its tests, or put it on a run path.  The method check
+is what keeps ``GridSpec.meshgrid``, whose only callers were tests, deleted.
 """
 
 import ast
@@ -122,15 +125,21 @@ def test_every_public_name_is_used():
     assert set(EXEMPT) <= set(unused), "an exempt reader has a caller; drop its exemption"
 
 
-def _class_methods(tree):
-    """(class, name, node) of each public classmethod and staticmethod."""
+def _methods(tree):
+    """(class, name, node) of each public method and property."""
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef):
             for node in cls.body:
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
-                        and any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
-                                for d in node.decorator_list):
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                     yield cls.name, node.name, node
+
+
+def _class_methods(tree):
+    """(class, name, node) of each public classmethod and staticmethod."""
+    for cls, name, node in _methods(tree):
+        if any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+               for d in node.decorator_list):
+            yield cls, name, node
 
 
 def _class_attributes(tree):
@@ -155,3 +164,16 @@ def test_every_public_class_method_is_used():
                          and not (where == path and node.lineno <= line <= node.end_lineno)
                          for c, n, where, line in refs)]
     assert not unused, f"class methods no run, demo or benchmark uses: {unused}"
+
+
+def test_every_public_method_and_property_is_used():
+    trees = _parsed()
+    refs = {(node.attr, path, node.lineno) for path, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = [f"{path.stem}.{cls}.{name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name, node in _methods(trees[path])
+              if not any(n == name
+                         and not (where == path and node.lineno <= line <= node.end_lineno)
+                         for n, where, line in refs)]
+    assert not unused, f"methods and properties no run, demo or benchmark uses: {unused}"

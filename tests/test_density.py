@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import meshgrid
 
 from thinspray.density import density_step
 from thinspray.errors import StepRejectedError
@@ -12,12 +13,12 @@ from thinspray.transfer import cic_gather
 
 def cellular_flow(grid):
     """Divergence-free rotation cells from the stream surface -(cos x + cos y)."""
-    x = grid.meshgrid()
+    x = meshgrid(grid)
     return VectorField.from_components(grid, -np.sin(x[1]), np.sin(x[0]))
 
 
 def gaussian_blob(grid, center, sigma):
-    x = grid.meshgrid()
+    x = meshgrid(grid)
     r2 = sum((xi - c) ** 2 for xi, c in zip(x, center))
     return ScalarField(grid, np.exp(-r2 / (2 * sigma**2)))
 
@@ -52,7 +53,7 @@ def roll_step(rho, u, source, dt):
 def semi_lagrangian_step(rho, u, source, dt):
     """The step this scheme replaced: midpoint feet, gathers, mass rescale."""
     g = u.grid
-    nodes = np.stack([m.ravel() for m in g.meshgrid()], axis=-1)
+    nodes = np.stack([m.ravel() for m in meshgrid(g)], axis=-1)
     v_node = np.moveaxis(u.values.reshape(g.dim, -1), 0, 1)
     feet = nodes - dt * cic_gather(u, nodes - 0.5 * dt * v_node)
     advected = np.maximum(cic_gather(rho, feet), 0.0).reshape(g.shape)

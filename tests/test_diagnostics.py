@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from conftest import transient_peak
+from conftest import meshgrid, transient_peak
 from hypothesis.extra.numpy import arrays
 
 from thinspray.diagnostics import (
@@ -170,7 +170,7 @@ def remainders(cloud, u, u_mollified, eps):
     deposit."""
     drag = deposit_moments(cloud, u.grid, eps)
     terms = record_terms(cloud, u, drag, eps)
-    return regularization_remainders(cloud, drag, terms, u, u_mollified,
+    return regularization_remainders(cloud, drag, terms, u_mollified,
                                      coupling=2.0, drag_coefficient=1.5)
 
 
@@ -190,7 +190,7 @@ class TestRemainders:
         xi = 0.5 * rng.standard_normal((500, 3))  # speeds well under 1/eps
         cloud = make_cloud(rng.uniform(0, g.length, (500, 3)), xi,
                            rng.uniform(0, 1, 500))
-        x = g.meshgrid()
+        x = meshgrid(g)
         u = VectorField.from_components(
             g, np.sin(x[0]), np.zeros(g.shape), np.zeros(g.shape))
         eps = 0.05  # cutoff radius 20: every sampled velocity inside
@@ -285,7 +285,7 @@ def test_property_paired_record_matches_gathered_sums(case):
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
-    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u, u_star, coupling=coupling,
+    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u_star, coupling=coupling,
                                            drag_coefficient=drag_coeff)
     _assert_sum_matches(r1, [drag_coeff * w * u_sq * (1.0 - cut)])
     _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import transient_peak
+from conftest import meshgrid, transient_peak
 from scipy.integrate import solve_ivp
 
 from thinspray.errors import FieldError, GridMismatchError, StepRejectedError
@@ -42,7 +42,7 @@ def force_field(u, drag, coupling):
 
 
 def shear_state(grid):
-    x = grid.meshgrid()
+    x = meshgrid(grid)
     comps = [np.sin(x[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
     return fluid_state(VectorField.from_components(grid, *comps))
 

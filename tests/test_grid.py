@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import meshgrid
 
 from thinspray.errors import FieldError
 from thinspray.grid import (
@@ -110,7 +111,7 @@ class TestTransforms:
 
     def test_gradient_norm_matches_real_space(self):
         g = GridSpec(3, 16)
-        x, y, z = g.meshgrid()
+        x, y, z = meshgrid(g)
         s = ScalarField(g, np.sin(x) * np.cos(2 * y) + 0.5 * np.cos(3 * z - x))
         grad = [np.cos(x) * np.cos(2 * y) + 0.5 * np.sin(3 * z - x),
                 -2.0 * np.sin(x) * np.sin(2 * y),
@@ -121,7 +122,7 @@ class TestTransforms:
     def test_dealias_removes_high_modes(self):
         # the 2/3 rule at n = 32 keeps |k| <= 10
         g = GridSpec(2, 32)
-        x = g.meshgrid()
+        x = meshgrid(g)
         high = ScalarField(g, np.cos(11 * x[0]))
         low = ScalarField(g, np.cos(10 * x[0]) * np.sin(3 * x[1]))
         assert fft(high).shape == fft(low).shape == (21, 11)
@@ -140,7 +141,7 @@ class TestLeray:
     def test_pure_gradient_annihilated(self):
         # grad of sin(x) cos(2y) cos(z)
         g = GridSpec(3, 16)
-        x, y, z = g.meshgrid()
+        x, y, z = meshgrid(g)
         grad = VectorField.from_components(
             g, np.cos(x) * np.cos(2 * y) * np.cos(z),
             -2.0 * np.sin(x) * np.sin(2 * y) * np.cos(z),
@@ -181,7 +182,7 @@ class TestMollify:
 
     def test_single_mode_damping(self):
         g = GridSpec(3, 16)
-        x = g.meshgrid()
+        x = meshgrid(g)
         f = ScalarField(g, np.cos(x[0]))
         out = mollify(f, 1.0)
         assert out.values.max() == pytest.approx(np.exp(-0.5), rel=1e-12)

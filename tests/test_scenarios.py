@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import meshgrid
 from hypothesis import given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
@@ -93,6 +94,7 @@ class TestConfig:
         dict(spray_mean_speed=math.nan), dict(spray_mean_speed=math.inf),
         dict(nu=math.inf), dict(t_final=math.inf), dict(dt=math.inf),
         dict(t_final=4e-4, dt=1e-3),
+        dict(spray_init="gaussian"), dict(spray_init="none"),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -156,10 +158,11 @@ class TestConfig:
         # and the snapshots take the run's t
         assert tuple(f.name for f in dataclass_fields(FluidState)) == ("u", "rho", "u_hat")
 
-    @pytest.mark.parametrize("kw", [dict(spray_mass=0.0), dict(spray_init="none")])
+    @pytest.mark.parametrize("kw", [dict(particle_count=1), dict(particle_count=6_000)])
     def test_no_particle_floor_without_a_sampled_spray(self, kw):
-        # a cloud that samples no particle needs no particle count
-        cfg = quick_config(particle_count=1, **kw)
+        # a cloud that samples no particle needs no particle count, and no
+        # budget that holds it
+        cfg = quick_config(spray_mass=0.0, **kw)
         cfg.validate()
         assert initial_cloud(cfg).count == 0
 
@@ -176,13 +179,16 @@ class TestConfig:
             quick_config(dt=0.1, t_final=0.1, spray_mean_speed=5.0).validate()
 
     @pytest.mark.parametrize("kw", [
-        dict(spray_init="gaussian"), dict(spray_init="none"), dict(spray_mass=0.0),
+        dict(spray_mean_speed=0.0), dict(spray_mass=0.0, spray_sigma=5.0),
+        dict(spray_mass=0.0),
     ])
     def test_cfl_advisory_ignores_absent_spray_speed(self, kw):
-        # no spray moves at the mean speed here: h / (1 + 3 * 0.6) = 0.14 > dt
+        # no spray moves at speed 5 here: h / (1 + 3 * 0.6) = 0.14 > dt, and
+        # without a spray h / 1 = 0.39 > dt
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            quick_config(dt=0.1, t_final=0.1, spray_mean_speed=5.0, **kw).validate()
+            quick_config(**{"dt": 0.1, "t_final": 0.1, "spray_mean_speed": 5.0,
+                            **kw}).validate()
 
     def test_config_file_and_overrides(self, tmp_path):
         text = "\n".join([
@@ -237,7 +243,7 @@ class TestInitialData:
     def test_taylor_green_is_the_meshgrid_form(self, dim, n):
         # the 1-D outer products give the full-grid formula bit for bit, signed zeros too
         g = GridSpec(dim, n)
-        x = g.meshgrid()
+        x = meshgrid(g)
         if dim == 2:
             want = [np.sin(x[0]) * np.cos(x[1]), -np.cos(x[0]) * np.sin(x[1])]
         else:
@@ -259,13 +265,13 @@ class TestInitialData:
         assert m2 == pytest.approx(0.4 * (2 * 0.8**2 + 0.3**2), rel=1e-12)
 
     def test_empty_spray(self):
-        cfg = quick_config(spray_init="none")
+        cfg = quick_config(spray_mass=0.0)
         assert initial_cloud(cfg).count == 0
 
 
 class TestRunScenario:
     def test_pure_fluid_when_no_spray(self):
-        res = run_scenario(quick_config(spray_init="none", t_final=0.04))
+        res = run_scenario(quick_config(spray_mass=0.0, t_final=0.04))
         assert res.cloud.count == 0
         assert np.abs(res.fluid.rho.values).max() == 0.0
         for rec in res.records:
@@ -838,7 +844,7 @@ class TestSweep:
     def test_equilibrated_fragments_zero_slip(self):
         # u = 0 and monokinetic fragments at 0: slip metric vanishes
         cfg = quick_config(scenario="bidisperse", fluid_init="zero",
-                           spray_init="gaussian", spray_sigma=0.0,
+                           spray_mean_speed=0.0, spray_sigma=0.0,
                            tau=0.05, t_final=0.03)
         res = run_scenario(cfg)
         assert fragment_slip(res) == pytest.approx(0.0, abs=1e-20)

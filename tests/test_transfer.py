@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import meshgrid
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -56,7 +57,7 @@ def test_gather_vector_shape(rng):
 def test_gather_multilinear_exact_inside_cell():
     # a field linear in each coordinate is reproduced exactly away from the seam
     g = GridSpec(2, 16)
-    mesh = g.meshgrid()
+    mesh = meshgrid(g)
     f = ScalarField(g, 2.0 * mesh[0] - 0.5 * mesh[1])
     pts = np.array([[1.234, 2.345], [0.5, 0.5], [3.0, 1.7]])
     exact = 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
@@ -69,7 +70,7 @@ def test_gather_second_order_convergence(rng):
     errs = []
     for n in (16, 32, 64):
         g = GridSpec(2, n)
-        mesh = g.meshgrid()
+        mesh = meshgrid(g)
         f = ScalarField(g, np.sin(mesh[0]) * np.cos(mesh[1]))
         errs.append(np.abs(cic_gather(f, pts) - exact).max())
     assert errs[0] / errs[1] > 3.0
