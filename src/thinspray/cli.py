@@ -6,8 +6,9 @@ Subcommands:
                sweep_r2's rows, slope and checks ("n/a" and "-" for None)
 
 Exit status: 0 when every check passes, 1 when one fails (a run's summary
-gates, a sweep's result["checks"]), 2 for an invalid configuration, 3 when a
-run aborts on a rejected step.
+gates, a sweep's result["checks"]), 2 for an invalid configuration or a
+file that cannot be read or written (the config file, the output directory),
+3 when a run aborts on a rejected step.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return 2
     except StepRejectedError as err:
         print(f"run aborted: {err}", file=sys.stderr)

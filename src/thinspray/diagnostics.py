@@ -78,11 +78,12 @@ def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of a * b over every entry, with no temporary of their size.
 
-    The scalar particle sums (M2, the remainders) use it too, not w @ v: with
-    several BLAS threads one such dot of 200k entries took 8 ms on a 2-core
-    host, against 0.16 ms on one thread or through einsum.  _moments still
-    forms M1 as w @ xi, which pays that cost: 8.0 ms at 200k x 3 with two
-    BLAS threads, 0.31 ms with one."""
+    The scalar particle sums (M2, the remainders) use it, not w @ v: einsum
+    runs on one thread, while a threaded BLAS dot waits when a core is taken.
+    On a 2-core host, w @ xi at 200k x 3 took 0.16 ms on two BLAS threads
+    and 0.30 ms on one with the host idle, but 3 to 8 ms in runs where the
+    second core was busy; einsum took about 0.15 ms throughout.  _moments
+    still forms M1 as w @ xi, which pays that cost only under such contention."""
     return float(np.einsum(a, list(range(a.ndim)), b, list(range(b.ndim)), []))
 
 

@@ -148,7 +148,12 @@ class SimConfig:
             raise ConfigError("nu must be positive")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be nonnegative")
-        h = self.grid.h  # GridSpec validates n and dim
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        try:
+            h = self.grid.h  # GridSpec validates n and dim
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         u_scale = 1.0 if self.fluid_init == "taylor-green" else 0.0
         if sampled:
             u_scale += abs(self.spray_mean_speed) + 3.0 * self.spray_sigma
@@ -438,8 +443,9 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     All members share the seed, the initial data and the breakup time tau, so
     the matched limit run absorbs into rho at the rate at which the bidisperse
     members fragment.  The members break each parent up on every second step
-    (see run_scenario), so the two rates agree on average over two steps, not
-    on each step.  r2_list is one or more radii in (0, 1), strictly decreasing.
+    (see kinetic.absorb_and_fragment), so the two rates agree on average over
+    two steps, not on each step.  r2_list is one or more radii in (0, 1),
+    strictly decreasing.
     delta(r2) is the fragments' velocity-relaxation metric at the final time;
     rho_mismatch compares their mass density against the limit run's added
     density.  Returns one plain dict, written as sweep.json when
@@ -459,6 +465,9 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     if not r2_list or any(not 0 < v < 1 for v in r2_list):
         raise ConfigError(f"r2_list needs one r2 or more, each in (0, 1), got {r2_list}")
 
+    out = Path(config.output_dir)
+    if config.output_dir:  # before the first run, so a bad directory costs none
+        out.mkdir(parents=True, exist_ok=True)
     limit_cfg = replace(config, scenario="limit", eps=0.0, output_dir="")
     log.info("sweep: running matched limit-system member")
     limit_run = run_scenario(limit_cfg)
@@ -487,7 +496,5 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     result = {"rows": rows, "loglog_slope": slope, "checks": checks,
               "limit_summary": limit_run.summary, "run_summaries": summaries}
     if config.output_dir:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_summary_json(out / "sweep.json", result)
     return result

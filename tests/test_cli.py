@@ -41,6 +41,28 @@ def test_non_finite_option_returns_2(capsys):
     assert "eps must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--n", "12"], ["--dim", "4"], ["--seed", "-1"]])
+@pytest.mark.parametrize("command", ["run", "sweep-r2"])
+def test_bad_grid_or_seed_returns_2_without_traceback(command, flags, capsys):
+    # GridSpec's own check and numpy's seed check end as configuration errors
+    assert main([command, "--dim", "2", "--n", "16", "--particle-count", "500",
+                 "--t-final", "0.004", "--dt", "2e-3", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-r2"])
+def test_unmakeable_output_dir_returns_2_without_traceback(command, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main([command, "--dim", "2", "--n", "16", "--particle-count", "500",
+                 "--t-final", "0.004", "--dt", "2e-3",
+                 "--output-dir", str(tmp_path / "file" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_rejected_step_returns_3_without_traceback(capsys):
     # dt far beyond the CFL limit of the initial flow: the first step is rejected
     with pytest.warns(UserWarning, match="advective scale"):

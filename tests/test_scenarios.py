@@ -95,6 +95,7 @@ class TestConfig:
         dict(nu=math.inf), dict(t_final=math.inf), dict(dt=math.inf),
         dict(t_final=4e-4, dt=1e-3),
         dict(spray_init="gaussian"), dict(spray_init="none"),
+        dict(n=12), dict(dim=4), dict(seed=-1),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -803,6 +804,24 @@ class TestSweep:
         monkeypatch.setattr(sc, "run_scenario", no_run)
         with pytest.raises(ConfigError, match="r2_list"):
             sweep_r2(quick_config(scenario="bidisperse"), [])
+
+    def test_unmakeable_output_dir_fails_before_any_run(self, monkeypatch, tmp_path):
+        # a directory under a regular file cannot be made: the sweep says so
+        # before its first run, not after every member has run
+        runs = []
+        real_run = scenarios.run_scenario
+
+        def counting_run(config):
+            runs.append(config)
+            return real_run(config)
+
+        monkeypatch.setattr(scenarios, "run_scenario", counting_run)
+        (tmp_path / "file").write_text("")
+        cfg = quick_config(scenario="bidisperse", particle_count=500, t_final=0.004,
+                           output_dir=str(tmp_path / "file" / "out"))
+        with pytest.raises(OSError):
+            sweep_r2(cfg, [0.3, 0.2])
+        assert runs == []
 
     def test_single_member_sweep(self):
         cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=0.04,
