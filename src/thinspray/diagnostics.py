@@ -330,6 +330,7 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     r1 = drag_coefficient * _pair(w_tail, terms.u_sq)
     r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, terms.u))
     u_star = cic_gather(u_mollified, cloud.x[terms.index])
-    r3 = (u_mollified.grid.cell_volume * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
+    dv = u_mollified.grid.cell_volume
+    r3 = (dv * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
           + _pair(w_tail, rowwise_dot(xi_tail, u_star - terms.u)))
     return r1, r2, r3

@@ -44,7 +44,8 @@ def test_non_finite_option_returns_2(capsys):
 @pytest.mark.parametrize("flags", [["--n", "12"], ["--dim", "4"], ["--seed", "-1"]])
 @pytest.mark.parametrize("command", ["run", "sweep-r2"])
 def test_bad_grid_or_seed_returns_2_without_traceback(command, flags, capsys):
-    # GridSpec's own check and numpy's seed check end as configuration errors
+    # a grid that GridSpec rejects and a seed that numpy rejects are
+    # configuration errors, found before any set-up
     assert main([command, "--dim", "2", "--n", "16", "--particle-count", "500",
                  "--t-final", "0.004", "--dt", "2e-3", *flags]) == 2
     err = capsys.readouterr().err
