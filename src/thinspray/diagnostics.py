@@ -304,7 +304,8 @@ def check_moment_bound(h: RadialDensity, alpha: float,
 
 
 def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: RecordTerms,
-                              u_mollified: VectorField, *, coupling: float,
+                              u_mollified: VectorField, u_mollified_at_x: np.ndarray, *,
+                              coupling: float,
                               drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
@@ -320,16 +321,19 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
     adds the tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
     record_terms(cloud, u, drag, eps), the record's: it carries u gathered
-    on the tail and its pairing <u, m1>, so u is no argument, and only
-    u_mollified, on u's grid, is paired and gathered here.  All three vanish
-    as eps -> 0 (the cutoff radius 1/eps swallows the sampled velocities).
+    on the tail and its pairing <u, m1>, so u is no argument.  u_mollified,
+    on u's grid, is paired here, and u_mollified_at_x is it gathered at
+    every particle, as the pass that deposited drag returns it
+    (`kinetic.deposit_moments`); only its tail rows are read, so nothing is
+    gathered here.  All three vanish as eps -> 0 (the cutoff radius 1/eps
+    swallows the sampled velocities).
     """
     if np.any(cloud.r != 1.0):
         raise ValueError("the remainders need a cloud of parents only")
     xi_tail, w_tail = cloud.xi[terms.index], cloud.w[terms.index] * terms.defect
     r1 = drag_coefficient * _pair(w_tail, terms.u_sq)
     r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, terms.u))
-    u_star = cic_gather(u_mollified, cloud.x[terms.index])
+    u_star = u_mollified_at_x[terms.index]
     dv = u_mollified.grid.cell_volume
     r3 = (dv * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
           + _pair(w_tail, rowwise_dot(xi_tail, u_star - terms.u)))

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import FieldError
 from .fluid import DragField
 from .grid import TWO_PI, GridSpec, ScalarField, VectorField, wrap_to_torus
-from .transfer import _CHUNK, cic_gather, cic_scatter
+# cic_gather stays importable here: perfbench wraps kinetic.cic_gather
+from .transfer import _CHUNK, cic_gather, cic_scatter  # noqa: F401
 
 # the merge's neighbour query is (1 + eps)-approximate (Arya et al., J. ACM 1998);
 # 3 is the knee of the merge time measured at eps = 1..4 on the bidisperse-merge
@@ -97,7 +98,7 @@ def velocity_cutoff(xi: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 - t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> ParticleCloud:
+def advance_particles(cloud: ParticleCloud, u_at_x: np.ndarray, dt: float) -> ParticleCloud:
     """Advance positions and velocities by one step of the drag dynamics.
 
     A droplet of radius r relaxes in the Stokes time r^2.  With the fluid
@@ -109,32 +110,36 @@ def advance_particles(cloud: ParticleCloud, u: VectorField, dt: float) -> Partic
 
     Unconditionally stable as r -> 0 (xi' -> u, straight-line transport).
     Only the coordinates that left [0, 2π) are wrapped back (`wrap_to_torus`).
-    u is gathered at every particle in one call, into the array that becomes
-    x'; the update then runs over `transfer._CHUNK` rows at a time, writing
-    each chunk's xi' and x' rows in place, so that no other array the size
-    of the cloud is made.  The returned cloud shares w and r with the input;
-    a non-finite x' or xi' raises FieldError, from that cloud.
+    u_at_x is the (N, dim) advecting velocity already gathered at cloud.x,
+    as `deposit_moments` returns it, and it becomes x': the update runs over
+    `transfer._CHUNK` rows at a time, writing each chunk's xi' rows into a
+    new array and its x' rows into u_at_x in place, so that no other array
+    the size of the cloud is made.  The returned cloud holds u_at_x as its
+    x and shares w and r with the input; a non-finite x' or xi' raises
+    FieldError, from that cloud.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    x_new = cic_gather(u, cloud.x)  # u at x; each chunk's rows become x'
+    if (u_at_x.shape != cloud.x.shape or u_at_x.dtype != np.float64
+            or not u_at_x.flags.c_contiguous):  # the chunk rows must be views
+        raise ValueError("u_at_x must be a C-contiguous float (N, dim) array like x")
     xi_new = np.empty_like(cloud.xi)
     for start in range(0, cloud.count, _CHUNK):
         sl = slice(start, start + _CHUNK)
-        up = x_new[sl]
+        up = u_at_x[sl]  # the chunk's rows of u, then of x'
         tau_p = cloud.r[sl, None] ** 2
         decay = np.exp(-dt / tau_p)
         dxi = cloud.xi[sl] - up
         xi = np.multiply(dxi, decay, out=xi_new[sl])
         xi += up
         dxi *= tau_p * (1.0 - decay)
-        up *= dt  # from here on, up holds the chunk's rows of x'
+        up *= dt
         up += cloud.x[sl]
         up += dxi
         flat = up.reshape(-1)  # a view: the rows of one chunk are contiguous
         left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
         flat[left] = wrap_to_torus(flat[left])
-    return ParticleCloud(x_new, xi_new, cloud.w, cloud.r)
+    return ParticleCloud(u_at_x, xi_new, cloud.w, cloud.r)
 
 
 def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float, *,
@@ -176,23 +181,27 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float, *,
     return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
 
 
-def deposit_moments(cloud: ParticleCloud, grid: GridSpec,
-                    cutoff_eps: float | None = None) -> DragField:
-    """Deposit the drag densities m0 and m1 of the cloud, weights w r.
+def deposit_moments(cloud: ParticleCloud, u: VectorField,
+                    cutoff_eps: float | None = None) -> tuple[DragField, np.ndarray]:
+    """Deposit the drag densities m0 and m1 of the cloud, weights w r, on
+    u's grid, and gather u at the particles.
 
     Each particle weighs w times its radius r, the weight with which a
     droplet pulls on the gas under Stokes drag.  With a cutoff width
     `cutoff_eps`, the weight is first multiplied by the smooth velocity
     cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps); a width <= 0 is
     rejected.  One scatter, one corner table per chunk, deposits m0 and
-    the dim components of m1.
+    the dim components of m1 and reads u at every particle, the (N, dim)
+    array returned beside the drag: a run passes the advecting velocity,
+    and the next push takes that array (`advance_particles`).
     """
     w = cloud.w
     if cutoff_eps is not None:
         w = w * velocity_cutoff(cloud.xi, cutoff_eps)
     w = w * cloud.r
-    dens = cic_scatter(grid, cloud.x, w, cloud.xi)
-    return DragField(ScalarField(grid, dens[0]), VectorField(grid, dens[1:]))
+    grid = u.grid
+    dens, u_at_x = cic_scatter(grid, cloud.x, w, cloud.xi, gather=u)
+    return DragField(ScalarField(grid, dens[0]), VectorField(grid, dens[1:])), u_at_x
 
 
 def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, float]:

@@ -1,9 +1,13 @@
 """Scenario orchestration: configuration, time loops, budget summaries, sweeps.
 
 Three scenarios share one step path (fluid step, particle push, breakup,
-one particle-grid pass, density transport, diagnostics).  Unit-radius
-parents break up at rate 1/tau, and ``SimConfig.absorbs`` decides where
-their lost weight goes:
+one particle-grid pass, density transport, diagnostics).  The pass at the
+new positions is both the next step's drag deposit and the next push's
+velocity: it deposits the drag and gathers the advecting velocity u* at
+every particle through one corner table per particle, so the fluid and the
+particles both advance from the u* of the step's start (first-order Lie
+splitting).  Unit-radius parents break up at rate 1/tau, and
+``SimConfig.absorbs`` decides where their lost weight goes:
 
 * ``limit``       - absorbs it into the added density rho, a variable of
                     the fluid state, which multiplies the fluid inertia.
@@ -259,21 +263,25 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     A run's state is the fluid, which carries rho, and the particle cloud;
     t = step * dt is the run's one clock, stamped on each record and
-    snapshot.  Step layout: fluid step -> particle push -> breakup, one
-    absorb_and_fragment call (when config.absorbs, every parent's weight
-    decays by exp(-dt/tau); else the parents take turns and spawn radius-r2
-    fragments) -> merge, whenever the cloud exceeds its budget ->
-    one particle-grid pass at the new positions: the next step's drag
-    deposit -> when config.absorbs, transport of fluid.rho with the one
-    source expm1(dt/tau) m0 / dt, m0 read off that deposit -> diagnostics,
-    which pair grid fields with that deposit (see collect_record).  Every
-    scenario-dependent constant comes from config.absorbs and config.eps.
-    With eps > 0 the deposit is cut off in velocity, and u is mollified
-    once per step, from its carried spectrum; that field advects the
-    particles, the density and, in the next step, the gas.  The push and the
-    breakup are two statements, so that the pre-push positions and
-    velocities die before the breakup allocates, unless an output directory
-    holds them as the last healthy state.
+    snapshot.  Step layout: fluid step -> particle push, in the u* the last
+    pass gathered -> breakup, one absorb_and_fragment call (when
+    config.absorbs, every parent's weight decays by exp(-dt/tau); else the
+    parents take turns and spawn radius-r2 fragments) -> merge, whenever
+    the cloud exceeds its budget -> one particle-grid pass at the new
+    positions: both the next step's drag deposit and the next push's
+    velocity, the advecting u* of the new fluid gathered at every particle
+    through the deposit's corner tables -> when config.absorbs, transport
+    of fluid.rho with the one source expm1(dt/tau) m0 / dt, m0 read off
+    that deposit -> diagnostics, which pair grid fields with that deposit
+    (see collect_record).  So the fluid step and the push both start from
+    the u* of the step's start.  Every scenario-dependent constant comes
+    from config.absorbs and config.eps.  With eps > 0 the deposit is cut
+    off in velocity, and u is mollified once per step, from its carried
+    spectrum; that field u* is what the pass gathers, and it advects the
+    density and, in the next step, the gas.  The push and the breakup are
+    two statements, so that the pre-push positions and velocities die
+    before the breakup allocates, unless an output directory holds them as
+    the last healthy state; the last pass's gathered u* goes unused.
     A step is rejected when it violates the fluid's CFL, max|u| dt/h <= 1, or the
     density step's outflow bound, dt/h times each cell's summed outflow face
     speed <= 1, or when FluidState and ParticleCloud, the one checks of the gas
@@ -304,17 +312,17 @@ def run_scenario(config: SimConfig) -> RunResult:
     u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
     records = []
 
-    def record(t, drag):  # of the current fluid and cloud, and the cloud's deposit
+    def record(t, drag, u_at_x):  # of the current fluid and cloud, and the cloud's pass
         terms = record_terms(cloud, fluid.u, drag, eps)
         remainders = regularization_remainders(
-            cloud, drag, terms, u_star, coupling=coupling,
+            cloud, drag, terms, u_star, u_at_x, coupling=coupling,
             drag_coefficient=drag_coeff) if eps else (0.0, 0.0, 0.0)
         records.append(collect_record(t, fluid, cloud, drag, terms,
                                       liquid=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
-    drag = deposit_moments(cloud, grid, eps)
-    record(0.0, drag)
+    drag, u_at_x = deposit_moments(cloud, u_star, eps)
+    record(0.0, drag, u_at_x)
     lemma_checks, merge_m2_max = [], 0.0
     # only the snapshot on abort reads the last healthy state: without an
     # output directory none is held, so the old one dies with its step
@@ -327,8 +335,11 @@ def run_scenario(config: SimConfig) -> RunResult:
             fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu, coupling=coupling)
             del drag  # so one drag field is alive when the pass below makes the next
             u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
-            # two statements, so the pre-push x and xi die before the breakup allocates
-            cloud = advance_particles(cloud, u_star, config.dt)
+            # two statements, so the pre-push x and xi die before the breakup
+            # allocates; u_at_x becomes the pushed x, which a fragmenting
+            # breakup replaces, so the name lets go of it
+            cloud = advance_particles(cloud, u_at_x, config.dt)
+            del u_at_x
             cloud = absorb_and_fragment(cloud, config.dt, config.tau,
                                         radius=fragment_radius, step=step)
             if cloud.count > config.particle_budget:
@@ -336,11 +347,11 @@ def run_scenario(config: SimConfig) -> RunResult:
                 merge_m2_max = max(merge_m2_max, m2_err)
                 if m2_err > 0.01:
                     log.warning("merge pass changed spray energy by %.2e", m2_err)
-            drag = deposit_moments(cloud, grid, eps)
+            drag, u_at_x = deposit_moments(cloud, u_star, eps)
             if config.absorbs:  # replace re-runs FluidState's check on the new rho
                 fluid = replace(fluid, rho=density_step(
                     fluid.rho, u_star, ScalarField(grid, gain * drag.m0.values), config.dt))
-            record(t, drag)
+            record(t, drag, u_at_x)
             if step % lemma_stride == 0 and cloud.count:
                 hist = radial_histogram(cloud)
                 for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):

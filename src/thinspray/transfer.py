@@ -9,14 +9,17 @@ deterministic for a fixed particle order.  Both loop over particle chunks
 and build one corner index/weight table per chunk, small enough to stay cache
 resident; cic_gather reads every field component through it, and
 cic_scatter deposits through it the weights w and, given velocities v, the
-charges w * v_j, component first.
+charges w * v_j, component first.  Given a field to gather, cic_scatter
+also reads it through the same table: a run's one particle-grid pass per
+step deposits the drag and gathers the next push's velocity with one table
+per particle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, GridSpec, ScalarField
+from .grid import Field, GridSpec, ScalarField, VectorField
 
 _CHUNK = 8192
 
@@ -52,6 +55,19 @@ def _corner_flats_weights(grid: GridSpec, x: np.ndarray):
     return flat.reshape(2**dim, npart), w.reshape(2**dim, npart)
 
 
+def _chunks(grid: GridSpec, x: np.ndarray):
+    """(rows, flat, w) of each chunk of x: its slice and its corner table."""
+    for start in range(0, x.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        yield (sl, *_corner_flats_weights(grid, x[sl]))
+
+
+def _interpolate(comps, flat, w, out):
+    """Each component read through one chunk's corner table into out's columns."""
+    for col, comp in enumerate(comps):
+        out[:, col] = np.einsum("cn,cn->n", w, comp[flat])
+
+
 def cic_gather(field: Field, x: np.ndarray) -> np.ndarray:
     """Interpolate a grid field at positions x: (N,) for a scalar field,
     (N, dim) for a vector field.  x may hold any finite positions.  Exact for
@@ -61,35 +77,39 @@ def cic_gather(field: Field, x: np.ndarray) -> np.ndarray:
     comps = field.values.reshape(-1, grid.n**grid.dim)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = np.empty((x.shape[0], len(comps)))
-    for start in range(0, x.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        flat, w = _corner_flats_weights(grid, x[sl])
-        for col, comp in enumerate(comps):
-            out[sl, col] = np.einsum("cn,cn->n", w, comp[flat])
+    for sl, flat, w in _chunks(grid, x):
+        _interpolate(comps, flat, w, out[sl])
     return out[:, 0] if isinstance(field, ScalarField) else out
 
 
 def cic_scatter(grid: GridSpec, x: np.ndarray, w: np.ndarray,
-                v: np.ndarray | None = None) -> np.ndarray:
+                v: np.ndarray | None = None, gather: VectorField | None = None):
     """Deposit per-particle weights w as a density array (divided by cell volume).
 
     Without v the result has the grid shape and integrates (cell_volume * sum)
     back to sum(w) up to rounding.  With v of shape (N, k) it is the
     (1 + k,) + grid.shape stack of the densities of w, then of w * v[:, j]
     for each column j; those charges are formed chunk by chunk, so no
-    (N, 1 + k) array is built.  x may hold any finite positions.
+    (N, 1 + k) array is built.  x may hold any finite positions.  Given a
+    vector field `gather` on the same grid, each chunk's corner table also
+    interpolates it, and the call returns (density, cic_gather(gather, x)),
+    both bit for bit what the two one-sided calls return.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     cols = () if v is None else v.T
     ncells = grid.n**grid.dim
     acc = np.zeros((1 + len(cols), ncells))
-    for start in range(0, x.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        flat, corner_w = _corner_flats_weights(grid, x[sl])
+    if gather is not None:
+        comps = gather.values.reshape(-1, ncells)
+        out = np.empty((x.shape[0], len(comps)))
+    for sl, flat, corner_w in _chunks(grid, x):
         raveled = flat.ravel()
         ws = w[sl]
         for row, qs in zip(acc, [ws, *(ws * col[sl] for col in cols)]):
             row += np.bincount(raveled, weights=(corner_w * qs).ravel(), minlength=ncells)
+        if gather is not None:
+            _interpolate(comps, flat, corner_w, out[sl])
     acc /= grid.cell_volume
     dens = acc.reshape((len(acc),) + grid.shape)
-    return dens[0] if v is None else dens
+    dens = dens[0] if v is None else dens
+    return dens if gather is None else (dens, out)

@@ -168,9 +168,9 @@ class TestBudgets:
 def remainders(cloud, u, u_mollified, eps):
     """The remainders of a regularized record at tau = 1, paired with its drag
     deposit."""
-    drag = deposit_moments(cloud, u.grid, eps)
+    drag, u_mollified_at_x = deposit_moments(cloud, u_mollified, eps)
     terms = record_terms(cloud, u, drag, eps)
-    return regularization_remainders(cloud, drag, terms, u_mollified,
+    return regularization_remainders(cloud, drag, terms, u_mollified, u_mollified_at_x,
                                      coupling=2.0, drag_coefficient=1.5)
 
 
@@ -224,7 +224,7 @@ def test_transient_memory_of_one_record(eps):
     fluid = FluidState(u, ScalarField(g, rng.random(g.shape)))
     cloud = make_cloud(rng.uniform(0, g.length, (500, 3)), 2.0 * rng.standard_normal((500, 3)),
                        rng.random(500))
-    drag = deposit_moments(cloud, g, eps)
+    drag = deposit_moments(cloud, u, eps)[0]
     terms = record_terms(cloud, u, drag, eps)
     liquid = liquid_volume(cloud)
     size = u.values.nbytes
@@ -270,7 +270,7 @@ def test_property_paired_record_matches_gathered_sums(case):
     g, cloud, eps, seed = case
     rng = np.random.default_rng(seed)
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
-    drag = deposit_moments(cloud, g, eps)
+    drag, u_star_at_x = deposit_moments(cloud, u_star, eps)
     terms = record_terms(cloud, u, drag, eps)
     record = collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag, terms,
                             liquid=liquid_volume(cloud))
@@ -285,8 +285,8 @@ def test_property_paired_record_matches_gathered_sums(case):
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
-    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u_star, coupling=coupling,
-                                           drag_coefficient=drag_coeff)
+    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u_star, u_star_at_x,
+                                           coupling=coupling, drag_coefficient=drag_coeff)
     _assert_sum_matches(r1, [drag_coeff * w * u_sq * (1.0 - cut)])
     _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])
     _assert_sum_matches(r3, [w * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),

@@ -27,6 +27,16 @@ def uniform_velocity(grid, vec):
     return VectorField.from_components(grid, *comps)
 
 
+def push(cloud, u, dt):
+    """advance_particles in the field u, gathered at the cloud as a run's pass gathers it."""
+    return advance_particles(cloud, cic_gather(u, cloud.x), dt)
+
+
+def deposit(cloud, grid, eps=None):
+    """The drag deposit of a pass that gathers a zero field."""
+    return deposit_moments(cloud, VectorField.zeros(grid), eps)[0]
+
+
 def random_cloud(rng, n, dim=3, r=None):
     return ParticleCloud(
         rng.uniform(0, 2 * np.pi, (n, dim)),
@@ -46,7 +56,7 @@ def relax_time(r, dt=0.01):
     g = GridSpec(2, 16)
     cloud = ParticleCloud(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]),
                           np.array([1.0]), np.array([r]))
-    out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), dt)
+    out = push(cloud, uniform_velocity(g, (0.0, 0.0)), dt)
     return -dt / np.log(out.xi[0, 0])
 
 
@@ -93,7 +103,7 @@ class TestVelocityCutoff:
             velocity_cutoff(np.zeros((1, 3)), 0.0)
         cloud = random_cloud(np.random.default_rng(0), 5)
         with pytest.raises(ValueError):
-            deposit_moments(cloud, GridSpec(3, 8), -1.0)
+            deposit(cloud, GridSpec(3, 8), -1.0)
 
 
 class TestAdvanceParticles:
@@ -103,7 +113,7 @@ class TestAdvanceParticles:
         x0 = np.array([[1.0, 2.0, 3.0]])
         cloud = ParticleCloud(x0, np.array([[0.3, -0.1, 0.2]]),
                               np.array([1.0]), np.array([1.0]))
-        out = advance_particles(cloud, u, 0.25)
+        out = push(cloud, u, 0.25)
         assert np.abs(out.xi[0] - cloud.xi[0]).max() < 1e-14
         assert np.abs(out.x[0] - (x0[0] + 0.25 * cloud.xi[0])).max() < 1e-13
 
@@ -112,7 +122,7 @@ class TestAdvanceParticles:
         u = uniform_velocity(g, (1.0, 0.0, 0.0))
         cloud = ParticleCloud(np.array([[0.0, 0.0, 0.0]]), np.array([[5.0, 5.0, 5.0]]),
                               np.array([1.0]), np.array([0.01]))
-        out = advance_particles(cloud, u, 1.0)  # dt/r^2 = 1e4
+        out = push(cloud, u, 1.0)  # dt/r^2 = 1e4
         assert np.abs(out.xi[0] - np.array([1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_matches_ode_oracle(self):
@@ -124,7 +134,7 @@ class TestAdvanceParticles:
         x0 = np.array([1.0, 2.0, 3.0])
         xi0 = np.array([0.5, -1.0, 2.0])
         cloud = ParticleCloud(x0[None], xi0[None], np.array([1.0]), np.array([r]))
-        out = advance_particles(cloud, u, 0.1)
+        out = push(cloud, u, 0.1)
 
         def rhs(t, y):
             return np.concatenate([y[3:], (uvec - y[3:]) / r**2])
@@ -139,7 +149,7 @@ class TestAdvanceParticles:
         u = uniform_velocity(g, (10.0, 0.0))
         cloud = ParticleCloud(np.array([[6.0, 1.0]]), np.array([[10.0, 0.0]]),
                               np.array([1.0]), np.array([1.0]))
-        out = advance_particles(cloud, u, 0.1)
+        out = push(cloud, u, 0.1)
         assert 0 <= out.x[0, 0] < g.length
 
     def test_tiny_negative_position_wraps_below_length(self):
@@ -147,7 +157,7 @@ class TestAdvanceParticles:
         g = GridSpec(2, 16)
         cloud = ParticleCloud(np.array([[0.0, 1.0]]), np.array([[-1e-14, 0.0]]),
                               np.array([1.0]), np.array([1.0]))
-        out = advance_particles(cloud, uniform_velocity(g, (0.0, 0.0)), 1e-3)
+        out = push(cloud, uniform_velocity(g, (0.0, 0.0)), 1e-3)
         assert np.all((out.x >= 0.0) & (out.x < g.length))
 
     def test_chunks_match_the_whole_array_update(self):
@@ -161,7 +171,7 @@ class TestAdvanceParticles:
         cloud.x[-2:, 0], cloud.xi[-2:, 0] = [TWO_PI - 1e-3, 1e-3], [20.0, -20.0]
         u = VectorField(g, rng.standard_normal((3,) + g.shape))
         dt = 0.02
-        out = advance_particles(cloud, u, dt)
+        out = push(cloud, u, dt)
         up = cic_gather(u, cloud.x)
         tau = cloud.r[:, None] ** 2
         decay = np.exp(-dt / tau)
@@ -176,16 +186,31 @@ class TestAdvanceParticles:
         assert out.x.tobytes() == x_new.tobytes()
 
     def test_transient_memory_of_one_push(self):
-        # u is gathered once, into the array that becomes x', and the update
-        # runs chunk by chunk: beyond x' and xi' a push holds small chunks
-        # and the gather's own tables (4.0 times x before the chunks)
+        # the gathered u becomes x' in place and the update runs chunk by
+        # chunk: beyond xi' a push holds small chunks (1.15 times x in all);
+        # a push that made x' anew would hold 2.15
         g = GridSpec(3, 32)
         rng = np.random.default_rng(28)
         n = 200_000
         cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.5))
         u = VectorField(g, rng.standard_normal((3,) + g.shape))
-        peak = transient_peak(lambda: advance_particles(cloud, u, 1e-3))
-        assert peak <= 2.5 * cloud.x.nbytes
+        u_at_x = cic_gather(u, cloud.x)  # the second call pushes from the first's x'
+        peak = transient_peak(lambda: advance_particles(cloud, u_at_x, 1e-3))
+        assert peak <= 1.25 * cloud.x.nbytes
+
+    def test_gathered_velocity_becomes_x(self):
+        g = GridSpec(2, 16)
+        cloud = random_cloud(np.random.default_rng(29), 10, dim=2)
+        u_at_x = cic_gather(VectorField.zeros(g), cloud.x)
+        assert advance_particles(cloud, u_at_x, 0.1).x is u_at_x
+
+    @pytest.mark.parametrize("bad", [np.zeros((9, 2)), np.zeros((10, 3)),
+                                     np.zeros((2, 10)).T, np.zeros((10, 2), dtype=int)])
+    def test_gathered_velocity_must_fit_x(self, bad):
+        # the chunk update writes x' through views of u_at_x's rows
+        cloud = random_cloud(np.random.default_rng(30), 10, dim=2)
+        with pytest.raises(ValueError, match="u_at_x"):
+            advance_particles(cloud, bad, 0.1)
 
 
 def _old_absorb(cloud, dt, tau, breaks=None):
@@ -427,7 +452,7 @@ class TestDepositMoments:
         xi = np.array([[0.5, -1.0, 2.0]])
         cloud = ParticleCloud(np.array([[g.h, 2 * g.h, 3 * g.h]]), xi,
                               np.array([2.0]), np.array([1.0]))
-        drag = deposit_moments(cloud, g)
+        drag = deposit(cloud, g)
         assert integral(drag.m0) == pytest.approx(2.0, rel=1e-13)
         assert np.asarray(integral(drag.m1)) == pytest.approx(2.0 * xi[0], rel=1e-13)
 
@@ -439,7 +464,7 @@ class TestDepositMoments:
                               np.array([1.0]), np.array([1.0]))
         cut = velocity_cutoff(xi, eps)[0]
         assert 0.0 < cut < 1.0
-        drag = deposit_moments(cloud, g, eps)
+        drag = deposit(cloud, g, eps)
         assert integral(drag.m0) == pytest.approx(cut, rel=1e-12)
 
     def test_total_matches_weighted_sum(self):
@@ -447,24 +472,26 @@ class TestDepositMoments:
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 20000)
         eps = 0.8
-        drag = deposit_moments(cloud, g, eps)
+        drag = deposit(cloud, g, eps)
         expected = np.sum(cloud.w * velocity_cutoff(cloud.xi, eps))
         assert integral(drag.m0) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_cloud(self):
         g = GridSpec(2, 16)
-        drag = deposit_moments(ParticleCloud.empty(2), g)
+        drag = deposit(ParticleCloud.empty(2), g)
         assert np.abs(drag.m0.values).max() == 0.0
 
     @pytest.mark.parametrize("eps", [None, 0.25])
     def test_transient_memory_of_one_deposit(self, eps):
         # the charges w xi_j are formed chunk by chunk: a deposit holds w r,
-        # the cutoff's temporaries and the 1 + dim densities (1.28 and 1.33
-        # times x); an (N, 1 + dim) charge array would add 1.33 times x
+        # the cutoff's temporaries, the 1 + dim densities and the gathered u,
+        # the size of x (2.28 times x, with or without the cutoff); an
+        # (N, 1 + dim) charge array would add 1.33 times x
         g = GridSpec(3, 32)
         cloud = sample_gaussian_spray(g, 200_000, 1.0, 0.0, 1.0, seed=5)
-        peak = transient_peak(lambda: deposit_moments(cloud, g, eps))
-        assert peak <= 1.5 * cloud.x.nbytes
+        u = VectorField.zeros(g)
+        peak = transient_peak(lambda: deposit_moments(cloud, u, eps))
+        assert peak <= 2.5 * cloud.x.nbytes
 
 
 class TestMerge:
@@ -817,17 +844,19 @@ def _pass_cases(draw):
     r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, R2])))
     cloud = ParticleCloud(x, xi, draw(weights), r)
     eps = draw(st.none() | st.sampled_from([0.3, 1.0]))
-    return GridSpec(dim, n), cloud, eps
+    return GridSpec(dim, n), cloud, eps, draw(st.integers(0, 2**32 - 1))
 
 
 @given(_pass_cases())
 def test_property_pass_matches_one_sided_kernels(case):
-    # the one scatter of a step against scalar scatters of w and of each w xi_j,
-    # with w formed as deposit_moments forms it
-    g, cloud, eps = case
-    drag = deposit_moments(cloud, g, eps)
+    # the one pass of a step against scalar scatters of w and of each w xi_j,
+    # with w formed as deposit_moments forms it, and against the gather of u
+    g, cloud, eps, seed = case
+    u = VectorField(g, np.random.default_rng(seed).standard_normal((g.dim,) + g.shape))
+    drag, u_at_x = deposit_moments(cloud, u, eps)
     w = cloud.w if eps is None else cloud.w * velocity_cutoff(cloud.xi, eps)
     w = w * cloud.r
     ref = [cic_scatter(g, cloud.x, w),
            *(cic_scatter(g, cloud.x, w * xi_j) for xi_j in cloud.xi.T)]
     assert np.array_equal(np.stack([drag.m0.values, *drag.m1.values]), np.stack(ref))
+    assert np.array_equal(u_at_x, cic_gather(u, cloud.x))

@@ -458,6 +458,32 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("scenario, eps", [
         ("limit", 0.0), ("bidisperse", 0.0), ("regularized", 0.5)])
+    def test_push_takes_the_last_pass_velocity(self, monkeypatch, scenario, eps):
+        # the pass at the end of step k gathers the u* that step k+1's push
+        # reads: the push receives that very array, with the values the pass
+        # gathered, and the last pass's array goes unused
+        import thinspray.scenarios as sc
+
+        passed, received = [], []
+
+        def deposit(*args, _real=sc.deposit_moments):
+            drag, u_at_x = _real(*args)
+            passed.append((u_at_x, u_at_x.copy()))
+            return drag, u_at_x
+
+        def advance(cloud, u_at_x, *args, _real=sc.advance_particles):
+            received.append((u_at_x, u_at_x.copy()))
+            return _real(cloud, u_at_x, *args)
+        monkeypatch.setattr(sc, "deposit_moments", deposit)
+        monkeypatch.setattr(sc, "advance_particles", advance)
+        cfg = quick_config(scenario=scenario, eps=eps, tau=0.05, t_final=8e-3)
+        run_scenario(cfg)
+        assert len(passed) == cfg.steps + 1 and len(received) == cfg.steps
+        for (out, values), (got, got_values) in zip(passed, received):
+            assert got is out and np.array_equal(got_values, values)
+
+    @pytest.mark.parametrize("scenario, eps", [
+        ("limit", 0.0), ("bidisperse", 0.0), ("regularized", 0.5)])
     def test_pre_push_positions_die_before_breakup(self, monkeypatch, scenario, eps):
         # the push and the breakup are two statements: without an output
         # directory nothing holds the pushed cloud's x when the breakup runs
@@ -697,23 +723,24 @@ class TestRunScenario:
         return sizes
 
     @pytest.mark.parametrize("scenario, eps, per_step", [
-        pytest.param("limit", 0.0, 2, id="limit-2"),
-        pytest.param("bidisperse", 0.0, 2, id="bidisperse-2"),
-        pytest.param("regularized", 0.05, 2, id="regularized-2")])
+        pytest.param("limit", 0.0, 1, id="limit-1"),
+        pytest.param("bidisperse", 0.0, 1, id="bidisperse-1"),
+        pytest.param("regularized", 0.05, 1, id="regularized-1")])
     def test_corner_tables_per_step(self, monkeypatch, scenario, eps, per_step):
         # with fewer particles than one chunk, every particle-grid transfer
-        # builds one corner table: the push gather and the one pass at the
-        # new positions (the density step gathers nothing); the record pairs
-        # with the pass's deposit and gathers nothing (the cutoff radius
-        # 1/0.05 = 20 reaches no sampled velocity)
+        # builds one corner table: the one pass at the new positions, which
+        # deposits the drag and gathers the next push's velocity (the push
+        # and the density step gather nothing); the record pairs with the
+        # pass's deposit and gathers nothing (the cutoff radius 1/0.05 = 20
+        # reaches no sampled velocity)
         calls = self._count_tables(monkeypatch)
         assert self._calls_per_step(scenario, calls, eps) == per_step
 
     def test_corner_tables_of_the_cutoff_tail(self, monkeypatch):
         # eps = 0.5 reaches the sampled speeds above 2: every record gathers
         # u and |u|^2 (record_terms, read by collect_record and the
-        # remainders) and u_star (the remainders) at those particles alone,
-        # three tables beyond the two of a step
+        # remainders) at those particles alone, two tables beyond the one of
+        # a step; the remainders read u_star off the pass
         import thinspray.scenarios as sc
 
         tails = []
@@ -726,8 +753,8 @@ class TestRunScenario:
         steps, count = 5, 200
         run_scenario(self._table_config(steps, "regularized", 0.5))
         assert len(tails) == steps + 1 and all(0 < t < count for t in tails)
-        assert len(sizes) == 1 + 2 * steps + 3 * len(tails)
-        assert [s for s in sizes if s != count] == [t for t in tails for _ in range(3)]
+        assert len(sizes) == 1 + steps + 2 * len(tails)
+        assert [s for s in sizes if s != count] == [t for t in tails for _ in range(2)]
 
     def test_outputs_written(self, tmp_path):
         cfg = quick_config(output_dir=str(tmp_path), snapshot_stride=5)

@@ -248,3 +248,31 @@ def test_property_gather_is_a_convex_combination(case):
     tol = 1e-14 * float(np.abs(values).max())
     assert np.all(got >= comps.min(axis=1) - tol)
     assert np.all(got <= comps.max(axis=1) + tol)
+
+
+@st.composite
+def _pass_cases(draw):
+    """Positions up to two periods below and above the box, half of them on
+    grid nodes, for an empty cloud, a few particles or one chunk give or
+    take one, velocities or none, and a vector field to gather."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([8, 16]))
+    count = draw(st.sampled_from([0, 1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-2 * _LENGTH, 3 * _LENGTH, (count, dim))
+    x[:count // 2] = np.floor(x[:count // 2] / (_LENGTH / n)) * (_LENGTH / n)  # on nodes
+    w = rng.uniform(0.0, 2.0, count)
+    v = rng.standard_normal((count, dim)) if draw(st.booleans()) else None
+    g = GridSpec(dim, n)
+    return g, x, w, v, VectorField(g, rng.standard_normal((dim,) + g.shape))
+
+
+@given(_pass_cases())
+def test_property_pass_matches_one_sided_calls(case):
+    # a scatter that also gathers returns, bit for bit, the deposit alone
+    # and the gather alone
+    g, x, w, v, field = case
+    dens, gathered = cic_scatter(g, x, w, v, gather=field)
+    assert np.array_equal(dens, cic_scatter(g, x, w, v))
+    assert np.array_equal(gathered, cic_gather(field, x))
+    assert gathered.shape == (len(x), g.dim)
