@@ -482,6 +482,31 @@ class TestRunScenario:
         for (out, values), (got, got_values) in zip(passed, received):
             assert got is out and np.array_equal(got_values, values)
 
+    def test_pushed_positions_die_before_a_fragmenting_pass(self, monkeypatch):
+        # the push writes x' into the array the last pass gathered; a
+        # fragmenting breakup concatenates a new x, and nothing else holds
+        # the pushed one when the next pass allocates
+        import weakref
+
+        import thinspray.scenarios as sc
+
+        pushed, alive = [], []
+
+        def advance(*args, _real=sc.advance_particles):
+            out = _real(*args)
+            pushed.append(weakref.ref(out.x))
+            return out
+
+        def deposit(*args, _real=sc.deposit_moments):
+            if pushed:
+                alive.append(pushed[-1]() is not None)
+            return _real(*args)
+        monkeypatch.setattr(sc, "advance_particles", advance)
+        monkeypatch.setattr(sc, "deposit_moments", deposit)
+        cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=8e-3)
+        run_scenario(cfg)
+        assert alive == [False] * cfg.steps
+
     @pytest.mark.parametrize("scenario, eps", [
         ("limit", 0.0), ("bidisperse", 0.0), ("regularized", 0.5)])
     def test_pre_push_positions_die_before_breakup(self, monkeypatch, scenario, eps):
