@@ -72,18 +72,17 @@ class DiagnosticsRecord:
 
 def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
     """(M0, M1, M2) of weights w, given the velocities and their squares."""
-    return float(w.sum()), w @ xi, _pair(w, xi_sq)
+    return float(w.sum()), np.array([_pair(w, v) for v in xi.T]), _pair(w, xi_sq)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of a * b over every entry, with no temporary of their size.
 
-    The scalar particle sums (M2, the remainders) use it, not w @ v: einsum
-    runs on one thread, while a threaded BLAS dot waits when a core is taken.
-    On a 2-core host, w @ xi at 200k x 3 took 0.16 ms on two BLAS threads
-    and 0.30 ms on one with the host idle, but 3 to 8 ms in runs where the
-    second core was busy; einsum took about 0.15 ms throughout.  _moments
-    still forms M1 as w @ xi, which pays that cost only under such contention."""
+    Every particle sum (M1 by component, M2, the remainders) uses it, not
+    w @ v: einsum runs on one thread, while a threaded BLAS dot waits when a
+    core is taken.  On a 2-core host at 200k x 3, w @ xi took 0.16 ms on two
+    BLAS threads and 0.30 ms on one with the host idle, but 3 to 8 ms when the
+    second core was busy; the three einsum component sums take about 1 ms."""
     return float(np.einsum(a, list(range(a.ndim)), b, list(range(b.ndim)), []))
 
 

@@ -13,7 +13,6 @@ cloud or becomes fragments, spawned by the parents in turns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,73 +321,29 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int):
     )
 
 
-def _scrambled_halton(count: int, dim: int, seed: int) -> np.ndarray:
-    """The first `count` points of Owen's scrambled Halton sequence in [0, 1)^dim,
-    dim <= 3 (Owen, arXiv:1706.02808), bit for bit those of
-    scipy.stats.qmc.Halton(d=dim, scramble=True, seed=seed).random(count).
-
-    Coordinate k takes the k-th prime base b.  One generator, seeded once,
-    shuffles a permutation of the digits 0..b-1 for each of the digit
-    positions a double resolves, ceil(54 / log2 b) - 1, base after base; all
-    of them are shuffled before any point is formed, so the stream is scipy's.
-    The point i is the radical inverse of i in base b with digit j replaced
-    by perm_j[digit], the terms perm_j[digit] b^-(j+1) summed as scipy sums
-    them.  The points are formed `transfer._CHUNK` indices at a time, so each
-    digit pass runs on block-sized arrays and no count-sized temporary is made.
-
-    Base 2 is one exact integer: every term is 0 or 2^-(j+1), j < 53, so
-    every partial sum is exact and the sum is bits * 2^-53, where bit 52 - j
-    of `bits` is perm_j[digit j], that is digit j xor perm_j[0].  Bases 3 and
-    5 look each term up in a per-position table perm_j b^-(j+1) and add it in
-    scipy's order; once the block's largest index has run out of digits,
-    every later digit is 0 and adds the constant perm_j[0] b^-(j+1).
-    """
-    rng = np.random.default_rng(seed)
-    perms = []
-    for base in (2, 3, 5)[:dim]:
-        perm = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for row in perm:
-            rng.shuffle(row)
-        perms.append(perm)
-    flip = sum(int(p0) << (52 - j) for j, p0 in enumerate(perms[0][:, 0]))
-    tables = []
-    for perm in perms[1:]:
-        base = perm.shape[1]
-        b2r, table = 1.0 / base, []
-        for row in perm:
-            table.append(row * b2r)
-            b2r /= base
-        tables.append(table)
-    out = np.empty((count, dim))
-    for start in range(0, count, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        index = np.arange(start, min(start + _CHUNK, count))
-        top = int(index[-1])
-        bits = np.full(index.shape, flip, dtype=np.int64)
-        for j in range(top.bit_length()):
-            bits ^= (index >> j & 1) << (52 - j)
-        out[sl, 0] = bits * 2.0**-53
-        for k, table in enumerate(tables, 1):
-            base, digits_top = len(table[0]), top
-            q, v = index, np.zeros(index.shape)
-            for row in table:
-                if digits_top > 0:
-                    nq = q // base
-                    v += row[q - nq * base]
-                    q, digits_top = nq, digits_top // base
-                else:
-                    v += row[0]
-            out[sl, k] = v
-    return out
+def _kronecker_points(count: int, dim: int, seed: int) -> np.ndarray:
+    """Points i = 0..count-1 of the Kronecker (R_d) lattice, 2π ((s + i alpha)
+    mod 1), with alpha_j = phi^-j, j = 1..dim, phi the positive root of
+    x^(dim+1) = x + 1 and the shift s = default_rng(seed).random(dim) (Kuipers &
+    Niederreiter 1974; Cranley & Patterson 1976).  They are formed in place: the
+    index column is the one other count-sized array made."""
+    phi = 2.0
+    for _ in range(64):  # a contraction: phi = (1 + phi)^(1/(dim+1)) converges
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    x = np.arange(count)[:, None] * phi ** -np.arange(1.0, dim + 1)
+    x += np.random.default_rng(seed).random(dim)
+    np.mod(x, 1.0, out=x)
+    x *= TWO_PI
+    return x
 
 
 def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
                           mean_velocity, sigma: float, seed: int) -> ParticleCloud:
     """Sample a spray of unit-radius parents uniform in x with Gaussian velocities.
 
-    Positions are the first `count` points of the scrambled Halton sequence
-    of `seed` (`_scrambled_halton`, the points scipy's qmc.Halton draws),
-    scaled to the box; velocities are Gaussian, then recentred and rescaled
+    Positions are a Kronecker lattice shifted by `seed` (`_kronecker_points`),
+    a low-discrepancy set whose deposit is quieter than a random cloud's;
+    velocities are Gaussian, drawn from seed + 1, then recentred and rescaled
     so the cloud's number, momentum and second moment match the analytic
     values exactly:
 
@@ -400,7 +355,7 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
         raise ValueError("need at least 2 particles to match moments")
     dim = grid.dim
     mean_velocity = np.broadcast_to(np.asarray(mean_velocity, dtype=np.float64), (dim,))
-    x = _scrambled_halton(count, dim, seed) * grid.length
+    x = _kronecker_points(count, dim, seed)
     rng = np.random.default_rng(seed + 1)
     xi = rng.standard_normal((count, dim))
     xi -= xi.mean(axis=0)

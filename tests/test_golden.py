@@ -9,7 +9,9 @@ deliberate change of the numerics) with
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
-which reruns and rewrites the named cases, every case when none is named.
+which reruns and rewrites the named cases, every case when none is named,
+and prints for each how many values moved past RTOL/ATOL and its largest
+relative move.
 The stored values of the cases not named stay byte for byte: the file is
 kept in the one form that ``json.dumps(..., indent=1, sort_keys=True)``
 writes, and a float's repr reads back to the same float.
@@ -72,14 +74,41 @@ def _dumps(data: dict) -> str:
     return json.dumps(data, indent=1, sort_keys=True) + "\n"
 
 
-def regenerate(names, path=GOLDEN):
-    """Rerun the named cases and rewrite their stored values in path."""
+def _same(have, want) -> bool:
+    if isinstance(want, float):
+        return math.isclose(have, want, rel_tol=RTOL, abs_tol=ATOL)
+    return have == want
+
+
+def _moves(name: str, old: dict, new: dict) -> str:
+    """One line: how many of a case's values moved past RTOL/ATOL from old to
+    new, a key that one of them lacks counting as moved, and the largest
+    relative move among the nonzero stored floats that moved, with its key."""
+    moved = {key for key in old.keys() | new.keys()
+             if key not in old or key not in new or not _same(new[key], old[key])}
+    rel = {key: abs(new[key] - old[key]) / abs(old[key]) for key in moved & old.keys()
+           if isinstance(old[key], float) and old[key] and isinstance(new.get(key), float)}
+    line = f"{name}: {len(moved)} of {len(new)} values moved past RTOL/ATOL"
+    if rel:
+        key = max(sorted(rel), key=rel.get)
+        line += f"; largest relative move {rel[key]:.3e} at {key}"
+    return line
+
+
+def regenerate(names, path=GOLDEN) -> list[str]:
+    """Rerun the named cases, rewrite their stored values in path and return
+    one line per case saying how far its values moved (`_moves`)."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown case(s) {unknown}; pick from {sorted(CASES)}")
     data = json.loads(path.read_text())
-    data.update({name: case_values(CASES[name]) for name in names})
+    report = []
+    for name in names:
+        new = case_values(CASES[name])
+        report.append(_moves(name, data.get(name, {}), new))
+        data[name] = new
     path.write_text(_dumps(data))
+    return report
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -88,12 +117,7 @@ def test_golden_summary(name):
     got = case_values(CASES[name])
     assert sorted(got) == sorted(expected)
     for key, want in expected.items():
-        have = got[key]
-        if isinstance(want, float) and not isinstance(want, bool):
-            assert math.isclose(have, want, rel_tol=RTOL, abs_tol=ATOL), \
-                f"{name} {key}: {have!r} != {want!r}"
-        else:
-            assert have == want, f"{name} {key}: {have!r} != {want!r}"
+        assert _same(got[key], want), f"{name} {key}: {got[key]!r} != {want!r}"
 
 
 def test_merging_case_merges(monkeypatch):
@@ -132,7 +156,9 @@ def test_regenerating_one_case_keeps_the_others(tmp_path, monkeypatch):
     path.write_text(GOLDEN.read_text())
     # a shorter run, so that the rewritten values differ from the stored ones
     monkeypatch.setitem(CASES, "limit-2d", dict(CASES["limit-2d"], t_final=0.004))
-    regenerate(["limit-2d"], path)
+    report = regenerate(["limit-2d"], path)
+    assert len(report) == 1 and report[0].startswith("limit-2d: ")
+    assert "largest relative move" in report[0]
     old, new = _expected(), json.loads(path.read_text())
     assert new["limit-2d"] == case_values(CASES["limit-2d"]) != old["limit-2d"]
     del old["limit-2d"], new["limit-2d"]
@@ -141,5 +167,5 @@ def test_regenerating_one_case_keeps_the_others(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     names = sys.argv[1:] or sorted(CASES)
-    regenerate(names)
+    print("\n".join(regenerate(names)))
     print(f"rewrote {', '.join(names)} in {GOLDEN}")
