@@ -38,7 +38,6 @@ from .grid import (
     fft,
     ifft_like,
     project_spectrum,
-    require_finite,
     require_same_grid,
 )
 
@@ -60,7 +59,8 @@ class FluidState:
 
     def __post_init__(self):
         require_same_grid(self.u, self.rho)
-        require_finite(self.u, "fluid velocity")
+        if not np.isfinite(self.u.values).all():
+            raise FieldError("fluid velocity contains non-finite values")
         rho = self.rho.values
         if not (rho.min() >= 0 and rho.max() < np.inf):  # NaN fails both
             raise FieldError("added density must be finite and nonnegative")

@@ -9,8 +9,9 @@ keeps (Orszag 1971), |k_j| <= kk - 1 on every axis with kk = ceil(n/3), in
 the rfftn order, shape (..., 2kk-1, ..., 2kk-1, kk): k = 0..kk-1, 1-kk..-1 on
 each full axis, 0..kk-1 on the halved last one.  No resolved mode is a
 Nyquist mode, so every multiplier maps real fields to real fields as it
-stands, and the Leray projector P obeys div(P v) == 0 and P P == P to
-rounding.  An operator that transforms a field back band-limits it.
+stands, and the one projection, the Leray projector P (`project_spectrum`),
+obeys div(P v) == 0 and P P == P to rounding.  An operator that transforms a
+field back band-limits it.
 
 `fft` runs NumPy's passes in np.fft.rfftn's order, each only on the kept
 lines: rfft on the last axis, fft on axis -2, then (3-D) on axis -3.
@@ -197,18 +198,14 @@ def ifft_like(field: Field, spectrum: np.ndarray, out: np.ndarray | None = None)
     return np.fft.irfft(padded, grid.n, axis=-1, out=out)
 
 
-def require_finite(field: Field, what: str = "field"):
-    if not np.isfinite(field.values).all():
-        raise FieldError(f"{what} contains non-finite values")
-
-
 def require_same_grid(a: Field, b: Field):
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
 
 
 def project_spectrum(grid: GridSpec, v_hat: np.ndarray) -> np.ndarray:
-    """Leray-project a vector spectrum in place, mode by mode, and return it."""
+    """Leray-project a vector spectrum in place, mode by mode, and return it;
+    the mean (k=0) mode passes through unchanged."""
     tab = _spectral_tables(grid)
     k_dot_v = sum(kj * v_hat[j] for j, kj in enumerate(tab.k))
     for j, kj_inv_k2 in enumerate(tab.k_inv_k2):
@@ -216,29 +213,17 @@ def project_spectrum(grid: GridSpec, v_hat: np.ndarray) -> np.ndarray:
     return v_hat
 
 
-def leray_project(v: VectorField) -> VectorField:
-    """Project onto divergence-free fields: v - grad(inv_lap(div v)).
-
-    Acts mode by mode in Fourier space; the mean (k=0) mode passes through
-    unchanged, which fixes the zero-mean gauge of the inverse Laplacian.
-    The output is band-limited: the modes outside the resolved block are dropped.
-    """
-    require_finite(v, "leray_project input")
-    return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
-
-
-def mollify(field: Field, eps: float, spectrum: np.ndarray | None = None) -> Field:
+def mollify(field: Field, eps: float, spectrum: np.ndarray) -> Field:
     """Smooth with the periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2).
 
-    Mean preserving, L2 non-expansive, commutes with every other spectral
-    operator here.  The output is band-limited: the modes outside the
-    resolved block are dropped.  A caller that holds the spectrum of the
-    field passes it, and the field is not transformed forward again.
+    Reads the caller's `spectrum`, the resolved block of `field` (a
+    FluidState's u_hat), and transforms it back once; `field` gives only
+    the grid and the kind, and is neither transformed nor scanned.  Mean
+    preserving, L2 non-expansive, commutes with every other spectral
+    operator here.  The output is band-limited.
     """
     if not eps > 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
-    require_finite(field)
-    spectrum = fft(field) if spectrum is None else spectrum
     return type(field)(field.grid, ifft_like(field, _mollifier(field.grid, eps) * spectrum))
 
 

@@ -59,7 +59,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, FieldError, StepRejectedError
 from .fluid import FluidState, ns_step
-from .grid import GridSpec, ScalarField, VectorField, leray_project, mollify
+from .grid import GridSpec, ScalarField, VectorField, mollify
 from .kinetic import (
     ParticleCloud,
     absorb_and_fragment,
@@ -129,6 +129,9 @@ class SimConfig:
             raise ConfigError("t_final must be positive")
         if self.steps < 1:
             raise ConfigError("t_final must hold at least one step of dt")
+        if abs(self.t_final / self.dt - self.steps) > 1e-9 * self.steps:
+            raise ConfigError(f"t_final={self.t_final} is not a whole number of steps "
+                              f"of dt={self.dt}")
         if not 0 < self.r2 < 1:
             raise ConfigError("r2 must lie in (0, 1)")
         if not self.tau > 0:
@@ -230,10 +233,8 @@ def taylor_green_velocity(grid: GridSpec) -> VectorField:
 
 def initial_fluid(config: SimConfig) -> FluidState:
     grid = config.grid
-    if config.fluid_init == "zero":
-        u = VectorField.zeros(grid)
-    else:
-        u = leray_project(taylor_green_velocity(grid))
+    # Taylor-Green is divergence-free and band-limited as it stands
+    u = VectorField.zeros(grid) if config.fluid_init == "zero" else taylor_green_velocity(grid)
     return FluidState(u, ScalarField.zeros(grid))
 
 

@@ -4,13 +4,16 @@ Property tests run under one deterministic hypothesis profile: examples are
 derived from each test's own code, not from a random seed or a stored example
 database, and their number is bounded, so every run of the suite checks the
 same cases in about the same time.  The memory tests share transient_peak,
-the grid tests meshgrid.
+the grid tests meshgrid, and the tests that need a divergence-free field
+leray.
 """
 
 import tracemalloc
 
 import numpy as np
 from hypothesis import settings
+
+from thinspray.grid import VectorField, fft, ifft_like, project_spectrum
 
 settings.register_profile("thinspray", derandomize=True, deadline=None,
                           max_examples=40, database=None)
@@ -37,3 +40,9 @@ def meshgrid(grid) -> list[np.ndarray]:
     """Coordinate arrays of shape grid.shape (ij indexing)."""
     x = grid.axis_points()
     return list(np.meshgrid(*([x] * grid.dim), indexing="ij"))
+
+
+def leray(v):
+    """The Leray projection of v through grid.project_spectrum, band-limited:
+    the modes outside the resolved block are dropped."""
+    return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))

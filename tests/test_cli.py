@@ -41,11 +41,13 @@ def test_non_finite_option_returns_2(capsys):
     assert "eps must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--n", "12"], ["--dim", "4"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flags", [["--n", "12"], ["--dim", "4"], ["--seed", "-1"],
+                                   ["--t-final", "0.0015", "--dt", "0.001"]])
 @pytest.mark.parametrize("command", ["run", "sweep-r2"])
 def test_bad_grid_or_seed_returns_2_without_traceback(command, flags, capsys):
-    # a grid that GridSpec rejects and a seed that numpy rejects are
-    # configuration errors, found before any set-up
+    # a grid that GridSpec rejects, a seed that numpy rejects and a t_final
+    # that is not a whole number of steps are configuration errors, found
+    # before any set-up
     assert main([command, "--dim", "2", "--n", "16", "--particle-count", "500",
                  "--t-final", "0.004", "--dt", "2e-3", *flags]) == 2
     err = capsys.readouterr().err

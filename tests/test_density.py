@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import meshgrid
+from conftest import leray, meshgrid
 
 from thinspray.density import density_step
 from thinspray.errors import StepRejectedError
 from thinspray.fluid import FluidState, check_cfl
-from thinspray.grid import GridSpec, ScalarField, VectorField, integral, leray_project, mollify
+from thinspray.grid import GridSpec, ScalarField, VectorField, fft, integral, mollify
 from thinspray.transfer import cic_gather
 
 
@@ -25,7 +25,7 @@ def gaussian_blob(grid, center, sigma):
 
 def random_flow(grid, rng):
     """A Leray-projected random velocity with unit maximum speed."""
-    u = leray_project(VectorField(grid, rng.normal(size=(grid.dim,) + grid.shape)))
+    u = leray(VectorField(grid, rng.normal(size=(grid.dim,) + grid.shape)))
     return VectorField(grid, u.values / np.abs(u.values).max())
 
 
@@ -208,7 +208,7 @@ def test_mollified_advection_same_for_uniform_density():
     rho = ScalarField(g, np.full(g.shape, 0.4))
     u = cellular_flow(g)
     a = density_step(rho, u, ScalarField.zeros(g), 1e-3)
-    b = density_step(rho, mollify(u, 0.5), ScalarField.zeros(g), 1e-3)
+    b = density_step(rho, mollify(u, 0.5, fft(u)), ScalarField.zeros(g), 1e-3)
     assert np.abs(a.values - b.values).max() < 1e-12
 
 

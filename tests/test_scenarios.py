@@ -96,6 +96,7 @@ class TestConfig:
         dict(t_final=4e-4, dt=1e-3),
         dict(spray_init="gaussian"), dict(spray_init="none"),
         dict(n=12), dict(dim=4), dict(seed=-1),
+        dict(t_final=0.0015, dt=1e-3), dict(t_final=0.0025, dt=1e-3),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -695,13 +696,29 @@ class TestRunScenario:
         # its first pass, and an inverse by np.fft.irfft, its last; each call
         # counts the components it transforms, the product of its leading
         # shape, whether it takes one component or all three.
+        calls = self._count_transforms(monkeypatch)
+        assert self._calls_per_step(scenario, calls) == 3 * per_step
+
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        """A list that np.fft.rfft and np.fft.irfft extend from now on by
+        their name, once per component transformed (see
+        test_transforms_per_step)."""
         calls = []
         for name in ("rfft", "irfft"):
-            def counted(a, *args, _real=getattr(np.fft, name), **kw):
-                calls.extend([1] * math.prod(np.shape(a)[:-3]))
+            def counted(a, *args, _real=getattr(np.fft, name), _name=name, **kw):
+                calls.extend([_name] * math.prod(np.shape(a)[:-3]))
                 return _real(a, *args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
-        assert self._calls_per_step(scenario, calls) == 3 * per_step
+        return calls
+
+    def test_transforms_of_set_up(self, monkeypatch):
+        # the Taylor-Green start is divergence-free and band-limited as it
+        # stands: FluidState transforms its three components forward once,
+        # and nothing transforms them back
+        calls = self._count_transforms(monkeypatch)
+        scenarios.initial_fluid(self._table_config(2, "limit"))
+        assert (calls.count("rfft"), calls.count("irfft")) == (3, 0)
 
     def test_carried_spectrum_is_the_resolved_block_of_u(self, monkeypatch):
         # every step hands on u_hat, the resolved block of u, and u is its
@@ -720,11 +737,12 @@ class TestRunScenario:
             assert ifft_like(state.u, state.u_hat).tobytes() == state.u.values.tobytes()
 
     @pytest.mark.parametrize("scenario, per_step", [
-        ("limit", 2), ("bidisperse", 1), ("regularized", 3)])
+        ("limit", 2), ("bidisperse", 1), ("regularized", 2)])
     def test_finiteness_scans_of_u_per_step(self, monkeypatch, scenario, per_step):
-        # FluidState checks the gas it is made of: ns_step's new state, and an
-        # absorbing step's replace of rho.  The regularized step adds mollify's
-        # check; its remainders scan nothing.
+        # FluidState alone checks the gas it is made of: ns_step's new state,
+        # and an absorbing step's replace of rho.  The regularized step scans
+        # nothing more: mollify reads the carried spectrum, and the
+        # remainders scan nothing.
         calls = []
 
         def counted(x, *args, _real=np.isfinite, **kw):
