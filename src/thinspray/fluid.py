@@ -135,9 +135,13 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     the returned velocity is band-limited.  Each component's tendency is
     formed, transformed and dropped before the next one starts, with every
     per-element operation in the order of forming all components at once,
-    and the same bytes.  The step keeps no clock: the caller knows which
-    step it is.  A step that makes a non-finite velocity raises FieldError,
-    from the FluidState it returns.
+    and the same bytes.  When state.rho is zero everywhere, as on every
+    bidisperse step and the first step of an absorbing run, the viscous
+    share left explicit is exactly 0 and the inertia exactly 1: the step
+    then skips that share's Laplacian transform and both divisions, and
+    only the signs of zeros in the tendency differ.  The step keeps no
+    clock: the caller knows which step it is.  A step that makes a
+    non-finite velocity raises FieldError, from the FluidState it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -146,10 +150,12 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     check_cfl(u, dt)
 
     require_same_grid(u, u_adv)
-    denom = 1.0 + state.rho.values
     rho_bar = float(state.rho.values.mean())
     nu_bar = nu / (1.0 + rho_bar)
-    varying = 1.0 / denom - 1.0 / (1.0 + rho_bar)  # the viscous share left explicit
+    dense = state.rho.values.any()  # else varying is 0 and denom 1 (see above)
+    if dense:
+        denom = 1.0 + state.rho.values
+        varying = 1.0 / denom - 1.0 / (1.0 + rho_bar)  # the viscous share left explicit
 
     # each component's tendency is built in place and transformed before the
     # next one starts, each term dropped once added: at most 2.25 fields of
@@ -159,18 +165,21 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     for i, u_hat_i in enumerate(state.u_hat):
         tendency = _convection(u_adv.values, u, u_hat_i)
         np.negative(tendency, out=tendency)
-        viscous = ifft_like(u, -tab.k2 * u_hat_i)  # lap u_i
-        viscous *= nu
-        viscous *= varying
-        tendency += viscous
-        del viscous
+        if dense:
+            viscous = ifft_like(u, -tab.k2 * u_hat_i)  # lap u_i
+            viscous *= nu
+            viscous *= varying
+            tendency += viscous
+            del viscous
         force = drag_force(u, drag, coupling, i)
-        force /= denom
+        if dense:
+            force /= denom
         tendency += force
         del force
         t_hat[i] = fft(ScalarField(grid, tendency))
         del tendency
-    del denom, varying
+    if dense:
+        del denom, varying
 
     t_hat *= dt
     t_hat += state.u_hat

@@ -155,6 +155,8 @@ class SimConfig:
             raise ConfigError("nu must be positive")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be nonnegative")
+        if self.snapshot_stride and not self.output_dir:
+            raise ConfigError("snapshot_stride needs an output_dir to write the snapshots to")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         try:
@@ -477,10 +479,14 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     if not r2_list or any(not 0 < v < 1 for v in r2_list):
         raise ConfigError(f"r2_list needs one r2 or more, each in (0, 1), got {r2_list}")
 
+    # the settings every member shares, checked before the first run: the
+    # members write no files, so they run without the directory and stride
+    limit_cfg = replace(config, scenario="limit", eps=0.0)
+    limit_cfg.validate()
+    limit_cfg = replace(limit_cfg, output_dir="", snapshot_stride=0)
     out = Path(config.output_dir)
     if config.output_dir:  # before the first run, so a bad directory costs none
         out.mkdir(parents=True, exist_ok=True)
-    limit_cfg = replace(config, scenario="limit", eps=0.0, output_dir="")
     log.info("sweep: running matched limit-system member")
     limit_run = run_scenario(limit_cfg)
     rho_limit = limit_run.fluid.rho
@@ -488,7 +494,7 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     rows = []
     summaries = {}
     for r2 in r2_list:
-        member = replace(config, scenario="bidisperse", r2=r2, eps=0.0, output_dir="")
+        member = replace(limit_cfg, scenario="bidisperse", r2=r2)
         log.info("sweep: running bidisperse member r2=%g", r2)
         run = run_scenario(member)
         mismatch_field = fragment_mass_density(run).values - rho_limit.values

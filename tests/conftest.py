@@ -4,10 +4,11 @@ Property tests run under one deterministic hypothesis profile: examples are
 derived from each test's own code, not from a random seed or a stored example
 database, and their number is bounded, so every run of the suite checks the
 same cases in about the same time.  The memory tests share transient_peak,
-the grid tests meshgrid, and the tests that need a divergence-free field
-leray.
+the grid tests meshgrid, the tests that need a divergence-free field leray,
+and the tests that count a step's transforms count_transforms.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -46,3 +47,18 @@ def leray(v):
     """The Leray projection of v through grid.project_spectrum, band-limited:
     the modes outside the resolved block are dropped."""
     return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
+
+
+def count_transforms(monkeypatch) -> list[str]:
+    """A list that np.fft.rfft and np.fft.irfft extend from now on by their
+    name, once per component transformed.  A forward transform is counted by
+    np.fft.rfft, its first pass, and an inverse by np.fft.irfft, its last;
+    each call counts the components it transforms, the product of its
+    leading shape, whether it takes one component or all three (3-D fields)."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(a, *args, _real=getattr(np.fft, name), _name=name, **kw):
+            calls.extend([_name] * math.prod(np.shape(a)[:-3]))
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -1,8 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import leray, meshgrid, transient_peak
+from conftest import count_transforms, leray, meshgrid, transient_peak
 from scipy.integrate import solve_ivp
 
 from thinspray.errors import FieldError, GridMismatchError, StepRejectedError
@@ -279,6 +280,27 @@ def test_step_matches_the_vector_form_bit_for_bit():
     u_ref, u_hat_ref = vector_ns_step(state, u_adv, drag, 1e-3, coupling=2.0)
     assert out.u.values.tobytes() == u_ref.values.tobytes()
     assert out.u_hat.tobytes() == u_hat_ref.tobytes()
+
+
+def test_only_a_nonzero_density_runs_the_laplacian(monkeypatch):
+    # rho == 0 leaves no viscous share explicit: the step skips the inverse
+    # transform of each component's Laplacian, 3 of the 15 inverses a step
+    # with rho nonzero at one node runs, and gives the vector form's bytes
+    g = GridSpec(3, 16)
+    state, drag = random_step_inputs(g, 5)
+    calls = count_transforms(monkeypatch)
+    one = np.zeros(g.shape)
+    one[3, 1, 4] = 0.5
+    counts = []
+    for rho in (np.zeros(g.shape), one):
+        dense = replace(state, rho=ScalarField(g, rho))
+        calls.clear()
+        out = ns_step(dense, state.u, drag, 1e-3, coupling=2.0)
+        counts.append((calls.count("rfft"), calls.count("irfft")))
+        u_ref, u_hat_ref = vector_ns_step(dense, state.u, drag, 1e-3, coupling=2.0)
+        assert out.u.values.tobytes() == u_ref.values.tobytes()
+        assert out.u_hat.tobytes() == u_hat_ref.tobytes()
+    assert counts == [(3, 12), (3, 15)]
 
 
 def test_transient_memory_of_one_step():

@@ -656,8 +656,10 @@ def _phase_space(cloud, group):
     return np.concatenate([x / max(x.std(), 1e-12), xi / max(xi.std(), 1e-12)], axis=1)
 
 
-# all coincident, and coincident in fours
+# all coincident, coincident in fours, and a Kronecker lattice, whose
+# neighbour distances are nearly equal, as on the spray's merge inputs
 @example((_cloud(np.zeros((3, 2)), [1.0, 2.0, 3.0]), 1))
+@example((_cloud(kinetic._kronecker_points(2000, 3, 1), np.ones(2000)), 1))
 @example((_cloud(np.repeat([[0.1, 0.2], [0.3, 0.9], [0.5, 0.5]], 4, axis=0), np.ones(12)), 1))
 @given(_merge_cases())
 def test_property_edges_are_within_the_approximation(case):
@@ -708,9 +710,9 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
     # with exact merges so the clouds do not depend on _NN_EPS: fragments
     # that trail their parents, thinned by earlier merges.  The pooled
     # position/velocity shift ratios against an exact query (eps = 0),
-    # measured on these clouds: 1.00/1.00, 1.03/0.99, 1.07/0.99, 1.10/1.01,
-    # 1.16/1.05 at eps = 1/2/3/4/6, and 1.78/1.45 for leaf-local partners
-    # (eps = 1e3).
+    # measured on these clouds with the sliding-midpoint tree: 1.030/1.004,
+    # 1.031/1.008, 1.065/1.035, 1.111/1.077, 1.214/1.160 at eps = 1/2/3/4/6,
+    # and 2.135/1.805 for leaf-local partners (eps = 1e3).
     inputs, merge = [], scenarios.merge_particles
 
     def captured(cloud, budget):
@@ -736,9 +738,11 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
 
 def _nn_edges(z):
     """Each point's edge to an approximate nearest other point and the stable
-    order of the edge lengths, built as the merge builds them but queried in
-    input order: an approximate query does not depend on the query order."""
-    dist, nn = cKDTree(z).query(z, k=2, eps=kinetic._NN_EPS)
+    order of the edge lengths, built as the merge builds them, on the same
+    sliding-midpoint tree, but queried in input order: an approximate query
+    does not depend on the query order."""
+    tree = cKDTree(z, balanced_tree=False, compact_nodes=False)
+    dist, nn = tree.query(z, k=2, eps=kinetic._NN_EPS)
     nn = np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1])
     return nn, np.argsort(dist[:, 1], kind="stable")
 
@@ -791,11 +795,17 @@ def test_property_greedy_rounds_match_the_sequential_greedy(z):
     assert np.all(np.diff(key[src]) > 0)
 
 
-def _reference_merge_pass(cloud, group, max_merges):
-    """The merge pass as a loop over the pairs, with the tree queried in input order."""
+def _reference_pairs(cloud, group, max_merges):
+    """The ends a and b of the pairs of one merge pass in group, found one
+    pair at a time, with the tree queried in input order."""
     nn, order = _nn_edges(_phase_space(cloud, group))
     src = _sequential_greedy(nn, order, max_merges)
-    a, b = group[src], group[nn[src]]
+    return group[src], group[nn[src]]
+
+
+def _reference_merge_pass(cloud, group, max_merges):
+    """The merge pass as a loop over the pairs, with the tree queried in input order."""
+    a, b = _reference_pairs(cloud, group, max_merges)
     wa, wb = cloud.w[a], cloud.w[b]
     wsum = wa + wb
     safe = np.where(wsum > 0, wsum, 1.0)
@@ -819,13 +829,9 @@ def _reference_merge_pass(cloud, group, max_merges):
     )
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("budget, passes, two_radii", [
-    (380, 1, False), (200, 2, False), (150, 3, False), (200, 4, True)])
-def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_radii):
-    rng = np.random.default_rng(40 + dim)
-    r = mixed_radii(rng, 400, 0.5) if two_radii else None
-    cloud = random_cloud(rng, 400, dim, r)
+def _merges_like_the_reference(monkeypatch, cloud, budget, passes):
+    """merge_particles gives the same bytes as with the loop reference pass,
+    which runs `passes` times."""
     calls = []
 
     def counted(*args):
@@ -837,8 +843,30 @@ def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_
     want, want_m2 = merge_particles(cloud, budget)
     assert len(calls) == passes
     for name in ("x", "xi", "w", "r"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got_m2 == want_m2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("budget, passes, two_radii", [
+    (380, 1, False), (200, 2, False), (150, 3, False), (200, 4, True)])
+def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_radii):
+    rng = np.random.default_rng(40 + dim)
+    r = mixed_radii(rng, 400, 0.5) if two_radii else None
+    _merges_like_the_reference(monkeypatch, random_cloud(rng, 400, dim, r), budget, passes)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_merge_matches_the_loop_reference_with_zero_weights(monkeypatch, dim):
+    # half the weights are 0, so that pairs of two zero weights form and take
+    # the unweighted mean, a branch that weights in [0.1, 2] never reach
+    rng = np.random.default_rng(50 + dim)
+    cloud = random_cloud(rng, 400, dim)
+    w = np.where(rng.uniform(size=400) < 0.5, 0.0, cloud.w)
+    cloud = ParticleCloud(cloud.x, cloud.xi, w, cloud.r)
+    a, b = _reference_pairs(cloud, np.arange(400), 100)
+    assert np.any(cloud.w[a] + cloud.w[b] == 0) and np.any(cloud.w[a] + cloud.w[b] > 0)
+    _merges_like_the_reference(monkeypatch, cloud, 300, 1)
 
 
 @st.composite

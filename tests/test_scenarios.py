@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import meshgrid
+from conftest import count_transforms, meshgrid
 from hypothesis import given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
@@ -97,6 +97,7 @@ class TestConfig:
         dict(spray_init="gaussian"), dict(spray_init="none"),
         dict(n=12), dict(dim=4), dict(seed=-1),
         dict(t_final=0.0015, dt=1e-3), dict(t_final=0.0025, dt=1e-3),
+        dict(snapshot_stride=5),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
@@ -687,36 +688,22 @@ class TestRunScenario:
         return (counts[1] - counts[0]) / 3
 
     @pytest.mark.parametrize("scenario, per_step", [
-        ("limit", 6), ("bidisperse", 6), ("regularized", 7)])
+        ("limit", 6), ("bidisperse", 5), ("regularized", 7)])
     def test_transforms_per_step(self, monkeypatch, scenario, per_step):
         # per_step counts transforms of fields the size of u: the three
         # derivatives, the Laplacian, the tendency and the projected spectrum
-        # of ns_step; the regularized step adds the inverse transform of the
-        # mollified spectrum.  A forward transform is counted by np.fft.rfft,
-        # its first pass, and an inverse by np.fft.irfft, its last; each call
-        # counts the components it transforms, the product of its leading
-        # shape, whether it takes one component or all three.
-        calls = self._count_transforms(monkeypatch)
+        # of ns_step; a bidisperse step's rho is 0, so its ns_step skips the
+        # Laplacian of the viscous share that rho leaves explicit; the
+        # regularized step adds the inverse transform of the mollified
+        # spectrum (see conftest.count_transforms for how they are counted)
+        calls = count_transforms(monkeypatch)
         assert self._calls_per_step(scenario, calls) == 3 * per_step
-
-    @staticmethod
-    def _count_transforms(monkeypatch):
-        """A list that np.fft.rfft and np.fft.irfft extend from now on by
-        their name, once per component transformed (see
-        test_transforms_per_step)."""
-        calls = []
-        for name in ("rfft", "irfft"):
-            def counted(a, *args, _real=getattr(np.fft, name), _name=name, **kw):
-                calls.extend([_name] * math.prod(np.shape(a)[:-3]))
-                return _real(a, *args, **kw)
-            monkeypatch.setattr(np.fft, name, counted)
-        return calls
 
     def test_transforms_of_set_up(self, monkeypatch):
         # the Taylor-Green start is divergence-free and band-limited as it
         # stands: FluidState transforms its three components forward once,
         # and nothing transforms them back
-        calls = self._count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
         scenarios.initial_fluid(self._table_config(2, "limit"))
         assert (calls.count("rfft"), calls.count("irfft")) == (3, 0)
 
@@ -905,9 +892,11 @@ class TestSweep:
 
     def test_two_member_sweep_fits_and_checks(self, tmp_path):
         # two members reach the slope fit and both checks, and the dict
-        # returned is the dict written
+        # returned is the dict written, the one file: the members run without
+        # the directory and the snapshot stride
         cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=0.04,
-                           spray_init="offset", output_dir=str(tmp_path))
+                           spray_init="offset", output_dir=str(tmp_path),
+                           snapshot_stride=5)
         result = sweep_r2(cfg, [0.3, 0.15])
         rows = result["rows"]
         assert [row["r2"] for row in rows] == [0.3, 0.15]
@@ -922,6 +911,7 @@ class TestSweep:
         assert all(isinstance(ok, bool) for ok in result["checks"].values())
         assert set(result["run_summaries"]) == {"0.3", "0.15"}
         assert json.loads((tmp_path / "sweep.json").read_text()) == result
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
 
     def test_radii_alike_to_six_digits_keep_both_summaries(self):
         # the summaries are keyed by the exact radius: two radii that print
