@@ -49,17 +49,16 @@ def density_step(rho: ScalarField, u: VectorField, source: ScalarField,
     out, inflow = np.zeros(grid.shape), np.zeros(grid.shape)
     face, right, left = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
     for a, ua in enumerate(u.values):
-        _rolled(np.add, ua, -1, ua, a, out=face)
-        face *= 0.5  # face velocity at i+1/2
+        _rolled(np.add, ua, -1, ua, a, out=face)  # twice the face velocity at i+1/2
         np.maximum(face, 0.0, out=right)
-        np.maximum(np.negative(face, out=left), 0.0, out=left)
+        np.subtract(right, face, out=left)  # max(-face, 0)
         _rolled(np.add, left, 1, right, a, out=face)
         out += face  # right + roll(left, 1): the faces cell i flows out through
         right *= r
         _rolled(np.multiply, r, -1, left, a, out=left)
         _rolled(np.add, right, 1, left, a, out=face)
         inflow += face  # roll(right r, 1) + left roll(r, -1): the upwinded inflow
-    c = dt / grid.h
+    c = 0.5 * dt / grid.h  # the face speeds above are doubled
     keep = out  # the share of rho_i a cell keeps, 1 - c out_i, in out's array
     keep *= c
     np.subtract(1.0, keep, out=keep)

@@ -36,7 +36,7 @@ from .grid import (
     VectorField,
     _spectral_tables,
     fft,
-    ifft_like,
+    ifft,
     project_spectrum,
     require_same_grid,
 )
@@ -67,7 +67,7 @@ class FluidState:
         if self.u_hat is None:
             # a finite u near the float limit can overflow its spectrum
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                self.u_hat = fft(self.u)
+                self.u_hat = fft(self.u.grid, self.u.values)
             if not np.isfinite(self.u_hat).all():
                 raise FieldError("fluid velocity spectrum is non-finite")
 
@@ -102,25 +102,6 @@ def check_cfl(u: VectorField, dt: float):
         )
 
 
-def _convection(u_adv: np.ndarray, u: VectorField, u_hat_i: np.ndarray) -> np.ndarray:
-    """(u_adv . grad) u_i, pseudo-spectral, gradient from the spectrum u_hat_i
-    of the one component u_i.
-
-    The sum accumulates in the array of its first term, in the order of j.
-    """
-    tab = _spectral_tables(u.grid)
-    out = None
-    for j, kj in enumerate(tab.k):
-        du_j = ifft_like(u, 1j * kj * u_hat_i)  # d u_i / d x_j
-        du_j *= u_adv[j]
-        if out is None:
-            out = du_j
-        else:
-            out += du_j
-        del du_j  # so that the next derivative is made with one field fewer alive
-    return out
-
-
 def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *,
             coupling: float, nu: float = 1.0) -> FluidState:
     """Advance the fluid one step.
@@ -133,15 +114,16 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     projected spectrum.  The state carries only resolved modes, so the
     explicit tendency is dealiased by the 2/3 rule as it is transformed, and
     the returned velocity is band-limited.  Each component's tendency is
-    formed, transformed and dropped before the next one starts, with every
-    per-element operation in the order of forming all components at once,
-    and the same bytes.  When state.rho is zero everywhere, as on every
-    bidisperse step and the first step of an absorbing run, the viscous
-    share left explicit is exactly 0 and the inertia exactly 1: the step
-    then skips that share's Laplacian transform and both divisions, and
-    only the signs of zeros in the tendency differ.  The step keeps no
-    clock: the caller knows which step it is.  A step that makes a
-    non-finite velocity raises FieldError, from the FluidState it returns.
+    formed, transformed and dropped before the next one starts, with the
+    bytes of forming all components at once: the convection's sign rides
+    its derivative multiplier, and negating is exact.  When state.rho is
+    zero everywhere, as on every bidisperse step and the first step of an
+    absorbing run, the viscous share left explicit is exactly 0 and the
+    inertia exactly 1: the step then skips that share's Laplacian transform
+    and both divisions, and only the signs of zeros in the tendency differ.
+    The step keeps no clock: the caller knows which step it is.  A step
+    that makes a non-finite velocity raises FieldError, from the FluidState
+    it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -163,10 +145,14 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     tab = _spectral_tables(grid)
     t_hat = np.empty_like(state.u_hat)
     for i, u_hat_i in enumerate(state.u_hat):
-        tendency = _convection(u_adv.values, u, u_hat_i)
-        np.negative(tendency, out=tendency)
+        tendency = None  # -(u_adv . grad) u_i, summed in the order of j
+        for kj, adv in zip(tab.k, u_adv.values):
+            term = ifft(grid, u_hat_i, -1j * kj)  # -d u_i / d x_j
+            term *= adv
+            tendency = term if tendency is None else np.add(tendency, term, out=tendency)
+            del term  # so that the next derivative is made with one field fewer alive
         if dense:
-            viscous = ifft_like(u, -tab.k2 * u_hat_i)  # lap u_i
+            viscous = ifft(grid, u_hat_i, -tab.k2)  # lap u_i
             viscous *= nu
             viscous *= varying
             tendency += viscous
@@ -176,7 +162,7 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
             force /= denom
         tendency += force
         del force
-        t_hat[i] = fft(ScalarField(grid, tendency))
+        t_hat[i] = fft(grid, tendency)
         del tendency
     if dense:
         del denom, varying
@@ -187,5 +173,5 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     u_hat = project_spectrum(grid, t_hat)
     u_new = np.empty_like(u.values)
     for i, u_hat_i in enumerate(u_hat):
-        ifft_like(u, u_hat_i, out=u_new[i])
+        ifft(grid, u_hat_i, out=u_new[i])
     return FluidState(VectorField(grid, u_new), state.rho, u_hat)

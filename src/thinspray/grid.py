@@ -13,13 +13,15 @@ stands, and the one projection, the Leray projector P (`project_spectrum`),
 obeys div(P v) == 0 and P P == P to rounding.  An operator that transforms a
 field back band-limits it.
 
-`fft` runs NumPy's passes in np.fft.rfftn's order, each only on the kept
-lines: rfft on the last axis, fft on axis -2, then (3-D) on axis -3.
-`ifft_like` zero-pads the block, runs ifft in np.fft.irfftn's order on the
-lines that are not all zero (axis -3 where axis -2 is kept, then axis -2),
-and ends with irfft, which pads the halved axis itself.  So `fft(f)` is the
-resolved block of np.fft.rfftn(f), and `ifft_like(f, s)` np.fft.irfftn of s
-zero-padded, bit for bit.
+Every spectral operator takes the grid first and arrays after it.  `fft`
+runs NumPy's passes in np.fft.rfftn's order, each only on the kept lines:
+rfft on the last axis, fft on axis -2, then (3-D) on axis -3.  `ifft` forms
+multiplier * spectrum corner by corner of the block as it zero-pads it, so
+that no block-sized product is made first, runs ifft in np.fft.irfftn's
+order on the lines that are not all zero (axis -3 where axis -2 is kept,
+then axis -2), and ends with irfft, which pads the halved axis itself.  So
+`fft(grid, f)` is the resolved block of np.fft.rfftn(f), and
+`ifft(grid, s, m)` np.fft.irfftn of m * s zero-padded, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,10 +169,11 @@ def _corners(grid: GridSpec) -> list:
             for corner in product(_kept_ranges(grid.n), repeat=grid.dim - 1)]
 
 
-def fft(field: Field) -> np.ndarray:
-    """The resolved block of the field's rfftn spectrum (see the module docstring)."""
-    grid, kk = field.grid, _kept(field.grid.n)
-    spectrum = np.fft.rfft(field.values, axis=-1)[..., :kk]
+def fft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The resolved block of the rfftn spectrum of values on grid, over its
+    last grid.dim axes (see the module docstring)."""
+    kk = _kept(grid.n)
+    spectrum = np.fft.rfft(values, axis=-1)[..., :kk]
     np.fft.fft(spectrum, axis=-2, out=spectrum)
     if grid.dim == 3:  # axis -3 on the lines that axis -2 keeps
         for lines, _ in _kept_ranges(grid.n):
@@ -182,15 +185,18 @@ def fft(field: Field) -> np.ndarray:
     return block
 
 
-def ifft_like(field: Field, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The real values on field's grid whose resolved block is `spectrum`,
-    every mode outside it zero, written into `out` if given; `spectrum` is
+def ifft(grid: GridSpec, spectrum: np.ndarray, multiplier=1.0,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """The real values on grid whose resolved block is multiplier * spectrum,
+    every mode outside it zero, written into `out` if given.  multiplier is a
+    number or an array that broadcasts to spectrum's shape; each corner's
+    product is written straight into the padded block, and `spectrum` is
     left as it is."""
-    grid = field.grid
     padded = np.zeros(spectrum.shape[:-grid.dim] + grid.shape[1:] + (_kept(grid.n),),
                       dtype=complex)
+    multiplier = np.broadcast_to(multiplier, spectrum.shape)
     for full, part in _corners(grid):
-        padded[full] = spectrum[part]
+        np.multiply(multiplier[part], spectrum[part], out=padded[full])
     if grid.dim == 3:  # axis -3 on the lines that axis -2 keeps
         for lines, _ in _kept_ranges(grid.n):
             np.fft.ifft(padded[..., lines, :], axis=-3, out=padded[..., lines, :])
@@ -213,18 +219,17 @@ def project_spectrum(grid: GridSpec, v_hat: np.ndarray) -> np.ndarray:
     return v_hat
 
 
-def mollify(field: Field, eps: float, spectrum: np.ndarray) -> Field:
+def mollify(grid: GridSpec, eps: float, spectrum: np.ndarray) -> np.ndarray:
     """Smooth with the periodic Gaussian multiplier exp(-eps^2 |k|^2 / 2).
 
-    Reads the caller's `spectrum`, the resolved block of `field` (a
-    FluidState's u_hat), and transforms it back once; `field` gives only
-    the grid and the kind, and is neither transformed nor scanned.  Mean
-    preserving, L2 non-expansive, commutes with every other spectral
-    operator here.  The output is band-limited.
+    Reads the caller's `spectrum`, the resolved block of a field on grid (a
+    FluidState's u_hat), and returns the values of the smoothed field,
+    transformed back once.  Mean preserving, L2 non-expansive, commutes
+    with every other spectral operator here.  The output is band-limited.
     """
     if not eps > 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
-    return type(field)(field.grid, ifft_like(field, _mollifier(field.grid, eps) * spectrum))
+    return ifft(grid, spectrum, _mollifier(grid, eps))
 
 
 def integral(field: Field) -> float | np.ndarray:

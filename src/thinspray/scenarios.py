@@ -312,7 +312,8 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     fluid = initial_fluid(config)
     cloud = initial_cloud(config)
-    u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u  # the advecting velocity
+    # the advecting velocity
+    u_star = VectorField(grid, mollify(grid, eps, fluid.u_hat)) if eps else fluid.u
     records = []
 
     def record(t, drag, u_at_x):  # of the current fluid and cloud, and the cloud's pass
@@ -337,7 +338,7 @@ def run_scenario(config: SimConfig) -> RunResult:
         try:
             fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu, coupling=coupling)
             del drag  # so one drag field is alive when the pass below makes the next
-            u_star = mollify(fluid.u, eps, fluid.u_hat) if eps else fluid.u
+            u_star = VectorField(grid, mollify(grid, eps, fluid.u_hat)) if eps else fluid.u
             # two statements, so the pre-push x and xi die before the breakup
             # allocates; u_at_x becomes the pushed x, which a fragmenting
             # breakup replaces, so the name lets go of it

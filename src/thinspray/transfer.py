@@ -65,7 +65,7 @@ def _chunks(grid: GridSpec, x: np.ndarray):
 def _interpolate(comps, flat, w, out):
     """Each component read through one chunk's corner table into out's columns."""
     for col, comp in enumerate(comps):
-        out[:, col] = np.einsum("cn,cn->n", w, comp[flat])
+        out[:, col] = np.einsum("cn,cn->n", w, comp.take(flat))
 
 
 def cic_gather(field: Field, x: np.ndarray) -> np.ndarray:

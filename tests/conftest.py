@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import settings
 
-from thinspray.grid import VectorField, fft, ifft_like, project_spectrum
+from thinspray.grid import VectorField, fft, ifft, project_spectrum
 
 settings.register_profile("thinspray", derandomize=True, deadline=None,
                           max_examples=40, database=None)
@@ -46,7 +46,7 @@ def meshgrid(grid) -> list[np.ndarray]:
 def leray(v):
     """The Leray projection of v through grid.project_spectrum, band-limited:
     the modes outside the resolved block are dropped."""
-    return VectorField(v.grid, ifft_like(v, project_spectrum(v.grid, fft(v))))
+    return VectorField(v.grid, ifft(v.grid, project_spectrum(v.grid, fft(v.grid, v.values))))
 
 
 def count_transforms(monkeypatch) -> list[str]:

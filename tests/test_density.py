@@ -208,7 +208,8 @@ def test_mollified_advection_same_for_uniform_density():
     rho = ScalarField(g, np.full(g.shape, 0.4))
     u = cellular_flow(g)
     a = density_step(rho, u, ScalarField.zeros(g), 1e-3)
-    b = density_step(rho, mollify(u, 0.5, fft(u)), ScalarField.zeros(g), 1e-3)
+    b = density_step(rho, VectorField(g, mollify(g, 0.5, fft(g, u.values))),
+                     ScalarField.zeros(g), 1e-3)
     assert np.abs(a.values - b.values).max() < 1e-12
 
 

@@ -194,7 +194,7 @@ class TestRemainders:
         u = VectorField.from_components(
             g, np.sin(x[0]), np.zeros(g.shape), np.zeros(g.shape))
         eps = 0.05  # cutoff radius 20: every sampled velocity inside
-        r1, r2, r3 = remainders(cloud, u, mollify(u, eps, fft(u)), eps)
+        r1, r2, r3 = remainders(cloud, u, VectorField(g, mollify(g, eps, fft(g, u.values))), eps)
         assert r1 == 0.0 and r2 == 0.0
         assert r3 != 0.0  # the mollifier still acts on u
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import leray, meshgrid
+from hypothesis import given, strategies as st
 
 from thinspray.errors import FieldError
 from thinspray.grid import (
@@ -8,10 +9,12 @@ from thinspray.grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _mollifier,
+    _spectral_tables,
     divergence_residual,
     fft,
     grad_l2_norm_sq,
-    ifft_like,
+    ifft,
     integral,
     mollify,
     wrap_to_torus,
@@ -74,7 +77,7 @@ class TestTransforms:
         rng = np.random.default_rng(0)
         g = GridSpec(dim, n)
         s = ScalarField(g, band_limited_part(random_scalar(g, rng)))
-        back = ifft_like(s, fft(s))
+        back = ifft(g, fft(g, s.values))
         assert np.abs(back - s.values).max() <= 1e-12 * np.abs(s.values).max()
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -82,20 +85,20 @@ class TestTransforms:
         g = GridSpec(dim, n)
         v = random_vector(g, np.random.default_rng(1))
         expected = band_limited_part(v)
-        back = ifft_like(v, fft(v))
+        back = ifft(g, fft(g, v.values))
         assert np.abs(back - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.abs(back - v.values).max() > 0.1  # random fields are not band-limited
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8), (3, 16)])
     @pytest.mark.parametrize("make", [random_scalar, random_vector])
     def test_match_numpy_bit_for_bit(self, dim, n, make):
-        # fft is the resolved block of np.fft.rfftn, and ifft_like is
+        # fft is the resolved block of np.fft.rfftn, and ifft is
         # np.fft.irfftn of the block zero-padded: numpy's own passes, in
         # numpy's order, run on the lines that are kept or not all zero
         g = GridSpec(dim, n)
         f = make(g, np.random.default_rng(7))
         axes = tuple(range(-dim, 0))
-        spectrum = fft(f)
+        spectrum = fft(g, f.values)
         expected = np.fft.rfftn(f.values, axes=axes)[resolved_index(g)]
         assert spectrum.shape == expected.shape
         assert spectrum.tobytes() == expected.tobytes()
@@ -103,10 +106,30 @@ class TestTransforms:
         padded[resolved_index(g)] = spectrum
         expected = np.fft.irfftn(padded, s=g.shape, axes=axes)
         kept = spectrum.copy()
-        back = ifft_like(f, spectrum)
+        back = ifft(g, spectrum)
         assert back.shape == expected.shape
         assert back.tobytes() == expected.tobytes()
         assert spectrum.tobytes() == kept.tobytes()  # the inverse leaves its input
+
+    @given(dim=st.sampled_from([2, 3]), lead=st.sampled_from([(), (3,)]),
+           kind=st.sampled_from(["number", "k2", "ik"]), axis=st.integers(0, 2),
+           eps=st.floats(0.01, 2.0), seed=st.integers(0, 2**16))
+    def test_multiplier_is_the_product_bit_for_bit(self, dim, lead, kind, axis, eps, seed):
+        # ifft multiplies each corner of the block as it pads it: the bytes
+        # of the product formed first, for a number or an array multiplier,
+        # the broadcastable derivative multipliers among them; mollify is
+        # ifft of the Gaussian multiplier
+        g = GridSpec(dim, 16 if dim == 2 else 8)
+        rng = np.random.default_rng(seed)
+        spectrum = fft(g, rng.standard_normal(lead + g.shape))
+        tab = _spectral_tables(g)
+        m = {"number": rng.standard_normal(), "k2": -tab.k2,
+             "ik": -1j * tab.k[axis % dim]}[kind]
+        kept = spectrum.copy()
+        assert ifft(g, spectrum, m).tobytes() == ifft(g, m * spectrum).tobytes()
+        assert (mollify(g, eps, spectrum).tobytes()
+                == ifft(g, _mollifier(g, eps) * spectrum).tobytes())
+        assert spectrum.tobytes() == kept.tobytes()
 
     def test_gradient_norm_matches_real_space(self):
         g = GridSpec(3, 16)
@@ -116,7 +139,7 @@ class TestTransforms:
                 -2.0 * np.sin(x) * np.sin(2 * y),
                 -1.5 * np.sin(3 * z - x)]
         real = float(sum(np.sum(c**2) for c in grad)) * g.cell_volume
-        assert grad_l2_norm_sq(g, fft(s)) == pytest.approx(real, rel=1e-12)
+        assert grad_l2_norm_sq(g, fft(g, s.values)) == pytest.approx(real, rel=1e-12)
 
     def test_dealias_removes_high_modes(self):
         # the 2/3 rule at n = 32 keeps |k| <= 10
@@ -124,9 +147,9 @@ class TestTransforms:
         x = meshgrid(g)
         high = ScalarField(g, np.cos(11 * x[0]))
         low = ScalarField(g, np.cos(10 * x[0]) * np.sin(3 * x[1]))
-        assert fft(high).shape == fft(low).shape == (21, 11)
-        assert np.abs(ifft_like(high, fft(high))).max() < 1e-13
-        assert np.abs(ifft_like(low, fft(low)) - low.values).max() < 1e-13
+        assert fft(g, high.values).shape == fft(g, low.values).shape == (21, 11)
+        assert np.abs(ifft(g, fft(g, high.values))).max() < 1e-13
+        assert np.abs(ifft(g, fft(g, low.values)) - low.values).max() < 1e-13
 
 
 class TestLeray:  # grid.project_spectrum, through conftest.leray
@@ -156,7 +179,7 @@ class TestLeray:  # grid.project_spectrum, through conftest.leray
         pv = leray(v)
         scale = l2_scale(v)
         ratio = np.linalg.norm(v.values) / np.linalg.norm(pv.values)
-        assert divergence_residual(g, fft(pv)) <= 1e-12 * ratio
+        assert divergence_residual(g, fft(g, pv.values)) <= 1e-12 * ratio
         ppv = leray(pv)
         assert np.abs(ppv.values - pv.values).max() <= 1e-12 * scale
         w = random_vector(g, rng)
@@ -169,15 +192,15 @@ class TestMollify:
     def test_constant_preserved(self):
         g = GridSpec(3, 16)
         c = ScalarField(g, np.full(g.shape, 2.5))
-        out = mollify(c, 0.7, fft(c))
-        assert np.abs(out.values - 2.5).max() < 1e-13
+        out = mollify(g, 0.7, fft(g, c.values))
+        assert np.abs(out - 2.5).max() < 1e-13
 
     def test_single_mode_damping(self):
         g = GridSpec(3, 16)
         x = meshgrid(g)
         f = ScalarField(g, np.cos(x[0]))
-        out = mollify(f, 1.0, fft(f))
-        assert out.values.max() == pytest.approx(np.exp(-0.5), rel=1e-12)
+        out = mollify(g, 1.0, fft(g, f.values))
+        assert out.max() == pytest.approx(np.exp(-0.5), rel=1e-12)
 
     def test_vanishing_width_monotone(self):
         rng = np.random.default_rng(4)
@@ -185,7 +208,7 @@ class TestMollify:
         v = ScalarField(g, band_limited_part(random_scalar(g, rng)))
         errs = []
         for eps in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.004):
-            diff = mollify(v, eps, fft(v)).values - v.values
+            diff = mollify(g, eps, fft(g, v.values)) - v.values
             errs.append(np.sqrt(np.sum(diff**2)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-2 * errs[0]
@@ -194,7 +217,7 @@ class TestMollify:
         rng = np.random.default_rng(5)
         g = GridSpec(3, 16)
         v = random_vector(g, rng)
-        out = mollify(v, 0.4, fft(v))
+        out = VectorField(g, mollify(g, 0.4, fft(g, v.values)))
         assert np.linalg.norm(out.values) <= np.linalg.norm(v.values) * (1 + 1e-14)
         assert np.abs(integral(out) - integral(v)).max() < 1e-13 * g.volume
 
@@ -203,32 +226,31 @@ class TestMollify:
         g = GridSpec(3, 16)
         v = random_vector(g, rng)
         pv = leray(v)
-        a = mollify(pv, 0.3, fft(pv))
-        b = leray(mollify(v, 0.3, fft(v)))
-        assert np.abs(a.values - b.values).max() <= 1e-12 * l2_scale(v)
+        a = mollify(g, 0.3, fft(g, pv.values))
+        b = leray(VectorField(g, mollify(g, 0.3, fft(g, v.values))))
+        assert np.abs(a - b.values).max() <= 1e-12 * l2_scale(v)
 
     def test_given_spectrum_left_as_it_is(self):
         # a caller hands in the spectrum it keeps (FluidState.u_hat)
         g = GridSpec(3, 16)
         v = random_vector(g, np.random.default_rng(8))
-        spectrum = fft(v)
+        spectrum = fft(g, v.values)
         kept = spectrum.copy()
-        mollify(v, 0.3, spectrum)
+        mollify(g, 0.3, spectrum)
         assert spectrum.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_bad_width_rejected(self, eps):
         g = GridSpec(2, 16)
-        zero = ScalarField.zeros(g)
         with pytest.raises(ValueError):
-            mollify(zero, eps, fft(zero))
+            mollify(g, eps, fft(g, np.zeros(g.shape)))
 
 
 def test_integral_and_norms():
     g = GridSpec(2, 16)
     one = ScalarField(g, np.full(g.shape, 1.0))
     assert integral(one) == pytest.approx(g.volume, rel=1e-14)
-    assert divergence_residual(g, fft(VectorField.zeros(g))) == 0.0
+    assert divergence_residual(g, fft(g, np.zeros((2,) + g.shape))) == 0.0
 
 
 def test_wrap_to_torus_at_the_seam():
