@@ -34,10 +34,9 @@ print(f"two-radius run: tau={config.tau}, r2={config.r2}, "
 
 result = run_scenario(config)
 cloud = result.cloud
-parents = cloud.r == 1.0
-fragments = ~parents
+parents, fragments = (rows for rows, _ in cloud.species())
 
-print(f"\nfinal cloud: {parents.sum()} parents, {fragments.sum()} fragments "
+print(f"\nfinal cloud: {cloud.parents} parents, {cloud.count - cloud.parents} fragments "
       f"(count capped at {config.particle_budget})")
 print(f"parent number remaining: {cloud.w[parents].sum():.5f} of "
       f"{config.spray_mass} (decay exp(-T/tau) = "

@@ -34,7 +34,7 @@ BALL_VOLUME_FACTOR = 4.0 * np.pi / 3.0
 class DiagnosticsRecord:
     """One row of per-step diagnostics: every budget input of one step.
 
-    Spray kinetic energy weighs each droplet by its liquid volume r^3 (1 for
+    Spray kinetic energy weighs each species by its liquid volume r^3 (1 for
     parents, r2^3 for fragments); the drag dissipation weighs it by its
     radius r, so the energy budget closes with a single scenario coefficient.
     volume + mass_rho is the liquid every scenario conserves; r1, r2, r3
@@ -50,7 +50,7 @@ class DiagnosticsRecord:
     m1: np.ndarray           # (dim,) number-weighted momentum of the spray
     m2: float
     total_momentum: np.ndarray  # (dim,) mass-weighted spray + (1+rho) fluid
-    volume: float            # liquid volume of the spray, sum of liquid_volume
+    volume: float            # liquid volume of the spray, liquid_volume
     mass_rho: float          # integral of the added density
     div_residual: float
     r1: float
@@ -70,9 +70,9 @@ class DiagnosticsRecord:
         return out
 
 
-def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray):
-    """(M0, M1, M2) of weights w, given the velocities and their squares."""
-    return float(w.sum()), np.array([_pair(w, v) for v in xi.T]), _pair(w, xi_sq)
+def _moments(w: np.ndarray, xi: np.ndarray, xi_sq: np.ndarray) -> np.ndarray:
+    """(M0, M1 by component, M2) of weights w as one array, given xi and |xi|^2."""
+    return np.array([w.sum(), *(_pair(w, v) for v in xi.T), _pair(w, xi_sq)])
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,17 +129,17 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
 
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
-                   drag: DragField, terms: RecordTerms, *, liquid: np.ndarray,
+                   drag: DragField, terms: RecordTerms, *, liquid: float,
                    remainders=(0.0, 0.0, 0.0), nu: float = 1.0) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     fluid.rho, the added density, weighs the fluid's energy and momentum.
     drag is the cloud's drag deposit of weights w r, times the velocity
     cutoff of width eps if it has one; terms is record_terms(cloud,
-    fluid.u, drag, eps) with that eps (None without a cutoff).  The radius
-    r, the Stokes drag weight, also weighs |u - xi|^2 f in the drag
-    dissipation.  liquid, each particle's w r^3 (liquid_volume), sums to the
-    record's volume and weighs the mass-weighted moments; remainders (of
+    fluid.u, drag, eps) with that eps (None without a cutoff).  Each species'
+    (M0, M1, M2) are summed once and weighed by 1, by r (the Stokes drag
+    weight, for |u - xi|^2 f in the drag dissipation) and by r^3 (the mass);
+    liquid, the cloud's liquid_volume, is the record's volume; remainders (of
     regularization_remainders, zeros without a cutoff) are stored as given.
     The gas's momentum is summed component by component, with no temporary
     the size of u.  The gas is finite: FluidState rejects a non-finite u or
@@ -149,20 +149,22 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     grid = u.grid
     u_sq = terms.grid_u_sq
 
-    # an empty cloud needs no branch: every particle sum below is then zero
+    # an empty cloud or species needs no branch: its particle sums are zero
     w, xi = cloud.w, cloud.xi
     xi_sq = rowwise_dot(xi, xi)
-    m0, m1, m2 = _moments(w, xi, xi_sq)
-    volume, m1_mass, m2_mass = _moments(liquid, xi, xi_sq)
+    species = [(_moments(w[rows], xi[rows], xi_sq[rows]), r) for rows, r in cloud.species()]
+    number = sum(moments for moments, _ in species)
+    mass = sum(r**3 * moments for moments, r in species)
     # Deposit S and interpolation I share one kernel, cv <g, S(v)> = sum v I(g),
-    # so pairing |u|^2 and u with S(q c), S(q c xi) gives sum q c (I|u|^2 -
-    # 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not |I u|^2)
-    # cancels the drag work from the energy budget and stays >= 0 (Jensen).
-    q = w * cloud.r
+    # so pairing |u|^2 and u with S(q c), S(q c xi), q = w r, gives sum q c
+    # (I|u|^2 - 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not
+    # |I u|^2) cancels the drag work from the energy budget and stays >= 0 (Jensen).
+    q_tail = w[terms.index] * terms.defect
+    q_tail[np.searchsorted(terms.index, cloud.parents):] *= cloud.radius  # index is sorted
     slip_tail = terms.u_sq - 2.0 * rowwise_dot(terms.u, xi[terms.index])
     dissipation_drag = (
         grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * terms.u_m1)
-        + _pair(q, xi_sq) + _pair(q[terms.index] * terms.defect, slip_tail))
+        + sum(r * moments[-1] for moments, r in species) + _pair(q_tail, slip_tail))
 
     weight = 1.0 + rho.values  # the gas's inertia
     fluid_momentum = np.array([np.sum(weight * comp) for comp in u.values]) * grid.cell_volume
@@ -170,15 +172,15 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
 
     return DiagnosticsRecord(
         t=t,
-        e_kinetic_spray=0.5 * m2_mass,
+        e_kinetic_spray=0.5 * mass[-1],
         e_fluid=e_fluid,
         dissipation_visc=nu * grad_l2_norm_sq(grid, fluid.u_hat),
         dissipation_drag=dissipation_drag,
-        m0=m0,
-        m1=np.asarray(m1, dtype=float),
-        m2=m2,
-        total_momentum=np.asarray(m1_mass + fluid_momentum, dtype=float),
-        volume=volume,
+        m0=number[0],
+        m1=number[1:-1],
+        m2=number[-1],
+        total_momentum=mass[1:-1] + fluid_momentum,
+        volume=liquid,
         mass_rho=float(integral(rho)),
         div_residual=divergence_residual(grid, fluid.u_hat),
         r1=remainders[0], r2=remainders[1], r3=remainders[2],
@@ -230,9 +232,9 @@ def momentum_tolerance(records: Sequence[DiagnosticsRecord], dt: float) -> float
     return 4.0 * dt * float(_cumulative_trapezoid(rate, t)[-1]) + 1e-14
 
 
-def liquid_volume(cloud: ParticleCloud) -> np.ndarray:
-    """Each particle's liquid volume, w r^3; collect_record sums it."""
-    return cloud.w * cloud.r**3
+def liquid_volume(cloud: ParticleCloud) -> float:
+    """The spray's liquid volume, sum w r^3, from each species' sum of w."""
+    return sum(r**3 * cloud.w[rows].sum() for rows, r in cloud.species())
 
 
 @dataclass
@@ -316,7 +318,7 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     energy_budget, whose residual rate they close: r1 + r2 + r3.
     u(x) and |u|^2(x) are interpolated at the particles: r1 interpolates
     |u|^2, not u, as collect_record's drag dissipation does.  The cloud must
-    hold parents alone, so that drag, its deposit with the cutoff of width
+    hold no fragments, so that drag, its deposit with the cutoff of width
     eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
     adds the tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
     record_terms(cloud, u, drag, eps), the record's: it carries u gathered
@@ -327,7 +329,7 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
     gathered here.  All three vanish as eps -> 0 (the cutoff radius 1/eps
     swallows the sampled velocities).
     """
-    if np.any(cloud.r != 1.0):
+    if cloud.parents < cloud.count:
         raise ValueError("the remainders need a cloud of parents only")
     xi_tail, w_tail = cloud.xi[terms.index], cloud.w[terms.index] * terms.defect
     r1 = drag_coefficient * _pair(w_tail, terms.u_sq)

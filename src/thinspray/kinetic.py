@@ -1,14 +1,14 @@
 """Particle (characteristics) discretization of the droplet phase.
 
 A cloud of weighted particles samples the droplet number density in phase
-space.  Each particle carries a position on the torus, an unbounded velocity,
-a number weight (droplets represented per unit phase-space sampling) and a
-droplet radius: 1 for the parents, r2 for the fragments they break into.
-The radius sets the Stokes drag weight r, the relaxation time r^2 and the
-liquid volume r^3.  Drag relaxation uses the exact exponential update, so
-the stiff small-radius limit costs nothing in dt.  Parents break up at rate
-1/tau in one call, `absorb_and_fragment`: their lost weight leaves the
-cloud or becomes fragments, spawned by the parents in turns.
+space.  Each particle carries a position on the torus, an unbounded velocity
+and a number weight (droplets represented per unit phase-space sampling).
+The parents, of radius 1, come before the fragments they break into, of one
+radius r2: the Stokes drag weight r, the relaxation time r^2 and the liquid
+volume r^3 are one scalar per species.  Drag relaxation uses the exact
+exponential update, so the stiff small-radius limit costs nothing in dt.
+Parents break up at rate 1/tau in one call, `absorb_and_fragment`: their
+lost weight leaves the cloud or becomes fragments, spawned in turns.
 """
 
 from __future__ import annotations
@@ -38,29 +38,33 @@ class ParticleCloud:
     """Weighted particles sampling the droplet phase, handled as a value: the
     functions that push, decay or merge a cloud share every array they leave
     unchanged with the cloud they return, so no code writes into one in place.
-    Its constructor is the one check of the particle state: a non-finite x,
-    xi, w or r, a negative w or a radius that is not positive raises FieldError.
+    Its constructor is the one check: a non-finite x, xi or w, a negative w,
+    parents outside [0, N] or a radius outside (0, inf) raises FieldError.
     """
 
     x: np.ndarray        # (N, dim) positions in [0, 2π)
     xi: np.ndarray       # (N, dim) velocities
     w: np.ndarray        # (N,) nonnegative number weights
-    r: np.ndarray        # (N,) positive droplet radii, 1 for parents
+    parents: int         # rows [0, parents) are parents, of radius 1
+    radius: float = 1.0  # the one droplet radius of the fragments after them
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
         self.xi = np.atleast_2d(np.asarray(self.xi, dtype=np.float64))
         self.w = np.asarray(self.w, dtype=np.float64).ravel()
-        self.r = np.asarray(self.r, dtype=np.float64).ravel()
+        parents, self.parents = self.parents, int(self.parents)
+        self.radius = float(self.radius)
         n = self.x.shape[0]
-        if self.xi.shape != self.x.shape or self.w.shape != (n,) or self.r.shape != (n,):
+        if self.xi.shape != self.x.shape or self.w.shape != (n,):
             raise FieldError("particle arrays have inconsistent shapes")
+        if not (self.parents == parents and 0 <= parents <= n):
+            raise FieldError(f"a cloud of {n} particles cannot hold {parents} parents")
         if not (np.isfinite(self.x).all() and np.isfinite(self.xi).all()):
             raise FieldError("particle positions x or velocities ξ are non-finite")
         if n and not (self.w.min() >= 0 and self.w.max() < np.inf):  # NaN fails both
             raise FieldError("particle weights must be nonnegative and finite")
-        if n and not (self.r.min() > 0 and self.r.max() < np.inf):
-            raise FieldError("droplet radii must be positive and finite")
+        if not 0 < self.radius < np.inf:
+            raise FieldError(f"the fragment radius must be positive and finite: {self.radius}")
 
     @property
     def count(self) -> int:
@@ -70,13 +74,14 @@ class ParticleCloud:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    @classmethod
-    def empty(cls, dim: int) -> "ParticleCloud":
-        z = np.zeros((0, dim))
-        return cls(z, z.copy(), np.zeros(0), np.zeros(0))
+    def species(self) -> tuple[tuple[slice, float], tuple[slice, float]]:
+        """The rows and the droplet radius of each species, parents first."""
+        return (slice(0, self.parents), 1.0), (slice(self.parents, self.count), self.radius)
 
-    def select(self, mask: np.ndarray) -> "ParticleCloud":
-        return ParticleCloud(self.x[mask], self.xi[mask], self.w[mask], self.r[mask])
+    @classmethod
+    def empty(cls, dim: int, radius: float = 1.0) -> "ParticleCloud":
+        z = np.zeros((0, dim))
+        return cls(z, z.copy(), np.zeros(0), 0, radius)
 
 
 def rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,11 +116,11 @@ def advance_particles(cloud: ParticleCloud, u_at_x: np.ndarray, dt: float) -> Pa
     Only the coordinates that left [0, 2π) are wrapped back (`wrap_to_torus`).
     u_at_x is the (N, dim) advecting velocity already gathered at cloud.x,
     as `deposit_moments` returns it, and it becomes x': the update runs over
-    `transfer._CHUNK` rows at a time, writing each chunk's xi' rows into a
-    new array and its x' rows into u_at_x in place, so that no other array
-    the size of the cloud is made.  The returned cloud holds u_at_x as its
-    x and shares w and r with the input; a non-finite x' or xi' raises
-    FieldError, from that cloud.
+    `transfer._CHUNK` rows of one species, of one r^2, at a time, writing
+    each chunk's xi' rows into a new array and its x' rows into u_at_x in
+    place, so that no other array the size of the cloud is made.  The
+    returned cloud holds u_at_x as its x and shares w with the input; a
+    non-finite x' or xi' raises FieldError, from that cloud.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -123,61 +128,57 @@ def advance_particles(cloud: ParticleCloud, u_at_x: np.ndarray, dt: float) -> Pa
             or not u_at_x.flags.c_contiguous):  # the chunk rows must be views
         raise ValueError("u_at_x must be a C-contiguous float (N, dim) array like x")
     xi_new = np.empty_like(cloud.xi)
-    for start in range(0, cloud.count, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        up = u_at_x[sl]  # the chunk's rows of u, then of x'
-        tau_p = cloud.r[sl, None] ** 2
-        decay = np.exp(-dt / tau_p)
-        dxi = cloud.xi[sl] - up
-        xi = np.multiply(dxi, decay, out=xi_new[sl])
-        xi += up
-        dxi *= tau_p * (1.0 - decay)
-        up *= dt
-        up += cloud.x[sl]
-        up += dxi
-        flat = up.reshape(-1)  # a view: the rows of one chunk are contiguous
-        left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
-        flat[left] = wrap_to_torus(flat[left])
-    return ParticleCloud(u_at_x, xi_new, cloud.w, cloud.r)
+    for rows, r in cloud.species():
+        tau = np.square(np.float64(r))
+        decay = np.exp(-dt / tau)
+        for start in range(rows.start, rows.stop, _CHUNK):
+            sl = slice(start, min(start + _CHUNK, rows.stop))
+            up = u_at_x[sl]  # the chunk's rows of u, then of x'
+            dxi = cloud.xi[sl] - up
+            xi = np.multiply(dxi, decay, out=xi_new[sl])
+            xi += up
+            dxi *= tau * (1.0 - decay)
+            up *= dt
+            up += cloud.x[sl]
+            up += dxi
+            flat = up.reshape(-1)  # a view: the rows of one chunk are contiguous
+            left = np.flatnonzero((flat < 0.0) | (flat >= TWO_PI))
+            flat[left] = wrap_to_torus(flat[left])
+    return ParticleCloud(u_at_x, xi_new, cloud.w, cloud.parents, cloud.radius)
 
 
 def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float, *,
-                        radius: float | None = None,
                         step: int | None = None) -> ParticleCloud:
-    """Break up the parent droplets, those of radius 1, at rate 1/tau.
+    """Break up the parent droplets at rate 1/tau.
 
-    Without a fragment `radius` (absorbing), every parent keeps exp(-dt/tau)
-    of its weight; the weight lost, cloud.w minus the returned w, is the
-    caller's to absorb, and the returned cloud shares x, xi and r with the
-    input.  With a `radius` (fragmenting), the parents take turns, so the
-    `step` k is then required: only the parents of index i = k
-    (mod _SPAWN_PERIOD = 2) break up, each keeping exp(-2 dt/tau) of its
-    weight and spawning one fragment of that radius at its x and xi with the
-    lost liquid volume, weight lost / radius^3.  The fragments follow the
-    decayed particles, in parent order, in the one cloud returned.  The rate
+    Without a `step` (absorbing), every parent keeps exp(-dt/tau) of its
+    weight; the weight lost, cloud.w minus the returned w, is the caller's to
+    absorb, and the returned cloud shares x and xi with the input.  With the
+    step k (fragmenting), the parents take turns: only the parents of index
+    i = k (mod _SPAWN_PERIOD = 2) break up, each keeping exp(-2 dt/tau) of
+    its weight and spawning one fragment of the cloud's radius at its x and
+    xi with the lost liquid volume, weight lost / radius^3, after the
+    cloud's fragments, in parent order, in the one cloud returned.  The rate
     stays 1/tau, the liquid volume exact, and a step spawns half as many
-    fragments for the merge to take back.  Fragments, and every particle when
-    tau is inf, pass through untouched.
+    fragments for the merge to take back.  Fragments, and every particle
+    when tau is inf, pass through untouched.
     """
     if not tau > 0:
         raise ValueError(f"breakup time must be positive, got {tau}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if radius is not None and step is None:
-        raise ValueError("a fragmenting breakup needs the step, which picks the turn")
-    decays = cloud.r == 1.0
-    if radius is not None:
-        decays &= np.arange(cloud.count) % _SPAWN_PERIOD == step % _SPAWN_PERIOD
-        dt = _SPAWN_PERIOD * dt
-    w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
-    if radius is None:
-        return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
-    lost = cloud.w - w_new
+    period = 1 if step is None else _SPAWN_PERIOD  # a turn takes every period-th parent
+    turn = slice((step or 0) % period, cloud.parents, period)
+    dt = period * dt
+    w_new = cloud.w.copy()
+    w_new[turn] *= np.exp(-dt / tau)
+    if step is None:
+        return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.parents, cloud.radius)
+    lost = cloud.w[turn] - w_new[turn]
     spawn = lost > 0
-    spawned = (cloud.x[spawn], cloud.xi[spawn], lost[spawn] / radius**3,
-               np.full(spawn.sum(), radius))
-    kept = (cloud.x, cloud.xi, w_new, cloud.r)
-    return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
+    spawned = (cloud.x[turn][spawn], cloud.xi[turn][spawn], lost[spawn] / cloud.radius**3)
+    kept = (cloud.x, cloud.xi, w_new)
+    return ParticleCloud(*map(np.concatenate, zip(kept, spawned)), cloud.parents, cloud.radius)
 
 
 def deposit_moments(cloud: ParticleCloud, u: VectorField,
@@ -185,10 +186,10 @@ def deposit_moments(cloud: ParticleCloud, u: VectorField,
     """Deposit the drag densities m0 and m1 of the cloud, weights w r, on
     u's grid, and gather u at the particles.
 
-    Each particle weighs w times its radius r, the weight with which a
-    droplet pulls on the gas under Stokes drag.  With a cutoff width
-    `cutoff_eps`, the weight is first multiplied by the smooth velocity
-    cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps); a width <= 0 is
+    Each particle weighs w times its radius r, 1 for the parents, the
+    weight with which a droplet pulls on the gas under Stokes drag.  With a
+    cutoff width `cutoff_eps`, the weight is first multiplied by the smooth
+    velocity cutoff (1 inside |xi| <= 1/eps, 0 beyond 2/eps); a width <= 0 is
     rejected.  One scatter, one corner table per chunk, deposits m0 and
     the dim components of m1 and reads u at every particle, the (N, dim)
     array returned beside the drag: a run passes the advecting velocity,
@@ -197,7 +198,8 @@ def deposit_moments(cloud: ParticleCloud, u: VectorField,
     w = cloud.w
     if cutoff_eps is not None:
         w = w * velocity_cutoff(cloud.xi, cutoff_eps)
-    w = w * cloud.r
+    if cloud.parents < cloud.count:
+        w = np.concatenate([w[:cloud.parents], w[cloud.parents:] * cloud.radius])
     grid = u.grid
     dens, u_at_x = cic_scatter(grid, cloud.x, w, cloud.xi, gather=u)
     return DragField(ScalarField(grid, dens[0]), VectorField(grid, dens[1:])), u_at_x
@@ -206,16 +208,16 @@ def deposit_moments(cloud: ParticleCloud, u: VectorField,
 def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, float]:
     """Reduce the cloud to at most `budget` particles by pairwise merging.
 
-    Near phase-space neighbours of one radius are combined into a
-    single particle conserving sum(w) and sum(w xi) exactly: each pair's
-    distance is at most 1 + _NN_EPS = 4 times the exact nearest-neighbour
-    distance of one of its particles.  On spray clouds that bound is loose:
-    the merged pairs' mean squared position shift, weighted by reduced
-    mass, measured 1.01-1.13 times an exact query's on the bidisperse-merge
-    benchmark's merge inputs.  Positions use the
-    periodic weighted mean on the torus [0, 2π).  Returns the merged cloud
-    and the relative change of sum(w |xi|^2), the one moment a merge does
-    not preserve; a cloud within the budget is returned as it is.
+    Near phase-space neighbours of one species, in each pass the larger
+    one, are combined into a single particle conserving sum(w) and sum(w xi)
+    exactly: each pair's distance is at most 1 + _NN_EPS = 4 times the exact
+    nearest-neighbour distance of one of its particles.  On spray clouds that
+    bound is loose: the merged pairs' mean squared position shift, weighted
+    by reduced mass, measured 1.01-1.13 times an exact query's on the
+    bidisperse-merge benchmark's merge inputs.  Positions use the periodic
+    weighted mean on the torus [0, 2π).  Returns the merged cloud and the
+    relative change of sum(w |xi|^2), the one moment a merge does not
+    preserve; a cloud within the budget is returned as it is.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -228,11 +230,11 @@ def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, f
     m2_before = m2(cloud)
     out = cloud
     while out.count > budget:
-        radii, counts = np.unique(out.r, return_counts=True)
-        top = np.lexsort((radii, counts))[-1]  # the most numerous radius; on a tie the larger
-        if counts[top] < 2:  # no radius has a pair left to merge
+        # max keeps the first of equals: the parents on a tie
+        block = max((rows for rows, _ in out.species()), key=lambda s: s.stop - s.start)
+        if block.stop - block.start < 2:  # no species has a pair left to merge
             break
-        out = _merge_pass(out, np.flatnonzero(out.r == radii[top]), out.count - budget)
+        out = _merge_pass(out, block, out.count - budget)
     rel = abs(m2(out) - m2_before) / max(abs(m2_before), 1e-300)
     return out, rel
 
@@ -285,45 +287,45 @@ def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1]), dist[:, 1]
 
 
-def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int):
-    """One greedy nearest-neighbour merge pass inside one group of equal radius.
+def _merge_pass(cloud: ParticleCloud, block: slice, max_merges: int):
+    """One greedy nearest-neighbour merge pass inside one species, its rows `block`.
 
     Each particle's edge to an approximate phase-space nearest neighbour,
     another particle at most 1 + _NN_EPS = 4 times as far as the nearest
     (`_nearest_edges`), is ranked by length; the greedy matching over these
     edges is taken in rounds by `_greedy_pairs`, and its `max_merges`
     shortest pairs are merged.  Each array of the returned cloud is written
-    once: the unmerged rows in order, then the merged pairs.  The group needs
-    two particles and max_merges must be positive.
+    once; the block ends in its unmerged rows, then the merged pairs, so the
+    parents stay first.  The block needs two particles, max_merges > 0.
     """
-    x = cloud.x[group]
-    xi = cloud.xi[group]
-    dim = cloud.dim
+    x = cloud.x[block]
+    xi = cloud.xi[block]
+    w = cloud.w[block]
+    size, dim = x.shape
     # balance the metric between position and velocity spread
-    z = np.empty((group.size, 2 * dim))
+    z = np.empty((size, 2 * dim))
     np.divide(x, max(x.std(), 1e-12), out=z[:, :dim])
     np.divide(xi, max(xi.std(), 1e-12), out=z[:, dim:])
     nn, dist = _nearest_edges(z)
     del z
-    key = np.empty(group.size, dtype=np.int64)
-    key[np.argsort(dist, kind="stable")] = np.arange(group.size)
+    key = np.empty(size, dtype=np.int64)
+    key[np.argsort(dist, kind="stable")] = np.arange(size)
     src = _greedy_pairs(nn, key)[:max_merges]
-    a, b = group[src], group[nn[src]]
 
-    keep = np.ones(cloud.count, dtype=bool)
-    keep[a] = False
-    keep[b] = False
-    kept = cloud.count - 2 * src.size
+    keep = np.ones(block.stop, dtype=bool)  # the rows up to the block's end
+    keep[block.start + src] = False
+    keep[block.start + nn[src]] = False
+    kept = block.stop - 2 * src.size
     out = []
-    for arr in (cloud.x, cloud.xi, cloud.w, cloud.r):
-        out.append(np.empty((kept + src.size,) + arr.shape[1:]))
-        np.compress(keep, arr, axis=0, out=out[-1][:kept])
-    x_m, xi_m, wsum, r_m = (arr[kept:] for arr in out)  # the merged rows, in pair order
+    for arr in (cloud.x, cloud.xi, cloud.w):
+        out.append(np.empty((cloud.count - src.size,) + arr.shape[1:]))
+        np.compress(keep, arr[:block.stop], axis=0, out=out[-1][:kept])
+        out[-1][block.stop - src.size:] = arr[block.stop:]
+    x_m, xi_m, wsum = (arr[kept:block.stop - src.size] for arr in out)  # the merged pairs
 
-    # the ends' x, xi and w, each gathered once: x[src] is cloud.x[a]
-    wa, wb = cloud.w[a], cloud.w[b]
+    # the ends' x, xi and w, each gathered once
+    wa, wb = w[src], w[nn[src]]
     np.add(wa, wb, out=wsum)
-    r_m[:] = cloud.r[a]
     zero = np.flatnonzero(wsum == 0)  # weights are nonnegative: both ends weigh 0
     safe = np.where(wsum > 0, wsum, 1.0) if zero.size else wsum
     xia, xib = xi[src], xi[nn[src]]
@@ -344,7 +346,8 @@ def _merge_pass(cloud: ParticleCloud, group: np.ndarray, max_merges: int):
     delta *= frac_b[:, None]
     delta += xa
     x_m[:] = wrap_to_torus(delta)
-    return ParticleCloud(*out)
+    parents = cloud.parents - src.size if block.stop <= cloud.parents else cloud.parents
+    return ParticleCloud(*out, parents, cloud.radius)
 
 
 def _kronecker_points(count: int, dim: int, seed: int) -> np.ndarray:
@@ -392,5 +395,5 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
         xi[:] = 0.0
     xi += mean_velocity
     w = np.full(count, total_number / count)
-    return ParticleCloud(x, xi, w, np.ones(count))
+    return ParticleCloud(x, xi, w, count)
 

@@ -18,14 +18,14 @@ splitting).  Unit-radius parents break up at rate 1/tau, and
                     outgrows its budget; rho stays zero.
 
 The breakup is one call, ``kinetic.absorb_and_fragment``; a fragmenting run
-passes it r2 and the step, and its parents take turns (see that function).
+passes it the step, and its parents take turns (see that function).
 
 In every absorbing run every parent decays on every step, with one
 source rule: a parent keeps exp(-dt/tau) of its weight, so the source of
 rho is expm1(dt/tau) m0 / dt, with m0 the number density of the step's
 (cut-off) drag deposit.  Under Stokes drag a droplet of radius r pulls on
 the gas with weight r and relaxes in time r^2, so the deposit, the push
-and the drag dissipation read each particle's radius off the cloud.  A
+and the drag dissipation read each species' radius off the cloud.  A
 parent absorbed into rho joins the gas at velocity u: breakup hands the
 gas the impulse (w/tau)(xi - u) on top of the drag w (xi - u) and
 dissipates (w/2tau)|xi - u|^2, so an absorbing run couples with 1 + 1/tau
@@ -243,13 +243,13 @@ def initial_fluid(config: SimConfig) -> FluidState:
 def initial_cloud(config: SimConfig) -> ParticleCloud:
     grid = config.grid
     if config.spray_mass == 0:
-        return ParticleCloud.empty(grid.dim)
+        return ParticleCloud.empty(grid.dim, config.r2)
     mean = np.zeros(grid.dim)
     mean[0] = config.spray_mean_speed
-    return sample_gaussian_spray(
+    return replace(sample_gaussian_spray(
         grid, config.particle_count, config.spray_mass, mean,
         config.spray_sigma, config.seed,
-    )
+    ), radius=config.r2)
 
 
 @dataclass
@@ -304,8 +304,6 @@ def run_scenario(config: SimConfig) -> RunResult:
     coupling, drag_coeff = 1.0 + absorb_rate, 1.0 + 0.5 * absorb_rate
     # a parent keeps exp(-dt/tau) of its weight: the source of rho per unit m0
     gain = np.expm1(config.dt / config.tau) / config.dt
-    # absorbing, every parent decays on every step, as that source rule needs
-    fragment_radius = None if config.absorbs else config.r2
     out = Path(config.output_dir)
     if config.output_dir:
         out.mkdir(parents=True, exist_ok=True)
@@ -344,8 +342,9 @@ def run_scenario(config: SimConfig) -> RunResult:
             # breakup replaces, so the name lets go of it
             cloud = advance_particles(cloud, u_at_x, config.dt)
             del u_at_x
+            # absorbing, every parent decays on every step, as that source rule needs
             cloud = absorb_and_fragment(cloud, config.dt, config.tau,
-                                        radius=fragment_radius, step=step)
+                                        step=None if config.absorbs else step)
             if cloud.count > config.particle_budget:
                 cloud, m2_err = merge_particles(cloud, config.particle_budget)
                 merge_m2_max = max(merge_m2_max, m2_err)
@@ -433,23 +432,24 @@ def _summarize(config: SimConfig, records, lemma_checks, merge_m2_max, drag_coef
 
 
 def fragment_slip(result: RunResult) -> float:
-    """Mass-weighted mean |xi - u(x)|^2 over the fragments, radius below 1."""
+    """Mass-weighted mean |xi - u(x)|^2 over the fragments."""
     cloud = result.cloud
-    fragments = cloud.select(cloud.r < 1.0)
-    if fragments.count == 0:
+    fragments = slice(cloud.parents, None)
+    w = cloud.w[fragments]
+    if w.size == 0:
         return 0.0
-    up = cic_gather(result.fluid.u, fragments.x)
-    slip = np.sum((fragments.xi - up) ** 2, axis=1)
+    up = cic_gather(result.fluid.u, cloud.x[fragments])
+    slip = np.sum((cloud.xi[fragments] - up) ** 2, axis=1)
     # the fragments share one radius, so its r^3 mass factor cancels
-    return float(np.sum(fragments.w * slip) / fragments.w.sum())
+    return float(np.sum(w * slip) / w.sum())
 
 
 def fragment_mass_density(result: RunResult) -> ScalarField:
-    """Mass density sum w r^3 of the fragments, radius below 1, on the grid."""
+    """Mass density sum w r^3 of the fragments on the grid."""
     cloud = result.cloud
     grid = result.config.grid
-    fragments = cloud.select(cloud.r < 1.0)
-    return ScalarField(grid, cic_scatter(grid, fragments.x, liquid_volume(fragments)))
+    number = cic_scatter(grid, cloud.x[cloud.parents:], cloud.w[cloud.parents:])
+    return ScalarField(grid, cloud.radius**3 * number)  # the fragments share one radius
 
 
 def sweep_r2(config: SimConfig, r2_list) -> dict:

@@ -2,12 +2,12 @@
 
 A snapshot is the run state, one NumPy .npz per snapshot with the keys t
 (the run's time, step * dt, as its diagnostics record holds it), u and rho
-(the gas velocity and added density, grid-shaped) and x, xi, w and r (the
-particle positions, velocities, number weights and radii, one row per
-particle).  read_state rebuilds the FluidState and the ParticleCloud from
-them, so a file is checked by the same constructors as a state of a run:
-FluidState and ParticleCloud, the one check of each half.  Neither carries
-the time, so read_state checks t itself.
+(the gas velocity and added density, grid-shaped), x, xi and w (the particle
+positions, velocities and number weights, one row per particle), parents
+and radius (how many rows lead as parents, and the fragments' radius).
+read_state rebuilds the FluidState and the ParticleCloud from them, so a file
+is checked by the same constructors as a state of a run, the one check of
+each half.  Neither carries the time, so read_state checks t itself.
 """
 
 from __future__ import annotations
@@ -29,20 +29,22 @@ from .kinetic import ParticleCloud
 def write_state(path, t: float, fluid: FluidState, cloud: ParticleCloud):
     """Write the run state (t, fluid, cloud) as one .npz; see the module docstring."""
     np.savez(path, t=t, u=fluid.u.values, rho=fluid.rho.values,
-             x=cloud.x, xi=cloud.xi, w=cloud.w, r=cloud.r)
+             x=cloud.x, xi=cloud.xi, w=cloud.w, parents=cloud.parents, radius=cloud.radius)
 
 
 def read_state(path) -> tuple[float, FluidState, ParticleCloud]:
     """Rebuild the (t, fluid, cloud) that write_state wrote; the grid is read
-    off u's shape, and a non-finite t, u, rho, x, xi, w or r raises FieldError."""
+    off u's shape, and a non-finite t, u, rho, x, xi, w or radius raises FieldError."""
     with np.load(path, allow_pickle=False) as data:
+        if "r" in data.files:
+            raise ValueError(f"{path}: the old snapshot layout, with a radius r per particle")
         t = float(data["t"])
         if not np.isfinite(t):
             raise FieldError(f"{path}: time must be finite, got {t}")
         u = data["u"]
         grid = GridSpec(u.ndim - 1, u.shape[-1])
         fluid = FluidState(VectorField(grid, u), ScalarField(grid, data["rho"]))
-        cloud = ParticleCloud(data["x"], data["xi"], data["w"], data["r"])
+        cloud = ParticleCloud(*(data[key] for key in ("x", "xi", "w", "parents", "radius")))
     if cloud.dim != grid.dim:
         raise ValueError(f"{path}: {cloud.dim}-D particles on a {grid.dim}-D grid")
     return t, fluid, cloud

@@ -26,7 +26,7 @@ BALL_FACTOR = 4.0 * np.pi / 3.0
 
 
 def make_cloud(x, xi, w):
-    return ParticleCloud(x, xi, w, np.ones(len(w)))
+    return ParticleCloud(x, xi, w, len(w))
 
 
 class TestRadialDensity:
@@ -208,7 +208,7 @@ class TestRemainders:
         # the pairing assumes the deposit weight w cutoff of unit-radius parents
         g = GridSpec(2, 16)
         zero = VectorField.zeros(g)
-        cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), [1.0, 0.3])
+        cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), 1, 0.3)
         with pytest.raises(ValueError, match="parents only"):
             remainders(cloud, zero, zero, 0.5)
 
@@ -249,10 +249,8 @@ def _record_cases(draw):
     eps = draw(st.sampled_from([None, 0.3, 1.0]))
     if eps is not None and draw(st.booleans()):
         xi[:, 0] = np.copysign(1.0 / eps + 0.5 + np.abs(xi[:, 0]), xi[:, 0])
-    r = np.ones(count)
-    if draw(st.booleans()):
-        r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, 0.3])))
-    cloud = ParticleCloud(x, xi, w, r)
+    parents = draw(st.integers(0, count)) if draw(st.booleans()) else count
+    cloud = ParticleCloud(x, xi, w, parents, 0.3)
     return GridSpec(dim, n), cloud, eps, draw(st.integers(0, 2**32 - 1))
 
 
@@ -278,10 +276,15 @@ def test_property_paired_record_matches_gathered_sums(case):
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
     xi, w = cloud.xi, cloud.w
     xi_up = np.sum(xi * up, axis=1)
-    q = w * cloud.r
-    _assert_sum_matches(record.dissipation_drag,
-                        [q * u_sq, -2.0 * q * xi_up, q * np.sum(xi**2, axis=1)])
-    if np.any(cloud.r != 1.0):
+    r = np.where(np.arange(cloud.count) < cloud.parents, 1.0, cloud.radius)
+    q, xi_sq = w * r, np.sum(xi**2, axis=1)
+    _assert_sum_matches(record.dissipation_drag, [q * u_sq, -2.0 * q * xi_up, q * xi_sq])
+    # the per-species sums, weighed by 1 and by r^3, against per-particle ones
+    for got, want in ((record.m0, w), (record.m2, w * xi_sq), *zip(record.m1, (w * xi.T)),
+                      (record.volume, w * r**3), (2.0 * record.e_kinetic_spray,
+                                                 w * r**3 * xi_sq)):
+        _assert_sum_matches(got, [want])
+    if cloud.parents < cloud.count:
         return  # the remainders take parents alone
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4

@@ -10,8 +10,9 @@ deliberate change of the numerics) with
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
 which reruns and rewrites the named cases, every case when none is named,
-and prints for each how many values moved past RTOL/ATOL and its largest
-relative move.
+and prints for each how many values moved past RTOL/ATOL, how many changed
+at all (a regeneration that keeps the numerics reports 0 changed bits) and
+its largest relative move.
 The stored values of the cases not named stay byte for byte: the file is
 kept in the one form that ``json.dumps(..., indent=1, sort_keys=True)``
 writes, and a float's repr reads back to the same float.
@@ -82,13 +83,17 @@ def _same(have, want) -> bool:
 
 def _moves(name: str, old: dict, new: dict) -> str:
     """One line: how many of a case's values moved past RTOL/ATOL from old to
-    new, a key that one of them lacks counting as moved, and the largest
+    new and how many changed their bits (their repr, which a float's bits
+    fix), a key that one of them lacks counting as both, and the largest
     relative move among the nonzero stored floats that moved, with its key."""
-    moved = {key for key in old.keys() | new.keys()
+    changed = {key for key in old.keys() | new.keys()
+               if key not in old or key not in new or repr(new[key]) != repr(old[key])}
+    moved = {key for key in changed
              if key not in old or key not in new or not _same(new[key], old[key])}
     rel = {key: abs(new[key] - old[key]) / abs(old[key]) for key in moved & old.keys()
            if isinstance(old[key], float) and old[key] and isinstance(new.get(key), float)}
-    line = f"{name}: {len(moved)} of {len(new)} values moved past RTOL/ATOL"
+    line = (f"{name}: {len(moved)} of {len(new)} values moved past RTOL/ATOL, "
+            f"{len(changed)} changed bits")
     if rel:
         key = max(sorted(rel), key=rel.get)
         line += f"; largest relative move {rel[key]:.3e} at {key}"
@@ -161,8 +166,24 @@ def test_regenerating_one_case_keeps_the_others(tmp_path, monkeypatch):
     assert "largest relative move" in report[0]
     old, new = _expected(), json.loads(path.read_text())
     assert new["limit-2d"] == case_values(CASES["limit-2d"]) != old["limit-2d"]
+    # rerun as stored, the case reports the same bytes
+    count = len(new["limit-2d"])
+    assert regenerate(["limit-2d"], path) == [
+        f"limit-2d: 0 of {count} values moved past RTOL/ATOL, 0 changed bits"]
+    assert json.loads(path.read_text()) == new
     del old["limit-2d"], new["limit-2d"]
     assert new == old
+
+
+def test_moves_counts_changed_bits_apart_from_moves():
+    # a last-bit change is within RTOL, yet it is a change of the stored bytes
+    old = {"a": 1.0, "b": 2.0, "c": True, "d": 3.0}
+    new = {"a": 1.0 + 2.0**-52, "b": 2.0, "c": True, "d": 3.5}
+    assert _moves("case", old, new) == ("case: 1 of 4 values moved past RTOL/ATOL, "
+                                        "2 changed bits; largest relative move "
+                                        "1.667e-01 at d")
+    assert _moves("case", old, dict(old)).endswith("0 of 4 values moved past RTOL/ATOL, "
+                                                   "0 changed bits")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,6 @@
+from dataclasses import fields as dataclass_fields, replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import transient_peak
@@ -7,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
 from thinspray import kinetic, scenarios
+from thinspray.diagnostics import liquid_volume
 from thinspray.grid import TWO_PI, GridSpec, ScalarField, VectorField, integral
 from thinspray.kinetic import (
     ParticleCloud,
@@ -19,7 +23,7 @@ from thinspray.kinetic import (
 )
 from thinspray.transfer import _CHUNK, cic_gather, cic_scatter
 
-R2 = 0.3  # the fragment radius of the mixed clouds below
+R2 = 0.3  # the fragment radius of the clouds below
 
 
 def uniform_velocity(grid, vec):
@@ -37,25 +41,28 @@ def deposit(cloud, grid, eps=None):
     return deposit_moments(cloud, VectorField.zeros(grid), eps)[0]
 
 
-def random_cloud(rng, n, dim=3, r=None):
+def random_cloud(rng, n, dim=3, parents=None):
+    """n particles, the first `parents` of them parents (every one by
+    default), the others fragments of radius R2."""
     return ParticleCloud(
         rng.uniform(0, 2 * np.pi, (n, dim)),
         rng.standard_normal((n, dim)),
         rng.uniform(0.1, 2.0, n),
-        np.ones(n) if r is None else r,
+        n if parents is None else parents,
+        R2,
     )
 
 
-def mixed_radii(rng, n, parents):
-    """Radius 1 with probability `parents`, else R2."""
-    return np.where(rng.uniform(size=n) < parents, 1.0, R2)
+def radii(cloud):
+    """Each row's droplet radius, 1 for the parents and the cloud's radius after them."""
+    return np.where(np.arange(cloud.count) < cloud.parents, 1.0, cloud.radius)
 
 
 def relax_time(r, dt=0.01):
     """Relaxation time a droplet of radius r shows in one push through still fluid."""
     g = GridSpec(2, 16)
     cloud = ParticleCloud(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]),
-                          np.array([1.0]), np.array([r]))
+                          np.array([1.0]), 0, r)
     out = push(cloud, uniform_velocity(g, (0.0, 0.0)), dt)
     return -dt / np.log(out.xi[0, 0])
 
@@ -76,9 +83,23 @@ class TestStokesRelaxTime:
 
     def test_nonpositive_rejected(self):
         # the cloud refuses a radius that no push could relax with
-        for r in (0.0, -0.5, np.nan):
-            with pytest.raises(ValueError, match="radii must be positive"):
-                ParticleCloud(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), [1.0, r])
+        for r in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                ParticleCloud(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), 1, r)
+
+    @pytest.mark.parametrize("parents", [-1, 3, 1.5])
+    def test_parent_count_outside_the_cloud_rejected(self, parents):
+        with pytest.raises(ValueError, match="cannot hold"):
+            ParticleCloud(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), parents, R2)
+
+
+def test_the_cloud_keeps_one_radius_per_species():
+    # no radius per particle: the parents come first, and the fragments
+    # after them share one radius
+    assert tuple(f.name for f in dataclass_fields(ParticleCloud)) == (
+        "x", "xi", "w", "parents", "radius")
+    cloud = random_cloud(np.random.default_rng(0), 5, parents=3)
+    assert cloud.species() == ((slice(0, 3), 1.0), (slice(3, 5), R2))
 
 
 class TestVelocityCutoff:
@@ -111,8 +132,7 @@ class TestAdvanceParticles:
         g = GridSpec(3, 16)
         u = uniform_velocity(g, (0.3, -0.1, 0.2))
         x0 = np.array([[1.0, 2.0, 3.0]])
-        cloud = ParticleCloud(x0, np.array([[0.3, -0.1, 0.2]]),
-                              np.array([1.0]), np.array([1.0]))
+        cloud = ParticleCloud(x0, np.array([[0.3, -0.1, 0.2]]), np.array([1.0]), 1)
         out = push(cloud, u, 0.25)
         assert np.abs(out.xi[0] - cloud.xi[0]).max() < 1e-14
         assert np.abs(out.x[0] - (x0[0] + 0.25 * cloud.xi[0])).max() < 1e-13
@@ -121,7 +141,7 @@ class TestAdvanceParticles:
         g = GridSpec(3, 16)
         u = uniform_velocity(g, (1.0, 0.0, 0.0))
         cloud = ParticleCloud(np.array([[0.0, 0.0, 0.0]]), np.array([[5.0, 5.0, 5.0]]),
-                              np.array([1.0]), np.array([0.01]))
+                              np.array([1.0]), 0, 0.01)
         out = push(cloud, u, 1.0)  # dt/r^2 = 1e4
         assert np.abs(out.xi[0] - np.array([1.0, 0.0, 0.0])).max() < 1e-12
 
@@ -133,7 +153,7 @@ class TestAdvanceParticles:
         r = 0.3
         x0 = np.array([1.0, 2.0, 3.0])
         xi0 = np.array([0.5, -1.0, 2.0])
-        cloud = ParticleCloud(x0[None], xi0[None], np.array([1.0]), np.array([r]))
+        cloud = ParticleCloud(x0[None], xi0[None], np.array([1.0]), 0, r)
         out = push(cloud, u, 0.1)
 
         def rhs(t, y):
@@ -148,7 +168,7 @@ class TestAdvanceParticles:
         g = GridSpec(2, 16)
         u = uniform_velocity(g, (10.0, 0.0))
         cloud = ParticleCloud(np.array([[6.0, 1.0]]), np.array([[10.0, 0.0]]),
-                              np.array([1.0]), np.array([1.0]))
+                              np.array([1.0]), 1)
         out = push(cloud, u, 0.1)
         assert 0 <= out.x[0, 0] < g.length
 
@@ -156,30 +176,32 @@ class TestAdvanceParticles:
         # x = -1e-17 after the push: np.mod alone rounds it up to exactly L
         g = GridSpec(2, 16)
         cloud = ParticleCloud(np.array([[0.0, 1.0]]), np.array([[-1e-14, 0.0]]),
-                              np.array([1.0]), np.array([1.0]))
+                              np.array([1.0]), 1)
         out = push(cloud, uniform_velocity(g, (0.0, 0.0)), 1e-3)
         assert np.all((out.x >= 0.0) & (out.x < g.length))
 
     def test_chunks_match_the_whole_array_update(self):
-        # two chunks and three rows, pushed chunk by chunk, give bit for bit
-        # the docstring's closed form on whole arrays, wrapped back to [0, 2π)
+        # two chunks and three rows, pushed chunk by chunk in each species,
+        # give bit for bit the docstring's closed form on whole arrays, with
+        # a radius per row, wrapped back to [0, 2π); the species split inside
+        # the first chunk
         g = GridSpec(3, 16)
         rng = np.random.default_rng(27)
         n = 2 * _CHUNK + 3
-        cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.5))
+        cloud = random_cloud(rng, n, parents=_CHUNK // 2)
         cloud.xi *= 20.0  # fast enough that some particles cross the seam
         cloud.x[-2:, 0], cloud.xi[-2:, 0] = [TWO_PI - 1e-3, 1e-3], [20.0, -20.0]
         u = VectorField(g, rng.standard_normal((3,) + g.shape))
         dt = 0.02
         out = push(cloud, u, dt)
         up = cic_gather(u, cloud.x)
-        tau = cloud.r[:, None] ** 2
+        tau = radii(cloud)[:, None] ** 2
         decay = np.exp(-dt / tau)
         xi_new = up + (cloud.xi - up) * decay
         x_new = cloud.x + dt * up + tau * (1.0 - decay) * (cloud.xi - up)
         crossed = (x_new < 0.0) | (x_new >= TWO_PI)
         assert crossed[:_CHUNK].any() and crossed[2 * _CHUNK:].any()
-        assert np.any(cloud.r[crossed.any(axis=1)] == R2)
+        assert np.any(radii(cloud)[crossed.any(axis=1)] == R2)
         x_new = np.mod(x_new, TWO_PI)
         x_new[x_new == TWO_PI] = 0.0
         assert out.xi.tobytes() == xi_new.tobytes()
@@ -192,7 +214,7 @@ class TestAdvanceParticles:
         g = GridSpec(3, 32)
         rng = np.random.default_rng(28)
         n = 200_000
-        cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.5))
+        cloud = random_cloud(rng, n, parents=n // 2)
         u = VectorField(g, rng.standard_normal((3,) + g.shape))
         u_at_x = cic_gather(u, cloud.x)  # the second call pushes from the first's x'
         peak = transient_peak(lambda: advance_particles(cloud, u_at_x, 1e-3))
@@ -216,80 +238,78 @@ class TestAdvanceParticles:
 def _old_absorb(cloud, dt, tau, breaks=None):
     """The decay as it was before the breakup was one call: the parents that
     the caller's mask selects, every parent by default, keep exp(-dt/tau)."""
-    decays = cloud.r == 1.0
+    decays = radii(cloud) == 1.0
     if breaks is not None:
         decays &= breaks
     w_new = np.where(decays, cloud.w * np.exp(-dt / tau), cloud.w)
-    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.r)
+    return ParticleCloud(cloud.x, cloud.xi, w_new, cloud.parents, cloud.radius)
 
 
-def _old_spawn(cloud, decayed, radius):
-    """The spawn as it was: decayed, then one fragment of the given radius per
-    particle that lost weight, at its x and xi with weight lost / radius^3."""
+def _old_spawn(cloud, decayed):
+    """The spawn as it was: decayed, then one fragment of the cloud's radius
+    per particle that lost weight, at its x and xi with weight lost / radius^3."""
     lost = cloud.w - decayed.w
     spawn = lost > 0
-    spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / radius**3,
-               np.full(spawn.sum(), radius))
-    kept = (decayed.x, decayed.xi, decayed.w, decayed.r)
-    return ParticleCloud(*map(np.concatenate, zip(kept, spawned)))
+    spawned = (decayed.x[spawn], decayed.xi[spawn], lost[spawn] / cloud.radius**3)
+    kept = (decayed.x, decayed.xi, decayed.w)
+    return ParticleCloud(*map(np.concatenate, zip(kept, spawned)), cloud.parents,
+                         cloud.radius)
 
 
-def _old_breakup(cloud, dt, tau, radius, step):
+def _old_breakup(cloud, dt, tau, step):
     """The run loop's breakup as it composed the two: absorbing, every parent
     on every step; fragmenting, the parents of the step's parity over 2 dt."""
-    if radius is None:
+    if step is None:
         return _old_absorb(cloud, dt, tau)
     turn = np.arange(cloud.count) % 2 == step % 2
-    return _old_spawn(cloud, _old_absorb(cloud, 2 * dt, tau, turn), radius)
+    return _old_spawn(cloud, _old_absorb(cloud, 2 * dt, tau, turn))
 
 
 def _assert_clouds_equal(a, b):
-    for name in ("x", "xi", "w", "r"):
+    for name in ("x", "xi", "w", "parents", "radius"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestFragmentation:
-    """The breakup, absorbing (no radius) and fragmenting (with one)."""
+    """The breakup, absorbing (no step) and fragmenting (with one)."""
 
     def test_zero_dt_identity(self):
         rng = np.random.default_rng(4)
-        cloud = random_cloud(rng, 20, r=mixed_radii(rng, 20, 0.5))
-        for radius, step in ((None, 0), (R2, 0), (R2, 1)):
-            out = absorb_and_fragment(cloud, 0.0, 1.0, radius=radius, step=step)
+        cloud = random_cloud(rng, 20, parents=10)
+        for step in (None, 0, 1):
+            out = absorb_and_fragment(cloud, 0.0, 1.0, step=step)
             _assert_clouds_equal(out, cloud)  # no weight lost, so no fragment spawned
 
     def test_half_life_closed_form(self):
-        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
-                              np.array([1.0]), np.array([1.0]))
+        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)), np.array([1.0]), 1, 0.5)
         tau = 0.7
         out = absorb_and_fragment(cloud, tau * np.log(2.0), tau)
         lost = cloud.w - out.w
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
         assert lost[0] == pytest.approx(0.5, rel=1e-14)
         # fragmenting, the parent's turn spans two steps: half over half the dt
-        out = absorb_and_fragment(cloud, tau * np.log(2.0) / 2, tau, radius=0.5, step=0)
-        assert out.count == 2
+        out = absorb_and_fragment(cloud, tau * np.log(2.0) / 2, tau, step=0)
+        assert out.count == 2 and out.parents == 1 and out.radius == 0.5
         assert out.w[0] == pytest.approx(0.5, rel=1e-14)
         assert out.w[1] == pytest.approx(0.5 / 0.5**3, rel=1e-14)
-        assert out.r[1] == 0.5
 
     def test_fragments_pass_through(self):
         rng = np.random.default_rng(6)
-        cloud = random_cloud(rng, 200, r=mixed_radii(rng, 200, 0.5))
+        cloud = random_cloud(rng, 200, parents=100)
         n = cloud.count
-        frag = cloud.r != 1.0
-        for radius, turn in ((None, np.ones(n, dtype=bool)), (R2, np.arange(n) % 2 == 1)):
-            out = absorb_and_fragment(cloud, 0.05, 0.3, radius=radius, step=1)
+        frag = np.arange(n) >= cloud.parents
+        for step, turn in ((None, np.ones(n, dtype=bool)), (1, np.arange(n) % 2 == 1)):
+            out = absorb_and_fragment(cloud, 0.05, 0.3, step=step)
             lost = cloud.w - out.w[:n]
             assert np.array_equal(out.w[:n][frag], cloud.w[frag])
             assert not lost[frag].any()
             assert (lost[~frag & turn] > 0).all()
-            assert np.array_equal(out.r[:n], cloud.r)
+            assert out.parents == cloud.parents and out.radius == cloud.radius
 
     def test_infinite_tau_loses_nothing(self):
         cloud = random_cloud(np.random.default_rng(7), 50)
-        for radius, step in ((None, 0), (R2, 0), (R2, 1)):
-            out = absorb_and_fragment(cloud, 0.1, np.inf, radius=radius, step=step)
+        for step in (None, 0, 1):
+            out = absorb_and_fragment(cloud, 0.1, np.inf, step=step)
             _assert_clouds_equal(out, cloud)
 
     def test_shares_positions_and_velocities(self):
@@ -297,28 +317,24 @@ class TestFragmentation:
         out = absorb_and_fragment(cloud, 0.01, 1.0)
         assert np.shares_memory(out.x, cloud.x)
         assert np.shares_memory(out.xi, cloud.xi)
-        assert np.shares_memory(out.r, cloud.r)
         assert not np.shares_memory(out.w, cloud.w)
 
     def test_liquid_volume_conserved(self):
         rng = np.random.default_rng(1)
-        r2 = 0.31
-        cloud = random_cloud(rng, 500, r=np.where(rng.uniform(size=500) < 0.7, 1.0, r2))
-        before = np.sum(cloud.w * cloud.r**3)
+        cloud = replace(random_cloud(rng, 500, parents=350), radius=0.31)
+        before = liquid_volume(cloud)
         for step in (0, 1):
-            merged = absorb_and_fragment(cloud, 0.013, 0.4, radius=r2, step=step)
-            after = np.sum(merged.w * merged.r**3)
+            merged = absorb_and_fragment(cloud, 0.013, 0.4, step=step)
             assert merged.count > cloud.count
-            assert after == pytest.approx(before, rel=1e-14)
+            assert liquid_volume(merged) == pytest.approx(before, rel=1e-14)
 
     def test_mass_weighted_momentum_conserved(self):
         rng = np.random.default_rng(2)
-        cloud = random_cloud(rng, 300)
-        r2 = 0.17
+        cloud = replace(random_cloud(rng, 300), radius=0.17)
         before = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
         for step in (0, 1):
-            merged = absorb_and_fragment(cloud, 0.05, 0.5, radius=r2, step=step)
-            mass = merged.r**3
+            merged = absorb_and_fragment(cloud, 0.05, 0.5, step=step)
+            mass = radii(merged)**3
             after = np.sum((merged.w * mass)[:, None] * merged.xi, axis=0)
             assert merged.count > cloud.count
             assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
@@ -326,34 +342,34 @@ class TestFragmentation:
     def test_turns_break_up_only_the_parents_of_the_step_parity(self):
         rng = np.random.default_rng(9)
         n = 301  # odd, so the two parities differ in size
-        cloud = random_cloud(rng, n, r=mixed_radii(rng, n, 0.6))
+        cloud = random_cloud(rng, n, parents=181)
         for step in range(4):
-            out = absorb_and_fragment(cloud, 0.02, 0.3, radius=R2, step=step)
-            hit = (np.arange(n) % 2 == step % 2) & (cloud.r == 1.0)
+            out = absorb_and_fragment(cloud, 0.02, 0.3, step=step)
+            hit = (np.arange(n) % 2 == step % 2) & (np.arange(n) < cloud.parents)
             assert np.array_equal(out.w[:n][hit], cloud.w[hit] * np.exp(-0.04 / 0.3))
             assert np.array_equal(out.w[:n][~hit], cloud.w[~hit])
-            for name in ("x", "xi", "r"):
+            for name in ("x", "xi"):
                 assert np.array_equal(getattr(out, name)[:n], getattr(cloud, name))
-            # one fragment per parent hit, in parent order, at its x and xi
+            # one fragment per parent hit, in parent order, at its x and xi,
+            # after the cloud's fragments
             lost = cloud.w[hit] - out.w[:n][hit]
             assert (lost > 0).all()
+            assert out.parents == cloud.parents and out.radius == R2
             assert np.array_equal(out.x[n:], cloud.x[hit])
             assert np.array_equal(out.xi[n:], cloud.xi[hit])
             assert np.array_equal(out.w[n:], lost / R2**3)
-            assert np.all(out.r[n:] == R2)
 
     def test_two_turns_break_up_every_parent_once(self):
         rng = np.random.default_rng(10)
-        cloud = random_cloud(rng, 100, r=mixed_radii(rng, 100, 0.5))
-        parent = cloud.r == 1.0
-        hit = [absorb_and_fragment(cloud, 0.01, 0.7, radius=R2, step=step).w[:100] != cloud.w
+        cloud = random_cloud(rng, 100, parents=50)
+        parent = np.arange(100) < cloud.parents
+        hit = [absorb_and_fragment(cloud, 0.01, 0.7, step=step).w[:100] != cloud.w
                for step in (4, 5)]
         assert not (hit[0] & hit[1]).any()
         assert np.array_equal(hit[0] | hit[1], parent)
-        # the absorbing breakup: every parent on every step, whatever the step,
-        # and the weight lost against its closed form
+        # the absorbing breakup: every parent on every step, and the weight
+        # lost against its closed form
         default = absorb_and_fragment(cloud, 0.02, 0.7)
-        assert np.array_equal(absorb_and_fragment(cloud, 0.02, 0.7, step=1).w, default.w)
         lost = cloud.w - default.w
         expected = -cloud.w[parent] * np.expm1(-0.02 / 0.7)
         np.testing.assert_allclose(lost[parent], expected, rtol=1e-14, atol=0.0)
@@ -361,6 +377,7 @@ class TestFragmentation:
 
     @pytest.mark.parametrize("radius", [None, R2])
     def test_one_cloud_per_breakup(self, monkeypatch, radius):
+        # absorbing, or fragmenting into the given radius
         built = []
 
         class Counted(ParticleCloud):
@@ -369,30 +386,28 @@ class TestFragmentation:
                 super().__post_init__()
         monkeypatch.setattr(kinetic, "ParticleCloud", Counted)
         rng = np.random.default_rng(12)
-        cloud = random_cloud(rng, 400, r=mixed_radii(rng, 400, 0.5))
-        out = absorb_and_fragment(cloud, 0.05, 0.3, radius=radius, step=1)
+        cloud = random_cloud(rng, 400, parents=201)
+        out = absorb_and_fragment(cloud, 0.05, 0.3, step=None if radius is None else 1)
         assert len(built) == 1 and built[0] is out
-        assert out.count == (400 if radius is None else 400 + ((cloud.r == 1.0)[1::2]).sum())
+        assert out.count == (400 if radius is None else 400 + 100)
 
     def test_bad_parameters(self):
         cloud = random_cloud(np.random.default_rng(3), 5)
-        for radius in (None, R2):
+        for step in (None, 0):
             with pytest.raises(ValueError):
-                absorb_and_fragment(cloud, 0.1, 0.0, radius=radius, step=0)
+                absorb_and_fragment(cloud, 0.1, 0.0, step=step)
             with pytest.raises(ValueError):
-                absorb_and_fragment(cloud, 0.1, -1.0, radius=radius, step=0)
+                absorb_and_fragment(cloud, 0.1, -1.0, step=step)
             with pytest.raises(ValueError):
-                absorb_and_fragment(cloud, -0.1, 1.0, radius=radius, step=0)
-        with pytest.raises(ValueError, match="step"):
-            absorb_and_fragment(cloud, 0.1, 1.0, radius=R2)  # no turn to take
+                absorb_and_fragment(cloud, -0.1, 1.0, step=step)
 
 
 @given(
     n=st.integers(0, 60),
     dim=st.sampled_from([2, 3]),
     parents=st.floats(0.0, 1.0),
-    radius=st.sampled_from([None, 0.1, R2, 0.9]),
-    step=st.integers(0, 7),
+    radius=st.sampled_from([0.1, R2, 0.9]),
+    step=st.none() | st.integers(0, 7),
     dt=st.sampled_from([0.0, 1e-3, 0.05]),
     tau=st.sampled_from([0.01, 0.3, np.inf]),
     zero_weights=st.booleans(),
@@ -404,12 +419,12 @@ def test_property_breakup_is_the_old_composition(n, dim, parents, radius, step, 
     # lost weight, as the run loop composed them, bit for bit; a parent of
     # zero weight loses nothing and spawns no fragment
     rng = np.random.default_rng(seed)
-    cloud = random_cloud(rng, n, dim=dim, r=mixed_radii(rng, n, parents))
+    cloud = replace(random_cloud(rng, n, dim=dim, parents=int(parents * n)), radius=radius)
     if zero_weights:
         w = np.where(rng.uniform(size=n) < 0.3, 0.0, cloud.w)
-        cloud = ParticleCloud(cloud.x, cloud.xi, w, cloud.r)
-    _assert_clouds_equal(absorb_and_fragment(cloud, dt, tau, radius=radius, step=step),
-                         _old_breakup(cloud, dt, tau, radius, step))
+        cloud = replace(cloud, w=w)
+    _assert_clouds_equal(absorb_and_fragment(cloud, dt, tau, step=step),
+                         _old_breakup(cloud, dt, tau, step))
 
 
 class TestAbsorbToDensity:
@@ -425,8 +440,7 @@ class TestAbsorbToDensity:
 
     def test_half_life_closed_form(self):
         g = GridSpec(3, 16)
-        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)),
-                              np.array([1.0]), np.array([1.0]))
+        cloud = ParticleCloud(np.full((1, 3), 1.0), np.zeros((1, 3)), np.array([1.0]), 1)
         out = absorb_and_fragment(cloud, np.log(2.0), 1.0)
         lost = cloud.w - out.w
         released = ScalarField(g, cic_scatter(g, out.x, lost))
@@ -450,8 +464,7 @@ class TestDepositMoments:
     def test_single_particle_on_node(self):
         g = GridSpec(3, 16)
         xi = np.array([[0.5, -1.0, 2.0]])
-        cloud = ParticleCloud(np.array([[g.h, 2 * g.h, 3 * g.h]]), xi,
-                              np.array([2.0]), np.array([1.0]))
+        cloud = ParticleCloud(np.array([[g.h, 2 * g.h, 3 * g.h]]), xi, np.array([2.0]), 1)
         drag = deposit(cloud, g)
         assert integral(drag.m0) == pytest.approx(2.0, rel=1e-13)
         assert np.asarray(integral(drag.m1)) == pytest.approx(2.0 * xi[0], rel=1e-13)
@@ -460,8 +473,7 @@ class TestDepositMoments:
         g = GridSpec(3, 16)
         eps = 0.5
         xi = np.array([[1.5 / eps, 0.0, 0.0]])
-        cloud = ParticleCloud(np.array([[1.0, 1.0, 1.0]]), xi,
-                              np.array([1.0]), np.array([1.0]))
+        cloud = ParticleCloud(np.array([[1.0, 1.0, 1.0]]), xi, np.array([1.0]), 1)
         cut = velocity_cutoff(xi, eps)[0]
         assert 0.0 < cut < 1.0
         drag = deposit(cloud, g, eps)
@@ -483,10 +495,10 @@ class TestDepositMoments:
 
     @pytest.mark.parametrize("eps", [None, 0.25])
     def test_transient_memory_of_one_deposit(self, eps):
-        # the charges w xi_j are formed chunk by chunk: a deposit holds w r,
-        # the cutoff's temporaries, the 1 + dim densities and the gathered u,
-        # the size of x (2.28 times x, with or without the cutoff); an
-        # (N, 1 + dim) charge array would add 1.33 times x
+        # the charges w xi_j are formed chunk by chunk: a deposit of parents
+        # holds the cutoff's temporaries, the 1 + dim densities and the
+        # gathered u, the size of x (2.28 times x with the cutoff, 1.94
+        # without); an (N, 1 + dim) charge array would add 1.33 times x
         g = GridSpec(3, 32)
         cloud = sample_gaussian_spray(g, 200_000, 1.0, 0.0, 1.0, seed=5)
         u = VectorField.zeros(g)
@@ -506,7 +518,7 @@ class TestMerge:
             np.array([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]),
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             np.array([0.5, 0.5]),
-            np.array([1.0, 1.0]),
+            2,
         )
         out, _ = merge_particles(cloud, 1)
         assert out.count == 1
@@ -516,24 +528,24 @@ class TestMerge:
 
     def test_conserves_number_and_momentum(self):
         rng = np.random.default_rng(10)
-        cloud = random_cloud(rng, 4000, r=mixed_radii(rng, 4000, 0.5))
+        cloud = random_cloud(rng, 4000, parents=2100)
         w0 = cloud.w.sum()
         p0 = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
-        counts0 = {r: cloud.w[cloud.r == r].sum() for r in (1.0, R2)}
+        counts0 = [cloud.w[rows].sum() for rows, _ in cloud.species()]
         out, err = merge_particles(cloud, 2500)
         assert out.count <= 2500
         assert out.w.sum() == pytest.approx(w0, rel=1e-13)
         assert np.abs(np.sum(out.w[:, None] * out.xi, axis=0) - p0).max() \
             <= 1e-12 * max(np.abs(p0).max(), 1.0)
-        for r in (1.0, R2):  # merging never moves weight across radii
-            assert out.w[out.r == r].sum() == pytest.approx(counts0[r], rel=1e-13)
+        for (rows, _), count0 in zip(out.species(), counts0):  # nor across species
+            assert out.w[rows].sum() == pytest.approx(count0, rel=1e-13)
         assert err < 0.05
 
     def test_merges_across_the_seam_of_the_given_period(self):
         # on the 2π torus, 2π - 0.05 and 0.05 are 0.1 apart across the seam
         cloud = ParticleCloud(
             np.array([[TWO_PI - 0.05, 0.5], [0.05, 0.5]]), np.zeros((2, 2)),
-            np.array([1.0, 1.0]), np.array([1.0, 1.0]),
+            np.array([1.0, 1.0]), 2,
         )
         out, _ = merge_particles(cloud, 1)
         x = out.x[0, 0]
@@ -542,7 +554,7 @@ class TestMerge:
 
     def test_coincident_particles_merge_with_each_other(self):
         # the tree may return a coincident point before the query point itself
-        cloud = ParticleCloud(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4), np.ones(4))
+        cloud = ParticleCloud(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(4), 4)
         out, _ = merge_particles(cloud, 1)
         assert out.count == 1 and out.w[0] == 4.0
 
@@ -607,7 +619,7 @@ class TestSampler:
 
 def _cloud(x, w):
     x = np.asarray(x, dtype=float)
-    return ParticleCloud(x, np.ones_like(x), w, np.ones(len(x)))
+    return ParticleCloud(x, np.ones_like(x), w, len(x))
 
 
 @st.composite
@@ -621,9 +633,9 @@ def _merge_cases(draw):
     # zero weights make zero-weight pairs, which merge by the unweighted mean
     w = draw(arrays(np.float64, count, elements=st.just(0.0)
                     | st.floats(0.0, 10.0, allow_subnormal=False)))
-    r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, R2])))
+    parents = draw(st.integers(0, count))
     budget = draw(st.integers(1, count))
-    return ParticleCloud(x, xi, w, r), budget
+    return ParticleCloud(x, xi, w, parents, R2), budget
 
 
 # a zero-weight pair, coincident particles, a pair 0.1 apart across the
@@ -637,8 +649,8 @@ def _merge_cases(draw):
 def test_property_merge(case):
     cloud, budget = case
     out, _ = merge_particles(cloud, budget)
-    for r in (1.0, R2):  # merging never moves weight or momentum across radii
-        before, after = cloud.r == r, out.r == r
+    # merging never moves weight or momentum across species
+    for (before, _), (after, _) in zip(cloud.species(), out.species()):
         w_before = cloud.w[before]
         assert abs(out.w[after].sum() - w_before.sum()) <= 1e-13 * w_before.sum()
         p_before = w_before @ cloud.xi[before]
@@ -646,8 +658,66 @@ def test_property_merge(case):
         p_scale = w_before @ np.abs(cloud.xi[before])
         assert np.all(np.abs(p_after - p_before) <= 1e-12 * p_scale)
     assert np.all((out.x >= 0.0) & (out.x < TWO_PI))
+    assert out.radius == cloud.radius
     if out.count > budget:  # merging stopped only for want of pairs
-        assert np.all(np.unique(out.r, return_counts=True)[1] == 1)
+        assert out.parents < 2 and out.count - out.parents < 2
+
+
+@st.composite
+def _species_histories(draw):
+    """A cloud of parents and radius-R2 fragments, and a sequence of
+    fragmenting breakups (at a step) and merges (to a budget)."""
+    dim = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = random_cloud(rng, count, dim, draw(st.integers(0, count)))
+    ops = st.tuples(st.just("breakup"), st.integers(0, 7)) | st.tuples(
+        st.just("merge"), st.integers(1, 90))
+    return cloud, draw(st.lists(ops, min_size=1, max_size=6))
+
+
+def _species_sums(cloud):
+    """Each species' sum of w and of w xi, and of w |xi|, their scale."""
+    return [(cloud.w[rows].sum(), cloud.w[rows] @ cloud.xi[rows],
+             cloud.w[rows] @ np.abs(cloud.xi[rows])) for rows, _ in cloud.species()]
+
+
+@given(_species_histories())
+def test_property_species_survive_breakups_and_merges(history):
+    # a spawn keeps the liquid volume and appends fragments; a merge keeps
+    # each species' sum w and sum w xi; a merge pass of one species leaves
+    # the other species' rows as they were, byte for byte
+    cloud, ops = history
+    merge_pass = kinetic._merge_pass
+
+    def checked_pass(cloud, block, max_merges):
+        out = merge_pass(cloud, block, max_merges)
+        merged = cloud.count - out.count
+        if block == slice(0, cloud.parents):
+            untouched = slice(cloud.parents, None), slice(out.parents, None)
+            assert out.parents == cloud.parents - merged
+        else:
+            untouched = slice(0, cloud.parents), slice(0, out.parents)
+            assert out.parents == cloud.parents
+        for name in ("x", "xi", "w"):
+            before, after = (getattr(c, name)[rows] for c, rows in zip((cloud, out), untouched))
+            assert before.tobytes() == after.tobytes(), name
+        return out
+
+    with mock.patch.object(kinetic, "_merge_pass", checked_pass):
+        for op, arg in ops:
+            if op == "breakup":
+                out = absorb_and_fragment(cloud, 0.05, 0.3, step=arg)
+                assert out.parents == cloud.parents and out.radius == cloud.radius
+                assert out.x[:cloud.count].tobytes() == cloud.x.tobytes()
+                assert liquid_volume(out) == pytest.approx(liquid_volume(cloud), rel=1e-13)
+            else:
+                out, _ = merge_particles(cloud, arg)
+                for (w0, p0, scale), (w1, p1, _) in zip(_species_sums(cloud),
+                                                        _species_sums(out)):
+                    assert abs(w1 - w0) <= 1e-13 * w0
+                    assert np.all(np.abs(p1 - p0) <= 1e-12 * scale)
+            cloud = out
 
 
 def _phase_space(cloud, group):
@@ -666,8 +736,8 @@ def test_property_edges_are_within_the_approximation(case):
     # every edge joins two particles and is at most (1 + eps) times as long
     # as the exact nearest-neighbour distance of its source
     cloud, _ = case
-    for r in (1.0, R2):
-        group = np.flatnonzero(cloud.r == r)
+    for rows, _ in cloud.species():
+        group = np.arange(cloud.count)[rows]
         if group.size < 2:
             continue
         z = _phase_space(cloud, group)
@@ -710,9 +780,9 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
     # with exact merges so the clouds do not depend on _NN_EPS: fragments
     # that trail their parents, thinned by earlier merges.  The pooled
     # position/velocity shift ratios against an exact query (eps = 0),
-    # measured on these clouds with the sliding-midpoint tree: 1.030/1.004,
-    # 1.031/1.008, 1.065/1.035, 1.111/1.077, 1.214/1.160 at eps = 1/2/3/4/6,
-    # and 2.135/1.805 for leaf-local partners (eps = 1e3).
+    # measured on these clouds with the sliding-midpoint tree: 1.015/0.999,
+    # 1.023/1.006, 1.052/1.030, 1.099/1.078, 1.199/1.162 at eps = 1/2/3/4/6,
+    # and 2.051/1.803 for leaf-local partners (eps = 1e3).
     inputs, merge = [], scenarios.merge_particles
 
     def captured(cloud, budget):
@@ -720,7 +790,8 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
         return merge(cloud, budget)
 
     def pooled():
-        return sum(_pair_shifts(cloud, np.flatnonzero(cloud.r < 1.0), cloud.count - budget)
+        return sum(_pair_shifts(cloud, np.arange(cloud.parents, cloud.count),
+                                cloud.count - budget)
                    for cloud, budget in inputs)
 
     eps = kinetic._NN_EPS
@@ -803,9 +874,10 @@ def _reference_pairs(cloud, group, max_merges):
     return group[src], group[nn[src]]
 
 
-def _reference_merge_pass(cloud, group, max_merges):
-    """The merge pass as a loop over the pairs, with the tree queried in input order."""
-    a, b = _reference_pairs(cloud, group, max_merges)
+def _reference_merge_pass(cloud, block, max_merges):
+    """The merge pass over the rows `block` as a loop over the pairs, with
+    the tree queried in input order; the merged rows end the block."""
+    a, b = _reference_pairs(cloud, np.arange(cloud.count)[block], max_merges)
     wa, wb = cloud.w[a], cloud.w[b]
     wsum = wa + wb
     safe = np.where(wsum > 0, wsum, 1.0)
@@ -818,15 +890,16 @@ def _reference_merge_pass(cloud, group, max_merges):
     delta = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
     x_m = np.remainder(cloud.x[a] + frac_b[:, None] * delta, TWO_PI)
     x_m[x_m == TWO_PI] = 0.0
-    keep = np.ones(cloud.count, dtype=bool)
+    rows = np.arange(cloud.count)
+    keep = (rows >= block.start) & (rows < block.stop)
     keep[a] = False
     keep[b] = False
+    before, kept, after = rows[:block.start], rows[keep], rows[block.stop:]
+    parents = cloud.parents - a.size if block.stop <= cloud.parents else cloud.parents
     return ParticleCloud(
-        np.concatenate([cloud.x[keep], x_m]),
-        np.concatenate([cloud.xi[keep], xi_m]),
-        np.concatenate([cloud.w[keep], wsum]),
-        np.concatenate([cloud.r[keep], cloud.r[a]]),
-    )
+        *(np.concatenate([arr[before], arr[kept], merged, arr[after]])
+          for arr, merged in ((cloud.x, x_m), (cloud.xi, xi_m), (cloud.w, wsum))),
+        parents, cloud.radius)
 
 
 def _merges_like_the_reference(monkeypatch, cloud, budget, passes):
@@ -842,18 +915,38 @@ def _merges_like_the_reference(monkeypatch, cloud, budget, passes):
     monkeypatch.setattr(kinetic, "_merge_pass", counted)
     want, want_m2 = merge_particles(cloud, budget)
     assert len(calls) == passes
-    for name in ("x", "xi", "w", "r"):
+    for name in ("x", "xi", "w"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.parents, got.radius) == (want.parents, want.radius)
     assert got_m2 == want_m2
+    return calls
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("budget, passes, two_radii", [
     (380, 1, False), (200, 2, False), (150, 3, False), (200, 4, True)])
 def test_merge_matches_the_loop_reference(monkeypatch, dim, budget, passes, two_radii):
+    # with two species, 190 parents and 210 fragments, the passes take the
+    # larger species each, fragments first, and both species take passes
     rng = np.random.default_rng(40 + dim)
-    r = mixed_radii(rng, 400, 0.5) if two_radii else None
-    _merges_like_the_reference(monkeypatch, random_cloud(rng, 400, dim, r), budget, passes)
+    cloud = random_cloud(rng, 400, dim, 190 if two_radii else None)
+    calls = _merges_like_the_reference(monkeypatch, cloud, budget, passes)
+    if two_radii:
+        assert [block.start for _, block, _ in calls][:2] == [190, 0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_merge_of_parents_ends_their_block(monkeypatch, dim):
+    # the parents outnumber the fragments, so the first pass merges parents:
+    # their merged rows end the parent block, before the fragments, which
+    # keep their bytes
+    rng = np.random.default_rng(60 + dim)
+    cloud = random_cloud(rng, 400, dim, 250)
+    calls = _merges_like_the_reference(monkeypatch, cloud, 300, 2)
+    assert calls[0][1] == slice(0, 250)
+    out, _ = merge_particles(cloud, 300)
+    assert out.parents < cloud.parents
+    assert out.x[out.parents:].tobytes() == cloud.x[cloud.parents:].tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -862,8 +955,7 @@ def test_merge_matches_the_loop_reference_with_zero_weights(monkeypatch, dim):
     # the unweighted mean, a branch that weights in [0.1, 2] never reach
     rng = np.random.default_rng(50 + dim)
     cloud = random_cloud(rng, 400, dim)
-    w = np.where(rng.uniform(size=400) < 0.5, 0.0, cloud.w)
-    cloud = ParticleCloud(cloud.x, cloud.xi, w, cloud.r)
+    cloud = replace(cloud, w=np.where(rng.uniform(size=400) < 0.5, 0.0, cloud.w))
     a, b = _reference_pairs(cloud, np.arange(400), 100)
     assert np.any(cloud.w[a] + cloud.w[b] == 0) and np.any(cloud.w[a] + cloud.w[b] > 0)
     _merges_like_the_reference(monkeypatch, cloud, 300, 1)
@@ -880,8 +972,7 @@ def _pass_cases(draw):
                     elements=st.floats(-2 * TWO_PI, 3 * TWO_PI, exclude_max=True)))
     xi = draw(arrays(np.float64, (count, dim), elements=st.floats(-5.0, 5.0)))
     weights = arrays(np.float64, count, elements=st.floats(0.0, 10.0, allow_subnormal=False))
-    r = draw(arrays(np.float64, count, elements=st.sampled_from([1.0, R2])))
-    cloud = ParticleCloud(x, xi, draw(weights), r)
+    cloud = ParticleCloud(x, xi, draw(weights), draw(st.integers(0, count)), R2)
     eps = draw(st.none() | st.sampled_from([0.3, 1.0]))
     return GridSpec(dim, n), cloud, eps, draw(st.integers(0, 2**32 - 1))
 
@@ -894,7 +985,7 @@ def test_property_pass_matches_one_sided_kernels(case):
     u = VectorField(g, np.random.default_rng(seed).standard_normal((g.dim,) + g.shape))
     drag, u_at_x = deposit_moments(cloud, u, eps)
     w = cloud.w if eps is None else cloud.w * velocity_cutoff(cloud.xi, eps)
-    w = w * cloud.r
+    w = w * radii(cloud)
     ref = [cic_scatter(g, cloud.x, w),
            *(cic_scatter(g, cloud.x, w * xi_j) for xi_j in cloud.xi.T)]
     assert np.array_equal(np.stack([drag.m0.values, *drag.m1.values]), np.stack(ref))

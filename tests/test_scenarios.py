@@ -401,7 +401,7 @@ class TestRunScenario:
         cfg = quick_config(scenario="bidisperse", tau=math.inf, t_final=0.05)
         res = run_scenario(cfg)
         # no fragmentation: unit-radius parents only, weights untouched
-        assert np.all(res.cloud.r == 1.0)
+        assert res.cloud.parents == res.cloud.count
         assert res.cloud.w.sum() == pytest.approx(cfg.spray_mass, rel=1e-13)
         assert res.summary["liquid_volume"]["pass"]
 
@@ -409,10 +409,9 @@ class TestRunScenario:
         cfg = quick_config(scenario="bidisperse", tau=0.05, r2=0.3,
                            t_final=0.05, particle_budget=6_000)
         res = run_scenario(cfg)
-        assert (res.cloud.r == cfg.r2).any()
+        assert res.cloud.parents < res.cloud.count and res.cloud.radius == cfg.r2
         assert res.summary["liquid_volume"]["pass"]
-        assert liquid_volume(res.cloud).sum() == pytest.approx(
-            cfg.spray_mass, rel=1e-12)
+        assert liquid_volume(res.cloud) == pytest.approx(cfg.spray_mass, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.05, math.inf])
     def test_fragmenting_breakup_takes_turns(self, monkeypatch, tau):
@@ -438,25 +437,23 @@ class TestRunScenario:
         assert len(pushed) == cfg.steps == len(deposited) - 1
         for step, (before, after) in enumerate(zip(pushed, deposited[1:]), start=1):
             n = before.count
-            for name in ("x", "xi", "r"):
+            for name in ("x", "xi"):
                 assert np.array_equal(getattr(after, name)[:n], getattr(before, name))
-            turn = (np.arange(n) % 2 == step % 2) & (before.r == 1.0)
+            assert (after.parents, after.radius) == (before.parents, cfg.r2)
+            turn = (np.arange(n) % 2 == step % 2) & (np.arange(n) < before.parents)
             if tau == math.inf:
                 turn[:] = False
             assert np.array_equal(after.w[:n][turn],
                                   before.w[turn] * np.exp(-2 * cfg.dt / tau))
             assert np.array_equal(after.w[:n][~turn], before.w[~turn])
             lost = before.w[turn] - after.w[:n][turn]
-            spawned = after.select(np.arange(after.count) >= n)
-            assert spawned.count == turn.sum()
-            assert np.all(spawned.r == cfg.r2)
-            assert np.array_equal(spawned.x, before.x[turn])
-            assert np.array_equal(spawned.xi, before.xi[turn])
-            assert np.array_equal(spawned.w, lost / cfg.r2**3)
-            volume = liquid_volume(after).sum()
-            assert volume == pytest.approx(liquid_volume(before).sum(), rel=1e-14)
+            assert after.count - n == turn.sum()
+            assert np.array_equal(after.x[n:], before.x[turn])
+            assert np.array_equal(after.xi[n:], before.xi[turn])
+            assert np.array_equal(after.w[n:], lost / cfg.r2**3)
+            assert liquid_volume(after) == pytest.approx(liquid_volume(before), rel=1e-14)
         if tau != math.inf:  # both parities took turns, on parents and beside fragments
-            assert (deposited[-1].r == cfg.r2).any()
+            assert deposited[-1].parents < deposited[-1].count
 
     @pytest.mark.parametrize("scenario, eps", [
         ("limit", 0.0), ("bidisperse", 0.0), ("regularized", 0.5)])
@@ -634,7 +631,7 @@ class TestRunScenario:
         assert np.allclose(fluid.u.values, initial_fluid(cfg).u.values)
         assert not fluid.rho.values.any()
         start = initial_cloud(cfg)
-        for name in ("x", "xi", "w", "r"):
+        for name in ("x", "xi", "w", "parents", "radius"):
             assert np.array_equal(getattr(cloud, name), getattr(start, name)), name
 
     def test_snapshot_time_is_the_record_time(self, monkeypatch, tmp_path):
@@ -932,5 +929,7 @@ class TestSweep:
         cfg = quick_config(scenario="bidisperse", tau=0.02, r2=0.4, t_final=0.04)
         res = run_scenario(cfg)
         field = fragment_mass_density(res)
-        frag = res.cloud.select(res.cloud.r == 0.4)
-        assert integral(field) == pytest.approx(0.4**3 * frag.w.sum(), rel=1e-12)
+        cloud = res.cloud
+        assert cloud.parents < cloud.count and cloud.radius == 0.4
+        assert integral(field) == pytest.approx(0.4**3 * cloud.w[cloud.parents:].sum(),
+                                                rel=1e-12)

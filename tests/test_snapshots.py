@@ -22,7 +22,8 @@ from thinspray.snapshots import (
 @st.composite
 def _states(draw):
     """Any valid (t, fluid, cloud) of 2-D or 3-D, empty clouds included, at
-    any finite time t: u finite, rho finite and nonnegative, radii positive."""
+    any finite time t: u finite, rho finite and nonnegative, any parent
+    count, the fragment radius positive."""
     dim = draw(st.sampled_from([2, 3]))
     grid = GridSpec(dim, 8)
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -33,10 +34,10 @@ def _states(draw):
     x = draw(arrays(np.float64, (count, dim), elements=finite))
     xi = draw(arrays(np.float64, (count, dim), elements=finite))
     w = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False)))
-    r = draw(arrays(np.float64, count, elements=st.floats(0.0, allow_infinity=False,
-                                                          exclude_min=True)))
+    parents = draw(st.integers(0, count))
+    radius = draw(st.floats(0.0, allow_infinity=False, exclude_min=True))
     fluid = FluidState(VectorField(grid, u), ScalarField(grid, rho))
-    return draw(finite), fluid, ParticleCloud(x, xi, w, r)
+    return draw(finite), fluid, ParticleCloud(x, xi, w, parents, radius)
 
 
 def _same_bytes(a, b):
@@ -50,7 +51,7 @@ def _run_state(dim=2, count=5, t=0.25):
                        ScalarField(grid, rng.uniform(0, 1, grid.shape)))
     cloud = ParticleCloud(rng.uniform(0, 2 * np.pi, (count, dim)),
                           rng.standard_normal((count, dim)), rng.uniform(0, 1, count),
-                          rng.choice([1.0, 0.3], count))
+                          count // 2, 0.3)
     return t, fluid, cloud
 
 
@@ -65,8 +66,11 @@ def test_property_state_round_trip_bit_exact(tmp_path_factory, state):
     assert np.float64(back_t).tobytes() == np.float64(t).tobytes()
     assert _same_bytes(back_fluid.u.values, fluid.u.values)
     assert _same_bytes(back_fluid.rho.values, fluid.rho.values)
-    for name in ("x", "xi", "w", "r"):
+    for name in ("x", "xi", "w"):
         assert _same_bytes(getattr(back_cloud, name), getattr(cloud, name)), name
+    assert type(back_cloud.parents) is int and back_cloud.parents == cloud.parents
+    assert type(back_cloud.radius) is float
+    assert np.float64(back_cloud.radius).tobytes() == np.float64(cloud.radius).tobytes()
 
 
 def test_state_file_layout(tmp_path):
@@ -74,11 +78,13 @@ def test_state_file_layout(tmp_path):
     path = tmp_path / "state.npz"
     write_state(path, *_run_state(dim=3, count=4, t=1.5))
     with np.load(path, allow_pickle=False) as data:
-        assert sorted(data.files) == ["r", "rho", "t", "u", "w", "x", "xi"]
+        assert sorted(data.files) == ["parents", "radius", "rho", "t", "u", "w", "x", "xi"]
         assert data["t"].shape == () and data["t"] == 1.5
         assert data["u"].shape == (3, 8, 8, 8) and data["rho"].shape == (8, 8, 8)
         assert data["x"].shape == data["xi"].shape == (4, 3)
-        assert data["w"].shape == data["r"].shape == (4,)
+        assert data["w"].shape == (4,)
+        assert data["parents"].shape == data["radius"].shape == ()
+        assert data["parents"] == 2 and data["radius"] == 0.3
 
 
 def _rewritten(path, **changes):
@@ -93,14 +99,16 @@ def _rewritten(path, **changes):
     pytest.param(dict(w=None), KeyError, id="missing-key"),
     pytest.param(dict(rho=np.zeros((8, 4))), FieldError, id="rho-shape"),
     pytest.param(dict(rho=np.full((8, 8), -1.0)), FieldError, id="negative-rho"),
-    pytest.param(dict(r=np.array([1.0, 0.0, 1.0, 1.0, 1.0])), ValueError, id="zero-radius"),
+    pytest.param(dict(radius=np.float64(0.0)), ValueError, id="zero-radius"),
+    pytest.param(dict(parents=np.int64(6)), ValueError, id="parents-beyond-the-cloud"),
+    pytest.param(dict(parents=np.float64(1.5)), ValueError, id="fractional-parents"),
     pytest.param(dict(xi=np.zeros((5, 3))), ValueError, id="xi-shape"),
     pytest.param(dict(x=np.ones((5, 3)), xi=np.zeros((5, 3))), ValueError, id="cloud-dim"),
     pytest.param(dict(x=np.full((5, 2), np.nan)), FieldError, id="nan-x"),
     pytest.param(dict(xi=np.full((5, 2), np.inf)), FieldError, id="inf-xi"),
     pytest.param(dict(w=np.array([1.0, np.nan, 1.0, 1.0, 1.0])), FieldError, id="nan-w"),
     pytest.param(dict(w=np.array([1.0, 1.0, np.inf, 1.0, 1.0])), FieldError, id="inf-w"),
-    pytest.param(dict(r=np.array([1.0, 1.0, 1.0, np.inf, 1.0])), FieldError, id="inf-r"),
+    pytest.param(dict(radius=np.float64(np.inf)), FieldError, id="inf-radius"),
     pytest.param(dict(t=np.float64(np.nan)), FieldError, id="nan-t"),
     pytest.param(dict(t=np.float64(-np.inf)), FieldError, id="inf-t"),
 ])
@@ -119,7 +127,7 @@ def test_property_non_finite_entry_rejected(tmp_path_factory, state, data):
     # time, so read_state rejects a non-finite t itself
     t, fluid, cloud = state
     parts = {"u": fluid.u.values, "rho": fluid.rho.values, "t": np.array(t),
-             "x": cloud.x, "xi": cloud.xi, "w": cloud.w, "r": cloud.r}
+             "x": cloud.x, "xi": cloud.xi, "w": cloud.w, "radius": np.array(cloud.radius)}
     name = data.draw(st.sampled_from([k for k, v in parts.items() if v.size]))
     parts[name] = bad = parts[name].copy()
     bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
@@ -133,15 +141,24 @@ def test_property_non_finite_entry_rejected(tmp_path_factory, state, data):
         elif name in ("u", "rho"):
             FluidState(VectorField(grid, parts["u"]), ScalarField(grid, parts["rho"]))
         else:
-            ParticleCloud(parts["x"], parts["xi"], parts["w"], parts["r"])
+            ParticleCloud(parts["x"], parts["xi"], parts["w"], cloud.parents, parts["radius"])
 
 
 def test_particles_of_another_layout_rejected(tmp_path):
-    # a state of the species layout: tags 1 and 2 under "species", no radii
+    # a state of a species layout: tags 1 and 2 under "species", no counts
     path = tmp_path / "old.npz"
     write_state(path, *_run_state(dim=2, count=2))
-    _rewritten(path, r=None, species=np.array([1.0, 2.0]))
-    with pytest.raises(KeyError, match="r is not a file"):
+    _rewritten(path, parents=None, radius=None, species=np.array([1.0, 2.0]))
+    with pytest.raises(KeyError, match="parents is not a file"):
+        read_state(path)
+
+
+def test_state_with_a_radius_per_particle_rejected(tmp_path):
+    # the older layout, a radius r per particle, says which layout it is
+    path = tmp_path / "old.npz"
+    write_state(path, *_run_state(dim=2, count=3))
+    _rewritten(path, parents=None, radius=None, r=np.array([1.0, 0.3, 0.3]))
+    with pytest.raises(ValueError, match="radius r per particle"):
         read_state(path)
 
 

@@ -42,7 +42,7 @@ def _lattice_cloud(config: SimConfig, per_cell: int) -> ParticleCloud:
     x = np.repeat((cells + OFFSET) * grid.h, per_cell, axis=0)
     count = len(x)
     return ParticleCloud(x, np.tile(XI0, (count, 1)), np.full(count, MASS / count),
-                         np.ones(count))
+                         count, config.r2)
 
 
 def _run(monkeypatch, scenario, dt, **kw):
