@@ -48,8 +48,8 @@ vol = result.records[-1].volume
 print(f"\nliquid volume: {vol:.12f} vs initial {config.spray_mass:.12f} "
       f"(error {abs(vol - config.spray_mass):.2e})")
 print(f"summary liquid-volume flag: {result.summary['liquid_volume']}")
-print(f"largest spray-energy change from a merge pass: "
-      f"{result.summary['merge_m2_max']:.2e} (reported, kept under 1%)")
+print(f"largest change of the spray's kinetic energy, sum of w r^3 |xi|^2 / 2, "
+      f"from a merge pass: {result.summary['merge_m2_max']:.2e} (a run warns above 1%)")
 
 print(f"\nenergy flags: {result.summary['energy']}")
 print(f"momentum flags: {result.summary['momentum']}")

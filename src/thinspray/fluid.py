@@ -14,14 +14,21 @@ and an exact spectral integrating factor for the mean-coefficient diffusion
 nu lap u / (1 + mean rho), which keeps the step stable for any dt at the
 resolved wavenumbers.
 
+The convection is in flux form, div(u* u) from the transforms of the grid
+products u*_j u_i (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods:
+Evolution to Complex Geometries, Springer 2007; Zang, Appl. Numer. Math. 7
+(1991) 27-40).  It equals (u* . grad) u to rounding when u and u* are
+band-limited and divergence-free, as every state of a run is: the
+Taylor-Green or zero start, every projected step and every mollification.
+
 The added density rho, the broken-up droplets carried as part of the fluid,
 is a variable of the FluidState; a step reads it and hands it on unchanged
 (density.density_step transports it).  A FluidState also carries u_hat, the
 spectrum of u in grid's resolved layout: only the modes the 2/3 rule keeps.
-A step reads u_hat for the convection derivatives, the Laplacian, the update
-and the Leray projection, transforms the projected spectrum back once and
-hands it on with the new, band-limited u.  It works one velocity component
-at a time, and holds at most 2.25 fields of u's size beyond its inputs.
+A step reads u_hat for the Laplacian, the update and the Leray projection,
+transforms the projected spectrum back once and hands it on with the new,
+band-limited u.  It works one velocity component at a time, and holds at
+most 2.25 fields of u's size beyond its inputs.
 """
 
 from __future__ import annotations
@@ -113,17 +120,16 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     state.u_hat; the returned velocity is Leray-projected and carries its
     projected spectrum.  The state carries only resolved modes, so the
     explicit tendency is dealiased by the 2/3 rule as it is transformed, and
-    the returned velocity is band-limited.  Each component's tendency is
-    formed, transformed and dropped before the next one starts, with the
-    bytes of forming all components at once: the convection's sign rides
-    its derivative multiplier, and negating is exact.  When state.rho is
-    zero everywhere, as on every bidisperse step and the first step of an
-    absorbing run, the viscous share left explicit is exactly 0 and the
-    inertia exactly 1: the step then skips that share's Laplacian transform
-    and both divisions, and only the signs of zeros in the tendency differ.
-    The step keeps no clock: the caller knows which step it is.  A step
-    that makes a non-finite velocity raises FieldError, from the FluidState
-    it returns.
+    the returned velocity is band-limited.  The convection is the flux form
+    -sum_j i k_j fft(u_adv_j u_i), equal to -(u_adv . grad) u_i for
+    band-limited, divergence-free u and u_adv (see the module docstring).
+    Each component's tendency is formed, transformed and dropped before the
+    next one starts.  When state.rho is zero everywhere, as on every
+    bidisperse step and the first step of an absorbing run, the viscous
+    share left explicit is exactly 0 and the inertia exactly 1: the step
+    then skips that share's Laplacian transform and both divisions.  The
+    step keeps no clock: the caller knows which step it is.  A step that
+    makes a non-finite velocity raises FieldError from the FluidState it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -137,33 +143,24 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     dense = state.rho.values.any()  # else varying is 0 and denom 1 (see above)
     if dense:
         denom = 1.0 + state.rho.values
-        varying = 1.0 / denom - 1.0 / (1.0 + rho_bar)  # the viscous share left explicit
+        varying = nu * (1.0 / denom - 1.0 / (1.0 + rho_bar))  # the viscous share left explicit
 
-    # each component's tendency is built in place and transformed before the
-    # next one starts, each term dropped once added: at most 2.25 fields of
-    # u's size are alive at once, the new u among them
+    # each component is finished before the next one starts: at most 2.25
+    # fields of u's size are alive at once, the new u among them
     tab = _spectral_tables(grid)
     t_hat = np.empty_like(state.u_hat)
     for i, u_hat_i in enumerate(state.u_hat):
-        tendency = None  # -(u_adv . grad) u_i, summed in the order of j
-        for kj, adv in zip(tab.k, u_adv.values):
-            term = ifft(grid, u_hat_i, -1j * kj)  # -d u_i / d x_j
-            term *= adv
-            tendency = term if tendency is None else np.add(tendency, term, out=tendency)
-            del term  # so that the next derivative is made with one field fewer alive
+        tendency = drag_force(u, drag, coupling, i)
         if dense:
+            tendency /= denom
             viscous = ifft(grid, u_hat_i, -tab.k2)  # lap u_i
-            viscous *= nu
             viscous *= varying
             tendency += viscous
             del viscous
-        force = drag_force(u, drag, coupling, i)
-        if dense:
-            force /= denom
-        tendency += force
-        del force
         t_hat[i] = fft(grid, tendency)
         del tendency
+        for kj, adv in zip(tab.k, u_adv.values):
+            t_hat[i] -= 1j * kj * fft(grid, adv * u.values[i])
     if dense:
         del denom, varying
 

@@ -541,6 +541,24 @@ class TestMerge:
             assert out.w[rows].sum() == pytest.approx(count0, rel=1e-13)
         assert err < 0.05
 
+    def test_reports_the_mass_weighted_energy_change(self):
+        # fragments of radius 0.1 carry 1000 times the number weight per unit
+        # liquid, so they dominate sum(w |xi|^2); the merge takes parents, and
+        # reports the change of the spray's energy, r^3 weighing each species
+        rng = np.random.default_rng(11)
+        cloud = replace(random_cloud(rng, 600, parents=400), radius=0.1)
+        cloud = replace(cloud, w=cloud.w / radii(cloud) ** 3)
+
+        def energy(c, mass):
+            return 0.5 * np.sum(c.w * radii(c) ** (3 * mass) * np.sum(c.xi**2, axis=1))
+
+        out, rel = merge_particles(cloud, 450)
+        assert out.parents < cloud.parents and out.count - out.parents == 200
+        want = abs(energy(out, True) - energy(cloud, True)) / energy(cloud, True)
+        assert rel == pytest.approx(want, rel=1e-9)
+        number = abs(energy(out, False) - energy(cloud, False)) / energy(cloud, False)
+        assert number < 0.01 * rel
+
     def test_merges_across_the_seam_of_the_given_period(self):
         # on the 2π torus, 2π - 0.05 and 0.05 are 0.1 apart across the seam
         cloud = ParticleCloud(

@@ -687,11 +687,11 @@ class TestRunScenario:
     @pytest.mark.parametrize("scenario, per_step", [
         ("limit", 6), ("bidisperse", 5), ("regularized", 7)])
     def test_transforms_per_step(self, monkeypatch, scenario, per_step):
-        # per_step counts transforms of fields the size of u: the three
-        # derivatives, the Laplacian, the tendency and the projected spectrum
-        # of ns_step; a bidisperse step's rho is 0, so its ns_step skips the
-        # Laplacian of the viscous share that rho leaves explicit; the
-        # regularized step adds the inverse transform of the mollified
+        # per_step counts transforms of fields the size of u: the tendency,
+        # the three flux products u*_j u_i, the Laplacian and the projected
+        # spectrum of ns_step; a bidisperse step's rho is 0, so its ns_step
+        # skips the Laplacian of the viscous share that rho leaves explicit;
+        # the regularized step adds the inverse transform of the mollified
         # spectrum (see conftest.count_transforms for how they are counted)
         calls = count_transforms(monkeypatch)
         assert self._calls_per_step(scenario, calls) == 3 * per_step
