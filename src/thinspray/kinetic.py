@@ -158,10 +158,12 @@ def absorb_and_fragment(cloud: ParticleCloud, dt: float, tau: float, *,
     i = k (mod _SPAWN_PERIOD = 2) break up, each keeping exp(-2 dt/tau) of
     its weight and spawning one fragment of the cloud's radius at its x and
     xi with the lost liquid volume, weight lost / radius^3, after the
-    cloud's fragments, in parent order, in the one cloud returned.  The rate
-    stays 1/tau, the liquid volume exact, and a step spawns half as many
-    fragments for the merge to take back.  Fragments, and every particle
-    when tau is inf, pass through untouched.
+    cloud's fragments, in parent order, in the one cloud returned.  A merge
+    moves no parent (`merge_particles`), so each parent breaks up on every
+    second step, at rate 1/tau: after n turns it weighs w0 exp(-2n dt/tau).
+    The liquid volume stays exact, and a step spawns half as many fragments
+    for the merge to take back.  Fragments, and every particle when tau is
+    inf, pass through untouched.
     """
     if not tau > 0:
         raise ValueError(f"breakup time must be positive, got {tau}")
@@ -206,24 +208,25 @@ def deposit_moments(cloud: ParticleCloud, u: VectorField,
 
 
 def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, float]:
-    """Reduce the cloud to at most `budget` particles by pairwise merging.
+    """Reduce the cloud to at most `budget` particles by merging fragments.
 
-    Near phase-space neighbours of one species, in each pass the larger
-    one, are combined into a single particle conserving sum(w) and sum(w xi)
-    exactly: each pair's distance is at most 1 + _NN_EPS = 4 times the exact
-    nearest-neighbour distance of one of its particles.  On spray clouds that
-    bound is loose: the merged pairs' mean squared position shift, weighted
-    by reduced mass, measured 1.01-1.13 times an exact query's on the
-    bidisperse-merge benchmark's merge inputs.  Positions use the periodic
-    weighted mean on the torus [0, 2π).  Returns the merged cloud and the
-    relative change of the spray's kinetic energy, sum over the species s of
-    r_s^3 sum(w |xi|^2) / 2, mass-weighted: the one moment a merge does not
-    preserve.  A cloud within the budget is returned as it is.
+    Only the fragments, rows [parents, N), merge: the parents, the sampled
+    spray whose breakup rate the limit depends on, keep their rows.  Near
+    phase-space neighbours are combined into a single particle conserving
+    sum(w) and sum(w xi) exactly: each pair's distance is at most
+    1 + _NN_EPS = 4 times the exact nearest-neighbour distance of one of
+    them.  On spray clouds that bound is loose: the merged pairs' mean
+    squared position shift, weighted by reduced mass, measured 1.01-1.13
+    times an exact query's on the bidisperse-merge benchmark's merge inputs.
+    Positions use the periodic weighted mean on the torus [0, 2π).  Returns
+    the merged cloud and the relative change of the spray's kinetic energy,
+    sum over the species s of r_s^3 sum(w |xi|^2) / 2, mass-weighted: the
+    one moment a merge does not preserve.  Merging stops within the budget
+    or with fewer than two fragments left; a run's budget holds one more
+    than its parents (SimConfig.validate), so a run's merge ends within it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if cloud.count <= budget:
-        return cloud, 0.0
 
     def m2(c):  # twice the energy; einsum, not w @ v (see diagnostics._pair)
         return sum(r**3 * float(np.einsum("i,i->", c.w[s], rowwise_dot(c.xi[s], c.xi[s])))
@@ -231,12 +234,8 @@ def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, f
 
     m2_before = m2(cloud)
     out = cloud
-    while out.count > budget:
-        # max keeps the first of equals: the parents on a tie
-        block = max((rows for rows, _ in out.species()), key=lambda s: s.stop - s.start)
-        if block.stop - block.start < 2:  # no species has a pair left to merge
-            break
-        out = _merge_pass(out, block, out.count - budget)
+    while out.count > budget and out.count - out.parents >= 2:
+        out = _merge_pass(out, out.count - budget)
     rel = abs(m2(out) - m2_before) / max(abs(m2_before), 1e-300)
     return out, rel
 
@@ -289,20 +288,19 @@ def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1]), dist[:, 1]
 
 
-def _merge_pass(cloud: ParticleCloud, block: slice, max_merges: int):
-    """One greedy nearest-neighbour merge pass inside one species, its rows `block`.
+def _merge_pass(cloud: ParticleCloud, max_merges: int):
+    """One greedy nearest-neighbour merge pass over the fragments.
 
-    Each particle's edge to an approximate phase-space nearest neighbour,
-    another particle at most 1 + _NN_EPS = 4 times as far as the nearest
+    Each fragment's edge to an approximate phase-space nearest neighbour,
+    another fragment at most 1 + _NN_EPS = 4 times as far as the nearest
     (`_nearest_edges`), is ranked by length; the greedy matching over these
     edges is taken in rounds by `_greedy_pairs`, and its `max_merges`
     shortest pairs are merged.  Each array of the returned cloud is written
-    once; the block ends in its unmerged rows, then the merged pairs, so the
-    parents stay first.  The block needs two particles, max_merges > 0.
+    once: the parents, then the unmerged fragments, then the merged pairs.
+    The cloud needs two fragments, max_merges > 0.
     """
-    x = cloud.x[block]
-    xi = cloud.xi[block]
-    w = cloud.w[block]
+    p = cloud.parents
+    x, xi, w = cloud.x[p:], cloud.xi[p:], cloud.w[p:]
     size, dim = x.shape
     # balance the metric between position and velocity spread
     z = np.empty((size, 2 * dim))
@@ -314,16 +312,15 @@ def _merge_pass(cloud: ParticleCloud, block: slice, max_merges: int):
     key[np.argsort(dist, kind="stable")] = np.arange(size)
     src = _greedy_pairs(nn, key)[:max_merges]
 
-    keep = np.ones(block.stop, dtype=bool)  # the rows up to the block's end
-    keep[block.start + src] = False
-    keep[block.start + nn[src]] = False
-    kept = block.stop - 2 * src.size
+    keep = np.ones(cloud.count, dtype=bool)
+    keep[p + src] = False
+    keep[p + nn[src]] = False
+    kept = cloud.count - 2 * src.size
     out = []
     for arr in (cloud.x, cloud.xi, cloud.w):
         out.append(np.empty((cloud.count - src.size,) + arr.shape[1:]))
-        np.compress(keep, arr[:block.stop], axis=0, out=out[-1][:kept])
-        out[-1][block.stop - src.size:] = arr[block.stop:]
-    x_m, xi_m, wsum = (arr[kept:block.stop - src.size] for arr in out)  # the merged pairs
+        np.compress(keep, arr, axis=0, out=out[-1][:kept])
+    x_m, xi_m, wsum = (arr[kept:] for arr in out)  # the merged pairs
 
     # the ends' x, xi and w, each gathered once
     wa, wb = w[src], w[nn[src]]
@@ -348,8 +345,7 @@ def _merge_pass(cloud: ParticleCloud, block: slice, max_merges: int):
     delta *= frac_b[:, None]
     delta += xa
     x_m[:] = wrap_to_torus(delta)
-    parents = cloud.parents - src.size if block.stop <= cloud.parents else cloud.parents
-    return ParticleCloud(*out, parents, cloud.radius)
+    return ParticleCloud(*out, p, cloud.radius)
 
 
 def _kronecker_points(count: int, dim: int, seed: int) -> np.ndarray:

@@ -149,6 +149,9 @@ class SimConfig:
             raise ConfigError("particle_budget must be positive")
         if sampled and self.particle_count > self.particle_budget:
             raise ConfigError("particle_count must not exceed particle_budget")
+        # a merge takes only fragments: the budget must hold the parents and one more
+        if sampled and not self.absorbs and self.particle_budget == self.particle_count:
+            raise ConfigError("a fragmenting run needs particle_budget above particle_count")
         if self.spray_mass < 0 or self.spray_sigma < 0:
             raise ConfigError("spray mass and sigma must be nonnegative")
         if not self.nu > 0:
@@ -266,34 +269,35 @@ def run_scenario(config: SimConfig) -> RunResult:
 
     A run's state is the fluid, which carries rho, and the particle cloud;
     t = step * dt is the run's one clock, stamped on each record and
-    snapshot.  Step layout: fluid step -> particle push, in the u* the last
-    pass gathered -> breakup, one absorb_and_fragment call (when
-    config.absorbs, every parent's weight decays by exp(-dt/tau); else the
-    parents take turns and spawn radius-r2 fragments) -> merge, whenever
-    the cloud exceeds its budget -> one particle-grid pass at the new
-    positions: both the next step's drag deposit and the next push's
-    velocity, the advecting u* of the new fluid gathered at every particle
-    through the deposit's corner tables -> when config.absorbs, transport
-    of fluid.rho with the one source expm1(dt/tau) m0 / dt, m0 read off
-    that deposit -> diagnostics, which pair grid fields with that deposit
-    (see collect_record).  So the fluid step and the push both start from
-    the u* of the step's start.  Every scenario-dependent constant comes
-    from config.absorbs and config.eps.  With eps > 0 the deposit is cut
-    off in velocity, and u is mollified once per step, from its carried
-    spectrum; that field u* is what the pass gathers, and it advects the
-    density and, in the next step, the gas.  The push and the breakup are
-    two statements, so that the pre-push positions and velocities die
-    before the breakup allocates, unless an output directory holds them as
+    snapshot.  Step 0 sets the state up, then passes and records as below.
+    Step layout: fluid step -> particle push, in the u* the last pass gathered
+    -> breakup, one absorb_and_fragment call (when config.absorbs, every
+    parent's weight decays by exp(-dt/tau); else the parents take turns and
+    spawn radius-r2 fragments) -> merge of the fragments, whenever the cloud
+    exceeds its budget -> one particle-grid pass at the new positions: both the
+    next step's drag deposit and the next push's velocity, the advecting u* of
+    the new fluid gathered at every particle through the deposit's corner tables
+    -> when config.absorbs, transport of fluid.rho with the one source
+    expm1(dt/tau) m0 / dt, m0 read off that deposit -> diagnostics, which pair
+    grid fields with that deposit (see collect_record).  So the fluid step and
+    the push both start from the u* of the step's start.  Every
+    scenario-dependent constant comes from config.absorbs and config.eps.  With
+    eps > 0 the deposit is cut off in velocity, and u is mollified once per
+    step, from its carried spectrum; that field u* is what the pass gathers, and
+    it advects the density and, in the next step, the gas.  The push and the
+    breakup are two statements, so that the pre-push positions and velocities
+    die before the breakup allocates, unless an output directory holds them as
     the last healthy state; the last pass's gathered u* goes unused.
-    A step is rejected when it violates the fluid's CFL, max|u| dt/h <= 1, or the
-    density step's outflow bound, dt/h times each cell's summed outflow face
+    A step is rejected when it violates the fluid's CFL, max|u| dt/h <= 1, or
+    the density step's outflow bound, dt/h times each cell's summed outflow face
     speed <= 1, or when FluidState and ParticleCloud, the one checks of the gas
     and the particles, reject the non-finite state it makes, or when its record
     or lemma checks raise a FieldError: one StepRejectedError names the step, t
     and the cause, after writing the last healthy state to state_last_good.npz
-    when an output directory is set.  Every file of a run goes to that
-    directory, made once: the stride snapshots state_<step>.npz, the final
-    state_final.npz, diagnostics.csv and summary.json (see snapshots).
+    when an output directory is set (a set-up that fails, step 0, has none).
+    Every file of a run goes to that directory, made once: the stride snapshots
+    state_<step>.npz, the final state_final.npz, diagnostics.csv and
+    summary.json (see snapshots).
     """
     config.validate()
     t_start = time.perf_counter()
@@ -308,10 +312,6 @@ def run_scenario(config: SimConfig) -> RunResult:
     if config.output_dir:
         out.mkdir(parents=True, exist_ok=True)
 
-    fluid = initial_fluid(config)
-    cloud = initial_cloud(config)
-    # the advecting velocity
-    u_star = VectorField(grid, mollify(grid, eps, fluid.u_hat)) if eps else fluid.u
     records = []
 
     def record(t, drag, u_at_x):  # of the current fluid and cloud, and the cloud's pass
@@ -323,52 +323,55 @@ def run_scenario(config: SimConfig) -> RunResult:
                                       liquid=liquid_volume(cloud), remainders=remainders,
                                       nu=config.nu))
 
-    drag, u_at_x = deposit_moments(cloud, u_star, eps)
-    record(0.0, drag, u_at_x)
     lemma_checks, merge_m2_max = [], 0.0
     # only the snapshot on abort reads the last healthy state: without an
     # output directory none is held, so the old one dies with its step
-    last_good = (0.0, fluid, cloud) if config.output_dir else None
+    last_good = None
     lemma_stride = max(1, config.steps // 10)
 
-    for step in range(1, config.steps + 1):
+    for step in range(config.steps + 1):  # step 0 sets up and records t = 0
         t = step * config.dt
         try:
-            fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu, coupling=coupling)
-            del drag  # so one drag field is alive when the pass below makes the next
+            if step == 0:
+                fluid, cloud = initial_fluid(config), initial_cloud(config)
+            else:
+                fluid = ns_step(fluid, u_star, drag, config.dt, nu=config.nu,
+                                coupling=coupling)
+                del drag, u_star  # so one drag field and one u* live at a time
+                # two statements, so the pre-push x and xi die before the breakup
+                # allocates; u_at_x becomes the pushed x, which a fragmenting
+                # breakup replaces, so the name lets go of it
+                cloud = advance_particles(cloud, u_at_x, config.dt)
+                del u_at_x
+                # absorbing, every parent decays on every step, as that source rule needs
+                cloud = absorb_and_fragment(cloud, config.dt, config.tau,
+                                            step=None if config.absorbs else step)
+                if cloud.count > config.particle_budget:
+                    cloud, m2_err = merge_particles(cloud, config.particle_budget)
+                    merge_m2_max = max(merge_m2_max, m2_err)
+                    if m2_err > 0.01:
+                        log.warning("merge pass changed spray energy by %.2e", m2_err)
+            # the advecting velocity
             u_star = VectorField(grid, mollify(grid, eps, fluid.u_hat)) if eps else fluid.u
-            # two statements, so the pre-push x and xi die before the breakup
-            # allocates; u_at_x becomes the pushed x, which a fragmenting
-            # breakup replaces, so the name lets go of it
-            cloud = advance_particles(cloud, u_at_x, config.dt)
-            del u_at_x
-            # absorbing, every parent decays on every step, as that source rule needs
-            cloud = absorb_and_fragment(cloud, config.dt, config.tau,
-                                        step=None if config.absorbs else step)
-            if cloud.count > config.particle_budget:
-                cloud, m2_err = merge_particles(cloud, config.particle_budget)
-                merge_m2_max = max(merge_m2_max, m2_err)
-                if m2_err > 0.01:
-                    log.warning("merge pass changed spray energy by %.2e", m2_err)
             drag, u_at_x = deposit_moments(cloud, u_star, eps)
-            if config.absorbs:  # replace re-runs FluidState's check on the new rho
+            if config.absorbs and step:  # replace re-runs FluidState's check on the new rho
                 fluid = replace(fluid, rho=density_step(
                     fluid.rho, u_star, ScalarField(grid, gain * drag.m0.values), config.dt))
             record(t, drag, u_at_x)
-            if step % lemma_stride == 0 and cloud.count:
+            if step and step % lemma_stride == 0 and cloud.count:
                 hist = radial_histogram(cloud)
                 for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):
                     lemma_checks.append(check_moment_bound(hist, alpha, gamma)[2])
         except (StepRejectedError, FieldError) as err:
-            snapshot = "not requested"
-            if config.output_dir:
+            snapshot = "none"  # also when the set-up failed
+            if last_good:
                 write_state(out / "state_last_good.npz", *last_good)
                 snapshot = f"written to {config.output_dir}"
             raise StepRejectedError(f"step {step} (t={t:.4g}) rejected: {err}; "
                                     f"last-good snapshot {snapshot}") from err
         if config.output_dir:
             last_good = (t, fluid, cloud)
-            if config.snapshot_stride and step % config.snapshot_stride == 0:
+            if step and config.snapshot_stride and step % config.snapshot_stride == 0:
                 write_state(out / f"state_{step:06d}.npz", t, fluid, cloud)
 
     summary = _summarize(config, records, lemma_checks, merge_m2_max, drag_coeff,
@@ -457,10 +460,10 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
 
     All members share the seed, the initial data and the breakup time tau, so
     the matched limit run absorbs into rho at the rate at which the bidisperse
-    members fragment.  The members break each parent up on every second step
-    (see kinetic.absorb_and_fragment), so the two rates agree on average over
-    two steps, not on each step.  r2_list is one or more radii in (0, 1),
-    strictly decreasing.
+    members fragment: each parent there breaks up on every second step (see
+    kinetic.absorb_and_fragment), at rate 1/tau over two steps.  A member's
+    config, particle_budget above particle_count included, is checked before
+    any run.  r2_list is one or more radii in (0, 1), strictly decreasing.
     delta(r2) is the fragments' velocity-relaxation metric at the final time;
     rho_mismatch compares their mass density against the limit run's added
     density.  Returns one plain dict, written as sweep.json when
@@ -480,11 +483,10 @@ def sweep_r2(config: SimConfig, r2_list) -> dict:
     if not r2_list or any(not 0 < v < 1 for v in r2_list):
         raise ConfigError(f"r2_list needs one r2 or more, each in (0, 1), got {r2_list}")
 
-    # the settings every member shares, checked before the first run: the
-    # members write no files, so they run without the directory and stride
-    limit_cfg = replace(config, scenario="limit", eps=0.0)
-    limit_cfg.validate()
-    limit_cfg = replace(limit_cfg, output_dir="", snapshot_stride=0)
+    # every member's settings, checked before the first run as a bidisperse
+    # member's (a superset); members write no files: no directory, no stride
+    replace(config, scenario="bidisperse", eps=0.0).validate()
+    limit_cfg = replace(config, scenario="limit", eps=0.0, output_dir="", snapshot_stride=0)
     out = Path(config.output_dir)
     if config.output_dir:  # before the first run, so a bad directory costs none
         out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from thinspray.cli import main
@@ -75,6 +76,29 @@ def test_rejected_step_returns_3_without_traceback(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("run aborted:") and "CFL" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_fragmenting_budget_at_the_parent_count_returns_2(capsys):
+    # a merge takes only fragments, so such a run could not keep its budget
+    assert main(["run", "--scenario", "bidisperse", "--dim", "2", "--n", "16",
+                 "--particle-count", "500", "--particle-budget", "500",
+                 "--t-final", "0.004", "--dt", "2e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "above particle_count" in err
+    assert "Traceback" not in err
+
+
+def test_failed_set_up_returns_3_without_traceback(capsys):
+    # velocities of 1e308 overflow to inf in the sampler, whose cloud check
+    # rejects them: the set-up is step 0, rejected like any other step
+    with pytest.warns(UserWarning, match="advective scale"), np.errstate(over="ignore"):
+        code = main(["run", "--dim", "2", "--n", "8", "--particle-count", "100",
+                     "--particle-budget", "200", "--spray-sigma", "1e308",
+                     "--spray-mean-speed", "1e308", "--t-final", "0.001"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: step 0 (t=0) rejected:") and "non-finite" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

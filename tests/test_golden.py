@@ -23,6 +23,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thinspray import kinetic, scenarios
@@ -148,6 +149,20 @@ def test_merging_case_merges(monkeypatch):
         passes.clear()
         run_scenario(SimConfig(**CASES[name]))
         assert max(passes) >= most, name
+
+
+@pytest.mark.parametrize("name", ["bidisperse-merge-2d", "bidisperse-merge-3d"])
+def test_merging_keeps_every_parent_and_its_turns(name):
+    # a merge takes only fragments, so every parent keeps its row and its
+    # turn: parent i breaks up on the steps k = i (mod 2), n_i of them, and
+    # ends at w0 exp(-2 dt n_i / tau)
+    config = SimConfig(**CASES[name])
+    cloud = run_scenario(config).cloud
+    assert cloud.parents == config.particle_count
+    turns = np.where(np.arange(cloud.parents) % 2, (config.steps + 1) // 2, config.steps // 2)
+    w0 = config.spray_mass / config.particle_count
+    want = w0 * np.exp(-2 * config.dt * turns / config.tau)
+    assert np.allclose(cloud.w[:cloud.parents], want, rtol=1e-12, atol=0)
 
 
 def test_stored_form_is_the_written_form():

@@ -169,6 +169,15 @@ class TestConfig:
         cfg.validate()
         assert initial_cloud(cfg).count == 0
 
+    def test_a_fragmenting_budget_holds_one_more_than_the_parents(self):
+        # a merge takes only fragments, so a fragmenting run needs a budget
+        # above its parent count to come back within it
+        with pytest.raises(ConfigError, match="above particle_count"):
+            quick_config(scenario="bidisperse", particle_budget=2_000).validate()
+        quick_config(scenario="bidisperse", particle_budget=2_001).validate()
+        quick_config(particle_budget=2_000).validate()  # an absorbing run spawns none
+        quick_config(scenario="bidisperse", spray_mass=0.0, particle_budget=2_000).validate()
+
     def test_tau_inf_allowed(self):
         quick_config(scenario="bidisperse", tau=math.inf).validate()
 
@@ -551,6 +560,19 @@ class TestRunScenario:
                                particle_budget=4_000, dt=1e-3, t_final=0.03))
         assert passes and passes == [1] * len(passes)
 
+    @pytest.mark.parametrize("budget", [3_000, 2_500])
+    def test_tight_budgets_pass_the_energy_gate(self, budget):
+        # demos/demo_bidisperse_breakup.py --fast with a tighter budget, so
+        # that merges take a third of the cloud and more per step; when they
+        # also took parents, the energy gate failed (max residual 8.4e-4 and
+        # 3.2e-4 at budgets 3000 and 2500, against 250 dt t)
+        res = run_scenario(SimConfig(dim=2, n=16, dt=1e-3, t_final=0.02, scenario="bidisperse",
+                                     tau=0.2, r2=0.25, particle_count=2_000,
+                                     particle_budget=budget, seed=11))
+        assert res.cloud.parents == 2_000 and res.cloud.count <= budget
+        assert res.summary["merge_m2_max"] > 0.0
+        assert res.summary["energy"]["pass"], res.summary["energy"]
+
     def test_regularized_records_remainders(self):
         cfg = quick_config(scenario="regularized", eps=0.5, t_final=0.03)
         res = run_scenario(cfg)
@@ -595,6 +617,18 @@ class TestRunScenario:
             run_scenario(cfg)
         _, fluid, _ = read_state(tmp_path / "state_last_good.npz")  # FluidState checks u
         assert np.isfinite(fluid.u.values).all()
+
+    def test_set_up_error_rejects_step_0(self, monkeypatch, tmp_path):
+        # the set-up runs as step 0: its FieldError ends as that step's
+        # rejection, with no healthy state before it to write
+        def bad_cloud(config):
+            raise FieldError("particle positions x or velocities ξ are non-finite")
+
+        monkeypatch.setattr(scenarios, "initial_cloud", bad_cloud)
+        with pytest.raises(StepRejectedError, match=r"^step 0 \(t=0\) rejected: .*"
+                                                    r"last-good snapshot none$"):
+            run_scenario(quick_config(output_dir=str(tmp_path)))
+        assert not (tmp_path / "state_last_good.npz").exists()
 
     def test_record_error_rejects_the_step(self, monkeypatch, tmp_path):
         # a FieldError from a step's record ends as that step's rejection,
@@ -876,6 +910,16 @@ class TestSweep:
         with pytest.raises(OSError):
             sweep_r2(cfg, [0.3, 0.2])
         assert runs == []
+
+    def test_a_bidisperse_member_config_is_checked_before_any_run(self, monkeypatch):
+        # a budget at the parent count is fine for the limit member but not
+        # for a bidisperse one: the sweep refuses it before its first run
+        def no_run(config):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_run)
+        with pytest.raises(ConfigError, match="above particle_count"):
+            sweep_r2(quick_config(particle_budget=2_000), [0.3])
 
     def test_single_member_sweep(self):
         cfg = quick_config(scenario="bidisperse", tau=0.05, t_final=0.04,
