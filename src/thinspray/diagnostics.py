@@ -37,8 +37,9 @@ class DiagnosticsRecord:
     Spray kinetic energy weighs each species by its liquid volume r^3 (1 for
     parents, r2^3 for fragments); the drag dissipation weighs it by its
     radius r, so the energy budget closes with a single scenario coefficient.
-    volume + mass_rho is the liquid every scenario conserves; r1, r2, r3
-    are the regularization_remainders, 0.0 without a cutoff.
+    volume + mass_rho is the liquid every scenario conserves once cut_weight,
+    what a cutoff leaves out of rho's source, is booked; r1, r2, r3 are the
+    regularization_remainders.  All four are 0.0 without a cutoff.
     """
 
     t: float
@@ -56,6 +57,7 @@ class DiagnosticsRecord:
     r1: float
     r2: float
     r3: float
+    cut_weight: float        # sum w r (1 - cutoff) over the tail, the deposit left out
 
     def scalars(self) -> dict:
         """Flatten to plain floats with stable per-axis column names."""
@@ -96,12 +98,12 @@ class RecordTerms(NamedTuple):
     """What one record forms once and reads twice: the fluid's |u|^2 on the
     grid, its pairing <u, m1> with the drag deposit, and the cutoff tail,
     the particles the velocity cutoff reaches, |xi| > 1/eps, with their
-    weight defect 1 - cutoff and u and |u|^2 gathered there."""
+    left-out drag weights q = w r (1 - cutoff) and u and |u|^2 gathered there."""
 
     grid_u_sq: np.ndarray  # the grid's shape
     u_m1: float          # sum of u m1 over the grid, without the cell volume
-    index: np.ndarray    # (k,) rows of the cloud
-    defect: np.ndarray   # (k,)
+    index: np.ndarray    # (k,) rows of the cloud, sorted
+    q: np.ndarray        # (k,)
     u: np.ndarray        # (k, dim)
     u_sq: np.ndarray     # (k,)
 
@@ -111,9 +113,9 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
     """The record terms of the cloud and its deposit drag in the field u,
     with an empty tail without a cutoff.
 
-    collect_record reads every term, regularization_remainders <u, m1> and
-    the tail.  |u|^2 is summed component by component, so the record builds
-    no temporary the size of u."""
+    collect_record and regularization_remainders read every term, q among
+    them.  |u|^2 is summed component by component, so the record builds no
+    temporary the size of u."""
     grid_u_sq = u.values[0] * u.values[0]
     for comp in u.values[1:]:
         grid_u_sq += comp * comp
@@ -123,8 +125,10 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
                            np.zeros((0, cloud.dim)), np.zeros(0))
     defect = 1.0 - velocity_cutoff(cloud.xi, eps)
     index = np.flatnonzero(defect > 0.0)
+    q = cloud.w[index] * defect[index]
+    q[np.searchsorted(index, cloud.parents):] *= cloud.radius
     x = cloud.x[index]
-    return RecordTerms(grid_u_sq, u_m1, index, defect[index], cic_gather(u, x),
+    return RecordTerms(grid_u_sq, u_m1, index, q, cic_gather(u, x),
                        cic_gather(ScalarField(u.grid, grid_u_sq), x))
 
 
@@ -136,11 +140,12 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     fluid.rho, the added density, weighs the fluid's energy and momentum.
     drag is the cloud's drag deposit of weights w r, times the velocity
     cutoff of width eps if it has one; terms is record_terms(cloud,
-    fluid.u, drag, eps) with that eps (None without a cutoff).  Each species'
-    (M0, M1, M2) are summed once and weighed by 1, by r (the Stokes drag
-    weight, for |u - xi|^2 f in the drag dissipation) and by r^3 (the mass);
-    liquid, the cloud's liquid_volume, is the record's volume; remainders (of
-    regularization_remainders, zeros without a cutoff) are stored as given.
+    fluid.u, drag, eps) with that eps (None without a cutoff), whose tail
+    weights q sum to the record's cut_weight.  Each species' (M0, M1, M2)
+    are summed once and weighed by 1, by r (the Stokes drag weight, for
+    |u - xi|^2 f in the drag dissipation) and by r^3 (the mass); liquid,
+    the cloud's liquid_volume, is the record's volume; remainders (of
+    regularization_remainders) are stored as given.
     The gas's momentum is summed component by component, with no temporary
     the size of u.  The gas is finite: FluidState rejects a non-finite u or
     rho.
@@ -156,15 +161,14 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     number = sum(moments for moments, _ in species)
     mass = sum(r**3 * moments for moments, r in species)
     # Deposit S and interpolation I share one kernel, cv <g, S(v)> = sum v I(g),
-    # so pairing |u|^2 and u with S(q c), S(q c xi), q = w r, gives sum q c
-    # (I|u|^2 - 2 I u . xi); only the tail, c < 1, is gathered.  I|u|^2 (not
-    # |I u|^2) cancels the drag work from the energy budget and stays >= 0 (Jensen).
-    q_tail = w[terms.index] * terms.defect
-    q_tail[np.searchsorted(terms.index, cloud.parents):] *= cloud.radius  # index is sorted
+    # so pairing |u|^2 and u with S(w r c), S(w r c xi) gives sum w r c
+    # (I|u|^2 - 2 I u . xi); only the tail, c < 1, is gathered, with its
+    # weights q = w r (1 - c).  I|u|^2 (not |I u|^2) cancels the drag work
+    # from the energy budget and stays >= 0 (Jensen).
     slip_tail = terms.u_sq - 2.0 * rowwise_dot(terms.u, xi[terms.index])
     dissipation_drag = (
         grid.cell_volume * (_pair(u_sq, drag.m0.values) - 2.0 * terms.u_m1)
-        + sum(r * moments[-1] for moments, r in species) + _pair(q_tail, slip_tail))
+        + sum(r * moments[-1] for moments, r in species) + _pair(terms.q, slip_tail))
 
     weight = 1.0 + rho.values  # the gas's inertia
     fluid_momentum = np.array([np.sum(weight * comp) for comp in u.values]) * grid.cell_volume
@@ -184,6 +188,7 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
         mass_rho=float(integral(rho)),
         div_residual=divergence_residual(grid, fluid.u_hat),
         r1=remainders[0], r2=remainders[1], r3=remainders[2],
+        cut_weight=float(terms.q.sum()),
     )
 
 
@@ -310,32 +315,31 @@ def regularization_remainders(cloud: ParticleCloud, drag: DragField, terms: Reco
                               drag_coefficient: float) -> tuple[float, float, float]:
     """Energy-budget defect terms introduced by the velocity cutoff and mollifier.
 
-    r1 = c sum w |u|^2(x) (1 - cutoff(xi))
-    r2 = C sum w (xi . u(x)) (cutoff(xi) - 1)
-    r3 = sum w xi . (mollified u - u)(x)
+    r1 = c sum q |u|^2(x)
+    r2 = -C sum q xi . u(x)
+    r3 = sum w r xi . (mollified u - u)(x)
 
-    C is the coupling of the fluid step and c the drag coefficient of
-    energy_budget, whose residual rate they close: r1 + r2 + r3.
-    u(x) and |u|^2(x) are interpolated at the particles: r1 interpolates
-    |u|^2, not u, as collect_record's drag dissipation does.  The cloud must
-    hold no fragments, so that drag, its deposit with the cutoff of width
-    eps, has the weights w cutoff(xi): r3 pairs it with u_mollified - u and
-    adds the tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
-    record_terms(cloud, u, drag, eps), the record's: it carries u gathered
+    with q = w r (1 - cutoff(xi)) the drag weight that the deposit left out,
+    C the coupling of the fluid step and c the drag coefficient of
+    energy_budget, whose residual rate they close: r1 + r2 + r3.  u(x) and
+    |u|^2(x) are interpolated at the particles: r1 interpolates |u|^2, not
+    u, as collect_record's drag dissipation does.  drag, the deposit of the
+    weights w r cutoff(xi), is paired with u_mollified - u, and r3 adds the
+    tail |xi| > 1/eps, over which r1 and r2 sum.  terms is
+    record_terms(cloud, u, drag, eps), the record's: it carries q, u gathered
     on the tail and its pairing <u, m1>, so u is no argument.  u_mollified,
     on u's grid, is paired here, and u_mollified_at_x is it gathered at
     every particle, as the pass that deposited drag returns it
     (`kinetic.deposit_moments`); only its tail rows are read, so nothing is
-    gathered here.  All three vanish as eps -> 0 (the cutoff radius 1/eps
-    swallows the sampled velocities).
+    gathered here.  All three are +0.0 without a cutoff (an empty tail, and
+    u_mollified is u) and vanish as eps -> 0 (1/eps swallows the velocities).
     """
-    if cloud.parents < cloud.count:
-        raise ValueError("the remainders need a cloud of parents only")
-    xi_tail, w_tail = cloud.xi[terms.index], cloud.w[terms.index] * terms.defect
-    r1 = drag_coefficient * _pair(w_tail, terms.u_sq)
-    r2 = -coupling * _pair(w_tail, rowwise_dot(xi_tail, terms.u))
+    xi_tail = cloud.xi[terms.index]
+    r1 = drag_coefficient * _pair(terms.q, terms.u_sq)
+    # the dot, not the coupling, is negated: an empty tail gives r2 = +0.0
+    r2 = coupling * _pair(terms.q, -rowwise_dot(xi_tail, terms.u))
     u_star = u_mollified_at_x[terms.index]
     dv = u_mollified.grid.cell_volume
     r3 = (dv * (_pair(u_mollified.values, drag.m1.values) - terms.u_m1)
-          + _pair(w_tail, rowwise_dot(xi_tail, u_star - terms.u)))
+          + _pair(terms.q, rowwise_dot(xi_tail, u_star - terms.u)))
     return r1, r2, r3

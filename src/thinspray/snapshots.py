@@ -50,16 +50,11 @@ def read_state(path) -> tuple[float, FluidState, ParticleCloud]:
     return t, fluid, cloud
 
 
-def diagnostics_columns(records: Sequence[DiagnosticsRecord]) -> list[str]:
-    return list(records[0].scalars().keys())
-
-
 def write_diagnostics_csv(path, records: Sequence[DiagnosticsRecord]):
     if not records:
         raise ValueError("no records to write")
-    columns = diagnostics_columns(records)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(records[0].scalars()))
         writer.writeheader()
         for rec in records:
             writer.writerow({k: repr(v) for k, v in rec.scalars().items()})

@@ -117,7 +117,8 @@ def make_records(t, energies, visc, drag):
             t=t[k], e_kinetic_spray=0.0, e_fluid=energies[k],
             dissipation_visc=visc[k], dissipation_drag=drag[k],
             m0=1.0, m1=np.zeros(3), m2=0.0, total_momentum=np.zeros(3),
-            volume=0.0, mass_rho=0.0, div_residual=0.0, r1=0.0, r2=0.0, r3=0.0))
+            volume=0.0, mass_rho=0.0, div_residual=0.0, r1=0.0, r2=0.0, r3=0.0,
+            cut_weight=0.0))
     return recs
 
 
@@ -204,13 +205,28 @@ class TestRemainders:
         out = remainders(ParticleCloud.empty(2), zero, zero, 0.5)
         assert out == (0.0, 0.0, 0.0)
 
-    def test_fragments_rejected(self):
-        # the pairing assumes the deposit weight w cutoff of unit-radius parents
+    def test_mixed_cloud_with_a_cutoff(self):
+        # parents and radius-0.3 fragments, some of each beyond 1/eps: the
+        # remainders weigh each particle by q = w r (1 - cutoff), r its radius
         g = GridSpec(2, 16)
-        zero = VectorField.zeros(g)
-        cloud = ParticleCloud(np.ones((2, 2)), np.zeros((2, 2)), np.ones(2), 1, 0.3)
-        with pytest.raises(ValueError, match="parents only"):
-            remainders(cloud, zero, zero, 0.5)
+        rng = np.random.default_rng(8)
+        count, parents, radius, eps = 600, 400, 0.3, 0.5
+        xi = 1.5 * rng.standard_normal((count, 2))
+        cloud = ParticleCloud(rng.uniform(0, g.length, (count, 2)), xi,
+                              rng.uniform(0, 1, count), parents, radius)
+        u, u_star = (VectorField(g, rng.standard_normal((2,) + g.shape)) for _ in range(2))
+        r1, r2, r3 = remainders(cloud, u, u_star, eps)
+        r = np.where(np.arange(count) < parents, 1.0, radius)
+        defect = 1.0 - velocity_cutoff(xi, eps)
+        assert np.any(defect[:parents] > 0) and np.any(defect[parents:] > 0)
+        q = cloud.w * r * defect
+        up = cic_gather(u, cloud.x)
+        u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
+        xi_up = np.sum(xi * up, axis=1)
+        _assert_sum_matches(r1, [1.5 * q * u_sq])
+        _assert_sum_matches(r2, [-2.0 * q * xi_up])
+        _assert_sum_matches(r3, [cloud.w * r * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),
+                                 -cloud.w * r * xi_up])
 
 
 @pytest.mark.parametrize("eps", [None, 0.5])
@@ -284,13 +300,13 @@ def test_property_paired_record_matches_gathered_sums(case):
                       (record.volume, w * r**3), (2.0 * record.e_kinetic_spray,
                                                  w * r**3 * xi_sq)):
         _assert_sum_matches(got, [want])
-    if cloud.parents < cloud.count:
-        return  # the remainders take parents alone
+    # the deposit weight that the cutoff left out, and the remainders, on any cloud
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
+    _assert_sum_matches(record.cut_weight, [q * (1.0 - cut)])
     coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
     r1, r2, r3 = regularization_remainders(cloud, drag, terms, u_star, u_star_at_x,
                                            coupling=coupling, drag_coefficient=drag_coeff)
-    _assert_sum_matches(r1, [drag_coeff * w * u_sq * (1.0 - cut)])
-    _assert_sum_matches(r2, [coupling * w * xi_up * (cut - 1.0)])
-    _assert_sum_matches(r3, [w * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),
-                             -w * xi_up])
+    _assert_sum_matches(r1, [drag_coeff * q * u_sq * (1.0 - cut)])
+    _assert_sum_matches(r2, [coupling * q * xi_up * (cut - 1.0)])
+    _assert_sum_matches(r3, [q * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),
+                             -q * xi_up])

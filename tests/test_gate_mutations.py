@@ -7,12 +7,12 @@ must then fail the gates listed for its scenario.  The *limit* and
 *regularized* (eps = 0.5) runs start from 4000 parents, the *bidisperse*
 run from 2000 parents with r2 = 0.2 and a budget of 4000.
 
-Two kinds of miss are marked `xfail(strict=True)`, so that the change that
-catches them has to flip them:
-* a gas coupling off by 10% fails the momentum gate but not the energy
-  gate, whose rate (250 per dt t) is far looser than any scenario needs;
-* a *regularized* rho source off by 1% fails no gate, because its mass
-  budget has no tolerance: the velocity cutoff drops number on purpose.
+One kind of miss is marked `xfail(strict=True)`, so that the change that
+catches it has to flip it: a gas coupling off by 10% fails the momentum
+gate but not the energy gate, whose rate (250 per dt t) is far looser than
+any scenario needs.  The *regularized* mass budget books the source that
+its velocity cutoff leaves out, so it is gated like the *limit* one and
+fails on the same rows.
 
 No budget sees these mutations, so no case here runs them:
 * no convection (the gas advected by a zero field), in every scenario: the
@@ -153,11 +153,10 @@ CAUGHT = [
     *_cases("nu x 1.05", dict.fromkeys(EVERY, {"energy"})),
     *_cases("relaxation time x 1.2", dict.fromkeys(EVERY, {"momentum"})),
     *_cases("deposit x 1.1", dict(limit={"momentum", "mass"}, bidisperse={"momentum"},
-                                  regularized={"momentum"})),
-    *_cases("rho source x 1.01", dict(limit={"mass"}, regularized={"mass"}),
-            xfail=dict(regularized="item 10")),
+                                  regularized={"momentum", "mass"})),
+    *_cases("rho source x 1.01", dict(limit={"mass"}, regularized={"mass"})),
     *_cases("breakup rate x 1.1", dict(limit={"momentum", "mass"},
-                                       regularized={"momentum"})),
+                                       regularized={"momentum", "mass"})),
     *_cases("fragment weight + 2%", dict(bidisperse={"liquid"})),
     # the energy gate should see a coupling off by 10% too (ROADMAP item 4)
     *_cases("coupling x 0.9", dict.fromkeys(EVERY, {"energy"}),

@@ -381,9 +381,10 @@ class TestRunScenario:
         res = run_scenario(quick_config(scenario="regularized", eps=0.2))
         for cloud in (initial_cloud(res.config), res.cloud):
             assert np.linalg.norm(cloud.xi, axis=1).max() <= 1 / 0.2
+        assert all(r.cut_weight == 0.0 for r in res.records)  # nothing to book
         total = res.records[0].volume + res.records[0].mass_rho
         assert res.summary["mass_budget"]["max_error"] <= 1e-12 * total
-        assert res.summary["mass_budget"]["pass"] is None  # not gated with a cutoff
+        assert res.summary["mass_budget"]["pass"] is True
 
     @pytest.mark.parametrize("tau", [math.inf, 0.4, 0.2])
     @pytest.mark.parametrize("scenario, eps", [("limit", 0.0), ("regularized", 0.5)])
@@ -391,9 +392,7 @@ class TestRunScenario:
         # breakup at rate 1/tau hands the gas the slip of the absorbed droplets;
         # a coupling fixed at its tau = 1 value fails the momentum gate here
         summary = run_scenario(quick_config(scenario=scenario, eps=eps, tau=tau)).summary
-        gates = ["divergence", "energy", "momentum", "lemma1"]
-        if scenario == "limit":
-            gates.append("mass_budget")
+        gates = ["divergence", "energy", "momentum", "lemma1", "mass_budget"]
         assert all(summary[name]["pass"] for name in gates), {n: summary[n] for n in gates}
 
     def test_limit_without_breakup_is_bidisperse(self):
@@ -589,12 +588,18 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("kw, name", [
         (dict(), "mass_budget"),
-        (dict(scenario="bidisperse", tau=0.05, r2=0.3), "liquid_volume")])
+        (dict(scenario="bidisperse", tau=0.05, r2=0.3), "liquid_volume"),
+        (dict(scenario="regularized", eps=0.5), "mass_budget")])
     def test_one_liquid_budget_from_the_records(self, kw, name):
         # every scenario gates the liquid of its records, volume + mass_rho:
-        # the limit moves it into rho, the fragments keep it in the spray
+        # the limit moves it into rho, the fragments keep it in the spray, and
+        # the source that a cutoff left out, expm1(dt/tau) cut_weight per step
+        # from step 1 on, is booked
         res = run_scenario(quick_config(**kw))
+        cut = np.array([r.cut_weight for r in res.records])
+        assert np.any(cut > 0) == ("eps" in kw)  # eps = 0.5 has a tail
         kept = np.array([r.volume + r.mass_rho for r in res.records])
+        kept[1:] += np.expm1(res.config.dt / res.config.tau) * np.cumsum(cut[1:])
         assert res.summary[name]["max_error"] == float(np.abs(kept - kept[0]).max())
         assert res.summary[name]["pass"]
 

@@ -167,7 +167,7 @@ def make_record(t):
         t=t, e_kinetic_spray=0.1, e_fluid=1.0, dissipation_visc=2.0,
         dissipation_drag=0.3, m0=0.5, m1=np.array([0.1, 0.2, 0.3]), m2=0.7,
         total_momentum=np.array([1.0, -1.0, 0.0]), volume=0.5, mass_rho=0.2,
-        div_residual=1e-15, r1=0.0, r2=0.0, r3=0.0)
+        div_residual=1e-15, r1=0.0, r2=0.0, r3=0.0, cut_weight=0.0)
 
 
 def test_diagnostics_csv_round_trip(tmp_path):
