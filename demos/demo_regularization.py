@@ -2,8 +2,9 @@
 
 The regularized scenario advects with a mollified velocity and deposits
 drag moments through a smooth velocity-space cutoff (1 inside radius 1/eps,
-0 beyond 2/eps).  Three defect integrals measure how far its energy budget
-sits from the unregularized one; all three shrink as eps decreases.
+0 beyond 2/eps).  Its energy budget books three defect integrals, r1, r2
+and r3, on top of the unregularized system's terms; all three shrink as eps
+decreases.
 
 Run:  python demos/demo_regularization.py
 """

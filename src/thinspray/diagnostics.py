@@ -39,7 +39,8 @@ class DiagnosticsRecord:
     radius r, so the energy budget closes with a single scenario coefficient.
     volume + mass_rho is the liquid every scenario conserves once cut_weight,
     what a cutoff leaves out of rho's source, is booked; r1, r2, r3 are the
-    regularization_remainders.  All four are 0.0 without a cutoff.
+    regularization_remainders, which energy_budget books.  All four are 0.0
+    without a cutoff.
     """
 
     t: float
@@ -134,7 +135,7 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
 
 def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
                    drag: DragField, terms: RecordTerms, *, liquid: float,
-                   remainders=(0.0, 0.0, 0.0), nu: float = 1.0) -> DiagnosticsRecord:
+                   remainders: tuple[float, float, float], nu: float) -> DiagnosticsRecord:
     """Measure every budget ingredient for the current coupled state.
 
     fluid.rho, the added density, weighs the fluid's energy and momentum.
@@ -144,8 +145,9 @@ def collect_record(t: float, fluid: FluidState, cloud: ParticleCloud,
     weights q sum to the record's cut_weight.  Each species' (M0, M1, M2)
     are summed once and weighed by 1, by r (the Stokes drag weight, for
     |u - xi|^2 f in the drag dissipation) and by r^3 (the mass); liquid,
-    the cloud's liquid_volume, is the record's volume; remainders (of
-    regularization_remainders) are stored as given.
+    the cloud's liquid_volume, is the record's volume; remainders, of
+    regularization_remainders, are stored for energy_budget to book, and nu,
+    the viscosity, weighs dissipation_visc.
     The gas's momentum is summed component by component, with no temporary
     the size of u.  The gas is finite: FluidState rejects a non-finite u or
     rho.
@@ -196,22 +198,22 @@ def energy_budget(records: Sequence[DiagnosticsRecord],
                   drag_coefficient: float) -> np.ndarray:
     """Residual of the energy identity at each record time.
 
-    residual(t) = E(t) + int_0^t [dissipation_visc + c * dissipation_drag]
-                  - E(0),
+    residual(t) = E(t) + int_0^t [dissipation_visc + c * dissipation_drag
+                                  - (r1 + r2 + r3)] - E(0),
 
-    with E = e_kinetic_spray + e_fluid and c the scenario drag coefficient
+    with E = e_kinetic_spray + e_fluid, c the scenario drag coefficient
     (1 + 1/(2 tau) for parents absorbed into the gas at rate 1/tau, 1 for the
     two-radius system, whose radius weights already sit inside
-    dissipation_drag).  Zero for the exact dynamics; first order in dt for
-    the discrete splitting.
+    dissipation_drag) and r1, r2, r3 the record's regularization_remainders,
+    +0.0 without a cutoff.  Zero for the exact dynamics; first order in dt
+    for the discrete splitting of every scenario.
     """
     t = np.array([r.t for r in records])
     if not np.all(np.diff(t) > 0):
         raise ValueError("record times must be strictly increasing")
     energy = np.array([r.e_kinetic_spray + r.e_fluid for r in records])
-    dissipation = np.array(
-        [r.dissipation_visc + drag_coefficient * r.dissipation_drag for r in records]
-    )
+    dissipation = np.array([r.dissipation_visc + drag_coefficient * r.dissipation_drag
+                            - (r.r1 + r.r2 + r.r3) for r in records])
     return energy + _cumulative_trapezoid(dissipation, t) - energy[0]
 
 

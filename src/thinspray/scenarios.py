@@ -12,8 +12,8 @@ splitting).  Unit-radius parents break up at rate 1/tau, and
 * ``limit``       - absorbs it into the added density rho, a variable of
                     the fluid state, which multiplies the fluid inertia.
 * ``regularized`` - absorbs it as the limit does; eps > 0 mollifies the
-                    advecting velocity, cuts the deposited moments off in
-                    velocity and records the energy remainders r1, r2, r3.
+                    advecting velocity and cuts the deposited moments off in
+                    velocity; the energy budget books the remainders r1, r2, r3.
 * ``bidisperse``  - keeps it as radius-r2 fragments, merged when the cloud
                     outgrows its budget; rho stays zero.
 
@@ -313,17 +313,7 @@ def run_scenario(config: SimConfig) -> RunResult:
     if config.output_dir:
         out.mkdir(parents=True, exist_ok=True)
 
-    records = []
-
-    def record(t, drag, u_at_x):  # of the current fluid and cloud, and the cloud's pass
-        terms = record_terms(cloud, fluid.u, drag, eps)
-        remainders = regularization_remainders(cloud, drag, terms, u_star, u_at_x,
-                                               coupling=coupling, drag_coefficient=drag_coeff)
-        records.append(collect_record(t, fluid, cloud, drag, terms,
-                                      liquid=liquid_volume(cloud), remainders=remainders,
-                                      nu=config.nu))
-
-    lemma_checks, merge_m2_max = [], 0.0
+    records, lemma_checks, merge_m2_max = [], [], 0.0
     # only the snapshot on abort reads the last healthy state: without an
     # output directory none is held, so the old one dies with its step
     last_good = None
@@ -357,7 +347,13 @@ def run_scenario(config: SimConfig) -> RunResult:
             if config.absorbs and step:  # replace re-runs FluidState's check on the new rho
                 fluid = replace(fluid, rho=density_step(
                     fluid.rho, u_star, ScalarField(grid, gain * drag.m0.values), config.dt))
-            record(t, drag, u_at_x)
+            terms = record_terms(cloud, fluid.u, drag, eps)
+            remainders = regularization_remainders(cloud, drag, terms, u_star, u_at_x,
+                                                   coupling=coupling, drag_coefficient=drag_coeff)
+            records.append(collect_record(t, fluid, cloud, drag, terms,
+                                          liquid=liquid_volume(cloud), remainders=remainders,
+                                          nu=config.nu))
+            del terms  # its grid |u|^2 dies with the record
             if step and step % lemma_stride == 0 and cloud.count:
                 hist = radial_histogram(cloud)
                 for alpha, gamma in ((0.0, 2.0), (1.0, 2.0)):

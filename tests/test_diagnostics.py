@@ -13,6 +13,7 @@ from thinspray.diagnostics import (
     energy_budget,
     liquid_volume,
     momentum_budget,
+    momentum_tolerance,
     radial_histogram,
     record_terms,
     regularization_remainders,
@@ -143,6 +144,29 @@ class TestBudgets:
         assert res_limit[-1] == pytest.approx(1.5)
         assert res_two_radius[-1] == pytest.approx(1.0)
 
+    def test_remainders_booked(self):
+        # constant remainders, with a constant energy and no dissipation,
+        # leave the residual -int (r1 + r2 + r3)
+        t = np.array([0.0, 0.1, 0.3, 0.35])
+        recs = make_records(t, [1.0] * 4, [0.0] * 4, [0.0] * 4)
+        for rec in recs:
+            rec.r1, rec.r2, rec.r3 = 0.5, -0.25, 2.0
+        assert energy_budget(recs, 1.5) == pytest.approx(-2.25 * t, rel=1e-15)
+
+    def test_momentum_tolerance(self):
+        # constant m0 and D_drag: tol = 4 dt 2 sqrt(m0 D) T + 1e-14
+        t, dt = np.array([0.0, 0.1, 0.3]), 1e-3
+        recs = make_records(t, [1.0] * 3, [0.0] * 3, [9.0] * 3)
+        for rec in recs:
+            rec.m0 = 4.0
+        assert momentum_tolerance(recs, dt) == pytest.approx(4 * dt * 12.0 * 0.3 + 1e-14,
+                                                             rel=1e-15)
+        # a negative m0 or D_drag counts as 0, also when their product is positive
+        for m0, drag in ((-4.0, 9.0), (4.0, -9.0), (-4.0, -9.0)):
+            for rec in recs:
+                rec.m0, rec.dissipation_drag = m0, drag
+            assert momentum_tolerance(recs, dt) == 1e-14, (m0, drag)
+
     def test_momentum_drift(self):
         recs = make_records([0.0, 0.5], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         recs[1].total_momentum = np.array([0.1, 0.0, -0.2])
@@ -245,8 +269,9 @@ def test_transient_memory_of_one_record(eps):
     liquid = liquid_volume(cloud)
     size = u.values.nbytes
     assert transient_peak(lambda: record_terms(cloud, u, drag, eps)) <= 0.75 * size
-    assert transient_peak(lambda: collect_record(0.0, fluid, cloud, drag, terms,
-                                                 liquid=liquid)) <= 1.0 * size
+    assert transient_peak(lambda: collect_record(0.0, fluid, cloud, drag, terms, liquid=liquid,
+                                                 remainders=(0.0, 0.0, 0.0),
+                                                 nu=1.0)) <= 1.0 * size
 
 
 @st.composite
@@ -286,8 +311,11 @@ def test_property_paired_record_matches_gathered_sums(case):
     u, u_star = (VectorField(g, rng.standard_normal((g.dim,) + g.shape)) for _ in range(2))
     drag, u_star_at_x = deposit_moments(cloud, u_star, eps)
     terms = record_terms(cloud, u, drag, eps)
+    coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
+    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u_star, u_star_at_x,
+                                           coupling=coupling, drag_coefficient=drag_coeff)
     record = collect_record(0.0, FluidState(u, ScalarField.zeros(g)), cloud, drag, terms,
-                            liquid=liquid_volume(cloud))
+                            liquid=liquid_volume(cloud), remainders=(r1, r2, r3), nu=1.0)
     up = cic_gather(u, cloud.x)
     u_sq = cic_gather(ScalarField(g, np.sum(u.values**2, axis=0)), cloud.x)
     xi, w = cloud.xi, cloud.w
@@ -303,9 +331,7 @@ def test_property_paired_record_matches_gathered_sums(case):
     # the deposit weight that the cutoff left out, and the remainders, on any cloud
     cut = 1.0 if eps is None else velocity_cutoff(xi, eps)
     _assert_sum_matches(record.cut_weight, [q * (1.0 - cut)])
-    coupling, drag_coeff = 3.5, 2.25  # tau = 0.4
-    r1, r2, r3 = regularization_remainders(cloud, drag, terms, u_star, u_star_at_x,
-                                           coupling=coupling, drag_coefficient=drag_coeff)
+    assert (record.r1, record.r2, record.r3) == (r1, r2, r3)
     _assert_sum_matches(r1, [drag_coeff * q * u_sq * (1.0 - cut)])
     _assert_sum_matches(r2, [coupling * q * xi_up * (cut - 1.0)])
     _assert_sum_matches(r3, [q * np.sum(xi * cic_gather(u_star, cloud.x), axis=1),

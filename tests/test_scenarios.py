@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from conftest import count_transforms, meshgrid
 from hypothesis import given, strategies as st
-from scipy.integrate import cumulative_trapezoid
 
 from thinspray import scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
@@ -839,8 +838,12 @@ class TestRunScenario:
         # the splitting.  Measured (energy, momentum) ratios: limit (1.85,
         # 2.04), bidisperse (2.08, 2.00), limit at tau = 0.4 (1.94, 2.04) and
         # 0.2 (1.97, 2.03), limit at tau = inf (-, 2.00): its energy residual
-        # sits near 1e-6 and is not asserted.  The regularized budget is
-        # first order once its remainders enter it (the next test)
+        # sits near 1e-6 and is not asserted.  The regularized budget books
+        # the remainders r1 + r2 + r3: energy ratios 1.85 at eps = 0.5 and
+        # 1.92 at eps = 1, which puts a large share of the cloud in the
+        # cutoff tail (1.14 and 1.00 unbooked; with r1 from |I u|^2, not
+        # I|u|^2, the eps = 1 residual rises as dt halves).  Its momentum
+        # drift does not halve (0.28 and 1.00), so it is not asserted
         both = ("energy", "momentum")
         cases = [  # (config, dt, the ratios asserted)
             (dict(), 1e-3, both),
@@ -848,6 +851,8 @@ class TestRunScenario:
             (dict(tau=math.inf), 1e-3, ("momentum",)),
             (dict(tau=0.4), 1e-3, both),
             (dict(tau=0.2), 1e-3, both),
+            (dict(scenario="regularized", eps=0.5), 1e-3, ("energy",)),
+            (dict(scenario="regularized", eps=1.0), 5e-4, ("energy",)),
         ]
         for kw, dt, checked in cases:
             worst = []
@@ -860,23 +865,6 @@ class TestRunScenario:
                               "momentum": res.summary["momentum"]["max_drift"]})
             for name in checked:
                 assert worst[0][name] / worst[1][name] >= 1.7, (kw, name, worst)
-
-    def test_regularized_budget_with_remainders_first_order(self):
-        # subtracting the integrated remainders r1 + r2 + r3 closes the
-        # regularized energy budget to first order in dt, once r1 pairs
-        # I|u|^2 as the record's drag dissipation does.  eps = 1 puts a large
-        # share of the cloud in the cutoff tail.  Measured maxima 3.50e-6 and
-        # 1.88e-6 (ratio 1.86); with r1 from |I u|^2 the residual rises,
-        # 3.64e-5 and 3.80e-5
-        worst = []
-        for dt in (5e-4, 2.5e-4):
-            res = run_scenario(quick_config(scenario="regularized", eps=1.0, tau=1.0,
-                                            dt=dt, t_final=0.04))
-            t, *rates = np.array([(r.t, r.r1, r.r2, r.r3) for r in res.records]).T
-            corrected = (energy_budget(res.records, 1.5)  # c = 1 + 1/(2 tau)
-                         - cumulative_trapezoid(np.sum(rates, axis=0), t, initial=0.0))
-            worst.append(np.abs(corrected).max())
-        assert worst[0] / worst[1] >= 1.7, worst
 
 
 class TestSweep:
