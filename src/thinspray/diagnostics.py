@@ -115,11 +115,9 @@ def record_terms(cloud: ParticleCloud, u: VectorField, drag: DragField,
     with an empty tail without a cutoff.
 
     collect_record and regularization_remainders read every term, q among
-    them.  |u|^2 is summed component by component, so the record builds no
+    them.  |u|^2 is one einsum over the components, which builds no
     temporary the size of u."""
-    grid_u_sq = u.values[0] * u.values[0]
-    for comp in u.values[1:]:
-        grid_u_sq += comp * comp
+    grid_u_sq = np.einsum("i...,i...->...", u.values, u.values)
     u_m1 = _pair(u.values, drag.m1.values)
     if eps is None:
         return RecordTerms(grid_u_sq, u_m1, np.zeros(0, dtype=np.int64), np.zeros(0),

@@ -353,13 +353,14 @@ def _kronecker_points(count: int, dim: int, seed: int) -> np.ndarray:
     mod 1), with alpha_j = phi^-j, j = 1..dim, phi the positive root of
     x^(dim+1) = x + 1 and the shift s = default_rng(seed).random(dim) (Kuipers &
     Niederreiter 1974; Cranley & Patterson 1976).  They are formed in place: the
-    index column is the one other count-sized array made."""
+    index column and one column's floor are the other count-sized arrays made."""
     phi = 2.0
     for _ in range(64):  # a contraction: phi = (1 + phi)^(1/(dim+1)) converges
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
     x = np.arange(count)[:, None] * phi ** -np.arange(1.0, dim + 1)
     x += np.random.default_rng(seed).random(dim)
-    np.mod(x, 1.0, out=x)
+    for col in x.T:  # exact: every point is i alpha + s >= 0
+        col -= np.floor(col)
     x *= TWO_PI
     return x
 

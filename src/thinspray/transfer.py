@@ -6,13 +6,13 @@ inner product of g with scatter(q) times the cell volume.  Any finite
 position is accepted: the cell index is wrapped as an integer, so positions
 are never re-wrapped in floating point.  Scatter uses bincount, which is
 deterministic for a fixed particle order.  Both loop over particle chunks
-and build one corner index/weight table per chunk, small enough to stay cache
-resident; cic_gather reads every field component through it, and
-cic_scatter deposits through it the weights w and, given velocities v, the
-charges w * v_j, component first.  Given a field to gather, cic_scatter
-also reads it through the same table: a run's one particle-grid pass per
-step deposits the drag and gathers the next push's velocity with one table
-per particle.
+and build one corner index/weight table per chunk; cic_gather reads every
+field component through it, and cic_scatter deposits through it the weights
+w and, given velocities v, the charges w * v_j, component first.  A chunk
+holds max(_CHUNK, (n/2)^dim) particles, as each bincount returns a grid-sized
+row (_chunks).  Given a field to gather, cic_scatter also reads it through
+the same table: a run's one particle-grid pass per step deposits the drag
+and gathers the next push's velocity with one table per particle.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ def _corner_flats_weights(grid: GridSpec, x: np.ndarray):
 
 
 def _chunks(grid: GridSpec, x: np.ndarray):
-    """(rows, flat, w) of each chunk of x: its slice and its corner table."""
-    for start in range(0, x.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    """(rows, flat, w) of each chunk of x: its slice and its corner table.
+    Its max(_CHUNK, (n/2)^dim) rows put a table entry per grid cell or more,
+    so the grid-sized row bincount returns per chunk costs no more than it sums."""
+    size = max(_CHUNK, (grid.n // 2) ** grid.dim)
+    for start in range(0, x.shape[0], size):
+        sl = slice(start, start + size)
         yield (sl, *_corner_flats_weights(grid, x[sl]))
 
 
@@ -103,13 +106,11 @@ def cic_scatter(grid: GridSpec, x: np.ndarray, w: np.ndarray,
         comps = gather.values.reshape(-1, ncells)
         out = np.empty((x.shape[0], len(comps)))
     for sl, flat, corner_w in _chunks(grid, x):
-        raveled = flat.ravel()
         ws = w[sl]
         for row, qs in zip(acc, [ws, *(ws * col[sl] for col in cols)]):
-            row += np.bincount(raveled, weights=(corner_w * qs).ravel(), minlength=ncells)
+            row += np.bincount(flat.ravel(), weights=(corner_w * qs).ravel(), minlength=ncells)
         if gather is not None:
             _interpolate(comps, flat, corner_w, out[sl])
     acc /= grid.cell_volume
-    dens = acc.reshape((len(acc),) + grid.shape)
-    dens = dens[0] if v is None else dens
+    dens = acc.reshape(grid.shape if v is None else (len(acc),) + grid.shape)
     return dens if gather is None else (dens, out)

@@ -505,6 +505,19 @@ class TestDepositMoments:
         peak = transient_peak(lambda: deposit_moments(cloud, u, eps))
         assert peak <= 2.5 * cloud.x.nbytes
 
+    def test_transient_memory_of_one_deposit_on_a_64_grid(self):
+        # the regularized-grid shape: its 20,000 particles are one chunk of
+        # at most (n/2)^3 = 32,768 (transfer._chunks).  In scalar 64^3 fields
+        # of 2 MiB: the 1 + dim deposit rows (4), the gathered u (0.23), one
+        # table of 8 x 20,000 entries of an 8 B index and an 8 B weight
+        # (1.22), its charges (0.61) and one bincount row (1) make 7.06; the
+        # cutoff's and the table's count-sized temporaries bring it to 7.4
+        g = GridSpec(3, 64)
+        cloud = sample_gaussian_spray(g, 20_000, 1.0, 0.0, 1.0, seed=5)
+        u = VectorField.zeros(g)
+        peak = transient_peak(lambda: deposit_moments(cloud, u, 0.25))
+        assert peak <= 8 * ScalarField.zeros(g).values.nbytes
+
 
 class TestMerge:
     def test_under_budget_identity(self):

@@ -181,6 +181,45 @@ def test_chunk_charges_equal_array_charges(rng):
     _assert_stacks_scalar_scatters(g, x, w, rng.standard_normal((20_000, 3)))
 
 
+def _fixed_chunks(grid, x):
+    """The chunks of _CHUNK rows whatever the grid, as transfer._chunks cuts
+    a cloud on a grid of at most 2 * _CHUNK^(1/dim) nodes per axis."""
+    for start in range(0, x.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        yield (sl, *_corner_flats_weights(grid, x[sl]))
+
+
+@pytest.mark.parametrize("count, tables", [(32_768, [32_768]), (32_769, [32_768, 1])],
+                         ids=["one-chunk", "two-chunks"])
+def test_chunks_are_sized_from_the_grid(monkeypatch, rng, count, tables):
+    # on a 64^3 grid a chunk holds (n/2)^3 = 32,768 particles, one table
+    # entry per grid cell, so each deposit row's grid-sized bincount output
+    # costs no more than the entries it sums
+    import thinspray.transfer as tr
+
+    g = GridSpec(3, 64)
+    x = rng.uniform(0, g.length, (count, 3))
+    w = rng.uniform(0, 1, count)
+    v = rng.standard_normal((count, 3))
+    field = VectorField(g, rng.standard_normal((3,) + g.shape))
+    built = []
+
+    def counted(grid, x, _real=tr._corner_flats_weights):
+        built.append(x.shape[0])
+        return _real(grid, x)
+    monkeypatch.setattr(tr, "_corner_flats_weights", counted)
+    dens, at_x = cic_scatter(g, x, w, v, gather=field)
+    assert built == tables
+    monkeypatch.undo()
+    assert np.array_equal(dens, cic_scatter(g, x, w, v))
+    assert np.array_equal(at_x, cic_gather(field, x))
+    monkeypatch.setattr(tr, "_chunks", _fixed_chunks)
+    small_dens, small_at_x = cic_scatter(g, x, w, v, gather=field)
+    for row, small_row in zip(dens, small_dens):
+        assert np.abs(row - small_row).max() <= 1e-12 * np.abs(small_row).max()
+    assert np.array_equal(at_x, small_at_x)
+
+
 _LENGTH = 2 * np.pi
 
 
