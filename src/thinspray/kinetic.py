@@ -9,6 +9,10 @@ volume r^3 are one scalar per species.  Drag relaxation uses the exact
 exponential update, so the stiff small-radius limit costs nothing in dt.
 Parents break up at rate 1/tau in one call, `absorb_and_fragment`: their
 lost weight leaves the cloud or becomes fragments, spawned in turns.
+The sampler returns its rows in spatial blocks (`_block_order`), so the
+particle-grid pass's bincounts and takes walk the grid nearly in order; each
+row keeps its index parity, which the turns read, and the velocity drawn for
+its lattice point.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .transfer import _CHUNK, cic_gather, cic_scatter  # noqa: F401
 _NN_EPS = 3.0
 # a fragmenting breakup takes each parent on every _SPAWN_PERIOD-th step
 _SPAWN_PERIOD = 2
+# the sampler orders its rows by block of a _BLOCKS^dim partition of the torus;
+# with 4, 16 or 32 blocks per axis the 200k-particle n=32 pass read within 1.5 ms of 8
+_BLOCKS = 8
 
 
 @dataclass
@@ -365,6 +372,24 @@ def _kronecker_points(count: int, dim: int, seed: int) -> np.ndarray:
     return x
 
 
+def _block_order(x: np.ndarray) -> np.ndarray:
+    """The row order that sorts the points x in [0, 2π)^dim by block of a
+    row-major _BLOCKS^dim partition of the torus, each index parity on its
+    own: row r of x[order] is point order[r], and order[r] = r (mod 2).
+    The uint16 key is built one column at a time, and both sorts are stable."""
+    key = np.zeros(len(x), dtype=np.uint16)
+    for col in x.T:
+        block = np.multiply(col, _BLOCKS / TWO_PI)
+        np.minimum(block, _BLOCKS - 1, out=block)  # x just below 2π may round up
+        key *= _BLOCKS
+        key += block.astype(np.uint16)
+    order = np.empty(len(x), dtype=np.int64)
+    for parity in range(_SPAWN_PERIOD):  # the breakup's turns read the index parity
+        rows = np.argsort(key[parity::_SPAWN_PERIOD], kind="stable")
+        order[parity::_SPAWN_PERIOD] = rows * _SPAWN_PERIOD + parity
+    return order
+
+
 def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
                           mean_velocity, sigma: float, seed: int) -> ParticleCloud:
     """Sample a spray of unit-radius parents uniform in x with Gaussian velocities.
@@ -378,12 +403,21 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
         sum w          = total_number
         sum w xi       = total_number * mean_velocity
         sum w |xi|^2   = total_number * (dim sigma^2 + |mean_velocity|^2)
+
+    The rows come in spatial blocks (`_block_order`), not in lattice order,
+    which is random in space: the particle-grid pass's bincounts and takes
+    then walk the grid nearly in order.  The order is a permutation that
+    keeps each row's index parity, which the breakup's turns read, and
+    pairs each lattice point with the velocity drawn for it, so the cloud
+    is the lattice-order one with its rows moved.
     """
     if count < 2:
         raise ValueError("need at least 2 particles to match moments")
     dim = grid.dim
     mean_velocity = np.broadcast_to(np.asarray(mean_velocity, dtype=np.float64), (dim,))
     x = _kronecker_points(count, dim, seed)
+    order = _block_order(x)
+    x = np.take(x, order, axis=0)
     rng = np.random.default_rng(seed + 1)
     xi = rng.standard_normal((count, dim))
     xi -= xi.mean(axis=0)
@@ -393,6 +427,7 @@ def sample_gaussian_spray(grid: GridSpec, count: int, total_number: float,
     else:
         xi[:] = 0.0
     xi += mean_velocity
+    xi = np.take(xi, order, axis=0)
     w = np.full(count, total_number / count)
     return ParticleCloud(x, xi, w, count)
 

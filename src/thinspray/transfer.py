@@ -12,7 +12,11 @@ w and, given velocities v, the charges w * v_j, component first.  A chunk
 holds max(_CHUNK, (n/2)^dim) particles, as each bincount returns a grid-sized
 row (_chunks).  Given a field to gather, cic_scatter also reads it through
 the same table: a run's one particle-grid pass per step deposits the drag
-and gathers the next push's velocity with one table per particle.
+and gathers the next push's velocity with one table per particle.  The
+results do not depend on the particles' order beyond summation rounding, but
+the pass's cost does: rows near each other in space make the bincounts and
+takes walk the grid nearly in order, so the sampler returns its rows in
+spatial blocks (kinetic._block_order).
 """
 
 from __future__ import annotations

@@ -595,6 +595,10 @@ class TestMerge:
             merge_particles(ParticleCloud.empty(3), 0)
 
 
+# the sampler's row order in 2-D and 3-D, for even and odd counts
+ORDER_CASES = pytest.mark.parametrize("dim, count", [(2, 3000), (2, 3001), (3, 3000), (3, 3001)])
+
+
 class TestSampler:
     @pytest.mark.parametrize("mean", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
     def test_moments_match_exactly(self, mean):
@@ -614,15 +618,20 @@ class TestSampler:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.xi, b.xi)
 
-    def test_seed_moves_positions(self):
+    def test_seed_moves_positions(self, monkeypatch):
         # the seed reaches x only through the lattice's shift: every point moves by
-        # the same vector on the torus
-        g = GridSpec(3, 16)
-        a = sample_gaussian_spray(g, 1000, 1.0, (0.0, 0.0, 0.0), 1.0, seed=12)
-        b = sample_gaussian_spray(g, 1000, 1.0, (0.0, 0.0, 0.0), 1.0, seed=13)
-        shift = np.remainder(b.x - a.x, TWO_PI)
+        # the same vector on the torus; each seed's sample holds its lattice-order
+        # sample's (x, xi) rows in its own block order
+        a = kinetic._kronecker_points(1000, 3, 12)
+        b = kinetic._kronecker_points(1000, 3, 13)
+        shift = np.remainder(b - a, TWO_PI)
         assert np.abs(shift - shift[0]).max() < 1e-9
         assert shift[0].min() > 1e-6
+        g = GridSpec(3, 16)
+        for seed in (12, 13):
+            sampled = sample_gaussian_spray(g, 1000, 1.0, (0.0, 0.0, 0.0), 1.0, seed=seed)
+            lattice = lattice_order_sample(monkeypatch, g, 1000, seed)
+            assert np.array_equal(sorted_rows(sampled), sorted_rows(lattice))
 
     def test_positions_inside_domain(self):
         g = GridSpec(2, 16)
@@ -642,11 +651,85 @@ class TestSampler:
         dens = cic_scatter(g, cloud.x, cloud.w)
         assert dens.std() / dens.mean() < 4e-2
 
+    def test_transient_memory_of_sampling(self):
+        # the lattice x, the drawn xi and xi**2 of its moment match (3x) and the
+        # int64 row order, 1/3 of x in 3-D: 3.33x; a block key built from whole
+        # (N, dim) float and int64 arrays (cells, then blocks) read 4.00x
+        g = GridSpec(3, 32)
+        cloud = sample_gaussian_spray(g, 200_000, 1.0, 0.0, 1.0, seed=5)
+        peak = transient_peak(lambda: sample_gaussian_spray(g, 200_000, 1.0, 0.0, 1.0, seed=5))
+        assert peak <= 3.4 * cloud.x.nbytes
+
+    @ORDER_CASES
+    def test_block_keys_rise_within_each_parity(self, dim, count):
+        keys = block_keys(order_sample(dim, count).x)
+        for parity in (0, 1):
+            assert np.all(np.diff(keys[parity::2]) >= 0)
+        assert len(np.unique(keys)) > kinetic._BLOCKS ** dim // 2
+
+    @ORDER_CASES
+    def test_rows_hold_lattice_points_of_their_parity(self, dim, count):
+        lattice = kinetic._kronecker_points(count, dim, 3)
+        order = kinetic._block_order(lattice)
+        assert np.array_equal(np.sort(order), np.arange(count))
+        assert np.array_equal(order % 2, np.arange(count) % 2)
+        assert np.array_equal(order_sample(dim, count).x, lattice[order])
+
+    @ORDER_CASES
+    def test_pairs_are_the_lattice_order_samples(self, monkeypatch, dim, count):
+        sampled = order_sample(dim, count)
+        lattice = lattice_order_sample(monkeypatch, GridSpec(dim, 16), count, 3, 0.5, 0.8)
+        order = kinetic._block_order(lattice.x)
+        assert np.array_equal(sampled.x, lattice.x[order])
+        assert np.array_equal(sampled.xi, lattice.xi[order])
+        assert np.array_equal(sampled.w, lattice.w)
+        assert sampled.parents == lattice.parents == count
+
+    @ORDER_CASES
+    def test_block_order_keeps_the_moments_exact(self, dim, count):
+        cloud = order_sample(dim, count)
+        assert cloud.w.sum() == pytest.approx(1.0, rel=1e-13)
+        m1 = np.sum(cloud.w[:, None] * cloud.xi, axis=0)
+        assert np.abs(m1 - 0.5).max() < 1e-13
+        m2 = np.sum(cloud.w * np.sum(cloud.xi**2, axis=1))
+        assert m2 == pytest.approx(dim * 0.8**2 + dim * 0.5**2, rel=1e-12)
+
+    @ORDER_CASES
+    def test_one_seed_gives_the_same_bytes(self, dim, count):
+        a, b = order_sample(dim, count), order_sample(dim, count)
+        for name in ("x", "xi", "w"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     def test_lattice_makes_no_count_sized_temporaries(self):
         # the lattice is formed in its output: the call holds the index column
         # beside it, 1.39x the output (2x when scaled out of place)
         out = kinetic._kronecker_points(100_000, 3, 9)
         assert transient_peak(lambda: kinetic._kronecker_points(100_000, 3, 9)) <= 1.6 * out.nbytes
+
+
+def order_sample(dim, count, seed=3):
+    """The sample that the row-order tests read."""
+    return sample_gaussian_spray(GridSpec(dim, 16), count, 1.0, 0.5, 0.8, seed)
+
+
+def lattice_order_sample(monkeypatch, grid, count, seed, mean=0.0, sigma=1.0):
+    """sample_gaussian_spray with its rows left in lattice order."""
+    with monkeypatch.context() as m:
+        m.setattr(kinetic, "_block_order", lambda x: np.arange(len(x)))
+        return sample_gaussian_spray(grid, count, 1.0, mean, sigma, seed)
+
+
+def sorted_rows(cloud):
+    """The cloud's (x, xi) rows, sorted."""
+    rows = np.hstack([cloud.x, cloud.xi])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def block_keys(x):
+    """Each row's block of the row-major _BLOCKS^dim partition of the torus."""
+    blocks = np.minimum(np.floor(x * (kinetic._BLOCKS / TWO_PI)), kinetic._BLOCKS - 1)
+    return np.ravel_multi_index(tuple(blocks.astype(np.int64).T),
+                                (kinetic._BLOCKS,) * x.shape[1])
 
 
 def _cloud(x, w):

@@ -10,7 +10,7 @@ import pytest
 from conftest import count_transforms, meshgrid
 from hypothesis import given, strategies as st
 
-from thinspray import scenarios
+from thinspray import kinetic, scenarios
 from thinspray.diagnostics import energy_budget, liquid_volume, momentum_budget
 from thinspray.errors import ConfigError, FieldError, StepRejectedError
 from thinspray.fluid import FluidState
@@ -419,6 +419,29 @@ class TestRunScenario:
         assert res.cloud.parents < res.cloud.count and res.cloud.radius == cfg.r2
         assert res.summary["liquid_volume"]["pass"]
         assert liquid_volume(res.cloud) == pytest.approx(cfg.spray_mass, rel=1e-12)
+
+    def test_block_order_moves_the_run_only_at_rounding(self, monkeypatch):
+        # the sampler's block order moves the lattice-order cloud's rows and
+        # keeps their index parity, so a run that fragments and merges ends
+        # as the lattice-order run does, under the goldens' rule
+        cfg = quick_config(scenario="bidisperse", tau=0.05, r2=0.3, t_final=0.05)
+        blocked = run_scenario(cfg)
+        monkeypatch.setattr(kinetic, "_block_order", lambda x: np.arange(len(x)))
+        lattice = run_scenario(cfg)
+        assert blocked.cloud.count == lattice.cloud.count > blocked.cloud.parents
+
+        def leaves(prefix, value):
+            if isinstance(value, dict):
+                return {k: v for key, item in value.items()
+                        for k, v in leaves(f"{prefix}.{key}", item).items()}
+            return {prefix: value}
+        have, want = leaves("", blocked.summary), leaves("", lattice.summary)
+        del have[".wall_time"], want[".wall_time"]
+        assert have.keys() == want.keys()
+        moved = {k: (have[k], want[k]) for k in want if not (
+            math.isclose(have[k], want[k], rel_tol=1e-9, abs_tol=1e-12)
+            if isinstance(want[k], float) else have[k] == want[k])}
+        assert not moved, moved
 
     @pytest.mark.parametrize("tau", [0.05, math.inf])
     def test_fragmenting_breakup_takes_turns(self, monkeypatch, tau):

@@ -220,6 +220,25 @@ def test_chunks_are_sized_from_the_grid(monkeypatch, rng, count, tables):
     assert np.array_equal(at_x, small_at_x)
 
 
+@pytest.mark.parametrize("n", [32, 64], ids=["several-chunks", "one-chunk"])
+def test_pass_does_not_depend_on_row_order(rng, n):
+    # a row-permuted cloud, as the sampler's block order is, deposits the
+    # same densities up to summation rounding and gathers the same rows,
+    # permuted, bit for bit: 20k rows are three chunks at n=32 and one at n=64
+    g = GridSpec(3, n)
+    count = 20_000
+    x = rng.uniform(0, g.length, (count, 3))
+    w = rng.uniform(0, 1, count)
+    v = rng.standard_normal((count, 3))
+    field = VectorField(g, rng.standard_normal((3,) + g.shape))
+    perm = rng.permutation(count)
+    dens, at_x = cic_scatter(g, x, w, v, gather=field)
+    moved_dens, moved_at_x = cic_scatter(g, x[perm], w[perm], v[perm], gather=field)
+    for row, moved_row in zip(dens, moved_dens):
+        assert np.abs(moved_row - row).max() <= 1e-12 * np.abs(row).max()
+    assert np.array_equal(moved_at_x, at_x[perm])
+
+
 _LENGTH = 2 * np.pi
 
 
