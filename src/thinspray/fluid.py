@@ -27,13 +27,17 @@ is a variable of the FluidState; a step reads it and hands it on unchanged
 spectrum of u in grid's resolved layout: only the modes the 2/3 rule keeps.
 A step reads u_hat for the Laplacian, the update and the Leray projection,
 transforms the projected spectrum back once and hands it on with the new,
-band-limited u.  It works one velocity component at a time, and holds at
-most 2.25 fields of u's size beyond its inputs.
+band-limited u.  It forms and transforms each component's tendency in turn,
+then the flux products one at a time: the dim^2 products u*_j u_i, or, when
+u* is u, the dim (dim + 1) / 2 products u_j u_i with j >= i, each subtracted
+from rows i and j.  It holds at most 2.25 fields of u's size beyond its
+inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -124,12 +128,18 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     -sum_j i k_j fft(u_adv_j u_i), equal to -(u_adv . grad) u_i for
     band-limited, divergence-free u and u_adv (see the module docstring).
     Each component's tendency is formed, transformed and dropped before the
-    next one starts.  When state.rho is zero everywhere, as on every
-    bidisperse step and the first step of an absorbing run, the viscous
-    share left explicit is exactly 0 and the inertia exactly 1: the step
-    then skips that share's Laplacian transform and both divisions.  The
-    step keeps no clock: the caller knows which step it is.  A step that
-    makes a non-finite velocity raises FieldError from the FluidState it returns.
+    next one starts, and its row takes the transforms of u_adv_j u_i,
+    j = 0, 1, ..., in turn.  When u_adv is state.u (the limit and bidisperse
+    systems), u_j u_i = u_i u_j: after every tendency the step transforms
+    each product with j >= i once and subtracts i k_j and i k_i times it
+    from rows i and j, in an order that adds each row's terms as the loop
+    does, with the same bytes, in six product transforms (3-D) for nine.
+    When state.rho is zero everywhere, as on every bidisperse step and the
+    first step of an absorbing run, the viscous share left explicit is
+    exactly 0 and the inertia exactly 1: the step then skips that share's
+    Laplacian transform and both divisions.  The step keeps no clock: the
+    caller knows which step it is.  A step that makes a non-finite velocity
+    raises FieldError from the FluidState it returns.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -145,10 +155,12 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
         denom = 1.0 + state.rho.values
         varying = nu * (1.0 / denom - 1.0 / (1.0 + rho_bar))  # the viscous share left explicit
 
-    # each component is finished before the next one starts: at most 2.25
-    # fields of u's size are alive at once, the new u among them
+    # each component's tendency is formed and transformed before the next
+    # one starts: at most 2.25 fields of u's size are alive at once, the new
+    # u among them
     tab = _spectral_tables(grid)
     t_hat = np.empty_like(state.u_hat)
+    symmetric = u_adv is u  # then u_j u_i = u_i u_j: each product is transformed once
     for i, u_hat_i in enumerate(state.u_hat):
         tendency = drag_force(u, drag, coupling, i)
         if dense:
@@ -159,10 +171,18 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
             del viscous
         t_hat[i] = fft(grid, tendency)
         del tendency
-        for kj, adv in zip(tab.k, u_adv.values):
-            t_hat[i] -= 1j * kj * fft(grid, adv * u.values[i])
+        if not symmetric:
+            for kj, adv in zip(tab.k, u_adv.values):
+                t_hat[i] -= 1j * kj * fft(grid, adv * u.values[i])
     if dense:
         del denom, varying
+    if symmetric:  # row i takes its j terms in the loop above's order, j = 0, 1, ...
+        for i, j in combinations_with_replacement(range(grid.dim), 2):
+            flux = fft(grid, u.values[j] * u.values[i])
+            t_hat[i] -= 1j * tab.k[j] * flux
+            if j != i:
+                t_hat[j] -= 1j * tab.k[i] * flux
+            del flux  # else it lives on while the next one is transformed
 
     t_hat *= dt
     t_hat += state.u_hat

@@ -222,9 +222,12 @@ def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, f
     phase-space neighbours are combined into a single particle conserving
     sum(w) and sum(w xi) exactly: each pair's distance is at most
     1 + _NN_EPS = 4 times the exact nearest-neighbour distance of one of
-    them.  On spray clouds that bound is loose: the merged pairs' mean
-    squared position shift, weighted by reduced mass, measured 1.01-1.13
-    times an exact query's on the bidisperse-merge benchmark's merge inputs.
+    them.  The pairs are the greedy matching of the fragments' edges to
+    their neighbours in (length, source) order, the later edge of each
+    mutual pair dropped before the ranking (`_greedy_pairs`).  On spray
+    clouds the distance bound is loose: the merged pairs' mean squared
+    position shift, weighted by reduced mass, measured 1.01-1.13 times an
+    exact query's on the bidisperse-merge benchmark's merge inputs.
     Positions use the periodic weighted mean on the torus [0, 2π).  Returns
     the merged cloud and the relative change of the spray's kinetic energy,
     sum over the species s of r_s^3 sum(w |xi|^2) / 2, mass-weighted: the
@@ -247,31 +250,44 @@ def merge_particles(cloud: ParticleCloud, budget: int) -> tuple[ParticleCloud, f
     return out, rel
 
 
-def _greedy_pairs(nn: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Sources of the edges i -> nn[i] that a greedy matching takes, in key order.
+def _greedy_pairs(nn: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Sources of the edges i -> nn[i] that a greedy matching takes, in the
+    edges' (length, source) order; dist[i] is the length of i -> nn[i].
 
-    Greedy visits the edges by increasing key (distinct ranks) and takes one
-    whose ends are both free.  The same matching comes in rounds: every live
-    edge whose key is the smallest live key at both of its ends is taken, and
-    the edges with a taken end die (Preis, STACS 1999).  A spray cloud needs
-    a few rounds; a chain of ever-longer edges needs one round per pair.
+    Greedy visits the edges by increasing (length, source) and takes one
+    whose ends are both free.  Of a mutual pair, i -> j and j -> i, it can
+    take only the earlier edge, so the later one is dropped before the
+    ranking; the ranks of the edges left are distinct.  The matching comes
+    in rounds: every live edge whose rank is the smallest live rank at both
+    of its ends is taken, and the edges with a taken end die (Preis, STACS
+    1999).  A spray cloud needs a few rounds; a chain of ever-longer edges
+    needs one round per pair.
     """
     n = nn.size
-    best = np.full(n, n)  # smallest live key at each node; n means none
+    i, back = np.arange(n), dist[nn]  # back[i]: the length of nn[i]'s own edge
+    later = (nn[nn] == i) & ((back < dist) | ((back == dist) & (nn < i)))
+    src = np.flatnonzero(~later)
+    kept = dist[src]
+    order = np.argsort(kept)
+    ranked = kept[order]
+    if (ranked[1:] == ranked[:-1]).any():  # a tie is broken by the source
+        order = np.argsort(kept, kind="stable")
+    src = src[order]  # the edges' sources by rank
+    dst = nn[src]
+    m = src.size
+    best = np.full(n, m)  # smallest live rank at each node; m means none
     taken = np.zeros(n, dtype=bool)
-    won = np.zeros(n, dtype=bool)
-    live = np.arange(n)
+    won = np.zeros(m, dtype=bool)
+    live = np.arange(m)
     while live.size:
-        ends, k = nn[live], key[live]
-        best[live] = k  # each node is the source of one edge
-        np.minimum.at(best, ends, k)
-        win = live[(best[live] == k) & (best[ends] == k)]
-        best[live] = best[ends] = n
-        won[win] = taken[win] = taken[nn[win]] = True
-        live = live[~(taken[live] | taken[nn[live]])]
-    order = np.empty(n, dtype=np.int64)
-    order[key] = np.arange(n)
-    return order[won[order]]
+        s, d = src[live], dst[live]
+        best[s] = live  # each node is the source of at most one edge
+        np.minimum.at(best, d, live)
+        win = live[(best[s] == live) & (best[d] == live)]
+        best[s] = best[d] = m
+        won[win] = taken[src[win]] = taken[dst[win]] = True
+        live = live[~(taken[src[live]] | taken[dst[live]])]
+    return src[won]
 
 
 def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +306,7 @@ def _nearest_edges(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tree = cKDTree(z, balanced_tree=False, compact_nodes=False)
     leaf = tree.indices
     dist, nn = np.empty((len(z), 2)), np.empty((len(z), 2), dtype=np.int64)
-    dist[leaf], nn[leaf] = tree.query(z[leaf], k=2, eps=_NN_EPS)
+    dist[leaf], nn[leaf] = tree.query(np.take(z, leaf, axis=0), k=2, eps=_NN_EPS)
     # a coincident point may come back before the query point itself
     return np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1]), dist[:, 1]
 
@@ -300,9 +316,11 @@ def _merge_pass(cloud: ParticleCloud, max_merges: int):
 
     Each fragment's edge to an approximate phase-space nearest neighbour,
     another fragment at most 1 + _NN_EPS = 4 times as far as the nearest
-    (`_nearest_edges`), is ranked by length; the greedy matching over these
-    edges is taken in rounds by `_greedy_pairs`, and its `max_merges`
-    shortest pairs are merged.  Each array of the returned cloud is written
+    (`_nearest_edges`), is ranked by (length, source), the later edge of
+    each mutual pair dropped; the greedy matching over these edges is taken
+    in rounds by `_greedy_pairs`, which is handed the raw lengths, and its
+    `max_merges` shortest pairs are merged, their ends' rows gathered once
+    each with np.take.  Each array of the returned cloud is written
     once: the parents, then the unmerged fragments, then the merged pairs.
     The cloud needs two fragments, max_merges > 0.
     """
@@ -315,26 +333,26 @@ def _merge_pass(cloud: ParticleCloud, max_merges: int):
     np.divide(xi, max(xi.std(), 1e-12), out=z[:, dim:])
     nn, dist = _nearest_edges(z)
     del z
-    key = np.empty(size, dtype=np.int64)
-    key[np.argsort(dist, kind="stable")] = np.arange(size)
-    src = _greedy_pairs(nn, key)[:max_merges]
+    src = _greedy_pairs(nn, dist)[:max_merges]
+    dst = nn[src]
 
-    keep = np.ones(cloud.count, dtype=bool)
-    keep[p + src] = False
-    keep[p + nn[src]] = False
+    keep = np.ones(size, dtype=bool)
+    keep[src] = False
+    keep[dst] = False
     kept = cloud.count - 2 * src.size
     out = []
     for arr in (cloud.x, cloud.xi, cloud.w):
         out.append(np.empty((cloud.count - src.size,) + arr.shape[1:]))
-        np.compress(keep, arr, axis=0, out=out[-1][:kept])
+        out[-1][:p] = arr[:p]  # the parents, one block
+        np.compress(keep, arr[p:], axis=0, out=out[-1][p:kept])
     x_m, xi_m, wsum = (arr[kept:] for arr in out)  # the merged pairs
 
     # the ends' x, xi and w, each gathered once
-    wa, wb = w[src], w[nn[src]]
+    wa, wb = np.take(w, src), np.take(w, dst)
     np.add(wa, wb, out=wsum)
     zero = np.flatnonzero(wsum == 0)  # weights are nonnegative: both ends weigh 0
     safe = np.where(wsum > 0, wsum, 1.0) if zero.size else wsum
-    xia, xib = xi[src], xi[nn[src]]
+    xia, xib = np.take(xi, src, axis=0), np.take(xi, dst, axis=0)
     mid = 0.5 * (xia[zero] + xib[zero])  # such a pair merges at the unweighted mean
     np.multiply(xia, wa[:, None], out=xi_m)
     xib *= wb[:, None]
@@ -344,7 +362,7 @@ def _merge_pass(cloud: ParticleCloud, max_merges: int):
     frac_b = wb / safe
     frac_b[zero] = 0.5
     # the shortest displacement from a to b on the torus
-    xa, delta = x[src], x[nn[src]]
+    xa, delta = np.take(x, src, axis=0), np.take(x, dst, axis=0)
     delta -= xa
     delta += 0.5 * TWO_PI
     np.remainder(delta, TWO_PI, out=delta)

@@ -234,10 +234,11 @@ class TestNsStep:
 def random_step_inputs(g, seed):
     """A band-limited random state with random non-uniform rho, and random drag."""
     rng = np.random.default_rng(seed)
-    state = fluid_state(band_limited(VectorField(g, rng.standard_normal((3,) + g.shape))),
+    shape = (g.dim,) + g.shape
+    state = fluid_state(band_limited(VectorField(g, rng.standard_normal(shape))),
                         ScalarField(g, rng.random(g.shape)))
     drag = DragField(ScalarField(g, rng.random(g.shape)),
-                     VectorField(g, rng.standard_normal((3,) + g.shape)))
+                     VectorField(g, rng.standard_normal(shape)))
     return state, drag
 
 
@@ -304,6 +305,21 @@ def test_step_matches_the_vector_form_bit_for_bit():
     assert out.u_hat.tobytes() == u_hat_ref.tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dense", [False, True])
+def test_six_products_give_the_nine_products_bytes(dim, dense):
+    # u* = u transforms each product u_j u_i, j >= i, once; a copy of u is
+    # not u, so it takes the nine-product path: the two give the same bytes
+    g = GridSpec(dim, 16)
+    state, drag = random_step_inputs(g, 6)
+    if not dense:
+        state = replace(state, rho=ScalarField.zeros(g))
+    out = ns_step(state, state.u, drag, 1e-3, coupling=2.0)
+    ref = ns_step(state, VectorField(g, state.u.values.copy()), drag, 1e-3, coupling=2.0)
+    assert out.u.values.tobytes() == ref.u.values.tobytes()
+    assert out.u_hat.tobytes() == ref.u_hat.tobytes()
+
+
 @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
        amplitude=st.floats(0.05, 2.0), dense=st.booleans(), mollified=st.booleans())
 def test_flux_form_matches_the_advective_form(dim, seed, amplitude, dense, mollified):
@@ -327,7 +343,9 @@ def test_flux_form_matches_the_advective_form(dim, seed, amplitude, dense, molli
 def test_only_a_nonzero_density_runs_the_laplacian(monkeypatch):
     # rho == 0 leaves no viscous share explicit: the step skips the inverse
     # transform of each component's Laplacian, 3 of the 6 inverses a step
-    # with rho nonzero at one node runs, and gives the vector form's bytes
+    # with rho nonzero at one node runs, and gives the vector form's bytes;
+    # u* is u, so the 9 forward transforms are the 3 tendencies and the 6
+    # products u_j u_i, j >= i
     g = GridSpec(3, 16)
     state, drag = random_step_inputs(g, 5)
     calls = count_transforms(monkeypatch)
@@ -342,11 +360,12 @@ def test_only_a_nonzero_density_runs_the_laplacian(monkeypatch):
         u_ref, u_hat_ref = vector_ns_step(dense, state.u, drag, 1e-3, coupling=2.0)
         assert out.u.values.tobytes() == u_ref.values.tobytes()
         assert out.u_hat.tobytes() == u_hat_ref.tobytes()
-    assert counts == [(12, 3), (12, 6)]
+    assert counts == [(9, 3), (9, 6)]
 
 
 def test_transient_memory_of_one_step():
-    # each component is finished before the next starts, and the transforms
+    # each component's tendency is transformed before the next is formed,
+    # each flux product is dropped before the next is made, and the transforms
     # and the tendency run in place: in fields the size of u, one step holds
     # at most 2.25 at once (the new u among them), the mollifier at most 1.75
     g = GridSpec(3, 32)

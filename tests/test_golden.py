@@ -12,7 +12,8 @@ deliberate change of the numerics) with
 which reruns and rewrites the named cases, every case when none is named,
 and prints for each how many values moved past RTOL/ATOL, how many changed
 at all (a regeneration that keeps the numerics reports 0 changed bits) and
-its largest relative move.
+its largest relative move.  With ``--report`` it reruns them and prints the
+same lines, and writes nothing.
 The stored values of the cases not named stay byte for byte: the file is
 kept in the one form that ``json.dumps(..., indent=1, sort_keys=True)``
 writes, and a float's repr reads back to the same float.
@@ -101,9 +102,10 @@ def _moves(name: str, old: dict, new: dict) -> str:
     return line
 
 
-def regenerate(names, path=GOLDEN) -> list[str]:
-    """Rerun the named cases, rewrite their stored values in path and return
-    one line per case saying how far its values moved (`_moves`)."""
+def regenerate(names, path=GOLDEN, *, write=True) -> list[str]:
+    """Rerun the named cases, rewrite their stored values in path unless
+    write is false, and return one line per case saying how far its values
+    moved (`_moves`)."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown case(s) {unknown}; pick from {sorted(CASES)}")
@@ -113,8 +115,19 @@ def regenerate(names, path=GOLDEN) -> list[str]:
         new = case_values(CASES[name])
         report.append(_moves(name, data.get(name, {}), new))
         data[name] = new
-    path.write_text(_dumps(data))
+    if write:
+        path.write_text(_dumps(data))
     return report
+
+
+def main(argv, path=GOLDEN):
+    """The script: `regenerate` the cases named in argv, every case when none
+    is named; with --report, print the report and write nothing."""
+    report = "--report" in argv
+    names = [arg for arg in argv if arg != "--report"] or sorted(CASES)
+    print("\n".join(regenerate(names, path, write=not report)))
+    if not report:
+        print(f"rewrote {', '.join(names)} in {path}")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -190,6 +203,19 @@ def test_regenerating_one_case_keeps_the_others(tmp_path, monkeypatch):
     assert new == old
 
 
+def test_report_writes_nothing(tmp_path, monkeypatch, capsys):
+    # --report prints the lines of a regeneration, here of a shorter run
+    # whose values differ from the stored ones, and leaves the file's bytes
+    path = tmp_path / GOLDEN.name
+    path.write_bytes(GOLDEN.read_bytes())
+    monkeypatch.setitem(CASES, "limit-2d", dict(CASES["limit-2d"], t_final=0.004))
+    main(["--report", "limit-2d"], path)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("limit-2d: ")
+    assert "largest relative move" in out[0]
+    assert path.read_bytes() == GOLDEN.read_bytes()
+
+
 def test_moves_counts_changed_bits_apart_from_moves():
     # a last-bit change is within RTOL, yet it is a change of the stored bytes
     old = {"a": 1.0, "b": 2.0, "c": True, "d": 3.0}
@@ -202,6 +228,4 @@ def test_moves_counts_changed_bits_apart_from_moves():
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or sorted(CASES)
-    print("\n".join(regenerate(names)))
-    print(f"rewrote {', '.join(names)} in {GOLDEN}")
+    main(sys.argv[1:])

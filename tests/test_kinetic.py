@@ -880,9 +880,7 @@ def _pair_shifts(cloud, group, max_merges):
     b into their weighted mean moves them by w_a w_b / (w_a + w_b) |b - a|^2
     in total."""
     nn, dist = kinetic._nearest_edges(_phase_space(cloud, group))
-    key = np.empty(group.size, dtype=np.int64)
-    key[np.argsort(dist, kind="stable")] = np.arange(group.size)
-    src = kinetic._greedy_pairs(nn, key)[:max_merges]
+    src = kinetic._greedy_pairs(nn, dist)[:max_merges]
     a, b = group[src], group[nn[src]]
     mu = cloud.w[a] * cloud.w[b] / (cloud.w[a] + cloud.w[b])
     dx = np.remainder(cloud.x[b] - cloud.x[a] + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
@@ -923,14 +921,14 @@ def test_approximate_pairs_shift_little_more_than_exact_ones(monkeypatch):
 
 
 def _nn_edges(z):
-    """Each point's edge to an approximate nearest other point and the stable
-    order of the edge lengths, built as the merge builds them, on the same
-    sliding-midpoint tree, but queried in input order: an approximate query
-    does not depend on the query order."""
+    """Each point's edge to an approximate nearest other point, its length
+    and the stable order of the lengths, built as the merge builds them, on
+    the same sliding-midpoint tree, but queried in input order: an
+    approximate query does not depend on the query order."""
     tree = cKDTree(z, balanced_tree=False, compact_nodes=False)
     dist, nn = tree.query(z, k=2, eps=kinetic._NN_EPS)
     nn = np.where(nn[:, 1] == np.arange(len(z)), nn[:, 0], nn[:, 1])
-    return nn, np.argsort(dist[:, 1], kind="stable")
+    return nn, dist[:, 1], np.argsort(dist[:, 1], kind="stable")
 
 
 def _sequential_greedy(nn, order, max_merges):
@@ -966,16 +964,25 @@ def _edge_cases(draw):
     return z
 
 
+# exact mutual pairs only, of four distinct lengths; and a centre with three
+# leaves at length 1, whose three edges kept after the mutual pair tie
+@example(np.array([[0.0], [1.0], [10.0], [12.0], [30.0], [33.0], [60.0], [64.0]]))
+@example(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
 @example(np.zeros((5, 2)))
 @example(np.round(np.random.default_rng(0).uniform(size=(3000, 6)), 1))
 @example(np.array([[0.0], [1.0]]))
 @given(_edge_cases())
 def test_property_greedy_rounds_match_the_sequential_greedy(z):
-    nn, order = _nn_edges(z)
+    # over every edge, the later edge of each mutual pair included: by the
+    # ranks (distinct), and by the raw lengths, whose ties the rounded and
+    # duplicated clouds send to the stable sort
+    nn, length, order = _nn_edges(z)
     key = np.empty(nn.size, dtype=np.int64)
     key[order] = np.arange(nn.size)
-    src = kinetic._greedy_pairs(nn, key)
-    assert np.array_equal(src, _sequential_greedy(nn, order, nn.size))
+    want = _sequential_greedy(nn, order, nn.size)
+    for lengths in (key, length):
+        src = kinetic._greedy_pairs(nn, lengths)
+        assert np.array_equal(src, want)
     ends = np.concatenate([src, nn[src]])
     assert np.unique(ends).size == ends.size  # the pairs are disjoint
     assert np.all(np.diff(key[src]) > 0)
@@ -984,7 +991,7 @@ def test_property_greedy_rounds_match_the_sequential_greedy(z):
 def _reference_pairs(cloud, group, max_merges):
     """The ends a and b of the pairs of one merge pass in group, found one
     pair at a time, with the tree queried in input order."""
-    nn, order = _nn_edges(_phase_space(cloud, group))
+    nn, _, order = _nn_edges(_phase_space(cloud, group))
     src = _sequential_greedy(nn, order, max_merges)
     return group[src], group[nn[src]]
 
