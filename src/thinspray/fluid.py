@@ -28,16 +28,14 @@ spectrum of u in grid's resolved layout: only the modes the 2/3 rule keeps.
 A step reads u_hat for the Laplacian, the update and the Leray projection,
 transforms the projected spectrum back once and hands it on with the new,
 band-limited u.  It forms and transforms each component's tendency in turn,
-then the flux products one at a time: the dim^2 products u*_j u_i, or, when
-u* is u, the dim (dim + 1) / 2 products u_j u_i with j >= i, each subtracted
-from rows i and j.  It holds at most 2.25 fields of u's size beyond its
-inputs.
+then, in one loop, the flux products u*_j u_i, only those with j >= i when
+u* is u.  It holds at most 2.25 fields of u's size beyond its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -128,12 +126,10 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     -sum_j i k_j fft(u_adv_j u_i), equal to -(u_adv . grad) u_i for
     band-limited, divergence-free u and u_adv (see the module docstring).
     Each component's tendency is formed, transformed and dropped before the
-    next one starts, and its row takes the transforms of u_adv_j u_i,
-    j = 0, 1, ..., in turn.  When u_adv is state.u (the limit and bidisperse
-    systems), u_j u_i = u_i u_j: after every tendency the step transforms
-    each product with j >= i once and subtracts i k_j and i k_i times it
-    from rows i and j, in an order that adds each row's terms as the loop
-    does, with the same bytes, in six product transforms (3-D) for nine.
+    next one starts.  Then one loop transforms the products: every u_adv_j u_i,
+    or, when u_adv is state.u (the limit and bidisperse systems), each
+    u_j u_i = u_i u_j with j >= i once, subtracted from rows i and j.  Either
+    way row i takes its terms in increasing j.
     When state.rho is zero everywhere, as on every bidisperse step and the
     first step of an absorbing run, the viscous share left explicit is
     exactly 0 and the inertia exactly 1: the step then skips that share's
@@ -160,7 +156,6 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
     # u among them
     tab = _spectral_tables(grid)
     t_hat = np.empty_like(state.u_hat)
-    symmetric = u_adv is u  # then u_j u_i = u_i u_j: each product is transformed once
     for i, u_hat_i in enumerate(state.u_hat):
         tendency = drag_force(u, drag, coupling, i)
         if dense:
@@ -171,18 +166,16 @@ def ns_step(state: FluidState, u_adv: VectorField, drag: DragField, dt: float, *
             del viscous
         t_hat[i] = fft(grid, tendency)
         del tendency
-        if not symmetric:
-            for kj, adv in zip(tab.k, u_adv.values):
-                t_hat[i] -= 1j * kj * fft(grid, adv * u.values[i])
     if dense:
         del denom, varying
-    if symmetric:  # row i takes its j terms in the loop above's order, j = 0, 1, ...
-        for i, j in combinations_with_replacement(range(grid.dim), 2):
-            flux = fft(grid, u.values[j] * u.values[i])
-            t_hat[i] -= 1j * tab.k[j] * flux
-            if j != i:
-                t_hat[j] -= 1j * tab.k[i] * flux
-            del flux  # else it lives on while the next one is transformed
+    symmetric = u_adv is u  # then u_j u_i = u_i u_j serves rows i and j
+    dims = range(grid.dim)
+    for i, j in combinations_with_replacement(dims, 2) if symmetric else product(dims, dims):
+        flux = fft(grid, u_adv.values[j] * u.values[i])
+        t_hat[i] -= 1j * tab.k[j] * flux
+        if symmetric and j != i:
+            t_hat[j] -= 1j * tab.k[i] * flux
+        del flux  # else it lives on while the next one is transformed
 
     t_hat *= dt
     t_hat += state.u_hat

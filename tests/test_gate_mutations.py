@@ -14,15 +14,16 @@ any scenario needs.  The *regularized* mass budget books the source that
 its velocity cutoff leaves out, so it is gated like the *limit* one and
 fails on the same rows.
 
-No budget sees these mutations, so no case here runs them:
+No budget sees these mutations, so no case here runs them; a reference
+solution does:
 * no convection (the gas advected by a zero field), in every scenario: the
-  convection enters no budget, and only the goldens (`test_golden.py`)
-  see it;
-* the push leaves x as it is, in every scenario: positions enter no budget,
-  and only the goldens see it;
+  convection enters no budget; `test_shear_wave.py`'s exact wave sees it;
+* the push leaves x as it is, in every scenario: positions enter no budget;
+  the parents' displacement in `test_uniform_state.py` sees it;
 * a *bidisperse* breakup rate 10% too high: it is a different tau, and the
-  fragments still take exactly the liquid the parents lose, so only a
-  reference solution, such as `test_uniform_state.py`'s ODE, would see it.
+  fragments still take exactly the liquid the parents lose;
+  `test_golden.py::test_merging_keeps_every_parent_and_its_turns`, which
+  asserts each parent's weight w0 exp(-2 dt n / tau), sees it.
 """
 
 from dataclasses import replace

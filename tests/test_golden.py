@@ -13,7 +13,8 @@ which reruns and rewrites the named cases, every case when none is named,
 and prints for each how many values moved past RTOL/ATOL, how many changed
 at all (a regeneration that keeps the numerics reports 0 changed bits) and
 its largest relative move.  With ``--report`` it reruns them and prints the
-same lines, and writes nothing.
+same lines, writes nothing, and exits 1 if any value moved past RTOL/ATOL, 0
+otherwise, so that a script can check a claim of rounding-only moves.
 The stored values of the cases not named stay byte for byte: the file is
 kept in the one form that ``json.dumps(..., indent=1, sort_keys=True)``
 writes, and a float's repr reads back to the same float.
@@ -21,6 +22,8 @@ writes, and a float's repr reads back to the same float.
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from thinspray import kinetic, scenarios
 from thinspray.scenarios import SimConfig, run_scenario
 
 GOLDEN = Path(__file__).with_name("golden_summaries.json")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 RTOL, ATOL = 1e-9, 1e-12
 
 _BASE = dict(dim=2, n=16, dt=2e-3, t_final=0.03, particle_count=2_000,
@@ -120,14 +124,19 @@ def regenerate(names, path=GOLDEN, *, write=True) -> list[str]:
     return report
 
 
-def main(argv, path=GOLDEN):
+def main(argv, path=GOLDEN) -> int:
     """The script: `regenerate` the cases named in argv, every case when none
-    is named; with --report, print the report and write nothing."""
+    is named, and return 0; with --report, print the report, write nothing,
+    and return 1 if a case moved a value past RTOL/ATOL, else 0."""
     report = "--report" in argv
     names = [arg for arg in argv if arg != "--report"] or sorted(CASES)
-    print("\n".join(regenerate(names, path, write=not report)))
+    lines = regenerate(names, path, write=not report)
+    print("\n".join(lines))
     if not report:
         print(f"rewrote {', '.join(names)} in {path}")
+        return 0
+    # each line reads "<case>: <moved> of <count> values moved past RTOL/ATOL, ..."
+    return int(any(line.split()[1] != "0" for line in lines))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -216,6 +225,23 @@ def test_report_writes_nothing(tmp_path, monkeypatch, capsys):
     assert path.read_bytes() == GOLDEN.read_bytes()
 
 
+def test_report_exits_1_when_a_value_moves(tmp_path, monkeypatch):
+    path = tmp_path / GOLDEN.name
+    path.write_bytes(GOLDEN.read_bytes())
+    monkeypatch.setitem(CASES, "limit-2d", dict(CASES["limit-2d"], t_final=0.004))
+    assert main(["--report", "limit-2d", "limit-3d"], path) == 1
+
+
+def test_report_exits_0_when_no_value_moves():
+    # the script itself, on the stored file, which it leaves as it is
+    before = GOLDEN.read_bytes()
+    script = subprocess.run([sys.executable, __file__, "--report", "limit-3d"],
+                            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert script.returncode == 0, script.stdout + script.stderr
+    assert script.stdout.startswith("limit-3d: 0 of ")
+    assert GOLDEN.read_bytes() == before
+
+
 def test_moves_counts_changed_bits_apart_from_moves():
     # a last-bit change is within RTOL, yet it is a change of the stored bytes
     old = {"a": 1.0, "b": 2.0, "c": True, "d": 3.0}
@@ -228,4 +254,4 @@ def test_moves_counts_changed_bits_apart_from_moves():
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

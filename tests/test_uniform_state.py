@@ -12,17 +12,22 @@ parents' number density, N = N0 exp(-t/tau) and N0 = spray_mass / (2π)^dim:
                and on the source of rho, rho' = c(xi) N / tau;
 * bidisperse:  u' = N (xi - u) + r2 (Q - F u), xi' = u - xi,
                F' = N / (tau r2^3), Q' = N xi / (tau r2^3) + (F u - Q) / r2^2,
-               with F and Q the fragments' number and momentum densities.
+               with F and Q the fragments' number and momentum densities;
 
-The state has no spatial error, so what a run misses is the splitting's
-error in time, which must be first order in dt.
+and in each the parents' displacement X along x follows X' = xi.  The state
+has no spatial error, so what a run misses is the splitting's error in time,
+which must be first order in dt.  No budget sees the positions, so this is
+the check that a push which leaves x in place fails.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from thinspray import scenarios
+from thinspray.grid import TWO_PI
 from thinspray.kinetic import ParticleCloud, velocity_cutoff
 from thinspray.scenarios import SimConfig, run_scenario
 
@@ -46,51 +51,59 @@ def _lattice_cloud(config: SimConfig, per_cell: int) -> ParticleCloud:
 
 
 def _run(monkeypatch, scenario, dt, **kw):
+    """The run's final fluid, and its parents' displacement from the start."""
     per_cell = 2 if scenario == "bidisperse" else 1
-    monkeypatch.setattr(scenarios, "initial_cloud",
-                        lambda config: _lattice_cloud(config, per_cell))
+    start = {}
+
+    def initial_cloud(config):
+        cloud = _lattice_cloud(config, per_cell)
+        start["x"] = cloud.x.copy()
+        return cloud
+    monkeypatch.setattr(scenarios, "initial_cloud", initial_cloud)
     config = SimConfig(dim=2, n=8, dt=dt, t_final=T, scenario=scenario, tau=TAU,
                        fluid_init="zero", spray_mass=MASS, particle_budget=10**7, **kw)
-    return run_scenario(config).fluid
+    result = run_scenario(config)
+    cloud = result.cloud
+    shift = cloud.x[:cloud.parents] - start["x"][:cloud.parents]
+    return result.fluid, np.remainder(shift + 0.5 * TWO_PI, TWO_PI) - 0.5 * TWO_PI
 
 
 def _limit_rhs(eps=None):
-    """(u, xi, rho)' of the limit, and with eps of the regularized system."""
+    """(u, xi, rho, X)' of the limit, and with eps of the regularized system."""
     def rhs(t, y):
-        u, xi, rho = y
+        u, xi, rho, _ = y
         c = velocity_cutoff(np.array([[xi, 0.0]]), eps)[0] if eps else 1.0
         source = c * N0 * np.exp(-t / TAU)
-        return [(1 + 1 / TAU) * source * (xi - u) / (1 + rho), u - xi, source / TAU]
+        return [(1 + 1 / TAU) * source * (xi - u) / (1 + rho), u - xi, source / TAU, xi]
     return rhs
 
 
 def _bidisperse_rhs(r2):
-    """(u, xi, F, Q)' of the two-radius system; rho stays zero."""
+    """(u, xi, F, Q, X)' of the two-radius system; rho stays zero."""
     def rhs(t, y):
-        u, xi, f, q = y
+        u, xi, f, q, _ = y
         n = N0 * np.exp(-t / TAU)
         return [n * (xi - u) + r2 * (q - f * u), u - xi, n / (TAU * r2**3),
-                n * xi / (TAU * r2**3) + (f * u - q) / r2**2]
+                n * xi / (TAU * r2**3) + (f * u - q) / r2**2, xi]
     return rhs
 
 
 CASES = [  # scenario, config keywords, the ODE and its initial state, the dts
-    ("limit", dict(), _limit_rhs(), [0.0, XI0[0], 0.0], (4e-3, 2e-3, 1e-3, 5e-4)),
-    ("regularized", dict(eps=EPS), _limit_rhs(EPS), [0.0, XI0[0], 0.0],
+    ("limit", dict(), _limit_rhs(), [0.0, XI0[0], 0.0, 0.0], (4e-3, 2e-3, 1e-3, 5e-4)),
+    ("regularized", dict(eps=EPS), _limit_rhs(EPS), [0.0, XI0[0], 0.0, 0.0],
      (4e-3, 2e-3, 1e-3, 5e-4)),
-    ("bidisperse", dict(r2=0.2), _bidisperse_rhs(0.2), [0.0, XI0[0], 0.0, 0.0],
+    ("bidisperse", dict(r2=0.2), _bidisperse_rhs(0.2), [0.0, XI0[0], 0.0, 0.0, 0.0],
      (2e-3, 1e-3, 5e-4)),
 ]
 
 
-@pytest.mark.parametrize("scenario, kw, rhs, y0, dts", CASES, ids=[c[0] for c in CASES])
-def test_uniform_state_first_order_in_dt(monkeypatch, scenario, kw, rhs, y0, dts):
-    # measured ratios per halving of dt: limit 2.00 2.00 2.00, regularized
-    # 2.55 2.32 2.18 (u) and 2.00 (rho), bidisperse 2.00 2.00
+def _errors(monkeypatch, scenario, kw, rhs, y0, dts) -> np.ndarray:
+    """Per dt, the relative errors of u, of rho where the ODE moves it, and of
+    the parents' displacement."""
     exact = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
-    errors = []  # relative errors of u, and of rho where the ODE moves it
+    errors = []
     for dt in dts:
-        fluid = _run(monkeypatch, scenario, dt, **kw)
+        fluid, shift = _run(monkeypatch, scenario, dt, **kw)
         u, rho = fluid.u.values, fluid.rho.values
         mean = u.mean(axis=(1, 2))
         assert np.abs(u - mean[:, None, None]).max() <= 1e-15  # uniform
@@ -101,6 +114,29 @@ def test_uniform_state_first_order_in_dt(monkeypatch, scenario, kw, rhs, y0, dts
             error.append(np.abs(rho - exact[2]).max() / exact[2])
         else:
             assert not rho.any()
+        error.append(np.abs(shift - [exact[-1], 0.0]).max() / exact[-1])
         errors.append(error)
-    errors = np.array(errors)
-    assert np.all(errors[:-1] / errors[1:] >= 1.9), errors
+    return np.array(errors)
+
+
+def _first_order(errors) -> bool:
+    return bool(np.all(errors[:-1] / errors[1:] >= 1.9))
+
+
+@pytest.mark.parametrize("scenario, kw, rhs, y0, dts", CASES, ids=[c[0] for c in CASES])
+def test_uniform_state_first_order_in_dt(monkeypatch, scenario, kw, rhs, y0, dts):
+    # measured ratios per halving of dt: limit 2.00 2.00 2.00, regularized
+    # 2.55 2.32 2.18 (u) and 2.00 (rho), bidisperse 2.00 2.00; the
+    # displacement (X(T) = 0.1813) 2.0 in each, limit 3.045e-6 ... 3.799e-7
+    errors = _errors(monkeypatch, scenario, kw, rhs, y0, dts)
+    assert _first_order(errors), errors
+
+
+def test_a_push_that_leaves_x_fails_the_check(monkeypatch):
+    # the displacement's relative error then reads 1.0 at every dt
+    def push(cloud, u_at_x, dt, _real=scenarios.advance_particles):
+        return replace(_real(cloud, u_at_x, dt), x=cloud.x)
+    monkeypatch.setattr(scenarios, "advance_particles", push)
+    scenario, kw, rhs, y0, dts = CASES[0]
+    errors = _errors(monkeypatch, scenario, kw, rhs, y0, dts[:2])
+    assert not _first_order(errors), errors
